@@ -39,7 +39,6 @@ class RunConfig:
     weight2: str = "chebyshev2"
     grid_points: int = 181
     lattice_level: int = 1500
-    snapshot_levels: tuple = ()          # empty means lattice_level // 2
     extrapolate: bool = False
     ode_steps: int = 10000
     eps_start: float = 1e-6
@@ -60,16 +59,10 @@ class RunConfig:
     def grid(self):
         return np.linspace(0.0, 1.0, self.grid_points)
 
-    def snapshots(self):
-        if self.snapshot_levels:
-            return set(self.snapshot_levels)
-        return {self.lattice_level // 2}
-
     def as_dict(self):
         d = dataclasses.asdict(self)
         d["interval1"] = list(self.interval1)
         d["interval2"] = list(self.interval2)
-        d["snapshot_levels"] = sorted(self.snapshots())
         return d
 
 
@@ -88,11 +81,7 @@ def _coerce(name, default, raw):
         if isinstance(default, float):
             return float(raw)
         if isinstance(default, tuple):
-            if not raw:
-                return ()
-            parts = [p.strip() for p in raw.split(",")]
-            elem = float if name.startswith("interval") else int
-            return tuple(elem(p) for p in parts)
+            return tuple(float(p) for p in raw.split(","))
         return raw
     except ValueError as exc:
         raise ValueError(f"bad value for {name}: {raw!r}") from exc
@@ -194,7 +183,7 @@ def _compute_curves(cfg, methods):
             continue
         t0 = time.perf_counter()
         if method == "dis":
-            lat = solve_lattice(system, cfg.lattice_level, cfg.snapshots())
+            lat = solve_lattice(system, cfg.lattice_level)
             curves[method] = curve_from_lattice(lat, grid, cfg.extrapolate)
             meta["lattice"] = {"level": lat.m,
                                "max_residual": lat.max_residual(),

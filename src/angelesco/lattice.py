@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import NumericalFailure
 from .orthopoly import axis_data
-from .systems import LimitCurve, LimitPoint
+from .systems import LimitCurve
 
 # smallest |b2 - b1| tolerated in a propagation denominator
 _DENOM_FLOOR = 1e-12
@@ -153,27 +153,20 @@ def _interp_diagonal(diag, level, s):
 def ray_limit(lat, s, extrapolate=False):
     """Finite-level ray values of ``lat`` at parameter ``s`` in [0, 1].
 
-    Interpolates the top diagonal at bi-degree (s m, (1 - s) m).  With
-    ``extrapolate`` the half-level snapshot is combined by Richardson
-    (2 x_m - x_{m/2}), cancelling the leading 1/m error term.
+    The one-point case of :func:`curve_from_lattice`.
     """
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"s must lie in [0, 1], got {s}")
-    vals = _interp_diagonal(lat.diagonal(lat.m), lat.m, s)
-    if extrapolate:
-        half = lat.m // 2
-        vals_h = _interp_diagonal(lat.diagonal(half), half, s)
-        vals = tuple(2.0 * v - vh for v, vh in zip(vals, vals_h))
-    a1, a2, b1, b2 = (float(v) for v in vals)
-    if s == 0.0:
-        a1 = 0.0
-    if s == 1.0:
-        a2 = 0.0
-    return LimitPoint(float(s), a1, a2, b1, b2)
+    return curve_from_lattice(lat, np.array([s]), extrapolate).point(0)
 
 
 def curve_from_lattice(lat, grid, extrapolate=False):
-    """Limit-curve estimate on ``grid`` from the finished lattice."""
+    """Limit-curve estimate on ``grid`` from the finished lattice.
+
+    Interpolates the top diagonal at bi-degrees (s m, (1 - s) m).  With
+    ``extrapolate`` the half-level snapshot is combined by Richardson
+    (2 x_m - x_{m/2}), cancelling the leading 1/m error term.
+    """
     grid = np.asarray(grid, dtype=float)
     if np.any(np.diff(grid) <= 0) or grid[0] < 0 or grid[-1] > 1:
         raise ValueError("grid must be strictly increasing inside [0, 1]")

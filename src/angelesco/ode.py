@@ -129,25 +129,21 @@ def endpoint_slopes(pack, side):
 def startup(pack, side, eps=DEFAULT_EPS):
     """First integration state a distance ``eps`` inside the interval.
 
-    One first-order Taylor step off the endpoint, using the endpoint slopes
-    for the C components and the regularized derivatives for the B's.
+    One first-order Taylor step off the endpoint along the right-hand side
+    evaluated there (its C slopes are :func:`endpoint_slopes`).
     """
     if side not in (0, 1):
         raise ValueError("side must be 0 or 1")
     if not 0.0 < eps <= 1e-4:
         raise ValueError(f"eps must lie in (0, 1e-4], got {eps}")
-    d1, d2 = endpoint_slopes(pack, side)
     if side == 0:
-        s, C1, C2, B1, B2 = 0.0, pack.C1_0, pack.C2_0, pack.B1_0, pack.B2_0
+        s, y = 0.0, np.array([pack.C1_0, pack.C2_0, pack.B1_0, pack.B2_0])
         step = eps
     else:
-        s, C1, C2, B1, B2 = 1.0, pack.C1_1, pack.C2_1, pack.B1_1, pack.B2_1
+        s, y = 1.0, np.array([pack.C1_1, pack.C2_1, pack.B1_1, pack.B2_1])
         step = -eps
-    root = np.sqrt(C1 + C2)
-    dB1 = (2.0 * C1 + s * d1) / root * (1.0 + C2 / C1)
-    dB2 = (2.0 * C2 - (1.0 - s) * d2) / root * (1.0 + C1 / C2)
-    return OdeState(s + step, C1 + step * d1, C2 + step * d2,
-                    B1 + step * dB1, B2 + step * dB2)
+    C1, C2, B1, B2 = y + step * rhs(s, y)
+    return OdeState(s + step, C1, C2, B1, B2)
 
 
 @dataclass

@@ -2,8 +2,8 @@
 
 Plain bisection only: every solver in this package trades speed for
 reproducibility, so there is no secant/Newton acceleration anywhere.
-All routines work elementwise on numpy arrays so that whole grids of
-root problems can be driven through one call.
+Each root problem is one-dimensional, and all routines work elementwise on
+numpy arrays so that whole grids of root problems go through one call.
 """
 import numpy as np
 
@@ -40,23 +40,6 @@ def bisect(f, lo, hi, iters=DEFAULT_ITERS):
         hi = np.where(same, hi, mid)
     out = 0.5 * (lo + hi)
     return out if out.ndim else float(out)
-
-
-def bisect_scalar(f, lo, hi, iters=DEFAULT_ITERS):
-    """Scalar bisection without array overhead (hot inner loops)."""
-    flo = f(lo)
-    fhi = f(hi)
-    if flo * fhi > 0:
-        raise NumericalFailure("bisection bracket has no sign change",
-                               {"lo": lo, "hi": hi, "flo": flo, "fhi": fhi})
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def expand_upper(f, lo, hi, factor=2.0, max_expansions=60):

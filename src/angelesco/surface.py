@@ -3,9 +3,12 @@
 For a star-frame configuration [-alpha, 0] u [beta, 1] the limiting
 recurrence coefficients at ray parameter s come from a genus-zero algebraic
 surface.  Its uniformizing coordinate pair (u, tau) is pinned down by two
-scalar root problems; partial-fraction residues of the uniformizing map then
-give the limits in closed form.  This route is the precision reference for
-the lattice and ODE methods: every root solve is plain bisection to machine
+scalar root problems: u by the gap invariant of the configuration, tau by
+the alpha level set of the projection ratio.  Along a ray the level set is
+linear in u, so u is eliminated explicitly and each ray costs one bisection
+in tau.  Partial-fraction residues of the uniformizing map then give the
+limits in closed form.  This route is the precision reference for the
+lattice and ODE methods: every root solve is plain bisection to machine
 accuracy and all formulas are explicit.
 
 Everything here is elementwise: scalar arguments give scalars, array
@@ -17,8 +20,7 @@ import numpy as np
 
 from .errors import NumericalFailure
 from .rootfind import bisect, count_sign_changes, expand_upper
-from .systems import (AffineMap, LimitCurve, LimitPoint, StarConfig,
-                      pushforward_limits, reflect, star_normalize)
+from .systems import LimitCurve, LimitPoint, reflect, star_normalize
 
 # lower edge of the u/tau domains; both variables live strictly above 1
 _EDGE = 1.0 + 1e-12
@@ -40,6 +42,16 @@ def gap_ratio(u):
 def projection_ratio(u, tau):
     """Core rational map of the surface; equals 1 + alpha at tau0."""
     return tau * tau * (tau + u - 2.0) / ((2.0 * u - 1.0) * tau - u)
+
+
+def level_set_u(alpha, tau):
+    """u on the level set projection_ratio(u, tau) = 1 + alpha, explicit in tau.
+
+    The level-set equation is linear in u; this is its solution written
+    without the cancellation of the expanded polynomial form.
+    """
+    sq = (tau - 1.0) ** 2
+    return -tau * (sq + alpha) / (sq - alpha * (2.0 * tau - 1.0))
 
 
 def alpha_coord(u, tau):
@@ -197,21 +209,18 @@ def threshold_ray(alpha):
 def pushed_beta(alpha, s):
     """Gap beta_s of the support configuration seen along ray s in (s_alpha, 1).
 
-    Solves the pair {alpha_coord = alpha, ray_direction = 2 s - 1} by nested
-    bisection: the inner solve recovers tau(u) along the alpha level set, the
-    outer solve walks u in (1, 2].  Returns (beta_s, u, tau).
+    Solves the pair {alpha_coord = alpha, ray_direction = 2 s - 1} by one
+    bisection in tau along the alpha level set, with u = level_set_u(alpha,
+    tau) eliminated explicitly.  The bracket ends are tau0 at u = 2 and at
+    u -> 1.  Returns (beta_s, u, tau).
     """
     s = np.asarray(s, dtype=float)
     theta = 2.0 * s - 1.0
-
-    def outer(u):
-        t = solve_tau0(u, alpha)
-        return ray_direction(u, t) - theta
-
-    lo = np.full(s.shape, 1.0 + 1e-9)
-    hi = np.full(s.shape, 2.0)
-    u = bisect(outer, lo, hi)
-    tau = solve_tau0(u, alpha)
+    lo = np.full(s.shape, solve_tau0(2.0, alpha))
+    hi = np.full(s.shape, solve_tau0(1.0 + 1e-9, alpha))
+    tau = bisect(lambda t: ray_direction(level_set_u(alpha, t), t) - theta,
+                 lo, hi)
+    u = level_set_u(alpha, tau)
     beta_s = beta_coord(u, tau)
     if np.ndim(beta_s):
         return beta_s, u, tau
@@ -293,44 +302,22 @@ def _star_values_right(alpha, s):
 def limits_at(sys, s, info=None):
     """Limit point of ``sys`` at ray parameter ``s`` via the surface route.
 
-    Star-normalizes, dispatches on the plateau position (closed-form
-    endpoint values at s in {0, 1}; plateau constants inside [c1, c2];
-    direct solve right of the plateau; reflected solve plus push-back left
-    of it), and returns the point in user coordinates.  ``info`` may carry a
+    The one-point case of :func:`limit_curve`; ``info`` may carry a
     precomputed :class:`PlateauInfo` for the star configuration.
     """
-    from .ode import boundary_values  # closed-form endpoint data
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"s must lie in [0, 1], got {s}")
-    if s == 0.0 or s == 1.0:
-        pack = boundary_values(sys)
-        if s == 0.0:
-            return LimitPoint(0.0, 0.0, pack.C2_0, pack.B1_0, pack.B2_0)
-        return LimitPoint(1.0, pack.C1_1, 0.0, pack.B1_1, pack.B2_1)
-    sc, amap = star_normalize(sys)
-    if info is None:
-        info = plateau_bounds(sc)
-    if info.c1 <= s <= info.c2:
-        p = info.plateau
-        return pushforward_limits(LimitPoint(s, p.A1, p.A2, p.B1, p.B2), amap)
-    if s > info.c2:
-        a1, a2, b1, b2 = _star_values_right(sc.alpha, s)
-        return pushforward_limits(LimitPoint(s, a1, a2, b1, b2), amap)
-    # left of the plateau: evaluate the reflected configuration at 1 - s
-    sc_hat, map_hat = reflected_star(sc)
-    a1, a2, b1, b2 = _star_values_right(sc_hat.alpha, 1.0 - s)
-    p = LimitPoint(1.0 - s, a1, a2, b1, b2)
-    p = pushforward_limits(p, map_hat)                    # hat-star -> reflected frame
-    p = pushforward_limits(p, AffineMap(-1.0, 0.0), True)  # undo reflection
-    return pushforward_limits(p, amap)
+    return limit_curve(sys, np.array([s]), info).point(0)
 
 
 def limit_curve(sys, grid, info=None):
     """Limit curve of ``sys`` on ``grid`` via the surface route (vectorized).
 
     Grid points are partitioned into endpoint / plateau / direct / reflected
-    zones and each zone is solved in one vector pass; results agree with
-    pointwise :func:`limits_at` to rounding.
+    zones and each zone is solved in one vector pass: closed-form endpoint
+    values at s in {0, 1}, the plateau constants inside [c1, c2], the direct
+    solve right of the plateau, and the reflected configuration at 1 - s
+    left of it.  ``info`` may carry a precomputed :class:`PlateauInfo`.
     """
     from .ode import boundary_values
     grid = np.asarray(grid, dtype=float)

@@ -18,7 +18,6 @@ def test_defaults():
     cfg = RunConfig()
     assert cfg.interval1 == (-2.0, 0.0)
     assert cfg.grid_points == 181
-    assert cfg.snapshots() == {750}
     grid = cfg.grid()
     assert grid.size == 181 and grid[0] == 0.0 and grid[-1] == 1.0
 
@@ -31,14 +30,12 @@ def test_config_file_parsing(tmp_path):
         "interval2 = 0.25, 1.25   # trailing comment\n"
         "grid_points = 61\n"
         "extrapolate = true\n"
-        "snapshot_levels = 100, 200\n"
         "weight1 = chebyshev1\n")
     cfg = load_config(cfgfile, {})
     assert cfg.interval1 == (-1.0, 0.0)
     assert cfg.interval2 == (0.25, 1.25)
     assert cfg.grid_points == 61
     assert cfg.extrapolate is True
-    assert cfg.snapshot_levels == (100, 200)
     assert cfg.weight1 == "chebyshev1"
 
 

@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 
 from angelesco import NumericalFailure
-from angelesco.rootfind import (bisect, bisect_scalar, count_sign_changes,
-                                expand_upper)
-
-
-def test_bisect_scalar_cubic():
-    root = bisect_scalar(lambda x: x**3 - 2.0, 0.0, 2.0)
-    assert root == pytest.approx(2.0 ** (1.0 / 3.0), abs=1e-14)
+from angelesco.rootfind import bisect, count_sign_changes, expand_upper
 
 
 def test_bisect_vectorized():
@@ -25,15 +19,15 @@ def test_bisect_scalar_input_gives_float():
 
 def test_bisect_rejects_open_bracket():
     with pytest.raises(NumericalFailure):
-        bisect_scalar(lambda x: x * x + 1.0, -1.0, 1.0)
+        bisect(lambda x: x * x + 1.0, -1.0, 1.0)
     with pytest.raises(NumericalFailure):
         bisect(lambda x: x * x + 1.0, np.array([-1.0]), np.array([1.0]))
 
 
 def test_bisect_deterministic():
     f = lambda x: np.cos(x) - x
-    a = bisect_scalar(f, 0.0, 1.0)
-    b = bisect_scalar(f, 0.0, 1.0)
+    a = bisect(f, 0.0, 1.0)
+    b = bisect(f, 0.0, 1.0)
     assert a == b
 
 

@@ -108,6 +108,37 @@ def test_pushed_beta_increasing():
     assert np.all(np.diff(b) > 0)
 
 
+# alpha, tau relative tolerance, beta absolute tolerance.  At alpha = 1e-3
+# beta_coord is ill-conditioned: evaluated at the correctly rounded (u, tau)
+# it is already off by up to 8e-11.  At alpha = 1e3 every ray has
+# theta > 0.95, where one ulp of theta moves tau by 1.3e-15 relative.
+@pytest.mark.parametrize("alpha, tau_rtol, beta_atol", [
+    (1e-3, 1e-15, 1e-9), (0.5, 1e-15, 1e-13), (2.0, 1e-15, 1e-13),
+    (1e3, 3e-15, 1e-13)])
+def test_pushed_beta_against_50_digits(alpha, tau_rtol, beta_atol):
+    mp = pytest.importorskip("mpmath")
+    _, s_a = threshold_ray(alpha)
+    s = s_a + (1.0 - s_a) * np.linspace(0.025, 0.975, 20)
+    beta, u, tau = pushed_beta(alpha, s)
+    with mp.workdps(50):
+        al = mp.mpf(alpha)
+        for i in range(s.size):
+            theta = 2 * mp.mpf(s[i]) - 1
+
+            def eqs(x, t):
+                # projection_ratio = 1 + alpha and ray_direction = theta
+                num = 2 + 2 * x * t - x - t
+                den = (2 * x * t - x - t) * (x + t) * (x + t - 2)
+                return [t * t * (t + x - 2) / ((2 * x - 1) * t - x) - (1 + al),
+                        (t - x) * mp.sqrt(num / den) - theta]
+
+            u_ref, tau_ref = mp.findroot(eqs, (mp.mpf(u[i]), mp.mpf(tau[i])))
+            g = u_ref * (2 - u_ref) ** 3 / (2 * u_ref - 1) ** 3
+            beta_ref = al * g / (1 + al - g)
+            assert abs(tau[i] - tau_ref) <= tau_rtol * tau_ref
+            assert abs(beta[i] - beta_ref) <= beta_atol
+
+
 def test_plateau_touching_degenerates(touching_info):
     assert touching_info.c1 == touching_info.c2
     assert touching_info.c1 == pytest.approx(0.5985242517080603, abs=1e-12)
@@ -143,6 +174,12 @@ def test_limits_at_approaches_endpoint_values(touching_system):
     assert abs(p.B1 + 1.0) < 1e-9
     p = limits_at(touching_system, 1e-6)
     assert abs(p.A2 - 0.0625) < 1e-9
+
+
+def test_limits_at_returns_the_asked_ray(gap_system, gap_info):
+    # left zone (reflected solve), plateau, right zone
+    for s in (0.1, 0.3, 0.5, 0.9):
+        assert limits_at(gap_system, s, info=gap_info).s == s
 
 
 def test_curve_continuous_at_plateau_edges(gap_system, gap_info):
