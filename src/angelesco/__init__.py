@@ -19,8 +19,7 @@ from .crossval import (ComparisonReport, ConvergenceTable, IdentityReport,
                        ResidualReport, compare, convergence_study,
                        identity_checks, ode_residuals)
 from .errors import NumericalFailure
-from .lattice import (NnrrLattice, consistency_residuals, curve_from_lattice,
-                      ray_limit, solve_lattice)
+from .lattice import NnrrLattice, curve_from_lattice, ray_limit, solve_lattice
 from .ode import (BoundaryPack, Branch, assemble_curve, boundary_values,
                   branch_curve, integrate_branch, solve_system)
 from .orthopoly import (AxisData, QuadratureRule, ScalarRecurrence, axis_data,
@@ -41,7 +40,7 @@ __all__ = [
     "PlateauInfo", "QuadratureRule", "ResidueLimits", "ResidualReport",
     "ScalarRecurrence", "StarConfig", "SurfaceParams", "WEIGHT_KINDS",
     "assemble_curve", "axis_data", "boundary_values", "branch_curve",
-    "compare", "consistency_residuals", "convergence_study",
+    "compare", "convergence_study",
     "curve_from_lattice", "gauss_nodes", "identity_checks",
     "integrate_branch", "limit_curve", "limits_at", "mixed_ratios",
     "ode_residuals", "plateau_bounds", "pushed_beta", "pushforward_limits",

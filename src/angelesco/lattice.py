@@ -181,8 +181,3 @@ def curve_from_lattice(lat, grid, extrapolate=False):
     meta = {"level": lat.m, "extrapolated": bool(extrapolate),
             "max_residual": lat.max_residual()}
     return LimitCurve(grid.copy(), a1, a2, b1, b2, "lattice", meta).validate()
-
-
-def consistency_residuals(lat):
-    """Per-diagonal axis mismatch log (rows: level 1..m; columns: axis 1, 2)."""
-    return lat.residuals.copy()

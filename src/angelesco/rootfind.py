@@ -2,7 +2,7 @@
 
 Plain bisection only: every solver in this package trades speed for
 reproducibility, so there is no secant/Newton acceleration anywhere.
-Each root problem is one-dimensional, and all routines work elementwise on
+Each root problem is one-dimensional, and the solvers work elementwise on
 numpy arrays so that whole grids of root problems go through one call.
 """
 import numpy as np
@@ -38,8 +38,7 @@ def bisect(f, lo, hi, iters=DEFAULT_ITERS):
         lo = np.where(same, mid, lo)
         flo = np.where(same, fm, flo)
         hi = np.where(same, hi, mid)
-    out = 0.5 * (lo + hi)
-    return out if out.ndim else float(out)
+    return 0.5 * (lo + hi)
 
 
 def expand_upper(f, lo, hi, factor=2.0, max_expansions=60):
@@ -64,19 +63,9 @@ def expand_upper(f, lo, hi, factor=2.0, max_expansions=60):
 def count_sign_changes(f, lo, hi, samples=257):
     """Number of sign changes of ``f`` sampled on ``samples`` points of [lo, hi].
 
-    ``lo``/``hi`` may be arrays; the scan then runs per element and the count
-    is returned per element.  Used as a uniqueness guard after bisection.
+    Exact zeros are skipped, so a root at a bracket end is no crossing.  Used
+    as a uniqueness guard after bisection.
     """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    frac = np.linspace(0.0, 1.0, samples)
-    grid = lo[..., None] + (hi - lo)[..., None] * frac
-    vals = np.asarray(f(grid), dtype=float)
-    signs = np.sign(vals)
-    # treat exact zeros as belonging to the previous sign
-    for i in range(1, samples):
-        col = signs[..., i]
-        prev = signs[..., i - 1]
-        signs[..., i] = np.where(col == 0, prev, col)
-    changes = np.sum(signs[..., 1:] != signs[..., :-1], axis=-1)
-    return changes if changes.ndim else int(changes)
+    signs = np.sign(f(np.linspace(lo, hi, samples)))
+    signs = signs[signs != 0]
+    return int(np.count_nonzero(signs[1:] != signs[:-1]))

@@ -5,22 +5,29 @@ recurrence coefficients at ray parameter s come from a genus-zero algebraic
 surface.  Its uniformizing coordinate pair (u, tau) is pinned down by two
 scalar root problems: u by the gap invariant of the configuration, tau by
 the alpha level set of the projection ratio.  Along a ray the level set is
-linear in u, so u is eliminated explicitly and each ray costs one bisection
-in tau.  Partial-fraction residues of the uniformizing map then give the
-limits in closed form.  This route is the precision reference for the
-lattice and ODE methods: every root solve is plain bisection to machine
-accuracy and all formulas are explicit.
+linear in u, so u is eliminated explicitly and each ray off the plateau
+costs one bisection in tau.  The partial-fraction residues of the
+uniformizing map read that (u, tau) directly, with the two other preimages
+of infinity from a quadratic, and give the limits in closed form.  This
+route is the precision reference for the lattice and ODE methods: every
+root solve is plain bisection to machine accuracy and all formulas are
+explicit.
 
-Everything here is elementwise: scalar arguments give scalars, array
-arguments give arrays, so whole grids go through the solvers in one call.
+The solvers and coordinate maps are elementwise numpy functions, so whole
+grids go through one call; a scalar argument gives a 0-d result.
 """
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalFailure
+from .ode import _fix_endpoints, boundary_values
 from .rootfind import bisect, count_sign_changes, expand_upper
-from .systems import LimitCurve, LimitPoint, reflect, star_normalize
+from .systems import (AffineMap, LimitCurve, LimitPoint, pushforward_limits,
+                      reflect, star_normalize)
+
+# star frame of a reflected system -> star frame of the original
+_MIRROR = AffineMap(-1.0, 0.0)
 
 # lower edge of the u/tau domains; both variables live strictly above 1
 _EDGE = 1.0 + 1e-12
@@ -88,32 +95,28 @@ def solve_u(alpha, beta):
     lo = np.full(beta.shape, _EDGE)
     hi = np.full(beta.shape, 2.0)
     u = bisect(lambda x: gap_ratio(x) - target, lo, hi)
-    u = np.where(beta == 0.0, 2.0, u)
-    return u if u.ndim else float(u)
+    return np.where(beta == 0.0, 2.0, u)
 
 
 def solve_tau0(u, alpha, check_unique=False):
     """Root tau0 > 1 of projection_ratio(u, tau) = 1 + alpha.
 
     The bracket upper end is grown geometrically until the sign flips; with
-    ``check_unique`` the bracket is scanned for extra sign changes and a
-    multiple crossing raises :class:`NumericalFailure`.
+    ``check_unique`` (scalar ``u`` only) the bracket is scanned for extra
+    sign changes and a multiple crossing raises :class:`NumericalFailure`.
     """
     u = np.asarray(u, dtype=float)
     f = lambda t: projection_ratio(u, t) - (1.0 + alpha)
     lo = np.full(u.shape, _EDGE)
     hi = expand_upper(f, lo, np.full(u.shape, 2.0))
     if check_unique:
-        changes = np.asarray(count_sign_changes(f, lo, hi))
+        changes = count_sign_changes(f, lo, hi)
         # a root exactly at the bracket end registers as zero crossings
-        fhi = np.asarray(f(hi), dtype=float)
-        ok = (changes == 1) | ((changes == 0) & (fhi == 0.0))
-        if not np.all(ok):
+        if not (changes == 1 or (changes == 0 and f(hi) == 0.0)):
             raise NumericalFailure(
                 "projection ratio crosses its target more than once",
                 {"alpha": float(alpha), "changes": changes})
-    tau = bisect(f, lo, hi)
-    return tau if np.ndim(tau) else float(tau)
+    return bisect(f, lo, hi)
 
 
 def infinity_preimages(u, tau0):
@@ -132,9 +135,7 @@ def infinity_preimages(u, tau0):
     q = np.where(q == 0.0, 0.5 * disc, q)  # rsum == 0: symmetric pair
     r1 = np.where(q < prod / q, q, prod / q)
     r2 = np.where(q < prod / q, prod / q, q)
-    if r1.ndim:
-        return r1, r2
-    return float(r1), float(r2)
+    return r1, r2
 
 
 @dataclass(frozen=True)
@@ -155,11 +156,14 @@ class SurfaceParams:
 def surface_params(alpha, beta, check_unique=False):
     """Solve all surface coordinates for configuration(s) (alpha, beta)."""
     u = solve_u(alpha, beta)
-    tau0 = solve_tau0(u, alpha, check_unique=check_unique)
+    return _params_at(alpha, beta, u,
+                      solve_tau0(u, alpha, check_unique=check_unique))
+
+
+def _params_at(alpha, beta, u, tau0):
+    """Surface coordinates completed from a solved pair (u, tau0)."""
     tau1, tau2 = infinity_preimages(u, tau0)
-    bad = ((np.asarray(tau1) >= 0) | (np.asarray(tau2) <= 0)
-           | (np.asarray(tau2) >= np.asarray(tau0)))
-    if np.any(bad):
+    if np.any((tau1 >= 0) | (tau2 <= 0) | (tau2 >= tau0)):
         raise NumericalFailure("surface preimages out of order",
                                {"alpha": alpha, "tau1": tau1, "tau2": tau2})
     return SurfaceParams(alpha, beta, u, tau0, tau1, tau2, 2.0 - u)
@@ -221,10 +225,7 @@ def pushed_beta(alpha, s):
     tau = bisect(lambda t: ray_direction(level_set_u(alpha, t), t) - theta,
                  lo, hi)
     u = level_set_u(alpha, tau)
-    beta_s = beta_coord(u, tau)
-    if np.ndim(beta_s):
-        return beta_s, u, tau
-    return float(beta_s), float(u), float(tau)
+    return beta_coord(u, tau), u, tau
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +256,7 @@ class PlateauInfo:
 
 def reflected_star(sc):
     """Star configuration of the reflected system plus its transport map."""
-    sys_r, _ = reflect(sc.system())
-    return star_normalize(sys_r)
+    return star_normalize(reflect(sc.system()))
 
 
 def plateau_bounds(sc):
@@ -293,9 +293,13 @@ def plateau_bounds(sc):
 
 
 def _star_values_right(alpha, s):
-    """Star-frame limits for ray parameters right of the plateau (vectorized)."""
-    beta_s, _, _ = pushed_beta(alpha, s)
-    vals = residue_limits(surface_params(alpha, beta_s))
+    """Star-frame limits for ray parameters right of the plateau (vectorized).
+
+    The residues read the (u, tau) that :func:`pushed_beta` solved: tau is
+    tau0 of the pushed configuration (alpha, beta_s).
+    """
+    beta_s, u, tau = pushed_beta(alpha, s)
+    vals = residue_limits(_params_at(alpha, beta_s, u, tau))
     return vals.A1, vals.A2, vals.B1, vals.B2
 
 
@@ -317,9 +321,10 @@ def limit_curve(sys, grid, info=None):
     zones and each zone is solved in one vector pass: closed-form endpoint
     values at s in {0, 1}, the plateau constants inside [c1, c2], the direct
     solve right of the plateau, and the reflected configuration at 1 - s
-    left of it.  ``info`` may carry a precomputed :class:`PlateauInfo`.
+    left of it.  Star-frame values reach the user frame through
+    :func:`pushforward_limits`.  ``info`` may carry a precomputed
+    :class:`PlateauInfo`.
     """
-    from .ode import boundary_values
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("grid must be a nonempty 1-d array")
@@ -328,40 +333,29 @@ def limit_curve(sys, grid, info=None):
     sc, amap = star_normalize(sys)
     if info is None:
         info = plateau_bounds(sc)
-    lam, c = amap.scale, amap.shift
-    A1 = np.empty_like(grid)
-    A2 = np.empty_like(grid)
-    B1 = np.empty_like(grid)
-    B2 = np.empty_like(grid)
 
     interior = (grid > 0.0) & (grid < 1.0)
     plat = interior & (grid >= info.c1) & (grid <= info.c2)
     right = interior & (grid > info.c2)
     left = interior & (grid < info.c1)
 
-    pk = boundary_values(sys)
-    A1[grid == 0.0], A2[grid == 0.0] = 0.0, pk.C2_0
-    B1[grid == 0.0], B2[grid == 0.0] = pk.B1_0, pk.B2_0
-    A1[grid == 1.0], A2[grid == 1.0] = pk.C1_1, 0.0
-    B1[grid == 1.0], B2[grid == 1.0] = pk.B1_1, pk.B2_1
-
+    # star-frame values; endpoints are pinned after the transport
+    star = np.zeros((4, grid.size))
     p = info.plateau
-    A1[plat], A2[plat] = lam * lam * p.A1, lam * lam * p.A2
-    B1[plat], B2[plat] = lam * p.B1 + c, lam * p.B2 + c
-
+    star[:, plat] = np.array([[p.A1], [p.A2], [p.B1], [p.B2]])
     if np.any(right):
-        a1, a2, b1, b2 = _star_values_right(sc.alpha, grid[right])
-        A1[right], A2[right] = lam * lam * a1, lam * lam * a2
-        B1[right], B2[right] = lam * b1 + c, lam * b2 + c
+        star[:, right] = _star_values_right(sc.alpha, grid[right])
     if np.any(left):
         sc_hat, map_hat = reflected_star(sc)
-        a1, a2, b1, b2 = _star_values_right(sc_hat.alpha, 1.0 - grid[left][::-1])
-        lh, ch = map_hat.scale, map_hat.shift
-        # hat-star -> reflected frame -> (swap, negate) -> user frame
-        a1, a2 = lh * lh * a1, lh * lh * a2
-        b1, b2 = lh * b1 + ch, lh * b2 + ch
-        A1[left], A2[left] = lam * lam * a2[::-1], lam * lam * a1[::-1]
-        B1[left], B2[left] = lam * -b2[::-1] + c, lam * -b1[::-1] + c
+        s_hat = 1.0 - grid[left][::-1]
+        hat = LimitCurve(s_hat, *_star_values_right(sc_hat.alpha, s_hat))
+        back = pushforward_limits(pushforward_limits(hat, map_hat), _MIRROR,
+                                  swapped=True)
+        star[:, left] = back.A1, back.A2, back.B1, back.B2
 
-    meta = {"plateau": info.as_dict(), "frame_map": {"scale": lam, "shift": c}}
-    return LimitCurve(grid.copy(), A1, A2, B1, B2, "surface", meta).validate()
+    meta = {"plateau": info.as_dict()}
+    curve = pushforward_limits(
+        LimitCurve(grid.copy(), *star, "surface", meta), amap)
+    _fix_endpoints(grid, curve.A1, curve.A2, curve.B1, curve.B2,
+                   boundary_values(sys))
+    return curve.validate()

@@ -187,15 +187,13 @@ def star_normalize(sys):
 def reflect(sys):
     """Reflect a system about the origin, restoring interval order.
 
-    Returns ``(reflected_system, swapped)``; the reflected intervals are the
-    negated originals with roles exchanged (the flag is always True and is
-    kept explicit so push-forwards read naturally).  Weights travel with
-    their intervals.
+    The reflected intervals are the negated originals with roles exchanged,
+    so limit data travels back through ``AffineMap(-1, 0)`` with
+    ``swapped=True``.  Weights travel with their intervals.
     """
-    out = AngelescoSystem(Interval(-sys.i2.hi, -sys.i2.lo),
-                          Interval(-sys.i1.hi, -sys.i1.lo),
-                          sys.w2, sys.w1)
-    return out, True
+    return AngelescoSystem(Interval(-sys.i2.hi, -sys.i2.lo),
+                           Interval(-sys.i1.hi, -sys.i1.lo),
+                           sys.w2, sys.w1)
 
 
 def pushforward_limits(obj, amap, swapped=False):

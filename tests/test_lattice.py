@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from angelesco import AngelescoSystem, Interval
-from angelesco.lattice import (consistency_residuals, curve_from_lattice,
-                               ray_limit, solve_lattice)
+from angelesco.lattice import curve_from_lattice, ray_limit, solve_lattice
 from angelesco.surface import limits_at
 from moment_oracle import MomentOracle
 
@@ -65,7 +64,7 @@ def test_axis_rows_keep_axis_data(touching_system):
 
 def test_consistency_residuals(touching_system, deep_lattice):
     lat = solve_lattice(touching_system, 200)
-    res = consistency_residuals(lat)
+    res = lat.residuals
     assert res.shape == (200, 2)
     assert np.all(res >= 0)
     assert lat.max_residual() <= 1e-10

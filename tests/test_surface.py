@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from angelesco import (AngelescoSystem, Interval, StarConfig, reflect,
-                       star_normalize)
+from angelesco import (AffineMap, AngelescoSystem, Interval, StarConfig,
+                       pushforward_limits, reflect, star_normalize, surface)
 from angelesco.surface import (SurfaceParams, alpha_coord, beta_coord,
                                gap_ratio, infinity_preimages, limit_curve,
                                limits_at, plateau_bounds, projection_ratio,
@@ -202,8 +202,7 @@ def test_symmetric_system_mirror():
 
 
 def test_reflection_covariance(gap_system):
-    ref, swapped = reflect(gap_system)
-    assert swapped
+    ref = reflect(gap_system)
     for s in (0.1, 0.3, 0.55, 0.7, 0.9):
         p = limits_at(gap_system, s)
         q = limits_at(ref, 1.0 - s)
@@ -222,6 +221,40 @@ def test_limit_curve_matches_pointwise(gap_system, gap_info):
         assert cv.A2[i] == pytest.approx(p.A2, abs=1e-12)
         assert cv.B1[i] == pytest.approx(p.B1, abs=1e-12)
         assert cv.B2[i] == pytest.approx(p.B2, abs=1e-12)
+
+
+def test_limit_curve_solves_each_zone_once(monkeypatch, gap_system, gap_info):
+    # one array bisection per off-plateau zone; scalar ones set up brackets
+    sizes = []
+    real_bisect = surface.bisect
+
+    def recording(f, lo, hi, *args, **kwargs):
+        sizes.append(np.size(lo))
+        return real_bisect(f, lo, hi, *args, **kwargs)
+
+    monkeypatch.setattr(surface, "bisect", recording)
+    grid = np.linspace(0.0, 1.0, 181)
+    limit_curve(gap_system, grid, info=gap_info)
+    interior = (grid > 0) & (grid < 1)
+    zones = sorted([np.count_nonzero(interior & (grid < gap_info.c1)),
+                    np.count_nonzero(interior & (grid > gap_info.c2))])
+    assert sorted(n for n in sizes if n > 1) == zones
+
+
+@pytest.mark.parametrize("name", ["touching_system", "gap_system"])
+def test_limit_curve_exactly_covariant(request, name):
+    # a power-of-two scale maps the star frame exactly, so the direct and
+    # the pushed-forward curves must agree to the bit, reflected zone included
+    base = request.getfixturevalue(name)
+    amap = AffineMap(2.0, 3.0)
+    mapped = AngelescoSystem(
+        Interval(amap.apply(base.i1.lo), amap.apply(base.i1.hi)),
+        Interval(amap.apply(base.i2.lo), amap.apply(base.i2.hi)))
+    grid = np.linspace(0.0, 1.0, 181)
+    direct = limit_curve(mapped, grid)
+    moved = pushforward_limits(limit_curve(base, grid), amap)
+    for f in ("s", "A1", "A2", "B1", "B2"):
+        assert np.array_equal(getattr(direct, f), getattr(moved, f)), f
 
 
 def test_identity_off_plateau(gap_system, gap_info):
