@@ -14,6 +14,13 @@ them with the directly computed axis values and logs the difference.  These
 residuals are the only genuine redundancy in the scheme and act as a running
 consistency check of the whole construction.
 
+Each diagonal's gap b2 - b1 is formed once.  Its b-phase solve divides by
+it, and the next diagonal's a-phase reads it again as the denominator of its
+step relations.  The b-phase guard therefore covers that a-phase too: it has
+already checked every site of the gap, axis overrides included, so the
+a-phase needs no guard of its own.  The guards are written so that NaN fails
+them.
+
 Ray limits along n ~ (s m, (1-s) m) converge at rate 1/m, so a single
 half-level snapshot supports Richardson extrapolation (2 x_m - x_{m/2}).
 """
@@ -67,7 +74,8 @@ def solve_lattice(sys, m, snapshot_levels=None):
     ``snapshot_levels`` defaults to {m // 2}, which is what Richardson
     extrapolation needs.  The sweep stores three rolling diagonals; cost is
     O(m^2) time and O(m) memory.  A propagation denominator below 1e-12 or a
-    nonpositive interior coefficient aborts with :class:`NumericalFailure`.
+    nonpositive interior coefficient, NaN included, aborts with
+    :class:`NumericalFailure`.
     """
     if m < 1:
         raise ValueError(f"level must be a positive integer, got {m}")
@@ -83,7 +91,7 @@ def solve_lattice(sys, m, snapshot_levels=None):
     a2 = np.array([0.0])
     b1 = np.array([ax1.own_b[0]])
     b2 = np.array([ax2.own_b[0]])
-    b1_prev = b2_prev = None
+    gap_prev = None
     snaps = {}
     if 0 in snapshot_levels:
         snaps[0] = (a1.copy(), a2.copy(), b1.copy(), b2.copy())
@@ -97,21 +105,18 @@ def solve_lattice(sys, m, snapshot_levels=None):
         b2n = np.empty(K)
 
         # a-phase: axis values, then the multiplicative step relations for
-        # interior sites (numerators from level L, denominators from L - 1)
+        # interior sites (numerators from level L, denominators from L - 1,
+        # which passed the previous b-phase guard)
         a1n[0] = 0.0
         a2n[0] = ax2.own_a[L + 1]
         a1n[K - 1] = ax1.own_a[L + 1]
         a2n[K - 1] = 0.0
+        gap = b2 - b1
         if L >= 1:
-            gap_cur = b2[1:L + 1] - b1[1:L + 1]
-            gap_prev = b2_prev[0:L] - b1_prev[0:L]
-            if np.min(np.abs(gap_prev)) < _DENOM_FLOOR:
-                raise NumericalFailure("coefficient gap collapsed in a-phase",
-                                       {"level": L + 1})
-            a1n[1:L + 1] = a1[1:L + 1] * gap_cur / gap_prev
-            a2n[1:L + 1] = a2[0:L] * (b2[0:L] - b1[0:L]) / \
-                (b2_prev[0:L] - b1_prev[0:L])
-            if np.min(a1n[1:L + 1]) <= 0.0 or np.min(a2n[1:L + 1]) <= 0.0:
+            a1n[1:L + 1] = a1[1:L + 1] * gap[1:L + 1] / gap_prev[0:L]
+            a2n[1:L + 1] = a2[0:L] * gap[0:L] / gap_prev[0:L]
+            if not (np.minimum.reduce(a1n[1:L + 1]) > 0.0
+                    and np.minimum.reduce(a2n[1:L + 1]) > 0.0):
                 raise NumericalFailure("interior coefficient lost positivity",
                                        {"level": L + 1})
 
@@ -119,11 +124,10 @@ def solve_lattice(sys, m, snapshot_levels=None):
         # the diagonal); S couples the new a's to the b-step
         S = a1n + a2n
         dS = S[0:L + 1] - S[1:L + 2]
-        denom = b2 - b1
-        if np.min(np.abs(denom)) < _DENOM_FLOOR:
+        if not np.minimum.reduce(np.abs(gap)) >= _DENOM_FLOOR:
             raise NumericalFailure("coefficient gap collapsed in b-phase",
                                    {"level": L + 1})
-        y = (dS - b1 * b2 + b2 * b2) / denom
+        y = (dS - b1 * b2 + b2 * b2) / gap
         b2n[1:K] = y
         b1n[0:K - 1] = y + b1 - b2
 
@@ -135,7 +139,7 @@ def solve_lattice(sys, m, snapshot_levels=None):
         b2n[0] = ax2.own_b[L + 1]
         b1n[0] = ax2.cross_b[L + 1]
 
-        b1_prev, b2_prev = b1, b2
+        gap_prev = gap
         a1, a2, b1, b2 = a1n, a2n, b1n, b2n
         if L + 1 in snapshot_levels and L + 1 != m:
             snaps[L + 1] = (a1.copy(), a2.copy(), b1.copy(), b2.copy())

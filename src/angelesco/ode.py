@@ -8,11 +8,19 @@ interval with first-order Taylor data derived from the endpoint values.  The
 branches stop at the plateau edges and the assembled curve splices branch
 values with the plateau constants.
 
+The state is four numbers, so the RK4 stages run on Python floats: ``rhs``
+takes floats and returns a 4-tuple, and each stage is formed component by
+component in the same operation order as the array expression it replaces
+(``y + 0.5*h*k`` and ``y + h/6*(k1 + 2 k2 + 2 k3 + k4)``), which gives the
+same IEEE results without a numpy allocation per stage.  Only the node
+arrays handed to dense output are numpy.
+
 The linear system defining (C1', C2') degenerates at the endpoints only
 through a removable factor s (1 - s); the solved form used here cancels that
 factor exactly, so the right-hand side is regular on all of [0, 1] and a
 fixed step is safe arbitrarily close to the ends.
 """
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,18 +109,21 @@ def rhs(s, y):
     written in the equivalent solved form whose denominators stay bounded on
     [0, 1].  B1' and B2' use the regularized square-root relations; both B
     components are integrated so their mutual consistency can be monitored.
+
+    ``y`` is any 4-sequence of floats; the result is a 4-tuple of floats.
+    A nonpositive or NaN C raises :class:`NumericalFailure`.
     """
     C1, C2, B1, B2 = y
-    if C1 <= 0.0 or C2 <= 0.0:
+    if not (C1 > 0.0 and C2 > 0.0):
         raise NumericalFailure("positivity lost in ODE state",
                                {"s": s, "C1": C1, "C2": C2})
     q = (1.0 + s) * (1.0 - s) / C2 + s * (2.0 - s) / C1
     d1 = -2.0 * (2.0 * (1.0 - s) * C1 / C2 + (3.0 - 2.0 * s)) / q
     d2 = 2.0 * ((1.0 + 2.0 * s) + 2.0 * s * C2 / C1) / q
-    root = np.sqrt(C1 + C2)
+    root = math.sqrt(C1 + C2)
     dB1 = (2.0 * C1 + s * d1) / root * (1.0 + C2 / C1)
     dB2 = (2.0 * C2 - (1.0 - s) * d2) / root * (1.0 + C1 / C2)
-    return np.array([d1, d2, dB1, dB2])
+    return d1, d2, dB1, dB2
 
 
 def endpoint_slopes(pack, side):
@@ -137,12 +148,12 @@ def startup(pack, side, eps=DEFAULT_EPS):
     if not 0.0 < eps <= 1e-4:
         raise ValueError(f"eps must lie in (0, 1e-4], got {eps}")
     if side == 0:
-        s, y = 0.0, np.array([pack.C1_0, pack.C2_0, pack.B1_0, pack.B2_0])
+        s, y = 0.0, (pack.C1_0, pack.C2_0, pack.B1_0, pack.B2_0)
         step = eps
     else:
-        s, y = 1.0, np.array([pack.C1_1, pack.C2_1, pack.B1_1, pack.B2_1])
+        s, y = 1.0, (pack.C1_1, pack.C2_1, pack.B1_1, pack.B2_1)
         step = -eps
-    C1, C2, B1, B2 = y + step * rhs(s, y)
+    C1, C2, B1, B2 = (yi + step * di for yi, di in zip(y, rhs(s, y)))
     return OdeState(s + step, C1, C2, B1, B2)
 
 
@@ -205,11 +216,13 @@ def integrate_branch(pack, side, stop, steps_per_unit=DEFAULT_STEPS_PER_UNIT,
     """Integrate one branch from its endpoint to ``stop``.
 
     side 0 runs forward from s = eps, side 1 backward from s = 1 - eps; the
-    step count is ``steps_per_unit`` scaled by the branch length.  Classical
-    fixed-step fourth-order Runge-Kutta; every node stores the state and its
-    derivative for dense output.  Loss of positivity in C raises
-    :class:`NumericalFailure` with the last good s.
+    step count is ``steps_per_unit`` (at least 1) scaled by the branch
+    length.  Classical fixed-step fourth-order Runge-Kutta on Python floats;
+    every node stores the state and its derivative for dense output.  Loss
+    of positivity in C raises :class:`NumericalFailure` with the last good s.
     """
+    if not steps_per_unit >= 1:
+        raise ValueError(f"steps_per_unit must be at least 1, got {steps_per_unit}")
     st = startup(pack, side, eps)
     s0 = st.s
     if side == 0 and not s0 < stop <= 1.0:
@@ -217,28 +230,41 @@ def integrate_branch(pack, side, stop, steps_per_unit=DEFAULT_STEPS_PER_UNIT,
     if side == 1 and not 0.0 <= stop < s0:
         raise ValueError(f"backward stop must lie in [0, {s0}), got {stop}")
     n = max(1, int(np.ceil(abs(stop - s0) * steps_per_unit)))
-    h = (stop - s0) / n
+    h = float(stop - s0) / n
+    hh = 0.5 * h
+    h6 = h / 6.0
     s_nodes = np.empty(n + 1)
     y_nodes = np.empty((n + 1, 4))
     d_nodes = np.empty((n + 1, 4))
-    y = np.array([st.C1, st.C2, st.B1, st.B2])
+    y = (st.C1, st.C2, st.B1, st.B2)
     s = s0
     drift = 0.0
     for i in range(n):
+        y0, y1, y2, y3 = y
         try:
             k1 = rhs(s, y)
-            k2 = rhs(s + 0.5 * h, y + 0.5 * h * k1)
-            k3 = rhs(s + 0.5 * h, y + 0.5 * h * k2)
-            k4 = rhs(s + h, y + h * k3)
+            a0, a1, a2, a3 = k1
+            b0, b1, b2, b3 = rhs(s + hh, (y0 + hh * a0, y1 + hh * a1,
+                                          y2 + hh * a2, y3 + hh * a3))
+            c0, c1, c2, c3 = rhs(s + hh, (y0 + hh * b0, y1 + hh * b1,
+                                          y2 + hh * b2, y3 + hh * b3))
+            d0, d1, d2, d3 = rhs(s + h, (y0 + h * c0, y1 + h * c1,
+                                         y2 + h * c2, y3 + h * c3))
         except NumericalFailure as exc:
             exc.context["last_good_s"] = s
             raise
         s_nodes[i] = s
         y_nodes[i] = y
         d_nodes[i] = k1
-        y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y = (y0 + h6 * (a0 + 2.0 * b0 + 2.0 * c0 + d0),
+             y1 + h6 * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
+             y2 + h6 * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
+             y3 + h6 * (a3 + 2.0 * b3 + 2.0 * c3 + d3))
         s = s0 + (i + 1) * h
-        drift = max(drift, abs(y[3] - y[2] - np.sqrt(y[0] + y[1])))
+        csum = y[0] + y[1]
+        # a negative sum is left to the next rhs call's positivity check
+        if not csum < 0.0:
+            drift = max(drift, abs(y[3] - y[2] - math.sqrt(csum)))
     s_nodes[n] = s
     y_nodes[n] = y
     d_nodes[n] = rhs(s, y)

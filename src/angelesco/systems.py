@@ -115,7 +115,7 @@ class LimitPoint:
     def __post_init__(self):
         if not (0.0 <= self.s <= 1.0):
             raise ValueError(f"s must lie in [0, 1], got {self.s}")
-        if self.A1 < 0 or self.A2 < 0:
+        if not (self.A1 >= 0 and self.A2 >= 0):
             raise ValueError(f"A limits must be nonnegative: {self}")
         if self.A1 == 0 and self.s != 0:
             raise ValueError(f"A1 = 0 requires s = 0: {self}")
@@ -152,6 +152,9 @@ class LimitCurve:
 
     def validate(self):
         """Check the pointwise invariants; raises ValueError on violation."""
+        for name in ("s", "A1", "A2", "B1", "B2"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} values must be finite")
         if np.any(np.diff(self.s) <= 0):
             raise ValueError("grid must be strictly increasing")
         if np.any(self.s < 0) or np.any(self.s > 1):

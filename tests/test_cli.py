@@ -123,6 +123,13 @@ def test_compute_rejects_bad_methods(tmp_path):
                  "--output_dir", out]) == 2
 
 
+@pytest.mark.parametrize("steps", ["0", "-5"])
+def test_compute_rejects_step_count_below_one(tmp_path, steps):
+    rc = main(["compute", "--methods", "ode", f"--ode_steps={steps}",
+               "--output_dir", str(tmp_path / "out")])
+    assert rc == 2
+
+
 def test_cli_requires_subcommand():
     with pytest.raises(SystemExit):
         main([])

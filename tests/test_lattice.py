@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from angelesco import AngelescoSystem, Interval
+import angelesco.lattice as lattice_mod
+from angelesco import AngelescoSystem, Interval, NumericalFailure
 from angelesco.lattice import curve_from_lattice, ray_limit, solve_lattice
 from angelesco.surface import limits_at
 from moment_oracle import MomentOracle
@@ -115,6 +118,25 @@ def test_snapshot_bookkeeping(touching_system):
     lat.diagonal(10)
     with pytest.raises(KeyError):
         lat.diagonal(7)
+
+
+@pytest.mark.parametrize("axis", [1, 2])
+@pytest.mark.parametrize("field", ["own_a", "own_b", "cross_b"])
+def test_nan_axis_data_aborts_sweep(touching_system, monkeypatch, axis, field):
+    real = lattice_mod.axis_data
+
+    def poisoned(sys, ax, m):
+        data = real(sys, ax, m)
+        if ax != axis:
+            return data
+        values = getattr(data, field).copy()
+        values[5] = np.nan
+        return dataclasses.replace(data, **{field: values})
+
+    monkeypatch.setattr(lattice_mod, "axis_data", poisoned)
+    with pytest.raises(NumericalFailure) as exc:
+        solve_lattice(touching_system, 20)
+    assert exc.value.context["level"] in range(5, 21)
 
 
 def test_level_validation(touching_system):

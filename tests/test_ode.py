@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,10 @@ def test_rhs_positivity_guard():
         rhs(0.5, np.array([-0.1, 1.0, -1.0, 1.0]))
     with pytest.raises(NumericalFailure):
         rhs(0.5, np.array([1.0, 0.0, -1.0, 1.0]))
+    with pytest.raises(NumericalFailure):
+        rhs(0.5, (float("nan"), 1.0, -1.0, 1.0))
+    with pytest.raises(NumericalFailure):
+        rhs(0.5, (1.0, float("nan"), -1.0, 1.0))
 
 
 def test_endpoint_slopes(touching_pack):
@@ -211,4 +217,73 @@ def test_positivity_failure_reports_last_good_s():
     pk = BoundaryPack(1e-4, 25.0, 0.25, 3.0, -4.5, 0.5001, -1.0, 0.8)
     with pytest.raises(NumericalFailure) as exc:
         integrate_branch(pk, 0, 0.5)
-    assert "last_good_s" in exc.value.context
+    ctx = exc.value.context
+    assert "last_good_s" in ctx
+    # plain floats, so a failure record can be written as JSON
+    assert all(type(v) is float for v in ctx.values())
+    assert json.loads(json.dumps(ctx)) == ctx
+
+
+@pytest.mark.parametrize("steps", [0, -5, 0.5, float("nan")])
+def test_branch_rejects_step_count_below_one(touching_pack, steps):
+    with pytest.raises(ValueError, match="steps_per_unit"):
+        integrate_branch(touching_pack, 0, 0.5, steps_per_unit=steps)
+
+
+def _reference_branch(pack, side, stop, steps_per_unit, eps=1e-6):
+    """The RK4 branch loop written on 4-element numpy arrays.
+
+    A reference for :func:`integrate_branch`, whose float loop forms every
+    stage with the same operations in the same order and so must reproduce
+    these nodes bit for bit.  Returns (s, y, d, identity_drift), ascending.
+    """
+    def f(s, y):
+        C1, C2 = y[0], y[1]
+        q = (1.0 + s) * (1.0 - s) / C2 + s * (2.0 - s) / C1
+        d1 = -2.0 * (2.0 * (1.0 - s) * C1 / C2 + (3.0 - 2.0 * s)) / q
+        d2 = 2.0 * ((1.0 + 2.0 * s) + 2.0 * s * C2 / C1) / q
+        root = np.sqrt(C1 + C2)
+        dB1 = (2.0 * C1 + s * d1) / root * (1.0 + C2 / C1)
+        dB2 = (2.0 * C2 - (1.0 - s) * d2) / root * (1.0 + C1 / C2)
+        return np.array([d1, d2, dB1, dB2])
+
+    if side == 0:
+        s, y, step = 0.0, np.array([pack.C1_0, pack.C2_0, pack.B1_0,
+                                    pack.B2_0]), eps
+    else:
+        s, y, step = 1.0, np.array([pack.C1_1, pack.C2_1, pack.B1_1,
+                                    pack.B2_1]), -eps
+    y = y + step * f(s, y)
+    s0 = s = s + step
+    n = max(1, int(np.ceil(abs(stop - s0) * steps_per_unit)))
+    h = (stop - s0) / n
+    s_nodes, y_nodes, d_nodes = np.empty(n + 1), np.empty((n + 1, 4)), \
+        np.empty((n + 1, 4))
+    drift = 0.0
+    for i in range(n):
+        k1 = f(s, y)
+        k2 = f(s + 0.5 * h, y + 0.5 * h * k1)
+        k3 = f(s + 0.5 * h, y + 0.5 * h * k2)
+        k4 = f(s + h, y + h * k3)
+        s_nodes[i], y_nodes[i], d_nodes[i] = s, y, k1
+        y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        s = s0 + (i + 1) * h
+        drift = max(drift, abs(y[3] - y[2] - np.sqrt(y[0] + y[1])))
+    s_nodes[n], y_nodes[n], d_nodes[n] = s, y, f(s, y)
+    if side == 1:
+        s_nodes, y_nodes, d_nodes = s_nodes[::-1], y_nodes[::-1], d_nodes[::-1]
+    return s_nodes, y_nodes, d_nodes, drift
+
+
+@pytest.mark.parametrize("name", ["touching", "gap"])
+def test_branches_match_array_reference_bit_for_bit(name, request):
+    sys = request.getfixturevalue(f"{name}_system")
+    info = request.getfixturevalue(f"{name}_info")
+    pk = boundary_values(sys)
+    for side, stop in ((0, info.c1), (1, info.c2)):
+        br = integrate_branch(pk, side, stop, steps_per_unit=2000)
+        s, y, d, drift = _reference_branch(pk, side, stop, 2000)
+        assert br.s.tolist() == s.tolist()
+        assert br.y.tolist() == y.tolist()
+        assert br.d.tolist() == d.tolist()
+        assert br.identity_drift == drift

@@ -129,6 +129,10 @@ def test_limit_point_invariants():
         LimitPoint(1.5, 0.1, 0.1, -1.0, 0.5)
     with pytest.raises(ValueError):
         LimitPoint(0.5, -0.1, 0.1, -1.0, 0.5)
+    with pytest.raises(ValueError):
+        LimitPoint(0.5, float("nan"), 0.1, -1.0, 0.5)
+    with pytest.raises(ValueError):
+        LimitPoint(0.5, 0.1, float("nan"), -1.0, 0.5)
 
 
 def test_pushforward_point_examples():
@@ -184,3 +188,10 @@ def test_curve_validate():
     bad2 = LimitCurve(s, np.array([0.0, 0.0, 0.3]), good.A2, good.B1, good.B2)
     with pytest.raises(ValueError):
         bad2.validate()
+    for name in ("s", "A1", "A2", "B1", "B2"):
+        for value in (np.nan, np.inf):
+            fields = {f: getattr(good, f).copy()
+                      for f in ("s", "A1", "A2", "B1", "B2")}
+            fields[name][1] = value
+            with pytest.raises(ValueError, match="finite"):
+                LimitCurve(**fields).validate()
