@@ -14,6 +14,14 @@ them with the directly computed axis values and logs the difference.  These
 residuals are the only genuine redundancy in the scheme and act as a running
 consistency check of the whole construction.
 
+The b-phase solve of the two-by-two system reduces to one shared step: with
+S = a1 + a2 on the new diagonal, dS its drop from site k to k + 1 and
+q = dS / (b2 - b1), the new b2 at site k + 1 is b2 + q and the new b1 at
+site k is b1 + q.  dS and the gap do not change when both intervals are
+shifted, so q does not either, and a shift c costs the b's only the rounding
+of b + q: under 64 ulp(c) after 1500 levels.  Expanded as
+(dS - b1 b2 + b2^2) / gap, the same step would cancel terms of size c^2.
+
 Each diagonal's gap b2 - b1 is formed once.  Its b-phase solve divides by
 it, and the next diagonal's a-phase reads it again as the denominator of its
 step relations.  The b-phase guard therefore covers that a-phase too: it has
@@ -96,6 +104,8 @@ def solve_lattice(sys, m, snapshot_levels=None):
     if 0 in snapshot_levels:
         snaps[0] = (a1.copy(), a2.copy(), b1.copy(), b2.copy())
     residuals = np.zeros((m, 2))
+    s_buf = np.empty(m + 1)
+    q_buf = np.empty(m)
 
     for L in range(m):
         K = L + 2  # diagonal L + 1 has sites k = 0 .. L + 1
@@ -113,23 +123,26 @@ def solve_lattice(sys, m, snapshot_levels=None):
         a2n[K - 1] = 0.0
         gap = b2 - b1
         if L >= 1:
-            a1n[1:L + 1] = a1[1:L + 1] * gap[1:L + 1] / gap_prev[0:L]
-            a2n[1:L + 1] = a2[0:L] * gap[0:L] / gap_prev[0:L]
-            if not (np.minimum.reduce(a1n[1:L + 1]) > 0.0
-                    and np.minimum.reduce(a2n[1:L + 1]) > 0.0):
+            a1i, a2i = a1n[1:L + 1], a2n[1:L + 1]
+            np.divide(np.multiply(a1[1:L + 1], gap[1:L + 1], out=a1i),
+                      gap_prev[0:L], out=a1i)
+            np.divide(np.multiply(a2[0:L], gap[0:L], out=a2i),
+                      gap_prev[0:L], out=a2i)
+            if not (np.minimum.reduce(a1i) > 0.0
+                    and np.minimum.reduce(a2i) > 0.0):
                 raise NumericalFailure("interior coefficient lost positivity",
                                        {"level": L + 1})
 
-        # b-phase: solve the 2x2 closed form site by site (vectorized over
-        # the diagonal); S couples the new a's to the b-step
-        S = a1n + a2n
-        dS = S[0:L + 1] - S[1:L + 2]
+        # b-phase: b2 at k + 1 and b1 at k both move by q = dS / gap
+        # (vectorized over the diagonal)
         if not np.minimum.reduce(np.abs(gap)) >= _DENOM_FLOOR:
             raise NumericalFailure("coefficient gap collapsed in b-phase",
                                    {"level": L + 1})
-        y = (dS - b1 * b2 + b2 * b2) / gap
-        b2n[1:K] = y
-        b1n[0:K - 1] = y + b1 - b2
+        S = np.add(a1n, a2n, out=s_buf[0:K])
+        q = np.subtract(S[0:L + 1], S[1:L + 2], out=q_buf[0:L + 1])
+        np.divide(q, gap, out=q)
+        np.add(b2, q, out=b2n[1:K])
+        np.add(b1, q, out=b1n[0:K - 1])
 
         # axis sites: log the propagated-vs-direct mismatch, then override
         residuals[L, 0] = abs(b2n[K - 1] - ax1.cross_b[L + 1])

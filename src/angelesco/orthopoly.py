@@ -11,13 +11,26 @@ Recurrence convention: with monic polynomials p_k of a single weight,
 
 so ``a[i]`` first appears in the step producing p_{i+2}.  On the lattice axis
 the own-direction coefficient at site k is ``a[k-1]`` (zero at k = 0).
+
+The mixed moments run the source recurrence on the destination's quadrature
+nodes, far nodes first.  Only the far node sets the scale, adjusted by exact
+powers of two, and near nodes whose values have dropped 2^-400 below it are
+retired for good, so no step works on subnormal numbers or on nodes that no
+longer count (see :func:`mixed_ratios`).
 """
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalFailure
 from .systems import AngelescoSystem, Interval, check_weight_kind
+
+# the far node's binary exponent is brought back to zero when it leaves
+# (-_EXP_WINDOW, _EXP_WINDOW); a node is retired below _RETIRE of the far
+# value, so live values stay above 2^-(400 + 256 + one step) (no subnormals)
+_EXP_WINDOW = 256
+_RETIRE = 2.0 ** -400
 
 
 @dataclass(frozen=True)
@@ -110,36 +123,88 @@ def mixed_ratios(src_kind, src_interval, dst_kind, dst_interval, m):
     the src weight.
 
     The integrand is evaluated by a quadrature rule of the destination weight
-    that is exact through degree m + 1.  Polynomial values are renormalized by
-    their max-norm every step, so consecutive h's share one scale and each
-    ratio is formed from order-one quantities (no overflow at any depth).
+    that is exact through degree m + 1.  The destination must lie on one side
+    of the source (touching allowed), so no zero of any p_k falls inside it.
+
+    The nodes are visited from far to near, as seen from the source.  Every
+    |p_k| is then nonincreasing along the nodes, and the ratio of a node's
+    value to the far node's value does not increase with k (|p_{k+1}/p_k|
+    grows with the distance from the source).  The far node therefore
+    carries the scale: whenever the binary exponent of its value leaves a
+    fixed window, the two live polynomial rows and the two live moments are
+    multiplied by a power of two, which is exact and leaves every ratio
+    untouched.  The midpoint b is subtracted from the nodes once, since every
+    supported weight has all b's equal to it.
+
+    A tail node is retired once both of its values fall below 2^-400 of the
+    far node's; by the monotonicity above it never comes back.  All terms of
+    the quadrature sum share one sign, so h_k is at least the far term
+    w_far |p_k(far)| and the dropped part is below 2^-400 |p_k(far)|: less
+    than 2^-400 / w_far of h_k, some hundred digits under rounding for any
+    rule in use (w_far is about 2 pi^2 / n^3 at the smallest).  Without
+    retirement such nodes sink into subnormals and carry rounding noise only.
+
+    A vanished moment, a far value that is zero or not finite, or a b that
+    is not the midpoint (NaN included in all three) raises
+    :class:`NumericalFailure` carrying the step ``k``.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
+    if dst_interval.hi > src_interval.lo and src_interval.hi > dst_interval.lo:
+        raise ValueError(f"destination {dst_interval} overlaps source "
+                         f"{src_interval}")
     if dst_kind == "uniform":
         nodes = m + 2
     else:
         nodes = (m + 3) // 2
     rule = gauss_nodes(dst_kind, dst_interval, max(nodes, 1))
-    rec = scalar_recurrence(src_kind, src_interval, m + 2)
-    x, w = rule.x, rule.w
-    r = np.empty(m + 1)
-    u_prev = np.ones_like(x)          # p_0 under the running scale
+    rec = scalar_recurrence(src_kind, src_interval, m + 1)
+    b = rec.b[0]
+    moved = np.flatnonzero(rec.b != b)  # NaN compares unequal too
+    if moved.size:
+        raise NumericalFailure("source recurrence b is not the midpoint",
+                               {"k": max(int(moved[0]) - 1, 0)})
+    t, w = rule.x - b, rule.w
+    if abs(t[0]) < abs(t[-1]):        # the rules list nodes monotonically
+        t, w = t[::-1].copy(), w[::-1].copy()
+    a = rec.a.tolist()
+    n = t.size                        # live nodes t[:n]
+    u_prev = np.ones(n)               # p_0
+    u_curr = t.copy()                 # p_1
+    v = np.empty(n)
+    tmp = np.empty(n)
     h_curr = 1.0                      # h_0 of a probability measure
-    u_curr = x - rec.b[0]             # p_1
     h_next = float(w @ u_curr)
+    r = np.empty(m + 1)
     for k in range(m + 1):
-        if h_curr == 0.0:
+        if not abs(h_curr) > 0.0:
             raise NumericalFailure("mixed moment vanished", {"k": k})
         r[k] = h_next / h_curr
-        v = (x - rec.b[k + 1]) * u_curr - rec.a[k] * u_prev
-        scale = np.max(np.abs(v))
-        if scale == 0.0:
-            raise NumericalFailure("polynomial vanished at all nodes", {"k": k})
-        h_curr = h_next / scale
-        h_next = float(w @ v) / scale
-        u_prev = u_curr / scale
-        u_curr = v / scale
+        if k == m:
+            break
+        # v = p_{k+2} = t p_{k+1} - a_k p_k on the live nodes
+        vn, un = v[:n], u_curr[:n]
+        np.multiply(t[:n], un, out=vn)
+        np.multiply(u_prev[:n], a[k], out=tmp[:n])
+        np.subtract(vn, tmp[:n], out=vn)
+        far = abs(float(vn[0]))
+        if not 0.0 < far < math.inf:
+            raise NumericalFailure("polynomial lost its scale at the far node",
+                                   {"k": k})
+        h_curr, h_next = h_next, float(w[:n] @ vn)
+        e = math.frexp(far)[1]
+        if not -_EXP_WINDOW < e < _EXP_WINDOW:
+            scale = math.ldexp(1.0, -e)
+            vn *= scale
+            un *= scale
+            h_curr *= scale
+            h_next *= scale
+            far = math.ldexp(far, -e)
+        cut_v = _RETIRE * far
+        cut_u = _RETIRE * abs(float(un[0]))
+        while n > 1 and abs(vn[n - 1]) < cut_v and abs(un[n - 1]) < cut_u:
+            n -= 1
+        u_prev, u_curr, v = u_curr, v, u_prev
     return r
 
 

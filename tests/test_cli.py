@@ -146,6 +146,18 @@ def test_validate_passes(tmp_path):
     assert report["residuals"]["passed"] is True
 
 
+def test_validate_passes_far_from_the_origin(tmp_path, capsys):
+    # the touching system moved by 2^20; the sweep's b-phase must not lose
+    # the digits of the shift (exact in binary) to cancellation
+    out = tmp_path / "out"
+    rc = main(["validate", "--interval1=1048574,1048576",
+               "--interval2=1048576,1048577", "--output_dir", str(out)])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert sum(line.startswith("PASS") for line in lines) == 5
+    assert not any(line.startswith("FAIL") for line in lines)
+
+
 def test_validate_fails_on_tight_tolerance(tmp_path):
     out = tmp_path / "out"
     rc = main(["validate", "--output_dir", str(out),

@@ -74,6 +74,24 @@ def test_consistency_residuals(touching_system, deep_lattice):
     assert deep_lattice.max_residual() < 1e-6
 
 
+@pytest.mark.parametrize("c", [2.0 ** 10, 2.0 ** 20])
+def test_sweep_translation_covariant(deep_lattice, c):
+    # shifting both intervals by c (exact in binary) shifts every b by c and
+    # leaves every a alone; the b-phase adds a shift-free step to b, so the
+    # lattice keeps that to within 64 ulp(c) all the way to level 1500
+    # (measured 38 and 47)
+    shifted = AngelescoSystem(Interval(-2.0 + c, c), Interval(c, 1.0 + c))
+    lat = solve_lattice(shifted, 1500)
+    tol = 64 * np.spacing(c)
+    for level in (750, 1500):
+        a1, a2, b1, b2 = lat.diagonal(level)
+        r1, r2, q1, q2 = deep_lattice.diagonal(level)
+        assert np.max(np.abs(a1 - r1)) <= tol
+        assert np.max(np.abs(a2 - r2)) <= tol
+        assert np.max(np.abs((b1 - c) - q1)) <= tol
+        assert np.max(np.abs((b2 - c) - q2)) <= tol
+
+
 def test_ray_limit_midpoint(deep_lattice, touching_system, touching_info):
     ref = limits_at(touching_system, 0.5, info=touching_info)
     p = ray_limit(deep_lattice, 0.5)

@@ -1,10 +1,17 @@
+import dataclasses
+import decimal
+import itertools
+
 import numpy as np
 import pytest
 
-from angelesco import AngelescoSystem, Interval
+import angelesco.orthopoly as orthopoly_mod
+from angelesco import AngelescoSystem, Interval, NumericalFailure
 from angelesco.orthopoly import (axis_data, gauss_nodes, mixed_ratios,
                                  scalar_recurrence)
 from moment_oracle import MomentOracle, moments
+
+KINDS = ("chebyshev1", "chebyshev2", "uniform")
 
 
 def test_chebyshev2_standard_interval():
@@ -94,6 +101,86 @@ def test_mixed_ratios_rejects_negative_depth():
     with pytest.raises(ValueError):
         mixed_ratios("chebyshev2", Interval(-1.0, 0.0),
                      "chebyshev2", Interval(0.0, 1.0), -1)
+
+
+def test_mixed_ratios_rejects_overlapping_intervals():
+    with pytest.raises(ValueError):
+        mixed_ratios("chebyshev2", Interval(-1.0, 0.5),
+                     "chebyshev2", Interval(0.0, 1.0), 5)
+
+
+def _ratios_50_digits(src_kind, src, dst_kind, dst, m):
+    """The recurrence of ``mixed_ratios`` in 50-digit decimal arithmetic.
+
+    Same nodes, weights and coefficients (every binary float converts to a
+    Decimal exactly), no rescaling and no node ever dropped.
+    """
+    D = decimal.Decimal
+    nodes = m + 2 if dst_kind == "uniform" else (m + 3) // 2
+    rule = gauss_nodes(dst_kind, dst, nodes)
+    rec = scalar_recurrence(src_kind, src, m + 1)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        t = np.array([D(x) - D(rec.b[0]) for x in rule.x.tolist()],
+                     dtype=object)
+        w = np.array([D(x) for x in rule.w.tolist()], dtype=object)
+        p_prev, p_curr = np.full(t.size, D(1), dtype=object), t
+        h = [D(1), w.dot(p_curr)]
+        for k in range(m):
+            p_prev, p_curr = p_curr, t * p_curr - D(rec.a[k]) * p_prev
+            h.append(w.dot(p_curr))
+        return np.array([float(h[k + 1] / h[k]) for k in range(m + 1)])
+
+
+@pytest.mark.parametrize("geometry", ["touching", "gap"])
+@pytest.mark.parametrize("src_kind,dst_kind", itertools.product(KINDS, KINDS))
+@pytest.mark.parametrize("src_left", [True, False])
+def test_mixed_ratios_match_50_digit_reference(geometry, src_kind, dst_kind,
+                                               src_left):
+    # at m = 400 tail nodes retire in every case except gap with the source
+    # on the left, so this also bounds what retirement drops
+    left = Interval(-2.0, 0.0)
+    right = Interval(0.0, 1.0) if geometry == "touching" else Interval(0.25, 1.0)
+    src, dst = (left, right) if src_left else (right, left)
+    r = mixed_ratios(src_kind, src, dst_kind, dst, 400)
+    ref = _ratios_50_digits(src_kind, src, dst_kind, dst, 400)
+    # measured worst 3.9 ulp over these 36 cases
+    assert np.max(np.abs(r - ref) / np.abs(ref)) <= 8 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("src_kind,dst_kind", [("chebyshev2", "chebyshev2"),
+                                               ("uniform", "chebyshev1"),
+                                               ("chebyshev1", "uniform")])
+@pytest.mark.parametrize("lo", [-2.0, -1000.0])
+@pytest.mark.parametrize("src_left", [True, False])
+def test_mixed_ratios_never_underflow(src_kind, dst_kind, lo, src_left):
+    # near nodes are retired before their values reach the subnormal range
+    left, right = Interval(lo, 0.0), Interval(0.0, 1.0)
+    src, dst = (left, right) if src_left else (right, left)
+    with np.errstate(under="raise"):
+        r = mixed_ratios(src_kind, src, dst_kind, dst, 1500)
+    assert np.all(np.isfinite(r))
+
+
+@pytest.mark.parametrize("field,index,value,k", [("a", 7, np.nan, 7),
+                                                 ("a", 0, np.inf, 0),
+                                                 ("b", 5, np.nan, 4),
+                                                 ("b", 0, np.nan, 0)])
+def test_mixed_ratios_bad_coefficient_raises(monkeypatch, field, index,
+                                             value, k):
+    real = orthopoly_mod.scalar_recurrence
+
+    def poisoned(kind, interval, n):
+        rec = real(kind, interval, n)
+        values = getattr(rec, field).copy()
+        values[index] = value
+        return dataclasses.replace(rec, **{field: values})
+
+    monkeypatch.setattr(orthopoly_mod, "scalar_recurrence", poisoned)
+    with pytest.raises(NumericalFailure) as exc:
+        mixed_ratios("chebyshev2", Interval(-2.0, 0.0),
+                     "uniform", Interval(0.0, 1.0), 20)
+    assert exc.value.context["k"] == k
 
 
 def test_axis_data_touching_star(touching_system):
