@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .crossval import compare, identity_checks, ode_residuals
+from .crossval import compare, identity_checks, ode_residuals, resample
 from .errors import NumericalFailure
 from .lattice import curve_from_lattice, solve_lattice
 from .ode import solve_system
@@ -277,20 +277,13 @@ def run_plot(paths, out_path):
     base = curves[0].s
     packs = []
     for c in curves:
-        if c.s.size == base.size and np.array_equal(c.s, base):
-            s, vals = c.s, {f: getattr(c, f) for f in ("A1", "A2", "B1", "B2")}
-        else:
-            lo = max(base[0], c.s[0])
-            hi = min(base[-1], c.s[-1])
-            keep = (base >= lo) & (base <= hi)
-            if not np.any(keep):
-                raise ValueError(f"{c.method}: no grid overlap for plotting")
-            s = base[keep]
-            vals = {f: np.interp(s, c.s, getattr(c, f))
-                    for f in ("A1", "A2", "B1", "B2")}
+        keep, vals = resample(c, base)
+        if not np.any(keep):
+            raise ValueError(f"{c.method}: no grid overlap for plotting")
+        if not np.array_equal(c.s, base):
             comments.append(f"warning: {c.method} resampled onto "
-                            f"{s.size} shared grid points")
-        packs.append((s, vals))
+                            f"{np.count_nonzero(keep)} shared grid points")
+        packs.append((base[keep], vals))
     from .svgfig import render_panels
     svg = render_panels(packs, labels, comments)
     Path(out_path).write_text(svg, encoding="utf-8")

@@ -23,13 +23,25 @@ def _window_of(curve, window):
             return float(window.c1), float(window.c2)
         c1, c2 = window
         return float(c1), float(c2)
-    meta = getattr(curve, "meta", {}) or {}
-    if "c1" in meta:
-        return float(meta["c1"]), float(meta["c2"])
-    plat = meta.get("plateau")
-    if isinstance(plat, dict) and "c1" in plat:
-        return float(plat["c1"]), float(plat["c2"])
+    if "c1" in curve.meta:
+        return float(curve.meta["c1"]), float(curve.meta["c2"])
     return None
+
+
+def resample(curve, grid):
+    """Values of ``curve`` on the points of ``grid`` that its own grid covers.
+
+    Returns ``(keep, values)``: a boolean mask of the covered points of
+    ``grid`` (the curve's range widened by 1e-12) and a dict of the four
+    functions there.  A curve already on ``grid`` gives its own arrays;
+    otherwise they are interpolated linearly.  The mask is all False when
+    the grids do not overlap; the caller decides what that means.
+    """
+    if np.array_equal(curve.s, grid):
+        return np.ones(grid.size, dtype=bool), {f: getattr(curve, f) for f in FUNCS}
+    keep = (grid >= curve.s[0] - 1e-12) & (grid <= curve.s[-1] + 1e-12)
+    return keep, {f: np.interp(grid[keep], curve.s, getattr(curve, f))
+                  for f in FUNCS}
 
 
 @dataclass(frozen=True)
@@ -63,25 +75,18 @@ def compare(a, b, exclude_margin=0.0, window=None, tolerance=None):
     """Difference two limit curves on their common grid.
 
     Grids must agree point by point; otherwise ``b`` is resampled onto the
-    overlapping part of ``a``'s grid by linear interpolation.  With a
+    overlapping part of ``a``'s grid by :func:`resample`.  With a
     positive ``exclude_margin`` every point closer than the margin to the
     plateau window [c1, c2] is dropped (the window is taken from ``window``
     or from either curve's metadata).  A ``tolerance`` turns the report into
     a pass/fail verdict on the max statistic.
     """
-    sa, sb = a.s, b.s
-    if sa.size == sb.size and np.array_equal(sa, sb):
-        grid = sa
-        va = {f: getattr(a, f) for f in FUNCS}
-        vb = {f: getattr(b, f) for f in FUNCS}
-    else:
-        keep = (sa >= sb[0] - 1e-12) & (sa <= sb[-1] + 1e-12)
-        grid = sa[keep]
-        if grid.size == 0:
-            raise NumericalFailure("curves have no overlapping grid range",
-                                   {"a": (sa[0], sa[-1]), "b": (sb[0], sb[-1])})
-        va = {f: getattr(a, f)[keep] for f in FUNCS}
-        vb = {f: np.interp(grid, sb, getattr(b, f)) for f in FUNCS}
+    keep, vb = resample(b, a.s)
+    grid = a.s[keep]
+    if grid.size == 0:
+        raise NumericalFailure("curves have no overlapping grid range",
+                               {"a": (a.s[0], a.s[-1]), "b": (b.s[0], b.s[-1])})
+    va = {f: getattr(a, f)[keep] for f in FUNCS}
 
     mask = np.ones(grid.size, dtype=bool)
     if exclude_margin > 0.0:
@@ -270,7 +275,7 @@ def convergence_study(sys, s, levels):
     from .surface import limits_at
     levels = tuple(int(m) for m in levels)
     if any(b <= a for a, b in zip(levels, levels[1:])):
-        raise ValueError("levels must be strictly increasing")
+        raise ValueError(f"levels must increase, got {levels}")
     ref = limits_at(sys, s)
     ref_t = (ref.A1, ref.A2, ref.B1, ref.B2)
     plain = np.empty((len(levels), 4))

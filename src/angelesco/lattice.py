@@ -32,13 +32,13 @@ them.
 Ray limits along n ~ (s m, (1-s) m) converge at rate 1/m, so a single
 half-level snapshot supports Richardson extrapolation (2 x_m - x_{m/2}).
 """
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalFailure
 from .orthopoly import axis_data
-from .systems import LimitCurve
+from .systems import LimitCurve, check_grid
 
 # smallest |b2 - b1| tolerated in a propagation denominator
 _DENOM_FLOOR = 1e-12
@@ -61,7 +61,6 @@ class NnrrLattice:
     b2: np.ndarray
     snapshots: dict
     residuals: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def diagonal(self, level):
         """Diagonal arrays (a1, a2, b1, b2) at ``level`` (top or snapshot)."""
@@ -172,8 +171,6 @@ def ray_limit(lat, s, extrapolate=False):
 
     The one-point case of :func:`curve_from_lattice`.
     """
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"s must lie in [0, 1], got {s}")
     return curve_from_lattice(lat, np.array([s]), extrapolate).point(0)
 
 
@@ -184,9 +181,7 @@ def curve_from_lattice(lat, grid, extrapolate=False):
     ``extrapolate`` the half-level snapshot is combined by Richardson
     (2 x_m - x_{m/2}), cancelling the leading 1/m error term.
     """
-    grid = np.asarray(grid, dtype=float)
-    if np.any(np.diff(grid) <= 0) or grid[0] < 0 or grid[-1] > 1:
-        raise ValueError("grid must be strictly increasing inside [0, 1]")
+    grid = check_grid(grid)
     vals = _interp_diagonal(lat.diagonal(lat.m), lat.m, grid)
     if extrapolate:
         half = lat.m // 2

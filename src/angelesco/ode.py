@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalFailure
-from .systems import LimitCurve
+from .systems import LimitCurve, check_grid
 
 DEFAULT_STEPS_PER_UNIT = 10000
 DEFAULT_EPS = 1e-6
@@ -171,7 +171,6 @@ class Branch:
     d: np.ndarray
     identity_drift: float
     pack: BoundaryPack
-    eps: float
     meta: dict = field(default_factory=dict)
 
     @property
@@ -272,7 +271,7 @@ def integrate_branch(pack, side, stop, steps_per_unit=DEFAULT_STEPS_PER_UNIT,
         s_nodes = s_nodes[::-1].copy()
         y_nodes = y_nodes[::-1].copy()
         d_nodes = d_nodes[::-1].copy()
-    return Branch(side, s_nodes, y_nodes, d_nodes, drift, pack, eps,
+    return Branch(side, s_nodes, y_nodes, d_nodes, drift, pack,
                   {"steps": n, "stop": stop})
 
 
@@ -316,9 +315,7 @@ def assemble_curve(forward, backward, c1, c2, grid, method="ode"):
     redundancy monitors).  For touching systems c1 = c2 and the plateau is
     empty.
     """
-    grid = np.asarray(grid, dtype=float)
-    if np.any(np.diff(grid) <= 0) or grid[0] < 0 or grid[-1] > 1:
-        raise ValueError("grid must be strictly increasing inside [0, 1]")
+    grid = check_grid(grid)
     pack = forward.pack
     end_f = forward.limit_values(np.array([c1]))
     end_b = backward.limit_values(np.array([c2]))

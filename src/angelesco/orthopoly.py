@@ -41,10 +41,6 @@ class ScalarRecurrence:
     kind: str
     interval: Interval
 
-    @property
-    def n(self):
-        return self.b.size
-
 
 @dataclass(frozen=True)
 class QuadratureRule:

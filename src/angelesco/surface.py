@@ -23,8 +23,8 @@ import numpy as np
 from .errors import NumericalFailure
 from .ode import _fix_endpoints, boundary_values
 from .rootfind import bisect, count_sign_changes, expand_upper
-from .systems import (AffineMap, LimitCurve, LimitPoint, pushforward_limits,
-                      reflect, star_normalize)
+from .systems import (AffineMap, LimitCurve, LimitPoint, check_grid,
+                      pushforward_limits, reflect, star_normalize)
 
 # star frame of a reflected system -> star frame of the original
 _MIRROR = AffineMap(-1.0, 0.0)
@@ -309,8 +309,6 @@ def limits_at(sys, s, info=None):
     The one-point case of :func:`limit_curve`; ``info`` may carry a
     precomputed :class:`PlateauInfo` for the star configuration.
     """
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"s must lie in [0, 1], got {s}")
     return limit_curve(sys, np.array([s]), info).point(0)
 
 
@@ -325,11 +323,7 @@ def limit_curve(sys, grid, info=None):
     :func:`pushforward_limits`.  ``info`` may carry a precomputed
     :class:`PlateauInfo`.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("grid must be a nonempty 1-d array")
-    if np.any(np.diff(grid) <= 0) or grid[0] < 0 or grid[-1] > 1:
-        raise ValueError("grid must be strictly increasing inside [0, 1]")
+    grid = check_grid(grid)
     sc, amap = star_normalize(sys)
     if info is None:
         info = plateau_bounds(sc)
@@ -353,7 +347,7 @@ def limit_curve(sys, grid, info=None):
                                   swapped=True)
         star[:, left] = back.A1, back.A2, back.B1, back.B2
 
-    meta = {"plateau": info.as_dict()}
+    meta = {"c1": float(info.c1), "c2": float(info.c2)}
     curve = pushforward_limits(
         LimitCurve(grid.copy(), *star, "surface", meta), amap)
     _fix_endpoints(grid, curve.A1, curve.A2, curve.B1, curve.B2,

@@ -1,10 +1,15 @@
-"""System descriptions and coordinate normalization.
+"""System descriptions, the limit-curve contract and coordinate normalization.
 
 An Angelesco system here is a pair of disjoint (or touching) real intervals,
 each carrying a classical weight.  All asymptotic machinery works in a
 normalized "star" frame where the second interval is [beta, 1] and the first
 is [-alpha, 0]; this module holds the value types plus the affine bookkeeping
 that moves recurrence-limit data between frames.
+
+It also owns the rules every limit curve obeys, whichever route computed
+it: :func:`check_grid` is the one grid check (nonempty, 1-d, strictly
+increasing inside [0, 1]) and :meth:`LimitCurve.validate` the one set of
+pointwise invariants, which :class:`LimitPoint` applies as a one-point curve.
 """
 from dataclasses import dataclass, field
 
@@ -98,13 +103,27 @@ class AffineMap:
         return (x - self.shift) / self.scale
 
 
+def check_grid(s):
+    """Return ``s`` as a float array; ValueError unless it is a valid grid.
+
+    A valid grid is nonempty, 1-d and strictly increasing inside [0, 1].
+    Every comparison is written so that NaN fails it.
+    """
+    s = np.asarray(s, dtype=float)
+    if s.ndim != 1 or s.size == 0:
+        raise ValueError("grid must be a nonempty 1-d array")
+    if not (np.all(np.diff(s) > 0.0) and s[0] >= 0.0 and s[-1] <= 1.0):
+        raise ValueError("grid must be strictly increasing inside [0, 1]")
+    return s
+
+
 @dataclass(frozen=True)
 class LimitPoint:
     """Recurrence-coefficient limits along the ray direction s.
 
     A1, A2 are the limits of the lagging (a) coefficients, B1, B2 of the
-    diagonal (b) coefficients.  A1 vanishes exactly at s = 0, A2 at s = 1,
-    and B1 < B2 always.
+    diagonal (b) coefficients.  The invariants are those of a one-point
+    :class:`LimitCurve`.
     """
     s: float
     A1: float
@@ -113,16 +132,7 @@ class LimitPoint:
     B2: float
 
     def __post_init__(self):
-        if not (0.0 <= self.s <= 1.0):
-            raise ValueError(f"s must lie in [0, 1], got {self.s}")
-        if not (self.A1 >= 0 and self.A2 >= 0):
-            raise ValueError(f"A limits must be nonnegative: {self}")
-        if self.A1 == 0 and self.s != 0:
-            raise ValueError(f"A1 = 0 requires s = 0: {self}")
-        if self.A2 == 0 and self.s != 1:
-            raise ValueError(f"A2 = 0 requires s = 1: {self}")
-        if not self.B1 < self.B2:
-            raise ValueError(f"need B1 < B2: {self}")
+        LimitCurve([self.s], [self.A1], [self.A2], [self.B1], [self.B2]).validate()
 
 
 @dataclass
@@ -151,19 +161,20 @@ class LimitCurve:
                           float(self.B1[i]), float(self.B2[i]))
 
     def validate(self):
-        """Check the pointwise invariants; raises ValueError on violation."""
+        """Check the grid and the pointwise invariants; ValueError on violation.
+
+        All values are finite, A1, A2 >= 0 with A1 vanishing only at s = 0
+        and A2 only at s = 1, and B1 < B2 everywhere.
+        """
         for name in ("s", "A1", "A2", "B1", "B2"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} values must be finite")
-        if np.any(np.diff(self.s) <= 0):
-            raise ValueError("grid must be strictly increasing")
-        if np.any(self.s < 0) or np.any(self.s > 1):
-            raise ValueError("grid must lie in [0, 1]")
+        check_grid(self.s)
         if np.any(self.A1 < 0) or np.any(self.A2 < 0):
             raise ValueError("A limits must be nonnegative")
-        interior = (self.s > 0) & (self.s < 1)
-        if np.any(self.A1[interior] == 0) or np.any(self.A2[interior] == 0):
-            raise ValueError("A limits must be positive away from the endpoints")
+        if (np.any(self.A1[self.s != 0.0] == 0)
+                or np.any(self.A2[self.s != 1.0] == 0)):
+            raise ValueError("A1 may vanish only at s = 0, A2 only at s = 1")
         if np.any(self.B1 >= self.B2):
             raise ValueError("need B1 < B2 everywhere")
         return self
@@ -199,33 +210,22 @@ def reflect(sys):
                            sys.w2, sys.w1)
 
 
-def pushforward_limits(obj, amap, swapped=False):
-    """Transport limit data through an affine change of variable.
+def pushforward_limits(curve, amap, swapped=False):
+    """Transport a limit curve through an affine change of variable.
 
     With ``swapped`` set, the interval roles are exchanged first (indices
-    1 <-> 2 and s -> 1 - s), then the affine action A -> scale^2 * A,
-    B -> scale * B + shift is applied slotwise.  A negative scale encodes a
-    reflection and is only consistent together with ``swapped=True``; the
-    output invariant B1 < B2 is revalidated by construction of the result.
-
-    Accepts a LimitPoint or a LimitCurve and returns the same type.
+    1 <-> 2 and s -> 1 - s, the grid reversed so it stays increasing), then
+    the affine action A -> scale^2 * A, B -> scale * B + shift is applied
+    slotwise.  A negative scale encodes a reflection and is only consistent
+    together with ``swapped=True``.  The map is appended to the ``meta`` log
+    ``pushforward`` of the returned curve.
     """
     lam, c = amap.scale, amap.shift
-    if isinstance(obj, LimitPoint):
-        s, a1, a2, b1, b2 = obj.s, obj.A1, obj.A2, obj.B1, obj.B2
-        if swapped:
-            s, a1, a2, b1, b2 = 1.0 - s, a2, a1, b2, b1
-        return LimitPoint(s, lam * lam * a1, lam * lam * a2,
-                          lam * b1 + c, lam * b2 + c)
-    if isinstance(obj, LimitCurve):
-        s, a1, a2, b1, b2 = obj.s, obj.A1, obj.A2, obj.B1, obj.B2
-        if swapped:
-            # reverse so the transformed grid stays increasing
-            s, a1, a2, b1, b2 = (1.0 - s)[::-1], a2[::-1], a1[::-1], b2[::-1], b1[::-1]
-        meta = dict(obj.meta)
-        log = list(meta.get("pushforward", []))
-        log.append({"scale": lam, "shift": c, "swapped": bool(swapped)})
-        meta["pushforward"] = log
-        return LimitCurve(s, lam * lam * a1, lam * lam * a2,
-                          lam * b1 + c, lam * b2 + c, obj.method, meta)
-    raise TypeError(f"cannot push forward object of type {type(obj).__name__}")
+    s, a1, a2, b1, b2 = curve.s, curve.A1, curve.A2, curve.B1, curve.B2
+    if swapped:
+        s, a1, a2, b1, b2 = (1.0 - s)[::-1], a2[::-1], a1[::-1], b2[::-1], b1[::-1]
+    meta = dict(curve.meta)
+    meta["pushforward"] = [*meta.get("pushforward", []),
+                           {"scale": lam, "shift": c, "swapped": bool(swapped)}]
+    return LimitCurve(s, lam * lam * a1, lam * lam * a2,
+                      lam * b1 + c, lam * b2 + c, curve.method, meta)

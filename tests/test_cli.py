@@ -130,6 +130,14 @@ def test_compute_rejects_step_count_below_one(tmp_path, steps):
     assert rc == 2
 
 
+@pytest.mark.parametrize("method", ["dis", "ode", "surface"])
+def test_compute_rejects_an_empty_grid(tmp_path, method):
+    rc = main(["compute", "--methods", method, "--grid_points", "0",
+               "--lattice_level", "50", "--ode_steps", "100",
+               "--output_dir", str(tmp_path / "out")])
+    assert rc == 2
+
+
 def test_cli_requires_subcommand():
     with pytest.raises(SystemExit):
         main([])

@@ -117,6 +117,12 @@ def test_ray_limit_endpoints(deep_lattice):
         ray_limit(deep_lattice, 1.2)
 
 
+@pytest.mark.parametrize("s", [float("nan"), -0.1, 1.5])
+def test_ray_limit_rejects_a_ray_off_the_grid_rules(deep_lattice, s):
+    with pytest.raises(ValueError):
+        ray_limit(deep_lattice, s)
+
+
 def test_curve_from_lattice(deep_lattice):
     grid = np.linspace(0.0, 1.0, 61)
     cv = curve_from_lattice(deep_lattice, grid)
@@ -127,6 +133,8 @@ def test_curve_from_lattice(deep_lattice):
     assert np.all(cv.B2 - cv.B1 > 0)
     with pytest.raises(ValueError):
         curve_from_lattice(deep_lattice, np.array([0.3, 0.2]))
+    with pytest.raises(ValueError):
+        curve_from_lattice(deep_lattice, np.array([]))
 
 
 def test_snapshot_bookkeeping(touching_system):

@@ -176,6 +176,13 @@ def test_limits_at_approaches_endpoint_values(touching_system):
     assert abs(p.A2 - 0.0625) < 1e-9
 
 
+@pytest.mark.parametrize("s", [float("nan"), -0.1, 1.5])
+def test_limits_at_rejects_a_ray_off_the_grid_rules(touching_system,
+                                                    touching_info, s):
+    with pytest.raises(ValueError):
+        limits_at(touching_system, s, info=touching_info)
+
+
 def test_limits_at_returns_the_asked_ray(gap_system, gap_info):
     # left zone (reflected solve), plateau, right zone
     for s in (0.1, 0.3, 0.5, 0.9):
@@ -275,3 +282,7 @@ def test_limit_curve_rejects_bad_grid(touching_system):
         limit_curve(touching_system, np.array([-0.1, 0.5]))
     with pytest.raises(ValueError):
         limit_curve(touching_system, np.array([]))
+    with pytest.raises(ValueError):
+        limit_curve(touching_system, np.array([0.2, np.nan]))
+    with pytest.raises(ValueError):
+        limit_curve(touching_system, np.array([[0.2, 0.4]]))

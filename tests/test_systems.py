@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from angelesco import (AffineMap, AngelescoSystem, Interval, LimitCurve,
                        LimitPoint, StarConfig, pushforward_limits, reflect,
@@ -135,34 +137,38 @@ def test_limit_point_invariants():
         LimitPoint(0.5, 0.1, float("nan"), -1.0, 0.5)
 
 
+def _one_point(s, a1, a2, b1, b2):
+    return LimitCurve([s], [a1], [a2], [b1], [b2])
+
+
 def test_pushforward_point_examples():
     ident = AffineMap(1.0, 0.0)
-    p = LimitPoint(0.5, 1.0, 1.0, -1.0, 1.0)
-    assert pushforward_limits(p, ident) == p
+    p = _one_point(0.5, 1.0, 1.0, -1.0, 1.0)
+    assert pushforward_limits(p, ident).point(0) == p.point(0)
 
-    q = pushforward_limits(p, AffineMap(2.0, 3.0))
+    q = pushforward_limits(p, AffineMap(2.0, 3.0)).point(0)
     assert (q.s, q.A1, q.A2, q.B1, q.B2) == (0.5, 4.0, 4.0, 1.0, 5.0)
 
     # reflection composition: swap slots, then negate the b's
-    p = LimitPoint(0.3, 0.2, 0.4, -1.5, 0.5)
-    q = pushforward_limits(p, AffineMap(-1.0, 0.0), swapped=True)
+    p = _one_point(0.3, 0.2, 0.4, -1.5, 0.5)
+    q = pushforward_limits(p, AffineMap(-1.0, 0.0), swapped=True).point(0)
     assert (q.s, q.A1, q.A2) == (0.7, 0.4, 0.2)
     assert (q.B1, q.B2) == (-0.5, 1.5)
 
 
-def test_pushforward_curve_matches_pointwise():
+def test_pushforward_swapped_curve_values():
     s = np.array([0.2, 0.5, 0.8])
     curve = LimitCurve(s, np.array([0.1, 0.2, 0.3]), np.array([0.3, 0.2, 0.1]),
                        np.array([-1.0, -0.9, -0.8]), np.array([0.5, 0.6, 0.7]))
-    amap = AffineMap(-2.0, 1.0)
-    out = pushforward_limits(curve, amap, swapped=True)
-    assert np.all(np.diff(out.s) > 0)
-    for i in range(3):
-        p = pushforward_limits(curve.point(2 - i), amap, swapped=True)
-        got = out.point(i)
-        assert got.s == pytest.approx(p.s, abs=1e-15)
-        assert got.A1 == pytest.approx(p.A1, abs=1e-15)
-        assert got.B2 == pytest.approx(p.B2, abs=1e-15)
+    out = pushforward_limits(curve, AffineMap(-2.0, 1.0), swapped=True)
+    # s -> 1 - s with the grid reversed, A1 <-> A2 scaled by 4,
+    # B1 <-> B2 sent through -2 B + 1
+    np.testing.assert_allclose(out.s, [0.2, 0.5, 0.8], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(out.A1, [0.4, 0.8, 1.2], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(out.A2, [1.2, 0.8, 0.4], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(out.B1, [-0.4, -0.2, 0.0], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(out.B2, [2.6, 2.8, 3.0], rtol=0, atol=1e-15)
+    assert out.validate() is out
 
 
 def test_pushforward_log_does_not_leak():
@@ -188,6 +194,13 @@ def test_curve_validate():
     bad2 = LimitCurve(s, np.array([0.0, 0.0, 0.3]), good.A2, good.B1, good.B2)
     with pytest.raises(ValueError):
         bad2.validate()
+    # A1 may vanish only at s = 0 and A2 only at s = 1, as for a LimitPoint
+    bad3 = LimitCurve(s, np.array([0.0, 0.2, 0.0]), good.A2, good.B1, good.B2)
+    with pytest.raises(ValueError, match="vanish"):
+        bad3.validate()
+    bad4 = LimitCurve(s, good.A1, np.array([0.0, 0.2, 0.0]), good.B1, good.B2)
+    with pytest.raises(ValueError, match="vanish"):
+        bad4.validate()
     for name in ("s", "A1", "A2", "B1", "B2"):
         for value in (np.nan, np.inf):
             fields = {f: getattr(good, f).copy()
@@ -195,3 +208,78 @@ def test_curve_validate():
             fields[name][1] = value
             with pytest.raises(ValueError, match="finite"):
                 LimitCurve(**fields).validate()
+
+
+# --- properties of the curve contract --------------------------------------
+
+_PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
+                     database=None)
+
+
+@st.composite
+def valid_curves(draw):
+    """Random curves that pass LimitCurve.validate.
+
+    The grid is dyadic (k / 2^20), so s -> 1 - s is exact and a double
+    swap can be held to ``==``; A and B stay far from overflow and
+    underflow under the power-of-two maps below, so those are exact too.
+    """
+    ks = draw(st.lists(st.integers(0, 2 ** 20), min_size=1, max_size=12,
+                       unique=True))
+    s = np.sort(np.array(ks, dtype=float)) / 2.0 ** 20
+    n = s.size
+    mag = st.floats(1e-3, 1e3)
+    a1 = np.array(draw(st.lists(mag, min_size=n, max_size=n)))
+    a2 = np.array(draw(st.lists(mag, min_size=n, max_size=n)))
+    a1[s == 0.0] = 0.0
+    a2[s == 1.0] = 0.0
+    # no B below 1e-200 in magnitude: scaled by 2^-30 it must stay normal
+    b = st.floats(-1e3, 1e3).filter(lambda x: x == 0.0 or abs(x) > 1e-200)
+    b1 = np.array(draw(st.lists(b, min_size=n, max_size=n)))
+    b2 = b1 + np.array(draw(st.lists(mag, min_size=n, max_size=n)))
+    return LimitCurve(s, a1, a2, b1, b2).validate()
+
+
+def _same_values(a, b):
+    return all(np.array_equal(getattr(a, f), getattr(b, f))
+               for f in ("s", "A1", "A2", "B1", "B2"))
+
+
+@_PROPERTY
+@given(valid_curves(), st.integers(-30, 30))
+def test_power_of_two_pushforward_round_trip_is_exact(curve, k):
+    there = pushforward_limits(curve, AffineMap(2.0 ** k, 0.0))
+    back = pushforward_limits(there, AffineMap(2.0 ** -k, 0.0))
+    assert _same_values(back, curve)
+    assert back.validate() is back
+
+
+@_PROPERTY
+@given(valid_curves())
+def test_swapped_reflection_is_an_involution(curve):
+    once = pushforward_limits(curve, AffineMap(-1.0, 0.0), swapped=True)
+    assert once.validate() is once
+    twice = pushforward_limits(once, AffineMap(-1.0, 0.0), swapped=True)
+    assert _same_values(twice, curve)
+
+
+def _accepts(make):
+    try:
+        make()
+    except ValueError:
+        return False
+    return True
+
+
+_EDGE_S = st.sampled_from([0.0, 1.0, 0.5]) | st.floats(allow_nan=True)
+_EDGE_A = st.sampled_from([0.0, -0.0, 0.25]) | st.floats(allow_nan=True)
+_EDGE_B = st.sampled_from([-1.0, 0.5]) | st.floats(allow_nan=True)
+
+
+@_PROPERTY
+@given(_EDGE_S, _EDGE_A, _EDGE_A, _EDGE_B, _EDGE_B)
+def test_point_and_one_point_curve_share_the_invariants(s, a1, a2, b1, b2):
+    point = _accepts(lambda: LimitPoint(s, a1, a2, b1, b2))
+    curve = _accepts(
+        lambda: LimitCurve([s], [a1], [a2], [b1], [b2]).validate())
+    assert point == curve
