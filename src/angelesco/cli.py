@@ -14,8 +14,10 @@ error, 3 numerical failure.
 import argparse
 import dataclasses
 import json
+import math
 import sys as _sys
 import time
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +27,8 @@ from .errors import NumericalFailure
 from .lattice import curve_from_lattice, solve_lattice
 from .ode import solve_system
 from .surface import limit_curve, plateau_bounds
-from .systems import AngelescoSystem, Interval, LimitCurve, star_normalize
+from .systems import (AngelescoSystem, Interval, LimitCurve, check_grid,
+                      star_normalize)
 
 METHODS = ("dis", "ode", "surface")
 
@@ -41,7 +44,6 @@ class RunConfig:
     lattice_level: int = 1500
     extrapolate: bool = False
     ode_steps: int = 10000
-    eps_start: float = 1e-6
     exclude_margin: float = 0.05
     fd_step: float = 1e-3
     residual_grid_points: int = 2001
@@ -60,10 +62,7 @@ class RunConfig:
         return np.linspace(0.0, 1.0, self.grid_points)
 
     def as_dict(self):
-        d = dataclasses.asdict(self)
-        d["interval1"] = list(self.interval1)
-        d["interval2"] = list(self.interval2)
-        return d
+        return dataclasses.asdict(self)
 
 
 def _coerce(name, default, raw):
@@ -127,9 +126,8 @@ CSV_HEADER = "s,A1,A2,B1,B2"
 
 
 def _num(v):
-    # fixed decimal notation, 12 significant digits, no exponent
-    return np.format_float_positional(float(v), precision=12, unique=False,
-                                      fractional=False, trim="k")
+    # 12 significant digits, correctly rounded, in positional notation
+    return format(Decimal(f"{v:.11e}"), "f")
 
 
 def write_curve_csv(path, curve):
@@ -142,25 +140,39 @@ def write_curve_csv(path, curve):
 
 
 def read_curve_csv(path, method=None):
-    """Parse a curve CSV back into a :class:`LimitCurve` (unvalidated)."""
+    """Parse a curve CSV back into a :class:`LimitCurve`.
+
+    Every field must be a finite number and the s column must pass
+    :func:`~angelesco.systems.check_grid`; otherwise a ValueError names the
+    file and the line.  The other curve invariants are not checked.
+    """
     text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != CSV_HEADER:
+    lines = [(ln, line) for ln, line in enumerate(text.splitlines(), start=1)
+             if line.strip()]
+    if not lines or lines[0][1].strip() != CSV_HEADER:
         raise ValueError(f"{path}: expected header '{CSV_HEADER}'")
     rows = []
-    for ln, line in enumerate(lines[1:], start=2):
+    for ln, line in lines[1:]:
         parts = line.split(",")
         if len(parts) != 5:
             raise ValueError(f"{path}:{ln}: expected 5 fields")
         try:
-            rows.append([float(p) for p in parts])
+            row = [float(p) for p in parts]
         except ValueError as exc:
             raise ValueError(f"{path}:{ln}: non-numeric field") from exc
-    arr = np.array(rows)
-    if arr.size == 0:
+        try:
+            if not all(map(math.isfinite, row)):
+                raise ValueError("non-finite field")
+            # the grid rule holds on the column iff it holds on each
+            # consecutive pair (and on a lone first row)
+            check_grid([rows[-1][0], row[0]] if rows else [row[0]])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{ln}: {exc}") from None
+        rows.append(row)
+    if not rows:
         raise ValueError(f"{path}: no data rows")
-    return LimitCurve(arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3], arr[:, 4],
-                      method or Path(path).stem, {"source": str(path)})
+    return LimitCurve(*np.array(rows).T, method or Path(path).stem,
+                      {"source": str(path)})
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +201,7 @@ def _compute_curves(cfg, methods):
                                "max_residual": lat.max_residual(),
                                "extrapolated": cfg.extrapolate}
         elif method == "ode":
-            curves[method] = solve_system(system, info, grid,
-                                          cfg.ode_steps, cfg.eps_start)
+            curves[method] = solve_system(system, info, grid, cfg.ode_steps)
             meta["ode"] = {k: curves[method].meta[k]
                            for k in ("splice_mismatch", "identity_drift")}
         else:
@@ -267,12 +278,8 @@ def run_validate(cfg):
 
 
 def run_plot(paths, out_path):
-    curves = []
-    labels = []
-    for p in paths:
-        c = read_curve_csv(p)
-        curves.append(c)
-        labels.append(Path(p).stem)
+    curves = [read_curve_csv(p) for p in paths]
+    labels = [c.method for c in curves]
     comments = [f"source: {', '.join(str(p) for p in paths)}"]
     base = curves[0].s
     packs = []

@@ -7,7 +7,7 @@ differential relations the limits satisfy and against the square-root
 identity linking the a- and b-limits.  Together these give quantitative
 meaning to "the methods agree".
 """
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -64,11 +64,7 @@ class ComparisonReport:
         return max(self.max_abs.values())
 
     def as_dict(self):
-        return {"methods": list(self.methods), "n_points": self.n_points,
-                "n_excluded": self.n_excluded,
-                "exclude_margin": self.exclude_margin,
-                "max_abs": dict(self.max_abs), "mean_abs": dict(self.mean_abs),
-                "tolerance": self.tolerance, "passed": self.passed}
+        return asdict(self)
 
 
 def compare(a, b, exclude_margin=0.0, window=None, tolerance=None):
@@ -202,9 +198,7 @@ class IdentityReport:
     n_points: int
 
     def as_dict(self):
-        return {"max_abs": self.max_abs, "max_rel": self.max_rel,
-                "min_gap": self.min_gap, "endpoint_ok": self.endpoint_ok,
-                "n_points": self.n_points}
+        return asdict(self)
 
 
 def identity_checks(curve, window=None):
@@ -277,15 +271,12 @@ def convergence_study(sys, s, levels):
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError(f"levels must increase, got {levels}")
     ref = limits_at(sys, s)
-    ref_t = (ref.A1, ref.A2, ref.B1, ref.B2)
+    ref_t = tuple(getattr(ref, f) for f in FUNCS)
     plain = np.empty((len(levels), 4))
     extra = np.empty((len(levels), 4))
     for i, m in enumerate(levels):
         lat = solve_lattice(sys, m)
-        p = ray_limit(lat, s)
-        r = ray_limit(lat, s, extrapolate=True)
-        plain[i] = [abs(p.A1 - ref.A1), abs(p.A2 - ref.A2),
-                    abs(p.B1 - ref.B1), abs(p.B2 - ref.B2)]
-        extra[i] = [abs(r.A1 - ref.A1), abs(r.A2 - ref.A2),
-                    abs(r.B1 - ref.B1), abs(r.B2 - ref.B2)]
+        for table, extrapolate in ((plain, False), (extra, True)):
+            p = ray_limit(lat, s, extrapolate)
+            table[i] = [abs(getattr(p, f) - r) for f, r in zip(FUNCS, ref_t)]
     return ConvergenceTable(float(s), levels, plain, extra, ref_t)

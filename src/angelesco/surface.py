@@ -16,7 +16,7 @@ explicit.
 The solvers and coordinate maps are elementwise numpy functions, so whole
 grids go through one call; a scalar argument gives a 0-d result.
 """
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -246,12 +246,7 @@ class PlateauInfo:
     s_alpha_reflected: float
 
     def as_dict(self):
-        p = self.plateau
-        return {"c1": self.c1, "c2": self.c2,
-                "plateau": {"s": p.s, "A1": p.A1, "A2": p.A2,
-                            "B1": p.B1, "B2": p.B2},
-                "s_alpha_direct": self.s_alpha_direct,
-                "s_alpha_reflected": self.s_alpha_reflected}
+        return asdict(self)
 
 
 def reflected_star(sc):

@@ -1,10 +1,15 @@
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from angelesco import NumericalFailure
-from angelesco.cli import (RunConfig, load_config, main, read_curve_csv,
+from angelesco.cli import (RunConfig, _num, load_config, main, read_curve_csv,
                            write_curve_csv)
 from angelesco.ode import boundary_values
 from angelesco.surface import limit_curve
@@ -20,6 +25,15 @@ def test_defaults():
     assert cfg.grid_points == 181
     grid = cfg.grid()
     assert grid.size == 181 and grid[0] == 0.0 and grid[-1] == 1.0
+
+
+def test_readme_config_table_lists_every_field():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    table = readme.split("| key | default | meaning |", 1)[1].split("\n\n", 1)[0]
+    keys = set()
+    for row in table.splitlines()[2:]:
+        keys.update(re.findall(r"`(\w+)`", row.split("|")[1]))
+    assert keys == {f.name for f in dataclasses.fields(RunConfig)}
 
 
 def test_config_file_parsing(tmp_path):
@@ -84,6 +98,46 @@ def test_csv_read_errors(tmp_path):
     p.write_text("s,A1,A2,B1,B2\n")
     with pytest.raises(ValueError):
         read_curve_csv(p)
+
+
+@pytest.mark.parametrize("rows, line, message", [
+    ("0.0,0.0,0.1,-1.0,0.5\n0.5,nan,0.1,-1.0,0.5\n", 3, "non-finite"),
+    ("0.0,0.0,0.1,-1.0,0.5\n0.5,0.1,0.1,-inf,0.5\n", 3, "non-finite"),
+    ("0.5,0.1,0.1,-1.0,0.5\n0.25,0.1,0.1,-1.0,0.5\n", 3, "increasing"),
+    ("0.5,0.1,0.1,-1.0,0.5\n0.5,0.1,0.1,-1.0,0.5\n", 3, "increasing"),
+    ("\n0.5,0.1,0.1,-1.0,0.5\n\n1.5,0.1,0.1,-1.0,0.5\n", 5, "increasing"),
+    ("-0.5,0.1,0.1,-1.0,0.5\n", 2, "increasing"),
+])
+def test_csv_read_rejects_bad_values_with_line(tmp_path, rows, line, message):
+    p = tmp_path / "bad.csv"
+    p.write_text("s,A1,A2,B1,B2\n" + rows)
+    with pytest.raises(ValueError, match=rf"bad\.csv:{line}: .*{message}"):
+        read_curve_csv(p)
+
+
+@pytest.mark.parametrize("value, text", [
+    (0.11102540451999999, "0.111025404520"),
+    (0.1110254045200001, "0.111025404520"),
+    (0.5, "0.500000000000"),
+    (1.0, "1.00000000000"),
+    (-1.974744871391589, "-1.97474487139"),
+    (1e-20, "0.0000000000000000000100000000000"),
+    (123456789012345.0, "123456789012000"),
+    (0.0, "0.00000000000"),
+])
+def test_num_prints_twelve_significant_digits(value, text):
+    assert _num(value) == text
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_num_is_positional_and_rounds_to_twelve_digits(value):
+    text = _num(value)
+    assert "e" not in text.lower() and not text.endswith(".")
+    assert float(text) == float(f"{value:.11e}")
+    digits = text.lstrip("-").replace(".", "").lstrip("0")
+    if value != 0.0 and abs(value) < 1e11:
+        assert len(digits) == 12
 
 
 def test_compute_surface_endpoints(tmp_path, touching_system):
@@ -220,6 +274,25 @@ def test_plot_resamples_mismatched_grids(tmp_path):
     svg = svg_path.read_text()
     assert "resampled" in svg
     assert svg.count("<polyline") == 8
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_plot_rejects_a_non_finite_field(tmp_path, capsys, bad):
+    p = tmp_path / "bad.csv"
+    p.write_text(f"s,A1,A2,B1,B2\n0.0,0.0,0.1,-1.0,0.5\n1.0,0.2,{bad},-1.0,0.5\n")
+    svg_path = tmp_path / "fig.svg"
+    assert main(["plot", str(p), "--out", str(svg_path)]) == 2
+    assert "bad.csv:3: non-finite field" in capsys.readouterr().err
+    assert not svg_path.exists()
+
+
+def test_plot_rejects_an_unsorted_first_file(tmp_path, capsys):
+    p = tmp_path / "first.csv"
+    p.write_text("s,A1,A2,B1,B2\n0.5,0.1,0.1,-1.0,0.5\n0.25,0.1,0.1,-1.0,0.5\n")
+    assert main(["plot", str(p), "--out", str(tmp_path / "fig.svg")]) == 2
+    err = capsys.readouterr().err
+    assert "first.csv:3: grid must be strictly increasing" in err
+    assert "overlap" not in err
 
 
 def test_plot_missing_file_exit_code(tmp_path):
