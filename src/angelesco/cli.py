@@ -59,7 +59,8 @@ class RunConfig:
                                self.weight1, self.weight2)
 
     def grid(self):
-        return np.linspace(0.0, 1.0, self.grid_points)
+        # checked before any route runs, so a bad grid costs no solve
+        return check_grid(np.linspace(0.0, 1.0, self.grid_points))
 
     def as_dict(self):
         return dataclasses.asdict(self)

@@ -271,12 +271,15 @@ def convergence_study(sys, s, levels):
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError(f"levels must increase, got {levels}")
     ref = limits_at(sys, s)
-    ref_t = tuple(getattr(ref, f) for f in FUNCS)
+    ref_t = (ref.A1, ref.A2, ref.B1, ref.B2)
     plain = np.empty((len(levels), 4))
     extra = np.empty((len(levels), 4))
     for i, m in enumerate(levels):
         lat = solve_lattice(sys, m)
-        for table, extrapolate in ((plain, False), (extra, True)):
-            p = ray_limit(lat, s, extrapolate)
-            table[i] = [abs(getattr(p, f) - r) for f, r in zip(FUNCS, ref_t)]
+        p = ray_limit(lat, s)
+        r = ray_limit(lat, s, extrapolate=True)
+        plain[i] = [abs(p.A1 - ref.A1), abs(p.A2 - ref.A2),
+                    abs(p.B1 - ref.B1), abs(p.B2 - ref.B2)]
+        extra[i] = [abs(r.A1 - ref.A1), abs(r.A2 - ref.A2),
+                    abs(r.B1 - ref.B1), abs(r.B2 - ref.B2)]
     return ConvergenceTable(float(s), levels, plain, extra, ref_t)

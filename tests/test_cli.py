@@ -185,9 +185,14 @@ def test_compute_rejects_step_count_below_one(tmp_path, steps):
 
 
 @pytest.mark.parametrize("method", ["dis", "ode", "surface"])
-def test_compute_rejects_an_empty_grid(tmp_path, method):
+def test_compute_rejects_an_empty_grid(tmp_path, monkeypatch, method):
+    import angelesco.cli as climod
+
+    def unreachable(*args):
+        raise AssertionError("the grid is checked before any solve")
+
+    monkeypatch.setattr(climod, "plateau_bounds", unreachable)
     rc = main(["compute", "--methods", method, "--grid_points", "0",
-               "--lattice_level", "50", "--ode_steps", "100",
                "--output_dir", str(tmp_path / "out")])
     assert rc == 2
 
