@@ -161,9 +161,9 @@ def read_curve_csv(path, method=None):
             row = [float(p) for p in parts]
         except ValueError as exc:
             raise ValueError(f"{path}:{ln}: non-numeric field") from exc
+        if not all(map(math.isfinite, row)):
+            raise ValueError(f"{path}:{ln}: non-finite field")
         try:
-            if not all(map(math.isfinite, row)):
-                raise ValueError("non-finite field")
             # the grid rule holds on the column iff it holds on each
             # consecutive pair (and on a lone first row)
             check_grid([rows[-1][0], row[0]] if rows else [row[0]])
