@@ -71,12 +71,15 @@ def compare(a, b, exclude_margin=0.0, window=None, tolerance=None):
     """Difference two limit curves on their common grid.
 
     Grids must agree point by point; otherwise ``b`` is resampled onto the
-    overlapping part of ``a``'s grid by :func:`resample`.  With a
-    positive ``exclude_margin`` every point closer than the margin to the
-    plateau window [c1, c2] is dropped (the window is taken from ``window``
-    or from either curve's metadata).  A ``tolerance`` turns the report into
-    a pass/fail verdict on the max statistic.
+    overlapping part of ``a``'s grid by :func:`resample`.  With a positive
+    ``exclude_margin`` (finite and nonnegative) every point closer than the
+    margin to the plateau window [c1, c2] is dropped (the window is taken
+    from ``window`` or from either curve's metadata).  A ``tolerance`` turns
+    the report into a pass/fail verdict on the max statistic.
     """
+    if not 0.0 <= exclude_margin < np.inf:
+        raise ValueError(f"exclude_margin must be finite and nonnegative, "
+                         f"got {exclude_margin}")
     keep, vb = resample(b, a.s)
     grid = a.s[keep]
     if grid.size == 0:

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import NumericalFailure
 from .orthopoly import axis_data
-from .systems import LimitCurve, check_grid
+from .systems import LimitCurve, check_grid, validate_computed
 
 # smallest |b2 - b1| tolerated in a propagation denominator
 _DENOM_FLOOR = 1e-12
@@ -192,4 +192,5 @@ def curve_from_lattice(lat, grid, extrapolate=False):
     a2[grid == 1.0] = 0.0
     meta = {"level": lat.m, "extrapolated": bool(extrapolate),
             "max_residual": lat.max_residual()}
-    return LimitCurve(grid.copy(), a1, a2, b1, b2, "lattice", meta).validate()
+    return validate_computed(
+        LimitCurve(grid.copy(), a1, a2, b1, b2, "lattice", meta))

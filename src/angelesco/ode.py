@@ -3,10 +3,9 @@
 In the interior of each support window the four limit functions satisfy a
 closed ODE system in the rescaled variables C1 = A1/s^2, C2 = A2/(1-s)^2.
 Two branches are integrated with fixed-step classical Runge-Kutta: forward
-from s = 0 and backward from s = 1, each started a small offset inside the
-interval with first-order Taylor data derived from the endpoint values.  The
-branches stop at the plateau edges and the assembled curve splices branch
-values with the plateau constants.
+from s = 0 and backward from s = 1, each started at its endpoint from the
+closed-form endpoint values.  The branches stop at the plateau edges and the
+assembled curve splices branch values with the plateau constants.
 
 The state is four numbers, so the RK4 stages run on Python floats: ``rhs``
 takes floats and returns a 4-tuple, and each stage is formed component by
@@ -17,8 +16,9 @@ arrays handed to dense output are numpy.
 
 The linear system defining (C1', C2') degenerates at the endpoints only
 through a removable factor s (1 - s); the solved form used here cancels that
-factor exactly, so the right-hand side is regular on all of [0, 1] and a
-fixed step is safe arbitrarily close to the ends.
+factor exactly, so the right-hand side is regular (locally Lipschitz) on
+all of [0, 1].  The limit curve is then the unique solution through the
+closed-form endpoint state, and RK4 starts at the endpoint itself.
 """
 import math
 from dataclasses import dataclass, field
@@ -26,10 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalFailure
-from .systems import LimitCurve, check_grid
+from .systems import LimitCurve, check_grid, validate_computed
 
 DEFAULT_STEPS_PER_UNIT = 10000
-DEFAULT_EPS = 1e-6
 
 
 @dataclass(frozen=True)
@@ -57,16 +56,6 @@ class BoundaryPack:
     def gap_1(self):
         """B2 - B1 at s = 1; equals sqrt(C1_1 + C2_1)."""
         return self.B2_1 - self.B1_1
-
-
-@dataclass(frozen=True)
-class OdeState:
-    """Integration state at one ray parameter."""
-    s: float
-    C1: float
-    C2: float
-    B1: float
-    B2: float
 
 
 def boundary_values(sys):
@@ -127,34 +116,16 @@ def rhs(s, y):
 
 
 def endpoint_slopes(pack, side):
-    """Taylor slopes (C1', C2') at an endpoint, from the ODE system itself.
+    """Closed-form slopes (C1', C2') at an endpoint, from the ODE system itself.
 
     Obtained by evaluating the system and its s-derivative at the endpoint:
-    at s = 0, C2' = 2 C2 and C1' = -4 C1 - 6 C2; mirrored at s = 1.
+    at s = 0, C2' = 2 C2 and C1' = -4 C1 - 6 C2; mirrored at s = 1.  They
+    are what :func:`rhs` must return at the endpoint state, where each
+    branch takes its first RK4 stage.
     """
     if side == 0:
         return -4.0 * pack.C1_0 - 6.0 * pack.C2_0, 2.0 * pack.C2_0
     return -2.0 * pack.C1_1, 4.0 * pack.C2_1 + 6.0 * pack.C1_1
-
-
-def startup(pack, side, eps=DEFAULT_EPS):
-    """First integration state a distance ``eps`` inside the interval.
-
-    One first-order Taylor step off the endpoint along the right-hand side
-    evaluated there (its C slopes are :func:`endpoint_slopes`).
-    """
-    if side not in (0, 1):
-        raise ValueError("side must be 0 or 1")
-    if not 0.0 < eps <= 1e-4:
-        raise ValueError(f"eps must lie in (0, 1e-4], got {eps}")
-    if side == 0:
-        s, y = 0.0, (pack.C1_0, pack.C2_0, pack.B1_0, pack.B2_0)
-        step = eps
-    else:
-        s, y = 1.0, (pack.C1_1, pack.C2_1, pack.B1_1, pack.B2_1)
-        step = -eps
-    C1, C2, B1, B2 = (yi + step * di for yi, di in zip(y, rhs(s, y)))
-    return OdeState(s + step, C1, C2, B1, B2)
 
 
 @dataclass
@@ -185,7 +156,7 @@ class Branch:
         """Cubic-Hermite state samples at ``grid`` (columns C1, C2, B1, B2).
 
         Queries outside the node range are extrapolated from the edge
-        segment; callers keep them within O(eps) of the ends.
+        segment; callers keep them inside the branch span.
         """
         grid = np.asarray(grid, dtype=float)
         j = np.clip(np.searchsorted(self.s, grid) - 1, 0, self.s.size - 2)
@@ -210,24 +181,29 @@ class Branch:
         return A1, A2, B1, B2
 
 
-def integrate_branch(pack, side, stop, steps_per_unit=DEFAULT_STEPS_PER_UNIT,
-                     eps=DEFAULT_EPS):
+def integrate_branch(pack, side, stop, steps_per_unit=DEFAULT_STEPS_PER_UNIT):
     """Integrate one branch from its endpoint to ``stop``.
 
-    side 0 runs forward from s = eps, side 1 backward from s = 1 - eps; the
-    step count is ``steps_per_unit`` (at least 1) scaled by the branch
+    side 0 runs forward from s = 0, side 1 backward from s = 1, each from
+    the closed-form endpoint state in ``pack`` (the right-hand side is
+    regular there, so the first RK4 stage is taken at the endpoint itself);
+    the step count is ``steps_per_unit`` (at least 1) scaled by the branch
     length.  Classical fixed-step fourth-order Runge-Kutta on Python floats;
     every node stores the state and its derivative for dense output.  Loss
     of positivity in C raises :class:`NumericalFailure` with the last good s.
     """
+    if side not in (0, 1):
+        raise ValueError(f"side must be 0 or 1, got {side}")
     if not steps_per_unit >= 1:
         raise ValueError(f"steps_per_unit must be at least 1, got {steps_per_unit}")
-    st = startup(pack, side, eps)
-    s0 = st.s
-    if side == 0 and not s0 < stop <= 1.0:
-        raise ValueError(f"forward stop must lie in ({s0}, 1], got {stop}")
-    if side == 1 and not 0.0 <= stop < s0:
-        raise ValueError(f"backward stop must lie in [0, {s0}), got {stop}")
+    if side == 0:
+        if not 0.0 < stop <= 1.0:
+            raise ValueError(f"forward stop must lie in (0, 1], got {stop}")
+        s0, y = 0.0, (pack.C1_0, pack.C2_0, pack.B1_0, pack.B2_0)
+    else:
+        if not 0.0 <= stop < 1.0:
+            raise ValueError(f"backward stop must lie in [0, 1), got {stop}")
+        s0, y = 1.0, (pack.C1_1, pack.C2_1, pack.B1_1, pack.B2_1)
     n = max(1, int(np.ceil(abs(stop - s0) * steps_per_unit)))
     h = float(stop - s0) / n
     hh = 0.5 * h
@@ -235,7 +211,6 @@ def integrate_branch(pack, side, stop, steps_per_unit=DEFAULT_STEPS_PER_UNIT,
     s_nodes = np.empty(n + 1)
     y_nodes = np.empty((n + 1, 4))
     d_nodes = np.empty((n + 1, 4))
-    y = (st.C1, st.C2, st.B1, st.B2)
     s = s0
     drift = 0.0
     for i in range(n):
@@ -282,7 +257,7 @@ def branch_curve(branch, grid, method="ode"):
     branch continues the limit curve of a different touching system.  Grid
     points at the outer endpoint (s = 0 or 1) get the closed-form values.
     """
-    grid = np.asarray(grid, dtype=float)
+    grid = check_grid(grid)
     pack = branch.pack
     if branch.side == 0:
         keep = grid <= branch.hi
@@ -293,7 +268,7 @@ def branch_curve(branch, grid, method="ode"):
     _fix_endpoints(g, A1, A2, B1, B2, pack)
     meta = {"side": branch.side, "identity_drift": branch.identity_drift,
             "span": [branch.lo, branch.hi]}
-    return LimitCurve(g, A1, A2, B1, B2, method, meta).validate()
+    return validate_computed(LimitCurve(g, A1, A2, B1, B2, method, meta))
 
 
 def _fix_endpoints(g, A1, A2, B1, B2, pack):
@@ -347,17 +322,17 @@ def assemble_curve(forward, backward, c1, c2, grid, method="ode"):
     meta = {"c1": float(c1), "c2": float(c2), "splice_mismatch": mism,
             "identity_drift": {"forward": forward.identity_drift,
                                "backward": backward.identity_drift}}
-    return LimitCurve(grid.copy(), A1, A2, B1, B2, method, meta).validate()
+    return validate_computed(
+        LimitCurve(grid.copy(), A1, A2, B1, B2, method, meta))
 
 
-def solve_system(sys, plateau, grid, steps_per_unit=DEFAULT_STEPS_PER_UNIT,
-                 eps=DEFAULT_EPS):
+def solve_system(sys, plateau, grid, steps_per_unit=DEFAULT_STEPS_PER_UNIT):
     """Full ODE-route curve for ``sys``: both branches plus the splice.
 
     ``plateau`` supplies the window [c1, c2] (from the surface route).
     Returns the assembled :class:`LimitCurve`.
     """
     pack = boundary_values(sys)
-    forward = integrate_branch(pack, 0, plateau.c1, steps_per_unit, eps)
-    backward = integrate_branch(pack, 1, plateau.c2, steps_per_unit, eps)
+    forward = integrate_branch(pack, 0, plateau.c1, steps_per_unit)
+    backward = integrate_branch(pack, 1, plateau.c2, steps_per_unit)
     return assemble_curve(forward, backward, plateau.c1, plateau.c2, grid)

@@ -30,7 +30,8 @@ def bisect(f, lo, hi, iters=DEFAULT_ITERS):
     if np.any(bad):
         raise NumericalFailure(
             "bisection bracket has no sign change",
-            {"lo": lo[bad].ravel()[:5], "hi": hi[bad].ravel()[:5]})
+            {"lo": lo[bad].ravel()[:5].tolist(),
+             "hi": hi[bad].ravel()[:5].tolist()})
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
         fm = np.asarray(f(mid), dtype=float)
@@ -57,7 +58,7 @@ def expand_upper(f, lo, hi, factor=2.0, max_expansions=60):
             return hi
         hi = np.where(open_, hi * factor, hi)
     raise NumericalFailure("bracket expansion failed to find a sign change",
-                           {"hi": np.max(hi)})
+                           {"hi": float(np.max(hi))})
 
 
 def count_sign_changes(f, lo, hi, samples=257):

@@ -24,7 +24,8 @@ from .errors import NumericalFailure
 from .ode import _fix_endpoints, boundary_values
 from .rootfind import bisect, count_sign_changes, expand_upper
 from .systems import (AffineMap, LimitCurve, LimitPoint, check_grid,
-                      pushforward_limits, reflect, star_normalize)
+                      pushforward_limits, reflect, star_normalize,
+                      validate_computed)
 
 # star frame of a reflected system -> star frame of the original
 _MIRROR = AffineMap(-1.0, 0.0)
@@ -163,9 +164,12 @@ def surface_params(alpha, beta, check_unique=False):
 def _params_at(alpha, beta, u, tau0):
     """Surface coordinates completed from a solved pair (u, tau0)."""
     tau1, tau2 = infinity_preimages(u, tau0)
-    if np.any((tau1 >= 0) | (tau2 <= 0) | (tau2 >= tau0)):
+    bad = ~((tau1 < 0) & (tau2 > 0) & (tau2 < tau0))  # NaN is bad too
+    if np.any(bad):
+        first = lambda x: np.broadcast_to(x, bad.shape)[bad][:5].tolist()
         raise NumericalFailure("surface preimages out of order",
-                               {"alpha": alpha, "tau1": tau1, "tau2": tau2})
+                               {"alpha": first(alpha), "tau1": first(tau1),
+                                "tau2": first(tau2)})
     return SurfaceParams(alpha, beta, u, tau0, tau1, tau2, 2.0 - u)
 
 
@@ -347,4 +351,4 @@ def limit_curve(sys, grid, info=None):
         LimitCurve(grid.copy(), *star, "surface", meta), amap)
     _fix_endpoints(grid, curve.A1, curve.A2, curve.B1, curve.B2,
                    boundary_values(sys))
-    return curve.validate()
+    return validate_computed(curve)

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import NumericalFailure
+
 WEIGHT_KINDS = ("chebyshev1", "chebyshev2", "uniform")
 
 
@@ -178,6 +180,19 @@ class LimitCurve:
         if np.any(self.B1 >= self.B2):
             raise ValueError("need B1 < B2 everywhere")
         return self
+
+
+def validate_computed(curve):
+    """Validate a curve a route computed; a violation is a NumericalFailure.
+
+    Routes check their caller's grid first, so a broken invariant here is
+    the computation's fault, not the caller's.
+    """
+    try:
+        return curve.validate()
+    except ValueError as exc:
+        raise NumericalFailure(f"{curve.method} curve: {exc}",
+                               {"method": curve.method}) from exc
 
 
 # ---------------------------------------------------------------------------

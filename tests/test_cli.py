@@ -197,6 +197,25 @@ def test_compute_rejects_an_empty_grid(tmp_path, monkeypatch, method):
     assert rc == 2
 
 
+@pytest.mark.parametrize("interval1", ["-1e-6,0", "-1e6,0"])
+def test_a_computed_curve_off_the_contract_exits_3(tmp_path, capsys,
+                                                    interval1):
+    # the surface route loses A's sign on these unbalanced systems: a
+    # numerical failure (3), not a usage error (2)
+    rc = main(["compute", "--methods", "surface", f"--interval1={interval1}",
+               "--output_dir", str(tmp_path / "out")])
+    assert rc == 3
+    assert "surface curve" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("margin", ["nan", "-1"])
+def test_validate_rejects_a_bad_exclude_margin(tmp_path, capsys, margin):
+    rc = main(["validate", f"--exclude_margin={margin}",
+               "--output_dir", str(tmp_path / "out")] + FAST)
+    assert rc == 2
+    assert "exclude_margin" in capsys.readouterr().err
+
+
 def test_cli_requires_subcommand():
     with pytest.raises(SystemExit):
         main([])

@@ -74,6 +74,15 @@ def test_compare_margin_needs_window():
         compare(a, a, exclude_margin=2.0, window=(0.4, 0.6))
 
 
+@pytest.mark.parametrize("margin", [float("nan"), -1.0, float("inf")])
+def test_compare_rejects_a_bad_margin(margin):
+    s = np.linspace(0.0, 1.0, 21)
+    one = np.ones(21)
+    a = LimitCurve(s, one * 0.1, one * 0.2, -one, one)
+    with pytest.raises(ValueError, match="exclude_margin"):
+        compare(a, a, exclude_margin=margin, window=(0.4, 0.6))
+
+
 def test_compare_reads_window_from_meta(gap_curve_dense):
     rep = compare(gap_curve_dense, gap_curve_dense, exclude_margin=0.05)
     assert rep.n_excluded > 0

@@ -7,7 +7,7 @@ from angelesco import (AngelescoSystem, Interval, NumericalFailure,
                        star_normalize)
 from angelesco.ode import (BoundaryPack, assemble_curve, boundary_values,
                            branch_curve, endpoint_slopes, integrate_branch,
-                           rhs, solve_system, startup)
+                           rhs, solve_system)
 from angelesco.surface import limit_curve, limits_at, plateau_bounds
 
 
@@ -101,37 +101,25 @@ def test_endpoint_slopes_are_rhs_limits(touching_pack):
     np.testing.assert_allclose(d[:2], endpoint_slopes(pk, 1), rtol=1e-13)
 
 
-def test_startup_symmetric_mirror():
-    sys = AngelescoSystem(Interval(-1.0, 0.0), Interval(0.0, 1.0))
-    pk = boundary_values(sys)
-    st0 = startup(pk, 0, 1e-5)
-    st1 = startup(pk, 1, 1e-5)
-    assert st0.s == pytest.approx(1.0 - st1.s, abs=1e-15)
-    assert st0.C1 == pytest.approx(st1.C2, abs=1e-14)
-    assert st0.C2 == pytest.approx(st1.C1, abs=1e-14)
-    assert st0.B1 == pytest.approx(-st1.B2, abs=1e-14)
-    assert st0.B2 == pytest.approx(-st1.B1, abs=1e-14)
+def test_branches_mirror_on_a_symmetric_system():
+    # (-1,0) u (0,1) is its own reflection: the forward branch at s is the
+    # backward branch at 1 - s with C1 <-> C2 and B1 <-> -B2
+    pk = boundary_values(AngelescoSystem(Interval(-1.0, 0.0),
+                                         Interval(0.0, 1.0)))
+    fwd = integrate_branch(pk, 0, 1.0)
+    bwd = integrate_branch(pk, 1, 0.0)
+    s = np.linspace(0.0, 1.0, 101)
+    f = fwd.sample(s)
+    b = bwd.sample(1.0 - s)
+    np.testing.assert_allclose(f[:, 0], b[:, 1], rtol=0, atol=1e-13)
+    np.testing.assert_allclose(f[:, 1], b[:, 0], rtol=0, atol=1e-13)
+    np.testing.assert_allclose(f[:, 2], -b[:, 3], rtol=0, atol=1e-13)
+    np.testing.assert_allclose(f[:, 3], -b[:, 2], rtol=0, atol=1e-13)
 
 
-def test_startup_validation(touching_pack):
-    with pytest.raises(ValueError):
-        startup(touching_pack, 2)
-    with pytest.raises(ValueError):
-        startup(touching_pack, 0, eps=0.0)
-    with pytest.raises(ValueError):
-        startup(touching_pack, 0, eps=1e-3)
-
-
-def test_startup_refinement(touching_pack):
-    # halving eps must improve the state at s = 0.01 at least linearly
-    def state_at(eps):
-        br = integrate_branch(touching_pack, 0, 0.02, eps=eps)
-        return br.sample(np.array([0.01]))[0]
-
-    d_coarse = np.max(np.abs(state_at(1e-4) - state_at(5e-5)))
-    d_fine = np.max(np.abs(state_at(1e-5) - state_at(5e-6)))
-    assert d_coarse < 1e-6
-    assert d_fine < d_coarse / 8.0
+def test_branch_rejects_a_side_other_than_0_or_1(touching_pack):
+    with pytest.raises(ValueError, match="side must be 0 or 1"):
+        integrate_branch(touching_pack, 2, 0.5)
 
 
 def test_branch_drift_and_splice(touching_system, touching_info):
@@ -147,9 +135,9 @@ def test_branch_drift_and_splice(touching_system, touching_info):
 
 def test_branch_stop_validation(touching_pack):
     with pytest.raises(ValueError):
-        integrate_branch(touching_pack, 0, 1e-9)
+        integrate_branch(touching_pack, 0, 0.0)
     with pytest.raises(ValueError):
-        integrate_branch(touching_pack, 1, 0.99999999)
+        integrate_branch(touching_pack, 1, 1.0)
 
 
 def test_ode_matches_surface(touching_system, touching_info,
@@ -161,6 +149,21 @@ def test_ode_matches_surface(touching_system, touching_info,
         sf = limit_curve(sys, grid, info=info)
         for f in ("A1", "A2", "B1", "B2"):
             assert np.max(np.abs(getattr(cv, f) - getattr(sf, f))) < 1e-6
+
+
+@pytest.mark.parametrize("name", ["touching", "gap"])
+def test_ode_reaches_surface_digits(name, request):
+    # RK4 from the exact endpoint state has no start-up error floor: at the
+    # default step count the ODE curve meets the surface to near rounding
+    sys = request.getfixturevalue(f"{name}_system")
+    info = request.getfixturevalue(f"{name}_info")
+    grid = np.linspace(0.0, 1.0, 181)
+    cv = solve_system(sys, info, grid)
+    sf = limit_curve(sys, grid, info=info)
+    gap = max(np.max(np.abs(getattr(cv, f) - getattr(sf, f)))
+              for f in ("A1", "A2", "B1", "B2"))
+    assert gap <= 1e-12
+    assert max(cv.meta["splice_mismatch"]["at_c1_vs_c2"]) <= 1e-12
 
 
 def test_forward_branch_continues_touching_curve(gap_system, gap_info):
@@ -177,6 +180,13 @@ def test_forward_branch_continues_touching_curve(gap_system, gap_info):
     ref = solve_system(closed, info, sub)
     for f in ("A1", "A2", "B1", "B2"):
         assert np.max(np.abs(getattr(bc, f) - getattr(ref, f))) < 1e-9
+
+
+def test_branch_curve_rejects_a_bad_grid_as_input(touching_pack):
+    # the caller's grid is input (ValueError), not a numerical failure
+    fwd = integrate_branch(touching_pack, 0, 0.5, steps_per_unit=100)
+    with pytest.raises(ValueError, match="grid"):
+        branch_curve(fwd, np.array([0.3, 0.2]))
 
 
 def test_assembled_curve_endpoints_exact(touching_system, touching_info,
@@ -230,7 +240,7 @@ def test_branch_rejects_step_count_below_one(touching_pack, steps):
         integrate_branch(touching_pack, 0, 0.5, steps_per_unit=steps)
 
 
-def _reference_branch(pack, side, stop, steps_per_unit, eps=1e-6):
+def _reference_branch(pack, side, stop, steps_per_unit):
     """The RK4 branch loop written on 4-element numpy arrays.
 
     A reference for :func:`integrate_branch`, whose float loop forms every
@@ -248,13 +258,10 @@ def _reference_branch(pack, side, stop, steps_per_unit, eps=1e-6):
         return np.array([d1, d2, dB1, dB2])
 
     if side == 0:
-        s, y, step = 0.0, np.array([pack.C1_0, pack.C2_0, pack.B1_0,
-                                    pack.B2_0]), eps
+        s, y = 0.0, np.array([pack.C1_0, pack.C2_0, pack.B1_0, pack.B2_0])
     else:
-        s, y, step = 1.0, np.array([pack.C1_1, pack.C2_1, pack.B1_1,
-                                    pack.B2_1]), -eps
-    y = y + step * f(s, y)
-    s0 = s = s + step
+        s, y = 1.0, np.array([pack.C1_1, pack.C2_1, pack.B1_1, pack.B2_1])
+    s0 = s
     n = max(1, int(np.ceil(abs(stop - s0) * steps_per_unit)))
     h = (stop - s0) / n
     s_nodes, y_nodes, d_nodes = np.empty(n + 1), np.empty((n + 1, 4)), \

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,15 @@ def test_bisect_rejects_open_bracket():
         bisect(lambda x: x * x + 1.0, -1.0, 1.0)
     with pytest.raises(NumericalFailure):
         bisect(lambda x: x * x + 1.0, np.array([-1.0]), np.array([1.0]))
+
+
+def test_bisect_failure_context_is_json():
+    with pytest.raises(NumericalFailure) as exc:
+        bisect(lambda x: x * x + 1.0, np.array([-1.0, 0.0]),
+               np.array([1.0, 2.0]))
+    ctx = exc.value.context
+    assert json.loads(json.dumps(ctx)) == ctx == {"lo": [-1.0, 0.0],
+                                                  "hi": [1.0, 2.0]}
 
 
 def test_bisect_deterministic():

@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
-from angelesco import (AffineMap, AngelescoSystem, Interval, StarConfig,
-                       pushforward_limits, reflect, star_normalize, surface)
+from angelesco import (AffineMap, AngelescoSystem, Interval, NumericalFailure,
+                       StarConfig, pushforward_limits, reflect, star_normalize,
+                       surface)
 from angelesco.surface import (SurfaceParams, alpha_coord, beta_coord,
                                gap_ratio, infinity_preimages, limit_curve,
                                limits_at, plateau_bounds, projection_ratio,
@@ -181,6 +184,36 @@ def test_limits_at_rejects_a_ray_off_the_grid_rules(touching_system,
                                                     touching_info, s):
     with pytest.raises(ValueError):
         limits_at(touching_system, s, info=touching_info)
+
+
+def test_limits_at_too_near_an_endpoint_is_a_numerical_failure(
+        touching_system, touching_info):
+    # the ray is valid input; the surface route losing A1's sign there is
+    # the computation's failure, not the caller's
+    with pytest.raises(NumericalFailure, match="surface curve") as exc:
+        limits_at(touching_system, 1e-8, info=touching_info)
+    assert exc.value.context == {"method": "surface"}
+
+
+def test_failure_contexts_are_json(touching_system, touching_info):
+    # an open bisection bracket, reached through a public call
+    with pytest.raises(NumericalFailure, match="bracket") as exc:
+        limits_at(touching_system, 1e-9, info=touching_info)
+    ctx = exc.value.context
+    assert json.loads(json.dumps(ctx)) == ctx
+    # preimages out of order: tau2 > tau0 for (u, tau0) = (1.2, 0.3)
+    with pytest.raises(NumericalFailure, match="preimages") as exc:
+        surface._params_at(2.0, 0.0, np.array([1.2]), np.array([0.3]))
+    ctx = exc.value.context
+    assert json.loads(json.dumps(ctx)) == ctx
+    assert ctx["alpha"] == [2.0] and ctx["tau2"][0] > 0.3
+
+
+def test_preimage_order_check_rejects_nan():
+    # a negative discriminant: both preimages NaN
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(NumericalFailure, match="preimages"):
+        surface._params_at(2.0, 0.0, 2.0, 0.5)
 
 
 def test_limits_at_returns_the_asked_ray(gap_system, gap_info):

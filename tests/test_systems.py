@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from angelesco import (AffineMap, AngelescoSystem, Interval, LimitCurve,
-                       LimitPoint, StarConfig, pushforward_limits, reflect,
-                       star_normalize)
+                       LimitPoint, NumericalFailure, StarConfig,
+                       pushforward_limits, reflect, star_normalize)
+from angelesco.systems import validate_computed
 
 
 def test_interval_basic():
@@ -208,6 +209,23 @@ def test_curve_validate():
             fields[name][1] = value
             with pytest.raises(ValueError, match="finite"):
                 LimitCurve(**fields).validate()
+
+
+def test_a_computed_curve_off_the_contract_is_a_numerical_failure():
+    s = np.array([0.0, 0.5, 1.0])
+    good = LimitCurve(s, np.array([0.0, 0.2, 0.3]), np.array([0.3, 0.2, 0.0]),
+                      np.full(3, -1.0), np.full(3, 0.5), "ode")
+    assert validate_computed(good) is good
+    bad = LimitCurve(s, np.array([0.0, -0.2, 0.3]), good.A2, good.B1, good.B2,
+                     "ode")
+    with pytest.raises(NumericalFailure, match="ode curve: A limits") as exc:
+        validate_computed(bad)
+    assert exc.value.context == {"method": "ode"}
+    # the same values given as input stay a usage error
+    with pytest.raises(ValueError):
+        bad.validate()
+    with pytest.raises(ValueError):
+        LimitPoint(0.5, -0.2, 0.2, -1.0, 0.5)
 
 
 # --- properties of the curve contract --------------------------------------
