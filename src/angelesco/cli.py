@@ -41,14 +41,14 @@ class RunConfig:
     weight1: str = "chebyshev2"
     weight2: str = "chebyshev2"
     grid_points: int = 181
-    lattice_level: int = 1500
-    extrapolate: bool = False
+    lattice_level: int = 400
+    extrapolate: bool = True
     ode_steps: int = 10000
     exclude_margin: float = 0.05
     fd_step: float = 1e-3
     residual_grid_points: int = 2001
     tol_pair_exact: float = 1e-4
-    tol_pair_lattice: float = 2e-2
+    tol_pair_lattice: float = 1e-3
     tol_identity: float = 1e-8
     tol_residual: float = 1e-3
     output_dir: str = "out"
@@ -198,9 +198,7 @@ def _compute_curves(cfg, methods):
         if method == "dis":
             lat = solve_lattice(system, cfg.lattice_level)
             curves[method] = curve_from_lattice(lat, grid, cfg.extrapolate)
-            meta["lattice"] = {"level": lat.m,
-                               "max_residual": lat.max_residual(),
-                               "extrapolated": cfg.extrapolate}
+            meta["lattice"] = dict(curves[method].meta)
         elif method == "ode":
             curves[method] = solve_system(system, info, grid, cfg.ode_steps)
             meta["ode"] = {k: curves[method].meta[k]

@@ -241,7 +241,10 @@ def identity_checks(curve, window=None):
 
 @dataclass(frozen=True)
 class ConvergenceTable:
-    """Lattice-vs-surface errors at one ray parameter over several levels."""
+    """Lattice-vs-surface errors at one ray parameter over several levels.
+
+    Every row is read from one sweep to the largest level.
+    """
     s: float
     levels: tuple
     plain: np.ndarray      # rows: levels; columns: A1, A2, B1, B2
@@ -264,23 +267,30 @@ class ConvergenceTable:
 def convergence_study(sys, s, levels):
     """Error table of finite-level ray values against the surface reference.
 
-    For each level m the lattice is solved fresh, sampled at ``s`` with and
-    without Richardson extrapolation, and differenced against the
-    closed-form surface values.
+    One lattice is swept to the largest level, snapshotting every level and
+    each level its Richardson table reads.  Each row reads the ray value at
+    ``s`` from that sweep cut back to its level, plain and extrapolated
+    (:func:`~angelesco.lattice.curve_from_lattice`), and differences it
+    against the closed-form surface values.  A row can differ from a fresh
+    sweep to its own level by the rounding of the deeper axis data: on the
+    touching system at levels 100 ... 1600 and s = 0.3, 0.5, 0.9 the values
+    moved by at most 1.6e-15 plain and 5.4e-15 extrapolated.
     """
-    from .lattice import ray_limit, solve_lattice
+    from .lattice import ray_limit, solve_lattice, table_levels
     from .surface import limits_at
     levels = tuple(int(m) for m in levels)
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError(f"levels must increase, got {levels}")
     ref = limits_at(sys, s)
     ref_t = (ref.A1, ref.A2, ref.B1, ref.B2)
+    lat = solve_lattice(sys, levels[-1], snapshot_levels={
+        n for m in levels for n in table_levels(m)})
     plain = np.empty((len(levels), 4))
     extra = np.empty((len(levels), 4))
     for i, m in enumerate(levels):
-        lat = solve_lattice(sys, m)
-        p = ray_limit(lat, s)
-        r = ray_limit(lat, s, extrapolate=True)
+        cut = lat.truncated(m)
+        p = ray_limit(cut, s)
+        r = ray_limit(cut, s, extrapolate=True)
         plain[i] = [abs(p.A1 - ref.A1), abs(p.A2 - ref.A2),
                     abs(p.B1 - ref.B1), abs(p.B2 - ref.B2)]
         extra[i] = [abs(r.A1 - ref.A1), abs(r.A2 - ref.A2),

@@ -29,8 +29,13 @@ already checked every site of the gap, axis overrides included, so the
 a-phase needs no guard of its own.  The guards are written so that NaN fails
 them.
 
-Ray limits along n ~ (s m, (1-s) m) converge at rate 1/m, so a single
-half-level snapshot supports Richardson extrapolation (2 x_m - x_{m/2}).
+Ray values along n ~ (s m, (1-s) m) are read off each diagonal by local
+6-point Lagrange interpolation at k = s m.  Linear interpolation there would
+leave an O(m^-2) error that depends on frac(s m) and so is not smooth in m;
+with 6 points that error is O(m^-6), and the values at levels m, m/2, m/4
+and m/8 follow a smooth series in 1/m.  A Neville table in h = 1/level
+extrapolates them to h = 0 (order 3), and the difference between its last
+entry and the entry one order lower is the read-out's error estimate.
 """
 from dataclasses import dataclass
 
@@ -42,6 +47,10 @@ from .systems import LimitCurve, check_grid, validate_computed
 
 # smallest |b2 - b1| tolerated in a propagation denominator
 _DENOM_FLOOR = 1e-12
+# points of the local Lagrange stencil along a diagonal
+_INTERP_POINTS = 6
+# order of the Richardson table: it reads levels m // 2**j, j = 0 .. order
+_TABLE_ORDER = 3
 
 
 @dataclass
@@ -71,6 +80,19 @@ class NnrrLattice:
                            f"(have {sorted(self.snapshots)})")
         return self.snapshots[level]
 
+    def truncated(self, level):
+        """This sweep cut back to ``level``, which must be snapshotted.
+
+        The diagonals are the snapshots, so a table read from the result
+        needs every level it reads snapshotted here.  A fresh sweep to
+        ``level`` can differ in the last bits, because the axis data of a
+        deeper sweep uses more quadrature nodes.
+        """
+        return NnrrLattice(self.sys, level, *self.diagonal(level),
+                           {n: d for n, d in self.snapshots.items()
+                            if n < level},
+                           self.residuals[:level])
+
     def max_residual(self):
         return float(self.residuals.max()) if self.residuals.size else 0.0
 
@@ -78,16 +100,16 @@ class NnrrLattice:
 def solve_lattice(sys, m, snapshot_levels=None):
     """Sweep the coefficient lattice of ``sys`` out to level ``m``.
 
-    ``snapshot_levels`` defaults to {m // 2}, which is what Richardson
-    extrapolation needs.  The sweep stores three rolling diagonals; cost is
-    O(m^2) time and O(m) memory.  A propagation denominator below 1e-12 or a
-    nonpositive interior coefficient, NaN included, aborts with
-    :class:`NumericalFailure`.
+    ``snapshot_levels`` defaults to the levels below m that the Richardson
+    table reads (:func:`table_levels`).  The sweep stores three rolling
+    diagonals plus the snapshots; cost is O(m^2) time and O(m) memory.  A
+    propagation denominator below 1e-12 or a nonpositive interior
+    coefficient, NaN included, aborts with :class:`NumericalFailure`.
     """
     if m < 1:
         raise ValueError(f"level must be a positive integer, got {m}")
     if snapshot_levels is None:
-        snapshot_levels = {m // 2}
+        snapshot_levels = table_levels(m)
     snapshot_levels = set(snapshot_levels)
 
     ax1 = axis_data(sys, 1, m)
@@ -159,11 +181,52 @@ def solve_lattice(sys, m, snapshot_levels=None):
     return NnrrLattice(sys, m, a1, a2, b1, b2, snaps, residuals)
 
 
+def table_levels(m):
+    """Levels the Richardson table reads: the distinct positive m // 2**j."""
+    return sorted({m >> j for j in range(_TABLE_ORDER + 1)} - {0})
+
+
 def _interp_diagonal(diag, level, s):
-    """Linear interpolation of the four diagonal arrays at k = s * level."""
-    s = np.asarray(s, dtype=float)
-    k = np.arange(level + 1, dtype=float)
-    return tuple(np.interp(s * level, k, arr) for arr in diag)
+    """Local Lagrange interpolation of the diagonal arrays at k = s * level.
+
+    Returns a (4, len(s)) array, one row per diagonal array.  The stencil
+    has 6 points (level + 1 when fewer exist), centred on the node interval
+    holding k and clamped at both ends of the diagonal.  The weights are
+    products of exact node differences over exact integer denominators, so
+    at an integer k they are exactly 1 and 0 and the node value comes back
+    bit for bit.
+    """
+    x = np.asarray(s, dtype=float) * level
+    n = min(_INTERP_POINTS, level + 1)
+    j0 = np.clip(np.floor(x).astype(np.int64) - (n // 2 - 1),
+                 0, level + 1 - n)
+    d = (x - j0)[:, None] - np.arange(n)      # t - i for stencil nodes i
+    w = np.empty_like(d)
+    for j in range(n):
+        others = [i for i in range(n) if i != j]
+        w[:, j] = np.prod(d[:, others], axis=1) / np.prod(
+            [float(j - i) for i in others])
+    idx = j0[:, None] + np.arange(n)
+    return np.sum(w * np.asarray(diag)[:, idx], axis=2)
+
+
+def richardson_table(levels, values):
+    """Neville table in h = 1/level, evaluated at h = 0.
+
+    ``levels`` increase; ``values[i]`` is the array read at ``levels[i]``.
+    Returns the last entry, which uses every level (order len(levels) - 1),
+    and the entry one order lower over the finest levels; for one level both
+    are that level's values.  Each step is (n_b P_hi - n_a P_lo) / (n_b - n_a)
+    in the integer levels n_a < n_b, the form of (h_a P_hi - h_b P_lo) /
+    (h_a - h_b) with no rounded 1/level.
+    """
+    col = [np.asarray(v, dtype=float) for v in values]
+    lower = col[-1]
+    for j in range(1, len(levels)):
+        lower = col[-1]
+        col = [(levels[i + j] * col[i + 1] - levels[i] * col[i])
+               / (levels[i + j] - levels[i]) for i in range(len(col) - 1)]
+    return col[0], lower
 
 
 def ray_limit(lat, s, extrapolate=False):
@@ -178,19 +241,44 @@ def curve_from_lattice(lat, grid, extrapolate=False):
     """Limit-curve estimate on ``grid`` from the finished lattice.
 
     Interpolates the top diagonal at bi-degrees (s m, (1 - s) m).  With
-    ``extrapolate`` the half-level snapshot is combined by Richardson
-    (2 x_m - x_{m/2}), cancelling the leading 1/m error term.
+    ``extrapolate`` the diagonals at every level of :func:`table_levels`
+    are read the same way and a Neville table in h = 1/level takes them to
+    h = 0; ``meta["error_estimate"]`` then holds the largest difference
+    between the returned values and the table entry one order lower (over
+    A1 ... B2 and the grid) and the s where it occurs, or None when the
+    table has a single level.
+
+    Within a few nodes of either end of a diagonal the coefficients are not
+    yet samples of a smooth function of k / level, and the high-order
+    read-out can break the curve's invariants there (A1 <= 0 next to s = 0,
+    say) on short sweeps or fine grids.  Such points take the top
+    diagonal's linear interpolation instead, which keeps them; their count
+    is ``meta["linear_points"]``.
     """
     grid = check_grid(grid)
-    vals = _interp_diagonal(lat.diagonal(lat.m), lat.m, grid)
+    top = lat.diagonal(lat.m)
     if extrapolate:
-        half = lat.m // 2
-        vals_h = _interp_diagonal(lat.diagonal(half), half, grid)
-        vals = tuple(2.0 * v - vh for v, vh in zip(vals, vals_h))
-    a1, a2, b1, b2 = (np.asarray(v, dtype=float).copy() for v in vals)
-    a1[grid == 0.0] = 0.0
-    a2[grid == 1.0] = 0.0
+        levels = table_levels(lat.m)
+        vals, lower = richardson_table(
+            levels, [_interp_diagonal(lat.diagonal(n), n, grid)
+                     for n in levels])
+    else:
+        vals = _interp_diagonal(top, lat.m, grid)
+    vals[0, grid == 0.0] = 0.0
+    vals[1, grid == 1.0] = 0.0
+    off = LimitCurve(grid, *vals).broken()
+    if np.any(off):
+        k = np.arange(lat.m + 1, dtype=float)
+        for v, arr in zip(vals, top):
+            v[off] = np.interp(grid[off] * lat.m, k, arr)
     meta = {"level": lat.m, "extrapolated": bool(extrapolate),
-            "max_residual": lat.max_residual()}
+            "max_residual": lat.max_residual(),
+            "linear_points": int(np.count_nonzero(off))}
+    if extrapolate:
+        diff = np.abs(vals - lower).max(axis=0)
+        worst = int(np.argmax(diff))
+        meta["table_levels"] = levels
+        meta["error_estimate"] = None if len(levels) == 1 else {
+            "max_abs": float(diff[worst]), "s": float(grid[worst])}
     return validate_computed(
-        LimitCurve(grid.copy(), a1, a2, b1, b2, "lattice", meta))
+        LimitCurve(grid.copy(), *vals, "lattice", meta))

@@ -172,14 +172,28 @@ class LimitCurve:
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} values must be finite")
         check_grid(self.s)
-        if np.any(self.A1 < 0) or np.any(self.A2 < 0):
-            raise ValueError("A limits must be nonnegative")
-        if (np.any(self.A1[self.s != 0.0] == 0)
-                or np.any(self.A2[self.s != 1.0] == 0)):
-            raise ValueError("A1 may vanish only at s = 0, A2 only at s = 1")
-        if np.any(self.B1 >= self.B2):
-            raise ValueError("need B1 < B2 everywhere")
+        for message, mask in self._pointwise():
+            if np.any(mask):
+                raise ValueError(message)
         return self
+
+    def broken(self):
+        """Mask of the points that break a pointwise invariant of
+        :meth:`validate`, a non-finite value included."""
+        bad = ~np.all(np.isfinite([self.A1, self.A2, self.B1, self.B2]),
+                      axis=0)
+        for _, mask in self._pointwise():
+            bad |= mask
+        return bad
+
+    def _pointwise(self):
+        """(message, mask of the points breaking it) per pointwise invariant."""
+        s = self.s
+        return (("A limits must be nonnegative",
+                 (self.A1 < 0) | (self.A2 < 0)),
+                ("A1 may vanish only at s = 0, A2 only at s = 1",
+                 ((self.A1 == 0) & (s != 0.0)) | ((self.A2 == 0) & (s != 1.0))),
+                ("need B1 < B2 everywhere", self.B1 >= self.B2))
 
 
 def validate_computed(curve):

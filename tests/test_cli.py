@@ -9,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from angelesco import NumericalFailure
-from angelesco.cli import (RunConfig, _num, load_config, main, read_curve_csv,
-                           write_curve_csv)
+from angelesco.cli import (RunConfig, _compute_curves, _num, load_config, main,
+                           read_curve_csv, write_curve_csv)
+from angelesco.crossval import compare
 from angelesco.ode import boundary_values
 from angelesco.surface import limit_curve
+from angelesco.systems import AffineMap, pushforward_limits
 
 FAST = ["--lattice_level", "200", "--ode_steps", "2000",
         "--grid_points", "41", "--residual_grid_points", "501",
@@ -25,6 +27,37 @@ def test_defaults():
     assert cfg.grid_points == 181
     grid = cfg.grid()
     assert grid.size == 181 and grid[0] == 0.0 and grid[-1] == 1.0
+
+
+@pytest.mark.parametrize("interval2,tol", [((0.0, 1.0), 1e-6),
+                                           ((0.25, 1.0), 5e-6)],
+                         ids=["touching", "gap"])
+def test_default_lattice_digits(interval2, tol):
+    # the default read-out (level 400, third-order table) against the
+    # surface, in the scale-free unit A / L^2, B / L, outside the margin
+    cfg = RunConfig(interval2=interval2)
+    curves, _, info = _compute_curves(cfg, {"dis", "surface"})
+    unit = AffineMap(1.0 / (cfg.interval2[1] - cfg.interval1[0]), 0.0)
+    rep = compare(pushforward_limits(curves["dis"], unit),
+                  pushforward_limits(curves["surface"], unit),
+                  exclude_margin=cfg.exclude_margin, window=info)
+    assert rep.worst() <= tol
+
+
+def test_run_meta_states_the_lattice_error_estimate(tmp_path):
+    out = tmp_path / "out"
+    assert main(["compute", "--methods", "dis",
+                 "--output_dir", str(out)]) == 0
+    lattice = json.loads((out / "run_meta.json").read_text())["lattice"]
+    assert lattice["level"] == 400 and lattice["extrapolated"] is True
+    assert lattice["linear_points"] == 0
+    est = lattice["error_estimate"]
+    assert set(est) == {"max_abs", "s"}
+    assert 0.0 < est["max_abs"] < 1e-4 and 0.0 <= est["s"] <= 1.0
+    assert main(["compute", "--methods", "dis", "--extrapolate", "false",
+                 "--output_dir", str(out)]) == 0
+    lattice = json.loads((out / "run_meta.json").read_text())["lattice"]
+    assert "error_estimate" not in lattice
 
 
 def test_readme_config_table_lists_every_field():

@@ -5,7 +5,7 @@ from angelesco import (AngelescoSystem, Interval, LimitCurve,
                        NumericalFailure)
 from angelesco.crossval import (compare, convergence_study, identity_checks,
                                 ode_residuals)
-from angelesco.lattice import curve_from_lattice, solve_lattice
+from angelesco.lattice import curve_from_lattice, ray_limit, solve_lattice
 from angelesco.surface import limit_curve, limits_at
 
 
@@ -174,3 +174,24 @@ def test_convergence_study(touching_system):
     assert d["levels"] == [100, 200, 400]
     with pytest.raises(ValueError):
         convergence_study(touching_system, 0.5, (200, 100))
+
+
+def test_convergence_study_reads_one_sweep(touching_system, monkeypatch):
+    import angelesco.lattice as lattice_mod
+    real, calls = lattice_mod.solve_lattice, []
+
+    def counted(sys, m, snapshot_levels=None):
+        calls.append((m, sorted(snapshot_levels)))
+        return real(sys, m, snapshot_levels)
+
+    monkeypatch.setattr(lattice_mod, "solve_lattice", counted)
+    table = convergence_study(touching_system, 0.5, (40, 80))
+    # each level and the sub-levels of its table, from one sweep to 80
+    assert calls == [(80, [5, 10, 20, 40, 80])]
+    monkeypatch.undo()
+    # a fresh sweep per level agrees to rounding
+    for i, m in enumerate((40, 80)):
+        p = ray_limit(solve_lattice(touching_system, m), 0.5, True)
+        err = max(abs(v - r) for v, r in zip((p.A1, p.A2, p.B1, p.B2),
+                                             table.reference))
+        assert table.max_extrapolated()[i] == pytest.approx(err, abs=1e-14)

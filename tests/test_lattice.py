@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 import angelesco.lattice as lattice_mod
-from angelesco import AngelescoSystem, Interval, NumericalFailure
-from angelesco.lattice import curve_from_lattice, ray_limit, solve_lattice
-from angelesco.surface import limits_at
+from angelesco import AngelescoSystem, Interval, LimitCurve, NumericalFailure
+from angelesco.lattice import (_interp_diagonal, curve_from_lattice,
+                               ray_limit, richardson_table, solve_lattice,
+                               table_levels)
+from angelesco.surface import limit_curve, limits_at
 from moment_oracle import MomentOracle
 
 
@@ -138,12 +140,129 @@ def test_curve_from_lattice(deep_lattice):
 
 
 def test_snapshot_bookkeeping(touching_system):
+    # the default snapshots are the levels below m that the table reads
     lat = solve_lattice(touching_system, 10)
-    assert set(lat.snapshots) == {5}
+    assert set(lat.snapshots) == {5, 2, 1}
     lat.diagonal(5)
     lat.diagonal(10)
     with pytest.raises(KeyError):
         lat.diagonal(7)
+    cut = lat.truncated(5)
+    assert cut.m == 5 and set(cut.snapshots) == {2, 1}
+    assert cut.residuals.shape == (5, 2)
+    assert cut.b1 is lat.diagonal(5)[2]
+    with pytest.raises(KeyError):
+        lat.truncated(7)
+
+
+@pytest.mark.parametrize("m,levels", [(1, [1]), (2, [1, 2]), (3, [1, 3]),
+                                      (5, [1, 2, 5]), (9, [1, 2, 4, 9]),
+                                      (400, [50, 100, 200, 400]),
+                                      (1001, [125, 250, 500, 1001])])
+def test_table_levels(m, levels):
+    assert table_levels(m) == levels
+
+
+@pytest.mark.parametrize("m", [4, 9, 400, 1001])
+def test_richardson_table_exact_on_cubics_in_inverse_level(m):
+    # x(n) = c0 + c1/n + c2/n^2 + c3/n^3 is what an order-3 table removes
+    # exactly; with fewer than four levels only the lower orders go
+    rng = np.random.default_rng(m)
+    c = rng.uniform(-4.0, 4.0, size=(4, 5))
+    levels = table_levels(m)
+    order = len(levels) - 1
+    vals = [sum(c[p] / n ** p for p in range(order + 1)) for n in levels]
+    best, lower = richardson_table(levels, vals)
+    assert np.max(np.abs(best - c[0])) <= 64 * np.finfo(float).eps
+    # the entry one order lower is the exact table over the finer levels
+    sub, _ = richardson_table(levels[1:], vals[1:])
+    assert np.array_equal(lower, sub)
+
+
+def test_richardson_table_of_one_level_is_that_level():
+    best, lower = richardson_table([7], [np.array([1.5, -2.0])])
+    assert np.array_equal(best, [1.5, -2.0]) and np.array_equal(lower, best)
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4, 5, 7, 40, 400])
+def test_interp_exact_on_quintics(level):
+    # the stencil holds min(6, level + 1) points, so polynomials of degree
+    # min(5, level) in k come back exactly, ends included
+    rng = np.random.default_rng(level)
+    deg = min(5, level)
+    k = np.arange(level + 1, dtype=float)
+    coef = rng.uniform(-1.0, 1.0, size=(4, deg + 1))
+    diag = tuple(np.polyval(c, k / level) for c in coef)
+    s = np.linspace(0.0, 1.0, 181)
+    got = _interp_diagonal(diag, level, s)
+    for c, g in zip(coef, got):
+        assert np.max(np.abs(g - np.polyval(c, s))) <= 1e-12
+
+
+@pytest.mark.parametrize("level", [1, 3, 5, 64, 400])
+def test_interp_returns_node_values_bit_for_bit(level):
+    rng = np.random.default_rng(level)
+    diag = tuple(rng.standard_normal(level + 1) for _ in range(4))
+    # k / level * level need not round back to k; test where it does
+    s = np.unique(np.concatenate([np.arange(level + 1) / level,
+                                  np.linspace(0.0, 1.0, 181)]))
+    x = s * level
+    on_node = x == np.floor(x)
+    assert np.count_nonzero(on_node) > level // 2
+    got = _interp_diagonal(diag, level, s)
+    for arr, g in zip(diag, got):
+        assert np.array_equal(g[on_node], arr[x[on_node].astype(int)])
+
+
+@pytest.mark.parametrize("m", range(1, 10))
+def test_extrapolated_curve_valid_at_small_levels(touching_system, gap_system,
+                                                  m):
+    grid = np.linspace(0.0, 1.0, 181)
+    for sys in (touching_system, gap_system):
+        cv = curve_from_lattice(solve_lattice(sys, m), grid, True)
+        assert cv.meta["table_levels"] == table_levels(m)
+        est = cv.meta["error_estimate"]
+        if m == 1:
+            assert est is None
+        else:
+            assert est["max_abs"] >= 0.0 and est["s"] in grid
+
+
+@pytest.mark.parametrize("extrapolate", [False, True])
+def test_points_off_the_contract_fall_back_to_linear(extrapolate):
+    # the first Chebyshev-1 coefficients stand out from the rest, so within
+    # a node of the ends the high-order read-out leaves the contract on a
+    # fine grid (8 points plain, 5 extrapolated)
+    sys = AngelescoSystem(Interval(-2.0, 0.0), Interval(0.5, 1.0),
+                          "chebyshev1", "chebyshev1")
+    lat = solve_lattice(sys, 200)
+    grid = np.linspace(0.0, 1.0, 2001)
+    cv = curve_from_lattice(lat, grid, extrapolate)
+    k = np.arange(201, dtype=float)
+    linear = [np.interp(grid * 200, k, arr) for arr in lat.diagonal(200)]
+    levels = table_levels(200) if extrapolate else [200]
+    high, _ = richardson_table(
+        levels, [_interp_diagonal(lat.diagonal(n), n, grid) for n in levels])
+    high[0][0] = high[1][-1] = 0.0
+    off = LimitCurve(grid, *high).broken()
+    assert cv.meta["linear_points"] == np.count_nonzero(off) > 0
+    x = grid[off] * 200
+    assert np.all(np.minimum(x, 200 - x) < 1.0)
+    for f, h, lin in zip(("A1", "A2", "B1", "B2"), high, linear):
+        assert np.array_equal(getattr(cv, f), np.where(off, lin, h))
+
+
+def test_error_estimate_bounds_the_table_error(touching_system, touching_info):
+    # on the touching system the largest last table difference bounds the
+    # largest error over the whole grid
+    grid = np.linspace(0.0, 1.0, 181)
+    lat = solve_lattice(touching_system, 400)
+    cv = curve_from_lattice(lat, grid, True)
+    ref = limit_curve(touching_system, grid, info=touching_info)
+    err = max(np.max(np.abs(getattr(cv, f) - getattr(ref, f)))
+              for f in ("A1", "A2", "B1", "B2"))
+    assert err <= cv.meta["error_estimate"]["max_abs"]
+    assert cv.meta["table_levels"] == [50, 100, 200, 400]
 
 
 @pytest.mark.parametrize("axis", [1, 2])

@@ -301,3 +301,20 @@ def test_point_and_one_point_curve_share_the_invariants(s, a1, a2, b1, b2):
     curve = _accepts(
         lambda: LimitCurve([s], [a1], [a2], [b1], [b2]).validate())
     assert point == curve
+
+
+@_PROPERTY
+@given(st.sampled_from([0.0, 1.0, 0.5]) | st.floats(0.0, 1.0),
+       _EDGE_A, _EDGE_A, _EDGE_B, _EDGE_B)
+def test_broken_marks_the_points_validate_rejects(s, a1, a2, b1, b2):
+    # on a valid grid, a one-point curve is broken iff validate rejects it
+    curve = LimitCurve([s], [a1], [a2], [b1], [b2])
+    assert bool(curve.broken()[0]) == (not _accepts(curve.validate))
+
+
+def test_broken_is_pointwise():
+    s = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+    curve = LimitCurve(s, [0.0, -1e-9, 0.2, np.nan, 0.3],
+                       [0.3, 0.2, 0.2, 0.2, 0.0],
+                       [-1.0, -1.0, 0.5, -1.0, -1.0], np.full(5, 0.5))
+    assert curve.broken().tolist() == [False, True, True, True, False]
