@@ -22,7 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .crossval import compare, identity_checks, ode_residuals, resample
+from .crossval import (compare, compared_points, identity_checks,
+                       ode_residuals, resample)
 from .errors import NumericalFailure
 from .lattice import curve_from_lattice, solve_lattice
 from .ode import solve_system
@@ -43,7 +44,7 @@ class RunConfig:
     grid_points: int = 181
     lattice_level: int = 400
     extrapolate: bool = True
-    ode_steps: int = 10000
+    ode_steps: int = 500
     exclude_margin: float = 0.05
     fd_step: float = 1e-3
     residual_grid_points: int = 2001
@@ -197,12 +198,15 @@ def _compute_curves(cfg, methods):
         t0 = time.perf_counter()
         if method == "dis":
             lat = solve_lattice(system, cfg.lattice_level)
-            curves[method] = curve_from_lattice(lat, grid, cfg.extrapolate)
+            curves[method] = curve_from_lattice(
+                lat, grid, cfg.extrapolate,
+                compared_points(grid, info.c1, info.c2, cfg.exclude_margin))
             meta["lattice"] = dict(curves[method].meta)
         elif method == "ode":
             curves[method] = solve_system(system, info, grid, cfg.ode_steps)
             meta["ode"] = {k: curves[method].meta[k]
-                           for k in ("splice_mismatch", "identity_drift")}
+                           for k in ("splice_mismatch", "identity_drift",
+                                     "branches")}
         else:
             curves[method] = limit_curve(system, grid, info)
         timings[method] = time.perf_counter() - t0

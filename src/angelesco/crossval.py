@@ -44,6 +44,12 @@ def resample(curve, grid):
                   for f in FUNCS}
 
 
+def compared_points(grid, c1, c2, exclude_margin):
+    """Mask of the points of ``grid`` at least ``exclude_margin`` from [c1, c2]."""
+    dist = np.maximum(np.maximum(c1 - grid, grid - c2), 0.0)
+    return dist >= exclude_margin
+
+
 @dataclass(frozen=True)
 class ComparisonReport:
     """Per-function max/mean absolute differences of two curves.
@@ -92,9 +98,7 @@ def compare(a, b, exclude_margin=0.0, window=None, tolerance=None):
         win = _window_of(a, window) or _window_of(b, None)
         if win is None:
             raise ValueError("exclude_margin needs a plateau window")
-        c1, c2 = win
-        dist = np.maximum(np.maximum(c1 - grid, grid - c2), 0.0)
-        mask = dist >= exclude_margin
+        mask = compared_points(grid, *win, exclude_margin)
     if not np.any(mask):
         raise NumericalFailure("exclusion margin removed every grid point",
                                {"margin": exclude_margin})

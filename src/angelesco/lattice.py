@@ -186,20 +186,23 @@ def table_levels(m):
     return sorted({m >> j for j in range(_TABLE_ORDER + 1)} - {0})
 
 
-def _interp_diagonal(diag, level, s):
-    """Local Lagrange interpolation of the diagonal arrays at k = s * level.
+def lagrange_interp(values, x):
+    """Local Lagrange interpolation of uniformly spaced node values.
 
-    Returns a (4, len(s)) array, one row per diagonal array.  The stencil
-    has 6 points (level + 1 when fewer exist), centred on the node interval
-    holding k and clamped at both ends of the diagonal.  The weights are
-    products of exact node differences over exact integer denominators, so
-    at an integer k they are exactly 1 and 0 and the node value comes back
-    bit for bit.
+    ``values`` has shape (k, N): k arrays sampled at the nodes 0 .. N - 1.
+    ``x`` holds fractional node positions.  Returns a (k, len(x)) array.
+    The stencil has 6 points (N when fewer exist), centred on the node
+    interval holding x and clamped at both ends.  The weights are products
+    of exact node differences over exact integer denominators, so at an
+    integer x they are exactly 1 and 0 and the node value comes back bit
+    for bit.  The lattice read-out and the ODE route's dense output both
+    use it.
     """
-    x = np.asarray(s, dtype=float) * level
-    n = min(_INTERP_POINTS, level + 1)
-    j0 = np.clip(np.floor(x).astype(np.int64) - (n // 2 - 1),
-                 0, level + 1 - n)
+    values = np.asarray(values)
+    x = np.asarray(x, dtype=float)
+    N = values.shape[-1]
+    n = min(_INTERP_POINTS, N)
+    j0 = np.clip(np.floor(x).astype(np.int64) - (n // 2 - 1), 0, N - n)
     d = (x - j0)[:, None] - np.arange(n)      # t - i for stencil nodes i
     w = np.empty_like(d)
     for j in range(n):
@@ -207,7 +210,7 @@ def _interp_diagonal(diag, level, s):
         w[:, j] = np.prod(d[:, others], axis=1) / np.prod(
             [float(j - i) for i in others])
     idx = j0[:, None] + np.arange(n)
-    return np.sum(w * np.asarray(diag)[:, idx], axis=2)
+    return np.sum(w * values[:, idx], axis=2)
 
 
 def richardson_table(levels, values):
@@ -237,7 +240,7 @@ def ray_limit(lat, s, extrapolate=False):
     return curve_from_lattice(lat, np.array([s]), extrapolate).point(0)
 
 
-def curve_from_lattice(lat, grid, extrapolate=False):
+def curve_from_lattice(lat, grid, extrapolate=False, compared=None):
     """Limit-curve estimate on ``grid`` from the finished lattice.
 
     Interpolates the top diagonal at bi-degrees (s m, (1 - s) m).  With
@@ -246,7 +249,12 @@ def curve_from_lattice(lat, grid, extrapolate=False):
     h = 0; ``meta["error_estimate"]`` then holds the largest difference
     between the returned values and the table entry one order lower (over
     A1 ... B2 and the grid) and the s where it occurs, or None when the
-    table has a single level.
+    table has a single level.  ``compared``, a mask of the grid points a
+    later comparison reads (:func:`angelesco.crossval.compared_points`),
+    adds ``meta["error_estimate_compared"]``: the same over those points
+    only, or None when there are none.  Next to the plateau window the
+    table stalls, so there the whole-grid figure is far above the error
+    at the compared points.
 
     Within a few nodes of either end of a diagonal the coefficients are not
     yet samples of a smooth function of k / level, and the high-order
@@ -260,10 +268,10 @@ def curve_from_lattice(lat, grid, extrapolate=False):
     if extrapolate:
         levels = table_levels(lat.m)
         vals, lower = richardson_table(
-            levels, [_interp_diagonal(lat.diagonal(n), n, grid)
+            levels, [lagrange_interp(lat.diagonal(n), grid * n)
                      for n in levels])
     else:
-        vals = _interp_diagonal(top, lat.m, grid)
+        vals = lagrange_interp(top, grid * lat.m)
     vals[0, grid == 0.0] = 0.0
     vals[1, grid == 1.0] = 0.0
     off = LimitCurve(grid, *vals).broken()
@@ -275,10 +283,16 @@ def curve_from_lattice(lat, grid, extrapolate=False):
             "max_residual": lat.max_residual(),
             "linear_points": int(np.count_nonzero(off))}
     if extrapolate:
-        diff = np.abs(vals - lower).max(axis=0)
-        worst = int(np.argmax(diff))
         meta["table_levels"] = levels
-        meta["error_estimate"] = None if len(levels) == 1 else {
-            "max_abs": float(diff[worst]), "s": float(grid[worst])}
+        diff = np.abs(vals - lower).max(axis=0)
+        masks = {"error_estimate": np.ones(grid.size, dtype=bool)}
+        if compared is not None:
+            masks["error_estimate_compared"] = np.asarray(compared, dtype=bool)
+        for key, mask in masks.items():
+            meta[key] = None
+            if len(levels) > 1 and np.any(mask):
+                worst = np.flatnonzero(mask)[np.argmax(diff[mask])]
+                meta[key] = {"max_abs": float(diff[worst]),
+                             "s": float(grid[worst])}
     return validate_computed(
         LimitCurve(grid.copy(), *vals, "lattice", meta))

@@ -2,17 +2,27 @@
 
 In the interior of each support window the four limit functions satisfy a
 closed ODE system in the rescaled variables C1 = A1/s^2, C2 = A2/(1-s)^2.
-Two branches are integrated with fixed-step classical Runge-Kutta: forward
-from s = 0 and backward from s = 1, each started at its endpoint from the
-closed-form endpoint values.  The branches stop at the plateau edges and the
-assembled curve splices branch values with the plateau constants.
+Two branches are integrated with classical Runge-Kutta on uniform meshes:
+forward from s = 0 and backward from s = 1, each started at its endpoint
+from the closed-form endpoint values.  The branches stop at the plateau
+edges and the assembled curve splices branch values with the plateau
+constants.
+
+Each branch controls its own step count by step doubling: runs of n and 2n
+steps share n + 1 nodes, where their difference over 15 estimates the 2n
+run's error and, added to it, gives a Richardson-extrapolated state.  The
+count doubles until the estimate, scaled by the endpoint gap B2 - B1, meets
+a tolerance or a cap.  The doubling is what makes the route hold its digits
+on unbalanced systems: no fixed count serves (-1000, 0) u (0, 1) and
+(-2, 0) u (0, 1) alike.  Dense output is local 6-point Lagrange
+interpolation on the finest mesh (:func:`angelesco.lattice.lagrange_interp`).
 
 The state is four numbers, so the RK4 stages run on Python floats: ``rhs``
 takes floats and returns a 4-tuple, and each stage is formed component by
 component in the same operation order as the array expression it replaces
 (``y + 0.5*h*k`` and ``y + h/6*(k1 + 2 k2 + 2 k3 + k4)``), which gives the
 same IEEE results without a numpy allocation per stage.  Only the node
-arrays handed to dense output are numpy.
+arrays, the doubling test and dense output are numpy.
 
 The linear system defining (C1', C2') degenerates at the endpoints only
 through a removable factor s (1 - s); the solved form used here cancels that
@@ -26,9 +36,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalFailure
+from .lattice import lagrange_interp
 from .systems import LimitCurve, check_grid, validate_computed
 
-DEFAULT_STEPS_PER_UNIT = 10000
+# steps per unit s of a branch's first RK4 run
+DEFAULT_STEPS_PER_UNIT = 500
+# scaled tolerance of the step-doubling estimate (C over gap^2, B over gap)
+_DOUBLING_TOL = 1e-12
+# most doublings of the step count; at the cap the best branch is returned
+_MAX_DOUBLINGS = 5
+# rounding floor of the stopping test, in eps times max |y| per component
+_ROUNDING_ULPS = 256
 
 
 @dataclass(frozen=True)
@@ -130,16 +148,18 @@ def endpoint_slopes(pack, side):
 
 @dataclass
 class Branch:
-    """One integrated branch with dense cubic-Hermite output.
+    """One integrated branch with dense 6-point Lagrange output.
 
-    ``s`` is ascending; ``y`` and ``d`` hold the state (C1, C2, B1, B2) and
-    its derivative at each node.  ``identity_drift`` is the largest observed
-    |B2 - B1 - sqrt(C1 + C2)| (redundancy monitor for the B integration).
+    ``s`` is ascending and uniformly spaced; ``y`` holds the state
+    (C1, C2, B1, B2) at each node.  ``identity_drift`` is the largest
+    |B2 - B1 - sqrt(C1 + C2)| over the finest RK4 run (redundancy monitor
+    for the B integration).  ``meta`` holds ``steps`` (every RK4 step taken
+    on the branch), ``doublings``, the scaled ``error_estimate`` and
+    ``stopped`` ("tolerance" or "cap").
     """
     side: int
     s: np.ndarray
     y: np.ndarray
-    d: np.ndarray
     identity_drift: float
     pack: BoundaryPack
     meta: dict = field(default_factory=dict)
@@ -153,22 +173,15 @@ class Branch:
         return float(self.s[-1])
 
     def sample(self, grid):
-        """Cubic-Hermite state samples at ``grid`` (columns C1, C2, B1, B2).
+        """State samples at ``grid`` (columns C1, C2, B1, B2).
 
-        Queries outside the node range are extrapolated from the edge
-        segment; callers keep them inside the branch span.
+        Local 6-point Lagrange interpolation on the uniform nodes; queries
+        outside the node range are extrapolated from the edge stencil, and
+        callers keep them inside the branch span.
         """
         grid = np.asarray(grid, dtype=float)
-        j = np.clip(np.searchsorted(self.s, grid) - 1, 0, self.s.size - 2)
-        h = self.s[j + 1] - self.s[j]
-        t = (grid - self.s[j]) / h
-        t2, t3 = t * t, t * t * t
-        h00 = 2.0 * t3 - 3.0 * t2 + 1.0
-        h10 = t3 - 2.0 * t2 + t
-        h01 = -2.0 * t3 + 3.0 * t2
-        h11 = t3 - t2
-        return (h00[:, None] * self.y[j] + (h10 * h)[:, None] * self.d[j]
-                + h01[:, None] * self.y[j + 1] + (h11 * h)[:, None] * self.d[j + 1])
+        x = (grid - self.s[0]) * ((self.s.size - 1) / (self.s[-1] - self.s[0]))
+        return lagrange_interp(self.y.T, x).T
 
     def limit_values(self, grid):
         """(A1, A2, B1, B2) at ``grid``; B2 is reconstructed as B1 + sqrt(C1+C2)."""
@@ -181,43 +194,26 @@ class Branch:
         return A1, A2, B1, B2
 
 
-def integrate_branch(pack, side, stop, steps_per_unit=DEFAULT_STEPS_PER_UNIT):
-    """Integrate one branch from its endpoint to ``stop``.
+def _rk4(s0, y, stop, n):
+    """``n`` classical RK4 steps on Python floats from state ``y`` at ``s0``.
 
-    side 0 runs forward from s = 0, side 1 backward from s = 1, each from
-    the closed-form endpoint state in ``pack`` (the right-hand side is
-    regular there, so the first RK4 stage is taken at the endpoint itself);
-    the step count is ``steps_per_unit`` (at least 1) scaled by the branch
-    length.  Classical fixed-step fourth-order Runge-Kutta on Python floats;
-    every node stores the state and its derivative for dense output.  Loss
-    of positivity in C raises :class:`NumericalFailure` with the last good s.
+    Returns the nodes s0 + i h in integration order, the state at each, and
+    the largest identity drift |B2 - B1 - sqrt(C1 + C2)| after a step.
+    Halving h is exact, so the nodes of n steps are every second node of
+    2n steps.  Loss of positivity in C raises :class:`NumericalFailure`
+    with the last good s.
     """
-    if side not in (0, 1):
-        raise ValueError(f"side must be 0 or 1, got {side}")
-    if not steps_per_unit >= 1:
-        raise ValueError(f"steps_per_unit must be at least 1, got {steps_per_unit}")
-    if side == 0:
-        if not 0.0 < stop <= 1.0:
-            raise ValueError(f"forward stop must lie in (0, 1], got {stop}")
-        s0, y = 0.0, (pack.C1_0, pack.C2_0, pack.B1_0, pack.B2_0)
-    else:
-        if not 0.0 <= stop < 1.0:
-            raise ValueError(f"backward stop must lie in [0, 1), got {stop}")
-        s0, y = 1.0, (pack.C1_1, pack.C2_1, pack.B1_1, pack.B2_1)
-    n = max(1, int(np.ceil(abs(stop - s0) * steps_per_unit)))
     h = float(stop - s0) / n
     hh = 0.5 * h
     h6 = h / 6.0
     s_nodes = np.empty(n + 1)
     y_nodes = np.empty((n + 1, 4))
-    d_nodes = np.empty((n + 1, 4))
     s = s0
     drift = 0.0
     for i in range(n):
         y0, y1, y2, y3 = y
         try:
-            k1 = rhs(s, y)
-            a0, a1, a2, a3 = k1
+            a0, a1, a2, a3 = rhs(s, y)
             b0, b1, b2, b3 = rhs(s + hh, (y0 + hh * a0, y1 + hh * a1,
                                           y2 + hh * a2, y3 + hh * a3))
             c0, c1, c2, c3 = rhs(s + hh, (y0 + hh * b0, y1 + hh * b1,
@@ -229,7 +225,6 @@ def integrate_branch(pack, side, stop, steps_per_unit=DEFAULT_STEPS_PER_UNIT):
             raise
         s_nodes[i] = s
         y_nodes[i] = y
-        d_nodes[i] = k1
         y = (y0 + h6 * (a0 + 2.0 * b0 + 2.0 * c0 + d0),
              y1 + h6 * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
              y2 + h6 * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
@@ -241,13 +236,68 @@ def integrate_branch(pack, side, stop, steps_per_unit=DEFAULT_STEPS_PER_UNIT):
             drift = max(drift, abs(y[3] - y[2] - math.sqrt(csum)))
     s_nodes[n] = s
     y_nodes[n] = y
-    d_nodes[n] = rhs(s, y)
+    return s_nodes, y_nodes, drift
+
+
+def integrate_branch(pack, side, stop, steps_per_unit=DEFAULT_STEPS_PER_UNIT):
+    """Integrate one branch from its endpoint to ``stop``, error-controlled.
+
+    side 0 runs forward from s = 0, side 1 backward from s = 1, each from
+    the closed-form endpoint state in ``pack`` (the right-hand side is
+    regular there, so the first RK4 stage is taken at the endpoint itself).
+
+    Step doubling with Richardson extrapolation (Hairer, Norsett & Wanner,
+    *Solving ODEs I*, II.4): the first run takes n = ceil(length *
+    ``steps_per_unit``) steps (at least 1), the next 2n.  At the n + 1
+    shared nodes RK4's h^4 error gives the extrapolated state
+    y2n + (y2n - yn)/15 and the estimate |y2n - yn|/15, scaled by the gap
+    at the branch's endpoint (C over gap^2, B over gap).  While the estimate
+    of some component exceeds ``_DOUBLING_TOL`` plus a rounding floor of
+    ``_ROUNDING_ULPS`` eps max|y|, the step count doubles again and the old
+    fine run becomes the coarse one, so each doubling integrates once.
+    After ``_MAX_DOUBLINGS`` doublings the best branch is returned with its
+    estimate; that is not an error.  The returned nodes are those of the
+    finest run, with the correction (y2n - yn)/15 interpolated onto its odd
+    nodes.  ``meta`` reports the work and the estimate (see :class:`Branch`).
+    """
+    if side not in (0, 1):
+        raise ValueError(f"side must be 0 or 1, got {side}")
+    if not steps_per_unit >= 1:
+        raise ValueError(f"steps_per_unit must be at least 1, got {steps_per_unit}")
+    if side == 0:
+        if not 0.0 < stop <= 1.0:
+            raise ValueError(f"forward stop must lie in (0, 1], got {stop}")
+        s0, y = 0.0, (pack.C1_0, pack.C2_0, pack.B1_0, pack.B2_0)
+        gap = pack.gap_0
+    else:
+        if not 0.0 <= stop < 1.0:
+            raise ValueError(f"backward stop must lie in [0, 1), got {stop}")
+        s0, y = 1.0, (pack.C1_1, pack.C2_1, pack.B1_1, pack.B2_1)
+        gap = pack.gap_1
+    scale = np.array([gap * gap, gap * gap, gap, gap])
+    n = max(1, int(np.ceil(abs(stop - s0) * steps_per_unit)))
+    _, coarse, _ = _rk4(s0, y, stop, n)
+    steps = n
+    for doublings in range(1, _MAX_DOUBLINGS + 1):
+        s_fine, fine, drift = _rk4(s0, y, stop, 2 * n)
+        steps += 2 * n
+        diff = (fine[::2] - coarse) / 15.0
+        err = np.abs(diff).max(axis=0)
+        floor = _ROUNDING_ULPS * np.finfo(float).eps * np.abs(fine).max(axis=0)
+        converged = bool(np.all(err <= _DOUBLING_TOL * scale + floor))
+        if converged:
+            break
+        coarse, n = fine, 2 * n
+    # the correction is smooth and tiny, so interpolating it onto the odd
+    # fine nodes loses nothing and halves the mesh the read-out sees
+    s_nodes = s_fine
+    y_nodes = fine + lagrange_interp(diff.T, np.arange(len(fine)) / 2.0).T
     if side == 1:
-        s_nodes = s_nodes[::-1].copy()
-        y_nodes = y_nodes[::-1].copy()
-        d_nodes = d_nodes[::-1].copy()
-    return Branch(side, s_nodes, y_nodes, d_nodes, drift, pack,
-                  {"steps": n, "stop": stop})
+        s_nodes, y_nodes = s_nodes[::-1], y_nodes[::-1]
+    meta = {"steps": steps, "stop": stop, "doublings": doublings,
+            "error_estimate": float(np.max(err / scale)),
+            "stopped": "tolerance" if converged else "cap"}
+    return Branch(side, s_nodes, y_nodes, drift, pack, meta)
 
 
 def branch_curve(branch, grid, method="ode"):
@@ -287,8 +337,8 @@ def assemble_curve(forward, backward, c1, c2, grid, method="ode"):
     Branch values fill [0, c1] and [c2, 1]; inside (c1, c2) the four
     functions are constant, set to the mean of the two branch endpoint
     states (their mismatch is recorded in ``meta`` together with the branch
-    redundancy monitors).  For touching systems c1 = c2 and the plateau is
-    empty.
+    redundancy monitors and, under ``branches``, each branch's step-doubling
+    report).  For touching systems c1 = c2 and the plateau is empty.
     """
     grid = check_grid(grid)
     pack = forward.pack
@@ -321,7 +371,12 @@ def assemble_curve(forward, backward, c1, c2, grid, method="ode"):
     _fix_endpoints(grid, A1, A2, B1, B2, pack)
     meta = {"c1": float(c1), "c2": float(c2), "splice_mismatch": mism,
             "identity_drift": {"forward": forward.identity_drift,
-                               "backward": backward.identity_drift}}
+                               "backward": backward.identity_drift},
+            "branches": {name: {k: br.meta[k] for k in
+                                ("error_estimate", "steps", "doublings",
+                                 "stopped")}
+                         for name, br in (("forward", forward),
+                                          ("backward", backward))}}
     return validate_computed(
         LimitCurve(grid.copy(), A1, A2, B1, B2, method, meta))
 

@@ -194,6 +194,33 @@ def test_compute_surface_endpoints(tmp_path, touching_system):
     assert meta["config"]["grid_points"] == 3
 
 
+@pytest.mark.parametrize("interval1", ["-2,0", "-1000,0"])
+def test_run_meta_states_the_ode_error_estimate(tmp_path, interval1):
+    out = tmp_path / "out"
+    assert main(["compute", "--methods", "ode", f"--interval1={interval1}",
+                 "--output_dir", str(out)]) == 0
+    branches = json.loads((out / "run_meta.json").read_text())["ode"]["branches"]
+    assert set(branches) == {"forward", "backward"}
+    for b in branches.values():
+        assert set(b) == {"error_estimate", "steps", "doublings", "stopped"}
+        assert b["stopped"] == "tolerance"
+        assert 0.0 < b["error_estimate"] <= 1e-12
+        assert b["steps"] > 0 and 1 <= b["doublings"] <= 5
+
+
+def test_run_meta_states_the_lattice_estimate_at_the_compared_points(tmp_path):
+    out = tmp_path / "out"
+    assert main(["compute", "--methods", "dis", "--interval2=0.25,1",
+                 "--output_dir", str(out)]) == 0
+    meta = json.loads((out / "run_meta.json").read_text())
+    c1, c2 = meta["plateau"]["c1"], meta["plateau"]["c2"]
+    whole = meta["lattice"]["error_estimate"]
+    part = meta["lattice"]["error_estimate_compared"]
+    assert c1 <= whole["s"] + 0.05 and whole["s"] <= c2 + 0.05
+    assert part["s"] <= c1 - 0.05 or part["s"] >= c2 + 0.05
+    assert part["max_abs"] < whole["max_abs"]
+
+
 def test_compute_deterministic(tmp_path):
     args = ["compute"] + FAST
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -210,7 +237,7 @@ def test_compute_rejects_bad_methods(tmp_path):
                  "--output_dir", out]) == 2
 
 
-@pytest.mark.parametrize("steps", ["0", "-5"])
+@pytest.mark.parametrize("steps", ["0", "-5", "nan"])
 def test_compute_rejects_step_count_below_one(tmp_path, steps):
     rc = main(["compute", "--methods", "ode", f"--ode_steps={steps}",
                "--output_dir", str(tmp_path / "out")])

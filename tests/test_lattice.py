@@ -5,9 +5,10 @@ import pytest
 
 import angelesco.lattice as lattice_mod
 from angelesco import AngelescoSystem, Interval, LimitCurve, NumericalFailure
-from angelesco.lattice import (_interp_diagonal, curve_from_lattice,
+from angelesco.lattice import (curve_from_lattice, lagrange_interp,
                                ray_limit, richardson_table, solve_lattice,
                                table_levels)
+from angelesco.crossval import compared_points
 from angelesco.surface import limit_curve, limits_at
 from moment_oracle import MomentOracle
 
@@ -194,7 +195,7 @@ def test_interp_exact_on_quintics(level):
     coef = rng.uniform(-1.0, 1.0, size=(4, deg + 1))
     diag = tuple(np.polyval(c, k / level) for c in coef)
     s = np.linspace(0.0, 1.0, 181)
-    got = _interp_diagonal(diag, level, s)
+    got = lagrange_interp(diag, s * level)
     for c, g in zip(coef, got):
         assert np.max(np.abs(g - np.polyval(c, s))) <= 1e-12
 
@@ -209,7 +210,7 @@ def test_interp_returns_node_values_bit_for_bit(level):
     x = s * level
     on_node = x == np.floor(x)
     assert np.count_nonzero(on_node) > level // 2
-    got = _interp_diagonal(diag, level, s)
+    got = lagrange_interp(diag, s * level)
     for arr, g in zip(diag, got):
         assert np.array_equal(g[on_node], arr[x[on_node].astype(int)])
 
@@ -242,7 +243,7 @@ def test_points_off_the_contract_fall_back_to_linear(extrapolate):
     linear = [np.interp(grid * 200, k, arr) for arr in lat.diagonal(200)]
     levels = table_levels(200) if extrapolate else [200]
     high, _ = richardson_table(
-        levels, [_interp_diagonal(lat.diagonal(n), n, grid) for n in levels])
+        levels, [lagrange_interp(lat.diagonal(n), grid * n) for n in levels])
     high[0][0] = high[1][-1] = 0.0
     off = LimitCurve(grid, *high).broken()
     assert cv.meta["linear_points"] == np.count_nonzero(off) > 0
@@ -263,6 +264,28 @@ def test_error_estimate_bounds_the_table_error(touching_system, touching_info):
               for f in ("A1", "A2", "B1", "B2"))
     assert err <= cv.meta["error_estimate"]["max_abs"]
     assert cv.meta["table_levels"] == [50, 100, 200, 400]
+
+
+def test_error_estimate_over_the_compared_points(gap_system, gap_info):
+    # on gap the whole-grid figure sits at the plateau edge, where the table
+    # stalls; over the points at least 0.05 from the window it is far lower
+    # and still bounds the error there
+    grid = np.linspace(0.0, 1.0, 181)
+    keep = compared_points(grid, gap_info.c1, gap_info.c2, 0.05)
+    lat = solve_lattice(gap_system, 400)
+    cv = curve_from_lattice(lat, grid, True, keep)
+    whole = cv.meta["error_estimate"]
+    part = cv.meta["error_estimate_compared"]
+    assert part["s"] in grid[keep]
+    assert part["max_abs"] < 0.1 * whole["max_abs"]
+    ref = limit_curve(gap_system, grid, info=gap_info)
+    err = max(np.max(np.abs(getattr(cv, f) - getattr(ref, f))[keep])
+              for f in ("A1", "A2", "B1", "B2"))
+    assert err <= part["max_abs"]
+    # the whole-grid figure does not depend on the mask
+    assert curve_from_lattice(lat, grid, True).meta["error_estimate"] == whole
+    none = curve_from_lattice(lat, grid, True, np.zeros(grid.size, bool))
+    assert none.meta["error_estimate_compared"] is None
 
 
 @pytest.mark.parametrize("axis", [1, 2])

@@ -5,9 +5,11 @@ import pytest
 
 from angelesco import (AngelescoSystem, Interval, NumericalFailure,
                        star_normalize)
-from angelesco.ode import (BoundaryPack, assemble_curve, boundary_values,
-                           branch_curve, endpoint_slopes, integrate_branch,
-                           rhs, solve_system)
+import angelesco.ode as ode_mod
+from angelesco.lattice import lagrange_interp
+from angelesco.ode import (BoundaryPack, Branch, _rk4, assemble_curve,
+                           boundary_values, branch_curve, endpoint_slopes,
+                           integrate_branch, rhs, solve_system)
 from angelesco.surface import limit_curve, limits_at, plateau_bounds
 
 
@@ -243,7 +245,7 @@ def test_branch_rejects_step_count_below_one(touching_pack, steps):
 def _reference_branch(pack, side, stop, steps_per_unit):
     """The RK4 branch loop written on 4-element numpy arrays.
 
-    A reference for :func:`integrate_branch`, whose float loop forms every
+    A reference for :func:`angelesco.ode._rk4`, whose float loop forms every
     stage with the same operations in the same order and so must reproduce
     these nodes bit for bit.  Returns (s, y, d, identity_drift), ascending.
     """
@@ -288,9 +290,125 @@ def test_branches_match_array_reference_bit_for_bit(name, request):
     info = request.getfixturevalue(f"{name}_info")
     pk = boundary_values(sys)
     for side, stop in ((0, info.c1), (1, info.c2)):
-        br = integrate_branch(pk, side, stop, steps_per_unit=2000)
+        s0, y0 = ((0.0, (pk.C1_0, pk.C2_0, pk.B1_0, pk.B2_0)) if side == 0
+                  else (1.0, (pk.C1_1, pk.C2_1, pk.B1_1, pk.B2_1)))
+        n = max(1, int(np.ceil(abs(stop - s0) * 2000)))
+        br_s, br_y, br_drift = _rk4(s0, y0, stop, n)
+        if side == 1:
+            br_s, br_y = br_s[::-1], br_y[::-1]
         s, y, d, drift = _reference_branch(pk, side, stop, 2000)
-        assert br.s.tolist() == s.tolist()
-        assert br.y.tolist() == y.tolist()
-        assert br.d.tolist() == d.tolist()
-        assert br.identity_drift == drift
+        assert br_s.tolist() == s.tolist()
+        assert br_y.tolist() == y.tolist()
+        assert br_drift == drift
+
+
+def _start(pk, side):
+    # a branch's endpoint and closed-form starting state
+    if side == 0:
+        return 0.0, (pk.C1_0, pk.C2_0, pk.B1_0, pk.B2_0)
+    return 1.0, (pk.C1_1, pk.C2_1, pk.B1_1, pk.B2_1)
+
+
+def _branch_errors(i1, i2):
+    """Each branch of the system with its error at the 181 grid points.
+
+    The error is in the estimate's units (C over gap^2, B over gap, gap at
+    the branch's endpoint), against plain RK4 at 200000 steps per unit.
+    """
+    sys = AngelescoSystem(Interval(*i1), Interval(*i2))
+    info = plateau_bounds(star_normalize(sys)[0])
+    pk = boundary_values(sys)
+    grid = np.linspace(0.0, 1.0, 181)
+    out = []
+    for side, stop in ((0, info.c1), (1, info.c2)):
+        br = integrate_branch(pk, side, stop)
+        s0, y0 = _start(pk, side)
+        n = max(1, int(np.ceil(abs(stop - s0) * 200000)))
+        _, ref, _ = _rk4(s0, y0, stop, n)
+        g = grid[(grid >= br.lo) & (grid <= br.hi)]
+        want = lagrange_interp(ref.T, (g - s0) * (n / (stop - s0))).T
+        gap = pk.gap_0 if side == 0 else pk.gap_1
+        scale = np.array([gap * gap, gap * gap, gap, gap])
+        err = np.abs(br.sample(g) - want) / scale
+        out.append((br, float(err.max()) if g.size else 0.0))
+    return out
+
+
+@pytest.mark.parametrize("i1,i2", [((-2.0, 0.0), (0.0, 1.0)),
+                                   ((-2.0, 0.0), (0.25, 1.0)),
+                                   ((-1.0, 0.0), (0.0, 1.0)),
+                                   ((-1.0, 0.0), (2.0, 3.0)),
+                                   ((-1000.0, 0.0), (0.0, 1.0)),
+                                   ((-1e-3, 0.0), (0.0, 1.0)),
+                                   ((-1e-6, 0.0), (0.0, 1.0))],
+                         ids=["touching", "gap", "symmetric", "apart",
+                              "alpha1e3", "alpha1e-3", "alpha1e-6-cap"])
+def test_branch_error_is_within_its_estimate(i1, i2):
+    for br, err in _branch_errors(i1, i2):
+        est = br.meta["error_estimate"]
+        assert err <= est, (br.side, err, est)
+        if br.meta["stopped"] == "tolerance":
+            assert est <= ode_mod._DOUBLING_TOL
+
+
+def test_branch_steps_count_every_rk4_run(touching_pack, touching_info):
+    # the first run takes n steps and each doubling one run of twice the last
+    br = integrate_branch(touching_pack, 0, touching_info.c1, 100)
+    n = int(np.ceil(touching_info.c1 * 100))
+    k = br.meta["doublings"]
+    assert br.meta["steps"] == n * (2 ** (k + 1) - 1)
+    assert br.s.size == n * 2 ** k + 1
+
+
+def test_unbalanced_system_takes_more_doublings(touching_system,
+                                                touching_info):
+    # one first-run step count, two systems: touching meets the tolerance
+    # after one doubling, (-1000,0) u (0,1) only after four
+    sys = AngelescoSystem(Interval(-1000.0, 0.0), Interval(0.0, 1.0))
+    info = plateau_bounds(star_normalize(sys)[0])
+    grid = np.linspace(0.0, 1.0, 181)
+    easy = solve_system(touching_system, touching_info, grid)
+    hard = solve_system(sys, info, grid)
+    for name in ("forward", "backward"):
+        assert easy.meta["branches"][name]["doublings"] == 1
+        assert hard.meta["branches"][name]["doublings"] == 4
+        assert hard.meta["branches"][name]["stopped"] == "tolerance"
+
+
+def test_cap_returns_a_valid_curve_with_its_estimate():
+    # (-1e-6,0) u (0,1) does not meet the tolerance within the cap: the
+    # curve still passes the contract, and the estimate says how good it is
+    sys = AngelescoSystem(Interval(-1e-6, 0.0), Interval(0.0, 1.0))
+    info = plateau_bounds(star_normalize(sys)[0])
+    cv = solve_system(sys, info, np.linspace(0.0, 1.0, 181))
+    capped = [b for b in cv.meta["branches"].values() if b["stopped"] == "cap"]
+    assert capped
+    for b in capped:
+        assert b["doublings"] == ode_mod._MAX_DOUBLINGS
+        assert ode_mod._DOUBLING_TOL < b["error_estimate"] < 1e-8
+
+
+def test_far_from_the_origin_stops_below_the_cap():
+    # touching moved by 2^20: B ~ 1e6, so without the rounding floor the
+    # B estimate could never meet the tolerance
+    pk = boundary_values(AngelescoSystem(Interval(1048574.0, 1048576.0),
+                                         Interval(1048576.0, 1048577.0)))
+    for side, stop in ((0, 0.6), (1, 0.6)):
+        br = integrate_branch(pk, side, stop)
+        assert br.meta["stopped"] == "tolerance"
+        assert br.meta["doublings"] < ode_mod._MAX_DOUBLINGS
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_branch_sample_is_exact_on_quintics(side):
+    # dense output is 6-point Lagrange on the uniform nodes
+    rng = np.random.default_rng(side)
+    coef = rng.uniform(-1.0, 1.0, size=(4, 6))
+    s = np.linspace(0.2, 0.7, 41)
+    y = np.stack([np.polyval(c, s) for c in coef], axis=1)
+    br = Branch(side, s, y, 0.0, None)
+    q = rng.uniform(0.2, 0.7, 100)
+    got = br.sample(q)
+    for j, c in enumerate(coef):
+        assert np.max(np.abs(got[:, j] - np.polyval(c, q))) <= 1e-13
+    assert np.array_equal(br.sample(s[[0, -1]]), y[[0, -1]])
