@@ -2,14 +2,17 @@
 
 Plain bisection only: every solver in this package trades speed for
 reproducibility, so there is no secant/Newton acceleration anywhere.
-Each root problem is one-dimensional, and the solvers work elementwise on
-numpy arrays so that whole grids of root problems go through one call.
+Bisection stops at its fixed point, the first halving that leaves every
+bracket as it was; every later halving would repeat it, so the result does
+not depend on the iteration cap.  Each root problem is one-dimensional, and
+the solvers work elementwise on numpy arrays so that whole grids of root
+problems go through one call.
 """
 import numpy as np
 
 from .errors import NumericalFailure
 
-# enough halvings to reach double precision from any O(1) bracket
+# cap on the halvings: an O(1) bracket reaches its fixed point in about 55
 DEFAULT_ITERS = 110
 
 
@@ -18,15 +21,18 @@ def bisect(f, lo, hi, iters=DEFAULT_ITERS):
 
     ``f`` must accept and return arrays of the bracket shape.  Both bracket
     ends are required to have opposite (or zero) signs; a bracket without a
-    sign change raises :class:`NumericalFailure`.  Runs a fixed number of
-    halvings with no data-dependent early exit, so results are deterministic
-    and the call vectorizes cleanly.
+    sign change, or with a NaN end value, raises :class:`NumericalFailure`.
+    Halves at most ``iters`` times and stops at the first halving that
+    leaves every bracket bit for bit as it was.  ``f`` must be
+    deterministic: from there every halving repeats the same midpoints and
+    decisions, so the result is bit for bit the one ``iters`` halvings give.
     """
     lo = np.asarray(lo, dtype=float).copy()
     hi = np.asarray(hi, dtype=float).copy()
     flo = np.asarray(f(lo), dtype=float)
     fhi = np.asarray(f(hi), dtype=float)
-    bad = flo * fhi > 0
+    # signs, not values: 0 * inf and an underflowing product mislead
+    bad = ~(np.sign(flo) * np.sign(fhi) <= 0)  # NaN is bad too
     if np.any(bad):
         raise NumericalFailure(
             "bisection bracket has no sign change",
@@ -36,9 +42,14 @@ def bisect(f, lo, hi, iters=DEFAULT_ITERS):
         mid = 0.5 * (lo + hi)
         fm = np.asarray(f(mid), dtype=float)
         same = (fm > 0) == (flo > 0)
-        lo = np.where(same, mid, lo)
+        new_lo = np.where(same, mid, lo)
+        new_hi = np.where(same, hi, mid)
         flo = np.where(same, fm, flo)
-        hi = np.where(same, hi, mid)
+        # bit patterns, so that a signed zero counts as a move
+        if (np.array_equal(new_lo.view(np.int64), lo.view(np.int64))
+                and np.array_equal(new_hi.view(np.int64), hi.view(np.int64))):
+            break
+        lo, hi = new_lo, new_hi
     return 0.5 * (lo + hi)
 
 

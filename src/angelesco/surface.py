@@ -10,13 +10,16 @@ costs one bisection in tau.  The partial-fraction residues of the
 uniformizing map read that (u, tau) directly, with the two other preimages
 of infinity from a quadratic, and give the limits in closed form.  This
 route is the precision reference for the lattice and ODE methods: every
-root solve is plain bisection to machine accuracy and all formulas are
-explicit.
+root solve is plain bisection run to its fixed point (adjacent doubles) and
+all formulas are explicit.  The two scalar ends of the ray bracket depend on
+alpha alone, so each alpha solves them once per process, the u = 2 end
+shared with the threshold ray.
 
 The solvers and coordinate maps are elementwise numpy functions, so whole
 grids go through one call; a scalar argument gives a 0-d result.
 """
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -92,11 +95,14 @@ def solve_u(alpha, beta):
     bisection root of gap_ratio(u) = beta (1 + alpha)/(alpha + beta).
     """
     beta = np.asarray(beta, dtype=float)
+    touching = beta == 0.0
+    if np.all(touching):
+        return np.full(beta.shape, 2.0)
     target = beta * (1.0 + alpha) / (alpha + beta)
     lo = np.full(beta.shape, _EDGE)
     hi = np.full(beta.shape, 2.0)
     u = bisect(lambda x: gap_ratio(x) - target, lo, hi)
-    return np.where(beta == 0.0, 2.0, u)
+    return np.where(touching, 2.0, u)
 
 
 def solve_tau0(u, alpha, check_unique=False):
@@ -207,9 +213,18 @@ def residue_limits(p):
     return ResidueLimits(a1, a2, b1, b2, c1, c2)
 
 
+@lru_cache(maxsize=64)
+def _scalar_tau0(u, alpha, check_unique=False):
+    """:func:`solve_tau0` at scalar (u, alpha), solved once per process.
+
+    The threshold ray and every ray bracket of an alpha share these solves.
+    """
+    return solve_tau0(u, alpha, check_unique)
+
+
 def threshold_ray(alpha):
     """(theta, s) of the ray where the touching configuration fills both supports."""
-    tau = solve_tau0(2.0, alpha, check_unique=True)
+    tau = _scalar_tau0(2.0, float(alpha), True)
     theta = ray_direction(2.0, tau)
     return theta, 0.5 * (1.0 + theta)
 
@@ -219,13 +234,15 @@ def pushed_beta(alpha, s):
 
     Solves the pair {alpha_coord = alpha, ray_direction = 2 s - 1} by one
     bisection in tau along the alpha level set, with u = level_set_u(alpha,
-    tau) eliminated explicitly.  The bracket ends are tau0 at u = 2 and at
-    u -> 1.  Returns (beta_s, u, tau).
+    tau) eliminated explicitly.  The bracket ends are tau0 at u = 2 (the
+    threshold ray's) and at u -> 1, solved once per alpha.  Returns
+    (beta_s, u, tau).
     """
     s = np.asarray(s, dtype=float)
     theta = 2.0 * s - 1.0
-    lo = np.full(s.shape, solve_tau0(2.0, alpha))
-    hi = np.full(s.shape, solve_tau0(1.0 + 1e-9, alpha))
+    alpha = float(alpha)
+    lo = np.full(s.shape, _scalar_tau0(2.0, alpha, True))
+    hi = np.full(s.shape, _scalar_tau0(1.0 + 1e-9, alpha))
     tau = bisect(lambda t: ray_direction(level_set_u(alpha, t), t) - theta,
                  lo, hi)
     u = level_set_u(alpha, tau)
@@ -278,13 +295,14 @@ def plateau_bounds(sc):
         back, _, _ = pushed_beta(sc.alpha, c2)
         if abs(back - sc.beta) > 1e-9:
             raise NumericalFailure("plateau edge failed the gap round trip",
-                                   {"c2": c2, "beta": sc.beta, "back": back})
+                                   {"c2": float(c2), "beta": float(sc.beta),
+                                    "back": float(back)})
         params_hat = surface_params(sc_hat.alpha, sc_hat.beta)
         c2_hat = 0.5 * (1.0 + ray_direction(params_hat.u, params_hat.tau0))
         c1 = 1.0 - c2_hat
         if not 0.0 < c1 < c2 < 1.0:
             raise NumericalFailure("plateau window out of order",
-                                   {"c1": c1, "c2": c2})
+                                   {"c1": float(c1), "c2": float(c2)})
     vals = residue_limits(params)
     mid = 0.5 * (c1 + c2)
     point = LimitPoint(mid, vals.A1, vals.A2, vals.B1, vals.B2)

@@ -42,6 +42,24 @@ def test_solve_u():
     assert solve_u(0.7, 0.0) == 2.0
 
 
+def test_solve_u_touching_skips_the_bisection(monkeypatch):
+    real_bisect = surface.bisect
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(1)
+        return real_bisect(*args, **kwargs)
+
+    monkeypatch.setattr(surface, "bisect", recording)
+    u = solve_u(2.0, 0.0)
+    assert u.shape == () and u == 2.0
+    assert np.array_equal(solve_u(0.7, np.zeros(3)), np.full(3, 2.0))
+    assert not calls
+    # one gap among the betas: the array is bisected, the zeros stay 2
+    mixed = solve_u(2.0, np.array([0.0, 0.25]))
+    assert calls and mixed[0] == 2.0 and mixed[1] == solve_u(2.0, 0.25)
+
+
 def test_solve_tau0():
     tau = solve_tau0(2.0, 2.0, check_unique=True)
     assert tau == pytest.approx(2.5846, abs=1e-3)
@@ -195,7 +213,8 @@ def test_limits_at_too_near_an_endpoint_is_a_numerical_failure(
     assert exc.value.context == {"method": "surface"}
 
 
-def test_failure_contexts_are_json(touching_system, touching_info):
+def test_failure_contexts_are_json(monkeypatch, touching_system,
+                                   touching_info):
     # an open bisection bracket, reached through a public call
     with pytest.raises(NumericalFailure, match="bracket") as exc:
         limits_at(touching_system, 1e-9, info=touching_info)
@@ -207,6 +226,23 @@ def test_failure_contexts_are_json(touching_system, touching_info):
     ctx = exc.value.context
     assert json.loads(json.dumps(ctx)) == ctx
     assert ctx["alpha"] == [2.0] and ctx["tau2"][0] > 0.3
+    # the plateau's contexts hold plain floats, not numpy scalars; the gap
+    # round trip misses beta on (-1e-9, 0) u (0.5, 1)
+    with pytest.raises(NumericalFailure, match="round trip") as exc:
+        plateau_bounds(StarConfig(1e-9, 0.5))
+    ctx = exc.value.context
+    assert json.loads(json.dumps(ctx)) == ctx
+    assert set(ctx) == {"c2", "beta", "back"}
+    assert all(type(v) is float for v in ctx.values())
+    # a reflection that returns the configuration itself, with c2 < 1/2,
+    # puts c1 = 1 - c2 above c2
+    monkeypatch.setattr(surface, "reflected_star", lambda sc: (sc, None))
+    with pytest.raises(NumericalFailure, match="out of order") as exc:
+        plateau_bounds(StarConfig(0.1, 0.01))
+    ctx = exc.value.context
+    assert json.loads(json.dumps(ctx)) == ctx
+    assert set(ctx) == {"c1", "c2"} and ctx["c1"] > ctx["c2"]
+    assert all(type(v) is float for v in ctx.values())
 
 
 def test_preimage_order_check_rejects_nan():
