@@ -14,8 +14,7 @@ import numpy as np
 
 from angelesco import AngelescoSystem, Interval, star_normalize
 from angelesco.cli import write_curve_csv
-from angelesco.ode import boundary_values, branch_curve, integrate_branch, \
-    solve_system
+from angelesco.ode import solve_system
 from angelesco.surface import limit_curve, plateau_bounds
 
 out_dir = Path(__file__).parent / "out"
@@ -31,24 +30,21 @@ print(f"constant values inside: A1={p.A1:.8f} A2={p.A2:.8f} "
 grid = np.linspace(0.0, 1.0, 181)
 assembled = solve_system(system, info, grid)
 
-# forward branch vs the touching system sharing the facing edges at s=0
-pack = boundary_values(system)
-sub = grid[grid <= info.c1]
-fwd = branch_curve(integrate_branch(pack, 0, info.c1), sub)
+# forward branch (s <= c1) vs the touching system sharing the edges at s=0
+keep = grid <= info.c1
 closed_right = AngelescoSystem(Interval(-2.0, 0.25), Interval(0.25, 1.0))
-ref = limit_curve(closed_right, sub,
+ref = limit_curve(closed_right, grid[keep],
                   info=plateau_bounds(star_normalize(closed_right)[0]))
-worst = max(np.max(np.abs(getattr(fwd, f) - getattr(ref, f)))
+worst = max(np.max(np.abs(getattr(assembled, f)[keep] - getattr(ref, f)))
             for f in ("A1", "A2", "B1", "B2"))
 print(f"forward branch vs touching [-2,0.25],[0.25,1]: {worst:.3e}")
 
-# backward branch vs the touching system sharing the edges at s=1
-sub = grid[grid >= info.c2]
-bwd = branch_curve(integrate_branch(pack, 1, info.c2), sub)
+# backward branch (s >= c2) vs the touching system sharing the edges at s=1
+keep = grid >= info.c2
 closed_left = AngelescoSystem(Interval(-2.0, 0.0), Interval(0.0, 1.0))
-ref = limit_curve(closed_left, sub,
+ref = limit_curve(closed_left, grid[keep],
                   info=plateau_bounds(star_normalize(closed_left)[0]))
-worst = max(np.max(np.abs(getattr(bwd, f) - getattr(ref, f)))
+worst = max(np.max(np.abs(getattr(assembled, f)[keep] - getattr(ref, f)))
             for f in ("A1", "A2", "B1", "B2"))
 print(f"backward branch vs touching [-2,0],[0,1]:     {worst:.3e}")
 

@@ -21,7 +21,7 @@ from .crossval import (ComparisonReport, ConvergenceTable, IdentityReport,
 from .errors import NumericalFailure
 from .lattice import NnrrLattice, curve_from_lattice, ray_limit, solve_lattice
 from .ode import (BoundaryPack, Branch, assemble_curve, boundary_values,
-                  branch_curve, integrate_branch, solve_system)
+                  integrate_branch, solve_system)
 from .orthopoly import (AxisData, QuadratureRule, ScalarRecurrence, axis_data,
                         gauss_nodes, mixed_ratios, scalar_recurrence)
 from .surface import (PlateauInfo, ResidueLimits, SurfaceParams, limit_curve,
@@ -39,8 +39,8 @@ __all__ = [
     "LimitCurve", "LimitPoint", "NnrrLattice", "NumericalFailure",
     "PlateauInfo", "QuadratureRule", "ResidueLimits", "ResidualReport",
     "ScalarRecurrence", "StarConfig", "SurfaceParams", "WEIGHT_KINDS",
-    "assemble_curve", "axis_data", "boundary_values", "branch_curve",
-    "compare", "convergence_study",
+    "assemble_curve", "axis_data", "boundary_values", "compare",
+    "convergence_study",
     "curve_from_lattice", "gauss_nodes", "identity_checks",
     "integrate_branch", "limit_curve", "limits_at", "mixed_ratios",
     "ode_residuals", "plateau_bounds", "pushed_beta", "pushforward_limits",

@@ -34,6 +34,14 @@ from .systems import (AngelescoSystem, Interval, LimitCurve, check_grid,
 METHODS = ("dis", "ode", "surface")
 
 
+# (key, lowest value, whether the lowest value itself is allowed)
+_DOMAINS = (("lattice_level", 1, True), ("ode_steps", 1, True),
+            ("residual_grid_points", 3, True), ("exclude_margin", 0.0, True),
+            ("fd_step", 0.0, False), ("tol_pair_exact", 0.0, False),
+            ("tol_pair_lattice", 0.0, False), ("tol_identity", 0.0, False),
+            ("tol_residual", 0.0, False))
+
+
 @dataclasses.dataclass
 class RunConfig:
     """All knobs of a run; field names double as config and flag names."""
@@ -62,6 +70,25 @@ class RunConfig:
     def grid(self):
         # checked before any route runs, so a bad grid costs no solve
         return check_grid(np.linspace(0.0, 1.0, self.grid_points))
+
+    def check(self):
+        """Return ``self``; ValueError naming the first key out of its domain.
+
+        Like :meth:`grid`, checked before any route runs.  Every comparison
+        is written so that NaN fails it.
+        """
+        for key in ("interval1", "interval2"):
+            v = getattr(self, key)
+            if not (len(v) == 2 and -np.inf < v[0] < v[1] < np.inf):
+                raise ValueError(f"{key} must be two finite numbers lo < hi, "
+                                 f"got {v}")
+        for key, low, closed in _DOMAINS:
+            v = getattr(self, key)
+            if not ((v >= low if closed else v > low) and v < np.inf):
+                raise ValueError(f"{key} must be finite and "
+                                 f"{'at least' if closed else 'above'} {low}, "
+                                 f"got {v}")
+        return self
 
     def as_dict(self):
         return dataclasses.asdict(self)
@@ -183,7 +210,7 @@ def read_curve_csv(path, method=None):
 
 def _compute_curves(cfg, methods):
     """Run the requested methods; returns ({method: curve}, meta dict)."""
-    system = cfg.system()
+    system = cfg.check().system()
     grid = cfg.grid()
     sc, _ = star_normalize(system)
     t0 = time.perf_counter()

@@ -164,14 +164,6 @@ class Branch:
     pack: BoundaryPack
     meta: dict = field(default_factory=dict)
 
-    @property
-    def lo(self):
-        return float(self.s[0])
-
-    @property
-    def hi(self):
-        return float(self.s[-1])
-
     def sample(self, grid):
         """State samples at ``grid`` (columns C1, C2, B1, B2).
 
@@ -298,27 +290,6 @@ def integrate_branch(pack, side, stop, steps_per_unit=DEFAULT_STEPS_PER_UNIT):
             "error_estimate": float(np.max(err / scale)),
             "stopped": "tolerance" if converged else "cap"}
     return Branch(side, s_nodes, y_nodes, drift, pack, meta)
-
-
-def branch_curve(branch, grid, method="ode"):
-    """Limit curve of a single branch restricted to its own span.
-
-    Used for branch-overlay comparisons of non-touching systems, where each
-    branch continues the limit curve of a different touching system.  Grid
-    points at the outer endpoint (s = 0 or 1) get the closed-form values.
-    """
-    grid = check_grid(grid)
-    pack = branch.pack
-    if branch.side == 0:
-        keep = grid <= branch.hi
-    else:
-        keep = grid >= branch.lo
-    g = grid[keep]
-    A1, A2, B1, B2 = branch.limit_values(g)
-    _fix_endpoints(g, A1, A2, B1, B2, pack)
-    meta = {"side": branch.side, "identity_drift": branch.identity_drift,
-            "span": [branch.lo, branch.hi]}
-    return validate_computed(LimitCurve(g, A1, A2, B1, B2, method, meta))
 
 
 def _fix_endpoints(g, A1, A2, B1, B2, pack):

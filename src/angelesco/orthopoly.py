@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailure
-from .systems import AngelescoSystem, Interval, check_weight_kind
+from .systems import Interval, check_weight_kind
 
 # the far node's binary exponent is brought back to zero when it leaves
 # (-_EXP_WINDOW, _EXP_WINDOW); a node is retired below _RETIRE of the far

@@ -11,12 +11,14 @@ uniformizing map read that (u, tau) directly, with the two other preimages
 of infinity from a quadratic, and give the limits in closed form.  This
 route is the precision reference for the lattice and ODE methods: every
 root solve is plain bisection run to its fixed point (adjacent doubles) and
-all formulas are explicit.  The two scalar ends of the ray bracket depend on
-alpha alone, so each alpha solves them once per process, the u = 2 end
-shared with the threshold ray.
+all formulas are explicit.
 
-The solvers and coordinate maps are elementwise numpy functions, so whole
-grids go through one call; a scalar argument gives a 0-d result.
+The configuration solves are scalar: :func:`solve_u` and :func:`solve_tau0`
+take one (alpha, beta) or (u, alpha).  tau0 has one solve per (u, alpha),
+cached for the process and always scanned for a second crossing, so the
+threshold ray, the configuration in :func:`plateau_bounds` and the ray
+brackets of :func:`pushed_beta` share it.  The rays and the coordinate maps
+are elementwise numpy functions, so whole grids go through one call.
 """
 from dataclasses import asdict, dataclass
 from functools import lru_cache
@@ -94,36 +96,29 @@ def solve_u(alpha, beta):
     beta = 0 (touching intervals) gives u = 2 exactly; otherwise u is the
     bisection root of gap_ratio(u) = beta (1 + alpha)/(alpha + beta).
     """
-    beta = np.asarray(beta, dtype=float)
-    touching = beta == 0.0
-    if np.all(touching):
-        return np.full(beta.shape, 2.0)
+    if beta == 0.0:
+        return 2.0
     target = beta * (1.0 + alpha) / (alpha + beta)
-    lo = np.full(beta.shape, _EDGE)
-    hi = np.full(beta.shape, 2.0)
-    u = bisect(lambda x: gap_ratio(x) - target, lo, hi)
-    return np.where(touching, 2.0, u)
+    return bisect(lambda x: gap_ratio(x) - target, _EDGE, 2.0)
 
 
-def solve_tau0(u, alpha, check_unique=False):
-    """Root tau0 > 1 of projection_ratio(u, tau) = 1 + alpha.
+@lru_cache(maxsize=64)
+def solve_tau0(u, alpha):
+    """Root tau0 > 1 of projection_ratio(u, tau) = 1 + alpha, once per (u, alpha).
 
-    The bracket upper end is grown geometrically until the sign flips; with
-    ``check_unique`` (scalar ``u`` only) the bracket is scanned for extra
-    sign changes and a multiple crossing raises :class:`NumericalFailure`.
+    The bracket upper end is grown geometrically until the sign flips, then
+    scanned for extra sign changes: a multiple crossing raises
+    :class:`NumericalFailure`.  The result is cached for the process.
     """
-    u = np.asarray(u, dtype=float)
     f = lambda t: projection_ratio(u, t) - (1.0 + alpha)
-    lo = np.full(u.shape, _EDGE)
-    hi = expand_upper(f, lo, np.full(u.shape, 2.0))
-    if check_unique:
-        changes = count_sign_changes(f, lo, hi)
-        # a root exactly at the bracket end registers as zero crossings
-        if not (changes == 1 or (changes == 0 and f(hi) == 0.0)):
-            raise NumericalFailure(
-                "projection ratio crosses its target more than once",
-                {"alpha": float(alpha), "changes": changes})
-    return bisect(f, lo, hi)
+    hi = expand_upper(f, _EDGE, 2.0)
+    changes = count_sign_changes(f, _EDGE, hi)
+    # a root exactly at the bracket end registers as zero crossings
+    if not (changes == 1 or (changes == 0 and f(hi) == 0.0)):
+        raise NumericalFailure(
+            "projection ratio crosses its target more than once",
+            {"alpha": float(alpha), "changes": changes})
+    return bisect(f, _EDGE, hi)
 
 
 def infinity_preimages(u, tau0):
@@ -160,11 +155,10 @@ class SurfaceParams:
     gamma: object
 
 
-def surface_params(alpha, beta, check_unique=False):
-    """Solve all surface coordinates for configuration(s) (alpha, beta)."""
+def surface_params(alpha, beta):
+    """Solve all surface coordinates for the configuration (alpha, beta)."""
     u = solve_u(alpha, beta)
-    return _params_at(alpha, beta, u,
-                      solve_tau0(u, alpha, check_unique=check_unique))
+    return _params_at(alpha, beta, u, solve_tau0(u, alpha))
 
 
 def _params_at(alpha, beta, u, tau0):
@@ -213,18 +207,9 @@ def residue_limits(p):
     return ResidueLimits(a1, a2, b1, b2, c1, c2)
 
 
-@lru_cache(maxsize=64)
-def _scalar_tau0(u, alpha, check_unique=False):
-    """:func:`solve_tau0` at scalar (u, alpha), solved once per process.
-
-    The threshold ray and every ray bracket of an alpha share these solves.
-    """
-    return solve_tau0(u, alpha, check_unique)
-
-
 def threshold_ray(alpha):
     """(theta, s) of the ray where the touching configuration fills both supports."""
-    tau = _scalar_tau0(2.0, float(alpha), True)
+    tau = solve_tau0(2.0, float(alpha))
     theta = ray_direction(2.0, tau)
     return theta, 0.5 * (1.0 + theta)
 
@@ -241,8 +226,8 @@ def pushed_beta(alpha, s):
     s = np.asarray(s, dtype=float)
     theta = 2.0 * s - 1.0
     alpha = float(alpha)
-    lo = np.full(s.shape, _scalar_tau0(2.0, alpha, True))
-    hi = np.full(s.shape, _scalar_tau0(1.0 + 1e-9, alpha))
+    lo = np.full(s.shape, solve_tau0(2.0, alpha))
+    hi = np.full(s.shape, solve_tau0(1.0 + 1e-9, alpha))
     tau = bisect(lambda t: ray_direction(level_set_u(alpha, t), t) - theta,
                  lo, hi)
     u = level_set_u(alpha, tau)
@@ -287,7 +272,7 @@ def plateau_bounds(sc):
     _, s_dir = threshold_ray(sc.alpha)
     sc_hat, _ = reflected_star(sc)
     _, s_ref = threshold_ray(sc_hat.alpha)
-    params = surface_params(sc.alpha, sc.beta, check_unique=True)
+    params = surface_params(sc.alpha, sc.beta)
     if sc.beta == 0.0:
         c1 = c2 = s_dir
     else:
@@ -305,7 +290,9 @@ def plateau_bounds(sc):
                                    {"c1": float(c1), "c2": float(c2)})
     vals = residue_limits(params)
     mid = 0.5 * (c1 + c2)
-    point = LimitPoint(mid, vals.A1, vals.A2, vals.B1, vals.B2)
+    # computed constants: a broken contract is a numerical failure
+    point = validate_computed(LimitCurve(
+        [mid], [vals.A1], [vals.A2], [vals.B1], [vals.B2], "plateau")).point(0)
     return PlateauInfo(c1, c2, point, s_dir, s_ref)
 
 

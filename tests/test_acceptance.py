@@ -8,13 +8,12 @@ import time
 import numpy as np
 import pytest
 
-from angelesco import (AffineMap, AngelescoSystem, Interval,
+from angelesco import (AffineMap, AngelescoSystem, Interval, LimitCurve,
                        pushforward_limits, star_normalize)
 from angelesco.crossval import (compare, convergence_study, identity_checks,
                                 ode_residuals)
 from angelesco.lattice import curve_from_lattice, solve_lattice
-from angelesco.ode import boundary_values, integrate_branch, branch_curve, \
-    solve_system
+from angelesco.ode import solve_system
 from angelesco.surface import (limit_curve, limits_at, plateau_bounds,
                                threshold_ray)
 from moment_oracle import MomentOracle
@@ -73,18 +72,19 @@ def test_criterion_3_gap_plateau_and_branches(gap_system, gap_info):
     c1, c2 = gap_info.c1, gap_info.c2
     assert 0.0 < c1 < c2 < 1.0
 
-    # forward branch continues the touching system sharing the facing edges
-    pack = boundary_values(gap_system)
-    fwd = integrate_branch(pack, 0, c1)
-    sub = GRID[GRID <= c1]
-    branch = branch_curve(fwd, sub)
+    # forward branch (the assembled curve on s <= c1) continues the touching
+    # system sharing the facing edges
+    assembled = solve_system(gap_system, gap_info, GRID)
+    keep = GRID <= c1
+    sub = GRID[keep]
+    branch = LimitCurve(sub, *(getattr(assembled, f)[keep]
+                               for f in ("A1", "A2", "B1", "B2")))
     closed = AngelescoSystem(Interval(-2.0, 0.25), Interval(0.25, 1.0))
     closed_iii = limit_curve(closed, sub,
                              info=plateau_bounds(star_normalize(closed)[0]))
     assert _max_diff(branch, closed_iii) <= 1e-4
 
     # finite-level sweep agrees with the assembled curve off the plateau
-    assembled = solve_system(gap_system, gap_info, GRID)
     lat = solve_lattice(gap_system, 1500)
     curve_i = curve_from_lattice(lat, GRID)
     rep = compare(curve_i, assembled, exclude_margin=0.05,

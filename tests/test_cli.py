@@ -268,6 +268,44 @@ def test_a_computed_curve_off_the_contract_exits_3(tmp_path, capsys,
     assert "surface curve" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,flag,key", [
+    ("validate", "--fd_step=inf", "fd_step"),
+    ("validate", "--fd_step=0", "fd_step"),
+    ("validate", "--tol_identity=nan", "tol_identity"),
+    ("validate", "--tol_pair_exact=nan", "tol_pair_exact"),
+    ("validate", "--tol_pair_lattice=nan", "tol_pair_lattice"),
+    ("validate", "--tol_residual=nan", "tol_residual"),
+    ("validate", "--residual_grid_points=2", "residual_grid_points"),
+    ("compute", "--interval1=-2", "interval1"),
+    ("compute", "--interval2=1,0.5", "interval2"),
+    ("compute", "--interval1=-2,0,1", "interval1"),
+    ("compute", "--lattice_level=0", "lattice_level"),
+    ("compute", "--ode_steps=-5", "ode_steps"),
+])
+def test_a_value_out_of_its_domain_exits_2_before_any_route(
+        tmp_path, capsys, monkeypatch, command, flag, key):
+    import angelesco.cli as climod
+
+    def unreachable(*args):
+        raise AssertionError("the config is checked before any solve")
+
+    monkeypatch.setattr(climod, "plateau_bounds", unreachable)
+    rc = main([command, flag, "--output_dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"error: {key} " in capsys.readouterr().err
+
+
+def test_broken_plateau_constants_exit_3(tmp_path, capsys):
+    # the computed plateau constants lose A's sign here: a numerical
+    # failure (3), not a usage error (2)
+    rc = main(["compute", "--methods", "dis", "--lattice_level", "50",
+               "--interval1=-0.01,0", "--interval2=0.999999,1",
+               "--output_dir", str(tmp_path / "out")])
+    assert rc == 3
+    assert "plateau curve: A limits must be nonnegative" in \
+        capsys.readouterr().err
+
+
 @pytest.mark.parametrize("margin", ["nan", "-1"])
 def test_validate_rejects_a_bad_exclude_margin(tmp_path, capsys, margin):
     rc = main(["validate", f"--exclude_margin={margin}",

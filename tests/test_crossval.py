@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from angelesco import (AngelescoSystem, Interval, LimitCurve,
-                       NumericalFailure)
+from angelesco import LimitCurve, NumericalFailure
 from angelesco.crossval import (compare, convergence_study, identity_checks,
                                 ode_residuals)
 from angelesco.lattice import curve_from_lattice, ray_limit, solve_lattice

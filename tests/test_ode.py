@@ -7,9 +7,9 @@ from angelesco import (AngelescoSystem, Interval, NumericalFailure,
                        star_normalize)
 import angelesco.ode as ode_mod
 from angelesco.lattice import lagrange_interp
-from angelesco.ode import (BoundaryPack, Branch, _rk4, assemble_curve,
-                           boundary_values, branch_curve, endpoint_slopes,
-                           integrate_branch, rhs, solve_system)
+from angelesco.ode import (BoundaryPack, Branch, _rk4, boundary_values,
+                           endpoint_slopes, integrate_branch, rhs,
+                           solve_system)
 from angelesco.surface import limit_curve, limits_at, plateau_bounds
 
 
@@ -170,25 +170,26 @@ def test_ode_reaches_surface_digits(name, request):
 
 def test_forward_branch_continues_touching_curve(gap_system, gap_info):
     # closing the gap from the right leaves the s = 0 data unchanged, so the
-    # forward branch follows the touching system sharing the facing edges
-    pk = boundary_values(gap_system)
-    fwd = integrate_branch(pk, 0, gap_info.c1)
+    # forward branch (the curve on s <= c1) follows the touching system
+    # sharing the facing edges
     grid = np.linspace(0.0, 1.0, 181)
-    sub = grid[grid <= gap_info.c1]
-    bc = branch_curve(fwd, sub)
-    assert bc.meta["side"] == 0
+    cv = solve_system(gap_system, gap_info, grid)
+    keep = grid <= gap_info.c1
+    sub = grid[keep]
+    assert sub[-1] <= cv.meta["c1"]  # the forward branch's span
     closed = AngelescoSystem(Interval(-2.0, 0.25), Interval(0.25, 1.0))
     info = plateau_bounds(star_normalize(closed)[0])
     ref = solve_system(closed, info, sub)
     for f in ("A1", "A2", "B1", "B2"):
-        assert np.max(np.abs(getattr(bc, f) - getattr(ref, f))) < 1e-9
+        assert np.max(np.abs(getattr(cv, f)[keep] - getattr(ref, f))) < 1e-9
 
 
-def test_branch_curve_rejects_a_bad_grid_as_input(touching_pack):
+def test_solve_system_rejects_a_bad_grid_as_input(touching_system,
+                                                  touching_info):
     # the caller's grid is input (ValueError), not a numerical failure
-    fwd = integrate_branch(touching_pack, 0, 0.5, steps_per_unit=100)
     with pytest.raises(ValueError, match="grid"):
-        branch_curve(fwd, np.array([0.3, 0.2]))
+        solve_system(touching_system, touching_info, np.array([0.3, 0.2]),
+                     steps_per_unit=100)
 
 
 def test_assembled_curve_endpoints_exact(touching_system, touching_info,
@@ -325,7 +326,7 @@ def _branch_errors(i1, i2):
         s0, y0 = _start(pk, side)
         n = max(1, int(np.ceil(abs(stop - s0) * 200000)))
         _, ref, _ = _rk4(s0, y0, stop, n)
-        g = grid[(grid >= br.lo) & (grid <= br.hi)]
+        g = grid[(grid >= br.s[0]) & (grid <= br.s[-1])]
         want = lagrange_interp(ref.T, (g - s0) * (n / (stop - s0))).T
         gap = pk.gap_0 if side == 0 else pk.gap_1
         scale = np.array([gap * gap, gap * gap, gap, gap])

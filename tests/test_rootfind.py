@@ -197,8 +197,10 @@ def test_surface_solves_equal_the_full_halving_loop(request, monkeypatch,
         return out
 
     monkeypatch.setattr(surface, "bisect", checked)
-    surface._scalar_tau0.cache_clear()  # solve the bracket ends here again
+    surface.solve_tau0.cache_clear()  # solve the bracket ends here again
     grid = np.linspace(0.0, 1.0, 181)
     surface.limit_curve(request.getfixturevalue(name), grid)
-    surface.solve_u(2.0, grid[:-1])  # the gap-invariant solve on an array
+    for beta in grid[1:-1:30]:
+        surface.solve_u(2.0, beta)  # the gap-invariant solve
+    surface.pushed_beta(2.0, grid[140:-1])  # a ray solve on an array
     assert sizes.count(1) >= 5 and sum(n > 1 for n in sizes) >= 3

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from angelesco import (AffineMap, AngelescoSystem, Interval, NumericalFailure,
-                       StarConfig, pushforward_limits, reflect, star_normalize,
-                       surface)
+                       StarConfig, pushforward_limits, reflect, surface)
 from angelesco.surface import (SurfaceParams, alpha_coord, beta_coord,
                                gap_ratio, infinity_preimages, limit_curve,
                                limits_at, plateau_bounds, projection_ratio,
@@ -52,19 +51,48 @@ def test_solve_u_touching_skips_the_bisection(monkeypatch):
 
     monkeypatch.setattr(surface, "bisect", recording)
     u = solve_u(2.0, 0.0)
-    assert u.shape == () and u == 2.0
-    assert np.array_equal(solve_u(0.7, np.zeros(3)), np.full(3, 2.0))
+    assert np.shape(u) == () and u == 2.0
+    assert [solve_u(0.7, b) for b in np.zeros(3)] == [2.0] * 3
     assert not calls
-    # one gap among the betas: the array is bisected, the zeros stay 2
-    mixed = solve_u(2.0, np.array([0.0, 0.25]))
+    # one gap among the betas: it is bisected, the zeros stay 2
+    mixed = [solve_u(2.0, b) for b in (0.0, 0.25)]
     assert calls and mixed[0] == 2.0 and mixed[1] == solve_u(2.0, 0.25)
 
 
 def test_solve_tau0():
-    tau = solve_tau0(2.0, 2.0, check_unique=True)
+    tau = solve_tau0(2.0, 2.0)
     assert tau == pytest.approx(2.5846, abs=1e-3)
     assert tau == pytest.approx(2.5842254432165204, abs=1e-12)
     assert projection_ratio(2.0, tau) == pytest.approx(3.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("u", [2.0, 1.0 + 1e-9], ids=["u=2", "u->1"])
+def test_solve_tau0_scan_passes_at_the_ray_bracket_ends(u):
+    # every solve scans for a second crossing; the two ends of pushed_beta's
+    # bracket pass it over eighteen decades of alpha
+    surface.solve_tau0.cache_clear()
+    for alpha in np.logspace(-9, 9, 73):
+        tau = solve_tau0(u, float(alpha))
+        assert tau > 1.0
+        assert solve_tau0(u, float(alpha)) is tau  # cached
+
+
+def test_plateau_solves_tau0_once_per_u_alpha(monkeypatch):
+    # touching, (-2, 0) u (0, 1): the threshold ray and the configuration
+    # share (u, alpha) = (2, 2), the reflected threshold ray is (2, 1/2)
+    real_expand = surface.expand_upper
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(1)
+        return real_expand(*args, **kwargs)
+
+    monkeypatch.setattr(surface, "expand_upper", recording)
+    surface.solve_tau0.cache_clear()
+    sc = StarConfig(2.0, 0.0)
+    info = plateau_bounds(sc)
+    assert len(calls) == 2
+    assert plateau_bounds(sc) == info and len(calls) == 2
 
 
 def test_infinity_preimages():
@@ -75,7 +103,7 @@ def test_infinity_preimages():
 
 
 def test_surface_params_residuals():
-    p = surface_params(2.0, 0.25, check_unique=True)
+    p = surface_params(2.0, 0.25)
     assert gap_ratio(p.u) == pytest.approx(0.25 * 3.0 / 2.25, abs=1e-12)
     assert projection_ratio(p.u, p.tau0) == pytest.approx(3.0, abs=1e-12)
     assert p.tau1 < 0.0 < p.tau2 < p.tau0
