@@ -2,7 +2,7 @@
 
 Three subcommands: ``compute`` writes one CSV of limit values per requested
 method plus a JSON sidecar, ``validate`` runs all methods and checks
-cross-method agreement, identities and residuals against tolerances, and
+cross-method agreement, identities and residuals against fixed bounds, and
 ``plot`` renders CSVs into a four-panel SVG.  Settings come from an optional
 ``key = value`` config file; every key can also be overridden by a
 ``--key value`` flag.  Outputs are deterministic: identical configuration
@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .crossval import (compare, compared_points, identity_checks,
-                       ode_residuals, resample)
+                       ode_residuals, resample, residual_stride)
 from .errors import NumericalFailure
 from .lattice import curve_from_lattice, solve_lattice
 from .ode import solve_system
@@ -36,10 +36,15 @@ METHODS = ("dis", "ode", "surface")
 
 # (key, lowest value, whether the lowest value itself is allowed)
 _DOMAINS = (("lattice_level", 1, True), ("ode_steps", 1, True),
-            ("residual_grid_points", 3, True), ("exclude_margin", 0.0, True),
-            ("fd_step", 0.0, False), ("tol_pair_exact", 0.0, False),
-            ("tol_pair_lattice", 0.0, False), ("tol_identity", 0.0, False),
-            ("tol_residual", 0.0, False))
+            ("residual_grid_points", 3, True), ("fd_step", 0.0, False))
+
+# validate's fixed bounds: a check passes when its worst value is at most its
+# tolerance; lattice points within EXCLUDE_MARGIN of the window are skipped
+EXCLUDE_MARGIN = 0.05
+TOL_PAIR_EXACT = 1e-4      # ode vs surface
+TOL_PAIR_LATTICE = 1e-3    # dis vs surface, dis vs ode
+TOL_IDENTITY = 1e-8        # square-root identity, max abs
+TOL_RESIDUAL = 1e-3        # limit-relation residuals, max rel
 
 
 @dataclasses.dataclass
@@ -53,13 +58,8 @@ class RunConfig:
     lattice_level: int = 400
     extrapolate: bool = True
     ode_steps: int = 500
-    exclude_margin: float = 0.05
     fd_step: float = 1e-3
     residual_grid_points: int = 2001
-    tol_pair_exact: float = 1e-4
-    tol_pair_lattice: float = 1e-3
-    tol_identity: float = 1e-8
-    tol_residual: float = 1e-3
     output_dir: str = "out"
 
     def system(self):
@@ -88,6 +88,7 @@ class RunConfig:
                 raise ValueError(f"{key} must be finite and "
                                  f"{'at least' if closed else 'above'} {low}, "
                                  f"got {v}")
+        residual_stride(self.fd_step, 1.0 / (self.residual_grid_points - 1))
         return self
 
     def as_dict(self):
@@ -227,7 +228,7 @@ def _compute_curves(cfg, methods):
             lat = solve_lattice(system, cfg.lattice_level)
             curves[method] = curve_from_lattice(
                 lat, grid, cfg.extrapolate,
-                compared_points(grid, info.c1, info.c2, cfg.exclude_margin))
+                compared_points(grid, info.c1, info.c2, EXCLUDE_MARGIN))
             meta["lattice"] = dict(curves[method].meta)
         elif method == "ode":
             curves[method] = solve_system(system, info, grid, cfg.ode_steps)
@@ -266,43 +267,39 @@ def run_validate(cfg):
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     curves, meta, info = _compute_curves(cfg, set(METHODS))
+    # (name, report entry, worst value, tolerance, whether the rest holds)
     checks = []
-
-    pairs = (("surface", "ode", 0.0, cfg.tol_pair_exact),
-             ("dis", "surface", cfg.exclude_margin, cfg.tol_pair_lattice),
-             ("dis", "ode", cfg.exclude_margin, cfg.tol_pair_lattice))
-    comparisons = []
-    for ma, mb, margin, tol in pairs:
+    for ma, mb, margin, tol in (
+            ("surface", "ode", 0.0, TOL_PAIR_EXACT),
+            ("dis", "surface", EXCLUDE_MARGIN, TOL_PAIR_LATTICE),
+            ("dis", "ode", EXCLUDE_MARGIN, TOL_PAIR_LATTICE)):
         rep = compare(curves[ma], curves[mb], exclude_margin=margin,
-                      window=info, tolerance=tol)
-        comparisons.append(rep.as_dict())
-        checks.append((f"compare {ma} vs {mb}", rep.worst(), tol, rep.passed))
-
+                      window=info)
+        checks.append((f"compare {ma} vs {mb}", rep.as_dict(), rep.worst(),
+                       tol, True))
     ide = identity_checks(curves["surface"], window=info)
-    ide_pass = ide.max_abs <= cfg.tol_identity and ide.endpoint_ok \
-        and ide.min_gap > 0.0
-    checks.append(("identity surface", ide.max_abs, cfg.tol_identity, ide_pass))
-
+    checks.append(("identity surface", ide.as_dict(), ide.max_abs,
+                   TOL_IDENTITY, ide.endpoint_ok and ide.min_gap > 0.0))
     res_grid = np.linspace(0.0, 1.0, cfg.residual_grid_points)
     res_curve = limit_curve(cfg.system(), res_grid, info)
     res = ode_residuals(res_curve, h=cfg.fd_step, window=info)
-    res_pass = res.worst() <= cfg.tol_residual
-    checks.append(("ode residuals", res.worst(), cfg.tol_residual, res_pass))
+    checks.append(("ode residuals", res.as_dict(), res.worst(),
+                   TOL_RESIDUAL, True))
 
-    passed = all(ok for _, _, _, ok in checks)
+    passed = True
+    for name, entry, worst, tol, holds in checks:
+        ok = bool(holds and worst <= tol)
+        entry.update(tolerance=tol, passed=ok)
+        passed &= ok
+        print(f"{'PASS' if ok else 'FAIL'}  {name}: "
+              f"worst {worst:.3e} tolerance {tol:.1e}")
     report = {"config": meta["config"], "plateau": meta["plateau"],
-              "comparisons": comparisons,
-              "identity": {**ide.as_dict(), "tolerance": cfg.tol_identity,
-                           "passed": bool(ide_pass)},
-              "residuals": {**res.as_dict(), "tolerance": cfg.tol_residual,
-                            "passed": bool(res_pass)},
-              "passed": bool(passed)}
+              "comparisons": [c[1] for c in checks[:3]],
+              "identity": checks[3][1], "residuals": checks[4][1],
+              "passed": passed}
     with open(out / "validate_report.json", "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    for name, worst, tol, ok in checks:
-        print(f"{'PASS' if ok else 'FAIL'}  {name}: "
-              f"worst {worst:.3e} tolerance {tol:.1e}")
     print(f"report: {out / 'validate_report.json'}")
     return 0 if passed else 1
 
@@ -371,8 +368,13 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    if extra and (args.command == "plot" or not extra[0].startswith("--")):
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
+        if extra:  # a --key naming no field fails as in a config file
+            raise ValueError("unknown config key: "
+                             f"{extra[0][2:].split('=', 1)[0]}")
         if args.command == "compute":
             cfg = load_config(args.config, _overrides(args))
             methods = [m for m in args.methods.split(",") if m]

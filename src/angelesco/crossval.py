@@ -55,7 +55,7 @@ class ComparisonReport:
     """Per-function max/mean absolute differences of two curves.
 
     ``max_abs`` and ``mean_abs`` map function name to the statistic over the
-    kept grid points.  ``passed`` is None when no tolerance was supplied.
+    kept grid points.
     """
     methods: tuple
     n_points: int
@@ -63,8 +63,6 @@ class ComparisonReport:
     exclude_margin: float
     max_abs: dict
     mean_abs: dict
-    tolerance: float = None
-    passed: bool = None
 
     def worst(self):
         return max(self.max_abs.values())
@@ -73,15 +71,14 @@ class ComparisonReport:
         return asdict(self)
 
 
-def compare(a, b, exclude_margin=0.0, window=None, tolerance=None):
+def compare(a, b, exclude_margin=0.0, window=None):
     """Difference two limit curves on their common grid.
 
     Grids must agree point by point; otherwise ``b`` is resampled onto the
     overlapping part of ``a``'s grid by :func:`resample`.  With a positive
     ``exclude_margin`` (finite and nonnegative) every point closer than the
     margin to the plateau window [c1, c2] is dropped (the window is taken
-    from ``window`` or from either curve's metadata).  A ``tolerance`` turns
-    the report into a pass/fail verdict on the max statistic.
+    from ``window`` or from either curve's metadata).
     """
     if not 0.0 <= exclude_margin < np.inf:
         raise ValueError(f"exclude_margin must be finite and nonnegative, "
@@ -108,11 +105,9 @@ def compare(a, b, exclude_margin=0.0, window=None, tolerance=None):
         d = np.abs(va[f][mask] - vb[f][mask])
         max_abs[f] = float(d.max())
         mean_abs[f] = float(d.mean())
-    passed = None if tolerance is None else max(max_abs.values()) <= tolerance
     return ComparisonReport((a.method or "a", b.method or "b"),
                             int(mask.sum()), int(grid.size - mask.sum()),
-                            float(exclude_margin), max_abs, mean_abs,
-                            tolerance, passed)
+                            float(exclude_margin), max_abs, mean_abs)
 
 
 @dataclass(frozen=True)
@@ -131,6 +126,17 @@ class ResidualReport:
                 "max_rel": list(self.max_rel), **self.meta}
 
 
+def residual_stride(h, step):
+    """Whole number (at least 1) of grid ``step``s in ``h``, or ValueError."""
+    stride_f = h / step
+    stride = int(round(stride_f))
+    if stride < 1 or abs(stride_f - stride) > 1e-6:
+        raise ValueError(f"fd_step {h:.3e} must be a whole multiple of the "
+                         f"residual grid spacing {step:.3e} "
+                         f"(1 / (residual_grid_points - 1))")
+    return stride
+
+
 def ode_residuals(curve, h=1e-3, window=None, edge_margin=0.01):
     """Central-difference residuals of the four limit relations on a curve.
 
@@ -144,8 +150,9 @@ def ode_residuals(curve, h=1e-3, window=None, edge_margin=0.01):
     evaluated with stride-based central differences of step ``h`` on the
     curve's own uniform grid; each residual is divided by
     max(1, largest |term|) at that point.  Points within ``edge_margin`` of
-    0, 1 or the plateau edges are excluded.  A grid coarser than ``h`` or a
-    nonuniform grid raises ValueError.
+    0, 1 or the plateau edges are excluded.  A nonuniform grid, or one whose
+    spacing does not divide ``h`` (:func:`residual_stride`), raises
+    ValueError.
     """
     s = curve.s
     if s.size < 3:
@@ -154,10 +161,7 @@ def ode_residuals(curve, h=1e-3, window=None, edge_margin=0.01):
     if dx.max() - dx.min() > 1e-9 * dx.max():
         raise ValueError("residual evaluation needs a uniform grid")
     step = float(dx.mean())
-    stride_f = h / step
-    stride = int(round(stride_f))
-    if stride < 1 or abs(stride_f - stride) > 1e-6:
-        raise ValueError(f"grid spacing {step:.3e} does not divide h={h:.3e}")
+    stride = residual_stride(h, step)
 
     i = np.arange(stride, s.size - stride)
     sm = s[i]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailure
-from .systems import Interval, check_weight_kind
+from .systems import check_weight_kind
 
 # the far node's binary exponent is brought back to zero when it leaves
 # (-_EXP_WINDOW, _EXP_WINDOW); a node is retired below _RETIRE of the far
@@ -38,8 +38,6 @@ class ScalarRecurrence:
     """Monic recurrence coefficients for one weight on one interval."""
     a: np.ndarray
     b: np.ndarray
-    kind: str
-    interval: Interval
 
 
 @dataclass(frozen=True)
@@ -47,8 +45,6 @@ class QuadratureRule:
     """Nodes and probability-normalized weights; exact through ``degree``."""
     x: np.ndarray
     w: np.ndarray
-    kind: str
-    interval: Interval
     degree: int
 
 
@@ -71,7 +67,7 @@ def scalar_recurrence(kind, interval, n):
     else:  # uniform
         k = np.arange(1, n + 1, dtype=float)
         a = interval.radius ** 2 * k * k / (4.0 * k * k - 1.0)
-    return ScalarRecurrence(a, b, kind, interval)
+    return ScalarRecurrence(a, b)
 
 
 def gauss_nodes(kind, interval, n):
@@ -89,16 +85,16 @@ def gauss_nodes(kind, interval, n):
         i = np.arange(1, n + 1)
         x = mid + rad * np.cos((2 * i - 1) * np.pi / (2 * n))
         w = np.full(n, 1.0 / n)
-        return QuadratureRule(x, w, kind, interval, 2 * n - 1)
+        return QuadratureRule(x, w, 2 * n - 1)
     if kind == "chebyshev2":
         i = np.arange(1, n + 1)
         t = i * np.pi / (n + 1)
         x = mid + rad * np.cos(t)
         w = 2.0 / (n + 1) * np.sin(t) ** 2
-        return QuadratureRule(x, w, kind, interval, 2 * n - 1)
+        return QuadratureRule(x, w, 2 * n - 1)
     # uniform: Clenshaw-Curtis on n points (n - 1 panels)
     if n == 1:
-        return QuadratureRule(np.array([mid]), np.array([1.0]), kind, interval, 1)
+        return QuadratureRule(np.array([mid]), np.array([1.0]), 1)
     m = n - 1
     j = np.arange(n)
     x = mid + rad * np.cos(j * np.pi / m)
@@ -110,7 +106,7 @@ def gauss_nodes(kind, interval, n):
     w[0] *= 0.5
     w[-1] *= 0.5
     w = w / np.sum(w)
-    return QuadratureRule(x[::-1].copy(), w[::-1].copy(), kind, interval, n - 1)
+    return QuadratureRule(x[::-1].copy(), w[::-1].copy(), n - 1)
 
 
 def mixed_ratios(src_kind, src_interval, dst_kind, dst_interval, m):
@@ -212,7 +208,6 @@ class AxisData:
     direction (own_a[0] = 0); cross_b[k] is the coefficient in the direction
     of the other measure.
     """
-    axis: int
     own_a: np.ndarray
     own_b: np.ndarray
     cross_b: np.ndarray
@@ -243,4 +238,4 @@ def axis_data(sys, axis, m):
     own_a = np.concatenate([[0.0], rec.a[:m]])
     own_b = rec.b.copy()
     cross_b = own_b + ratios
-    return AxisData(axis, own_a, own_b, cross_b)
+    return AxisData(own_a, own_b, cross_b)

@@ -101,9 +101,6 @@ class AffineMap:
     def apply(self, y):
         return self.scale * y + self.shift
 
-    def invert(self, x):
-        return (x - self.shift) / self.scale
-
 
 def check_grid(s):
     """Return ``s`` as a float array; ValueError unless it is a valid grid.

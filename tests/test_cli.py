@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from angelesco import NumericalFailure
-from angelesco.cli import (RunConfig, _compute_curves, _num, load_config, main,
-                           read_curve_csv, write_curve_csv)
+from angelesco.cli import (EXCLUDE_MARGIN, RunConfig, _compute_curves, _num,
+                           load_config, main, read_curve_csv, write_curve_csv)
 from angelesco.crossval import compare
 from angelesco.ode import boundary_values
 from angelesco.surface import limit_curve
@@ -40,7 +40,7 @@ def test_default_lattice_digits(interval2, tol):
     unit = AffineMap(1.0 / (cfg.interval2[1] - cfg.interval1[0]), 0.0)
     rep = compare(pushforward_limits(curves["dis"], unit),
                   pushforward_limits(curves["surface"], unit),
-                  exclude_margin=cfg.exclude_margin, window=info)
+                  exclude_margin=EXCLUDE_MARGIN, window=info)
     assert rep.worst() <= tol
 
 
@@ -271,10 +271,7 @@ def test_a_computed_curve_off_the_contract_exits_3(tmp_path, capsys,
 @pytest.mark.parametrize("command,flag,key", [
     ("validate", "--fd_step=inf", "fd_step"),
     ("validate", "--fd_step=0", "fd_step"),
-    ("validate", "--tol_identity=nan", "tol_identity"),
-    ("validate", "--tol_pair_exact=nan", "tol_pair_exact"),
-    ("validate", "--tol_pair_lattice=nan", "tol_pair_lattice"),
-    ("validate", "--tol_residual=nan", "tol_residual"),
+    ("validate", "--fd_step=0.0007", "fd_step"),
     ("validate", "--residual_grid_points=2", "residual_grid_points"),
     ("compute", "--interval1=-2", "interval1"),
     ("compute", "--interval2=1,0.5", "interval2"),
@@ -295,6 +292,24 @@ def test_a_value_out_of_its_domain_exits_2_before_any_route(
     assert f"error: {key} " in capsys.readouterr().err
 
 
+def test_fd_step_off_the_residual_grid_names_both_keys(tmp_path, capsys):
+    rc = main(["validate", "--fd_step=0.0007",
+               "--output_dir", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "fd_step" in err and "residual_grid_points" in err
+
+
+@pytest.mark.parametrize("key", ["exclude_margin", "tol_pair_exact",
+                                 "tol_pair_lattice", "tol_identity",
+                                 "tol_residual"])
+def test_a_fixed_validate_bound_is_not_a_config_key(tmp_path, capsys, key):
+    rc = main(["validate", f"--{key}=1e-9",
+               "--output_dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"unknown config key: {key}" in capsys.readouterr().err
+
+
 def test_broken_plateau_constants_exit_3(tmp_path, capsys):
     # the computed plateau constants lose A's sign here: a numerical
     # failure (3), not a usage error (2)
@@ -304,14 +319,6 @@ def test_broken_plateau_constants_exit_3(tmp_path, capsys):
     assert rc == 3
     assert "plateau curve: A limits must be nonnegative" in \
         capsys.readouterr().err
-
-
-@pytest.mark.parametrize("margin", ["nan", "-1"])
-def test_validate_rejects_a_bad_exclude_margin(tmp_path, capsys, margin):
-    rc = main(["validate", f"--exclude_margin={margin}",
-               "--output_dir", str(tmp_path / "out")] + FAST)
-    assert rc == 2
-    assert "exclude_margin" in capsys.readouterr().err
 
 
 def test_cli_requires_subcommand():
@@ -326,8 +333,9 @@ def test_validate_passes(tmp_path):
     report = json.loads((out / "validate_report.json").read_text())
     assert report["passed"] is True
     assert len(report["comparisons"]) == 3
-    assert report["identity"]["passed"] is True
-    assert report["residuals"]["passed"] is True
+    for entry in report["comparisons"] + [report["identity"],
+                                          report["residuals"]]:
+        assert entry["passed"] is True and entry["tolerance"] > 0.0
 
 
 def test_validate_passes_far_from_the_origin(tmp_path, capsys):
@@ -342,13 +350,18 @@ def test_validate_passes_far_from_the_origin(tmp_path, capsys):
     assert not any(line.startswith("FAIL") for line in lines)
 
 
-def test_validate_fails_on_tight_tolerance(tmp_path):
+def test_validate_fails_on_tight_tolerance(tmp_path, capsys, monkeypatch):
+    import angelesco.cli as climod
+
+    monkeypatch.setattr(climod, "TOL_PAIR_LATTICE", 1e-12)
     out = tmp_path / "out"
-    rc = main(["validate", "--output_dir", str(out),
-               "--tol_pair_lattice", "1e-12"] + FAST)
+    rc = main(["validate", "--output_dir", str(out)] + FAST)
     assert rc == 1
     report = json.loads((out / "validate_report.json").read_text())
     assert report["passed"] is False
+    assert [c["passed"] for c in report["comparisons"]] == [True, False, False]
+    lines = capsys.readouterr().out.splitlines()
+    assert sum(line.startswith("FAIL") for line in lines) == 2
 
 
 def test_numerical_failure_exit_code(tmp_path, monkeypatch):
