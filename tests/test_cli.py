@@ -310,6 +310,14 @@ def test_a_fixed_validate_bound_is_not_a_config_key(tmp_path, capsys, key):
     assert f"unknown config key: {key}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("margin", ["nan", "-1"])
+def test_validate_rejects_a_bad_exclude_margin(tmp_path, capsys, margin):
+    rc = main(["validate", f"--exclude_margin={margin}",
+               "--output_dir", str(tmp_path / "out")] + FAST)
+    assert rc == 2
+    assert "exclude_margin" in capsys.readouterr().err
+
+
 def test_broken_plateau_constants_exit_3(tmp_path, capsys):
     # the computed plateau constants lose A's sign here: a numerical
     # failure (3), not a usage error (2)
