@@ -35,8 +35,9 @@ METHODS = ("dis", "ode", "surface")
 
 
 # (key, lowest value, whether the lowest value itself is allowed)
-_DOMAINS = (("lattice_level", 1, True), ("ode_steps", 1, True),
-            ("residual_grid_points", 3, True), ("fd_step", 0.0, False))
+_DOMAINS = (("grid_points", 1, True), ("lattice_level", 1, True),
+            ("ode_steps", 1, True), ("residual_grid_points", 3, True),
+            ("fd_step", 0.0, False))
 
 # validate's fixed bounds: a check passes when its worst value is at most its
 # tolerance; lattice points within EXCLUDE_MARGIN of the window are skipped
@@ -279,7 +280,8 @@ def run_validate(cfg):
                        tol, True))
     ide = identity_checks(curves["surface"], window=info)
     checks.append(("identity surface", ide.as_dict(), ide.max_abs,
-                   TOL_IDENTITY, ide.endpoint_ok and ide.min_gap > 0.0))
+                   TOL_IDENTITY, ide.n_points > 0 and ide.endpoint_ok
+                   and ide.min_gap > 0.0))
     res_grid = np.linspace(0.0, 1.0, cfg.residual_grid_points)
     res_curve = limit_curve(cfg.system(), res_grid, info)
     res = ode_residuals(res_curve, h=cfg.fd_step, window=info)

@@ -302,7 +302,7 @@ def _fix_endpoints(g, A1, A2, B1, B2, pack):
     B1[at1], B2[at1] = pack.B1_1, pack.B2_1
 
 
-def assemble_curve(forward, backward, c1, c2, grid, method="ode"):
+def assemble_curve(forward, backward, c1, c2, grid):
     """Splice two branches and the plateau constants into one limit curve.
 
     Branch values fill [0, c1] and [c2, 1]; inside (c1, c2) the four
@@ -349,7 +349,7 @@ def assemble_curve(forward, backward, c1, c2, grid, method="ode"):
                          for name, br in (("forward", forward),
                                           ("backward", backward))}}
     return validate_computed(
-        LimitCurve(grid.copy(), A1, A2, B1, B2, method, meta))
+        LimitCurve(grid.copy(), A1, A2, B1, B2, "ode", meta))
 
 
 def solve_system(sys, plateau, grid, steps_per_unit=DEFAULT_STEPS_PER_UNIT):

@@ -1,7 +1,9 @@
 """Safeguarded bracketed root finding.
 
 Plain bisection only: every solver in this package trades speed for
-reproducibility, so there is no secant/Newton acceleration anywhere.
+reproducibility, so there is no secant/Newton acceleration anywhere.  A
+bracket open at the top is grown by doubling its upper end; that a bracket
+holds one root is the caller's to prove, and nothing here scans for more.
 Bisection stops at its fixed point, the first halving that leaves every
 bracket as it was; every later halving would repeat it, so the result does
 not depend on the iteration cap.  Each root problem is one-dimensional, and
@@ -53,31 +55,20 @@ def bisect(f, lo, hi, iters=DEFAULT_ITERS):
     return 0.5 * (lo + hi)
 
 
-def expand_upper(f, lo, hi, factor=2.0, max_expansions=60):
-    """Grow ``hi`` elementwise until ``f(hi)`` changes sign against ``f(lo)``.
+def expand_upper(f, lo, hi):
+    """Double ``hi`` elementwise until ``f(hi)`` changes sign against ``f(lo)``.
 
-    Returns the expanded upper ends.  Gives up after ``max_expansions``
-    doublings and raises :class:`NumericalFailure`.
+    Returns the expanded upper ends.  Gives up after 60 doublings (a factor
+    of about 1e18) and raises :class:`NumericalFailure`.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float).copy()
     flo = np.asarray(f(lo), dtype=float)
-    for _ in range(max_expansions):
+    for _ in range(60):
         fhi = np.asarray(f(hi), dtype=float)
         open_ = flo * fhi > 0
         if not np.any(open_):
             return hi
-        hi = np.where(open_, hi * factor, hi)
+        hi = np.where(open_, hi * 2.0, hi)
     raise NumericalFailure("bracket expansion failed to find a sign change",
                            {"hi": float(np.max(hi))})
-
-
-def count_sign_changes(f, lo, hi, samples=257):
-    """Number of sign changes of ``f`` sampled on ``samples`` points of [lo, hi].
-
-    Exact zeros are skipped, so a root at a bracket end is no crossing.  Used
-    as a uniqueness guard after bisection.
-    """
-    signs = np.sign(f(np.linspace(lo, hi, samples)))
-    signs = signs[signs != 0]
-    return int(np.count_nonzero(signs[1:] != signs[:-1]))

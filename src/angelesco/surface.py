@@ -15,10 +15,12 @@ all formulas are explicit.
 
 The configuration solves are scalar: :func:`solve_u` and :func:`solve_tau0`
 take one (alpha, beta) or (u, alpha).  tau0 has one solve per (u, alpha),
-cached for the process and always scanned for a second crossing, so the
-threshold ray, the configuration in :func:`plateau_bounds` and the ray
-brackets of :func:`pushed_beta` share it.  The rays and the coordinate maps
-are elementwise numpy functions, so whole grids go through one call.
+cached for the process, so the threshold ray, the configuration in
+:func:`plateau_bounds` and the ray brackets of :func:`pushed_beta` share it.
+Its uniqueness and the signs of the other two preimages follow from sign
+patterns of the coefficients for every u > 1 and alpha > 0, so no solve
+checks them at run time.  The rays and the coordinate maps are elementwise
+numpy functions, so whole grids go through one call.
 """
 from dataclasses import asdict, dataclass
 from functools import lru_cache
@@ -27,7 +29,7 @@ import numpy as np
 
 from .errors import NumericalFailure
 from .ode import _fix_endpoints, boundary_values
-from .rootfind import bisect, count_sign_changes, expand_upper
+from .rootfind import bisect, expand_upper
 from .systems import (AffineMap, LimitCurve, LimitPoint, check_grid,
                       pushforward_limits, reflect, star_normalize,
                       validate_computed)
@@ -106,38 +108,41 @@ def solve_u(alpha, beta):
 def solve_tau0(u, alpha):
     """Root tau0 > 1 of projection_ratio(u, tau) = 1 + alpha, once per (u, alpha).
 
-    The bracket upper end is grown geometrically until the sign flips, then
-    scanned for extra sign changes: a multiple crossing raises
+    The denominator (2u - 1) tau - u exceeds u - 1 on tau > 1.  Cleared of
+    it, with d = tau - 1, the equation is the cubic
+    d^3 + (u + 1) d^2 - alpha (2u - 1) d - alpha (u - 1) = 0, whose signs
+    (+, +, -, -) for u > 1 and alpha > 0 give exactly one root d > 0
+    (Descartes' rule of signs), negative below it and positive above.  So
+    the upper end is doubled until the sign flips and then bisected, with
+    no scan for a second crossing.  u <= 1 or alpha <= 0 (NaN included)
+    raises ValueError; 1 + alpha rounding to 1 loses alpha and raises
     :class:`NumericalFailure`.  The result is cached for the process.
     """
+    if not (u > 1.0 and alpha > 0.0):
+        raise ValueError(f"solve_tau0 needs u > 1 and alpha > 0, "
+                         f"got u={u}, alpha={alpha}")
+    if 1.0 + alpha == 1.0:
+        raise NumericalFailure("alpha is lost in the tau0 target 1 + alpha",
+                               {"alpha": float(alpha)})
     f = lambda t: projection_ratio(u, t) - (1.0 + alpha)
-    hi = expand_upper(f, _EDGE, 2.0)
-    changes = count_sign_changes(f, _EDGE, hi)
-    # a root exactly at the bracket end registers as zero crossings
-    if not (changes == 1 or (changes == 0 and f(hi) == 0.0)):
-        raise NumericalFailure(
-            "projection ratio crosses its target more than once",
-            {"alpha": float(alpha), "changes": changes})
-    return bisect(f, _EDGE, hi)
+    return bisect(f, _EDGE, expand_upper(f, _EDGE, 2.0))
 
 
 def infinity_preimages(u, tau0):
-    """The other two preimages of infinity, tau1 < 0 < tau2 < tau0.
+    """The other two preimages of infinity, tau1 < 0 < tau2.
 
     Roots of the monic quadratic with sum -(u + tau0 - 2) and product
-    -u tau0 (u + tau0 - 2) / (2 u tau0 - u - tau0), extracted with the
-    sign-matched stable formula.
+    -u tau0 (u + tau0 - 2) / (2 u tau0 - u - tau0).  For u, tau0 > 1 both
+    u + tau0 - 2 and 2 u tau0 - u - tau0 are positive, so the sum and the
+    product are negative: tau1 = (sum - sqrt(disc)) / 2 adds two negative
+    terms without cancellation, and tau2 = product / tau1 by Vieta.
     """
     u = np.asarray(u, dtype=float)
     tau0 = np.asarray(tau0, dtype=float)
     rsum = -(u + tau0 - 2.0)
     prod = -u * tau0 * (u + tau0 - 2.0) / (2.0 * u * tau0 - u - tau0)
-    disc = np.sqrt(rsum * rsum - 4.0 * prod)
-    q = 0.5 * (rsum + np.copysign(disc, rsum))
-    q = np.where(q == 0.0, 0.5 * disc, q)  # rsum == 0: symmetric pair
-    r1 = np.where(q < prod / q, q, prod / q)
-    r2 = np.where(q < prod / q, prod / q, q)
-    return r1, r2
+    q = 0.5 * (rsum - np.sqrt(rsum * rsum - 4.0 * prod))
+    return q, prod / q
 
 
 @dataclass(frozen=True)

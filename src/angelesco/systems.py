@@ -83,9 +83,10 @@ class StarConfig:
         if not (0.0 <= self.beta < 1.0):
             raise ValueError(f"beta must lie in [0, 1), got {self.beta}")
 
-    def system(self, w1="chebyshev2", w2="chebyshev2"):
+    def system(self):
+        # the star frame is geometry only: the limits do not see the weights
         return AngelescoSystem(Interval(-self.alpha, 0.0),
-                               Interval(self.beta, 1.0), w1, w2)
+                               Interval(self.beta, 1.0))
 
 
 @dataclass(frozen=True)

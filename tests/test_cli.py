@@ -278,6 +278,8 @@ def test_a_computed_curve_off_the_contract_exits_3(tmp_path, capsys,
     ("compute", "--interval1=-2,0,1", "interval1"),
     ("compute", "--lattice_level=0", "lattice_level"),
     ("compute", "--ode_steps=-5", "ode_steps"),
+    ("compute", "--grid_points=-5", "grid_points"),
+    ("compute", "--grid_points=0", "grid_points"),
 ])
 def test_a_value_out_of_its_domain_exits_2_before_any_route(
         tmp_path, capsys, monkeypatch, command, flag, key):
@@ -329,6 +331,16 @@ def test_broken_plateau_constants_exit_3(tmp_path, capsys):
         capsys.readouterr().err
 
 
+def test_an_alpha_lost_in_1_plus_alpha_exits_3_naming_it(tmp_path, capsys):
+    # the reflected configuration has alpha ~ 1e-16, so 1 + alpha rounds to
+    # 1: the tau0 target has lost alpha
+    rc = main(["compute", "--methods", "surface", "--interval1=-1e10,0",
+               "--interval2=0.999999,1", "--output_dir", str(tmp_path / "out")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "lost in the tau0 target" in err and "more than once" not in err
+
+
 def test_cli_requires_subcommand():
     with pytest.raises(SystemExit):
         main([])
@@ -370,6 +382,24 @@ def test_validate_fails_on_tight_tolerance(tmp_path, capsys, monkeypatch):
     assert [c["passed"] for c in report["comparisons"]] == [True, False, False]
     lines = capsys.readouterr().out.splitlines()
     assert sum(line.startswith("FAIL") for line in lines) == 2
+
+
+@pytest.mark.parametrize("interval2, grid_points", [
+    ("0,1", "2"),        # touching: s = 0 and 1 only, no interior point
+    ("0.25,1", "3"),     # gap: s = 0.5 lies inside the plateau window
+])
+def test_validate_fails_an_identity_check_that_saw_no_point(
+        tmp_path, capsys, interval2, grid_points):
+    out = tmp_path / "out"
+    rc = main(["validate", f"--interval2={interval2}",
+               "--output_dir", str(out)] + FAST
+              + ["--grid_points", grid_points])
+    assert rc == 1
+    report = json.loads((out / "validate_report.json").read_text())
+    assert report["identity"]["n_points"] == 0
+    assert report["identity"]["passed"] is False
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("FAIL  identity surface") for line in lines)
 
 
 def test_numerical_failure_exit_code(tmp_path, monkeypatch):

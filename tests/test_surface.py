@@ -1,7 +1,11 @@
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from angelesco import (AffineMap, AngelescoSystem, Interval, NumericalFailure,
                        StarConfig, pushforward_limits, reflect, surface)
@@ -66,15 +70,60 @@ def test_solve_tau0():
     assert projection_ratio(2.0, tau) == pytest.approx(3.0, abs=1e-12)
 
 
+def test_tau0_cubic_in_d_has_one_sign_change():
+    # projection_ratio(u, tau) = 1 + alpha cleared of its denominator, at
+    # tau = 1 + d, exactly in rationals: the cubic in d that solve_tau0's
+    # docstring cites, with coefficient signs (+, +, -, -)
+    us = [1 + Fraction(1, 10 ** k) for k in (1, 3, 9)] + [Fraction(3, 2), 2]
+    alphas = [Fraction(1, 10 ** 9), Fraction(1, 1000), Fraction(7, 3),
+              Fraction(10 ** 6)]
+    ds = [Fraction(n, 7) for n in range(-21, 22)] + [Fraction(1, 10 ** 12)]
+    for u in us:
+        for a in alphas:
+            coeffs = (1, u + 1, -a * (2 * u - 1), -a * (u - 1))
+            assert [(c > 0) - (c < 0) for c in coeffs] == [1, 1, -1, -1]
+            for d in ds:
+                tau = 1 + d
+                cubic = (tau ** 3 + (u - 2) * tau ** 2
+                         - (1 + a) * (2 * u - 1) * tau + (1 + a) * u)
+                assert cubic == (tau * tau * (tau + u - 2)
+                                 - (1 + a) * ((2 * u - 1) * tau - u))
+                assert cubic == sum(c * d ** (3 - k)
+                                    for k, c in enumerate(coeffs))
+
+
 @pytest.mark.parametrize("u", [2.0, 1.0 + 1e-9], ids=["u=2", "u->1"])
 def test_solve_tau0_scan_passes_at_the_ray_bracket_ends(u):
-    # every solve scans for a second crossing; the two ends of pushed_beta's
-    # bracket pass it over eighteen decades of alpha
+    # the two ends of pushed_beta's bracket over eighteen decades of alpha:
+    # on 257 points of the doubled bracket solve_tau0 bisects, f changes
+    # sign once, from below, between the two samples around tau0
     surface.solve_tau0.cache_clear()
     for alpha in np.logspace(-9, 9, 73):
         tau = solve_tau0(u, float(alpha))
         assert tau > 1.0
         assert solve_tau0(u, float(alpha)) is tau  # cached
+        f = lambda t: projection_ratio(u, t) - (1.0 + alpha)
+        hi = 2.0
+        while f(hi) < 0.0:
+            hi *= 2.0
+        t = np.linspace(1.0 + 1e-12, hi, 257)
+        signs = np.sign(f(t))
+        assert np.all(signs[t < tau] == -1.0) and np.all(signs[t > tau] == 1.0)
+
+
+@pytest.mark.parametrize("u, alpha", [(1.0, 2.0), (2.0, 0.0),
+                                      (math.nan, 2.0), (2.0, math.nan)])
+def test_solve_tau0_needs_u_above_1_and_alpha_above_0(u, alpha):
+    # the uniqueness proof in its docstring holds only there
+    with pytest.raises(ValueError, match="u > 1 and alpha > 0"):
+        solve_tau0(u, alpha)
+
+
+@pytest.mark.parametrize("alpha", [1e-16, 1e-17, 5e-324])
+def test_solve_tau0_fails_where_1_plus_alpha_rounds_to_1(alpha):
+    # the computed target is then alpha = 0: no root above 1 to find
+    with pytest.raises(NumericalFailure, match="lost in the tau0 target"):
+        solve_tau0(2.0, alpha)
 
 
 def test_plateau_solves_tau0_once_per_u_alpha(monkeypatch):
@@ -100,6 +149,22 @@ def test_infinity_preimages():
     assert t1 == pytest.approx(-2.2870426, abs=1e-6)
     assert t2 == pytest.approx(0.7870426, abs=1e-6)
     assert t1 < 0.0 < t2 < 2.0
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.floats(1.0, 2.0, exclude_min=True),
+       st.floats(1.0, 1e6, exclude_min=True))
+@example(math.nextafter(1.0, 2.0), math.nextafter(1.0, 2.0))
+@example(2.0, 1e6)
+def test_infinity_preimages_signs_and_vieta(u, tau0):
+    t1, t2 = infinity_preimages(u, tau0)
+    assert t1 < 0.0 < t2
+    # the quadratic's coefficients as the function forms them; the sum of
+    # opposite-sign roots is held to the size of its terms
+    rsum = -(u + tau0 - 2.0)
+    prod = -u * tau0 * (u + tau0 - 2.0) / (2.0 * u * tau0 - u - tau0)
+    assert abs(t1 + t2 - rsum) <= 1e-15 * max(abs(t1), abs(t2))
+    assert abs(t1 * t2 - prod) <= 1e-15 * abs(prod)
 
 
 def test_surface_params_residuals():
