@@ -170,8 +170,8 @@ def write_curve_csv(path, curve):
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_curve_csv(path, method=None):
-    """Parse a curve CSV back into a :class:`LimitCurve`.
+def read_curve_csv(path):
+    """Parse a curve CSV back into a :class:`LimitCurve` named by the file stem.
 
     Every field must be a finite number and the s column must pass
     :func:`~angelesco.systems.check_grid`; otherwise a ValueError names the
@@ -202,7 +202,7 @@ def read_curve_csv(path, method=None):
         rows.append(row)
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    return LimitCurve(*np.array(rows).T, method or Path(path).stem,
+    return LimitCurve(*np.array(rows).T, Path(path).stem,
                       {"source": str(path)})
 
 
@@ -268,6 +268,7 @@ def run_validate(cfg):
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     curves, meta, info = _compute_curves(cfg, set(METHODS))
+    window = (info.c1, info.c2)
     # (name, report entry, worst value, tolerance, whether the rest holds)
     checks = []
     for ma, mb, margin, tol in (
@@ -275,16 +276,16 @@ def run_validate(cfg):
             ("dis", "surface", EXCLUDE_MARGIN, TOL_PAIR_LATTICE),
             ("dis", "ode", EXCLUDE_MARGIN, TOL_PAIR_LATTICE)):
         rep = compare(curves[ma], curves[mb], exclude_margin=margin,
-                      window=info)
+                      window=window)
         checks.append((f"compare {ma} vs {mb}", rep.as_dict(), rep.worst(),
                        tol, True))
-    ide = identity_checks(curves["surface"], window=info)
+    ide = identity_checks(curves["surface"], window=window)
     checks.append(("identity surface", ide.as_dict(), ide.max_abs,
                    TOL_IDENTITY, ide.n_points > 0 and ide.endpoint_ok
                    and ide.min_gap > 0.0))
     res_grid = np.linspace(0.0, 1.0, cfg.residual_grid_points)
     res_curve = limit_curve(cfg.system(), res_grid, info)
-    res = ode_residuals(res_curve, h=cfg.fd_step, window=info)
+    res = ode_residuals(res_curve, h=cfg.fd_step, window=window)
     checks.append(("ode residuals", res.as_dict(), res.worst(),
                    TOL_RESIDUAL, True))
 

@@ -6,26 +6,21 @@ Independent of any pairing, a single curve can be checked against the
 differential relations the limits satisfy and against the square-root
 identity linking the a- and b-limits.  Together these give quantitative
 meaning to "the methods agree".
+
+A check that must skip the plateau takes its window as an argument,
+``window=(c1, c2)``, or ``None`` for a curve without one; curves do not
+carry it.
 """
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import NumericalFailure
+from .systems import plateau_zones
 
 FUNCS = ("A1", "A2", "B1", "B2")
-
-
-def _window_of(curve, window):
-    """Extract a plateau window (c1, c2) from an argument or curve metadata."""
-    if window is not None:
-        if hasattr(window, "c1"):
-            return float(window.c1), float(window.c2)
-        c1, c2 = window
-        return float(c1), float(c2)
-    if "c1" in curve.meta:
-        return float(curve.meta["c1"]), float(curve.meta["c2"])
-    return None
+# ode_residuals skips points this close to 0, 1 and the plateau edges
+EDGE_MARGIN = 0.01
 
 
 def resample(curve, grid):
@@ -77,8 +72,7 @@ def compare(a, b, exclude_margin=0.0, window=None):
     Grids must agree point by point; otherwise ``b`` is resampled onto the
     overlapping part of ``a``'s grid by :func:`resample`.  With a positive
     ``exclude_margin`` (finite and nonnegative) every point closer than the
-    margin to the plateau window [c1, c2] is dropped (the window is taken
-    from ``window`` or from either curve's metadata).
+    margin to the plateau window ``window`` = (c1, c2) is dropped.
     """
     if not 0.0 <= exclude_margin < np.inf:
         raise ValueError(f"exclude_margin must be finite and nonnegative, "
@@ -92,10 +86,9 @@ def compare(a, b, exclude_margin=0.0, window=None):
 
     mask = np.ones(grid.size, dtype=bool)
     if exclude_margin > 0.0:
-        win = _window_of(a, window) or _window_of(b, None)
-        if win is None:
+        if window is None:
             raise ValueError("exclude_margin needs a plateau window")
-        mask = compared_points(grid, *win, exclude_margin)
+        mask = compared_points(grid, *window, exclude_margin)
     if not np.any(mask):
         raise NumericalFailure("exclusion margin removed every grid point",
                                {"margin": exclude_margin})
@@ -137,7 +130,7 @@ def residual_stride(h, step):
     return stride
 
 
-def ode_residuals(curve, h=1e-3, window=None, edge_margin=0.01):
+def ode_residuals(curve, h=1e-3, window=None):
     """Central-difference residuals of the four limit relations on a curve.
 
     The relations (with ' = d/ds) are
@@ -149,10 +142,10 @@ def ode_residuals(curve, h=1e-3, window=None, edge_margin=0.01):
 
     evaluated with stride-based central differences of step ``h`` on the
     curve's own uniform grid; each residual is divided by
-    max(1, largest |term|) at that point.  Points within ``edge_margin`` of
-    0, 1 or the plateau edges are excluded.  A nonuniform grid, or one whose
-    spacing does not divide ``h`` (:func:`residual_stride`), raises
-    ValueError.
+    max(1, largest |term|) at that point.  Points within ``EDGE_MARGIN`` of
+    0, 1 or the edges of ``window`` = (c1, c2) are excluded.  A nonuniform
+    grid, or one whose spacing does not divide ``h``
+    (:func:`residual_stride`), raises ValueError.
     """
     s = curve.s
     if s.size < 3:
@@ -169,12 +162,11 @@ def ode_residuals(curve, h=1e-3, window=None, edge_margin=0.01):
     der = {f: (getattr(curve, f)[i + stride] - getattr(curve, f)[i - stride])
            / (2.0 * stride * step) for f in FUNCS}
 
-    keep = (sm > edge_margin) & (sm < 1.0 - edge_margin)
-    win = _window_of(curve, window)
-    if win is not None:
-        c1, c2 = win
-        keep &= np.abs(sm - c1) > edge_margin
-        keep &= np.abs(sm - c2) > edge_margin
+    keep = (sm > EDGE_MARGIN) & (sm < 1.0 - EDGE_MARGIN)
+    if window is not None:
+        c1, c2 = window
+        keep &= np.abs(sm - c1) > EDGE_MARGIN
+        keep &= np.abs(sm - c2) > EDGE_MARGIN
     if not np.any(keep):
         raise NumericalFailure("no interior points left for residuals", {})
     sm = sm[keep]
@@ -195,8 +187,8 @@ def ode_residuals(curve, h=1e-3, window=None, edge_margin=0.01):
     t41, t42 = A2 * (dB1 - dB2) * sm, dA2 * (B1 - B2) * t
     r4 = rel(t41 + t42, t41, t42)
     return ResidualReport(h, int(sm.size), (r1, r2, r3, r4),
-                          {"stride": stride, "edge_margin": edge_margin,
-                           "window": win})
+                          {"stride": stride, "edge_margin": EDGE_MARGIN,
+                           "window": window})
 
 
 @dataclass(frozen=True)
@@ -217,9 +209,9 @@ def identity_checks(curve, window=None):
 
     Also verifies B2 > B1 on the whole grid and the endpoint zeros
     A1(0) = 0, A2(1) = 0 when those grid points are present.  The identity
-    itself is evaluated on interior points outside [c1, c2] (the window
-    comes from ``window`` or curve metadata; without one the whole interior
-    is used, which is correct for curves of touching systems).
+    itself is evaluated on the interior points off the plateau
+    ``window`` = (c1, c2), as :func:`~angelesco.systems.plateau_zones`
+    splits them; without a window the whole interior is used.
     """
     s = curve.s
     gap = curve.B2 - curve.B1
@@ -231,11 +223,11 @@ def identity_checks(curve, window=None):
     if np.any(at1):
         endpoint_ok &= bool(np.all(curve.A2[at1] == 0.0))
 
-    keep = (s > 0.0) & (s < 1.0)
-    win = _window_of(curve, window)
-    if win is not None:
-        c1, c2 = win
-        keep &= (s < c1) | (s > c2)
+    if window is None:
+        keep = (s > 0.0) & (s < 1.0)
+    else:
+        left, _, right = plateau_zones(s, *window)
+        keep = left | right
     if not np.any(keep):
         return IdentityReport(0.0, 0.0, float(gap.min()), endpoint_ok, 0)
     sm = s[keep]

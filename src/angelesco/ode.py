@@ -37,7 +37,8 @@ import numpy as np
 
 from .errors import NumericalFailure
 from .lattice import lagrange_interp
-from .systems import LimitCurve, check_grid, validate_computed
+from .systems import (LimitCurve, check_grid, plateau_zones,
+                      validate_computed)
 
 # steps per unit s of a branch's first RK4 run
 DEFAULT_STEPS_PER_UNIT = 500
@@ -47,6 +48,9 @@ _DOUBLING_TOL = 1e-12
 _MAX_DOUBLINGS = 5
 # rounding floor of the stopping test, in eps times max |y| per component
 _ROUNDING_ULPS = 256
+# scaled bound of the splice mismatch (A over gap^2, B over gap); on the
+# default touching and gap systems it is stricter than 1e-4 absolute
+_SPLICE_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -305,42 +309,34 @@ def _fix_endpoints(g, A1, A2, B1, B2, pack):
 def assemble_curve(forward, backward, c1, c2, grid):
     """Splice two branches and the plateau constants into one limit curve.
 
-    Branch values fill [0, c1] and [c2, 1]; inside (c1, c2) the four
-    functions are constant, set to the mean of the two branch endpoint
-    states (their mismatch is recorded in ``meta`` together with the branch
-    redundancy monitors and, under ``branches``, each branch's step-doubling
-    report).  For touching systems c1 = c2 and the plateau is empty.
+    The grid is split by :func:`~angelesco.systems.plateau_zones`: branch
+    values fill s < c1 and s > c2, and on [c1, c2] (for touching systems
+    the one ray c1 = c2) the four functions are the mean of the two branch
+    endpoint states.  Their mismatch is recorded in ``meta``, ``ok`` when
+    at most ``_SPLICE_TOL`` scaled by the smaller endpoint gap, together
+    with the branch redundancy monitors and, under ``branches``, each
+    branch's step-doubling report.
     """
     grid = check_grid(grid)
     pack = forward.pack
-    end_f = forward.limit_values(np.array([c1]))
-    end_b = backward.limit_values(np.array([c2]))
-    mism = {"at_c1_vs_c2": [float(abs(a[0] - b[0]))
-                            for a, b in zip(end_f, end_b)]}
+    end_f = np.array(forward.limit_values(np.array([c1])))
+    end_b = np.array(backward.limit_values(np.array([c2])))
+    diff = np.abs(end_f - end_b)[:, 0]
+    gap = min(pack.gap_0, pack.gap_1)
     # flagged, never fatal: both branch endpoints estimate the same plateau
-    mism["ok"] = max(mism["at_c1_vs_c2"]) <= 1e-4
+    mism = {"at_c1_vs_c2": diff.tolist(),
+            "ok": bool(np.max(diff / [gap * gap, gap * gap, gap, gap])
+                       <= _SPLICE_TOL)}
 
-    A1 = np.empty_like(grid)
-    A2 = np.empty_like(grid)
-    B1 = np.empty_like(grid)
-    B2 = np.empty_like(grid)
-    left = grid <= c1
-    right = grid >= c2
-    mid = ~left & ~right
-    if np.any(left):
-        A1[left], A2[left], B1[left], B2[left] = forward.limit_values(grid[left])
-    if np.any(right):
-        A1[right], A2[right], B1[right], B2[right] = backward.limit_values(grid[right])
-    if np.any(mid):
-        # plateau constants: A is constant there, so C must be read through
-        # the s-rescaling at each grid point rather than copied
-        plA1 = 0.5 * (end_f[0][0] + end_b[0][0])
-        plA2 = 0.5 * (end_f[1][0] + end_b[1][0])
-        plB1 = 0.5 * (end_f[2][0] + end_b[2][0])
-        plB2 = 0.5 * (end_f[3][0] + end_b[3][0])
-        A1[mid], A2[mid], B1[mid], B2[mid] = plA1, plA2, plB1, plB2
-    _fix_endpoints(grid, A1, A2, B1, B2, pack)
-    meta = {"c1": float(c1), "c2": float(c2), "splice_mismatch": mism,
+    vals = np.empty((4, grid.size))
+    left, plat, right = plateau_zones(grid, c1, c2)
+    vals[:, left] = forward.limit_values(grid[left])
+    vals[:, right] = backward.limit_values(grid[right])
+    # plateau constants: A is constant there, so C must be read through
+    # the s-rescaling at each grid point rather than copied
+    vals[:, plat] = 0.5 * (end_f + end_b)
+    _fix_endpoints(grid, *vals, pack)  # s = 0 and s = 1 are in no zone
+    meta = {"splice_mismatch": mism,
             "identity_drift": {"forward": forward.identity_drift,
                                "backward": backward.identity_drift},
             "branches": {name: {k: br.meta[k] for k in
@@ -348,8 +344,7 @@ def assemble_curve(forward, backward, c1, c2, grid):
                                  "stopped")}
                          for name, br in (("forward", forward),
                                           ("backward", backward))}}
-    return validate_computed(
-        LimitCurve(grid.copy(), A1, A2, B1, B2, "ode", meta))
+    return validate_computed(LimitCurve(grid.copy(), *vals, "ode", meta))
 
 
 def solve_system(sys, plateau, grid, steps_per_unit=DEFAULT_STEPS_PER_UNIT):

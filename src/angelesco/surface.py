@@ -31,8 +31,8 @@ from .errors import NumericalFailure
 from .ode import _fix_endpoints, boundary_values
 from .rootfind import bisect, expand_upper
 from .systems import (AffineMap, LimitCurve, LimitPoint, check_grid,
-                      pushforward_limits, reflect, star_normalize,
-                      validate_computed)
+                      plateau_zones, pushforward_limits, reflect,
+                      star_normalize, validate_computed)
 
 # star frame of a reflected system -> star frame of the original
 _MIRROR = AffineMap(-1.0, 0.0)
@@ -253,8 +253,6 @@ class PlateauInfo:
     c1: float
     c2: float
     plateau: LimitPoint
-    s_alpha_direct: float
-    s_alpha_reflected: float
 
     def as_dict(self):
         return asdict(self)
@@ -265,31 +263,32 @@ def reflected_star(sc):
     return star_normalize(reflect(sc.system()))
 
 
+def _upper_edge(sc):
+    """Solved configuration of ``sc`` and the ray s of its plateau's upper edge."""
+    params = surface_params(sc.alpha, sc.beta)
+    return params, 0.5 * (1.0 + ray_direction(params.u, params.tau0))
+
+
 def plateau_bounds(sc):
     """Plateau window and constants for a star configuration.
 
     c2 comes directly from the ray direction of the fully solved
     configuration (the inversion of the gap-versus-ray map at the actual
-    gap); a consistency guard re-solves the gap at c2 and requires the round
-    trip to land back on beta.  c1 is one minus the analogous value of the
-    reflected configuration.
+    gap); for touching intervals that is the threshold ray and c1 = c2.
+    Otherwise a consistency guard re-solves the gap at c2 and requires the
+    round trip to land back on beta, and c1 is one minus the analogous
+    value of the reflected configuration.
     """
-    _, s_dir = threshold_ray(sc.alpha)
-    sc_hat, _ = reflected_star(sc)
-    _, s_ref = threshold_ray(sc_hat.alpha)
-    params = surface_params(sc.alpha, sc.beta)
+    params, c2 = _upper_edge(sc)
     if sc.beta == 0.0:
-        c1 = c2 = s_dir
+        c1 = c2
     else:
-        c2 = 0.5 * (1.0 + ray_direction(params.u, params.tau0))
         back, _, _ = pushed_beta(sc.alpha, c2)
         if abs(back - sc.beta) > 1e-9:
             raise NumericalFailure("plateau edge failed the gap round trip",
                                    {"c2": float(c2), "beta": float(sc.beta),
                                     "back": float(back)})
-        params_hat = surface_params(sc_hat.alpha, sc_hat.beta)
-        c2_hat = 0.5 * (1.0 + ray_direction(params_hat.u, params_hat.tau0))
-        c1 = 1.0 - c2_hat
+        c1 = 1.0 - _upper_edge(reflected_star(sc)[0])[1]
         if not 0.0 < c1 < c2 < 1.0:
             raise NumericalFailure("plateau window out of order",
                                    {"c1": float(c1), "c2": float(c2)})
@@ -298,7 +297,7 @@ def plateau_bounds(sc):
     # computed constants: a broken contract is a numerical failure
     point = validate_computed(LimitCurve(
         [mid], [vals.A1], [vals.A2], [vals.B1], [vals.B2], "plateau")).point(0)
-    return PlateauInfo(c1, c2, point, s_dir, s_ref)
+    return PlateauInfo(c1, c2, point)
 
 
 def _star_values_right(alpha, s):
@@ -324,11 +323,11 @@ def limits_at(sys, s, info=None):
 def limit_curve(sys, grid, info=None):
     """Limit curve of ``sys`` on ``grid`` via the surface route (vectorized).
 
-    Grid points are partitioned into endpoint / plateau / direct / reflected
-    zones and each zone is solved in one vector pass: closed-form endpoint
-    values at s in {0, 1}, the plateau constants inside [c1, c2], the direct
-    solve right of the plateau, and the reflected configuration at 1 - s
-    left of it.  Star-frame values reach the user frame through
+    Grid points are split by :func:`~angelesco.systems.plateau_zones` and
+    each zone is solved in one vector pass: the plateau constants inside
+    [c1, c2], the direct solve right of the plateau, and the reflected
+    configuration at 1 - s left of it; the endpoints s in {0, 1} take their
+    closed-form values.  Star-frame values reach the user frame through
     :func:`pushforward_limits`.  ``info`` may carry a precomputed
     :class:`PlateauInfo`.
     """
@@ -337,10 +336,7 @@ def limit_curve(sys, grid, info=None):
     if info is None:
         info = plateau_bounds(sc)
 
-    interior = (grid > 0.0) & (grid < 1.0)
-    plat = interior & (grid >= info.c1) & (grid <= info.c2)
-    right = interior & (grid > info.c2)
-    left = interior & (grid < info.c1)
+    left, plat, right = plateau_zones(grid, info.c1, info.c2)
 
     # star-frame values; endpoints are pinned after the transport
     star = np.zeros((4, grid.size))
@@ -356,9 +352,7 @@ def limit_curve(sys, grid, info=None):
                                   swapped=True)
         star[:, left] = back.A1, back.A2, back.B1, back.B2
 
-    meta = {"c1": float(info.c1), "c2": float(info.c2)}
-    curve = pushforward_limits(
-        LimitCurve(grid.copy(), *star, "surface", meta), amap)
+    curve = pushforward_limits(LimitCurve(grid.copy(), *star, "surface"), amap)
     _fix_endpoints(grid, curve.A1, curve.A2, curve.B1, curve.B2,
                    boundary_values(sys))
     return validate_computed(curve)

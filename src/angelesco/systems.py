@@ -8,7 +8,8 @@ that moves recurrence-limit data between frames.
 
 It also owns the rules every limit curve obeys, whichever route computed
 it: :func:`check_grid` is the one grid check (nonempty, 1-d, strictly
-increasing inside [0, 1]) and :meth:`LimitCurve.validate` the one set of
+increasing inside [0, 1]), :func:`plateau_zones` the one split of a grid
+around the plateau window, and :meth:`LimitCurve.validate` the one set of
 pointwise invariants, which :class:`LimitPoint` applies as a one-point curve.
 """
 from dataclasses import dataclass, field
@@ -115,6 +116,19 @@ def check_grid(s):
     if not (np.all(np.diff(s) > 0.0) and s[0] >= 0.0 and s[-1] <= 1.0):
         raise ValueError("grid must be strictly increasing inside [0, 1]")
     return s
+
+
+def plateau_zones(grid, c1, c2):
+    """Masks ``(left, plateau, right)`` of the interior points of ``grid``.
+
+    Interior means 0 < s < 1; the endpoints belong to no zone.  The plateau
+    is closed, c1 <= s <= c2, so for c1 <= c2 the three masks are disjoint
+    and cover the interior.  Every route and check splits a grid this way.
+    """
+    s = np.asarray(grid, dtype=float)
+    interior = (s > 0.0) & (s < 1.0)
+    return (interior & (s < c1), interior & (s >= c1) & (s <= c2),
+            interior & (s > c2))
 
 
 @dataclass(frozen=True)

@@ -94,9 +94,10 @@ def test_criterion_3_gap_plateau_and_branches(gap_system, gap_info):
 def test_criterion_4_residuals_of_limit_relations(gap_system, gap_info):
     curve = limit_curve(gap_system, np.linspace(0.0, 1.0, 2001),
                         info=gap_info)
-    rep_h = ode_residuals(curve, h=1e-3, window=gap_info, edge_margin=0.01)
+    window = (gap_info.c1, gap_info.c2)
+    rep_h = ode_residuals(curve, h=1e-3, window=window)
     assert rep_h.worst() <= 1e-3
-    rep_h2 = ode_residuals(curve, h=5e-4, window=gap_info, edge_margin=0.01)
+    rep_h2 = ode_residuals(curve, h=5e-4, window=window)
     assert rep_h.worst() / rep_h2.worst() >= 3.0
 
 
@@ -105,7 +106,7 @@ def test_criterion_5_square_root_identity(touching_system, touching_info,
     for sys, info in ((touching_system, touching_info),
                       (gap_system, gap_info)):
         curve = limit_curve(sys, GRID, info=info)
-        rep = identity_checks(curve, window=info)
+        rep = identity_checks(curve, window=(info.c1, info.c2))
         assert rep.max_abs <= 1e-8
         assert rep.endpoint_ok and rep.min_gap > 0.0
 

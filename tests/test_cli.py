@@ -40,7 +40,7 @@ def test_default_lattice_digits(interval2, tol):
     unit = AffineMap(1.0 / (cfg.interval2[1] - cfg.interval1[0]), 0.0)
     rep = compare(pushforward_limits(curves["dis"], unit),
                   pushforward_limits(curves["surface"], unit),
-                  exclude_margin=EXCLUDE_MARGIN, window=info)
+                  exclude_margin=EXCLUDE_MARGIN, window=(info.c1, info.c2))
     assert rep.worst() <= tol
 
 

@@ -79,22 +79,20 @@ def test_compare_rejects_a_bad_margin(margin):
         compare(a, a, exclude_margin=margin, window=(0.4, 0.6))
 
 
-def test_compare_reads_window_from_meta(gap_curve_dense):
-    rep = compare(gap_curve_dense, gap_curve_dense, exclude_margin=0.05)
-    assert rep.n_excluded > 0
-
-
-def test_residuals_on_surface_curve(gap_curve_dense):
-    rep = ode_residuals(gap_curve_dense, h=1e-3)
+def test_residuals_on_surface_curve(gap_curve_dense, gap_info):
+    window = (gap_info.c1, gap_info.c2)
+    rep = ode_residuals(gap_curve_dense, h=1e-3, window=window)
     assert rep.worst() <= 1e-3
     assert rep.h == 1e-3
     assert rep.meta["stride"] == 2
-    assert rep.meta["window"] is not None
+    assert rep.meta["window"] == window
+    assert rep.meta["edge_margin"] == 0.01
 
 
-def test_residuals_shrink_with_h(gap_curve_dense):
-    coarse = ode_residuals(gap_curve_dense, h=1e-3).worst()
-    fine = ode_residuals(gap_curve_dense, h=5e-4).worst()
+def test_residuals_shrink_with_h(gap_curve_dense, gap_info):
+    window = (gap_info.c1, gap_info.c2)
+    coarse = ode_residuals(gap_curve_dense, h=1e-3, window=window).worst()
+    fine = ode_residuals(gap_curve_dense, h=5e-4, window=window).worst()
     assert coarse / fine >= 3.0
 
 
@@ -113,7 +111,8 @@ def test_residuals_flag_perturbed_curve(touching_system, touching_info):
     noisy = LimitCurve(grid, cv.A1, cv.A2,
                        cv.B1 + rng.uniform(-1e-2, 1e-2, grid.size), cv.B2,
                        cv.method, dict(cv.meta))
-    rep = ode_residuals(noisy, h=1e-3)
+    rep = ode_residuals(noisy, h=1e-3,
+                        window=(touching_info.c1, touching_info.c2))
     assert max(rep.max_rel) > 1e-1
 
 
@@ -134,13 +133,15 @@ def test_residuals_grid_validation(touching_system, touching_info):
         ode_residuals(tiny, h=1e-3)
 
 
-def test_identity_on_surface_curve(gap_curve_dense, touching_curve):
-    rep = identity_checks(touching_curve)
+def test_identity_on_surface_curve(gap_curve_dense, gap_info,
+                                   touching_curve, touching_info):
+    rep = identity_checks(touching_curve,
+                          window=(touching_info.c1, touching_info.c2))
     assert rep.max_abs <= 1e-8
     assert rep.min_gap > 0
     assert rep.endpoint_ok
-    # the plateau window comes from the curve metadata
-    rep = identity_checks(gap_curve_dense)
+    # the plateau points are skipped
+    rep = identity_checks(gap_curve_dense, window=(gap_info.c1, gap_info.c2))
     assert rep.n_points < gap_curve_dense.s.size - 2
 
 

@@ -7,9 +7,9 @@ from angelesco import (AngelescoSystem, Interval, NumericalFailure,
                        star_normalize)
 import angelesco.ode as ode_mod
 from angelesco.lattice import lagrange_interp
-from angelesco.ode import (BoundaryPack, Branch, _rk4, boundary_values,
-                           endpoint_slopes, integrate_branch, rhs,
-                           solve_system)
+from angelesco.ode import (BoundaryPack, Branch, _rk4, assemble_curve,
+                           boundary_values, endpoint_slopes, integrate_branch,
+                           rhs, solve_system)
 from angelesco.surface import limit_curve, limits_at, plateau_bounds
 
 
@@ -135,6 +135,48 @@ def test_branch_drift_and_splice(touching_system, touching_info):
     assert max(mism["at_c1_vs_c2"]) <= 1e-8
 
 
+@pytest.mark.parametrize("name", ["touching", "gap"])
+def test_splice_verdict_is_scale_free(name, request):
+    # copies scaled by 2^k map exactly, so the mismatch scaled by the
+    # endpoint gap (A over gap^2, B over gap) and its verdict are the same
+    base = request.getfixturevalue(f"{name}_system")
+    info = request.getfixturevalue(f"{name}_info")
+    seen = []
+    for k in (-20, 0, 20):
+        lam = 2.0 ** k
+        sys = AngelescoSystem(Interval(lam * base.i1.lo, lam * base.i1.hi),
+                              Interval(lam * base.i2.lo, lam * base.i2.hi))
+        mism = solve_system(sys, info, np.linspace(0.0, 1.0, 181)
+                            ).meta["splice_mismatch"]
+        pack = boundary_values(sys)
+        gap = min(pack.gap_0, pack.gap_1)
+        scaled = np.array(mism["at_c1_vs_c2"]) / [gap * gap, gap * gap, gap, gap]
+        seen.append((mism["ok"], scaled.tolist()))
+    assert seen[0] == seen[1] == seen[2]
+    assert seen[0][0]
+    # the raw mismatch of the 2^20 copy is far above the old absolute 1e-4
+    assert max(mism["at_c1_vs_c2"]) > 1e-4
+
+
+def test_a_grid_point_on_the_threshold_ray_takes_the_plateau(
+        touching_system, touching_info, touching_pack):
+    # touching: c1 = c2, and a grid point there is a plateau point in both
+    # routes; the ODE gives it the mean of the two branch ends
+    c = touching_info.c1
+    grid = np.array([0.0, 0.25, c, 0.75, 1.0])
+    forward = integrate_branch(touching_pack, 0, c)
+    backward = integrate_branch(touching_pack, 1, c)
+    cv = assemble_curve(forward, backward, c, c, grid)
+    mean = 0.5 * (np.array(forward.limit_values(np.array([c])))
+                  + np.array(backward.limit_values(np.array([c]))))
+    p = touching_info.plateau
+    sf = limit_curve(touching_system, grid, info=touching_info)
+    for j, f in enumerate(("A1", "A2", "B1", "B2")):
+        assert getattr(cv, f)[2] == mean[j, 0], f
+        # the star frame of (-2, 0) u (0, 1) is the user frame
+        assert getattr(sf, f)[2] == getattr(p, f), f
+
+
 def test_branch_stop_validation(touching_pack):
     with pytest.raises(ValueError):
         integrate_branch(touching_pack, 0, 0.0)
@@ -176,7 +218,7 @@ def test_forward_branch_continues_touching_curve(gap_system, gap_info):
     cv = solve_system(gap_system, gap_info, grid)
     keep = grid <= gap_info.c1
     sub = grid[keep]
-    assert sub[-1] <= cv.meta["c1"]  # the forward branch's span
+    assert sub[-1] <= gap_info.c1  # the forward branch's span
     closed = AngelescoSystem(Interval(-2.0, 0.25), Interval(0.25, 1.0))
     info = plateau_bounds(star_normalize(closed)[0])
     ref = solve_system(closed, info, sub)

@@ -127,8 +127,8 @@ def test_solve_tau0_fails_where_1_plus_alpha_rounds_to_1(alpha):
 
 
 def test_plateau_solves_tau0_once_per_u_alpha(monkeypatch):
-    # touching, (-2, 0) u (0, 1): the threshold ray and the configuration
-    # share (u, alpha) = (2, 2), the reflected threshold ray is (2, 1/2)
+    # touching, (-2, 0) u (0, 1): the window is the threshold ray of the
+    # configuration itself, (u, alpha) = (2, 2), the one solve it needs
     real_expand = surface.expand_upper
     calls = []
 
@@ -140,8 +140,8 @@ def test_plateau_solves_tau0_once_per_u_alpha(monkeypatch):
     surface.solve_tau0.cache_clear()
     sc = StarConfig(2.0, 0.0)
     info = plateau_bounds(sc)
-    assert len(calls) == 2
-    assert plateau_bounds(sc) == info and len(calls) == 2
+    assert len(calls) == 1
+    assert plateau_bounds(sc) == info and len(calls) == 1
 
 
 def test_infinity_preimages():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from angelesco import (AffineMap, AngelescoSystem, Interval, LimitCurve,
                        LimitPoint, NumericalFailure, StarConfig,
                        pushforward_limits, reflect, star_normalize)
-from angelesco.systems import validate_computed
+from angelesco.systems import plateau_zones, validate_computed
 
 
 def test_interval_basic():
@@ -320,3 +320,26 @@ def test_broken_is_pointwise():
                        [0.3, 0.2, 0.2, 0.2, 0.0],
                        [-1.0, -1.0, 0.5, -1.0, -1.0], np.full(5, 0.5))
     assert curve.broken().tolist() == [False, True, True, True, False]
+
+
+@st.composite
+def windows_and_grids(draw):
+    """A window c1 <= c2 inside (0, 1) and a grid that may hold 0, 1, c1, c2."""
+    inner = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    c1, c2 = sorted((draw(inner), draw(inner)))
+    pts = draw(st.lists(st.floats(0.0, 1.0)
+                        | st.sampled_from([0.0, 1.0, c1, c2]),
+                        min_size=1, max_size=40, unique=True))
+    return c1, c2, np.sort(np.array(pts))
+
+
+@_PROPERTY
+@given(windows_and_grids())
+def test_plateau_zones_split_the_interior(case):
+    c1, c2, grid = case
+    left, plat, right = plateau_zones(grid, c1, c2)
+    total = left.astype(int) + plat.astype(int) + right.astype(int)
+    assert np.array_equal(total, ((grid > 0.0) & (grid < 1.0)).astype(int))
+    # the plateau is closed: its edges belong to it
+    assert np.all(plat[(grid == c1) | (grid == c2)])
+    assert np.all(grid[left] < c1) and np.all(grid[right] > c2)
