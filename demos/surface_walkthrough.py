@@ -2,17 +2,20 @@
 
 Every limit value comes from a rational parametrization with one conformal
 parameter u in (1, 2] and three distinguished points tau0, tau1, tau2.
-This script walks through the solves for one configuration: normalize to
-the star frame, recover u from the gap invariant, find tau0, split off the
-other two preimages, and read the limit constants from residues.  It then
-tracks the effective gap seen along rays right of the threshold.
+The route works in the small unknowns w = u - 1 and d = tau - 1, so that
+nothing it divides by is a difference of nearly equal numbers.  This
+script walks through the solves for one configuration: normalize to the
+star frame, recover w from the gap invariant, find d0, split off the other
+two preimages, and read the limit constants from residues.  It then tracks
+the effective gap seen along rays right of the threshold, and ends with an
+unbalanced system whose (u, tau) crowd against 1.
 """
 import numpy as np
 
 from angelesco import AngelescoSystem, Interval, star_normalize
-from angelesco.surface import (gap_ratio, infinity_preimages, pushed_beta,
-                               residue_limits, solve_tau0, solve_u,
-                               surface_params, threshold_ray)
+from angelesco.surface import (beta_coord, infinity_preimages, pushed_beta,
+                               ray_direction, residue_limits, solve_d0,
+                               solve_w, threshold_ray)
 
 system = AngelescoSystem(Interval(-2.0, 0.0), Interval(0.25, 1.0))
 star, frame = star_normalize(system)
@@ -23,25 +26,39 @@ print(f"star frame: [-{alpha:g}, 0] u [{beta:g}, 1] "
       f"(scale {frame.scale:g}, shift {frame.shift:g})")
 
 # the gap invariant pins the conformal parameter
-target = beta * (1.0 + alpha) / (alpha + beta)
-u = solve_u(alpha, beta)
-print(f"\ngap invariant {target:.6f} -> u = {u:.12f} "
-      f"(residual {abs(gap_ratio(u) - target):.1e})")
+w = solve_w(alpha, beta)
+print(f"\ngap invariant -> w = u - 1 = {w:.12f} "
+      f"(beta recovered to {abs(beta_coord(alpha, w) - beta):.1e})")
 
-tau0 = solve_tau0(u, alpha)
-tau1, tau2 = infinity_preimages(u, tau0)
-print(f"preimages of infinity: tau0={tau0:.10f} tau1={tau1:.10f} "
-      f"tau2={tau2:.10f}")
+# the alpha level-set cubic in d has one positive root
+d0 = solve_d0(w, alpha)
+tau1, tau2 = infinity_preimages(w, d0)
+print(f"d0 = tau0 - 1 = {d0:.10f}; other preimages of infinity: "
+      f"tau1={tau1:.10f} tau2={tau2:.10f}")
+print(f"upper plateau edge c2 = {0.5 * (1.0 + ray_direction(w, d0)):.10f}")
 
-vals = residue_limits(surface_params(alpha, beta))
-print(f"plateau constants (star frame): A1={vals.A1:.8f} A2={vals.A2:.8f} "
-      f"B1={vals.B1:.8f} B2={vals.B2:.8f}")
+A1, A2, B1, B2 = residue_limits(alpha, w, d0)
+print(f"plateau constants (star frame): A1={A1:.8f} A2={A2:.8f} "
+      f"B1={B1:.8f} B2={B2:.8f}")
 
-# rays right of the threshold see a shrinking-then-growing effective gap
+# rays right of the threshold see a growing effective gap
 theta, s_a = threshold_ray(alpha)
 print(f"\nthreshold ray of the touching configuration: s_alpha = {s_a:.10f}")
-print(f"{'s':>6} {'beta_s':>12} {'u(s)':>12}")
+print(f"{'s':>6} {'beta_s':>12} {'w(s)':>12} {'d(s)':>12}")
 for s in np.linspace(s_a + 0.02, 0.98, 6):
-    b, us, _ = pushed_beta(alpha, float(s))
-    print(f"{s:>6.3f} {b:>12.8f} {us:>12.8f}")
+    b, ws, ds = pushed_beta(alpha, float(s))
+    print(f"{s:>6.3f} {b:>12.8f} {ws:>12.8f} {ds:>12.8f}")
 print("beta_s -> 0 at the threshold and -> 1 toward s = 1.")
+
+# alpha = 1e-6: tau0 = 1 + 6e-4 and, near s = 1, u = 1 + 5e-13, yet
+# (B2 - B1)^2 = A1 / s^2 + A2 / (1 - s)^2 holds; next to s = 1 it loses
+# digits like 1 / (1 - s), since w is proportional to d - d1 there and the
+# bisection resolves d, not d - d1
+alpha = 1e-6
+s = np.array([0.9, 0.99, 0.999999])
+_, ws, ds = pushed_beta(alpha, s)
+A1, A2, B1, B2 = residue_limits(alpha, ws, ds)
+rel = np.abs((B2 - B1) ** 2 - A1 / s ** 2 - A2 / (1 - s) ** 2) / (B2 - B1) ** 2
+print(f"\nalpha = {alpha:g}: d0 = {solve_d0(1.0, alpha):.3e} at w = 1")
+for row in zip(s, ws, ds, A2, rel):
+    print("s={:<9g} w={:.3e} d={:.3e} A2={:.6e} identity {:.1e}".format(*row))

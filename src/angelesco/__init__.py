@@ -24,9 +24,8 @@ from .ode import (BoundaryPack, Branch, assemble_curve, boundary_values,
                   integrate_branch, solve_system)
 from .orthopoly import (AxisData, QuadratureRule, ScalarRecurrence, axis_data,
                         gauss_nodes, mixed_ratios, scalar_recurrence)
-from .surface import (PlateauInfo, ResidueLimits, SurfaceParams, limit_curve,
-                      limits_at, plateau_bounds, pushed_beta, residue_limits,
-                      surface_params, threshold_ray)
+from .surface import (PlateauInfo, limit_curve, limits_at, plateau_bounds,
+                      pushed_beta, residue_limits, threshold_ray)
 from .systems import (WEIGHT_KINDS, AffineMap, AngelescoSystem, Interval,
                       LimitCurve, LimitPoint, StarConfig, pushforward_limits,
                       reflect, star_normalize)
@@ -37,14 +36,13 @@ __all__ = [
     "AffineMap", "AngelescoSystem", "AxisData", "BoundaryPack", "Branch",
     "ComparisonReport", "ConvergenceTable", "IdentityReport", "Interval",
     "LimitCurve", "LimitPoint", "NnrrLattice", "NumericalFailure",
-    "PlateauInfo", "QuadratureRule", "ResidueLimits", "ResidualReport",
-    "ScalarRecurrence", "StarConfig", "SurfaceParams", "WEIGHT_KINDS",
+    "PlateauInfo", "QuadratureRule", "ResidualReport", "ScalarRecurrence",
+    "StarConfig", "WEIGHT_KINDS",
     "assemble_curve", "axis_data", "boundary_values", "compare",
     "convergence_study",
     "curve_from_lattice", "gauss_nodes", "identity_checks",
     "integrate_branch", "limit_curve", "limits_at", "mixed_ratios",
     "ode_residuals", "plateau_bounds", "pushed_beta", "pushforward_limits",
     "ray_limit", "reflect", "residue_limits", "scalar_recurrence",
-    "solve_lattice", "solve_system", "star_normalize", "surface_params",
-    "threshold_ray",
+    "solve_lattice", "solve_system", "star_normalize", "threshold_ray",
 ]

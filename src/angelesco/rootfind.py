@@ -66,7 +66,7 @@ def expand_upper(f, lo, hi):
     flo = np.asarray(f(lo), dtype=float)
     for _ in range(60):
         fhi = np.asarray(f(hi), dtype=float)
-        open_ = flo * fhi > 0
+        open_ = np.sign(flo) * np.sign(fhi) > 0  # a product may underflow
         if not np.any(open_):
             return hi
         hi = np.where(open_, hi * 2.0, hi)

@@ -2,25 +2,27 @@
 
 For a star-frame configuration [-alpha, 0] u [beta, 1] the limiting
 recurrence coefficients at ray parameter s come from a genus-zero algebraic
-surface.  Its uniformizing coordinate pair (u, tau) is pinned down by two
-scalar root problems: u by the gap invariant of the configuration, tau by
-the alpha level set of the projection ratio.  Along a ray the level set is
-linear in u, so u is eliminated explicitly and each ray off the plateau
-costs one bisection in tau.  The partial-fraction residues of the
-uniformizing map read that (u, tau) directly, with the two other preimages
-of infinity from a quadratic, and give the limits in closed form.  This
-route is the precision reference for the lattice and ODE methods: every
-root solve is plain bisection run to its fixed point (adjacent doubles) and
-all formulas are explicit.
+surface with uniformizing coordinates (u, tau).  Both live just above 1 and
+crowd together as alpha -> 0 or s -> 1, so the route works in the small
+unknowns w = u - 1 in (0, 1] and d = tau - 1 > 0 instead.  w is pinned down
+by the gap invariant of the configuration, d by the alpha level set of the
+surface.  Along a ray the level set is linear in w, so w is eliminated
+explicitly and each ray off the plateau costs one bisection in d.  The
+partial-fraction residues of the uniformizing map read that (w, d)
+directly, with the two other preimages of infinity from a quadratic, and
+give the limits in closed form.  Every difference a residue divides by, or
+that goes to zero, is written as a product or sum of positive terms, so
+tau1 < 0 < tau2 < tau0 and A >= 0 hold by construction.  This route is the
+precision reference for the lattice and ODE methods: every root solve is
+plain bisection run to its fixed point (adjacent doubles) and all formulas
+are explicit.
 
-The configuration solves are scalar: :func:`solve_u` and :func:`solve_tau0`
-take one (alpha, beta) or (u, alpha).  tau0 has one solve per (u, alpha),
+The configuration solves are scalar: :func:`solve_w` and :func:`solve_d0`
+take one (alpha, beta) or (w, alpha).  d0 has one solve per (w, alpha),
 cached for the process, so the threshold ray, the configuration in
-:func:`plateau_bounds` and the ray brackets of :func:`pushed_beta` share it.
-Its uniqueness and the signs of the other two preimages follow from sign
-patterns of the coefficients for every u > 1 and alpha > 0, so no solve
-checks them at run time.  The rays and the coordinate maps are elementwise
-numpy functions, so whole grids go through one call.
+:func:`plateau_bounds` and the ray brackets of :func:`pushed_beta` share
+it.  The rays and the coordinate maps are elementwise numpy functions, so
+whole grids go through one call.
 """
 from dataclasses import asdict, dataclass
 from functools import lru_cache
@@ -37,206 +39,181 @@ from .systems import (AffineMap, LimitCurve, LimitPoint, check_grid,
 # star frame of a reflected system -> star frame of the original
 _MIRROR = AffineMap(-1.0, 0.0)
 
-# lower edge of the u/tau domains; both variables live strictly above 1
-_EDGE = 1.0 + 1e-12
-
 
 # ---------------------------------------------------------------------------
 # coordinate functions of the parametrization
 # ---------------------------------------------------------------------------
 
-def gap_ratio(u):
-    """Configuration invariant matched by beta * (1 + alpha) / (alpha + beta).
+def beta_coord(alpha, w):
+    """Right interval gap of the configuration with left length alpha at w.
 
-    Strictly decreasing from 1 to 0 on u in (1, 2]; its level set determines
-    the conformal parameter u of the configuration.
+    The gap invariant is g = (1 + w)(1 - w)^3 / (1 + 2w)^3 with
+    1 - g = w (2 + w)^3 / (1 + 2w)^3, and beta = alpha g / (alpha + 1 - g).
     """
-    return u * (2.0 - u) ** 3 / (2.0 * u - 1.0) ** 3
+    return (alpha * (1.0 + w) * (1.0 - w) ** 3
+            / (alpha * (1.0 + 2.0 * w) ** 3 + w * (2.0 + w) ** 3))
 
 
-def projection_ratio(u, tau):
-    """Core rational map of the surface; equals 1 + alpha at tau0."""
-    return tau * tau * (tau + u - 2.0) / ((2.0 * u - 1.0) * tau - u)
+def edge_d(alpha):
+    """d0 at w -> 0: the root of d^2 + 2d - alpha, without cancellation."""
+    return alpha / (1.0 + np.sqrt(1.0 + alpha))
 
 
-def level_set_u(alpha, tau):
-    """u on the level set projection_ratio(u, tau) = 1 + alpha, explicit in tau.
+def level_set_w(alpha, d):
+    """w on the alpha level set through d, explicit in d.
 
-    The level-set equation is linear in u; this is its solution written
-    without the cancellation of the expanded polynomial form.
+    The level-set cubic of :func:`solve_d0` is linear in w; its solution is
+    d (d^2 + 2d - alpha) / (alpha (1 + 2d) - d^2), with the first factor
+    split at its root d1 = :func:`edge_d` so that w -> 0 there is a product.
     """
-    sq = (tau - 1.0) ** 2
-    return -tau * (sq + alpha) / (sq - alpha * (2.0 * tau - 1.0))
+    d1 = edge_d(alpha)
+    return d * (d - d1) * (d + 2.0 + d1) / (alpha * (1.0 + 2.0 * d) - d * d)
 
 
-def alpha_coord(u, tau):
-    """Left interval length recovered from surface coordinates."""
-    return projection_ratio(u, tau) - 1.0
-
-
-def beta_coord(u, tau):
-    """Right interval gap recovered from surface coordinates."""
-    a = alpha_coord(u, tau)
-    g = gap_ratio(u)
-    return a * g / (1.0 + a - g)
-
-
-def ray_direction(u, tau):
+def ray_direction(w, d):
     """Ray coordinate theta in (-1, 1) of a surface point; s = (1 + theta)/2."""
-    num = 2.0 + 2.0 * u * tau - u - tau
-    den = (2.0 * u * tau - u - tau) * (u + tau) * (u + tau - 2.0)
-    return (tau - u) * np.sqrt(num / den)
+    return _ray(w, d)[0]
+
+
+def _ray(w, d):
+    """theta and its denominator E (2 + w + d)(w + d), E = w + d + 2wd."""
+    e = w + d + 2.0 * w * d
+    q = e * (2.0 + w + d) * (w + d)
+    return (d - w) * np.sqrt((2.0 + e) / q), q
+
+
+def ray_gaps(w, d):
+    """(1 - theta, 1 + theta) of a surface point, each without cancellation.
+
+    1 - theta^2 = 8 w d (1 + w)(1 + d) / (E (2 + w + d)(w + d)), so the
+    smaller of the two is that product over the larger, 1 + |theta|, and it
+    keeps its digits where theta is within rounding of +-1.
+    """
+    theta, q = _ray(w, d)
+    big = 1.0 + np.abs(theta)
+    small = 8.0 * w * d * (1.0 + w) * (1.0 + d) / (q * big)
+    up = theta > 0.0
+    return np.where(up, small, big), np.where(up, big, small)
 
 
 # ---------------------------------------------------------------------------
 # parameter solves
 # ---------------------------------------------------------------------------
 
-def solve_u(alpha, beta):
-    """Conformal parameter u in (1, 2] for the configuration (alpha, beta).
+def solve_w(alpha, beta):
+    """Conformal parameter w in (0, 1] for the configuration (alpha, beta).
 
-    beta = 0 (touching intervals) gives u = 2 exactly; otherwise u is the
-    bisection root of gap_ratio(u) = beta (1 + alpha)/(alpha + beta).
+    beta = 0 (touching intervals) gives w = 1 exactly; otherwise w is the
+    bisection root on [0, 1] of (1 + w)(1 - w)^3 - r w (2 + w)^3 with
+    r = beta (1 + alpha) / (alpha (1 - beta)), the gap invariant's ratio
+    g / (1 - g).  The first term falls from 1 to 0 and the second rises
+    from 0, so the root is the one sign change.
     """
     if beta == 0.0:
-        return 2.0
-    target = beta * (1.0 + alpha) / (alpha + beta)
-    return bisect(lambda x: gap_ratio(x) - target, _EDGE, 2.0)
+        return 1.0
+    r = beta * (1.0 + alpha) / (alpha * (1.0 - beta))
+    return bisect(lambda x: (1.0 + x) * (1.0 - x) ** 3
+                  - r * x * (2.0 + x) ** 3, 0.0, 1.0)
 
 
 @lru_cache(maxsize=64)
-def solve_tau0(u, alpha):
-    """Root tau0 > 1 of projection_ratio(u, tau) = 1 + alpha, once per (u, alpha).
+def solve_d0(w, alpha):
+    """Root d0 > 0 of the alpha level-set cubic at w, once per (w, alpha).
 
-    The denominator (2u - 1) tau - u exceeds u - 1 on tau > 1.  Cleared of
-    it, with d = tau - 1, the equation is the cubic
-    d^3 + (u + 1) d^2 - alpha (2u - 1) d - alpha (u - 1) = 0, whose signs
-    (+, +, -, -) for u > 1 and alpha > 0 give exactly one root d > 0
-    (Descartes' rule of signs), negative below it and positive above.  So
-    the upper end is doubled until the sign flips and then bisected, with
-    no scan for a second crossing.  u <= 1 or alpha <= 0 (NaN included)
-    raises ValueError; 1 + alpha rounding to 1 loses alpha and raises
-    :class:`NumericalFailure`.  The result is cached for the process.
+    d^3 + (w + 2) d^2 - alpha (1 + 2w) d - alpha w = 0 has coefficient signs
+    (+, +, -, -) for w > 0 and alpha > 0, so exactly one root d > 0
+    (Descartes' rule of signs), negative below it and positive above.  The
+    cubic is -2 w d1 (1 + alpha) < 0 at d1 = :func:`edge_d`, so the bracket
+    starts there, on the scale of the root for every alpha; its upper end is
+    doubled until the sign flips and then bisected, with no scan for a
+    second crossing.  w <= 0 or alpha <= 0 (NaN included) raises
+    ValueError.  The result is cached for the process.
     """
-    if not (u > 1.0 and alpha > 0.0):
-        raise ValueError(f"solve_tau0 needs u > 1 and alpha > 0, "
-                         f"got u={u}, alpha={alpha}")
-    if 1.0 + alpha == 1.0:
-        raise NumericalFailure("alpha is lost in the tau0 target 1 + alpha",
-                               {"alpha": float(alpha)})
-    f = lambda t: projection_ratio(u, t) - (1.0 + alpha)
-    return bisect(f, _EDGE, expand_upper(f, _EDGE, 2.0))
+    if not (w > 0.0 and alpha > 0.0):
+        raise ValueError(f"solve_d0 needs w > 0 and alpha > 0, "
+                         f"got w={w}, alpha={alpha}")
+    f = lambda d: ((d + (w + 2.0)) * d - alpha * (1.0 + 2.0 * w)) * d - alpha * w
+    lo = edge_d(alpha)
+    return bisect(f, lo, expand_upper(f, lo, 2.0 * lo))
 
 
-def infinity_preimages(u, tau0):
-    """The other two preimages of infinity, tau1 < 0 < tau2.
+def infinity_preimages(w, d):
+    """The other two preimages of infinity at (w, d), tau1 < 0 < tau2.
 
-    Roots of the monic quadratic with sum -(u + tau0 - 2) and product
-    -u tau0 (u + tau0 - 2) / (2 u tau0 - u - tau0).  For u, tau0 > 1 both
-    u + tau0 - 2 and 2 u tau0 - u - tau0 are positive, so the sum and the
-    product are negative: tau1 = (sum - sqrt(disc)) / 2 adds two negative
-    terms without cancellation, and tau2 = product / tau1 by Vieta.
+    Roots of Q(t) = t^2 + (w + d) t + p with p = -(1 + w)(1 + d)(w + d) / E,
+    E = w + d + 2wd.  p < 0, so tau1 = -(w + d + sqrt(disc)) / 2 adds two
+    negative terms without cancellation, and tau2 = p / tau1 by Vieta.
     """
-    u = np.asarray(u, dtype=float)
-    tau0 = np.asarray(tau0, dtype=float)
-    rsum = -(u + tau0 - 2.0)
-    prod = -u * tau0 * (u + tau0 - 2.0) / (2.0 * u * tau0 - u - tau0)
-    q = 0.5 * (rsum - np.sqrt(rsum * rsum - 4.0 * prod))
-    return q, prod / q
+    s = w + d
+    p = -(1.0 + w) * (1.0 + d) * s / (s + 2.0 * w * d)
+    t1 = -0.5 * (s + np.sqrt(s * s - 4.0 * p))
+    return t1, p / t1
 
 
-@dataclass(frozen=True)
-class SurfaceParams:
-    """Solved surface coordinates of one configuration (fields may be arrays).
+def residue_limits(alpha, w, d):
+    """Closed-form limits (A1, A2, B1, B2) at the surface point (w, d).
 
-    gamma = 2 - u; the preimages satisfy tau1 < 0 < tau2 < tau0.
+    tau0 = 1 + d, gamma = 1 - w and tau1, tau2 from
+    :func:`infinity_preimages`.  The differences the residues divide by
+    come from Q(tau0) E = 2d(1 + d)(w(w + 2) + d(1 + 2w)) and
+    Q(gamma) E = -2w^2 (1 + d)^2 with Q(t) = (t - tau1)(t - tau2), and
+    tau0 - gamma = w + d, so each is a product or sum of positive terms.
+    B = alpha tau0^2 N / (E (tau0 - tau1)^2 (tau0 - tau2)^2), with the
+    numerator N = k0 + tau1 k1 for B1 and kt0 - (tau0 - tau2)(w + d) E for
+    B2 reduced modulo Q.  Elementwise over arrays.
     """
-    alpha: object
-    beta: object
-    u: object
-    tau0: object
-    tau1: object
-    tau2: object
-    gamma: object
-
-
-def surface_params(alpha, beta):
-    """Solve all surface coordinates for the configuration (alpha, beta)."""
-    u = solve_u(alpha, beta)
-    return _params_at(alpha, beta, u, solve_tau0(u, alpha))
-
-
-def _params_at(alpha, beta, u, tau0):
-    """Surface coordinates completed from a solved pair (u, tau0)."""
-    tau1, tau2 = infinity_preimages(u, tau0)
-    bad = ~((tau1 < 0) & (tau2 > 0) & (tau2 < tau0))  # NaN is bad too
-    if np.any(bad):
-        first = lambda x: np.broadcast_to(x, bad.shape)[bad][:5].tolist()
-        raise NumericalFailure("surface preimages out of order",
-                               {"alpha": first(alpha), "tau1": first(tau1),
-                                "tau2": first(tau2)})
-    return SurfaceParams(alpha, beta, u, tau0, tau1, tau2, 2.0 - u)
-
-
-@dataclass(frozen=True)
-class ResidueLimits:
-    """Limit values from partial-fraction residues (fields may be arrays).
-
-    C1 and C2 are the intermediate residues entering A/B; they are not the
-    s-rescaled a-limits and C1 is typically negative.
-    """
-    A1: object
-    A2: object
-    B1: object
-    B2: object
-    C1: object
-    C2: object
-
-
-def residue_limits(p):
-    """Closed-form limits A1, A2, B1, B2 for solved surface coordinates."""
-    al, g = p.alpha, p.gamma
-    t0, t1, t2 = p.tau0, p.tau1, p.tau2
-
-    def one_side(ta, tb):
-        # residue chain for the sheet whose infinity preimage is ta
-        c = -al * ta ** 2 * (ta - g) / ((t0 - ta) ** 2 * (ta - tb))
-        a = -al * t0 ** 2 * c * (t0 - g) / ((t0 - ta) ** 2 * (t0 - tb))
-        d = (t0 ** 2 * tb + 2.0 * t0 ** 2 * ta - 3.0 * t0 * ta * tb
-             - g * t0 ** 2 - g * ta * t0 + 2.0 * g * ta * tb)
-        b = al * t0 * d / ((t0 - ta) ** 2 * (t0 - tb) ** 2)
-        return c, a, b
-
-    c1, a1, b1 = one_side(t1, t2)
-    c2, a2, b2 = one_side(t2, t1)
-    return ResidueLimits(a1, a2, b1, b2, c1, c2)
+    t1, t2 = infinity_preimages(w, d)
+    s = w + d
+    e = s + 2.0 * w * d
+    t0 = 1.0 + d
+    r = t2 - t1
+    g1 = 1.0 - w - t1  # gamma - tau1
+    d01 = t0 - t1  # tau0 - tau1
+    d02 = 2.0 * d * t0 * (w * (w + 2.0) + d * (1.0 + 2.0 * w)) / (e * d01)
+    g2 = 2.0 * (w * t0) ** 2 / (e * g1)  # tau2 - gamma
+    ka = alpha * alpha * t0 * t0 * s / r
+    a1 = ka * t1 * t1 * g1 / (d01 ** 4 * d02)
+    a2 = ka * t2 * t2 * g2 / (d02 ** 4 * d01)
+    kb = alpha * t0 * t0 / (e * d01 ** 2 * d02 ** 2)
+    k0 = (w * w * (2.0 * w + 3.0) + d * w * (5.0 * w + 2.0)
+          + d * d * (1.0 - 2.0 * w) - d ** 3 * (1.0 + 2.0 * w))
+    k1 = w * w + 2.0 * d * w * (w + 1.0) + d * d * (1.0 + 2.0 * w)
+    kt0 = 2.0 * (w * w * (w + 2.0) + d * w * (4.0 * w + 2.0)
+                 + d * d * (w * w + w + 1.0))
+    return a1, a2, kb * (k0 + t1 * k1), kb * (kt0 - d02 * s * e)
 
 
 def threshold_ray(alpha):
     """(theta, s) of the ray where the touching configuration fills both supports."""
-    tau = solve_tau0(2.0, float(alpha))
-    theta = ray_direction(2.0, tau)
+    theta = ray_direction(1.0, solve_d0(1.0, float(alpha)))
     return theta, 0.5 * (1.0 + theta)
 
 
 def pushed_beta(alpha, s):
     """Gap beta_s of the support configuration seen along ray s in (s_alpha, 1).
 
-    Solves the pair {alpha_coord = alpha, ray_direction = 2 s - 1} by one
-    bisection in tau along the alpha level set, with u = level_set_u(alpha,
-    tau) eliminated explicitly.  The bracket ends are tau0 at u = 2 (the
-    threshold ray's) and at u -> 1, solved once per alpha.  Returns
-    (beta_s, u, tau).
+    Solves ray_direction = 2 s - 1 on the alpha level set by one bisection
+    in d, with w = level_set_w(alpha, d) eliminated explicitly.  The ray is
+    matched on the side of the nearer end, 1 - theta = 2 (1 - s) for
+    s >= 1/2 and 1 + theta = 2 s below (:func:`ray_gaps`), so a ray near
+    s = 1 keeps its digits.  The bracket ends are d0 at w = 1 (the
+    threshold ray's) and the closed-form :func:`edge_d` at w -> 0 (the ray
+    s = 1).  Returns (beta_s, w, d).
     """
     s = np.asarray(s, dtype=float)
-    theta = 2.0 * s - 1.0
+    upper = s >= 0.5
+    far, near = 2.0 * (1.0 - s), 2.0 * s  # 1 - theta and 1 + theta
     alpha = float(alpha)
-    lo = np.full(s.shape, solve_tau0(2.0, alpha))
-    hi = np.full(s.shape, solve_tau0(1.0 + 1e-9, alpha))
-    tau = bisect(lambda t: ray_direction(level_set_u(alpha, t), t) - theta,
-                 lo, hi)
-    u = level_set_u(alpha, tau)
-    return beta_coord(u, tau), u, tau
+
+    def f(x):  # theta(x) - (2 s - 1)
+        minus, plus = ray_gaps(level_set_w(alpha, x), x)
+        return np.where(upper, far - minus, plus - near)
+
+    lo = np.full(s.shape, solve_d0(1.0, alpha))
+    hi = np.full(s.shape, edge_d(alpha))
+    d = bisect(f, lo, hi)
+    w = level_set_w(alpha, d)
+    return beta_coord(alpha, w), w, d
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +241,10 @@ def reflected_star(sc):
 
 
 def _upper_edge(sc):
-    """Solved configuration of ``sc`` and the ray s of its plateau's upper edge."""
-    params = surface_params(sc.alpha, sc.beta)
-    return params, 0.5 * (1.0 + ray_direction(params.u, params.tau0))
+    """Solved (w, d0) of ``sc`` and the ray s of its plateau's upper edge."""
+    w = solve_w(sc.alpha, sc.beta)
+    d = solve_d0(w, sc.alpha)
+    return w, d, 0.5 * (1.0 + ray_direction(w, d))
 
 
 def plateau_bounds(sc):
@@ -279,7 +257,7 @@ def plateau_bounds(sc):
     round trip to land back on beta, and c1 is one minus the analogous
     value of the reflected configuration.
     """
-    params, c2 = _upper_edge(sc)
+    w, d, c2 = _upper_edge(sc)
     if sc.beta == 0.0:
         c1 = c2
     else:
@@ -288,27 +266,25 @@ def plateau_bounds(sc):
             raise NumericalFailure("plateau edge failed the gap round trip",
                                    {"c2": float(c2), "beta": float(sc.beta),
                                     "back": float(back)})
-        c1 = 1.0 - _upper_edge(reflected_star(sc)[0])[1]
+        c1 = 1.0 - _upper_edge(reflected_star(sc)[0])[2]
         if not 0.0 < c1 < c2 < 1.0:
             raise NumericalFailure("plateau window out of order",
                                    {"c1": float(c1), "c2": float(c2)})
-    vals = residue_limits(params)
+    a1, a2, b1, b2 = residue_limits(sc.alpha, w, d)
     mid = 0.5 * (c1 + c2)
     # computed constants: a broken contract is a numerical failure
     point = validate_computed(LimitCurve(
-        [mid], [vals.A1], [vals.A2], [vals.B1], [vals.B2], "plateau")).point(0)
+        [mid], [a1], [a2], [b1], [b2], "plateau")).point(0)
     return PlateauInfo(c1, c2, point)
 
 
 def _star_values_right(alpha, s):
     """Star-frame limits for ray parameters right of the plateau (vectorized).
 
-    The residues read the (u, tau) that :func:`pushed_beta` solved: tau is
-    tau0 of the pushed configuration (alpha, beta_s).
+    The residues read the (w, d) that :func:`pushed_beta` solved.
     """
-    beta_s, u, tau = pushed_beta(alpha, s)
-    vals = residue_limits(_params_at(alpha, beta_s, u, tau))
-    return vals.A1, vals.A2, vals.B1, vals.B2
+    _, w, d = pushed_beta(alpha, s)
+    return residue_limits(alpha, w, d)
 
 
 def limits_at(sys, s, info=None):

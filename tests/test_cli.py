@@ -258,14 +258,41 @@ def test_compute_rejects_an_empty_grid(tmp_path, monkeypatch, method):
 
 
 @pytest.mark.parametrize("interval1", ["-1e-6,0", "-1e6,0"])
+def test_an_unbalanced_surface_curve_answers(tmp_path, interval1):
+    # alpha = 1e-6 in the star frame, directly or through the reflection:
+    # the surface route meets the ODE route to 1e-12 in units of the hull
+    # length L (A / L^2, B / L)
+    cfg = RunConfig(interval1=tuple(map(float, interval1.split(","))))
+    curves, _, _ = _compute_curves(cfg, {"surface", "ode"})
+    length = max(cfg.interval2[1], 0.0) - min(cfg.interval1[0], 0.0)
+    surf, ode = curves["surface"], curves["ode"]
+    for f, power in (("A1", 2), ("A2", 2), ("B1", 1), ("B2", 1)):
+        diff = np.abs(getattr(surf, f) - getattr(ode, f)) / length ** power
+        assert np.max(diff) < 1e-12, f
+    rc = main(["compute", "--methods", "surface", f"--interval1={interval1}",
+               "--output_dir", str(tmp_path / "out")])
+    assert rc == 0
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("interval1", ["-1e100,0"])
 def test_a_computed_curve_off_the_contract_exits_3(tmp_path, capsys,
                                                     interval1):
-    # the surface route loses A's sign on these unbalanced systems: a
-    # numerical failure (3), not a usage error (2)
+    # alpha^2 overflows in the plateau residues: a numerical failure (3),
+    # not a usage error (2)
     rc = main(["compute", "--methods", "surface", f"--interval1={interval1}",
                "--output_dir", str(tmp_path / "out")])
     assert rc == 3
-    assert "surface curve" in capsys.readouterr().err
+    assert "plateau curve: A1 values must be finite" in capsys.readouterr().err
+
+
+def test_a_failed_bracket_expansion_exits_3(tmp_path, capsys):
+    # alpha = 1e-200 puts d0 ~ sqrt(alpha) 1e100 times above its bracket's
+    # lower end, past the 60 doublings: a numerical failure (3)
+    rc = main(["compute", "--methods", "surface", "--interval1=-1e-200,0",
+               "--output_dir", str(tmp_path / "out")])
+    assert rc == 3
+    assert "bracket expansion failed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command,flag,key", [
@@ -320,25 +347,43 @@ def test_validate_rejects_a_bad_exclude_margin(tmp_path, capsys, margin):
     assert "exclude_margin" in capsys.readouterr().err
 
 
-def test_broken_plateau_constants_exit_3(tmp_path, capsys):
-    # the computed plateau constants lose A's sign here: a numerical
-    # failure (3), not a usage error (2)
+def test_broken_plateau_constants_exit_3(tmp_path, capsys, monkeypatch):
+    # plateau constants that lose A's sign are a numerical failure (3), not
+    # a usage error (2)
+    import angelesco.surface as surface
+    real = surface.residue_limits
+
+    def broken(alpha, w, d):
+        a1, a2, b1, b2 = real(alpha, w, d)
+        return -a1, a2, b1, b2
+
+    monkeypatch.setattr(surface, "residue_limits", broken)
     rc = main(["compute", "--methods", "dis", "--lattice_level", "50",
-               "--interval1=-0.01,0", "--interval2=0.999999,1",
-               "--output_dir", str(tmp_path / "out")])
+               "--interval2=0.25,1", "--output_dir", str(tmp_path / "out")])
     assert rc == 3
     assert "plateau curve: A limits must be nonnegative" in \
         capsys.readouterr().err
 
 
-def test_an_alpha_lost_in_1_plus_alpha_exits_3_naming_it(tmp_path, capsys):
+def test_near_touching_plateau_constants_answer(tmp_path):
+    # a gap of 1e-6 against a left interval of 0.01: the plateau's
+    # A2 ~ 6e-14 keeps its sign
+    rc = main(["compute", "--methods", "dis", "--lattice_level", "50",
+               "--interval1=-0.01,0", "--interval2=0.999999,1",
+               "--output_dir", str(tmp_path / "out")])
+    assert rc == 0
+
+
+def test_an_alpha_lost_in_1_plus_alpha_answers(tmp_path):
     # the reflected configuration has alpha ~ 1e-16, so 1 + alpha rounds to
-    # 1: the tau0 target has lost alpha
+    # 1; no surface solve forms it, and the curve keeps A >= 0 and B1 < B2
+    out = tmp_path / "out"
     rc = main(["compute", "--methods", "surface", "--interval1=-1e10,0",
-               "--interval2=0.999999,1", "--output_dir", str(tmp_path / "out")])
-    assert rc == 3
-    err = capsys.readouterr().err
-    assert "lost in the tau0 target" in err and "more than once" not in err
+               "--interval2=0.999999,1", "--output_dir", str(out)])
+    assert rc == 0
+    curve = read_curve_csv(out / "surface.csv")
+    assert np.all(curve.A1 >= 0.0) and np.all(curve.A2 >= 0.0)
+    assert np.all(curve.B1 < curve.B2)
 
 
 def test_cli_requires_subcommand():

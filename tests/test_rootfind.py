@@ -115,6 +115,14 @@ def test_expand_upper_gives_up():
     assert exc.value.context["hi"] == 2.0 ** 60
 
 
+def test_expand_upper_reads_signs_not_an_underflowing_product():
+    # f(lo) f(hi) ~ 1e-400 underflows to 0.0 but the signs still agree:
+    # the bracket is open and hi keeps doubling to the crossing at 1e-200
+    f = lambda x: x - 1e-200
+    hi = expand_upper(f, np.array([1e-210]), np.array([2e-210]))
+    assert f(hi[0]) > 0.0 and f(hi[0] / 2.0) < 0.0
+
+
 def test_bisect_rejects_nan_bracket_ends():
     with pytest.raises(NumericalFailure, match="bracket") as exc:
         bisect(lambda x: x - 0.5, math.nan, 1.0)
@@ -192,10 +200,10 @@ def test_surface_solves_equal_the_full_halving_loop(request, monkeypatch,
         return out
 
     monkeypatch.setattr(surface, "bisect", checked)
-    surface.solve_tau0.cache_clear()  # solve the bracket ends here again
+    surface.solve_d0.cache_clear()  # solve the bracket ends here again
     grid = np.linspace(0.0, 1.0, 181)
     surface.limit_curve(request.getfixturevalue(name), grid)
     for beta in grid[1:-1:30]:
-        surface.solve_u(2.0, beta)  # the gap-invariant solve
+        surface.solve_w(2.0, beta)  # the gap-invariant solve
     surface.pushed_beta(2.0, grid[140:-1])  # a ray solve on an array
     assert sizes.count(1) >= 5 and sum(n > 1 for n in sizes) >= 3

@@ -9,40 +9,58 @@ from hypothesis import strategies as st
 
 from angelesco import (AffineMap, AngelescoSystem, Interval, NumericalFailure,
                        StarConfig, pushforward_limits, reflect, surface)
-from angelesco.surface import (SurfaceParams, alpha_coord, beta_coord,
-                               gap_ratio, infinity_preimages, limit_curve,
-                               limits_at, plateau_bounds, projection_ratio,
-                               pushed_beta, ray_direction, residue_limits,
-                               solve_tau0, solve_u, surface_params,
+from angelesco.surface import (beta_coord, edge_d, infinity_preimages,
+                               level_set_w, limit_curve, limits_at,
+                               plateau_bounds, pushed_beta, ray_direction,
+                               residue_limits, solve_d0, solve_w,
                                threshold_ray)
 
 
+def _cubic(w, alpha, d):
+    """The alpha level-set cubic in d at w, as solve_d0 bisects it."""
+    return ((d + (w + 2.0)) * d - alpha * (1.0 + 2.0 * w)) * d - alpha * w
+
+
 def test_gap_ratio_values():
-    assert gap_ratio(1.5) == pytest.approx(0.0234375, abs=0)
-    assert gap_ratio(2.0) == 0.0
-    assert gap_ratio(1.0 + 1e-8) == pytest.approx(1.0, abs=1e-6)
-    u = np.linspace(1.01, 1.99, 50)
-    assert np.all(np.diff(gap_ratio(u)) < 0)
+    # the gap invariant g(u) = u (2 - u)^3 / (2u - 1)^3 at u = 1 + w,
+    # read through the gap it gives, beta = alpha g / (alpha + 1 - g)
+    g = 0.0234375  # g(1.5)
+    assert beta_coord(2.0, 0.5) == pytest.approx(2.0 * g / (3.0 - g), rel=1e-15)
+    assert beta_coord(2.0, 1.0) == 0.0
+    assert beta_coord(2.0, 0.0) == 1.0
+    assert beta_coord(2.0, 1e-8) == pytest.approx(1.0, abs=1e-6)
+    w = np.linspace(0.01, 0.99, 50)
+    assert np.all(np.diff(beta_coord(2.0, w)) < 0)
 
 
 def test_projection_ratio_fixed_point():
-    for u in (1.2, 1.5, 1.9, 2.0):
-        assert projection_ratio(u, 1.0) == pytest.approx(1.0, abs=1e-14)
+    # tau = 1 (d = 0) is the level alpha = 0; d0 leaves it as a square
+    # root, d0 ~ sqrt(alpha w / (w + 2)), for every w
+    for w in (0.2, 0.5, 0.9, 1.0):
+        assert _cubic(w, 0.0, 0.0) == 0.0
+        d = solve_d0(w, 1e-20)
+        assert d == pytest.approx(math.sqrt(1e-20 * w / (w + 2.0)), rel=1e-9)
 
 
 def test_coordinate_maps_degenerate_values():
-    assert alpha_coord(2.0, 1.0) == pytest.approx(0.0, abs=1e-14)
-    # touching configurations have zero gap whatever tau is
-    assert beta_coord(2.0, 1.7) == pytest.approx(0.0, abs=1e-15)
-    assert ray_direction(1.6, 1.6) == 0.0
+    assert beta_coord(0.7, 1.0) == 0.0
+    # the level set leaves w = 0 at the closed-form edge d1, exactly
+    for alpha in (1e-9, 2.0, 1e9):
+        assert level_set_w(alpha, edge_d(alpha)) == 0.0
+    assert ray_direction(0.6, 0.6) == 0.0
 
 
 def test_solve_u():
-    u = solve_u(2.0, 0.25)
-    assert 1.0 < u < 2.0
-    assert gap_ratio(u) == pytest.approx(1.0 / 3.0, abs=1e-12)
-    assert solve_u(2.0, 0.0) == 2.0
-    assert solve_u(0.7, 0.0) == 2.0
+    w = solve_w(2.0, 0.25)
+    assert 0.0 < w < 1.0
+    assert beta_coord(2.0, w) == pytest.approx(0.25, rel=1e-15)
+    assert 1.0 + w == pytest.approx(1.1450176819468818, abs=1e-15)
+    assert solve_w(2.0, 0.0) == 1.0
+    assert solve_w(0.7, 0.0) == 1.0
+    # alpha far below the rounding of 1 + alpha keeps its gap
+    for alpha in (1e-12, 1e-20):
+        assert beta_coord(alpha, solve_w(alpha, 0.5)) == pytest.approx(
+            0.5, rel=1e-14)
 
 
 def test_solve_u_touching_skips_the_bisection(monkeypatch):
@@ -54,81 +72,89 @@ def test_solve_u_touching_skips_the_bisection(monkeypatch):
         return real_bisect(*args, **kwargs)
 
     monkeypatch.setattr(surface, "bisect", recording)
-    u = solve_u(2.0, 0.0)
-    assert np.shape(u) == () and u == 2.0
-    assert [solve_u(0.7, b) for b in np.zeros(3)] == [2.0] * 3
+    w = solve_w(2.0, 0.0)
+    assert np.shape(w) == () and w == 1.0
+    assert [solve_w(0.7, b) for b in np.zeros(3)] == [1.0] * 3
     assert not calls
-    # one gap among the betas: it is bisected, the zeros stay 2
-    mixed = [solve_u(2.0, b) for b in (0.0, 0.25)]
-    assert calls and mixed[0] == 2.0 and mixed[1] == solve_u(2.0, 0.25)
+    # one gap among the betas: it is bisected, the zeros stay 1
+    mixed = [solve_w(2.0, b) for b in (0.0, 0.25)]
+    assert calls and mixed[0] == 1.0 and mixed[1] == solve_w(2.0, 0.25)
 
 
 def test_solve_tau0():
-    tau = solve_tau0(2.0, 2.0)
-    assert tau == pytest.approx(2.5846, abs=1e-3)
-    assert tau == pytest.approx(2.5842254432165204, abs=1e-12)
-    assert projection_ratio(2.0, tau) == pytest.approx(3.0, abs=1e-12)
+    d = solve_d0(1.0, 2.0)
+    assert 1.0 + d == pytest.approx(2.5846, abs=1e-3)
+    assert 1.0 + d == pytest.approx(2.5842254432165204, abs=1e-12)
+    assert abs(_cubic(1.0, 2.0, d)) <= 1e-14
 
 
 def test_tau0_cubic_in_d_has_one_sign_change():
     # projection_ratio(u, tau) = 1 + alpha cleared of its denominator, at
-    # tau = 1 + d, exactly in rationals: the cubic in d that solve_tau0's
-    # docstring cites, with coefficient signs (+, +, -, -)
-    us = [1 + Fraction(1, 10 ** k) for k in (1, 3, 9)] + [Fraction(3, 2), 2]
+    # u = 1 + w and tau = 1 + d, exactly in rationals: the cubic in d that
+    # solve_d0's docstring cites, with coefficient signs (+, +, -, -), and
+    # its linear solution in w that level_set_w evaluates
+    ws = [Fraction(1, 10 ** k) for k in (1, 3, 9)] + [Fraction(1, 2), 1]
     alphas = [Fraction(1, 10 ** 9), Fraction(1, 1000), Fraction(7, 3),
               Fraction(10 ** 6)]
     ds = [Fraction(n, 7) for n in range(-21, 22)] + [Fraction(1, 10 ** 12)]
-    for u in us:
+    for w in ws:
+        u = 1 + w
         for a in alphas:
-            coeffs = (1, u + 1, -a * (2 * u - 1), -a * (u - 1))
+            coeffs = (1, w + 2, -a * (1 + 2 * w), -a * w)
             assert [(c > 0) - (c < 0) for c in coeffs] == [1, 1, -1, -1]
             for d in ds:
                 tau = 1 + d
-                cubic = (tau ** 3 + (u - 2) * tau ** 2
-                         - (1 + a) * (2 * u - 1) * tau + (1 + a) * u)
+                cubic = sum(c * d ** (3 - k) for k, c in enumerate(coeffs))
                 assert cubic == (tau * tau * (tau + u - 2)
                                  - (1 + a) * ((2 * u - 1) * tau - u))
-                assert cubic == sum(c * d ** (3 - k)
-                                    for k, c in enumerate(coeffs))
+                den = a * (1 + 2 * d) - d * d
+                if den != 0:
+                    assert cubic == 0 or d * (d * d + 2 * d - a) / den != w
 
 
-@pytest.mark.parametrize("u", [2.0, 1.0 + 1e-9], ids=["u=2", "u->1"])
-def test_solve_tau0_scan_passes_at_the_ray_bracket_ends(u):
-    # the two ends of pushed_beta's bracket over eighteen decades of alpha:
-    # on 257 points of the doubled bracket solve_tau0 bisects, f changes
-    # sign once, from below, between the two samples around tau0
-    surface.solve_tau0.cache_clear()
+@pytest.mark.parametrize("w", [1.0, 1e-9], ids=["u=2", "u->1"])
+def test_solve_tau0_scan_passes_at_the_ray_bracket_ends(w):
+    # over eighteen decades of alpha, on 257 geometric points from 1e-3 to
+    # 1e3 times d0, the cubic changes sign once, from below, at d0.  Toward
+    # w -> 0, d0 tends to the closed-form end edge_d that pushed_beta uses:
+    # the cubic is convex and negative there, so d0 lies between it and
+    # one Newton step from it
+    surface.solve_d0.cache_clear()
     for alpha in np.logspace(-9, 9, 73):
-        tau = solve_tau0(u, float(alpha))
-        assert tau > 1.0
-        assert solve_tau0(u, float(alpha)) is tau  # cached
-        f = lambda t: projection_ratio(u, t) - (1.0 + alpha)
-        hi = 2.0
-        while f(hi) < 0.0:
-            hi *= 2.0
-        t = np.linspace(1.0 + 1e-12, hi, 257)
-        signs = np.sign(f(t))
-        assert np.all(signs[t < tau] == -1.0) and np.all(signs[t > tau] == 1.0)
+        d = solve_d0(w, float(alpha))
+        assert d > 0.0
+        assert solve_d0(w, float(alpha)) is d  # cached
+        x = d * np.logspace(-3, 3, 257)
+        signs = np.sign(_cubic(w, alpha, x))
+        assert np.all(signs[x < d] == -1.0) and np.all(signs[x > d] == 1.0)
+        if w < 1.0:
+            d1 = edge_d(alpha)
+            slope = (3.0 * d1 * d1 + 2.0 * (w + 2.0) * d1
+                     - alpha * (1.0 + 2.0 * w))
+            assert d1 < d <= (d1 - _cubic(w, alpha, d1) / slope) * (1 + 1e-15)
 
 
 @pytest.mark.parametrize("u, alpha", [(1.0, 2.0), (2.0, 0.0),
                                       (math.nan, 2.0), (2.0, math.nan)])
 def test_solve_tau0_needs_u_above_1_and_alpha_above_0(u, alpha):
-    # the uniqueness proof in its docstring holds only there
-    with pytest.raises(ValueError, match="u > 1 and alpha > 0"):
-        solve_tau0(u, alpha)
+    # the uniqueness proof in its docstring holds only there: w = u - 1 > 0
+    with pytest.raises(ValueError, match="w > 0 and alpha > 0"):
+        solve_d0(u - 1.0, alpha)
 
 
-@pytest.mark.parametrize("alpha", [1e-16, 1e-17, 5e-324])
-def test_solve_tau0_fails_where_1_plus_alpha_rounds_to_1(alpha):
-    # the computed target is then alpha = 0: no root above 1 to find
-    with pytest.raises(NumericalFailure, match="lost in the tau0 target"):
-        solve_tau0(2.0, alpha)
+@pytest.mark.parametrize("alpha", [1e-16, 1e-17, 1e-30])
+def test_solve_tau0_holds_an_alpha_lost_in_1_plus_alpha(alpha):
+    # 1 + alpha rounds to 1, but the cubic in d never forms it: d0 keeps
+    # its digits, d0 ~ sqrt(alpha / 3) for w = 1
+    d = solve_d0(1.0, alpha)
+    assert d == pytest.approx(math.sqrt(alpha / 3.0), rel=1e-9)
+    lo, hi = np.nextafter(d, 0.0), np.nextafter(d, 1.0)
+    assert _cubic(1.0, alpha, lo) <= 0.0 <= _cubic(1.0, alpha, hi)
 
 
 def test_plateau_solves_tau0_once_per_u_alpha(monkeypatch):
     # touching, (-2, 0) u (0, 1): the window is the threshold ray of the
-    # configuration itself, (u, alpha) = (2, 2), the one solve it needs
+    # configuration itself, (w, alpha) = (1, 2), the one solve it needs
     real_expand = surface.expand_upper
     calls = []
 
@@ -137,7 +163,7 @@ def test_plateau_solves_tau0_once_per_u_alpha(monkeypatch):
         return real_expand(*args, **kwargs)
 
     monkeypatch.setattr(surface, "expand_upper", recording)
-    surface.solve_tau0.cache_clear()
+    surface.solve_d0.cache_clear()
     sc = StarConfig(2.0, 0.0)
     info = plateau_bounds(sc)
     assert len(calls) == 1
@@ -145,45 +171,56 @@ def test_plateau_solves_tau0_once_per_u_alpha(monkeypatch):
 
 
 def test_infinity_preimages():
-    t1, t2 = infinity_preimages(1.5, 2.0)
+    t1, t2 = infinity_preimages(0.5, 1.0)
     assert t1 == pytest.approx(-2.2870426, abs=1e-6)
     assert t2 == pytest.approx(0.7870426, abs=1e-6)
     assert t1 < 0.0 < t2 < 2.0
 
 
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
-@given(st.floats(1.0, 2.0, exclude_min=True),
-       st.floats(1.0, 1e6, exclude_min=True))
-@example(math.nextafter(1.0, 2.0), math.nextafter(1.0, 2.0))
-@example(2.0, 1e6)
-def test_infinity_preimages_signs_and_vieta(u, tau0):
-    t1, t2 = infinity_preimages(u, tau0)
-    assert t1 < 0.0 < t2
-    # the quadratic's coefficients as the function forms them; the sum of
-    # opposite-sign roots is held to the size of its terms
-    rsum = -(u + tau0 - 2.0)
-    prod = -u * tau0 * (u + tau0 - 2.0) / (2.0 * u * tau0 - u - tau0)
-    assert abs(t1 + t2 - rsum) <= 1e-15 * max(abs(t1), abs(t2))
+@given(st.floats(0.0, 1.0, exclude_min=True),
+       st.floats(0.0, 1e6, exclude_min=True))
+@example(5e-324, 5e-324)
+@example(1.0, 1e6)
+@example(1e-300, 1.0)
+def test_infinity_preimages_signs_and_vieta(w, d):
+    t1, t2 = infinity_preimages(w, d)
+    # tau2 < tau0 to rounding: the residues form tau0 - tau2 as a product
+    assert t1 < 0.0 < t2 <= (1.0 + d) * (1.0 + 1e-15)
+    # the quadratic's coefficients; the sum of opposite-sign roots is held
+    # to the size of its terms
+    s = w + d
+    prod = -(1.0 + w) * (1.0 + d) * s / (s + 2.0 * w * d)
+    assert abs(t1 + t2 + s) <= 1e-15 * max(abs(t1), abs(t2))
     assert abs(t1 * t2 - prod) <= 1e-15 * abs(prod)
 
 
 def test_surface_params_residuals():
-    p = surface_params(2.0, 0.25)
-    assert gap_ratio(p.u) == pytest.approx(0.25 * 3.0 / 2.25, abs=1e-12)
-    assert projection_ratio(p.u, p.tau0) == pytest.approx(3.0, abs=1e-12)
-    assert p.tau1 < 0.0 < p.tau2 < p.tau0
-    assert p.gamma == pytest.approx(2.0 - p.u, abs=0)
+    w = solve_w(2.0, 0.25)
+    d = solve_d0(w, 2.0)
+    assert beta_coord(2.0, w) == pytest.approx(0.25, rel=1e-15)
+    assert abs(_cubic(w, 2.0, d)) <= 1e-14
+    t1, t2 = infinity_preimages(w, d)
+    assert t1 < 0.0 < t2 < 1.0 + d
 
 
 def test_residue_raw_value():
-    p = SurfaceParams(2.0, 0.0, 1.5, 2.0, -2.2870426, 0.7870426, 0.5)
-    vals = residue_limits(p)
-    assert vals.C1 == pytest.approx(-0.516056, abs=1e-4)
+    # (alpha, u, tau0) = (2, 1.5, 2): the (u, tau) residue chain of the
+    # parametrization gives these limits
+    vals = residue_limits(2.0, 0.5, 1.0)
+    ref = (0.2777862309826997, 0.14958851079805022, -0.8670307462547069,
+           0.49720826104760657)
+    for v, r in zip(vals, ref):
+        assert v == pytest.approx(r, rel=1e-15)
 
 
 def test_residue_vanishes_when_preimage_hits_gamma():
-    p = SurfaceParams(2.0, 0.0, 1.5, 2.0, 0.5, 0.7870426, 0.5)
-    assert residue_limits(p).C1 == 0.0
+    # w = 0 puts tau2 on gamma = 1 - w: the product for tau2 - gamma is
+    # exactly 0, and so is A2
+    t1, t2 = infinity_preimages(0.0, 0.5)
+    assert t2 == 1.0
+    a1, a2, _, _ = residue_limits(2.0, 0.0, 0.5)
+    assert a2 == 0.0 and a1 > 0.0
 
 
 def test_threshold_ray_values():
@@ -206,9 +243,9 @@ def test_threshold_ray_monotone_and_reflective():
 
 def test_pushed_beta_limits():
     _, s_a = threshold_ray(2.0)
-    b, u, tau = pushed_beta(2.0, s_a + 1e-6)
+    b, w, d = pushed_beta(2.0, s_a + 1e-6)
     assert 0.0 <= b < 1e-12
-    assert alpha_coord(u, tau) == pytest.approx(2.0, abs=1e-9)
+    assert abs(_cubic(w, 2.0, d)) <= 1e-14
     b, _, _ = pushed_beta(1.0, 0.5 + 1e-9)
     assert 0.0 <= b < 1e-12
     b, _, _ = pushed_beta(2.0, 1.0 - 1e-6)
@@ -222,10 +259,11 @@ def test_pushed_beta_increasing():
     assert np.all(np.diff(b) > 0)
 
 
-# alpha, tau relative tolerance, beta absolute tolerance.  At alpha = 1e-3
-# beta_coord is ill-conditioned: evaluated at the correctly rounded (u, tau)
-# it is already off by up to 8e-11.  At alpha = 1e3 every ray has
-# theta > 0.95, where one ulp of theta moves tau by 1.3e-15 relative.
+# alpha, tau relative tolerance, beta absolute tolerance: the bounds the
+# (u, tau) chain met.  There, at alpha = 1e-3, beta was already off by up to
+# 8e-11 when evaluated at the correctly rounded (u, tau); the product form
+# in w is not.  At alpha = 1e3 every ray has theta > 0.95, where one ulp of
+# theta moves tau by 1.3e-15 relative.
 @pytest.mark.parametrize("alpha, tau_rtol, beta_atol", [
     (1e-3, 1e-15, 1e-9), (0.5, 1e-15, 1e-13), (2.0, 1e-15, 1e-13),
     (1e3, 3e-15, 1e-13)])
@@ -233,7 +271,7 @@ def test_pushed_beta_against_50_digits(alpha, tau_rtol, beta_atol):
     mp = pytest.importorskip("mpmath")
     _, s_a = threshold_ray(alpha)
     s = s_a + (1.0 - s_a) * np.linspace(0.025, 0.975, 20)
-    beta, u, tau = pushed_beta(alpha, s)
+    beta, w, d = pushed_beta(alpha, s)
     with mp.workdps(50):
         al = mp.mpf(alpha)
         for i in range(s.size):
@@ -246,11 +284,143 @@ def test_pushed_beta_against_50_digits(alpha, tau_rtol, beta_atol):
                 return [t * t * (t + x - 2) / ((2 * x - 1) * t - x) - (1 + al),
                         (t - x) * mp.sqrt(num / den) - theta]
 
-            u_ref, tau_ref = mp.findroot(eqs, (mp.mpf(u[i]), mp.mpf(tau[i])))
+            u_ref, tau_ref = mp.findroot(eqs, (1 + mp.mpf(w[i]),
+                                               1 + mp.mpf(d[i])))
             g = u_ref * (2 - u_ref) ** 3 / (2 * u_ref - 1) ** 3
             beta_ref = al * g / (1 + al - g)
-            assert abs(tau[i] - tau_ref) <= tau_rtol * tau_ref
+            assert abs(1 + mp.mpf(d[i]) - tau_ref) <= tau_rtol * tau_ref
             assert abs(beta[i] - beta_ref) <= beta_atol
+
+
+# ---------------------------------------------------------------------------
+# the whole chain against 50 digits
+# ---------------------------------------------------------------------------
+
+def _mp_residues(mp, al, u, t0):
+    """Limits from the (u, tau) residue chain, differences and all."""
+    g = 2 - u
+    rsum = -(u + t0 - 2)
+    prod = -u * t0 * (u + t0 - 2) / (2 * u * t0 - u - t0)
+    root = mp.sqrt(rsum * rsum - 4 * prod)
+    t1, t2 = (rsum - root) / 2, (rsum + root) / 2
+
+    def side(ta, tb):
+        c = -al * ta ** 2 * (ta - g) / ((t0 - ta) ** 2 * (ta - tb))
+        a = -al * t0 ** 2 * c * (t0 - g) / ((t0 - ta) ** 2 * (t0 - tb))
+        k = (t0 ** 2 * tb + 2 * t0 ** 2 * ta - 3 * t0 * ta * tb
+             - g * t0 ** 2 - g * ta * t0 + 2 * g * ta * tb)
+        return a, al * t0 * k / ((t0 - ta) ** 2 * (t0 - tb) ** 2)
+
+    (a1, b1), (a2, b2) = side(t1, t2), side(t2, t1)
+    return a1, a2, b1, b2
+
+
+def _mp_root(mp, f, x):
+    """The root of ``f`` next to the double ``x``, by secant from near it."""
+    return mp.findroot(f, (x, x * (1 + mp.mpf(2) ** -40)))
+
+
+def _mp_star_right(mp, al, s):
+    """Star-frame limits right of the plateau: the ray solved in (u, tau)."""
+    theta = 2 * mp.mpf(s) - 1
+    u_of = lambda t: -t * ((t - 1) ** 2 + al) / ((t - 1) ** 2 - al * (2 * t - 1))
+
+    def ray(t):
+        u = u_of(t)
+        ratio = (2 + 2 * u * t - u - t) / ((2 * u * t - u - t) * (u + t)
+                                           * (u + t - 2))
+        return (t - u) * mp.sqrt(ratio) - theta
+
+    _, _, d = pushed_beta(float(al), s)  # a start, not a reference
+    t = _mp_root(mp, ray, 1 + mp.mpf(float(d)))
+    return _mp_residues(mp, al, u_of(t), t)
+
+
+def _mp_limits(mp, alpha, beta, s, info):
+    """Limits of [-alpha, 0] u [beta, 1] at s, plateau and both zones."""
+    al, be = mp.mpf(alpha), mp.mpf(beta)
+    if s > info.c2:
+        return _mp_star_right(mp, al, s)
+    if s < info.c1:
+        # the reflected star frame at 1 - s, carried back
+        L = al + be
+        a1, a2, b1, b2 = _mp_star_right(mp, (1 - be) / L, 1 - s)
+        return L * L * a2, L * L * a1, be - L * b2, be - L * b1
+    w = solve_w(alpha, beta)
+    target = be * (1 + al) / (al + be)
+    gap = lambda x: x * (2 - x) ** 3 / (2 * x - 1) ** 3 - target
+    u = 2 if beta == 0.0 else _mp_root(mp, gap, 1 + mp.mpf(w))
+    t0 = _mp_root(mp, lambda t: t * t * (t + u - 2)
+                  - (1 + al) * ((2 * u - 1) * t - u),
+                  1 + mp.mpf(solve_d0(w, alpha)))
+    return _mp_residues(mp, al, u, t0)
+
+
+@pytest.mark.parametrize("alpha", [1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6])
+def test_whole_chain_against_50_digits(alpha):
+    # A1, A2, B1, B2 of the surface route against the (u, tau) chain in 60
+    # digits: rays next to the plateau edges (the threshold ray for beta =
+    # 0), 1e-9 to 1e-1 from either end, and the plateau.  A near an end is
+    # ~ distance^2, its ray known to one ulp of theta, so there its
+    # relative error is held times that distance.
+    mp = pytest.importorskip("mpmath")
+    for beta in (0.0, 0.25):
+        info = plateau_bounds(StarConfig(alpha, beta))
+        ends = [x for e in (1e-9, 1e-7, 1e-5, 1e-3, 1e-1) for x in (e, 1 - e)]
+        edges = [info.c1 - 1e-9, info.c1 - 1e-6, info.c2 + 1e-9,
+                 info.c2 + 1e-6, 0.5 * (info.c1 + info.c2)]
+        rays = np.unique([x for x in ends + edges if 0.0 < x < 1.0])
+        cv = limit_curve(AngelescoSystem(Interval(-alpha, 0.0),
+                                         Interval(beta, 1.0)), rays, info)
+        with mp.workdps(60):
+            for i, s in enumerate(rays):
+                ref = _mp_limits(mp, alpha, beta, float(s), info)
+                near = min(s, 1.0 - s)
+                scale = 1.0 if near >= 1e-3 else near
+                for got, r in zip((cv.A1[i], cv.A2[i]), ref[:2]):
+                    assert abs(got - r) / r * scale <= 1e-12, (beta, s)
+                gap = ref[3] - ref[2]
+                for got, r in zip((cv.B1[i], cv.B2[i]), ref[2:]):
+                    assert abs(got - r) <= 1e-14 * gap, (beta, s)
+
+
+_SWEEP_BETAS = (0.0, 1e-12, 1e-6, 1e-3, 0.1, 0.5, 0.9, 0.999, 0.999999)
+
+
+def test_every_system_of_the_sweep_answers():
+    # alpha over 24 decades, beta from touching to nearly closed: 441
+    # systems, each a whole 181-point curve
+    grid = np.linspace(0.0, 1.0, 181)
+    for alpha in np.logspace(-12, 12, 49):
+        for beta in _SWEEP_BETAS:
+            sys = AngelescoSystem(Interval(-float(alpha), 0.0),
+                                  Interval(beta, 1.0))
+            cv = limit_curve(sys, grid)
+            assert np.all(cv.B1 < cv.B2), (alpha, beta)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.floats(-9.0, 9.0), st.floats(-9.0, -1e-9))
+@example(-9.0, -9.0)
+@example(9.0, -9.0)
+@example(-9.0, -1e-9)
+@example(9.0, -1e-9)
+def test_right_zone_limits_are_ordered_and_hold_the_identity(log_alpha,
+                                                             log_dist):
+    # a ray right of the threshold ray s_a, log-uniform in its distance to
+    # s = 1 and at least 1e-9 from it, star frame: A > 0, B1 < B2 and
+    # (B2 - B1)^2 = A1 / s^2 + A2 / (1 - s)^2 to the whole-chain bound,
+    # relative and, within 1e-3 of an end, times the distance to it
+    alpha = 10.0 ** log_alpha
+    _, s_a = threshold_ray(alpha)
+    s = 1.0 - max((1.0 - s_a) * 10.0 ** log_dist, 1e-9)
+    _, w, d = pushed_beta(alpha, s)
+    a1, a2, b1, b2 = residue_limits(alpha, w, d)
+    assert a1 > 0.0 and a2 > 0.0 and b1 < b2
+    lhs = (b2 - b1) ** 2
+    rhs = a1 / s ** 2 + a2 / (1.0 - s) ** 2
+    near = min(s, 1.0 - s)
+    assert abs(lhs - rhs) / lhs * (1.0 if near >= 1e-3 else near) <= 1e-12
 
 
 def test_plateau_touching_degenerates(touching_info):
@@ -297,32 +467,36 @@ def test_limits_at_rejects_a_ray_off_the_grid_rules(touching_system,
         limits_at(touching_system, s, info=touching_info)
 
 
-def test_limits_at_too_near_an_endpoint_is_a_numerical_failure(
-        touching_system, touching_info):
-    # the ray is valid input; the surface route losing A1's sign there is
-    # the computation's failure, not the caller's
-    with pytest.raises(NumericalFailure, match="surface curve") as exc:
-        limits_at(touching_system, 1e-8, info=touching_info)
-    assert exc.value.context == {"method": "surface"}
+def test_limits_at_answers_next_to_an_endpoint(touching_system,
+                                              touching_info):
+    # A1 ~ s^2 C1 as s -> 0 (through the reflected zone) and
+    # A2 ~ (1 - s)^2 C2 as s -> 1: positive, with a settled quotient
+    near = {e: limits_at(touching_system, e, info=touching_info)
+            for e in (1e-9, 1e-8)}
+    far = {e: limits_at(touching_system, 1.0 - e, info=touching_info)
+           for e in (1e-9, 1e-8)}
+    assert all(p.A1 > 0.0 for p in near.values())
+    assert all(p.A2 > 0.0 for p in far.values())
+    assert near[1e-8].A1 / 1e-16 == pytest.approx(near[1e-9].A1 / 1e-18,
+                                                  rel=1e-6)
+    assert far[1e-8].A2 / 1e-16 == pytest.approx(far[1e-9].A2 / 1e-18,
+                                                 rel=1e-6)
 
 
-def test_failure_contexts_are_json(monkeypatch, touching_system,
-                                   touching_info):
-    # an open bisection bracket, reached through a public call
+def test_failure_contexts_are_json(monkeypatch):
+    # an open bisection bracket, reached through a public call: a ray left
+    # of the threshold ray has no right-zone solution
     with pytest.raises(NumericalFailure, match="bracket") as exc:
-        limits_at(touching_system, 1e-9, info=touching_info)
+        pushed_beta(2.0, 0.3)
     ctx = exc.value.context
     assert json.loads(json.dumps(ctx)) == ctx
-    # preimages out of order: tau2 > tau0 for (u, tau0) = (1.2, 0.3)
-    with pytest.raises(NumericalFailure, match="preimages") as exc:
-        surface._params_at(2.0, 0.0, np.array([1.2]), np.array([0.3]))
-    ctx = exc.value.context
-    assert json.loads(json.dumps(ctx)) == ctx
-    assert ctx["alpha"] == [2.0] and ctx["tau2"][0] > 0.3
-    # the plateau's contexts hold plain floats, not numpy scalars; the gap
-    # round trip misses beta on (-1e-9, 0) u (0.5, 1)
-    with pytest.raises(NumericalFailure, match="round trip") as exc:
-        plateau_bounds(StarConfig(1e-9, 0.5))
+    # the plateau's contexts hold plain floats, not numpy scalars; a ray
+    # solve that misses beta by 1e-6 fails the gap round trip
+    with monkeypatch.context() as m:
+        m.setattr(surface, "pushed_beta",
+                  lambda alpha, s: (np.float64(0.5 + 1e-6), None, None))
+        with pytest.raises(NumericalFailure, match="round trip") as exc:
+            plateau_bounds(StarConfig(2.0, 0.5))
     ctx = exc.value.context
     assert json.loads(json.dumps(ctx)) == ctx
     assert set(ctx) == {"c2", "beta", "back"}
@@ -338,11 +512,14 @@ def test_failure_contexts_are_json(monkeypatch, touching_system,
     assert all(type(v) is float for v in ctx.values())
 
 
-def test_preimage_order_check_rejects_nan():
-    # a negative discriminant: both preimages NaN
-    with np.errstate(invalid="ignore"), \
-            pytest.raises(NumericalFailure, match="preimages"):
-        surface._params_at(2.0, 0.0, 2.0, 0.5)
+def test_preimages_are_finite_and_ordered_on_the_whole_domain():
+    # p < 0, so the discriminant exceeds (w + d)^2: no NaN for any w in
+    # (0, 1] and d > 0, from the smallest double to far past any solve
+    w = np.logspace(-300, 0, 61)[:, None]
+    d = np.logspace(-300, 100, 81)[None, :]
+    t1, t2 = infinity_preimages(w, d)
+    assert np.all(np.isfinite(t1)) and np.all(np.isfinite(t2))
+    assert np.all(t1 < 0.0) and np.all(t2 > 0.0)
 
 
 def test_limits_at_returns_the_asked_ray(gap_system, gap_info):
