@@ -46,17 +46,16 @@ theta, s_a = threshold_ray(alpha)
 print(f"\nthreshold ray of the touching configuration: s_alpha = {s_a:.10f}")
 print(f"{'s':>6} {'beta_s':>12} {'w(s)':>12} {'d(s)':>12}")
 for s in np.linspace(s_a + 0.02, 0.98, 6):
-    b, ws, ds = pushed_beta(alpha, float(s))
+    b, ws, ds = pushed_beta(alpha, (s, 1.0 - s))
     print(f"{s:>6.3f} {b:>12.8f} {ws:>12.8f} {ds:>12.8f}")
 print("beta_s -> 0 at the threshold and -> 1 toward s = 1.")
 
 # alpha = 1e-6: tau0 = 1 + 6e-4 and, near s = 1, u = 1 + 5e-13, yet
-# (B2 - B1)^2 = A1 / s^2 + A2 / (1 - s)^2 holds; next to s = 1 it loses
-# digits like 1 / (1 - s), since w is proportional to d - d1 there and the
-# bisection resolves d, not d - d1
+# (B2 - B1)^2 = A1 / s^2 + A2 / (1 - s)^2 holds to rounding up to the end:
+# w is proportional to x = d - d1 there, and the bisection resolves x
 alpha = 1e-6
 s = np.array([0.9, 0.99, 0.999999])
-_, ws, ds = pushed_beta(alpha, s)
+_, ws, ds = pushed_beta(alpha, (s, 1.0 - s))
 A1, A2, B1, B2 = residue_limits(alpha, ws, ds)
 rel = np.abs((B2 - B1) ** 2 - A1 / s ** 2 - A2 / (1 - s) ** 2) / (B2 - B1) ** 2
 print(f"\nalpha = {alpha:g}: d0 = {solve_d0(1.0, alpha):.3e} at w = 1")

@@ -4,33 +4,35 @@ Plain bisection only: every solver in this package trades speed for
 reproducibility, so there is no secant/Newton acceleration anywhere.  A
 bracket open at the top is grown by doubling its upper end; that a bracket
 holds one root is the caller's to prove, and nothing here scans for more.
-Bisection stops at its fixed point, the first halving that leaves every
-bracket as it was; every later halving would repeat it, so the result does
-not depend on the iteration cap.  Each root problem is one-dimensional, and
-the solvers work elementwise on numpy arrays so that whole grids of root
-problems go through one call.
+Bisection halves the int64 views of its ends, which are monotone in the
+value for nonnegative doubles, so every bracket, [0, 1e300] as much as
+[1, 2], reaches adjacent doubles in at most 63 halvings and the elements of
+one call finish together (Roots.jl's Float64 bisection does the same).
+Each root problem is one-dimensional, and the solvers work elementwise on
+numpy arrays so that whole grids of root problems go through one call.
 """
 import numpy as np
 
 from .errors import NumericalFailure
 
-# cap on the halvings: an O(1) bracket reaches its fixed point in about 55
-DEFAULT_ITERS = 110
 
-
-def bisect(f, lo, hi, iters=DEFAULT_ITERS):
-    """Bisect ``f`` on elementwise brackets ``[lo, hi]``.
+def bisect(f, lo, hi):
+    """Bisect ``f`` on elementwise brackets ``[lo, hi]`` of nonnegative doubles.
 
     ``f`` must accept and return arrays of the bracket shape.  Both bracket
     ends are required to have opposite (or zero) signs; a bracket without a
     sign change, or with a NaN end value, raises :class:`NumericalFailure`.
-    Halves at most ``iters`` times and stops at the first halving that
-    leaves every bracket bit for bit as it was.  ``f`` must be
-    deterministic: from there every halving repeats the same midpoints and
-    decisions, so the result is bit for bit the one ``iters`` halvings give.
+    A negative end, -0.0 included, raises ValueError.  The ends may come in
+    either order.  Halves until every bracket's ends are adjacent doubles
+    and returns their midpoint.  ``f`` must be deterministic and
+    elementwise: a finished bracket's midpoint is its lower end, whose
+    value repeats, so it stays as it is while the others finish.
     """
-    lo = np.asarray(lo, dtype=float).copy()
-    hi = np.asarray(hi, dtype=float).copy()
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    down = hi < lo
+    lo, hi = np.where(down, hi, lo), np.where(down, lo, hi)
+    if np.any(np.signbit([lo, hi]) & ~np.isnan([lo, hi])):
+        raise ValueError("bisect needs nonnegative ends, -0.0 excluded")
     flo = np.asarray(f(lo), dtype=float)
     fhi = np.asarray(f(hi), dtype=float)
     # signs, not values: 0 * inf and an underflowing product mislead
@@ -40,19 +42,15 @@ def bisect(f, lo, hi, iters=DEFAULT_ITERS):
             "bisection bracket has no sign change",
             {"lo": lo[bad].ravel()[:5].tolist(),
              "hi": hi[bad].ravel()[:5].tolist()})
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        fm = np.asarray(f(mid), dtype=float)
+    ilo, ihi = lo.view(np.int64), hi.view(np.int64)
+    while np.any(ihi - ilo > 1):
+        imid = ilo + (ihi - ilo) // 2
+        fm = np.asarray(f(imid.view(np.float64)), dtype=float)
         same = (fm > 0) == (flo > 0)
-        new_lo = np.where(same, mid, lo)
-        new_hi = np.where(same, hi, mid)
+        ilo = np.where(same, imid, ilo)
+        ihi = np.where(same, ihi, imid)
         flo = np.where(same, fm, flo)
-        # bit patterns, so that a signed zero counts as a move
-        if (np.array_equal(new_lo.view(np.int64), lo.view(np.int64))
-                and np.array_equal(new_hi.view(np.int64), hi.view(np.int64))):
-            break
-        lo, hi = new_lo, new_hi
-    return 0.5 * (lo + hi)
+    return 0.5 * (ilo.view(np.float64) + ihi.view(np.float64))
 
 
 def expand_upper(f, lo, hi):

@@ -7,15 +7,17 @@ crowd together as alpha -> 0 or s -> 1, so the route works in the small
 unknowns w = u - 1 in (0, 1] and d = tau - 1 > 0 instead.  w is pinned down
 by the gap invariant of the configuration, d by the alpha level set of the
 surface.  Along a ray the level set is linear in w, so w is eliminated
-explicitly and each ray off the plateau costs one bisection in d.  The
+explicitly and each ray off the plateau costs one bisection in x = d - d1,
+where w = 0 at d1 is the ray s = 1.  w is a product of x and the ray is
+read as its exact distance to the nearer end, so rays keep their digits
+up to the ends.  The
 partial-fraction residues of the uniformizing map read that (w, d)
 directly, with the two other preimages of infinity from a quadratic, and
 give the limits in closed form.  Every difference a residue divides by, or
 that goes to zero, is written as a product or sum of positive terms, so
 tau1 < 0 < tau2 < tau0 and A >= 0 hold by construction.  This route is the
 precision reference for the lattice and ODE methods: every root solve is
-plain bisection run to its fixed point (adjacent doubles) and all formulas
-are explicit.
+plain bisection run to adjacent doubles and all formulas are explicit.
 
 The configuration solves are scalar: :func:`solve_w` and :func:`solve_d0`
 take one (alpha, beta) or (w, alpha).  d0 has one solve per (w, alpha),
@@ -36,10 +38,6 @@ from .systems import (AffineMap, LimitCurve, LimitPoint, check_grid,
                       plateau_zones, pushforward_limits, reflect,
                       star_normalize, validate_computed)
 
-# star frame of a reflected system -> star frame of the original
-_MIRROR = AffineMap(-1.0, 0.0)
-
-
 # ---------------------------------------------------------------------------
 # coordinate functions of the parametrization
 # ---------------------------------------------------------------------------
@@ -59,15 +57,17 @@ def edge_d(alpha):
     return alpha / (1.0 + np.sqrt(1.0 + alpha))
 
 
-def level_set_w(alpha, d):
-    """w on the alpha level set through d, explicit in d.
+def level_set_w(alpha, x):
+    """(w, d) on the alpha level set at d = d1 + x, w explicit in x >= 0.
 
     The level-set cubic of :func:`solve_d0` is linear in w; its solution is
-    d (d^2 + 2d - alpha) / (alpha (1 + 2d) - d^2), with the first factor
-    split at its root d1 = :func:`edge_d` so that w -> 0 there is a product.
+    d (d^2 + 2d - alpha) / (alpha (1 + 2d) - d^2).  Its first factor splits
+    at its root d1 = :func:`edge_d` into x (x + 2 d1 + 2), so w -> 0 at
+    x = 0 is a product of x and keeps its digits however small x is.
     """
     d1 = edge_d(alpha)
-    return d * (d - d1) * (d + 2.0 + d1) / (alpha * (1.0 + 2.0 * d) - d * d)
+    d = d1 + x
+    return x * d * (x + 2.0 * d1 + 2.0) / (alpha * (1.0 + 2.0 * d) - d * d), d
 
 
 def ray_direction(w, d):
@@ -189,30 +189,28 @@ def threshold_ray(alpha):
     return theta, 0.5 * (1.0 + theta)
 
 
-def pushed_beta(alpha, s):
+def pushed_beta(alpha, ray):
     """Gap beta_s of the support configuration seen along ray s in (s_alpha, 1).
 
-    Solves ray_direction = 2 s - 1 on the alpha level set by one bisection
-    in d, with w = level_set_w(alpha, d) eliminated explicitly.  The ray is
-    matched on the side of the nearer end, 1 - theta = 2 (1 - s) for
-    s >= 1/2 and 1 + theta = 2 s below (:func:`ray_gaps`), so a ray near
-    s = 1 keeps its digits.  The bracket ends are d0 at w = 1 (the
-    threshold ray's) and the closed-form :func:`edge_d` at w -> 0 (the ray
-    s = 1).  Returns (beta_s, w, d).
+    ``ray`` is the pair (s, 1 - s), each as exact as the caller has it; only
+    the smaller is read, matched on the side of the nearer end: 1 - theta
+    = 2 (1 - s) for s >= 1/2 and 1 + theta = 2 s below (:func:`ray_gaps`).
+    The ray is solved by one bisection in x = d - d1 on [0, d0(w = 1) - d1],
+    from the ray s = 1 (w = 0) to the threshold ray (w = 1), with (w, d)
+    from :func:`level_set_w`; since w is a product of x there, a ray next to
+    s = 1 keeps its digits.  Returns (beta_s, w, d).
     """
-    s = np.asarray(s, dtype=float)
-    upper = s >= 0.5
-    far, near = 2.0 * (1.0 - s), 2.0 * s  # 1 - theta and 1 + theta
+    s, t = (np.asarray(v, dtype=float) for v in ray)
+    upper = s >= t
     alpha = float(alpha)
 
-    def f(x):  # theta(x) - (2 s - 1)
-        minus, plus = ray_gaps(level_set_w(alpha, x), x)
-        return np.where(upper, far - minus, plus - near)
+    def f(x):  # the nearer end's gap at x minus the ray's
+        minus, plus = ray_gaps(*level_set_w(alpha, x))
+        return np.where(upper, 2.0 * t - minus, plus - 2.0 * s)
 
-    lo = np.full(s.shape, solve_d0(1.0, alpha))
-    hi = np.full(s.shape, edge_d(alpha))
-    d = bisect(f, lo, hi)
-    w = level_set_w(alpha, d)
+    x = bisect(f, np.zeros(s.shape),
+               np.full(s.shape, solve_d0(1.0, alpha) - edge_d(alpha)))
+    w, d = level_set_w(alpha, x)
     return beta_coord(alpha, w), w, d
 
 
@@ -236,8 +234,11 @@ class PlateauInfo:
 
 
 def reflected_star(sc):
-    """Star configuration of the reflected system plus its transport map."""
-    return star_normalize(reflect(sc.system()))
+    """Star configuration of the reflected system and the map from its star
+    frame into ``sc``'s: its own map composed with the mirror x -> -x, to be
+    applied with ``swapped=True``."""
+    sc_hat, amap = star_normalize(reflect(sc.system()))
+    return sc_hat, AffineMap(-amap.scale, -amap.shift)
 
 
 def _upper_edge(sc):
@@ -261,7 +262,7 @@ def plateau_bounds(sc):
     if sc.beta == 0.0:
         c1 = c2
     else:
-        back, _, _ = pushed_beta(sc.alpha, c2)
+        back, _, _ = pushed_beta(sc.alpha, (c2, 1.0 - c2))
         if abs(back - sc.beta) > 1e-9:
             raise NumericalFailure("plateau edge failed the gap round trip",
                                    {"c2": float(c2), "beta": float(sc.beta),
@@ -278,12 +279,10 @@ def plateau_bounds(sc):
     return PlateauInfo(c1, c2, point)
 
 
-def _star_values_right(alpha, s):
-    """Star-frame limits for ray parameters right of the plateau (vectorized).
-
-    The residues read the (w, d) that :func:`pushed_beta` solved.
-    """
-    _, w, d = pushed_beta(alpha, s)
+def _star_values_right(alpha, ray):
+    """Star-frame limits at the rays (s, 1 - s) right of the plateau, read
+    from the (w, d) that :func:`pushed_beta` solved."""
+    _, w, d = pushed_beta(alpha, ray)
     return residue_limits(alpha, w, d)
 
 
@@ -302,8 +301,9 @@ def limit_curve(sys, grid, info=None):
     Grid points are split by :func:`~angelesco.systems.plateau_zones` and
     each zone is solved in one vector pass: the plateau constants inside
     [c1, c2], the direct solve right of the plateau, and the reflected
-    configuration at 1 - s left of it; the endpoints s in {0, 1} take their
-    closed-form values.  Star-frame values reach the user frame through
+    configuration at the ray pair (1 - s, s) left of it, whose distance s to
+    the end is exact; the endpoints s in {0, 1} take their closed-form
+    values.  Star-frame values reach the user frame through
     :func:`pushforward_limits`.  ``info`` may carry a precomputed
     :class:`PlateauInfo`.
     """
@@ -319,13 +319,14 @@ def limit_curve(sys, grid, info=None):
     p = info.plateau
     star[:, plat] = np.array([[p.A1], [p.A2], [p.B1], [p.B2]])
     if np.any(right):
-        star[:, right] = _star_values_right(sc.alpha, grid[right])
+        s = grid[right]
+        star[:, right] = _star_values_right(sc.alpha, (s, 1.0 - s))
     if np.any(left):
-        sc_hat, map_hat = reflected_star(sc)
-        s_hat = 1.0 - grid[left][::-1]
-        hat = LimitCurve(s_hat, *_star_values_right(sc_hat.alpha, s_hat))
-        back = pushforward_limits(pushforward_limits(hat, map_hat), _MIRROR,
-                                  swapped=True)
+        sc_hat, back_map = reflected_star(sc)
+        s = grid[left][::-1]  # the reflected rays 1 - s, increasing
+        hat = LimitCurve(1.0 - s,
+                         *_star_values_right(sc_hat.alpha, (1.0 - s, s)))
+        back = pushforward_limits(hat, back_map, swapped=True)
         star[:, left] = back.A1, back.A2, back.B1, back.B2
 
     curve = pushforward_limits(LimitCurve(grid.copy(), *star, "surface"), amap)

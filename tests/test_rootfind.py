@@ -7,16 +7,27 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from angelesco import NumericalFailure, surface
-from angelesco.rootfind import DEFAULT_ITERS, bisect, expand_upper
+from angelesco.rootfind import bisect, expand_upper
 
 
-def _reference_bisect(f, lo, hi, iters=DEFAULT_ITERS):
-    """The halving loop without an exit: always exactly ``iters`` halvings."""
-    lo = np.asarray(lo, dtype=float).copy()
-    hi = np.asarray(hi, dtype=float).copy()
+def _bit_mid(lo, hi):
+    """The midpoint of the int64 views of two nonnegative doubles."""
+    ilo, ihi = np.asarray(lo).view(np.int64), np.asarray(hi).view(np.int64)
+    return (ilo + (ihi - ilo) // 2).view(np.float64)
+
+
+def _reference_bisect(f, lo, hi):
+    """The bit-midpoint halving loop without an exit: always 64 halvings.
+
+    Nonnegative brackets of doubles are less than 2^63 views wide, so 64
+    halvings take every one of them to adjacent doubles and past.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
     flo = np.asarray(f(lo), dtype=float)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
+    for _ in range(64):
+        mid = _bit_mid(lo, hi)
         fm = np.asarray(f(mid), dtype=float)
         same = (fm > 0) == (flo > 0)
         lo = np.where(same, mid, lo)
@@ -39,7 +50,7 @@ def _counting(f):
     return counted, calls
 
 
-_FINITE = st.floats(-1e300, 1e300)
+_FINITE = st.floats(0.0, 1e300)  # +0.0, never -0.0
 
 
 @st.composite
@@ -48,13 +59,13 @@ def _brackets(draw):
     a, b = sorted((draw(_FINITE), draw(_FINITE)))
     where = draw(st.sampled_from(["inside", "midpoint", "end"]))
     if where == "inside":
-        root = a if a == b else draw(st.floats(a, b))  # a, b may be 0, -0
+        root = a if a == b else draw(st.floats(a, b))
     elif where == "midpoint":
         lo, hi = a, b
         for up in draw(st.lists(st.booleans(), max_size=60)):
-            mid = 0.5 * (lo + hi)
+            mid = float(_bit_mid(lo, hi))
             lo, hi = (mid, hi) if up else (lo, mid)
-        root = 0.5 * (lo + hi)
+        root = float(_bit_mid(lo, hi))
     else:
         root = draw(st.sampled_from([a, b]))
     if draw(st.booleans()):
@@ -79,18 +90,30 @@ def test_bisect_scalar_input_gives_float():
 
 def test_bisect_rejects_open_bracket():
     with pytest.raises(NumericalFailure):
-        bisect(lambda x: x * x + 1.0, -1.0, 1.0)
+        bisect(lambda x: (x - 0.5) ** 2 + 1.0, 0.0, 1.0)
     with pytest.raises(NumericalFailure):
-        bisect(lambda x: x * x + 1.0, np.array([-1.0]), np.array([1.0]))
+        bisect(lambda x: (x - 0.5) ** 2 + 1.0, np.array([0.0]),
+               np.array([1.0]))
 
 
 def test_bisect_failure_context_is_json():
     with pytest.raises(NumericalFailure) as exc:
-        bisect(lambda x: x * x + 1.0, np.array([-1.0, 0.0]),
+        bisect(lambda x: (x - 0.5) ** 2 + 1.0, np.array([0.25, 0.0]),
                np.array([1.0, 2.0]))
     ctx = exc.value.context
-    assert json.loads(json.dumps(ctx)) == ctx == {"lo": [-1.0, 0.0],
+    assert json.loads(json.dumps(ctx)) == ctx == {"lo": [0.25, 0.0],
                                                   "hi": [1.0, 2.0]}
+
+
+@pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), (0.0, -1.0), (-0.0, 1.0),
+                                    (1.0, -0.0), ([0.0, -0.0], [1.0, 1.0])])
+def test_bisect_rejects_a_negative_end(lo, hi):
+    # bit-pattern midpoints hold for nonnegative doubles only; -0.0 has the
+    # sign bit set, so it is refused as well, before f is called
+    f, calls = _counting(lambda x: x - 0.5)
+    with pytest.raises(ValueError, match="nonnegative"):
+        bisect(f, lo, hi)
+    assert not calls
 
 
 def test_bisect_deterministic():
@@ -135,56 +158,68 @@ def test_bisect_rejects_nan_bracket_ends():
     # f itself NaN at an end
     with np.errstate(invalid="ignore"), \
             pytest.raises(NumericalFailure, match="bracket"):
-        bisect(lambda x: np.sqrt(x) - 0.5, -1.0, 1.0)
+        bisect(lambda x: np.sqrt(x - 0.25) - 0.5, 0.0, 1.0)
 
 
 def test_bisect_reads_signs_not_their_product():
     # tiny values of one sign: their product underflows to 0
     with pytest.raises(NumericalFailure, match="bracket"):
-        bisect(lambda x: 1e-200 * (x * x + 1.0), -1.0, 1.0)
+        bisect(lambda x: 1e-200 * ((x - 0.5) ** 2 + 1.0), 0.0, 1.0)
     # a root at one end and an infinite value at the other: 0 * inf is NaN
     root = bisect(lambda x: np.where(x == 1.0, np.inf, x), 0.0, 1.0)
-    assert root == 2.0 ** -(DEFAULT_ITERS + 1)
+    assert _same_bits(root, 0.0)
 
 
 def test_bisect_stops_at_its_fixed_point():
-    # an O(1) bracket reaches adjacent doubles after about 54 halvings;
-    # the full loop would take 2 + DEFAULT_ITERS = 112 evaluations
+    # an O(1) bracket reaches adjacent doubles, the loop's fixed point,
+    # after about 62 halvings of its views; the full loop takes 66
     f, calls = _counting(lambda x: np.cos(x) - x)
     assert _same_bits(bisect(f, 0.0, 1.0),
                       _reference_bisect(lambda x: np.cos(x) - x, 0.0, 1.0))
-    assert len(calls) <= 64
+    assert len(calls) <= 65
 
 
 def test_bisect_cap_bounds_the_halvings():
-    # a root at the bracket end 0 is approached through the subnormals,
-    # so the cap ends the loop
-    f, calls = _counting(lambda x: x)
-    assert _same_bits(bisect(f, 0.0, 1.0), 2.0 ** -(DEFAULT_ITERS + 1))
-    assert len(calls) == 2 + DEFAULT_ITERS
-    f, calls = _counting(lambda x: x - 1.0 / 3.0)
-    assert _same_bits(bisect(f, 0.0, 1.0, iters=10),
-                      _reference_bisect(lambda x: x - 1.0 / 3.0, 0.0, 1.0, 10))
-    assert len(calls) == 12
+    # the int64 views of nonnegative doubles span less than 2^63, so any
+    # bracket, whatever its scale, takes at most 63 halvings: 65 calls of f
+    # with the two ends, within the 66 of the reference's 64 halvings
+    for lo, hi in [(0.0, 1e300), (5e-324, 1.0), (1.0, 2.0), (0.0, math.inf)]:
+        root = float(_bit_mid(lo, hi)) * (1.0 + 2.0 ** -30)  # off midpoints
+        f, calls = _counting(lambda x: x - root)
+        out = bisect(f, lo, hi)
+        assert len(calls) <= 65, (lo, hi)
+        assert _same_bits(out, _reference_bisect(lambda x: x - root, lo, hi))
+        assert np.nextafter(root, 0.0) <= out <= np.nextafter(root, np.inf)
+
+
+def test_bisect_reaches_a_root_at_the_end_0_exactly():
+    # the views run down through the subnormals to 5e-324, next to 0, and
+    # the midpoint 0.5 * (0 + 5e-324) rounds to 0
+    for hi in (1.0, 1e300, 5e-324):
+        f, calls = _counting(lambda x: x)
+        assert _same_bits(bisect(f, 0.0, hi), 0.0)
+        assert len(calls) <= 65
+    assert _same_bits(bisect(lambda x: 2.0 * x, np.zeros(2),
+                             np.array([1.0, 1e300])), np.zeros(2))
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_brackets(), min_size=1, max_size=5),
-       st.sampled_from(sorted(_SHAPES)), st.sampled_from([1.0, -1.0]),
-       st.sampled_from([DEFAULT_ITERS, 0, 1, 30, 200]))
-@example([(0.5, 0.5, 0.5)], "linear", 1.0, DEFAULT_ITERS)  # lo == hi
-@example([(0.0, 1.0, 0.5), (0.0, 1.0, 0.25)], "linear", 1.0,
-         DEFAULT_ITERS)  # exact zeros at midpoints
-@example([(-1e300, 1e300, 0.0)], "cubic", -1.0, DEFAULT_ITERS)  # the cap
-def test_bisect_equals_the_full_halving_loop(brackets, shape, sign, iters):
+       st.sampled_from(sorted(_SHAPES)), st.sampled_from([1.0, -1.0]))
+@example([(0.5, 0.5, 0.5)], "linear", 1.0)  # lo == hi
+@example([(0.0, 1.0, float(_bit_mid(0.0, 1.0))),
+          (0.0, 1.0, float(_bit_mid(_bit_mid(0.0, 1.0), 1.0)))],
+         "linear", 1.0)  # exact zeros at midpoints
+@example([(0.0, 1e300, 0.0)], "cubic", -1.0)  # a root at the end 0
+@example([(1e300, 5e-324, 1.0)], "step", 1.0)  # ends in falling order
+def test_bisect_equals_the_full_halving_loop(brackets, shape, sign):
     lo, hi, root = (np.array(v) for v in zip(*brackets))
     f = lambda x: sign * _SHAPES[shape](x - root)
     with np.errstate(over="ignore"):
-        assert _same_bits(bisect(f, lo, hi, iters),
-                          _reference_bisect(f, lo, hi, iters))
+        assert _same_bits(bisect(f, lo, hi), _reference_bisect(f, lo, hi))
         g = lambda x: sign * _SHAPES[shape](x - root[0])
-        assert _same_bits(bisect(g, lo[0], hi[0], iters),
-                          _reference_bisect(g, lo[0], hi[0], iters))
+        assert _same_bits(bisect(g, lo[0], hi[0]),
+                          _reference_bisect(g, lo[0], hi[0]))
 
 
 @pytest.mark.parametrize("name", ["touching_system", "gap_system"])
@@ -193,9 +228,9 @@ def test_surface_solves_equal_the_full_halving_loop(request, monkeypatch,
     # every f the surface route bisects, on the 181-point grid
     sizes = []
 
-    def checked(f, lo, hi, *args, **kwargs):
-        out = bisect(f, lo, hi, *args, **kwargs)
-        assert _same_bits(out, _reference_bisect(f, lo, hi, *args, **kwargs))
+    def checked(f, lo, hi):
+        out = bisect(f, lo, hi)
+        assert _same_bits(out, _reference_bisect(f, lo, hi))
         sizes.append(np.size(lo))
         return out
 
@@ -205,5 +240,6 @@ def test_surface_solves_equal_the_full_halving_loop(request, monkeypatch,
     surface.limit_curve(request.getfixturevalue(name), grid)
     for beta in grid[1:-1:30]:
         surface.solve_w(2.0, beta)  # the gap-invariant solve
-    surface.pushed_beta(2.0, grid[140:-1])  # a ray solve on an array
+    s = grid[140:-1]
+    surface.pushed_beta(2.0, (s, 1.0 - s))  # a ray solve on an array
     assert sizes.count(1) >= 5 and sum(n > 1 for n in sizes) >= 3

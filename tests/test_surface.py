@@ -44,9 +44,9 @@ def test_projection_ratio_fixed_point():
 
 def test_coordinate_maps_degenerate_values():
     assert beta_coord(0.7, 1.0) == 0.0
-    # the level set leaves w = 0 at the closed-form edge d1, exactly
+    # the level set leaves w = 0 at x = 0, its closed-form edge d = d1
     for alpha in (1e-9, 2.0, 1e9):
-        assert level_set_w(alpha, edge_d(alpha)) == 0.0
+        assert level_set_w(alpha, 0.0) == (0.0, edge_d(alpha))
     assert ray_direction(0.6, 0.6) == 0.0
 
 
@@ -243,19 +243,19 @@ def test_threshold_ray_monotone_and_reflective():
 
 def test_pushed_beta_limits():
     _, s_a = threshold_ray(2.0)
-    b, w, d = pushed_beta(2.0, s_a + 1e-6)
+    b, w, d = pushed_beta(2.0, (s_a + 1e-6, 1.0 - (s_a + 1e-6)))
     assert 0.0 <= b < 1e-12
     assert abs(_cubic(w, 2.0, d)) <= 1e-14
-    b, _, _ = pushed_beta(1.0, 0.5 + 1e-9)
+    b, _, _ = pushed_beta(1.0, (0.5 + 1e-9, 0.5 - 1e-9))
     assert 0.0 <= b < 1e-12
-    b, _, _ = pushed_beta(2.0, 1.0 - 1e-6)
+    b, _, _ = pushed_beta(2.0, (1.0 - 1e-6, 1e-6))
     assert 1.0 - 1e-4 < b < 1.0
 
 
 def test_pushed_beta_increasing():
     _, s_a = threshold_ray(2.0)
     s = s_a + (1.0 - s_a) * np.linspace(0.05, 0.95, 12)
-    b, _, _ = pushed_beta(2.0, s)
+    b, _, _ = pushed_beta(2.0, (s, 1.0 - s))
     assert np.all(np.diff(b) > 0)
 
 
@@ -271,7 +271,7 @@ def test_pushed_beta_against_50_digits(alpha, tau_rtol, beta_atol):
     mp = pytest.importorskip("mpmath")
     _, s_a = threshold_ray(alpha)
     s = s_a + (1.0 - s_a) * np.linspace(0.025, 0.975, 20)
-    beta, w, d = pushed_beta(alpha, s)
+    beta, w, d = pushed_beta(alpha, (s, 1.0 - s))
     with mp.workdps(50):
         al = mp.mpf(alpha)
         for i in range(s.size):
@@ -321,8 +321,9 @@ def _mp_root(mp, f, x):
 
 
 def _mp_star_right(mp, al, s):
-    """Star-frame limits right of the plateau: the ray solved in (u, tau)."""
-    theta = 2 * mp.mpf(s) - 1
+    """Star-frame limits right of the plateau at the exact ray ``s`` (an
+    mpf): the ray solved in (u, tau)."""
+    theta = 2 * s - 1
     u_of = lambda t: -t * ((t - 1) ** 2 + al) / ((t - 1) ** 2 - al * (2 * t - 1))
 
     def ray(t):
@@ -331,7 +332,7 @@ def _mp_star_right(mp, al, s):
                                            * (u + t - 2))
         return (t - u) * mp.sqrt(ratio) - theta
 
-    _, _, d = pushed_beta(float(al), s)  # a start, not a reference
+    _, _, d = pushed_beta(float(al), (float(s), float(1 - s)))  # a start
     t = _mp_root(mp, ray, 1 + mp.mpf(float(d)))
     return _mp_residues(mp, al, u_of(t), t)
 
@@ -340,11 +341,11 @@ def _mp_limits(mp, alpha, beta, s, info):
     """Limits of [-alpha, 0] u [beta, 1] at s, plateau and both zones."""
     al, be = mp.mpf(alpha), mp.mpf(beta)
     if s > info.c2:
-        return _mp_star_right(mp, al, s)
+        return _mp_star_right(mp, al, mp.mpf(s))
     if s < info.c1:
-        # the reflected star frame at 1 - s, carried back
+        # the reflected star frame at the ray 1 - s, exactly, carried back
         L = al + be
-        a1, a2, b1, b2 = _mp_star_right(mp, (1 - be) / L, 1 - s)
+        a1, a2, b1, b2 = _mp_star_right(mp, (1 - be) / L, 1 - mp.mpf(s))
         return L * L * a2, L * L * a1, be - L * b2, be - L * b1
     w = solve_w(alpha, beta)
     target = be * (1 + al) / (al + be)
@@ -358,27 +359,28 @@ def _mp_limits(mp, alpha, beta, s, info):
 
 @pytest.mark.parametrize("alpha", [1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6])
 def test_whole_chain_against_50_digits(alpha):
-    # A1, A2, B1, B2 of the surface route against the (u, tau) chain in 60
+    # A1, A2, B1, B2 of the surface route against the (u, tau) chain in 80
     # digits: rays next to the plateau edges (the threshold ray for beta =
-    # 0), 1e-9 to 1e-1 from either end, and the plateau.  A near an end is
-    # ~ distance^2, its ray known to one ulp of theta, so there its
-    # relative error is held times that distance.
+    # 0), one ulp to 1e-1 from either end, and the plateau.  The reference
+    # takes each ray exactly, the left zone's reflected ray 1 - s included,
+    # and A is held relative on every ray, however near an end.  The chain
+    # forms tau2 - gamma ~ w^2 as a difference, and w falls to 5e-26 one ulp
+    # from s = 1 at alpha = 1e-9, so 60 digits would leave it 8
     mp = pytest.importorskip("mpmath")
     for beta in (0.0, 0.25):
         info = plateau_bounds(StarConfig(alpha, beta))
-        ends = [x for e in (1e-9, 1e-7, 1e-5, 1e-3, 1e-1) for x in (e, 1 - e)]
+        ends = [x for e in (1e-12, 1e-9, 1e-7, 1e-5, 1e-3, 1e-1)
+                for x in (e, 1 - e)] + [np.nextafter(1.0, 0.0), 2.0 ** -53]
         edges = [info.c1 - 1e-9, info.c1 - 1e-6, info.c2 + 1e-9,
                  info.c2 + 1e-6, 0.5 * (info.c1 + info.c2)]
         rays = np.unique([x for x in ends + edges if 0.0 < x < 1.0])
         cv = limit_curve(AngelescoSystem(Interval(-alpha, 0.0),
                                          Interval(beta, 1.0)), rays, info)
-        with mp.workdps(60):
+        with mp.workdps(80):
             for i, s in enumerate(rays):
                 ref = _mp_limits(mp, alpha, beta, float(s), info)
-                near = min(s, 1.0 - s)
-                scale = 1.0 if near >= 1e-3 else near
                 for got, r in zip((cv.A1[i], cv.A2[i]), ref[:2]):
-                    assert abs(got - r) / r * scale <= 1e-12, (beta, s)
+                    assert abs(got - r) <= 1e-12 * r, (beta, s)
                 gap = ref[3] - ref[2]
                 for got, r in zip((cv.B1[i], cv.B2[i]), ref[2:]):
                     assert abs(got - r) <= 1e-14 * gap, (beta, s)
@@ -400,27 +402,41 @@ def test_every_system_of_the_sweep_answers():
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(st.floats(-9.0, 9.0), st.floats(-9.0, -1e-9))
-@example(-9.0, -9.0)
-@example(9.0, -9.0)
+@given(st.floats(-9.0, 9.0), st.floats(-12.0, -1e-9))
+@example(-9.0, -12.0)
+@example(9.0, -12.0)
 @example(-9.0, -1e-9)
 @example(9.0, -1e-9)
 def test_right_zone_limits_are_ordered_and_hold_the_identity(log_alpha,
                                                              log_dist):
     # a ray right of the threshold ray s_a, log-uniform in its distance to
-    # s = 1 and at least 1e-9 from it, star frame: A > 0, B1 < B2 and
+    # s = 1 and at least 1e-12 from it, star frame: A > 0, B1 < B2 and
     # (B2 - B1)^2 = A1 / s^2 + A2 / (1 - s)^2 to the whole-chain bound,
-    # relative and, within 1e-3 of an end, times the distance to it
+    # relative on every ray
     alpha = 10.0 ** log_alpha
     _, s_a = threshold_ray(alpha)
-    s = 1.0 - max((1.0 - s_a) * 10.0 ** log_dist, 1e-9)
-    _, w, d = pushed_beta(alpha, s)
+    s = 1.0 - max((1.0 - s_a) * 10.0 ** log_dist, 1e-12)
+    _, w, d = pushed_beta(alpha, (s, 1.0 - s))
     a1, a2, b1, b2 = residue_limits(alpha, w, d)
     assert a1 > 0.0 and a2 > 0.0 and b1 < b2
     lhs = (b2 - b1) ** 2
     rhs = a1 / s ** 2 + a2 / (1.0 - s) ** 2
-    near = min(s, 1.0 - s)
-    assert abs(lhs - rhs) / lhs * (1.0 if near >= 1e-3 else near) <= 1e-12
+    assert abs(lhs - rhs) <= 1e-12 * lhs
+
+
+@pytest.mark.parametrize("s", [1.0 - 1.1e-16, 1.1e-16])
+def test_a_ray_one_ulp_from_an_end_keeps_its_a_positive(s):
+    # at alpha = 0.1 the ray next to s = 1 used to land on d = d1 exactly,
+    # where A2 = 0 broke the curve contract (exit 3); its mirror goes
+    # through the reflected zone.  A ~ distance^2 C, so the quotient
+    # settles on the one at 1e-8
+    sys = AngelescoSystem(Interval(-0.1, 0.0), Interval(0.0, 1.0))
+    far = s > 0.5
+    dist = 1.0 - s if far else s
+    p, q = (limits_at(sys, x) for x in (s, 1.0 - 1e-8 if far else 1e-8))
+    a, b = (p.A2, q.A2) if far else (p.A1, q.A1)
+    assert a > 0.0
+    assert a / dist ** 2 == pytest.approx(b / 1e-16, rel=1e-6)
 
 
 def test_plateau_touching_degenerates(touching_info):
@@ -487,14 +503,14 @@ def test_failure_contexts_are_json(monkeypatch):
     # an open bisection bracket, reached through a public call: a ray left
     # of the threshold ray has no right-zone solution
     with pytest.raises(NumericalFailure, match="bracket") as exc:
-        pushed_beta(2.0, 0.3)
+        pushed_beta(2.0, (0.3, 0.7))
     ctx = exc.value.context
     assert json.loads(json.dumps(ctx)) == ctx
     # the plateau's contexts hold plain floats, not numpy scalars; a ray
     # solve that misses beta by 1e-6 fails the gap round trip
     with monkeypatch.context() as m:
         m.setattr(surface, "pushed_beta",
-                  lambda alpha, s: (np.float64(0.5 + 1e-6), None, None))
+                  lambda alpha, ray: (np.float64(0.5 + 1e-6), None, None))
         with pytest.raises(NumericalFailure, match="round trip") as exc:
             plateau_bounds(StarConfig(2.0, 0.5))
     ctx = exc.value.context
