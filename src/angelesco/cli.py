@@ -281,8 +281,7 @@ def run_validate(cfg):
                        tol, True))
     ide = identity_checks(curves["surface"], window=window)
     checks.append(("identity surface", ide.as_dict(), ide.max_abs,
-                   TOL_IDENTITY, ide.n_points > 0 and ide.endpoint_ok
-                   and ide.min_gap > 0.0))
+                   TOL_IDENTITY, ide.endpoint_ok and ide.min_gap > 0.0))
     res_grid = np.linspace(0.0, 1.0, cfg.residual_grid_points)
     res_curve = limit_curve(cfg.system(), res_grid, info)
     res = ode_residuals(res_curve, h=cfg.fd_step, window=window)
@@ -291,11 +290,13 @@ def run_validate(cfg):
 
     passed = True
     for name, entry, worst, tol, holds in checks:
-        ok = bool(holds and worst <= tol)
+        seen = entry["n_points"] > 0
+        ok = bool(seen and holds and worst <= tol)
         entry.update(tolerance=tol, passed=ok)
         passed &= ok
         print(f"{'PASS' if ok else 'FAIL'}  {name}: "
-              f"worst {worst:.3e} tolerance {tol:.1e}")
+              + (f"worst {worst:.3e} tolerance {tol:.1e}" if seen
+                 else "saw no point"))
     report = {"config": meta["config"], "plateau": meta["plateau"],
               "comparisons": [c[1] for c in checks[:3]],
               "identity": checks[3][1], "residuals": checks[4][1],

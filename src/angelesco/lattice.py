@@ -45,7 +45,7 @@ from .errors import NumericalFailure
 from .orthopoly import axis_data
 from .systems import LimitCurve, check_grid, validate_computed
 
-# smallest |b2 - b1| tolerated in a propagation denominator
+# smallest |b2 - b1| in a propagation denominator, in hull lengths
 _DENOM_FLOOR = 1e-12
 # points of the local Lagrange stencil along a diagonal
 _INTERP_POINTS = 6
@@ -62,7 +62,6 @@ class NnrrLattice:
     has one row per completed diagonal: the absolute mismatch between the
     propagated and the directly computed axis cross-b on each axis.
     """
-    sys: object
     m: int
     a1: np.ndarray
     a2: np.ndarray
@@ -88,7 +87,7 @@ class NnrrLattice:
         ``level`` can differ in the last bits, because the axis data of a
         deeper sweep uses more quadrature nodes.
         """
-        return NnrrLattice(self.sys, level, *self.diagonal(level),
+        return NnrrLattice(level, *self.diagonal(level),
                            {n: d for n, d in self.snapshots.items()
                             if n < level},
                            self.residuals[:level])
@@ -103,8 +102,8 @@ def solve_lattice(sys, m, snapshot_levels=None):
     ``snapshot_levels`` defaults to the levels below m that the Richardson
     table reads (:func:`table_levels`).  The sweep stores three rolling
     diagonals plus the snapshots; cost is O(m^2) time and O(m) memory.  A
-    propagation denominator below 1e-12 or a nonpositive interior
-    coefficient, NaN included, aborts with :class:`NumericalFailure`.
+    propagation denominator below 1e-12 hull lengths or a nonpositive
+    interior coefficient, NaN included, aborts with :class:`NumericalFailure`.
     """
     if m < 1:
         raise ValueError(f"level must be a positive integer, got {m}")
@@ -112,6 +111,7 @@ def solve_lattice(sys, m, snapshot_levels=None):
         snapshot_levels = table_levels(m)
     snapshot_levels = set(snapshot_levels)
 
+    floor = _DENOM_FLOOR * (sys.i2.hi - sys.i1.lo)
     ax1 = axis_data(sys, 1, m)
     ax2 = axis_data(sys, 2, m)
 
@@ -156,7 +156,7 @@ def solve_lattice(sys, m, snapshot_levels=None):
 
         # b-phase: b2 at k + 1 and b1 at k both move by q = dS / gap
         # (vectorized over the diagonal)
-        if not np.minimum.reduce(np.abs(gap)) >= _DENOM_FLOOR:
+        if not np.minimum.reduce(np.abs(gap)) >= floor:
             raise NumericalFailure("coefficient gap collapsed in b-phase",
                                    {"level": L + 1})
         S = np.add(a1n, a2n, out=s_buf[0:K])
@@ -178,7 +178,7 @@ def solve_lattice(sys, m, snapshot_levels=None):
         if L + 1 in snapshot_levels and L + 1 != m:
             snaps[L + 1] = (a1.copy(), a2.copy(), b1.copy(), b2.copy())
 
-    return NnrrLattice(sys, m, a1, a2, b1, b2, snaps, residuals)
+    return NnrrLattice(m, a1, a2, b1, b2, snaps, residuals)
 
 
 def table_levels(m):
@@ -243,18 +243,19 @@ def ray_limit(lat, s, extrapolate=False):
 def curve_from_lattice(lat, grid, extrapolate=False, compared=None):
     """Limit-curve estimate on ``grid`` from the finished lattice.
 
-    Interpolates the top diagonal at bi-degrees (s m, (1 - s) m).  With
-    ``extrapolate`` the diagonals at every level of :func:`table_levels`
-    are read the same way and a Neville table in h = 1/level takes them to
-    h = 0; ``meta["error_estimate"]`` then holds the largest difference
-    between the returned values and the table entry one order lower (over
-    A1 ... B2 and the grid) and the s where it occurs, or None when the
-    table has a single level.  ``compared``, a mask of the grid points a
-    later comparison reads (:func:`angelesco.crossval.compared_points`),
-    adds ``meta["error_estimate_compared"]``: the same over those points
-    only, or None when there are none.  Next to the plateau window the
-    table stalls, so there the whole-grid figure is far above the error
-    at the compared points.
+    Interpolates the diagonal of every level n in ``meta["table_levels"]``
+    (:func:`table_levels` with ``extrapolate``, else the top level alone)
+    at bi-degrees (s n, (1 - s) n), and a Neville table in h = 1/level takes
+    them to h = 0; a one-level table returns its values unchanged.
+    ``meta["error_estimate"]`` holds the largest difference between the
+    returned values and the table entry one order lower (over A1 ... B2 and
+    the grid) and the s where it occurs, or None when the table has a
+    single level.  ``compared``, a mask of the grid points a later
+    comparison reads (:func:`angelesco.crossval.compared_points`), adds
+    ``meta["error_estimate_compared"]``: the same over those points only,
+    or None when there are none.  Next to the plateau window the table
+    stalls, so there the whole-grid figure is far above the error at the
+    compared points.
 
     Within a few nodes of either end of a diagonal the coefficients are not
     yet samples of a smooth function of k / level, and the high-order
@@ -265,13 +266,9 @@ def curve_from_lattice(lat, grid, extrapolate=False, compared=None):
     """
     grid = check_grid(grid)
     top = lat.diagonal(lat.m)
-    if extrapolate:
-        levels = table_levels(lat.m)
-        vals, lower = richardson_table(
-            levels, [lagrange_interp(lat.diagonal(n), grid * n)
-                     for n in levels])
-    else:
-        vals = lagrange_interp(top, grid * lat.m)
+    levels = table_levels(lat.m) if extrapolate else [lat.m]
+    vals, lower = richardson_table(
+        levels, [lagrange_interp(lat.diagonal(n), grid * n) for n in levels])
     vals[0, grid == 0.0] = 0.0
     vals[1, grid == 1.0] = 0.0
     off = LimitCurve(grid, *vals).broken()
@@ -281,18 +278,17 @@ def curve_from_lattice(lat, grid, extrapolate=False, compared=None):
             v[off] = np.interp(grid[off] * lat.m, k, arr)
     meta = {"level": lat.m, "extrapolated": bool(extrapolate),
             "max_residual": lat.max_residual(),
-            "linear_points": int(np.count_nonzero(off))}
-    if extrapolate:
-        meta["table_levels"] = levels
-        diff = np.abs(vals - lower).max(axis=0)
-        masks = {"error_estimate": np.ones(grid.size, dtype=bool)}
-        if compared is not None:
-            masks["error_estimate_compared"] = np.asarray(compared, dtype=bool)
-        for key, mask in masks.items():
-            meta[key] = None
-            if len(levels) > 1 and np.any(mask):
-                worst = np.flatnonzero(mask)[np.argmax(diff[mask])]
-                meta[key] = {"max_abs": float(diff[worst]),
-                             "s": float(grid[worst])}
+            "linear_points": int(np.count_nonzero(off)),
+            "table_levels": levels}
+    diff = np.abs(vals - lower).max(axis=0)
+    masks = {"error_estimate": np.ones(grid.size, dtype=bool)}
+    if compared is not None:
+        masks["error_estimate_compared"] = np.asarray(compared, dtype=bool)
+    for key, mask in masks.items():
+        meta[key] = None
+        if len(levels) > 1 and np.any(mask):
+            worst = np.flatnonzero(mask)[np.argmax(diff[mask])]
+            meta[key] = {"max_abs": float(diff[worst]),
+                         "s": float(grid[worst])}
     return validate_computed(
         LimitCurve(grid.copy(), *vals, "lattice", meta))

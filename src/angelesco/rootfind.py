@@ -24,9 +24,11 @@ def bisect(f, lo, hi):
     sign change, or with a NaN end value, raises :class:`NumericalFailure`.
     A negative end, -0.0 included, raises ValueError.  The ends may come in
     either order.  Halves until every bracket's ends are adjacent doubles
-    and returns their midpoint.  ``f`` must be deterministic and
-    elementwise: a finished bracket's midpoint is its lower end, whose
-    value repeats, so it stays as it is while the others finish.
+    and returns the end where ``f`` is exactly 0, else their midpoint (a
+    zero midpoint replaces the end whose sign it would take).  ``f`` must be
+    deterministic and elementwise: a finished bracket's midpoint is its
+    lower end, whose value repeats, so it stays as it is while the others
+    finish.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     down = hi < lo
@@ -42,15 +44,18 @@ def bisect(f, lo, hi):
             "bisection bracket has no sign change",
             {"lo": lo[bad].ravel()[:5].tolist(),
              "hi": hi[bad].ravel()[:5].tolist()})
+    falls = (flo > 0) | (fhi < 0)  # a zero end says nothing
     ilo, ihi = lo.view(np.int64), hi.view(np.int64)
     while np.any(ihi - ilo > 1):
         imid = ilo + (ihi - ilo) // 2
         fm = np.asarray(f(imid.view(np.float64)), dtype=float)
-        same = (fm > 0) == (flo > 0)
-        ilo = np.where(same, imid, ilo)
-        ihi = np.where(same, ihi, imid)
-        flo = np.where(same, fm, flo)
-    return 0.5 * (ilo.view(np.float64) + ihi.view(np.float64))
+        to_lo = (fm > 0) == falls  # a zero of a rising f goes to lo
+        ilo = np.where(to_lo, imid, ilo)
+        ihi = np.where(to_lo, ihi, imid)
+        flo = np.where(to_lo, fm, flo)
+        fhi = np.where(to_lo, fhi, fm)
+    lo, hi = ilo.view(np.float64), ihi.view(np.float64)
+    return np.where(flo == 0, lo, np.where(fhi == 0, hi, 0.5 * (lo + hi)))[()]
 
 
 def expand_upper(f, lo, hi):

@@ -5,6 +5,8 @@ a legend, emitted as plain SVG 1.1 markup with no external renderer.  All
 geometry is formatted with fixed precision so identical inputs produce
 byte-identical files.
 """
+from xml.sax.saxutils import escape
+
 import numpy as np
 
 WIDTH, HEIGHT = 960.0, 660.0
@@ -49,9 +51,10 @@ def render_panels(curves, labels, comments=()):
     """SVG document showing the four limit functions of ``curves``.
 
     ``curves`` is a sequence of (s, values) pairs where values maps each
-    panel name to an array; ``labels`` names them in the legend.  Extra
-    ``comments`` are embedded verbatim as XML comments (resampling warnings,
-    provenance and the like).
+    panel name to an array; ``labels`` names them in the legend (escaped
+    here, as they may hold ``&`` or ``<``).  Extra ``comments`` are
+    embedded verbatim as XML comments (resampling warnings, provenance and
+    the like).
     """
     out = []
     out.append('<?xml version="1.0" encoding="UTF-8"?>')
@@ -71,7 +74,7 @@ def render_panels(curves, labels, comments=()):
         out.append(f'<line x1="{_fmt(x)}" y1="20" x2="{_fmt(x + 28)}" y2="20" '
                    f'stroke="{color}" stroke-width="2.5"/>')
         out.append(f'<text x="{_fmt(x + 34)}" y="24" font-family="sans-serif" '
-                   f'font-size="13">{label}</text>')
+                   f'font-size="13">{escape(label)}</text>')
         x += 44.0 + 7.5 * len(label)
 
     for idx, name in enumerate(PANELS):

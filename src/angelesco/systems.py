@@ -258,15 +258,12 @@ def pushforward_limits(curve, amap, swapped=False):
     1 <-> 2 and s -> 1 - s, the grid reversed so it stays increasing), then
     the affine action A -> scale^2 * A, B -> scale * B + shift is applied
     slotwise.  A negative scale encodes a reflection and is only consistent
-    together with ``swapped=True``.  The map is appended to the ``meta`` log
-    ``pushforward`` of the returned curve.
+    together with ``swapped=True``.  The returned curve keeps the input's
+    method and a copy of its ``meta``.
     """
     lam, c = amap.scale, amap.shift
     s, a1, a2, b1, b2 = curve.s, curve.A1, curve.A2, curve.B1, curve.B2
     if swapped:
         s, a1, a2, b1, b2 = (1.0 - s)[::-1], a2[::-1], a1[::-1], b2[::-1], b1[::-1]
-    meta = dict(curve.meta)
-    meta["pushforward"] = [*meta.get("pushforward", []),
-                           {"scale": lam, "shift": c, "swapped": bool(swapped)}]
     return LimitCurve(s, lam * lam * a1, lam * lam * a2,
-                      lam * b1 + c, lam * b2 + c, curve.method, meta)
+                      lam * b1 + c, lam * b2 + c, curve.method, dict(curve.meta))

@@ -57,7 +57,9 @@ def test_run_meta_states_the_lattice_error_estimate(tmp_path):
     assert main(["compute", "--methods", "dis", "--extrapolate", "false",
                  "--output_dir", str(out)]) == 0
     lattice = json.loads((out / "run_meta.json").read_text())["lattice"]
-    assert "error_estimate" not in lattice
+    # the plain read-out is the one-level table: no lower order to differ from
+    assert lattice["extrapolated"] is False and lattice["table_levels"] == [400]
+    assert lattice["error_estimate"] is None
 
 
 def test_readme_config_table_lists_every_field():
@@ -447,6 +449,33 @@ def test_validate_fails_an_identity_check_that_saw_no_point(
     assert any(line.startswith("FAIL  identity surface") for line in lines)
 
 
+def _no_nan(token):
+    raise AssertionError(f"report holds {token}")
+
+
+@pytest.mark.parametrize("beta", ["0.9", "0.999", "0.999999"])
+def test_validate_reports_wide_windows(tmp_path, capsys, beta):
+    # the plateau window covers every lattice point the margin leaves, so
+    # both lattice comparisons see no point: they fail in the report, which
+    # is written, instead of ending the run with exit 3
+    for alpha in ("1e-12", "1e-10", "1e-08", "1e-06", "0.0001", "0.01"):
+        out = tmp_path / alpha
+        rc = main(["validate", f"--interval1=-{alpha},0",
+                   f"--interval2={beta},1", "--output_dir", str(out)])
+        assert rc in (0, 1), alpha
+        report = json.loads((out / "validate_report.json").read_text(),
+                            parse_constant=_no_nan)
+        checks = report["comparisons"] + [report["identity"],
+                                          report["residuals"]]
+        unseen = [c for c in checks if c["n_points"] == 0]
+        assert all(c["passed"] is False for c in unseen)
+        assert report["passed"] is (rc == 0) is all(c["passed"] for c in checks)
+        fails = [ln for ln in capsys.readouterr().out.splitlines()
+                 if ln.endswith(": saw no point")]
+        assert len(fails) == len(unseen) and all(ln.startswith("FAIL")
+                                                 for ln in fails)
+
+
 def test_numerical_failure_exit_code(tmp_path, monkeypatch):
     import angelesco.cli as climod
 
@@ -474,6 +503,22 @@ def test_plot(tmp_path):
     for label in ("dis", "ode", "surface"):
         assert label in svg
     assert "resampled" not in svg
+
+
+def test_plot_escapes_its_legend_labels(tmp_path):
+    # the labels are file stems, which may hold XML's special characters
+    import xml.etree.ElementTree as ET
+
+    out = tmp_path / "out"
+    assert main(["compute", "--methods", "surface",
+                 "--output_dir", str(out)] + FAST) == 0
+    odd = tmp_path / "a&b<c>.csv"
+    odd.write_bytes((out / "surface.csv").read_bytes())
+    svg_path = tmp_path / "fig.svg"
+    assert main(["plot", str(odd), "--out", str(svg_path)]) == 0
+    root = ET.parse(svg_path).getroot()
+    texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert "a&b<c>" in texts
 
 
 def test_plot_resamples_mismatched_grids(tmp_path):

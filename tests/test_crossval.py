@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from angelesco import LimitCurve, NumericalFailure
+from angelesco import LimitCurve
 from angelesco.crossval import (compare, convergence_study, identity_checks,
                                 ode_residuals)
 from angelesco.lattice import curve_from_lattice, ray_limit, solve_lattice
@@ -51,9 +51,11 @@ def test_compare_empty_overlap():
     s2 = np.linspace(0.7, 1.0, 31)
     one = np.ones(31)
     a = LimitCurve(s1, one * 0.1, one * 0.2, -one, one)
-    b = LimitCurve(s2, one * 0.1, one * 0.2, -one, one)
-    with pytest.raises(NumericalFailure):
-        compare(a, b)
+    b = LimitCurve(s2, one * 0.1, one * 0.2, -one, one * 2.0)
+    # a report, not a raise: the caller decides that no point fails
+    rep = compare(a, b)
+    assert rep.n_points == 0 and rep.n_excluded == 0
+    assert rep.worst() == 0.0 and set(rep.mean_abs.values()) == {0.0}
 
 
 def test_compare_margin_needs_window():
@@ -66,8 +68,9 @@ def test_compare_margin_needs_window():
     # drops grid points closer than the margin to [0.4, 0.6]
     assert rep.n_excluded == 5
     assert rep.n_points == 16
-    with pytest.raises(NumericalFailure):
-        compare(a, a, exclude_margin=2.0, window=(0.4, 0.6))
+    rep = compare(a, a, exclude_margin=2.0, window=(0.4, 0.6))
+    assert rep.n_points == 0 and rep.n_excluded == 21
+    assert rep.worst() == 0.0 and set(rep.mean_abs.values()) == {0.0}
 
 
 @pytest.mark.parametrize("margin", [float("nan"), -1.0, float("inf")])
@@ -102,6 +105,17 @@ def test_residuals_vanish_on_constant_curve():
     cv = LimitCurve(s, 0.3 * one, 0.2 * one, -one, 0.5 * one)
     rep = ode_residuals(cv, h=2e-3)
     assert rep.worst() == 0.0
+
+
+def test_residuals_report_no_point_when_the_margins_leave_none():
+    # the one central difference, at s = 0.5, lies next to the window
+    s = np.linspace(0.0, 1.0, 3)
+    one = np.ones_like(s)
+    cv = LimitCurve(s, 0.3 * one, 0.2 * one, -one, 0.5 * one)
+    assert ode_residuals(cv, h=0.5).n_points == 1
+    rep = ode_residuals(cv, h=0.5, window=(0.495, 0.505))
+    assert rep.n_points == 0 and rep.max_rel == (0.0, 0.0, 0.0, 0.0)
+    assert rep.as_dict()["n_points"] == 0
 
 
 def test_residuals_flag_perturbed_curve(touching_system, touching_info):

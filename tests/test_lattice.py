@@ -180,6 +180,22 @@ def test_richardson_table_exact_on_cubics_in_inverse_level(m):
     assert np.array_equal(lower, sub)
 
 
+def test_sweep_scale_covariant_bit_for_bit(touching_system):
+    # scaling both intervals by 2^-50 scales every a by 2^-100 and every b
+    # by 2^-50, exactly; the gap guard's floor scales with the hull, so the
+    # sweep no longer reads a gap of order 2^-50 as collapsed
+    k = 2.0 ** -50
+    unit = solve_lattice(touching_system, 400)
+    small = solve_lattice(AngelescoSystem(Interval(-2.0 * k, 0.0),
+                                          Interval(0.0, k)), 400)
+    assert sorted(small.snapshots) == sorted(unit.snapshots)
+    for level in [*unit.snapshots, 400]:
+        for u, v, f in zip(unit.diagonal(level), small.diagonal(level),
+                           (k * k, k * k, k, k)):
+            assert np.array_equal(u * f, v), level
+    assert np.array_equal(unit.residuals * k, small.residuals)
+
+
 def test_richardson_table_of_one_level_is_that_level():
     best, lower = richardson_table([7], [np.array([1.5, -2.0])])
     assert np.array_equal(best, [1.5, -2.0]) and np.array_equal(lower, best)

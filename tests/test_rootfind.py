@@ -20,20 +20,24 @@ def _reference_bisect(f, lo, hi):
     """The bit-midpoint halving loop without an exit: always 64 halvings.
 
     Nonnegative brackets of doubles are less than 2^63 views wide, so 64
-    halvings take every one of them to adjacent doubles and past.
+    halvings take every one of them to adjacent doubles and past.  The
+    bracket is oriented once, so that g = f or -f rises; a midpoint where g
+    is at most 0 replaces the lower end, a zero of a falling f the upper.
+    The end where f is exactly 0 is the answer, else the midpoint.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
     flo = np.asarray(f(lo), dtype=float)
+    fhi = np.asarray(f(hi), dtype=float)
+    sign = np.where((flo > 0) | (fhi < 0), -1.0, 1.0)
     for _ in range(64):
         mid = _bit_mid(lo, hi)
-        fm = np.asarray(f(mid), dtype=float)
-        same = (fm > 0) == (flo > 0)
-        lo = np.where(same, mid, lo)
-        flo = np.where(same, fm, flo)
-        hi = np.where(same, hi, mid)
-    return 0.5 * (lo + hi)
+        g = sign * np.asarray(f(mid), dtype=float)
+        lower = np.where(sign > 0, g <= 0, g < 0)
+        lo, hi = np.where(lower, mid, lo), np.where(lower, hi, mid)
+    zero_lo, zero_hi = (np.asarray(f(x), dtype=float) == 0 for x in (lo, hi))
+    return np.where(zero_lo, lo, np.where(zero_hi, hi, 0.5 * (lo + hi)))[()]
 
 
 def _same_bits(a, b):
@@ -201,6 +205,28 @@ def test_bisect_reaches_a_root_at_the_end_0_exactly():
         assert len(calls) <= 65
     assert _same_bits(bisect(lambda x: 2.0 * x, np.zeros(2),
                              np.array([1.0, 1e300])), np.zeros(2))
+
+
+@pytest.mark.parametrize("f, lo, hi, root", [
+    (lambda x: x - 1 / 3, 0.0, 1.0, 1 / 3),   # a midpoint zero the lower end takes
+    (lambda x: 1 / 3 - x, 0.0, 1.0, 1 / 3),   # ... and the upper end, f falling
+    (lambda x: x - 0.5, 0.5, 1.0, 0.5),       # a root at lo
+    (lambda x: 0.5 - x, 0.5, 1.0, 0.5),       # a root at lo, f falling
+    (lambda x: -x, 0.0, 1.0, 0.0),
+    (lambda x: x - 1.0, 0.0, 1.0, 1.0),       # a root at hi
+    (lambda x: 1.0 - x, 0.0, 1.0, 1.0),
+], ids=["third-rising", "third-falling", "lo-rising", "lo-falling",
+        "zero-falling", "hi-rising", "hi-falling"])
+def test_bisect_keeps_an_exact_root(f, lo, hi, root):
+    # where f is exactly 0 at an end of the final pair, that end is the
+    # answer: 0.5 * (lo + hi) rounds to even and can be the other double
+    # (1/3 came back as 0.33333333333333337), and a root at lo with f
+    # falling used to let the bracket run to hi
+    out = bisect(f, lo, hi)
+    assert _same_bits(out, root) and f(out) == 0.0
+    assert type(out) is np.float64 and hash(out) == hash(root)  # lru_cache
+    vec = bisect(f, np.array([lo, lo]), np.array([hi, hi]))
+    assert _same_bits(vec, [root, root])
 
 
 @settings(max_examples=300, deadline=None)

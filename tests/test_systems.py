@@ -175,14 +175,17 @@ def test_pushforward_swapped_curve_values():
 
 
 def test_pushforward_log_does_not_leak():
+    # the result carries a copy of the input's meta and writes nothing to it
     s = np.array([0.2, 0.8])
     curve = LimitCurve(s, np.array([0.1, 0.3]), np.array([0.3, 0.1]),
-                       np.array([-1.0, -0.8]), np.array([0.5, 0.7]))
+                       np.array([-1.0, -0.8]), np.array([0.5, 0.7]),
+                       "lattice", {"level": 3})
     out1 = pushforward_limits(curve, AffineMap(2.0, 0.0))
-    out2 = pushforward_limits(out1, AffineMap(1.0, 1.0))
-    assert "pushforward" not in curve.meta
-    assert len(out1.meta["pushforward"]) == 1
-    assert len(out2.meta["pushforward"]) == 2
+    out2 = pushforward_limits(out1, AffineMap(-1.0, 1.0), swapped=True)
+    out2.meta["extra"] = True
+    assert curve.meta == out1.meta == {"level": 3}
+    assert out2.meta == {"level": 3, "extra": True}
+    assert out2.method == "lattice"
 
 
 def test_curve_validate():
