@@ -22,8 +22,8 @@ from .errors import NumericalFailure
 from .lattice import NnrrLattice, curve_from_lattice, ray_limit, solve_lattice
 from .ode import (BoundaryPack, Branch, assemble_curve, boundary_values,
                   integrate_branch, solve_system)
-from .orthopoly import (AxisData, QuadratureRule, ScalarRecurrence, axis_data,
-                        gauss_nodes, mixed_ratios, scalar_recurrence)
+from .orthopoly import (AxisData, QuadratureRule, axis_data, gauss_nodes,
+                        mixed_ratios, scalar_recurrence)
 from .surface import (PlateauInfo, limit_curve, limits_at, plateau_bounds,
                       pushed_beta, residue_limits, threshold_ray)
 from .systems import (WEIGHT_KINDS, AffineMap, AngelescoSystem, Interval,
@@ -36,7 +36,7 @@ __all__ = [
     "AffineMap", "AngelescoSystem", "AxisData", "BoundaryPack", "Branch",
     "ComparisonReport", "ConvergenceTable", "IdentityReport", "Interval",
     "LimitCurve", "LimitPoint", "NnrrLattice", "NumericalFailure",
-    "PlateauInfo", "QuadratureRule", "ResidualReport", "ScalarRecurrence",
+    "PlateauInfo", "QuadratureRule", "ResidualReport",
     "StarConfig", "WEIGHT_KINDS",
     "assemble_curve", "axis_data", "boundary_values", "compare",
     "convergence_study",

@@ -118,8 +118,9 @@ def solve_lattice(sys, m, snapshot_levels=None):
     # seed diagonal: the single site (0, 0)
     a1 = np.array([0.0])
     a2 = np.array([0.0])
-    b1 = np.array([ax1.own_b[0]])
-    b2 = np.array([ax2.own_b[0]])
+    mid1, mid2 = sys.i1.mid, sys.i2.mid
+    b1 = np.array([mid1])
+    b2 = np.array([mid2])
     gap_prev = None
     snaps = {}
     if 0 in snapshot_levels:
@@ -168,9 +169,9 @@ def solve_lattice(sys, m, snapshot_levels=None):
         # axis sites: log the propagated-vs-direct mismatch, then override
         residuals[L, 0] = abs(b2n[K - 1] - ax1.cross_b[L + 1])
         residuals[L, 1] = abs(b1n[0] - ax2.cross_b[L + 1])
-        b1n[K - 1] = ax1.own_b[L + 1]
+        b1n[K - 1] = mid1
         b2n[K - 1] = ax1.cross_b[L + 1]
-        b2n[0] = ax2.own_b[L + 1]
+        b2n[0] = mid2
         b1n[0] = ax2.cross_b[L + 1]
 
         gap_prev = gap
@@ -269,8 +270,6 @@ def curve_from_lattice(lat, grid, extrapolate=False, compared=None):
     levels = table_levels(lat.m) if extrapolate else [lat.m]
     vals, lower = richardson_table(
         levels, [lagrange_interp(lat.diagonal(n), grid * n) for n in levels])
-    vals[0, grid == 0.0] = 0.0
-    vals[1, grid == 1.0] = 0.0
     off = LimitCurve(grid, *vals).broken()
     if np.any(off):
         k = np.arange(lat.m + 1, dtype=float)

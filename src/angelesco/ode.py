@@ -84,29 +84,26 @@ def boundary_values(sys):
     """Endpoint limit values of ``sys`` in user coordinates.
 
     The values at s = 0 depend only on (i1.lo, i2); the values at s = 1 only
-    on (i1, i2.hi).  Validated against the square-root identity
-    (B2 - B1)^2 = C1 + C2 at both ends.
+    on (i1, i2.hi).  Each end gap B2 - B1 is a sum of interval-end
+    differences and the root of their product, and C1_0 = gap0^2 - C2_0
+    (C2_1 = gap1^2 - C1_1) is factored into a product of positive terms, so
+    (B2 - B1)^2 = C1 + C2 holds by construction and a shift of the system
+    moves only the B's.
     """
     a1, b1 = sys.i1.lo, sys.i1.hi
     a2, b2 = sys.i2.lo, sys.i2.hi
-    C2_0 = ((b2 - a2) / 4.0) ** 2
-    root0 = np.sqrt((a2 - a1) * (b2 - a1))
-    C1_0 = 0.25 * (-a1 + 0.5 * (a2 + b2) + root0) ** 2 - C2_0
-    C1_1 = ((b1 - a1) / 4.0) ** 2
-    root1 = np.sqrt((b2 - b1) * (b2 - a1))
-    C2_1 = 0.25 * (b2 - 0.5 * (a1 + b1) + root1) ** 2 - C1_1
-    B1_0 = 0.5 * (a1 + 0.5 * (a2 + b2) - root0)
+    root0 = math.sqrt((a2 - a1) * (b2 - a1))
+    root1 = math.sqrt((b2 - b1) * (b2 - a1))
+    gap0 = 0.5 * ((a2 - a1) + 0.5 * (b2 - a2) + root0)
+    gap1 = 0.5 * ((b2 - b1) + 0.5 * (b1 - a1) + root1)
     B2_0 = 0.5 * (a2 + b2)
     B1_1 = 0.5 * (a1 + b1)
-    B2_1 = 0.5 * (b2 + 0.5 * (a1 + b1) + root1)
-    pack = BoundaryPack(float(C1_0), float(C2_0), float(C1_1), float(C2_1),
-                        float(B1_0), float(B2_0), float(B1_1), float(B2_1))
-    for c1c2, b1b2 in (((pack.C1_0, pack.C2_0), (pack.B1_0, pack.B2_0)),
-                       ((pack.C1_1, pack.C2_1), (pack.B1_1, pack.B2_1))):
-        gap = b1b2[1] - b1b2[0]
-        if abs(gap * gap - (c1c2[0] + c1c2[1])) > 1e-10 * max(1.0, gap * gap):
-            raise NumericalFailure("endpoint identity violated", {"pack": pack})
-    return pack
+    return BoundaryPack(
+        C1_0=0.5 * ((a2 - a1) + root0) * (gap0 + 0.25 * (b2 - a2)),
+        C2_0=((b2 - a2) / 4.0) ** 2,
+        C1_1=((b1 - a1) / 4.0) ** 2,
+        C2_1=0.5 * ((b2 - b1) + root1) * (gap1 + 0.25 * (b1 - a1)),
+        B1_0=B2_0 - gap0, B2_0=B2_0, B1_1=B1_1, B2_1=B1_1 + gap1)
 
 
 def rhs(s, y):
@@ -296,16 +293,6 @@ def integrate_branch(pack, side, stop, steps_per_unit=DEFAULT_STEPS_PER_UNIT):
     return Branch(side, s_nodes, y_nodes, drift, pack, meta)
 
 
-def _fix_endpoints(g, A1, A2, B1, B2, pack):
-    # pin grid points at s = 0 / s = 1 to the exact closed forms
-    at0 = g == 0.0
-    A1[at0], A2[at0] = 0.0, pack.C2_0
-    B1[at0], B2[at0] = pack.B1_0, pack.B2_0
-    at1 = g == 1.0
-    A1[at1], A2[at1] = pack.C1_1, 0.0
-    B1[at1], B2[at1] = pack.B1_1, pack.B2_1
-
-
 def assemble_curve(forward, backward, c1, c2, grid):
     """Splice two branches and the plateau constants into one limit curve.
 
@@ -335,7 +322,9 @@ def assemble_curve(forward, backward, c1, c2, grid):
     # plateau constants: A is constant there, so C must be read through
     # the s-rescaling at each grid point rather than copied
     vals[:, plat] = 0.5 * (end_f + end_b)
-    _fix_endpoints(grid, *vals, pack)  # s = 0 and s = 1 are in no zone
+    # s = 0 and s = 1 are in no zone: the branches' closed-form start states
+    vals[:, grid == 0.0] = [[0.0], [pack.C2_0], [pack.B1_0], [pack.B2_0]]
+    vals[:, grid == 1.0] = [[pack.C1_1], [0.0], [pack.B1_1], [pack.B2_1]]
     meta = {"splice_mismatch": mism,
             "identity_drift": {"forward": forward.identity_drift,
                                "backward": backward.identity_drift},

@@ -11,6 +11,8 @@ Recurrence convention: with monic polynomials p_k of a single weight,
 
 so ``a[i]`` first appears in the step producing p_{i+2}.  On the lattice axis
 the own-direction coefficient at site k is ``a[k-1]`` (zero at k = 0).
+Every supported weight is symmetric about its interval's midpoint, so every
+b[k] is that midpoint (``Interval.mid``) and only the a's are computed.
 
 The mixed moments run the source recurrence on the destination's quadrature
 nodes, far nodes first.  Only the far node sets the scale, adjusted by exact
@@ -34,13 +36,6 @@ _RETIRE = 2.0 ** -400
 
 
 @dataclass(frozen=True)
-class ScalarRecurrence:
-    """Monic recurrence coefficients for one weight on one interval."""
-    a: np.ndarray
-    b: np.ndarray
-
-
-@dataclass(frozen=True)
 class QuadratureRule:
     """Nodes and probability-normalized weights; exact through ``degree``."""
     x: np.ndarray
@@ -49,15 +44,15 @@ class QuadratureRule:
 
 
 def scalar_recurrence(kind, interval, n):
-    """First ``n`` monic recurrence coefficients of the weight on ``interval``.
+    """First ``n`` monic recurrence a's of the weight on ``interval``.
 
-    All supported weights are symmetric about the midpoint, so every b equals
-    the midpoint; the a's differ per family.  Both arrays have length ``n``.
+    All supported weights are symmetric about the midpoint, so every b is
+    ``interval.mid`` and only the a's, which differ per family, are
+    returned, as an array of length ``n``.
     """
     check_weight_kind(kind)
     if n < 1:
         raise ValueError("n must be positive")
-    b = np.full(n, interval.mid)
     r = 0.25 * interval.length
     if kind == "chebyshev1":
         a = np.full(n, r * r)
@@ -67,7 +62,7 @@ def scalar_recurrence(kind, interval, n):
     else:  # uniform
         k = np.arange(1, n + 1, dtype=float)
         a = interval.radius ** 2 * k * k / (4.0 * k * k - 1.0)
-    return ScalarRecurrence(a, b)
+    return a
 
 
 def gauss_nodes(kind, interval, n):
@@ -125,8 +120,8 @@ def mixed_ratios(src_kind, src_interval, dst_kind, dst_interval, m):
     carries the scale: whenever the binary exponent of its value leaves a
     fixed window, the two live polynomial rows and the two live moments are
     multiplied by a power of two, which is exact and leaves every ratio
-    untouched.  The midpoint b is subtracted from the nodes once, since every
-    supported weight has all b's equal to it.
+    untouched.  The source midpoint, every b of every supported weight, is
+    subtracted from the nodes once.
 
     A tail node is retired once both of its values fall below 2^-400 of the
     far node's; by the monotonicity above it never comes back.  All terms of
@@ -136,9 +131,9 @@ def mixed_ratios(src_kind, src_interval, dst_kind, dst_interval, m):
     rule in use (w_far is about 2 pi^2 / n^3 at the smallest).  Without
     retirement such nodes sink into subnormals and carry rounding noise only.
 
-    A vanished moment, a far value that is zero or not finite, or a b that
-    is not the midpoint (NaN included in all three) raises
-    :class:`NumericalFailure` carrying the step ``k``.
+    A vanished moment or a far value that is zero or not finite (NaN
+    included in both) raises :class:`NumericalFailure` carrying the step
+    ``k``.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
@@ -150,16 +145,10 @@ def mixed_ratios(src_kind, src_interval, dst_kind, dst_interval, m):
     else:
         nodes = (m + 3) // 2
     rule = gauss_nodes(dst_kind, dst_interval, max(nodes, 1))
-    rec = scalar_recurrence(src_kind, src_interval, m + 1)
-    b = rec.b[0]
-    moved = np.flatnonzero(rec.b != b)  # NaN compares unequal too
-    if moved.size:
-        raise NumericalFailure("source recurrence b is not the midpoint",
-                               {"k": max(int(moved[0]) - 1, 0)})
-    t, w = rule.x - b, rule.w
+    t, w = rule.x - src_interval.mid, rule.w
     if abs(t[0]) < abs(t[-1]):        # the rules list nodes monotonically
         t, w = t[::-1].copy(), w[::-1].copy()
-    a = rec.a.tolist()
+    a = scalar_recurrence(src_kind, src_interval, m + 1).tolist()
     n = t.size                        # live nodes t[:n]
     u_prev = np.ones(n)               # p_0
     u_curr = t.copy()                 # p_1
@@ -204,17 +193,16 @@ def mixed_ratios(src_kind, src_interval, dst_kind, dst_interval, m):
 class AxisData:
     """Boundary-row data for one axis of the lattice, sites k = 0..m.
 
-    own_b[k] / own_a[k] are the recurrence coefficients in the axis' own
-    direction (own_a[0] = 0); cross_b[k] is the coefficient in the direction
-    of the other measure.
+    own_a[k] is the recurrence a in the axis' own direction (own_a[0] = 0);
+    the own b is the interval midpoint at every site, so it is not stored.
+    cross_b[k] is the coefficient in the direction of the other measure.
     """
     own_a: np.ndarray
-    own_b: np.ndarray
     cross_b: np.ndarray
 
     @property
     def m(self):
-        return self.own_b.size - 1
+        return self.cross_b.size - 1
 
 
 def axis_data(sys, axis, m):
@@ -222,8 +210,9 @@ def axis_data(sys, axis, m):
 
     The cross coefficient is own b plus the mixed moment ratio: projecting
     the step toward the other measure onto the axis polynomials leaves
-    cross_b[k] = b_k + h_{k+1}/h_k, which feeds the lattice sweep and is
-    checked against a brute-force moment construction in the tests.
+    cross_b[k] = b_k + h_{k+1}/h_k with b_k the midpoint, which feeds the
+    lattice sweep and is checked against a brute-force moment construction
+    in the tests.
     """
     if axis not in (1, 2):
         raise ValueError("axis must be 1 or 2")
@@ -233,9 +222,6 @@ def axis_data(sys, axis, m):
     else:
         kind, iv = sys.w2, sys.i2
         other_kind, other_iv = sys.w1, sys.i1
-    rec = scalar_recurrence(kind, iv, m + 1)
-    ratios = mixed_ratios(kind, iv, other_kind, other_iv, m)
-    own_a = np.concatenate([[0.0], rec.a[:m]])
-    own_b = rec.b.copy()
-    cross_b = own_b + ratios
-    return AxisData(own_a, own_b, cross_b)
+    own_a = np.concatenate([[0.0], scalar_recurrence(kind, iv, m + 1)[:m]])
+    cross_b = iv.mid + mixed_ratios(kind, iv, other_kind, other_iv, m)
+    return AxisData(own_a, cross_b)

@@ -17,7 +17,9 @@ give the limits in closed form.  Every difference a residue divides by, or
 that goes to zero, is written as a product or sum of positive terms, so
 tau1 < 0 < tau2 < tau0 and A >= 0 hold by construction.  This route is the
 precision reference for the lattice and ODE methods: every root solve is
-plain bisection run to adjacent doubles and all formulas are explicit.
+plain bisection run to adjacent doubles and all formulas are explicit.  It
+reads nothing of the ODE route, not even its closed-form endpoint values:
+the end rays s = 0 and s = 1 are solved like every other ray.
 
 The configuration solves are scalar: :func:`solve_w` and :func:`solve_d0`
 take one (alpha, beta) or (w, alpha).  d0 has one solve per (w, alpha),
@@ -32,7 +34,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NumericalFailure
-from .ode import _fix_endpoints, boundary_values
 from .rootfind import bisect, expand_upper
 from .systems import (AffineMap, LimitCurve, LimitPoint, check_grid,
                       plateau_zones, pushforward_limits, reflect,
@@ -190,7 +191,7 @@ def threshold_ray(alpha):
 
 
 def pushed_beta(alpha, ray):
-    """Gap beta_s of the support configuration seen along ray s in (s_alpha, 1).
+    """Gap beta_s of the support configuration seen along ray s in (s_alpha, 1].
 
     ``ray`` is the pair (s, 1 - s), each as exact as the caller has it; only
     the smaller is read, matched on the side of the nearer end: 1 - theta
@@ -198,7 +199,8 @@ def pushed_beta(alpha, ray):
     The ray is solved by one bisection in x = d - d1 on [0, d0(w = 1) - d1],
     from the ray s = 1 (w = 0) to the threshold ray (w = 1), with (w, d)
     from :func:`level_set_w`; since w is a product of x there, a ray next to
-    s = 1 keeps its digits.  Returns (beta_s, w, d).
+    s = 1 keeps its digits, and the ray (1, 0) itself, where 1 - theta is
+    exactly 0 at x = 0, returns x = 0.  Returns (beta_s, w, d).
     """
     s, t = (np.asarray(v, dtype=float) for v in ray)
     upper = s >= t
@@ -302,8 +304,9 @@ def limit_curve(sys, grid, info=None):
     each zone is solved in one vector pass: the plateau constants inside
     [c1, c2], the direct solve right of the plateau, and the reflected
     configuration at the ray pair (1 - s, s) left of it, whose distance s to
-    the end is exact; the endpoints s in {0, 1} take their closed-form
-    values.  Star-frame values reach the user frame through
+    the end is exact.  s = 1 joins the right zone and s = 0 the left one:
+    their ray (1, 0) solves to x = 0 exactly, so w = 0, d = d1 and the
+    vanishing A is exactly 0.  Star-frame values reach the user frame through
     :func:`pushforward_limits`.  ``info`` may carry a precomputed
     :class:`PlateauInfo`.
     """
@@ -313,8 +316,9 @@ def limit_curve(sys, grid, info=None):
         info = plateau_bounds(sc)
 
     left, plat, right = plateau_zones(grid, info.c1, info.c2)
+    left |= grid == 0.0  # the end rays are solved with their zones
+    right |= grid == 1.0
 
-    # star-frame values; endpoints are pinned after the transport
     star = np.zeros((4, grid.size))
     p = info.plateau
     star[:, plat] = np.array([[p.A1], [p.A2], [p.B1], [p.B2]])
@@ -329,7 +333,5 @@ def limit_curve(sys, grid, info=None):
         back = pushforward_limits(hat, back_map, swapped=True)
         star[:, left] = back.A1, back.A2, back.B1, back.B2
 
-    curve = pushforward_limits(LimitCurve(grid.copy(), *star, "surface"), amap)
-    _fix_endpoints(grid, curve.A1, curve.A2, curve.B1, curve.B2,
-                   boundary_values(sys))
-    return validate_computed(curve)
+    return validate_computed(
+        pushforward_limits(LimitCurve(grid.copy(), *star, "surface"), amap))

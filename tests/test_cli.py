@@ -376,6 +376,36 @@ def test_near_touching_plateau_constants_answer(tmp_path):
     assert rc == 0
 
 
+def _shifted_touching(power):
+    c = 2 ** power
+    return [f"--interval1={c - 2},{c}", f"--interval2={c},{c + 1}"]
+
+
+@pytest.mark.parametrize("power", [22, 30, 40])
+def test_a_shifted_touching_system_keeps_its_a_columns(tmp_path, power):
+    # every C of the endpoint closed forms is a difference of interval
+    # ends, and a power-of-two shift maps the star frame exactly, so the
+    # exact routes' A columns keep their bytes; only the B's move
+    for name, shift in (("base", []), ("shifted", _shifted_touching(power))):
+        assert main(["compute", "--output_dir", str(tmp_path / name)]
+                    + shift + FAST) == 0
+    for csv in ("ode.csv", "surface.csv"):
+        base, shifted = ([line.split(",")[:3] for line in
+                          (tmp_path / name / csv).read_text().splitlines()]
+                         for name in ("base", "shifted"))
+        assert base == shifted, csv
+
+
+@pytest.mark.parametrize("power", [22, 24])
+def test_validate_passes_on_a_shifted_touching_system(tmp_path, power):
+    # B2 - B1 carries ulp(shift), so the identity's absolute bound is read
+    # at 2^24 as 9.9e-9 against 1e-8; from 2^26 on it fails
+    out = tmp_path / "out"
+    assert main(["validate", "--output_dir", str(out)]
+                + _shifted_touching(power)) == 0
+    assert json.loads((out / "validate_report.json").read_text())["passed"]
+
+
 def test_an_alpha_lost_in_1_plus_alpha_answers(tmp_path):
     # the reflected configuration has alpha ~ 1e-16, so 1 + alpha rounds to
     # 1; no surface solve forms it, and the curve keeps A >= 0 and B1 < B2

@@ -41,6 +41,35 @@ def test_boundary_identity(touching_pack):
     assert pk.gap_1 ** 2 == pytest.approx(pk.C1_1 + pk.C2_1, abs=1e-10)
 
 
+@pytest.mark.parametrize("i1,i2", [((-1e-30, 0.0), (0.0, 1.0)),
+                                   ((-1e-20, 0.0), (0.0, 1.0)),
+                                   ((-1e-9, 0.0), (0.0, 1.0)),
+                                   ((-1e9, 0.0), (0.0, 1.0)),
+                                   ((-2.0, 0.0), (1e-3, 1e9)),
+                                   ((-1e-30, 0.0), (1e-3, 1e9)),
+                                   ((-3.0, -1.0), (2.0, 7.0))],
+                         ids=["1e-30", "1e-20", "1e-9", "1e9", "far-right",
+                              "1e-30-far-right", "apart"])
+def test_boundary_values_match_50_digit_reference(i1, i2):
+    # the expanded closed forms in 50 digits from the same interval ends;
+    # in doubles they cancel, C1_0 by 8e-4 relative at alpha = 1e-30
+    mp = pytest.importorskip("mpmath")
+    pk = boundary_values(AngelescoSystem(Interval(*i1), Interval(*i2)))
+    with mp.workdps(50):
+        a1, b1, a2, b2 = (mp.mpf(v) for v in (*i1, *i2))
+        root0 = mp.sqrt((a2 - a1) * (b2 - a1))
+        root1 = mp.sqrt((b2 - b1) * (b2 - a1))
+        ref = {"C2_0": ((b2 - a2) / 4) ** 2, "C1_1": ((b1 - a1) / 4) ** 2,
+               "B1_0": (a1 + (a2 + b2) / 2 - root0) / 2,
+               "B2_0": (a2 + b2) / 2, "B1_1": (a1 + b1) / 2,
+               "B2_1": (b2 + (a1 + b1) / 2 + root1) / 2}
+        ref["C1_0"] = (ref["B2_0"] - ref["B1_0"]) ** 2 - ref["C2_0"]
+        ref["C2_1"] = (ref["B2_1"] - ref["B1_1"]) ** 2 - ref["C1_1"]
+        for name, value in ref.items():
+            err = abs(getattr(pk, name) - value) / abs(value)
+            assert err <= 1e-15, (name, float(err))
+
+
 def test_boundary_values_depend_on_facing_edges_only(gap_system):
     # s = 0 data ignores i1.hi; s = 1 data ignores i2.lo
     pk = boundary_values(gap_system)

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from angelesco import (AffineMap, AngelescoSystem, Interval, NumericalFailure,
-                       StarConfig, pushforward_limits, reflect, surface)
+                       StarConfig, ode, pushforward_limits, reflect, surface)
 from angelesco.surface import (beta_coord, edge_d, infinity_preimages,
                                level_set_w, limit_curve, limits_at,
                                plateau_bounds, pushed_beta, ray_direction,
@@ -585,8 +585,36 @@ def test_limit_curve_matches_pointwise(gap_system, gap_info):
         assert cv.B2[i] == pytest.approx(p.B2, abs=1e-12)
 
 
+@pytest.mark.parametrize("beta", [0.0, 0.25, 0.9])
+def test_limit_curve_solves_its_own_endpoints(monkeypatch, beta):
+    # the end rays solve to w = 0 exactly and meet the ODE route's closed
+    # forms, which the surface route may not read: they are poisoned
+    # wherever they are bound
+    systems = [AngelescoSystem(Interval(-alpha, 0.0), Interval(beta, 1.0))
+               for alpha in np.logspace(-9, 9, 19)]
+    packs = [ode.boundary_values(sys) for sys in systems]
+
+    def unreachable(sys):
+        raise AssertionError("the surface route read the closed forms")
+
+    for mod in (surface, ode):
+        if hasattr(mod, "boundary_values"):
+            monkeypatch.setattr(mod, "boundary_values", unreachable)
+    for sys, pk in zip(systems, packs):
+        c = limit_curve(sys, np.array([0.0, 1.0]))
+        assert c.A1[0] == 0.0 and c.A2[1] == 0.0
+        assert abs(c.A2[0] - pk.C2_0) <= 1e-14 * pk.C2_0
+        assert abs(c.A1[1] - pk.C1_1) <= 1e-14 * pk.C1_1
+        for got, want, gap in ((c.B1[0], pk.B1_0, pk.gap_0),
+                               (c.B2[0], pk.B2_0, pk.gap_0),
+                               (c.B1[1], pk.B1_1, pk.gap_1),
+                               (c.B2[1], pk.B2_1, pk.gap_1)):
+            assert abs(got - want) <= 1e-14 * gap, sys
+
+
 def test_limit_curve_solves_each_zone_once(monkeypatch, gap_system, gap_info):
-    # one array bisection per off-plateau zone; scalar ones set up brackets
+    # one array bisection per off-plateau zone, its end ray included;
+    # scalar ones set up brackets
     sizes = []
     real_bisect = surface.bisect
 
@@ -597,9 +625,8 @@ def test_limit_curve_solves_each_zone_once(monkeypatch, gap_system, gap_info):
     monkeypatch.setattr(surface, "bisect", recording)
     grid = np.linspace(0.0, 1.0, 181)
     limit_curve(gap_system, grid, info=gap_info)
-    interior = (grid > 0) & (grid < 1)
-    zones = sorted([np.count_nonzero(interior & (grid < gap_info.c1)),
-                    np.count_nonzero(interior & (grid > gap_info.c2))])
+    zones = sorted([np.count_nonzero(grid < gap_info.c1),
+                    np.count_nonzero(grid > gap_info.c2)])
     assert sorted(n for n in sizes if n > 1) == zones
 
 
