@@ -14,8 +14,8 @@ import numpy as np
 
 from angelesco import AngelescoSystem, Interval, star_normalize
 from angelesco.surface import (beta_coord, infinity_preimages, pushed_beta,
-                               ray_direction, residue_limits, solve_d0,
-                               solve_w, threshold_ray)
+                               ray_gaps, residue_limits, solve_d0, solve_w,
+                               threshold_ray)
 
 system = AngelescoSystem(Interval(-2.0, 0.0), Interval(0.25, 1.0))
 star, frame = star_normalize(system)
@@ -35,14 +35,16 @@ d0 = solve_d0(w, alpha)
 tau1, tau2 = infinity_preimages(w, d0)
 print(f"d0 = tau0 - 1 = {d0:.10f}; other preimages of infinity: "
       f"tau1={tau1:.10f} tau2={tau2:.10f}")
-print(f"upper plateau edge c2 = {0.5 * (1.0 + ray_direction(w, d0)):.10f}")
+# the ray s = (1 + theta) / 2 of (w, d0), read as its exact end distances
+minus, plus = ray_gaps(w, d0)
+print(f"upper plateau edge c2 = {plus / 2:.10f} (1 - c2 = {minus / 2:.10f})")
 
 A1, A2, B1, B2 = residue_limits(alpha, w, d0)
 print(f"plateau constants (star frame): A1={A1:.8f} A2={A2:.8f} "
       f"B1={B1:.8f} B2={B2:.8f}")
 
 # rays right of the threshold see a growing effective gap
-theta, s_a = threshold_ray(alpha)
+s_a, _ = threshold_ray(alpha)
 print(f"\nthreshold ray of the touching configuration: s_alpha = {s_a:.10f}")
 print(f"{'s':>6} {'beta_s':>12} {'w(s)':>12} {'d(s)':>12}")
 for s in np.linspace(s_a + 0.02, 0.98, 6):

@@ -94,9 +94,11 @@ def gauss_nodes(kind, interval, n):
     j = np.arange(n)
     x = mid + rad * np.cos(j * np.pi / m)
     ks = np.arange(1, m // 2 + 1)
-    coef = np.where(2 * ks == m, 0.5, 1.0) / (4.0 * ks * ks - 1.0)
-    # w_j = (2/m) * (1 - 2 sum_k coef_k cos(2 k j pi / m)), halved at the ends
-    csum = np.cos(2.0 * np.outer(j, ks) * np.pi / m) @ coef
+    coef = np.zeros(m)
+    coef[ks] = np.where(2 * ks == m, 0.5, 1.0) / (4.0 * ks * ks - 1.0)
+    # w_j = (2/m) * (1 - 2 sum_k coef_k cos(2 k j pi / m)), halved at the
+    # ends; the cosine sum is the real part of one DFT of coef, at j mod m
+    csum = np.fft.fft(coef).real[j % m]
     w = (1.0 - 2.0 * csum) / m
     w[0] *= 0.5
     w[-1] *= 0.5

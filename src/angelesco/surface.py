@@ -9,24 +9,25 @@ by the gap invariant of the configuration, d by the alpha level set of the
 surface.  Along a ray the level set is linear in w, so w is eliminated
 explicitly and each ray off the plateau costs one bisection in x = d - d1,
 where w = 0 at d1 is the ray s = 1.  w is a product of x and the ray is
-read as its exact distance to the nearer end, so rays keep their digits
-up to the ends.  The
-partial-fraction residues of the uniformizing map read that (w, d)
-directly, with the two other preimages of infinity from a quadratic, and
-give the limits in closed form.  Every difference a residue divides by, or
-that goes to zero, is written as a product or sum of positive terms, so
-tau1 < 0 < tau2 < tau0 and A >= 0 hold by construction.  This route is the
-precision reference for the lattice and ODE methods: every root solve is
-plain bisection run to adjacent doubles and all formulas are explicit.  It
-reads nothing of the ODE route, not even its closed-form endpoint values:
-the end rays s = 0 and s = 1 are solved like every other ray.
+read as its exact distance to the nearer end, so rays keep their digits up
+to the ends.  The partial-fraction residues of the uniformizing map read
+that (w, d) directly, with the two other preimages of infinity from a
+quadratic, and give the limits in closed form.  Every difference a residue
+divides by, or that goes to zero, is written as a product or sum of
+positive terms, so tau1 < 0 < tau2 < tau0 and A >= 0 hold by construction.
+This route is the precision reference for the lattice and ODE methods:
+every root solve is plain bisection run to adjacent doubles and all
+formulas are explicit.  It reads nothing of the ODE route, not even its
+closed-form endpoint values: the end rays s = 0 and s = 1 are solved like
+every other ray.
 
-The configuration solves are scalar: :func:`solve_w` and :func:`solve_d0`
-take one (alpha, beta) or (w, alpha).  d0 has one solve per (w, alpha),
-cached for the process, so the threshold ray, the configuration in
-:func:`plateau_bounds` and the ray brackets of :func:`pushed_beta` share
-it.  The rays and the coordinate maps are elementwise numpy functions, so
-whole grids go through one call.
+The configuration solves are scalar.  :func:`solve_w` runs once per
+system: w is a cross-ratio of the four interval ends, so the reflected
+configuration shares it.  :func:`solve_d0` runs once per (w, alpha), cached
+for the process, so the plateau, the threshold ray and the ray brackets of
+:func:`pushed_beta` share it.  Every ray, the plateau edges included, is
+the pair (s, 1 - s) of exact end distances.  The rays and the coordinate
+maps are elementwise numpy functions, so whole grids go through one call.
 """
 from dataclasses import asdict, dataclass
 from functools import lru_cache
@@ -71,26 +72,17 @@ def level_set_w(alpha, x):
     return x * d * (x + 2.0 * d1 + 2.0) / (alpha * (1.0 + 2.0 * d) - d * d), d
 
 
-def ray_direction(w, d):
-    """Ray coordinate theta in (-1, 1) of a surface point; s = (1 + theta)/2."""
-    return _ray(w, d)[0]
-
-
-def _ray(w, d):
-    """theta and its denominator E (2 + w + d)(w + d), E = w + d + 2wd."""
-    e = w + d + 2.0 * w * d
-    q = e * (2.0 + w + d) * (w + d)
-    return (d - w) * np.sqrt((2.0 + e) / q), q
-
-
 def ray_gaps(w, d):
     """(1 - theta, 1 + theta) of a surface point, each without cancellation.
 
-    1 - theta^2 = 8 w d (1 + w)(1 + d) / (E (2 + w + d)(w + d)), so the
+    theta = 2s - 1 = (d - w) sqrt((2 + E) / q), E = w + d + 2wd and
+    q = E (2 + w + d)(w + d).  1 - theta^2 = 8 w d (1 + w)(1 + d) / q, so the
     smaller of the two is that product over the larger, 1 + |theta|, and it
     keeps its digits where theta is within rounding of +-1.
     """
-    theta, q = _ray(w, d)
+    e = w + d + 2.0 * w * d
+    q = e * (2.0 + w + d) * (w + d)
+    theta = (d - w) * np.sqrt((2.0 + e) / q)
     big = 1.0 + np.abs(theta)
     small = 8.0 * w * d * (1.0 + w) * (1.0 + d) / (q * big)
     up = theta > 0.0
@@ -124,10 +116,13 @@ def solve_d0(w, alpha):
     d^3 + (w + 2) d^2 - alpha (1 + 2w) d - alpha w = 0 has coefficient signs
     (+, +, -, -) for w > 0 and alpha > 0, so exactly one root d > 0
     (Descartes' rule of signs), negative below it and positive above.  The
-    cubic is -2 w d1 (1 + alpha) < 0 at d1 = :func:`edge_d`, so the bracket
-    starts there, on the scale of the root for every alpha; its upper end is
-    doubled until the sign flips and then bisected, with no scan for a
-    second crossing.  w <= 0 or alpha <= 0 (NaN included) raises
+    cubic is -2 w d1 (1 + alpha) < 0 at d1 = :func:`edge_d`.  For w in
+    (0, 1] it is at least d^3 + 2d^2 - 3 alpha d - alpha, which is
+    U^3 + 2 alpha^2 + 5 alpha^(3/2) + alpha > 0 at U = 2 alpha + sqrt(alpha)
+    (+inf, not NaN, in the Horner form where U overflows).  So [d1, U]
+    brackets the root on its own scale for every alpha: :func:`expand_upper`
+    confirms the sign without doubling, and the bisection needs no scan for
+    a second crossing.  w <= 0 or alpha <= 0 (NaN included) raises
     ValueError.  The result is cached for the process.
     """
     if not (w > 0.0 and alpha > 0.0):
@@ -135,7 +130,7 @@ def solve_d0(w, alpha):
                          f"got w={w}, alpha={alpha}")
     f = lambda d: ((d + (w + 2.0)) * d - alpha * (1.0 + 2.0 * w)) * d - alpha * w
     lo = edge_d(alpha)
-    return bisect(f, lo, expand_upper(f, lo, 2.0 * lo))
+    return bisect(f, lo, expand_upper(f, lo, 2.0 * alpha + np.sqrt(alpha)))
 
 
 def infinity_preimages(w, d):
@@ -184,10 +179,17 @@ def residue_limits(alpha, w, d):
     return a1, a2, kb * (k0 + t1 * k1), kb * (kt0 - d02 * s * e)
 
 
+def _edge(w, alpha):
+    """The ray (s, 1 - s) of the configuration point (w, d0(w, alpha)), each
+    an exact distance to its end: the halves of :func:`ray_gaps`."""
+    minus, plus = ray_gaps(w, solve_d0(w, alpha))
+    return float(plus) / 2.0, float(minus) / 2.0
+
+
 def threshold_ray(alpha):
-    """(theta, s) of the ray where the touching configuration fills both supports."""
-    theta = ray_direction(1.0, solve_d0(1.0, float(alpha)))
-    return theta, 0.5 * (1.0 + theta)
+    """The ray (s, 1 - s) where the touching configuration fills both
+    supports: the plateau edge at w = 1."""
+    return _edge(1.0, float(alpha))
 
 
 def pushed_beta(alpha, ray):
@@ -243,49 +245,38 @@ def reflected_star(sc):
     return sc_hat, AffineMap(-amap.scale, -amap.shift)
 
 
-def _upper_edge(sc):
-    """Solved (w, d0) of ``sc`` and the ray s of its plateau's upper edge."""
-    w = solve_w(sc.alpha, sc.beta)
-    d = solve_d0(w, sc.alpha)
-    return w, d, 0.5 * (1.0 + ray_direction(w, d))
-
-
 def plateau_bounds(sc):
     """Plateau window and constants for a star configuration.
 
-    c2 comes directly from the ray direction of the fully solved
-    configuration (the inversion of the gap-versus-ray map at the actual
-    gap); for touching intervals that is the threshold ray and c1 = c2.
-    Otherwise a consistency guard re-solves the gap at c2 and requires the
-    round trip to land back on beta, and c1 is one minus the analogous
-    value of the reflected configuration.
+    The gap invariant fixes w once.  c2 is the ray of the configuration
+    point (w, d0), and c1 the reflected configuration's distance to its own
+    s = 1: w is a cross-ratio of the four interval ends, so the reflection
+    keeps it and changes only alpha.  Both are exact end distances from
+    :func:`_edge`; for touching intervals (w = 1) c1 = c2 is the threshold
+    ray.  Two guards raise NumericalFailure: the gap solved again along
+    (c2, 1 - c2) must come back within 1e-9 of beta, relative, and every
+    window must satisfy 0 < c1 <= c2 < 1.
     """
-    w, d, c2 = _upper_edge(sc)
+    w = solve_w(sc.alpha, sc.beta)
+    c2, rest = _edge(w, sc.alpha)
     if sc.beta == 0.0:
         c1 = c2
     else:
-        back, _, _ = pushed_beta(sc.alpha, (c2, 1.0 - c2))
-        if abs(back - sc.beta) > 1e-9:
+        back, _, _ = pushed_beta(sc.alpha, (c2, rest))
+        if not abs(back - sc.beta) <= 1e-9 * sc.beta:
             raise NumericalFailure("plateau edge failed the gap round trip",
-                                   {"c2": float(c2), "beta": float(sc.beta),
+                                   {"c2": c2, "beta": float(sc.beta),
                                     "back": float(back)})
-        c1 = 1.0 - _upper_edge(reflected_star(sc)[0])[2]
-        if not 0.0 < c1 < c2 < 1.0:
-            raise NumericalFailure("plateau window out of order",
-                                   {"c1": float(c1), "c2": float(c2)})
-    a1, a2, b1, b2 = residue_limits(sc.alpha, w, d)
+        c1 = _edge(w, reflected_star(sc)[0].alpha)[1]
+    if not 0.0 < c1 <= c2 < 1.0:
+        raise NumericalFailure("plateau window out of order",
+                               {"c1": c1, "c2": c2})
+    a1, a2, b1, b2 = residue_limits(sc.alpha, w, solve_d0(w, sc.alpha))
     mid = 0.5 * (c1 + c2)
     # computed constants: a broken contract is a numerical failure
     point = validate_computed(LimitCurve(
         [mid], [a1], [a2], [b1], [b2], "plateau")).point(0)
     return PlateauInfo(c1, c2, point)
-
-
-def _star_values_right(alpha, ray):
-    """Star-frame limits at the rays (s, 1 - s) right of the plateau, read
-    from the (w, d) that :func:`pushed_beta` solved."""
-    _, w, d = pushed_beta(alpha, ray)
-    return residue_limits(alpha, w, d)
 
 
 def limits_at(sys, s, info=None):
@@ -324,12 +315,13 @@ def limit_curve(sys, grid, info=None):
     star[:, plat] = np.array([[p.A1], [p.A2], [p.B1], [p.B2]])
     if np.any(right):
         s = grid[right]
-        star[:, right] = _star_values_right(sc.alpha, (s, 1.0 - s))
+        _, w, d = pushed_beta(sc.alpha, (s, 1.0 - s))
+        star[:, right] = residue_limits(sc.alpha, w, d)
     if np.any(left):
         sc_hat, back_map = reflected_star(sc)
         s = grid[left][::-1]  # the reflected rays 1 - s, increasing
-        hat = LimitCurve(1.0 - s,
-                         *_star_values_right(sc_hat.alpha, (1.0 - s, s)))
+        _, w, d = pushed_beta(sc_hat.alpha, (1.0 - s, s))
+        hat = LimitCurve(1.0 - s, *residue_limits(sc_hat.alpha, w, d))
         back = pushforward_limits(hat, back_map, swapped=True)
         star[:, left] = back.A1, back.A2, back.B1, back.B2
 

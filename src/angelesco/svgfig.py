@@ -37,13 +37,15 @@ def _panel_box(index):
     return x0, y0, x1, y1
 
 
-def _data_range(arrays):
+def _data_range(arrays, margin=0.06):
+    """Axis range of ``arrays``, widened by ``margin`` of its span; a span
+    under 1e-12 (a constant, or a one-row curve) is padded to be drawable."""
     lo = min(float(np.min(a)) for a in arrays)
     hi = max(float(np.max(a)) for a in arrays)
     if hi - lo < 1e-12:
         pad = max(1e-6, 0.1 * abs(hi))
         return lo - pad, hi + pad
-    pad = 0.06 * (hi - lo)
+    pad = margin * (hi - lo)
     return lo - pad, hi + pad
 
 
@@ -80,8 +82,7 @@ def render_panels(curves, labels, comments=()):
     for idx, name in enumerate(PANELS):
         x0, y0, x1, y1 = _panel_box(idx)
         ylo, yhi = _data_range([vals[name] for _, vals in curves])
-        slo = min(float(s[0]) for s, _ in curves)
-        shi = max(float(s[-1]) for s, _ in curves)
+        slo, shi = _data_range([s for s, _ in curves], margin=0.0)
 
         def sx(v):
             return x0 + (v - slo) / (shi - slo) * (x1 - x0)

@@ -120,7 +120,7 @@ def test_criterion_6_symmetric_system_mirror():
     ii = solve_system(sym, info, GRID)
     assert np.max(np.abs(ii.A1 - ii.A2[::-1])) <= 1e-6
     assert np.max(np.abs(ii.B1 + ii.B2[::-1])) <= 1e-6
-    assert threshold_ray(1.0)[1] == pytest.approx(0.5, abs=1e-12)
+    assert threshold_ray(1.0)[0] == pytest.approx(0.5, abs=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["chebyshev1", "chebyshev2", "uniform"])

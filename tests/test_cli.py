@@ -276,25 +276,27 @@ def test_an_unbalanced_surface_curve_answers(tmp_path, interval1):
     assert rc == 0
 
 
+_OFF_THE_CONTRACT = {
+    # the threshold ray is 1 - 7.7e-18 and 1 - 7.7e-51: it rounds to s = 1
+    "-1e34,0": "plateau window out of order",
+    "-1e100,0": "plateau window out of order",
+    # alpha^2 underflows in the plateau residues
+    "-1e-200,0": "plateau curve: A2 values must be finite",
+}
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
-@pytest.mark.parametrize("interval1", ["-1e100,0"])
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("interval1", list(_OFF_THE_CONTRACT))
 def test_a_computed_curve_off_the_contract_exits_3(tmp_path, capsys,
                                                     interval1):
-    # alpha^2 overflows in the plateau residues: a numerical failure (3),
-    # not a usage error (2)
-    rc = main(["compute", "--methods", "surface", f"--interval1={interval1}",
+    # a computed window or constant off the contract is a numerical failure
+    # (3), not a usage error (2) through a later route's argument check
+    rc = main(["compute", "--methods", "surface,ode",
+               f"--interval1={interval1}",
                "--output_dir", str(tmp_path / "out")])
     assert rc == 3
-    assert "plateau curve: A1 values must be finite" in capsys.readouterr().err
-
-
-def test_a_failed_bracket_expansion_exits_3(tmp_path, capsys):
-    # alpha = 1e-200 puts d0 ~ sqrt(alpha) 1e100 times above its bracket's
-    # lower end, past the 60 doublings: a numerical failure (3)
-    rc = main(["compute", "--methods", "surface", "--interval1=-1e-200,0",
-               "--output_dir", str(tmp_path / "out")])
-    assert rc == 3
-    assert "bracket expansion failed" in capsys.readouterr().err
+    assert _OFF_THE_CONTRACT[interval1] in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command,flag,key", [
@@ -435,6 +437,18 @@ def test_validate_passes(tmp_path):
         assert entry["passed"] is True and entry["tolerance"] > 0.0
 
 
+def test_validate_passes_next_to_the_touching_limit(tmp_path, capsys):
+    # alpha = 1e-40: the threshold ray sits 7.7e-21 from s = 0, and the
+    # window is read as that distance, not as (1 + theta) / 2, which rounds
+    # to 0
+    out = tmp_path / "out"
+    rc = main(["validate", "--interval1=-1e-40,0", "--output_dir", str(out)])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert sum(line.startswith("PASS") for line in lines) == 5
+    assert not any(line.startswith("FAIL") for line in lines)
+
+
 def test_validate_passes_far_from_the_origin(tmp_path, capsys):
     # the touching system moved by 2^20; the sweep's b-phase must not lose
     # the digits of the shift (exact in binary) to cancellation
@@ -567,6 +581,26 @@ def test_plot_resamples_mismatched_grids(tmp_path):
     svg = svg_path.read_text()
     assert "resampled" in svg
     assert svg.count("<polyline") == 8
+
+
+def test_plot_draws_a_one_row_curve(tmp_path):
+    # compute --grid_points 1 writes one row; its s-range is padded the way
+    # a constant value range is
+    import xml.etree.ElementTree as ET
+
+    out = tmp_path / "out"
+    assert main(["compute", "--methods", "surface", "--grid_points", "1",
+                 "--output_dir", str(out)]) == 0
+    assert len(read_curve_csv(out / "surface.csv").s) == 1
+    svg_path = tmp_path / "fig.svg"
+    assert main(["plot", str(out / "surface.csv"),
+                 "--out", str(svg_path)]) == 0
+    root = ET.parse(svg_path).getroot()
+    lines = list(root.iter("{http://www.w3.org/2000/svg}polyline"))
+    assert len(lines) == 4
+    for el in lines:
+        x, y = map(float, el.get("points").split(","))
+        assert 0.0 < x < 960.0 and 0.0 < y < 660.0
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])

@@ -73,6 +73,27 @@ def test_gauss_uniform_mean_exact():
         assert rule.w @ rule.x == pytest.approx(0.5, abs=1e-15)
 
 
+def test_clenshaw_curtis_weights_against_30_digits():
+    # w_j = (2/m)(1 - 2 sum_k c_k cos(2 pi k j / m)), halved at the ends and
+    # normalized; the sum cancels to O(1/m) at the ends, so a few ulps
+    # times n is what rounding leaves
+    mp = pytest.importorskip("mpmath")
+    for n in (51, 402):
+        m = n - 1
+        got = gauss_nodes("uniform", Interval(-1.0, 1.0), n).w[::-1]
+        with mp.workdps(30):
+            ref = []
+            for j in range(n):
+                csum = sum((mp.mpf(1) / 2 if 2 * k == m else 1)
+                           / (4 * k * k - 1) * mp.cos(2 * k * j * mp.pi / m)
+                           for k in range(1, m // 2 + 1))
+                ref.append((1 - 2 * csum) / (m if 0 < j < m else 2 * m))
+            total = sum(ref)
+            err = max(abs(g - r / total) / (r / total)
+                      for g, r in zip(got, ref))
+        assert err <= 4e-16 * n, n
+
+
 @pytest.mark.parametrize("kind", ["chebyshev1", "chebyshev2", "uniform"])
 def test_gauss_exact_through_stated_degree(kind):
     iv = Interval(0.0, 1.0)

@@ -11,7 +11,7 @@ from angelesco import (AffineMap, AngelescoSystem, Interval, NumericalFailure,
                        StarConfig, ode, pushforward_limits, reflect, surface)
 from angelesco.surface import (beta_coord, edge_d, infinity_preimages,
                                level_set_w, limit_curve, limits_at,
-                               plateau_bounds, pushed_beta, ray_direction,
+                               plateau_bounds, pushed_beta, ray_gaps,
                                residue_limits, solve_d0, solve_w,
                                threshold_ray)
 
@@ -47,7 +47,7 @@ def test_coordinate_maps_degenerate_values():
     # the level set leaves w = 0 at x = 0, its closed-form edge d = d1
     for alpha in (1e-9, 2.0, 1e9):
         assert level_set_w(alpha, 0.0) == (0.0, edge_d(alpha))
-    assert ray_direction(0.6, 0.6) == 0.0
+    assert ray_gaps(0.6, 0.6) == (1.0, 1.0)
 
 
 def test_solve_u():
@@ -224,25 +224,25 @@ def test_residue_vanishes_when_preimage_hits_gamma():
 
 
 def test_threshold_ray_values():
-    _, s = threshold_ray(1.0)
+    s, _ = threshold_ray(1.0)
     assert s == pytest.approx(0.5, abs=1e-12)
-    _, s = threshold_ray(2.0)
+    s, _ = threshold_ray(2.0)
     assert s == pytest.approx(0.5986, abs=1e-3)
     assert s == pytest.approx(0.5985242517080603, abs=1e-12)
 
 
 def test_threshold_ray_monotone_and_reflective():
-    vals = [threshold_ray(a)[1] for a in (0.5, 1.0, 2.0, 4.0)]
+    vals = [threshold_ray(a)[0] for a in (0.5, 1.0, 2.0, 4.0)]
     assert np.all(np.diff(vals) > 0)
     assert vals[0] < 0.5 < vals[2]
     # swapping the interval roles reflects the threshold about one half
     for a in (0.5, 2.0, 4.0):
-        assert threshold_ray(1.0 / a)[1] == pytest.approx(
-            1.0 - threshold_ray(a)[1], abs=1e-12)
+        assert threshold_ray(1.0 / a)[0] == pytest.approx(
+            1.0 - threshold_ray(a)[0], abs=1e-12)
 
 
 def test_pushed_beta_limits():
-    _, s_a = threshold_ray(2.0)
+    s_a, _ = threshold_ray(2.0)
     b, w, d = pushed_beta(2.0, (s_a + 1e-6, 1.0 - (s_a + 1e-6)))
     assert 0.0 <= b < 1e-12
     assert abs(_cubic(w, 2.0, d)) <= 1e-14
@@ -253,7 +253,7 @@ def test_pushed_beta_limits():
 
 
 def test_pushed_beta_increasing():
-    _, s_a = threshold_ray(2.0)
+    s_a, _ = threshold_ray(2.0)
     s = s_a + (1.0 - s_a) * np.linspace(0.05, 0.95, 12)
     b, _, _ = pushed_beta(2.0, (s, 1.0 - s))
     assert np.all(np.diff(b) > 0)
@@ -269,7 +269,7 @@ def test_pushed_beta_increasing():
     (1e3, 3e-15, 1e-13)])
 def test_pushed_beta_against_50_digits(alpha, tau_rtol, beta_atol):
     mp = pytest.importorskip("mpmath")
-    _, s_a = threshold_ray(alpha)
+    s_a, _ = threshold_ray(alpha)
     s = s_a + (1.0 - s_a) * np.linspace(0.025, 0.975, 20)
     beta, w, d = pushed_beta(alpha, (s, 1.0 - s))
     with mp.workdps(50):
@@ -414,7 +414,7 @@ def test_right_zone_limits_are_ordered_and_hold_the_identity(log_alpha,
     # (B2 - B1)^2 = A1 / s^2 + A2 / (1 - s)^2 to the whole-chain bound,
     # relative on every ray
     alpha = 10.0 ** log_alpha
-    _, s_a = threshold_ray(alpha)
+    s_a, _ = threshold_ray(alpha)
     s = 1.0 - max((1.0 - s_a) * 10.0 ** log_dist, 1e-12)
     _, w, d = pushed_beta(alpha, (s, 1.0 - s))
     a1, a2, b1, b2 = residue_limits(alpha, w, d)
@@ -453,6 +453,88 @@ def test_plateau_gap_window(gap_info):
 def test_plateau_symmetric_window_is_centered():
     info = plateau_bounds(StarConfig(0.8, 0.2))
     assert info.c1 + info.c2 == pytest.approx(1.0, abs=1e-12)
+
+
+def _mp_edge(mp, al, be, w, d):
+    """(s, 1 - s) of the configuration (al, be) (mpf) from its (u, tau0),
+    each solved next to the doubles (w, d) and read through theta."""
+    r = be * (1 + al) / (al * (1 - be))
+    u = 2 if be == 0 else 1 + _mp_root(
+        mp, lambda x: (1 + x) * (1 - x) ** 3 - r * x * (2 + x) ** 3,
+        mp.mpf(w))
+    t = _mp_root(mp, lambda t: t * t * (t + u - 2)
+                 - (1 + al) * ((2 * u - 1) * t - u), 1 + mp.mpf(d))
+    num = 2 + 2 * u * t - u - t
+    den = (2 * u * t - u - t) * (u + t) * (u + t - 2)
+    theta = (t - u) * mp.sqrt(num / den)
+    return (1 + theta) / 2, (1 - theta) / 2
+
+
+@pytest.mark.parametrize("alpha, beta", [
+    (1e-12, 0.5), (1e-12, 0.25), (1e-9, 0.5), (1e-9, 1e-9), (0.01, 0.9),
+    (1e-3, 0.0)])
+def test_plateau_edges_against_60_digits(alpha, beta):
+    # c2 is the configuration's ray and c1 the reflected configuration's
+    # distance to its end, alpha_hat = (1 - beta) / (alpha + beta), with the
+    # same w: each holds 1e-15 relative, however small, the touching
+    # c1 = c2 included
+    mp = pytest.importorskip("mpmath")
+    info = plateau_bounds(StarConfig(alpha, beta))
+    w = solve_w(alpha, beta)
+    with mp.workdps(60):
+        al, be = mp.mpf(alpha), mp.mpf(beta)
+        c2 = _mp_edge(mp, al, be, w, solve_d0(w, alpha))[0]
+        al_hat = (1 - be) / (al + be)
+        c1 = _mp_edge(mp, al_hat, be / (al + be), w,
+                      solve_d0(w, float(al_hat)))[1]
+        assert abs(info.c2 - c2) <= 1e-15 * c2
+        assert abs(info.c1 - c1) <= 1e-15 * c1
+
+
+def test_threshold_ray_is_the_touching_plateau_edge():
+    # one path: the ray (s, 1 - s) at w = 1, bit for bit the touching
+    # plateau's c2; swapping the interval roles swaps the pair, each
+    # distance held relative however small it is
+    alphas = np.logspace(-12, 12, 97)
+    for a in alphas:
+        s, rest = threshold_ray(a)
+        assert s == plateau_bounds(StarConfig(float(a), 0.0)).c2
+        assert type(s) is float and type(rest) is float
+        for got, want in zip(threshold_ray(1.0 / a), (rest, s)):
+            assert abs(got - want) <= 1e-15 * want, a
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_solve_d0_brackets_the_root_without_doubling(monkeypatch):
+    # U = 2 alpha + sqrt(alpha) lies above the root for every w in (0, 1],
+    # so the sign is confirmed at once, over six hundred decades of alpha
+    real_expand = surface.expand_upper
+
+    def checked(f, lo, hi):
+        out = real_expand(f, lo, hi)
+        assert np.array_equal(out, hi), (lo, hi)
+        return out
+
+    monkeypatch.setattr(surface, "expand_upper", checked)
+    surface.solve_d0.cache_clear()
+    for alpha in np.logspace(-300, 300, 61):
+        for w in (1e-12, 1e-3, 1.0):
+            d = solve_d0(w, float(alpha))
+            lo, hi = np.nextafter(d, 0.0), np.nextafter(d, np.inf)
+            assert _cubic(w, alpha, lo) <= 0.0 <= _cubic(w, alpha, hi)
+
+
+def test_plateau_guards_are_scale_free(monkeypatch):
+    # every window of the sweep passes the round trip, held relative to beta
+    for alpha in np.logspace(-12, 12, 25):
+        for beta in (1e-12, 1e-9, 1e-6, 1e-3, 0.1, 0.5, 0.9, 0.999999):
+            info = plateau_bounds(StarConfig(float(alpha), beta))
+            assert 0.0 < info.c1 < info.c2 < 1.0
+    # a round trip 2e-21 off beta = 1e-12 is off by 2e-9 of it
+    monkeypatch.setattr(surface, "pushed_beta",
+                        lambda alpha, ray: (1e-12 * (1.0 + 2e-9), None, None))
+    with pytest.raises(NumericalFailure, match="round trip"):
+        plateau_bounds(StarConfig(2.0, 1e-12))
 
 
 def test_limits_at_endpoints(touching_system):
