@@ -26,7 +26,7 @@ from .crossval import (compare, compared_points, identity_checks,
                        ode_residuals, resample, residual_stride)
 from .errors import NumericalFailure
 from .lattice import curve_from_lattice, solve_lattice
-from .ode import solve_system
+from .ode import DEFAULT_STEPS_PER_UNIT, solve_system
 from .surface import limit_curve, plateau_bounds
 from .systems import (AngelescoSystem, Interval, LimitCurve, check_grid,
                       star_normalize)
@@ -58,7 +58,7 @@ class RunConfig:
     grid_points: int = 181
     lattice_level: int = 400
     extrapolate: bool = True
-    ode_steps: int = 500
+    ode_steps: int = DEFAULT_STEPS_PER_UNIT
     fd_step: float = 1e-3
     residual_grid_points: int = 2001
     output_dir: str = "out"

@@ -19,7 +19,7 @@ import numpy as np
 from .systems import plateau_zones
 
 FUNCS = ("A1", "A2", "B1", "B2")
-# ode_residuals skips points this close to 0, 1 and the plateau edges
+# ode_residuals skips points this close to 0, 1 and the plateau window
 EDGE_MARGIN = 0.01
 
 
@@ -138,7 +138,10 @@ def ode_residuals(curve, h=1e-3, window=None):
     evaluated with stride-based central differences of step ``h`` on the
     curve's own uniform grid; each residual is divided by
     max(1, largest |term|) at that point.  Points within ``EDGE_MARGIN`` of
-    0, 1 or the edges of ``window`` = (c1, c2) are excluded.  A nonuniform
+    0 or 1 are excluded, and so is the plateau ``window`` = (c1, c2),
+    where all four relations hold trivially: the points are split by
+    :func:`~angelesco.systems.plateau_zones` on the window widened by
+    ``EDGE_MARGIN`` at both edges.  A nonuniform
     grid, or one whose spacing does not divide ``h``
     (:func:`residual_stride`), raises ValueError.
     """
@@ -160,8 +163,8 @@ def ode_residuals(curve, h=1e-3, window=None):
     keep = (sm > EDGE_MARGIN) & (sm < 1.0 - EDGE_MARGIN)
     if window is not None:
         c1, c2 = window
-        keep &= np.abs(sm - c1) > EDGE_MARGIN
-        keep &= np.abs(sm - c2) > EDGE_MARGIN
+        left, _, right = plateau_zones(sm, c1 - EDGE_MARGIN, c2 + EDGE_MARGIN)
+        keep &= left | right
     sm = sm[keep]
     A1, A2, B1, B2 = (vals[f][keep] for f in FUNCS)
     dA1, dA2, dB1, dB2 = (der[f][keep] for f in FUNCS)

@@ -2,11 +2,13 @@
 
 In the interior of each support window the four limit functions satisfy a
 closed ODE system in the rescaled variables C1 = A1/s^2, C2 = A2/(1-s)^2.
-Two branches are integrated with classical Runge-Kutta on uniform meshes:
-forward from s = 0 and backward from s = 1, each started at its endpoint
-from the closed-form endpoint values.  The branches stop at the plateau
-edges and the assembled curve splices branch values with the plateau
-constants.
+Both branches run forward from s = 0 with classical Runge-Kutta on a
+uniform mesh, from the closed-form values there: one on the system up to
+the plateau edge c1, one on the reflected system (x -> -x, which swaps the
+intervals and maps s to 1 - s) up to the exact distance 1 - c2, read back
+at 1 - s through the mirror A1 <-> A2, (B1, B2) -> (-B2, -B1) as the
+surface route reads its left zone.  The assembled curve splices branch
+values with the plateau constants.
 
 Each branch controls its own step count by step doubling: runs of n and 2n
 steps share n + 1 nodes, where their difference over 15 estimates the 2n
@@ -28,7 +30,7 @@ The linear system defining (C1', C2') degenerates at the endpoints only
 through a removable factor s (1 - s); the solved form used here cancels that
 factor exactly, so the right-hand side is regular (locally Lipschitz) on
 all of [0, 1].  The limit curve is then the unique solution through the
-closed-form endpoint state, and RK4 starts at the endpoint itself.
+closed-form endpoint state, and RK4 starts at s = 0 itself.
 """
 import math
 from dataclasses import dataclass, field
@@ -37,8 +39,8 @@ import numpy as np
 
 from .errors import NumericalFailure
 from .lattice import lagrange_interp
-from .systems import (LimitCurve, check_grid, plateau_zones,
-                      validate_computed)
+from .systems import (AffineMap, LimitCurve, check_grid, plateau_zones,
+                      pushforward_limits, reflect, validate_computed)
 
 # steps per unit s of a branch's first RK4 run
 DEFAULT_STEPS_PER_UNIT = 500
@@ -55,55 +57,42 @@ _SPLICE_TOL = 1e-5
 
 @dataclass(frozen=True)
 class BoundaryPack:
-    """Closed-form endpoint values of the limit functions for one system.
+    """Closed-form values of the limit functions at s = 0 for one system.
 
     C's are the rescaled a-limits (A1 = s^2 C1, A2 = (1-s)^2 C2); suffix _0
-    and _1 name the endpoint.  Satisfies (B2 - B1)^2 = C1 + C2 at both ends.
+    names the endpoint.  Satisfies (B2 - B1)^2 = C1 + C2.  The values at
+    s = 1 are the reflected system's pack, mirrored: C1 <-> C2 and
+    (B1, B2) -> (-B2, -B1).
     """
     C1_0: float
     C2_0: float
-    C1_1: float
-    C2_1: float
     B1_0: float
     B2_0: float
-    B1_1: float
-    B2_1: float
 
     @property
     def gap_0(self):
         """B2 - B1 at s = 0; equals sqrt(C1_0 + C2_0)."""
         return self.B2_0 - self.B1_0
 
-    @property
-    def gap_1(self):
-        """B2 - B1 at s = 1; equals sqrt(C1_1 + C2_1)."""
-        return self.B2_1 - self.B1_1
-
 
 def boundary_values(sys):
-    """Endpoint limit values of ``sys`` in user coordinates.
+    """Limit values of ``sys`` at s = 0 in user coordinates.
 
-    The values at s = 0 depend only on (i1.lo, i2); the values at s = 1 only
-    on (i1, i2.hi).  Each end gap B2 - B1 is a sum of interval-end
-    differences and the root of their product, and C1_0 = gap0^2 - C2_0
-    (C2_1 = gap1^2 - C1_1) is factored into a product of positive terms, so
+    They depend only on (i1.lo, i2); those at s = 1 are the values of
+    ``reflect(sys)`` at s = 0, mirrored.  The end gap B2 - B1 is a sum of
+    interval-end differences and the root of their product, and
+    C1_0 = gap^2 - C2_0 is factored into a product of positive terms, so
     (B2 - B1)^2 = C1 + C2 holds by construction and a shift of the system
     moves only the B's.
     """
-    a1, b1 = sys.i1.lo, sys.i1.hi
+    a1 = sys.i1.lo
     a2, b2 = sys.i2.lo, sys.i2.hi
-    root0 = math.sqrt((a2 - a1) * (b2 - a1))
-    root1 = math.sqrt((b2 - b1) * (b2 - a1))
-    gap0 = 0.5 * ((a2 - a1) + 0.5 * (b2 - a2) + root0)
-    gap1 = 0.5 * ((b2 - b1) + 0.5 * (b1 - a1) + root1)
-    B2_0 = 0.5 * (a2 + b2)
-    B1_1 = 0.5 * (a1 + b1)
+    root = math.sqrt((a2 - a1) * (b2 - a1))
+    gap = 0.5 * ((a2 - a1) + 0.5 * (b2 - a2) + root)
+    B2 = 0.5 * (a2 + b2)
     return BoundaryPack(
-        C1_0=0.5 * ((a2 - a1) + root0) * (gap0 + 0.25 * (b2 - a2)),
-        C2_0=((b2 - a2) / 4.0) ** 2,
-        C1_1=((b1 - a1) / 4.0) ** 2,
-        C2_1=0.5 * ((b2 - b1) + root1) * (gap1 + 0.25 * (b1 - a1)),
-        B1_0=B2_0 - gap0, B2_0=B2_0, B1_1=B1_1, B2_1=B1_1 + gap1)
+        C1_0=0.5 * ((a2 - a1) + root) * (gap + 0.25 * (b2 - a2)),
+        C2_0=((b2 - a2) / 4.0) ** 2, B1_0=B2 - gap, B2_0=B2)
 
 
 def rhs(s, y):
@@ -134,31 +123,30 @@ def rhs(s, y):
     return d1, d2, dB1, dB2
 
 
-def endpoint_slopes(pack, side):
-    """Closed-form slopes (C1', C2') at an endpoint, from the ODE system itself.
+def endpoint_slopes(pack):
+    """Closed-form slopes (C1', C2') at s = 0, from the ODE system itself.
 
-    Obtained by evaluating the system and its s-derivative at the endpoint:
-    at s = 0, C2' = 2 C2 and C1' = -4 C1 - 6 C2; mirrored at s = 1.  They
-    are what :func:`rhs` must return at the endpoint state, where each
-    branch takes its first RK4 stage.
+    Obtained by evaluating the system and its s-derivative at s = 0:
+    C2' = 2 C2 and C1' = -4 C1 - 6 C2.  They are what :func:`rhs` must
+    return at the endpoint state, where each branch takes its first RK4
+    stage.  The reflected system's pack gives the slopes at s = 1, negated
+    and swapped.
     """
-    if side == 0:
-        return -4.0 * pack.C1_0 - 6.0 * pack.C2_0, 2.0 * pack.C2_0
-    return -2.0 * pack.C1_1, 4.0 * pack.C2_1 + 6.0 * pack.C1_1
+    return -4.0 * pack.C1_0 - 6.0 * pack.C2_0, 2.0 * pack.C2_0
 
 
 @dataclass
 class Branch:
-    """One integrated branch with dense 6-point Lagrange output.
+    """One branch run forward from s = 0, with dense 6-point Lagrange output.
 
-    ``s`` is ascending and uniformly spaced; ``y`` holds the state
-    (C1, C2, B1, B2) at each node.  ``identity_drift`` is the largest
+    ``s`` is ascending and uniformly spaced from 0 (a reflected system's
+    rays, 1 - s in the user frame); ``y`` holds the state (C1, C2, B1, B2)
+    at each node.  ``identity_drift`` is the largest
     |B2 - B1 - sqrt(C1 + C2)| over the finest RK4 run (redundancy monitor
-    for the B integration).  ``meta`` holds ``steps`` (every RK4 step taken
-    on the branch), ``doublings``, the scaled ``error_estimate`` and
-    ``stopped`` ("tolerance" or "cap").
+    for the B integration).  ``meta`` holds ``stop``, ``steps`` (every RK4
+    step taken on the branch), ``doublings``, the scaled ``error_estimate``
+    and ``stopped`` ("tolerance" or "cap").
     """
-    side: int
     s: np.ndarray
     y: np.ndarray
     identity_drift: float
@@ -173,7 +161,7 @@ class Branch:
         callers keep them inside the branch span.
         """
         grid = np.asarray(grid, dtype=float)
-        x = (grid - self.s[0]) * ((self.s.size - 1) / (self.s[-1] - self.s[0]))
+        x = grid * ((self.s.size - 1) / self.s[-1])
         return lagrange_interp(self.y.T, x).T
 
     def limit_values(self, grid):
@@ -187,21 +175,20 @@ class Branch:
         return A1, A2, B1, B2
 
 
-def _rk4(s0, y, stop, n):
-    """``n`` classical RK4 steps on Python floats from state ``y`` at ``s0``.
+def _rk4(y, stop, n):
+    """``n`` classical RK4 steps on Python floats from state ``y`` at s = 0.
 
-    Returns the nodes s0 + i h in integration order, the state at each, and
-    the largest identity drift |B2 - B1 - sqrt(C1 + C2)| after a step.
-    Halving h is exact, so the nodes of n steps are every second node of
-    2n steps.  Loss of positivity in C raises :class:`NumericalFailure`
-    with the last good s.
+    Returns the nodes i h, the state at each, and the largest identity
+    drift |B2 - B1 - sqrt(C1 + C2)| after a step.  Halving h is exact, so
+    the nodes of n steps are every second node of 2n steps.  Loss of
+    positivity in C raises :class:`NumericalFailure` with the last good s.
     """
-    h = float(stop - s0) / n
+    h = float(stop) / n
     hh = 0.5 * h
     h6 = h / 6.0
     s_nodes = np.empty(n + 1)
     y_nodes = np.empty((n + 1, 4))
-    s = s0
+    s = 0.0
     drift = 0.0
     for i in range(n):
         y0, y1, y2, y3 = y
@@ -222,7 +209,7 @@ def _rk4(s0, y, stop, n):
              y1 + h6 * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
              y2 + h6 * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
              y3 + h6 * (a3 + 2.0 * b3 + 2.0 * c3 + d3))
-        s = s0 + (i + 1) * h
+        s = (i + 1) * h
         csum = y[0] + y[1]
         # a negative sum is left to the next rhs call's positivity check
         if not csum < 0.0:
@@ -232,20 +219,20 @@ def _rk4(s0, y, stop, n):
     return s_nodes, y_nodes, drift
 
 
-def integrate_branch(pack, side, stop, steps_per_unit=DEFAULT_STEPS_PER_UNIT):
-    """Integrate one branch from its endpoint to ``stop``, error-controlled.
+def integrate_branch(pack, stop, steps_per_unit=DEFAULT_STEPS_PER_UNIT):
+    """Integrate one branch forward from s = 0 to ``stop``, error-controlled.
 
-    side 0 runs forward from s = 0, side 1 backward from s = 1, each from
-    the closed-form endpoint state in ``pack`` (the right-hand side is
-    regular there, so the first RK4 stage is taken at the endpoint itself).
+    The branch starts from the closed-form state in ``pack`` (the
+    right-hand side is regular there, so the first RK4 stage is taken at
+    s = 0 itself); the one next to s = 1 runs on the reflected system.
 
     Step doubling with Richardson extrapolation (Hairer, Norsett & Wanner,
-    *Solving ODEs I*, II.4): the first run takes n = ceil(length *
+    *Solving ODEs I*, II.4): the first run takes n = ceil(``stop`` *
     ``steps_per_unit``) steps (at least 1), the next 2n.  At the n + 1
     shared nodes RK4's h^4 error gives the extrapolated state
     y2n + (y2n - yn)/15 and the estimate |y2n - yn|/15, scaled by the gap
-    at the branch's endpoint (C over gap^2, B over gap).  While the estimate
-    of some component exceeds ``_DOUBLING_TOL`` plus a rounding floor of
+    at s = 0 (C over gap^2, B over gap).  While the estimate of some
+    component exceeds ``_DOUBLING_TOL`` plus a rounding floor of
     ``_ROUNDING_ULPS`` eps max|y|, the step count doubles again and the old
     fine run becomes the coarse one, so each doubling integrates once.
     After ``_MAX_DOUBLINGS`` doublings the best branch is returned with its
@@ -253,26 +240,18 @@ def integrate_branch(pack, side, stop, steps_per_unit=DEFAULT_STEPS_PER_UNIT):
     finest run, with the correction (y2n - yn)/15 interpolated onto its odd
     nodes.  ``meta`` reports the work and the estimate (see :class:`Branch`).
     """
-    if side not in (0, 1):
-        raise ValueError(f"side must be 0 or 1, got {side}")
     if not steps_per_unit >= 1:
         raise ValueError(f"steps_per_unit must be at least 1, got {steps_per_unit}")
-    if side == 0:
-        if not 0.0 < stop <= 1.0:
-            raise ValueError(f"forward stop must lie in (0, 1], got {stop}")
-        s0, y = 0.0, (pack.C1_0, pack.C2_0, pack.B1_0, pack.B2_0)
-        gap = pack.gap_0
-    else:
-        if not 0.0 <= stop < 1.0:
-            raise ValueError(f"backward stop must lie in [0, 1), got {stop}")
-        s0, y = 1.0, (pack.C1_1, pack.C2_1, pack.B1_1, pack.B2_1)
-        gap = pack.gap_1
+    if not 0.0 < stop <= 1.0:
+        raise ValueError(f"branch stop must lie in (0, 1], got {stop}")
+    y = (pack.C1_0, pack.C2_0, pack.B1_0, pack.B2_0)
+    gap = pack.gap_0
     scale = np.array([gap * gap, gap * gap, gap, gap])
-    n = max(1, int(np.ceil(abs(stop - s0) * steps_per_unit)))
-    _, coarse, _ = _rk4(s0, y, stop, n)
+    n = max(1, int(np.ceil(stop * steps_per_unit)))
+    _, coarse, _ = _rk4(y, stop, n)
     steps = n
     for doublings in range(1, _MAX_DOUBLINGS + 1):
-        s_fine, fine, drift = _rk4(s0, y, stop, 2 * n)
+        s_fine, fine, drift = _rk4(y, stop, 2 * n)
         steps += 2 * n
         diff = (fine[::2] - coarse) / 15.0
         err = np.abs(diff).max(axis=0)
@@ -283,33 +262,39 @@ def integrate_branch(pack, side, stop, steps_per_unit=DEFAULT_STEPS_PER_UNIT):
         coarse, n = fine, 2 * n
     # the correction is smooth and tiny, so interpolating it onto the odd
     # fine nodes loses nothing and halves the mesh the read-out sees
-    s_nodes = s_fine
     y_nodes = fine + lagrange_interp(diff.T, np.arange(len(fine)) / 2.0).T
-    if side == 1:
-        s_nodes, y_nodes = s_nodes[::-1], y_nodes[::-1]
     meta = {"steps": steps, "stop": stop, "doublings": doublings,
             "error_estimate": float(np.max(err / scale)),
             "stopped": "tolerance" if converged else "cap"}
-    return Branch(side, s_nodes, y_nodes, drift, pack, meta)
+    return Branch(s_fine, y_nodes, drift, pack, meta)
+
+
+def _mirrored(branch, t):
+    """Rows A1, A2, B1, B2 at the user rays 1 - t, increasing, from a branch
+    of the reflected system read at its increasing rays ``t``."""
+    back = pushforward_limits(LimitCurve(t, *branch.limit_values(t)),
+                              AffineMap(-1.0, 0.0), swapped=True)
+    return np.array([back.A1, back.A2, back.B1, back.B2])
 
 
 def assemble_curve(forward, backward, c1, c2, grid):
     """Splice two branches and the plateau constants into one limit curve.
 
-    The grid is split by :func:`~angelesco.systems.plateau_zones`: branch
-    values fill s < c1 and s > c2, and on [c1, c2] (for touching systems
-    the one ray c1 = c2) the four functions are the mean of the two branch
-    endpoint states.  Their mismatch is recorded in ``meta``, ``ok`` when
-    at most ``_SPLICE_TOL`` scaled by the smaller endpoint gap, together
-    with the branch redundancy monitors and, under ``branches``, each
-    branch's step-doubling report.
+    ``forward`` is the system's branch, run to c1; ``backward`` is the
+    reflected system's, run to 1 - c2 and mirrored back.  The grid is split
+    by :func:`~angelesco.systems.plateau_zones`: branch values fill s < c1
+    and s > c2, and on [c1, c2] (for touching systems the one ray
+    c1 = c2) the four functions are the mean of the two branch end states,
+    each read at its branch's own stop.  Their mismatch is recorded in
+    ``meta``, ``ok`` when at most ``_SPLICE_TOL`` scaled by the smaller
+    endpoint gap, together with the branch redundancy monitors and, under
+    ``branches``, each branch's step-doubling report.
     """
     grid = check_grid(grid)
-    pack = forward.pack
-    end_f = np.array(forward.limit_values(np.array([c1])))
-    end_b = np.array(backward.limit_values(np.array([c2])))
+    end_f = np.array(forward.limit_values(np.array([forward.meta["stop"]])))
+    end_b = _mirrored(backward, np.array([backward.meta["stop"]]))
     diff = np.abs(end_f - end_b)[:, 0]
-    gap = min(pack.gap_0, pack.gap_1)
+    gap = min(forward.pack.gap_0, backward.pack.gap_0)
     # flagged, never fatal: both branch endpoints estimate the same plateau
     mism = {"at_c1_vs_c2": diff.tolist(),
             "ok": bool(np.max(diff / [gap * gap, gap * gap, gap, gap])
@@ -318,13 +303,14 @@ def assemble_curve(forward, backward, c1, c2, grid):
     vals = np.empty((4, grid.size))
     left, plat, right = plateau_zones(grid, c1, c2)
     vals[:, left] = forward.limit_values(grid[left])
-    vals[:, right] = backward.limit_values(grid[right])
+    vals[:, right] = _mirrored(backward, (1.0 - grid[right])[::-1])
     # plateau constants: A is constant there, so C must be read through
     # the s-rescaling at each grid point rather than copied
     vals[:, plat] = 0.5 * (end_f + end_b)
-    # s = 0 and s = 1 are in no zone: the branches' closed-form start states
-    vals[:, grid == 0.0] = [[0.0], [pack.C2_0], [pack.B1_0], [pack.B2_0]]
-    vals[:, grid == 1.0] = [[pack.C1_1], [0.0], [pack.B1_1], [pack.B2_1]]
+    # s = 0 and s = 1 are in no zone: the closed-form start states
+    pk, hat = forward.pack, backward.pack
+    vals[:, grid == 0.0] = [[0.0], [pk.C2_0], [pk.B1_0], [pk.B2_0]]
+    vals[:, grid == 1.0] = [[hat.C2_0], [0.0], [-hat.B2_0], [-hat.B1_0]]
     meta = {"splice_mismatch": mism,
             "identity_drift": {"forward": forward.identity_drift,
                                "backward": backward.identity_drift},
@@ -339,10 +325,12 @@ def assemble_curve(forward, backward, c1, c2, grid):
 def solve_system(sys, plateau, grid, steps_per_unit=DEFAULT_STEPS_PER_UNIT):
     """Full ODE-route curve for ``sys``: both branches plus the splice.
 
-    ``plateau`` supplies the window [c1, c2] (from the surface route).
-    Returns the assembled :class:`LimitCurve`.
+    ``plateau`` (from the surface route) supplies c1, c2 and the exact
+    1 - c2: the forward branch runs ``sys`` to c1, the backward one
+    ``reflect(sys)`` to 1 - c2.  Returns the assembled :class:`LimitCurve`.
     """
-    pack = boundary_values(sys)
-    forward = integrate_branch(pack, 0, plateau.c1, steps_per_unit)
-    backward = integrate_branch(pack, 1, plateau.c2, steps_per_unit)
+    forward = integrate_branch(boundary_values(sys), plateau.c1,
+                               steps_per_unit)
+    backward = integrate_branch(boundary_values(reflect(sys)),
+                                plateau.one_minus_c2, steps_per_unit)
     return assemble_curve(forward, backward, plateau.c1, plateau.c2, grid)

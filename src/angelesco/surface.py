@@ -226,11 +226,14 @@ def pushed_beta(alpha, ray):
 class PlateauInfo:
     """Plateau window [c1, c2] of a star configuration and its constants.
 
-    For touching intervals c1 = c2 = threshold ray.  ``plateau`` carries the
+    For touching intervals c1 = c2 = threshold ray.  c1 is exact as the
+    distance to s = 0 and ``one_minus_c2`` = 1 - c2 exactly as the distance
+    to s = 1, which c2 itself may round away.  ``plateau`` carries the
     star-frame constant limit values at the window midpoint.
     """
     c1: float
     c2: float
+    one_minus_c2: float
     plateau: LimitPoint
 
     def as_dict(self):
@@ -255,20 +258,21 @@ def plateau_bounds(sc):
     :func:`_edge`; for touching intervals (w = 1) c1 = c2 is the threshold
     ray.  Two guards raise NumericalFailure: the gap solved again along
     (c2, 1 - c2) must come back within 1e-9 of beta, relative, and every
-    window must satisfy 0 < c1 <= c2 < 1.
+    window must satisfy 0 < c1 <= c2 with 1 - c2 > 0 (c2 itself may round
+    to 1 next to the end).
     """
     w = solve_w(sc.alpha, sc.beta)
-    c2, rest = _edge(w, sc.alpha)
+    c2, one_minus_c2 = _edge(w, sc.alpha)
     if sc.beta == 0.0:
         c1 = c2
     else:
-        back, _, _ = pushed_beta(sc.alpha, (c2, rest))
+        back, _, _ = pushed_beta(sc.alpha, (c2, one_minus_c2))
         if not abs(back - sc.beta) <= 1e-9 * sc.beta:
             raise NumericalFailure("plateau edge failed the gap round trip",
                                    {"c2": c2, "beta": float(sc.beta),
                                     "back": float(back)})
         c1 = _edge(w, reflected_star(sc)[0].alpha)[1]
-    if not 0.0 < c1 <= c2 < 1.0:
+    if not (0.0 < c1 <= c2 and one_minus_c2 > 0.0):
         raise NumericalFailure("plateau window out of order",
                                {"c1": c1, "c2": c2})
     a1, a2, b1, b2 = residue_limits(sc.alpha, w, solve_d0(w, sc.alpha))
@@ -276,7 +280,7 @@ def plateau_bounds(sc):
     # computed constants: a broken contract is a numerical failure
     point = validate_computed(LimitCurve(
         [mid], [a1], [a2], [b1], [b2], "plateau")).point(0)
-    return PlateauInfo(c1, c2, point)
+    return PlateauInfo(c1, c2, one_minus_c2, point)
 
 
 def limits_at(sys, s, info=None):

@@ -123,7 +123,9 @@ def plateau_zones(grid, c1, c2):
 
     Interior means 0 < s < 1; the endpoints belong to no zone.  The plateau
     is closed, c1 <= s <= c2, so for c1 <= c2 the three masks are disjoint
-    and cover the interior.  Every route and check splits a grid this way.
+    and cover the interior.  Every route and check splits a grid this way
+    (the residual check on the window widened by its edge margin) except
+    the lattice comparisons' distance rule, ``crossval.compared_points``.
     """
     s = np.asarray(grid, dtype=float)
     interior = (s > 0.0) & (s < 1.0)

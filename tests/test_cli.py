@@ -14,7 +14,7 @@ from angelesco.cli import (EXCLUDE_MARGIN, RunConfig, _compute_curves, _num,
 from angelesco.crossval import compare
 from angelesco.ode import boundary_values
 from angelesco.surface import limit_curve
-from angelesco.systems import AffineMap, pushforward_limits
+from angelesco.systems import AffineMap, pushforward_limits, reflect
 
 FAST = ["--lattice_level", "200", "--ode_steps", "2000",
         "--grid_points", "41", "--residual_grid_points", "501",
@@ -183,14 +183,15 @@ def test_compute_surface_endpoints(tmp_path, touching_system):
     lines = (out / "surface.csv").read_text().splitlines()
     assert len(lines) == 4
     pk = boundary_values(touching_system)
+    hat = boundary_values(reflect(touching_system))  # s = 1, mirrored
     row0 = [float(v) for v in lines[1].split(",")]
     assert row0[0] == 0.0 and row0[1] == 0.0
     assert row0[2] == pytest.approx(pk.C2_0, rel=1e-11)
     assert row0[3] == pytest.approx(pk.B1_0, rel=1e-11)
     row2 = [float(v) for v in lines[3].split(",")]
     assert row2[0] == 1.0 and row2[2] == 0.0
-    assert row2[1] == pytest.approx(pk.C1_1, rel=1e-11)
-    assert row2[4] == pytest.approx(pk.B2_1, rel=1e-11)
+    assert row2[1] == pytest.approx(hat.C2_0, rel=1e-11)
+    assert row2[4] == pytest.approx(-hat.B1_0, rel=1e-11)
     meta = json.loads((out / "run_meta.json").read_text())
     assert set(meta) >= {"config", "plateau", "timings"}
     assert meta["config"]["grid_points"] == 3
@@ -277,12 +278,29 @@ def test_an_unbalanced_surface_curve_answers(tmp_path, interval1):
 
 
 _OFF_THE_CONTRACT = {
-    # the threshold ray is 1 - 7.7e-18 and 1 - 7.7e-51: it rounds to s = 1
-    "-1e34,0": "plateau window out of order",
-    "-1e100,0": "plateau window out of order",
+    # alpha^2 overflows in the plateau residues
+    "-1e100,0": "plateau curve: A1 values must be finite",
     # alpha^2 underflows in the plateau residues
     "-1e-200,0": "plateau curve: A2 values must be finite",
 }
+
+
+@pytest.mark.parametrize("interval1,interval2", [
+    ("-1e32,0", "0,1"), ("-1,0", "0,1e32"), ("-1e34,0", "0,1"),
+    ("-1e40,0", "0,1"), ("-1,0", "0,1e40")])
+def test_touching_systems_whose_threshold_ray_rounds_to_an_end_compute(
+        tmp_path, interval1, interval2):
+    # the threshold ray is 1 - 7.7e-17 (alpha = 1e32) or closer to s = 1,
+    # and as close to s = 0 on the mirror: c2 rounds to 1, but the window
+    # carries the exact distance 1 - c2, and the ODE's reflected branch
+    # runs to it, so both sides compute
+    out = tmp_path / "out"
+    rc = main(["compute", f"--interval1={interval1}",
+               f"--interval2={interval2}", "--output_dir", str(out)])
+    assert rc == 0
+    plateau = json.loads((out / "run_meta.json").read_text())["plateau"]
+    assert 0.0 < plateau["c1"] <= plateau["c2"] <= 1.0
+    assert 0.0 < plateau["one_minus_c2"] <= 1.0
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -518,6 +536,19 @@ def test_validate_reports_wide_windows(tmp_path, capsys, beta):
                  if ln.endswith(": saw no point")]
         assert len(fails) == len(unseen) and all(ln.startswith("FAIL")
                                                  for ln in fails)
+
+
+def test_validate_residuals_see_no_point_on_a_wide_window(tmp_path, capsys):
+    # (-0.01,0) u (0.999,1): the window [0.0025, 0.99975] leaves no point
+    # more than the margin from it and the ends, and the plateau points,
+    # where the relations hold trivially, are not read: the check fails
+    out = tmp_path / "out"
+    rc = main(["validate", "--interval1=-0.01,0", "--interval2=0.999,1",
+               "--output_dir", str(out)])
+    assert rc == 1
+    res = json.loads((out / "validate_report.json").read_text())["residuals"]
+    assert res["n_points"] == 0 and res["passed"] is False
+    assert "FAIL  ode residuals: saw no point" in capsys.readouterr().out
 
 
 def test_numerical_failure_exit_code(tmp_path, monkeypatch):

@@ -92,6 +92,19 @@ def test_residuals_on_surface_curve(gap_curve_dense, gap_info):
     assert rep.meta["edge_margin"] == 0.01
 
 
+def test_residuals_skip_the_plateau_interior(gap_curve_dense, gap_info):
+    # all four relations hold trivially on the plateau, so its points are
+    # skipped with the margin: of the 1999 central differences, 976 lie
+    # more than EDGE_MARGIN from 0, 1 and the window [c1, c2]
+    c1, c2 = gap_info.c1, gap_info.c2
+    rep = ode_residuals(gap_curve_dense, h=1e-3, window=(c1, c2))
+    s = gap_curve_dense.s[2:-2]
+    kept = ((s > 0.01) & (s < 0.99)
+            & ((s < c1 - 0.01) | (s > c2 + 0.01)))
+    assert rep.n_points == np.count_nonzero(kept) == 976
+    assert 1e-5 < rep.worst() < 3e-5
+
+
 def test_residuals_shrink_with_h(gap_curve_dense, gap_info):
     window = (gap_info.c1, gap_info.c2)
     coarse = ode_residuals(gap_curve_dense, h=1e-3, window=window).worst()

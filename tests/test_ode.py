@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from angelesco import (AngelescoSystem, Interval, NumericalFailure,
+from angelesco import (AngelescoSystem, Interval, NumericalFailure, reflect,
                        star_normalize)
 import angelesco.ode as ode_mod
 from angelesco.lattice import lagrange_interp
@@ -18,27 +18,47 @@ def touching_pack(touching_system):
     return boundary_values(touching_system)
 
 
-def test_boundary_values_touching(touching_pack):
+@pytest.fixture(scope="module")
+def touching_hat(touching_system):
+    # the reflected system's pack: its s = 0 is the user frame's s = 1
+    return boundary_values(reflect(touching_system))
+
+
+def _end_state(pk):
+    # the closed-form state a branch starts from at s = 0
+    return (pk.C1_0, pk.C2_0, pk.B1_0, pk.B2_0)
+
+
+def _mirror_state(y):
+    # the state at s = 1 from the reflected system's state at s = 0
+    C1, C2, B1, B2 = y
+    return (C2, C1, -B2, -B1)
+
+
+def test_boundary_values_touching(touching_pack, touching_hat):
     pk = touching_pack
     assert pk.C1_0 == pytest.approx(6.061862, abs=1e-6)
     assert pk.C2_0 == pytest.approx(0.0625, abs=1e-12)
-    assert pk.C1_1 == pytest.approx(0.25, abs=1e-12)
-    assert pk.C2_1 == pytest.approx(3.232051, abs=1e-6)
     assert pk.B1_0 == pytest.approx(-1.9747449, abs=1e-6)
     assert pk.B2_0 == pytest.approx(0.5, abs=1e-12)
-    assert pk.B1_1 == pytest.approx(-1.0, abs=1e-12)
-    assert pk.B2_1 == pytest.approx(0.8660254, abs=1e-6)
+    # s = 1 is the reflected pack's s = 0, mirrored
+    C1_1, C2_1, B1_1, B2_1 = _mirror_state(_end_state(touching_hat))
+    assert C1_1 == pytest.approx(0.25, abs=1e-12)
+    assert C2_1 == pytest.approx(3.232051, abs=1e-6)
+    assert B1_1 == pytest.approx(-1.0, abs=1e-12)
+    assert B2_1 == pytest.approx(0.8660254, abs=1e-6)
     # tighter regression pins on the closed forms
     assert pk.C1_0 == pytest.approx(6.0618621784789725, abs=1e-13)
-    assert pk.C2_1 == pytest.approx(np.sqrt(3.0) + 1.5, abs=1e-13)
+    assert C2_1 == pytest.approx(np.sqrt(3.0) + 1.5, abs=1e-13)
 
 
-def test_boundary_identity(touching_pack):
+def test_boundary_identity(touching_pack, touching_hat):
     pk = touching_pack
     assert pk.gap_0 == pytest.approx(2.4747449, abs=1e-6)
     assert pk.gap_0 ** 2 == pytest.approx(6.1243622, abs=1e-6)
     assert pk.gap_0 ** 2 == pytest.approx(pk.C1_0 + pk.C2_0, abs=1e-10)
-    assert pk.gap_1 ** 2 == pytest.approx(pk.C1_1 + pk.C2_1, abs=1e-10)
+    hat = touching_hat
+    assert hat.gap_0 ** 2 == pytest.approx(hat.C1_0 + hat.C2_0, abs=1e-10)
 
 
 @pytest.mark.parametrize("i1,i2", [((-1e-30, 0.0), (0.0, 1.0)),
@@ -54,7 +74,13 @@ def test_boundary_values_match_50_digit_reference(i1, i2):
     # the expanded closed forms in 50 digits from the same interval ends;
     # in doubles they cancel, C1_0 by 8e-4 relative at alpha = 1e-30
     mp = pytest.importorskip("mpmath")
-    pk = boundary_values(AngelescoSystem(Interval(*i1), Interval(*i2)))
+    sys = AngelescoSystem(Interval(*i1), Interval(*i2))
+    pk = boundary_values(sys)
+    C1_1, C2_1, B1_1, B2_1 = _mirror_state(_end_state(
+        boundary_values(reflect(sys))))
+    got = {"C1_0": pk.C1_0, "C2_0": pk.C2_0, "B1_0": pk.B1_0,
+           "B2_0": pk.B2_0, "C1_1": C1_1, "C2_1": C2_1, "B1_1": B1_1,
+           "B2_1": B2_1}
     with mp.workdps(50):
         a1, b1, a2, b2 = (mp.mpf(v) for v in (*i1, *i2))
         root0 = mp.sqrt((a2 - a1) * (b2 - a1))
@@ -66,21 +92,42 @@ def test_boundary_values_match_50_digit_reference(i1, i2):
         ref["C1_0"] = (ref["B2_0"] - ref["B1_0"]) ** 2 - ref["C2_0"]
         ref["C2_1"] = (ref["B2_1"] - ref["B1_1"]) ** 2 - ref["C1_1"]
         for name, value in ref.items():
-            err = abs(getattr(pk, name) - value) / abs(value)
+            err = abs(got[name] - value) / abs(value)
             assert err <= 1e-15, (name, float(err))
 
 
 def test_boundary_values_depend_on_facing_edges_only(gap_system):
-    # s = 0 data ignores i1.hi; s = 1 data ignores i2.lo
+    # s = 0 data ignores i1.hi; s = 1 data (the reflected s = 0) ignores i2.lo
     pk = boundary_values(gap_system)
     closed0 = boundary_values(AngelescoSystem(Interval(-2.0, 0.25),
                                               Interval(0.25, 1.0)))
-    assert (pk.C1_0, pk.C2_0, pk.B1_0, pk.B2_0) == (
-        closed0.C1_0, closed0.C2_0, closed0.B1_0, closed0.B2_0)
-    closed1 = boundary_values(AngelescoSystem(Interval(-2.0, 0.0),
-                                              Interval(0.0, 1.0)))
-    assert (pk.C1_1, pk.C2_1, pk.B1_1, pk.B2_1) == (
-        closed1.C1_1, closed1.C2_1, closed1.B1_1, closed1.B2_1)
+    assert pk == closed0
+    closed1 = AngelescoSystem(Interval(-2.0, 0.0), Interval(0.0, 1.0))
+    assert (boundary_values(reflect(gap_system))
+            == boundary_values(reflect(closed1)))
+
+
+def test_reflected_pack_is_the_exact_mirror_of_the_s1_end_values():
+    # the closed forms at s = 1, written directly in (i1, i2.hi): the
+    # reflected system's s = 0 values are their mirror bit for bit, over
+    # random lengths, gaps and shifts, touching systems included
+    rng = np.random.default_rng(20)
+    for k in range(2000):
+        a1 = rng.uniform(-1e3, 1e3)
+        b1 = a1 + 10.0 ** rng.uniform(-6, 6)
+        a2 = b1 if k % 4 == 0 else b1 + 10.0 ** rng.uniform(-6, 6)
+        sys = AngelescoSystem(Interval(a1, b1),
+                              Interval(a2, a2 + 10.0 ** rng.uniform(-6, 6)))
+        a1, b1, b2 = sys.i1.lo, sys.i1.hi, sys.i2.hi
+        root1 = np.sqrt((b2 - b1) * (b2 - a1))
+        gap1 = 0.5 * ((b2 - b1) + 0.5 * (b1 - a1) + root1)
+        B1_1 = 0.5 * (a1 + b1)
+        want = (((b1 - a1) / 4.0) ** 2,
+                0.5 * ((b2 - b1) + root1) * (gap1 + 0.25 * (b1 - a1)),
+                B1_1, B1_1 + gap1)
+        hat = boundary_values(reflect(sys))
+        assert _mirror_state(_end_state(hat)) == want, sys
+        assert hat.gap_0 == want[3] - want[2], sys
 
 
 @pytest.mark.parametrize("c", [0.3, 0.7, 2.0])
@@ -114,43 +161,52 @@ def test_rhs_positivity_guard():
         rhs(0.5, (1.0, float("nan"), -1.0, 1.0))
 
 
-def test_endpoint_slopes(touching_pack):
-    d1, d2 = endpoint_slopes(touching_pack, 0)
+def test_endpoint_slopes(touching_pack, touching_hat):
+    d1, d2 = endpoint_slopes(touching_pack)
     assert d2 == pytest.approx(0.125, abs=1e-12)
     assert d1 == pytest.approx(-24.622448, abs=1e-6)
-    d1, d2 = endpoint_slopes(touching_pack, 1)
-    assert d1 == pytest.approx(-2.0 * touching_pack.C1_1, abs=1e-14)
-    assert d2 == pytest.approx(4.0 * touching_pack.C2_1
-                               + 6.0 * touching_pack.C1_1, abs=1e-12)
+    # at s = 1 the reflected pack's slopes, negated and swapped
+    C1_1, C2_1, _, _ = _mirror_state(_end_state(touching_hat))
+    e1, e2 = endpoint_slopes(touching_hat)
+    assert -e2 == pytest.approx(-2.0 * C1_1, abs=1e-14)
+    assert -e1 == pytest.approx(4.0 * C2_1 + 6.0 * C1_1, abs=1e-12)
 
 
-def test_endpoint_slopes_are_rhs_limits(touching_pack):
+def test_endpoint_slopes_are_rhs_limits(touching_pack, touching_hat):
     pk = touching_pack
-    d = rhs(0.0, np.array([pk.C1_0, pk.C2_0, pk.B1_0, pk.B2_0]))
-    np.testing.assert_allclose(d[:2], endpoint_slopes(pk, 0), rtol=1e-13)
-    d = rhs(1.0, np.array([pk.C1_1, pk.C2_1, pk.B1_1, pk.B2_1]))
-    np.testing.assert_allclose(d[:2], endpoint_slopes(pk, 1), rtol=1e-13)
+    d = rhs(0.0, np.array(_end_state(pk)))
+    np.testing.assert_allclose(d[:2], endpoint_slopes(pk), rtol=1e-13)
+    e1, e2 = endpoint_slopes(touching_hat)
+    d = rhs(1.0, _mirror_state(_end_state(touching_hat)))
+    np.testing.assert_allclose(d[:2], (-e2, -e1), rtol=1e-13)
+
+
+def test_rhs_is_equivariant_under_the_mirror():
+    # the reflection maps s to 1 - s and the state through the mirror, so
+    # the reflected system's branch solves the same ODE
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        s = rng.uniform(0.0, 1.0)
+        y = (*10.0 ** rng.uniform(-6, 6, 2), *rng.uniform(-5.0, 5.0, 2))
+        d = rhs(s, y)
+        m = rhs(1.0 - s, _mirror_state(y))
+        np.testing.assert_allclose(m, [-d[1], -d[0], d[3], d[2]],
+                                   rtol=1e-12, atol=0)
 
 
 def test_branches_mirror_on_a_symmetric_system():
-    # (-1,0) u (0,1) is its own reflection: the forward branch at s is the
-    # backward branch at 1 - s with C1 <-> C2 and B1 <-> -B2
+    # (-1,0) u (0,1) is its own reflection: the forward branch at s is its
+    # own value at 1 - s with C1 <-> C2 and B1 <-> -B2
     pk = boundary_values(AngelescoSystem(Interval(-1.0, 0.0),
                                          Interval(0.0, 1.0)))
-    fwd = integrate_branch(pk, 0, 1.0)
-    bwd = integrate_branch(pk, 1, 0.0)
+    fwd = integrate_branch(pk, 1.0)
     s = np.linspace(0.0, 1.0, 101)
     f = fwd.sample(s)
-    b = bwd.sample(1.0 - s)
+    b = fwd.sample(1.0 - s)
     np.testing.assert_allclose(f[:, 0], b[:, 1], rtol=0, atol=1e-13)
     np.testing.assert_allclose(f[:, 1], b[:, 0], rtol=0, atol=1e-13)
     np.testing.assert_allclose(f[:, 2], -b[:, 3], rtol=0, atol=1e-13)
     np.testing.assert_allclose(f[:, 3], -b[:, 2], rtol=0, atol=1e-13)
-
-
-def test_branch_rejects_a_side_other_than_0_or_1(touching_pack):
-    with pytest.raises(ValueError, match="side must be 0 or 1"):
-        integrate_branch(touching_pack, 2, 0.5)
 
 
 def test_branch_drift_and_splice(touching_system, touching_info):
@@ -177,8 +233,8 @@ def test_splice_verdict_is_scale_free(name, request):
                               Interval(lam * base.i2.lo, lam * base.i2.hi))
         mism = solve_system(sys, info, np.linspace(0.0, 1.0, 181)
                             ).meta["splice_mismatch"]
-        pack = boundary_values(sys)
-        gap = min(pack.gap_0, pack.gap_1)
+        gap = min(boundary_values(sys).gap_0,
+                  boundary_values(reflect(sys)).gap_0)
         scaled = np.array(mism["at_c1_vs_c2"]) / [gap * gap, gap * gap, gap, gap]
         seen.append((mism["ok"], scaled.tolist()))
     assert seen[0] == seen[1] == seen[2]
@@ -188,16 +244,18 @@ def test_splice_verdict_is_scale_free(name, request):
 
 
 def test_a_grid_point_on_the_threshold_ray_takes_the_plateau(
-        touching_system, touching_info, touching_pack):
+        touching_system, touching_info, touching_pack, touching_hat):
     # touching: c1 = c2, and a grid point there is a plateau point in both
-    # routes; the ODE gives it the mean of the two branch ends
-    c = touching_info.c1
+    # routes; the ODE gives it the mean of the two branch ends, the
+    # reflected one read at its own stop 1 - c
+    c, rest = touching_info.c1, touching_info.one_minus_c2
     grid = np.array([0.0, 0.25, c, 0.75, 1.0])
-    forward = integrate_branch(touching_pack, 0, c)
-    backward = integrate_branch(touching_pack, 1, c)
+    forward = integrate_branch(touching_pack, c)
+    backward = integrate_branch(touching_hat, rest)
     cv = assemble_curve(forward, backward, c, c, grid)
+    a1, a2, b1, b2 = backward.limit_values(np.array([rest]))
     mean = 0.5 * (np.array(forward.limit_values(np.array([c])))
-                  + np.array(backward.limit_values(np.array([c]))))
+                  + np.array([a2, a1, -b2, -b1]))
     p = touching_info.plateau
     sf = limit_curve(touching_system, grid, info=touching_info)
     for j, f in enumerate(("A1", "A2", "B1", "B2")):
@@ -207,10 +265,9 @@ def test_a_grid_point_on_the_threshold_ray_takes_the_plateau(
 
 
 def test_branch_stop_validation(touching_pack):
-    with pytest.raises(ValueError):
-        integrate_branch(touching_pack, 0, 0.0)
-    with pytest.raises(ValueError):
-        integrate_branch(touching_pack, 1, 1.0)
+    for stop in (0.0, -0.5, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="stop"):
+            integrate_branch(touching_pack, stop)
 
 
 def test_ode_matches_surface(touching_system, touching_info,
@@ -264,23 +321,28 @@ def test_solve_system_rejects_a_bad_grid_as_input(touching_system,
 
 
 def test_assembled_curve_endpoints_exact(touching_system, touching_info,
-                                         touching_pack):
+                                         touching_pack, touching_hat):
     cv = solve_system(touching_system, touching_info,
                       np.linspace(0.0, 1.0, 21))
     assert cv.A1[0] == 0.0
     assert cv.A2[-1] == 0.0
     assert cv.A2[0] == touching_pack.C2_0
-    assert cv.A1[-1] == touching_pack.C1_1
     assert cv.B1[0] == touching_pack.B1_0
-    assert cv.B2[-1] == touching_pack.B2_1
+    assert cv.B2[0] == touching_pack.B2_0
+    # s = 1 is the reflected pack's s = 0, mirrored
+    assert cv.A1[-1] == touching_hat.C2_0
+    assert cv.B1[-1] == -touching_hat.B2_0
+    assert cv.B2[-1] == -touching_hat.B1_0
 
 
-def test_monotone_structure_near_ends(touching_pack, touching_info):
-    fwd = integrate_branch(touching_pack, 0, touching_info.c1)
+def test_monotone_structure_near_ends(touching_pack, touching_hat,
+                                      touching_info):
+    fwd = integrate_branch(touching_pack, touching_info.c1)
     assert np.all(np.diff(fwd.y[:100, 1]) > 0)      # C2 grows off s = 0
     assert np.all(np.diff(fwd.y[:100, 0]) < 0)      # C1 falls
-    bwd = integrate_branch(touching_pack, 1, touching_info.c2)
-    assert np.all(np.diff(bwd.y[-100:, 0]) < 0)     # C1 still falling into s = 1
+    bwd = integrate_branch(touching_hat, touching_info.one_minus_c2)
+    # C1 still falling into s = 1: the reflected C2 grows off its s = 0
+    assert np.all(np.diff(bwd.y[:100, 1]) > 0)
 
 
 def test_plateau_values_match_surface(gap_system, gap_info):
@@ -298,9 +360,9 @@ def test_plateau_values_match_surface(gap_system, gap_info):
 
 def test_positivity_failure_reports_last_good_s():
     # fabricated data that drives C1 through zero almost immediately
-    pk = BoundaryPack(1e-4, 25.0, 0.25, 3.0, -4.5, 0.5001, -1.0, 0.8)
+    pk = BoundaryPack(1e-4, 25.0, -4.5, 0.5001)
     with pytest.raises(NumericalFailure) as exc:
-        integrate_branch(pk, 0, 0.5)
+        integrate_branch(pk, 0.5)
     ctx = exc.value.context
     assert "last_good_s" in ctx
     # plain floats, so a failure record can be written as JSON
@@ -311,15 +373,15 @@ def test_positivity_failure_reports_last_good_s():
 @pytest.mark.parametrize("steps", [0, -5, 0.5, float("nan")])
 def test_branch_rejects_step_count_below_one(touching_pack, steps):
     with pytest.raises(ValueError, match="steps_per_unit"):
-        integrate_branch(touching_pack, 0, 0.5, steps_per_unit=steps)
+        integrate_branch(touching_pack, 0.5, steps_per_unit=steps)
 
 
-def _reference_branch(pack, side, stop, steps_per_unit):
+def _reference_branch(pack, stop, steps_per_unit):
     """The RK4 branch loop written on 4-element numpy arrays.
 
     A reference for :func:`angelesco.ode._rk4`, whose float loop forms every
     stage with the same operations in the same order and so must reproduce
-    these nodes bit for bit.  Returns (s, y, d, identity_drift), ascending.
+    these nodes bit for bit.  Returns (s, y, d, identity_drift).
     """
     def f(s, y):
         C1, C2 = y[0], y[1]
@@ -331,13 +393,9 @@ def _reference_branch(pack, side, stop, steps_per_unit):
         dB2 = (2.0 * C2 - (1.0 - s) * d2) / root * (1.0 + C1 / C2)
         return np.array([d1, d2, dB1, dB2])
 
-    if side == 0:
-        s, y = 0.0, np.array([pack.C1_0, pack.C2_0, pack.B1_0, pack.B2_0])
-    else:
-        s, y = 1.0, np.array([pack.C1_1, pack.C2_1, pack.B1_1, pack.B2_1])
-    s0 = s
-    n = max(1, int(np.ceil(abs(stop - s0) * steps_per_unit)))
-    h = (stop - s0) / n
+    s, y = 0.0, np.array(_end_state(pack))
+    n = max(1, int(np.ceil(stop * steps_per_unit)))
+    h = stop / n
     s_nodes, y_nodes, d_nodes = np.empty(n + 1), np.empty((n + 1, 4)), \
         np.empty((n + 1, 4))
     drift = 0.0
@@ -348,58 +406,50 @@ def _reference_branch(pack, side, stop, steps_per_unit):
         k4 = f(s + h, y + h * k3)
         s_nodes[i], y_nodes[i], d_nodes[i] = s, y, k1
         y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        s = s0 + (i + 1) * h
+        s = (i + 1) * h
         drift = max(drift, abs(y[3] - y[2] - np.sqrt(y[0] + y[1])))
     s_nodes[n], y_nodes[n], d_nodes[n] = s, y, f(s, y)
-    if side == 1:
-        s_nodes, y_nodes, d_nodes = s_nodes[::-1], y_nodes[::-1], d_nodes[::-1]
     return s_nodes, y_nodes, d_nodes, drift
+
+
+def _branches(sys, info):
+    # (pack, stop) of each branch: the system's to c1, the reflected
+    # system's to 1 - c2
+    return ((boundary_values(sys), info.c1),
+            (boundary_values(reflect(sys)), info.one_minus_c2))
 
 
 @pytest.mark.parametrize("name", ["touching", "gap"])
 def test_branches_match_array_reference_bit_for_bit(name, request):
     sys = request.getfixturevalue(f"{name}_system")
     info = request.getfixturevalue(f"{name}_info")
-    pk = boundary_values(sys)
-    for side, stop in ((0, info.c1), (1, info.c2)):
-        s0, y0 = ((0.0, (pk.C1_0, pk.C2_0, pk.B1_0, pk.B2_0)) if side == 0
-                  else (1.0, (pk.C1_1, pk.C2_1, pk.B1_1, pk.B2_1)))
-        n = max(1, int(np.ceil(abs(stop - s0) * 2000)))
-        br_s, br_y, br_drift = _rk4(s0, y0, stop, n)
-        if side == 1:
-            br_s, br_y = br_s[::-1], br_y[::-1]
-        s, y, d, drift = _reference_branch(pk, side, stop, 2000)
+    for pk, stop in _branches(sys, info):
+        n = max(1, int(np.ceil(stop * 2000)))
+        br_s, br_y, br_drift = _rk4(_end_state(pk), stop, n)
+        s, y, d, drift = _reference_branch(pk, stop, 2000)
         assert br_s.tolist() == s.tolist()
         assert br_y.tolist() == y.tolist()
         assert br_drift == drift
-
-
-def _start(pk, side):
-    # a branch's endpoint and closed-form starting state
-    if side == 0:
-        return 0.0, (pk.C1_0, pk.C2_0, pk.B1_0, pk.B2_0)
-    return 1.0, (pk.C1_1, pk.C2_1, pk.B1_1, pk.B2_1)
 
 
 def _branch_errors(i1, i2):
     """Each branch of the system with its error at the 181 grid points.
 
     The error is in the estimate's units (C over gap^2, B over gap, gap at
-    the branch's endpoint), against plain RK4 at 200000 steps per unit.
+    the branch's s = 0), against plain RK4 at 200000 steps per unit.  The
+    reflected branch is checked on its own rays.
     """
     sys = AngelescoSystem(Interval(*i1), Interval(*i2))
     info = plateau_bounds(star_normalize(sys)[0])
-    pk = boundary_values(sys)
     grid = np.linspace(0.0, 1.0, 181)
     out = []
-    for side, stop in ((0, info.c1), (1, info.c2)):
-        br = integrate_branch(pk, side, stop)
-        s0, y0 = _start(pk, side)
-        n = max(1, int(np.ceil(abs(stop - s0) * 200000)))
-        _, ref, _ = _rk4(s0, y0, stop, n)
+    for pk, stop in _branches(sys, info):
+        br = integrate_branch(pk, stop)
+        n = max(1, int(np.ceil(stop * 200000)))
+        _, ref, _ = _rk4(_end_state(pk), stop, n)
         g = grid[(grid >= br.s[0]) & (grid <= br.s[-1])]
-        want = lagrange_interp(ref.T, (g - s0) * (n / (stop - s0))).T
-        gap = pk.gap_0 if side == 0 else pk.gap_1
+        want = lagrange_interp(ref.T, g * (n / stop)).T
+        gap = pk.gap_0
         scale = np.array([gap * gap, gap * gap, gap, gap])
         err = np.abs(br.sample(g) - want) / scale
         out.append((br, float(err.max()) if g.size else 0.0))
@@ -416,16 +466,16 @@ def _branch_errors(i1, i2):
                          ids=["touching", "gap", "symmetric", "apart",
                               "alpha1e3", "alpha1e-3", "alpha1e-6-cap"])
 def test_branch_error_is_within_its_estimate(i1, i2):
-    for br, err in _branch_errors(i1, i2):
+    for side, (br, err) in enumerate(_branch_errors(i1, i2)):
         est = br.meta["error_estimate"]
-        assert err <= est, (br.side, err, est)
+        assert err <= est, (side, err, est)
         if br.meta["stopped"] == "tolerance":
             assert est <= ode_mod._DOUBLING_TOL
 
 
 def test_branch_steps_count_every_rk4_run(touching_pack, touching_info):
     # the first run takes n steps and each doubling one run of twice the last
-    br = integrate_branch(touching_pack, 0, touching_info.c1, 100)
+    br = integrate_branch(touching_pack, touching_info.c1, 100)
     n = int(np.ceil(touching_info.c1 * 100))
     k = br.meta["doublings"]
     assert br.meta["steps"] == n * (2 ** (k + 1) - 1)
@@ -463,23 +513,24 @@ def test_cap_returns_a_valid_curve_with_its_estimate():
 def test_far_from_the_origin_stops_below_the_cap():
     # touching moved by 2^20: B ~ 1e6, so without the rounding floor the
     # B estimate could never meet the tolerance
-    pk = boundary_values(AngelescoSystem(Interval(1048574.0, 1048576.0),
-                                         Interval(1048576.0, 1048577.0)))
-    for side, stop in ((0, 0.6), (1, 0.6)):
-        br = integrate_branch(pk, side, stop)
+    sys = AngelescoSystem(Interval(1048574.0, 1048576.0),
+                          Interval(1048576.0, 1048577.0))
+    for pk, stop in ((boundary_values(sys), 0.6),
+                     (boundary_values(reflect(sys)), 0.4)):
+        br = integrate_branch(pk, stop)
         assert br.meta["stopped"] == "tolerance"
         assert br.meta["doublings"] < ode_mod._MAX_DOUBLINGS
 
 
-@pytest.mark.parametrize("side", [0, 1])
-def test_branch_sample_is_exact_on_quintics(side):
-    # dense output is 6-point Lagrange on the uniform nodes
-    rng = np.random.default_rng(side)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_branch_sample_is_exact_on_quintics(seed):
+    # dense output is 6-point Lagrange on the uniform nodes from s = 0
+    rng = np.random.default_rng(seed)
     coef = rng.uniform(-1.0, 1.0, size=(4, 6))
-    s = np.linspace(0.2, 0.7, 41)
+    s = np.linspace(0.0, 0.7, 41)
     y = np.stack([np.polyval(c, s) for c in coef], axis=1)
-    br = Branch(side, s, y, 0.0, None)
-    q = rng.uniform(0.2, 0.7, 100)
+    br = Branch(s, y, 0.0, None)
+    q = rng.uniform(0.0, 0.7, 100)
     got = br.sample(q)
     for j, c in enumerate(coef):
         assert np.max(np.abs(got[:, j] - np.polyval(c, q))) <= 1e-13

@@ -674,7 +674,10 @@ def test_limit_curve_solves_its_own_endpoints(monkeypatch, beta):
     # wherever they are bound
     systems = [AngelescoSystem(Interval(-alpha, 0.0), Interval(beta, 1.0))
                for alpha in np.logspace(-9, 9, 19)]
-    packs = [ode.boundary_values(sys) for sys in systems]
+    # each system's s = 0 pack, and its s = 1 pack: the reflected
+    # system's s = 0 values
+    packs = [(ode.boundary_values(sys), ode.boundary_values(reflect(sys)))
+             for sys in systems]
 
     def unreachable(sys):
         raise AssertionError("the surface route read the closed forms")
@@ -682,15 +685,15 @@ def test_limit_curve_solves_its_own_endpoints(monkeypatch, beta):
     for mod in (surface, ode):
         if hasattr(mod, "boundary_values"):
             monkeypatch.setattr(mod, "boundary_values", unreachable)
-    for sys, pk in zip(systems, packs):
+    for sys, (pk, hat) in zip(systems, packs):
         c = limit_curve(sys, np.array([0.0, 1.0]))
         assert c.A1[0] == 0.0 and c.A2[1] == 0.0
         assert abs(c.A2[0] - pk.C2_0) <= 1e-14 * pk.C2_0
-        assert abs(c.A1[1] - pk.C1_1) <= 1e-14 * pk.C1_1
+        assert abs(c.A1[1] - hat.C2_0) <= 1e-14 * hat.C2_0
         for got, want, gap in ((c.B1[0], pk.B1_0, pk.gap_0),
                                (c.B2[0], pk.B2_0, pk.gap_0),
-                               (c.B1[1], pk.B1_1, pk.gap_1),
-                               (c.B2[1], pk.B2_1, pk.gap_1)):
+                               (c.B1[1], -hat.B2_0, hat.gap_0),
+                               (c.B2[1], -hat.B1_0, hat.gap_0)):
             assert abs(got - want) <= 1e-14 * gap, sys
 
 
