@@ -26,7 +26,7 @@ print(f"star frame: [-{alpha:g}, 0] u [{beta:g}, 1] "
       f"(scale {frame.scale:g}, shift {frame.shift:g})")
 
 # the gap invariant pins the conformal parameter
-w = solve_w(alpha, beta)
+w = solve_w(star)
 print(f"\ngap invariant -> w = u - 1 = {w:.12f} "
       f"(beta recovered to {abs(beta_coord(alpha, w) - beta):.1e})")
 

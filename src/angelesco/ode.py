@@ -123,18 +123,6 @@ def rhs(s, y):
     return d1, d2, dB1, dB2
 
 
-def endpoint_slopes(pack):
-    """Closed-form slopes (C1', C2') at s = 0, from the ODE system itself.
-
-    Obtained by evaluating the system and its s-derivative at s = 0:
-    C2' = 2 C2 and C1' = -4 C1 - 6 C2.  They are what :func:`rhs` must
-    return at the endpoint state, where each branch takes its first RK4
-    stage.  The reflected system's pack gives the slopes at s = 1, negated
-    and swapped.
-    """
-    return -4.0 * pack.C1_0 - 6.0 * pack.C2_0, 2.0 * pack.C2_0
-
-
 @dataclass
 class Branch:
     """One branch run forward from s = 0, with dense 6-point Lagrange output.
@@ -144,8 +132,8 @@ class Branch:
     at each node.  ``identity_drift`` is the largest
     |B2 - B1 - sqrt(C1 + C2)| over the finest RK4 run (redundancy monitor
     for the B integration).  ``meta`` holds ``stop``, ``steps`` (every RK4
-    step taken on the branch), ``doublings``, the scaled ``error_estimate``
-    and ``stopped`` ("tolerance" or "cap").
+    step of the branch's completed runs), ``doublings``, the scaled
+    ``error_estimate`` and ``stopped`` ("tolerance" or "cap").
     """
     s: np.ndarray
     y: np.ndarray
@@ -234,11 +222,14 @@ def integrate_branch(pack, stop, steps_per_unit=DEFAULT_STEPS_PER_UNIT):
     at s = 0 (C over gap^2, B over gap).  While the estimate of some
     component exceeds ``_DOUBLING_TOL`` plus a rounding floor of
     ``_ROUNDING_ULPS`` eps max|y|, the step count doubles again and the old
-    fine run becomes the coarse one, so each doubling integrates once.
-    After ``_MAX_DOUBLINGS`` doublings the best branch is returned with its
-    estimate; that is not an error.  The returned nodes are those of the
-    finest run, with the correction (y2n - yn)/15 interpolated onto its odd
-    nodes.  ``meta`` reports the work and the estimate (see :class:`Branch`).
+    fine run becomes the coarse one, so each doubling integrates once.  A
+    run too coarse to keep C positive counts as unconverged: the count
+    doubles past it, and its failure is raised only when no pair of runs is
+    left under the cap.  After ``_MAX_DOUBLINGS`` doublings the best branch
+    is returned with its estimate; that is not an error.  The returned nodes
+    are those of the finest run, with the correction (y2n - yn)/15
+    interpolated onto its odd nodes.  ``meta`` reports the work and the
+    estimate (see :class:`Branch`).
     """
     if not steps_per_unit >= 1:
         raise ValueError(f"steps_per_unit must be at least 1, got {steps_per_unit}")
@@ -248,17 +239,24 @@ def integrate_branch(pack, stop, steps_per_unit=DEFAULT_STEPS_PER_UNIT):
     gap = pack.gap_0
     scale = np.array([gap * gap, gap * gap, gap, gap])
     n = max(1, int(np.ceil(stop * steps_per_unit)))
-    _, coarse, _ = _rk4(y, stop, n)
-    steps = n
-    for doublings in range(1, _MAX_DOUBLINGS + 1):
-        s_fine, fine, drift = _rk4(y, stop, 2 * n)
-        steps += 2 * n
-        diff = (fine[::2] - coarse) / 15.0
-        err = np.abs(diff).max(axis=0)
-        floor = _ROUNDING_ULPS * np.finfo(float).eps * np.abs(fine).max(axis=0)
-        converged = bool(np.all(err <= _DOUBLING_TOL * scale + floor))
-        if converged:
-            break
+    coarse, steps = None, 0
+    for doublings in range(_MAX_DOUBLINGS + 1):
+        try:
+            s_fine, fine, drift = _rk4(y, stop, n)
+        except NumericalFailure:
+            if doublings >= _MAX_DOUBLINGS - 1:
+                raise
+            coarse, n = None, 2 * n
+            continue
+        steps += n
+        if coarse is not None:
+            diff = (fine[::2] - coarse) / 15.0
+            err = np.abs(diff).max(axis=0)
+            floor = (_ROUNDING_ULPS * np.finfo(float).eps
+                     * np.abs(fine).max(axis=0))
+            converged = bool(np.all(err <= _DOUBLING_TOL * scale + floor))
+            if converged:
+                break
         coarse, n = fine, 2 * n
     # the correction is smooth and tiny, so interpolating it onto the odd
     # fine nodes loses nothing and halves the mesh the read-out sees

@@ -22,12 +22,13 @@ closed-form endpoint values: the end rays s = 0 and s = 1 are solved like
 every other ray.
 
 The configuration solves are scalar.  :func:`solve_w` runs once per
-system: w is a cross-ratio of the four interval ends, so the reflected
-configuration shares it.  :func:`solve_d0` runs once per (w, alpha), cached
-for the process, so the plateau, the threshold ray and the ray brackets of
-:func:`pushed_beta` share it.  Every ray, the plateau edges included, is
-the pair (s, 1 - s) of exact end distances.  The rays and the coordinate
-maps are elementwise numpy functions, so whole grids go through one call.
+system, on the star frame's exact pair (beta, 1 - beta): w is a cross-ratio
+of the four interval ends, so the reflected frame shares it.  The plateau,
+the threshold ray and the ray brackets of :func:`pushed_beta` share
+:func:`solve_d0`, cached per (w, alpha).  Every ray, the plateau edges
+included, is the pair (s, 1 - s) of exact end distances.  The rays and the
+coordinate maps are elementwise numpy functions, so whole grids go through
+one call.
 """
 from dataclasses import asdict, dataclass
 from functools import lru_cache
@@ -36,9 +37,8 @@ import numpy as np
 
 from .errors import NumericalFailure
 from .rootfind import bisect, expand_upper
-from .systems import (AffineMap, LimitCurve, LimitPoint, check_grid,
-                      plateau_zones, pushforward_limits, reflect,
-                      star_normalize, validate_computed)
+from .systems import (LimitCurve, LimitPoint, check_grid, plateau_zones,
+                      pushforward_limits, star_normalize, validate_computed)
 
 # ---------------------------------------------------------------------------
 # coordinate functions of the parametrization
@@ -78,14 +78,15 @@ def ray_gaps(w, d):
     theta = 2s - 1 = (d - w) sqrt((2 + E) / q), E = w + d + 2wd and
     q = E (2 + w + d)(w + d).  1 - theta^2 = 8 w d (1 + w)(1 + d) / q, so the
     smaller of the two is that product over the larger, 1 + |theta|, and it
-    keeps its digits where theta is within rounding of +-1.
+    keeps its digits where theta is within rounding of +-1.  |theta| is
+    +-theta by the sign of its real part, so a complex step passes through.
     """
     e = w + d + 2.0 * w * d
     q = e * (2.0 + w + d) * (w + d)
     theta = (d - w) * np.sqrt((2.0 + e) / q)
-    big = 1.0 + np.abs(theta)
+    up = np.real(theta) > 0.0
+    big = 1.0 + np.where(up, theta, -theta)
     small = 8.0 * w * d * (1.0 + w) * (1.0 + d) / (q * big)
-    up = theta > 0.0
     return np.where(up, small, big), np.where(up, big, small)
 
 
@@ -93,18 +94,18 @@ def ray_gaps(w, d):
 # parameter solves
 # ---------------------------------------------------------------------------
 
-def solve_w(alpha, beta):
-    """Conformal parameter w in (0, 1] for the configuration (alpha, beta).
+def solve_w(sc):
+    """Conformal parameter w in (0, 1] of the star configuration ``sc``.
 
     beta = 0 (touching intervals) gives w = 1 exactly; otherwise w is the
     bisection root on [0, 1] of (1 + w)(1 - w)^3 - r w (2 + w)^3 with
-    r = beta (1 + alpha) / (alpha (1 - beta)), the gap invariant's ratio
-    g / (1 - g).  The first term falls from 1 to 0 and the second rises
-    from 0, so the root is the one sign change.
+    r = beta (1 + alpha) / (alpha (1 - beta)) from the stored pair, the gap
+    invariant's ratio g / (1 - g).  The first term falls from 1 to 0 and the
+    second rises from 0, so the root is the one sign change.
     """
-    if beta == 0.0:
+    if sc.beta == 0.0:
         return 1.0
-    r = beta * (1.0 + alpha) / (alpha * (1.0 - beta))
+    r = sc.beta * (1.0 + sc.alpha) / (sc.alpha * sc.one_minus_beta)
     return bisect(lambda x: (1.0 + x) * (1.0 - x) ** 3
                   - r * x * (2.0 + x) ** 3, 0.0, 1.0)
 
@@ -240,46 +241,35 @@ class PlateauInfo:
         return asdict(self)
 
 
-def reflected_star(sc):
-    """Star configuration of the reflected system and the map from its star
-    frame into ``sc``'s: its own map composed with the mirror x -> -x, to be
-    applied with ``swapped=True``."""
-    sc_hat, amap = star_normalize(reflect(sc.system()))
-    return sc_hat, AffineMap(-amap.scale, -amap.shift)
-
-
 def plateau_bounds(sc):
     """Plateau window and constants for a star configuration.
 
     The gap invariant fixes w once.  c2 is the ray of the configuration
-    point (w, d0), and c1 the reflected configuration's distance to its own
-    s = 1: w is a cross-ratio of the four interval ends, so the reflection
-    keeps it and changes only alpha.  Both are exact end distances from
-    :func:`_edge`; for touching intervals (w = 1) c1 = c2 is the threshold
-    ray.  Two guards raise NumericalFailure: the gap solved again along
-    (c2, 1 - c2) must come back within 1e-9 of beta, relative, and every
-    window must satisfy 0 < c1 <= c2 with 1 - c2 > 0 (c2 itself may round
-    to 1 next to the end).
+    point (w, d0), and c1 the distance to its own s = 1 of ``sc.reflected()``,
+    which keeps w, a cross-ratio of the four interval ends.  Both are exact
+    end distances from :func:`_edge`; for touching intervals (w = 1)
+    c1 = c2 is the threshold ray.  NumericalFailure unless w solved again
+    along (c2, 1 - c2) comes back within 1e-9 relative (w, unlike beta,
+    keeps 1 - beta) and 0 < c1 <= c2 with 1 - c2 > 0.
     """
-    w = solve_w(sc.alpha, sc.beta)
+    w = solve_w(sc)
     c2, one_minus_c2 = _edge(w, sc.alpha)
     if sc.beta == 0.0:
         c1 = c2
     else:
-        back, _, _ = pushed_beta(sc.alpha, (c2, one_minus_c2))
-        if not abs(back - sc.beta) <= 1e-9 * sc.beta:
+        _, back, _ = pushed_beta(sc.alpha, (c2, one_minus_c2))
+        if not abs(back - w) <= 1e-9 * w:
             raise NumericalFailure("plateau edge failed the gap round trip",
-                                   {"c2": c2, "beta": float(sc.beta),
+                                   {"c2": c2, "w": float(w),
                                     "back": float(back)})
-        c1 = _edge(w, reflected_star(sc)[0].alpha)[1]
+        c1 = _edge(w, sc.reflected()[0].alpha)[1]
     if not (0.0 < c1 <= c2 and one_minus_c2 > 0.0):
         raise NumericalFailure("plateau window out of order",
                                {"c1": c1, "c2": c2})
     a1, a2, b1, b2 = residue_limits(sc.alpha, w, solve_d0(w, sc.alpha))
-    mid = 0.5 * (c1 + c2)
     # computed constants: a broken contract is a numerical failure
     point = validate_computed(LimitCurve(
-        [mid], [a1], [a2], [b1], [b2], "plateau")).point(0)
+        [0.5 * (c1 + c2)], [a1], [a2], [b1], [b2], "plateau")).point(0)
     return PlateauInfo(c1, c2, one_minus_c2, point)
 
 
@@ -297,9 +287,9 @@ def limit_curve(sys, grid, info=None):
 
     Grid points are split by :func:`~angelesco.systems.plateau_zones` and
     each zone is solved in one vector pass: the plateau constants inside
-    [c1, c2], the direct solve right of the plateau, and the reflected
-    configuration at the ray pair (1 - s, s) left of it, whose distance s to
-    the end is exact.  s = 1 joins the right zone and s = 0 the left one:
+    [c1, c2], the direct solve right of the plateau, and ``sc.reflected()``
+    at the ray pair (1 - s, s) left of it, whose distance s to the end is
+    exact.  s = 1 joins the right zone and s = 0 the left one:
     their ray (1, 0) solves to x = 0 exactly, so w = 0, d = d1 and the
     vanishing A is exactly 0.  Star-frame values reach the user frame through
     :func:`pushforward_limits`.  ``info`` may carry a precomputed
@@ -322,7 +312,7 @@ def limit_curve(sys, grid, info=None):
         _, w, d = pushed_beta(sc.alpha, (s, 1.0 - s))
         star[:, right] = residue_limits(sc.alpha, w, d)
     if np.any(left):
-        sc_hat, back_map = reflected_star(sc)
+        sc_hat, back_map = sc.reflected()
         s = grid[left][::-1]  # the reflected rays 1 - s, increasing
         _, w, d = pushed_beta(sc_hat.alpha, (1.0 - s, s))
         hat = LimitCurve(1.0 - s, *residue_limits(sc_hat.alpha, w, d))

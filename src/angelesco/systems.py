@@ -74,20 +74,30 @@ class AngelescoSystem:
 
 @dataclass(frozen=True)
 class StarConfig:
-    """Normalized frame: intervals [-alpha, 0] and [beta, 1], alpha > 0, 0 <= beta < 1."""
+    """Normalized frame: intervals [-alpha, 0] and [beta, 1], alpha > 0.
+
+    (beta, ``one_minus_beta``) are exact lengths that sum to 1 to rounding,
+    so 1 - beta keeps its digits where beta rounds to 1.
+    """
     alpha: float
     beta: float
+    one_minus_beta: float
 
     def __post_init__(self):
         if not self.alpha > 0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if not (0.0 <= self.beta < 1.0):
-            raise ValueError(f"beta must lie in [0, 1), got {self.beta}")
+        b, rest = self.beta, self.one_minus_beta
+        if not (0.0 <= b <= 1.0 and rest > 0.0
+                and abs(b + rest - 1.0) <= 4 * np.finfo(float).eps):
+            raise ValueError(f"(beta, 1 - beta) must be a pair in [0, 1] x "
+                             f"(0, 1] summing to 1, got ({b}, {rest})")
 
-    def system(self):
-        # the star frame is geometry only: the limits do not see the weights
-        return AngelescoSystem(Interval(-self.alpha, 0.0),
-                               Interval(self.beta, 1.0))
+    def reflected(self):
+        """The frame mirrored by x -> -x, [-1, -beta] u [0, alpha] rescaled,
+        and the map from its star frame into this one (``swapped=True``)."""
+        span = self.alpha + self.beta
+        return (StarConfig(self.one_minus_beta / span, self.beta / span,
+                           self.alpha / span), AffineMap(-span, self.beta))
 
 
 @dataclass(frozen=True)
@@ -232,13 +242,13 @@ def star_normalize(sys):
 
     Returns ``(StarConfig, AffineMap)`` where the map sends star coordinates
     back to user coordinates: the second interval maps onto [beta, 1] and the
-    first onto [-alpha, 0].
+    first onto [-alpha, 0].  alpha, beta and 1 - beta are lengths over scale.
     """
     scale = sys.i2.hi - sys.i1.hi
-    shift = sys.i1.hi
     alpha = (sys.i1.hi - sys.i1.lo) / scale
     beta = (sys.i2.lo - sys.i1.hi) / scale
-    return StarConfig(alpha, beta), AffineMap(scale, shift)
+    return (StarConfig(alpha, beta, (sys.i2.hi - sys.i2.lo) / scale),
+            AffineMap(scale, sys.i1.hi))
 
 
 def reflect(sys):

@@ -277,6 +277,26 @@ def test_an_unbalanced_surface_curve_answers(tmp_path, interval1):
     assert rc == 0
 
 
+@pytest.mark.parametrize("interval1,interval2", [("-1e-17,0", "0.5,1"),
+                                                 ("-1e20,-1e19", "0,1")])
+def test_a_frame_whose_beta_rounds_to_1_answers(tmp_path, interval1,
+                                                interval2):
+    # beta rounds to 1 in the reflected frame of the first system and in
+    # the star frame of the second; the frame keeps the exact 1 - beta, so
+    # both compute, and surface and ODE meet to 1e-12 in A / L^2 and B / L
+    assert main(["compute", f"--interval1={interval1}",
+                 f"--interval2={interval2}",
+                 "--output_dir", str(tmp_path / "out")]) == 0
+    cfg = RunConfig(interval1=tuple(map(float, interval1.split(","))),
+                    interval2=tuple(map(float, interval2.split(","))))
+    curves, _, _ = _compute_curves(cfg, {"surface", "ode"})
+    length = cfg.interval2[1] - cfg.interval1[0]
+    surf, ode = curves["surface"], curves["ode"]
+    for f, power in (("A1", 2), ("A2", 2), ("B1", 1), ("B2", 1)):
+        diff = np.abs(getattr(surf, f) - getattr(ode, f)) / length ** power
+        assert np.max(diff) < 1e-12, f
+
+
 _OFF_THE_CONTRACT = {
     # alpha^2 overflows in the plateau residues
     "-1e100,0": "plateau curve: A1 values must be finite",

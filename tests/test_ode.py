@@ -8,8 +8,8 @@ from angelesco import (AngelescoSystem, Interval, NumericalFailure, reflect,
 import angelesco.ode as ode_mod
 from angelesco.lattice import lagrange_interp
 from angelesco.ode import (BoundaryPack, Branch, _rk4, assemble_curve,
-                           boundary_values, endpoint_slopes, integrate_branch,
-                           rhs, solve_system)
+                           boundary_values, integrate_branch, rhs,
+                           solve_system)
 from angelesco.surface import limit_curve, limits_at, plateau_bounds
 
 
@@ -159,6 +159,17 @@ def test_rhs_positivity_guard():
         rhs(0.5, (float("nan"), 1.0, -1.0, 1.0))
     with pytest.raises(NumericalFailure):
         rhs(0.5, (1.0, float("nan"), -1.0, 1.0))
+
+
+def endpoint_slopes(pack):
+    """Closed-form slopes (C1', C2') at s = 0, from the ODE system itself.
+
+    Obtained by evaluating the system and its s-derivative at s = 0:
+    C2' = 2 C2 and C1' = -4 C1 - 6 C2, the oracle for what :func:`rhs`
+    must return at the endpoint state.  The reflected system's pack gives
+    the slopes at s = 1, negated and swapped.
+    """
+    return -4.0 * pack.C1_0 - 6.0 * pack.C2_0, 2.0 * pack.C2_0
 
 
 def test_endpoint_slopes(touching_pack, touching_hat):
@@ -368,6 +379,34 @@ def test_positivity_failure_reports_last_good_s():
     # plain floats, so a failure record can be written as JSON
     assert all(type(v) is float for v in ctx.values())
     assert json.loads(json.dumps(ctx)) == ctx
+
+
+@pytest.mark.parametrize("name", ["touching", "gap"])
+@pytest.mark.parametrize("steps", [1, 2])
+def test_a_run_that_loses_positivity_counts_as_unconverged(name, steps,
+                                                           request):
+    # a one-step run overshoots C1 through zero (s ~ 0.30 and 0.40 on
+    # touching, 0.37 on gap); the count doubles past it, only completed
+    # runs count as steps, and the capped curve meets the surface
+    sys = request.getfixturevalue(f"{name}_system")
+    info = request.getfixturevalue(f"{name}_info")
+    grid = np.linspace(0.0, 1.0, 181)
+    cv = solve_system(sys, info, grid, steps)
+    ref = limit_curve(sys, grid, info)
+    for f in ("A1", "A2", "B1", "B2"):
+        assert np.max(np.abs(getattr(cv, f) - getattr(ref, f))) < 1e-7, f
+    lost = 0
+    for (pk, stop), br in zip(_branches(sys, info),
+                              cv.meta["branches"].values()):
+        n = max(1, int(np.ceil(stop * steps)))
+        try:
+            _rk4(_end_state(pk), stop, n)
+            first = 0
+        except NumericalFailure:
+            first = n
+        lost += first
+        assert br["steps"] == n * (2 ** (br["doublings"] + 1) - 1) - first
+    assert lost
 
 
 @pytest.mark.parametrize("steps", [0, -5, 0.5, float("nan")])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from angelesco import NumericalFailure, surface
+from angelesco import NumericalFailure, StarConfig, surface
 from angelesco.rootfind import bisect, expand_upper
 
 
@@ -265,7 +265,7 @@ def test_surface_solves_equal_the_full_halving_loop(request, monkeypatch,
     grid = np.linspace(0.0, 1.0, 181)
     surface.limit_curve(request.getfixturevalue(name), grid)
     for beta in grid[1:-1:30]:
-        surface.solve_w(2.0, beta)  # the gap-invariant solve
+        surface.solve_w(StarConfig(2.0, beta, 1.0 - beta))  # the gap solve
     s = grid[140:-1]
     surface.pushed_beta(2.0, (s, 1.0 - s))  # a ray solve on an array
     assert sizes.count(1) >= 5 and sum(n > 1 for n in sizes) >= 3

@@ -50,17 +50,41 @@ def test_coordinate_maps_degenerate_values():
     assert ray_gaps(0.6, 0.6) == (1.0, 1.0)
 
 
+@pytest.mark.parametrize("alpha, x", [(0.5, 0.01), (1e-3, 1e-4), (1e3, 0.3)])
+def test_a_complex_step_passes_through_the_ray(alpha, x):
+    # ds/dx of the ray s = (1 + theta) / 2 through level_set_w, by the
+    # complex step x + ih with h = 1e-30 x, against a 40-digit derivative:
+    # every formula is analytic in x, so the step holds to rounding
+    mp = pytest.importorskip("mpmath")
+    h = 1e-30 * x
+    _, plus = ray_gaps(*level_set_w(alpha, complex(x, h)))
+    got = float(np.imag(plus)) / (2.0 * h)
+    with mp.workdps(40):
+        al = mp.mpf(alpha)
+        d1 = al / (1 + mp.sqrt(1 + al))
+
+        def ray(t):
+            d = d1 + t
+            w = t * d * (t + 2 * d1 + 2) / (al * (1 + 2 * d) - d * d)
+            e = w + d + 2 * w * d
+            return (1 + (d - w) * mp.sqrt((2 + e) / (e * (2 + w + d)
+                                                     * (w + d)))) / 2
+
+        want = float(mp.diff(ray, mp.mpf(x)))
+    assert abs(got - want) <= 1e-15 * abs(want)
+
+
 def test_solve_u():
-    w = solve_w(2.0, 0.25)
+    w = solve_w(StarConfig(2.0, 0.25, 0.75))
     assert 0.0 < w < 1.0
     assert beta_coord(2.0, w) == pytest.approx(0.25, rel=1e-15)
     assert 1.0 + w == pytest.approx(1.1450176819468818, abs=1e-15)
-    assert solve_w(2.0, 0.0) == 1.0
-    assert solve_w(0.7, 0.0) == 1.0
+    assert solve_w(StarConfig(2.0, 0.0, 1.0)) == 1.0
+    assert solve_w(StarConfig(0.7, 0.0, 1.0)) == 1.0
     # alpha far below the rounding of 1 + alpha keeps its gap
     for alpha in (1e-12, 1e-20):
-        assert beta_coord(alpha, solve_w(alpha, 0.5)) == pytest.approx(
-            0.5, rel=1e-14)
+        w = solve_w(StarConfig(alpha, 0.5, 0.5))
+        assert beta_coord(alpha, w) == pytest.approx(0.5, rel=1e-14)
 
 
 def test_solve_u_touching_skips_the_bisection(monkeypatch):
@@ -72,13 +96,15 @@ def test_solve_u_touching_skips_the_bisection(monkeypatch):
         return real_bisect(*args, **kwargs)
 
     monkeypatch.setattr(surface, "bisect", recording)
-    w = solve_w(2.0, 0.0)
+    w = solve_w(StarConfig(2.0, 0.0, 1.0))
     assert np.shape(w) == () and w == 1.0
-    assert [solve_w(0.7, b) for b in np.zeros(3)] == [1.0] * 3
+    assert [solve_w(StarConfig(0.7, b, 1.0 - b))
+            for b in np.zeros(3)] == [1.0] * 3
     assert not calls
     # one gap among the betas: it is bisected, the zeros stay 1
-    mixed = [solve_w(2.0, b) for b in (0.0, 0.25)]
-    assert calls and mixed[0] == 1.0 and mixed[1] == solve_w(2.0, 0.25)
+    mixed = [solve_w(StarConfig(2.0, b, 1.0 - b)) for b in (0.0, 0.25)]
+    assert calls and mixed[0] == 1.0
+    assert mixed[1] == solve_w(StarConfig(2.0, 0.25, 0.75))
 
 
 def test_solve_tau0():
@@ -164,7 +190,7 @@ def test_plateau_solves_tau0_once_per_u_alpha(monkeypatch):
 
     monkeypatch.setattr(surface, "expand_upper", recording)
     surface.solve_d0.cache_clear()
-    sc = StarConfig(2.0, 0.0)
+    sc = StarConfig(2.0, 0.0, 1.0)
     info = plateau_bounds(sc)
     assert len(calls) == 1
     assert plateau_bounds(sc) == info and len(calls) == 1
@@ -196,7 +222,7 @@ def test_infinity_preimages_signs_and_vieta(w, d):
 
 
 def test_surface_params_residuals():
-    w = solve_w(2.0, 0.25)
+    w = solve_w(StarConfig(2.0, 0.25, 0.75))
     d = solve_d0(w, 2.0)
     assert beta_coord(2.0, w) == pytest.approx(0.25, rel=1e-15)
     assert abs(_cubic(w, 2.0, d)) <= 1e-14
@@ -347,7 +373,7 @@ def _mp_limits(mp, alpha, beta, s, info):
         L = al + be
         a1, a2, b1, b2 = _mp_star_right(mp, (1 - be) / L, 1 - mp.mpf(s))
         return L * L * a2, L * L * a1, be - L * b2, be - L * b1
-    w = solve_w(alpha, beta)
+    w = solve_w(StarConfig(alpha, beta, 1.0 - beta))
     target = be * (1 + al) / (al + be)
     gap = lambda x: x * (2 - x) ** 3 / (2 * x - 1) ** 3 - target
     u = 2 if beta == 0.0 else _mp_root(mp, gap, 1 + mp.mpf(w))
@@ -368,7 +394,7 @@ def test_whole_chain_against_50_digits(alpha):
     # from s = 1 at alpha = 1e-9, so 60 digits would leave it 8
     mp = pytest.importorskip("mpmath")
     for beta in (0.0, 0.25):
-        info = plateau_bounds(StarConfig(alpha, beta))
+        info = plateau_bounds(StarConfig(alpha, beta, 1.0 - beta))
         ends = [x for e in (1e-12, 1e-9, 1e-7, 1e-5, 1e-3, 1e-1)
                 for x in (e, 1 - e)] + [np.nextafter(1.0, 0.0), 2.0 ** -53]
         edges = [info.c1 - 1e-9, info.c1 - 1e-6, info.c2 + 1e-9,
@@ -451,7 +477,7 @@ def test_plateau_gap_window(gap_info):
 
 
 def test_plateau_symmetric_window_is_centered():
-    info = plateau_bounds(StarConfig(0.8, 0.2))
+    info = plateau_bounds(StarConfig(0.8, 0.2, 0.8))
     assert info.c1 + info.c2 == pytest.approx(1.0, abs=1e-12)
 
 
@@ -479,8 +505,9 @@ def test_plateau_edges_against_60_digits(alpha, beta):
     # same w: each holds 1e-15 relative, however small, the touching
     # c1 = c2 included
     mp = pytest.importorskip("mpmath")
-    info = plateau_bounds(StarConfig(alpha, beta))
-    w = solve_w(alpha, beta)
+    sc = StarConfig(alpha, beta, 1.0 - beta)
+    info = plateau_bounds(sc)
+    w = solve_w(sc)
     with mp.workdps(60):
         al, be = mp.mpf(alpha), mp.mpf(beta)
         c2 = _mp_edge(mp, al, be, w, solve_d0(w, alpha))[0]
@@ -498,7 +525,7 @@ def test_threshold_ray_is_the_touching_plateau_edge():
     alphas = np.logspace(-12, 12, 97)
     for a in alphas:
         s, rest = threshold_ray(a)
-        assert s == plateau_bounds(StarConfig(float(a), 0.0)).c2
+        assert s == plateau_bounds(StarConfig(float(a), 0.0, 1.0)).c2
         assert type(s) is float and type(rest) is float
         for got, want in zip(threshold_ray(1.0 / a), (rest, s)):
             assert abs(got - want) <= 1e-15 * want, a
@@ -525,16 +552,44 @@ def test_solve_d0_brackets_the_root_without_doubling(monkeypatch):
 
 
 def test_plateau_guards_are_scale_free(monkeypatch):
-    # every window of the sweep passes the round trip, held relative to beta
+    # every window of the sweep passes the round trip, held relative to w
     for alpha in np.logspace(-12, 12, 25):
         for beta in (1e-12, 1e-9, 1e-6, 1e-3, 0.1, 0.5, 0.9, 0.999999):
-            info = plateau_bounds(StarConfig(float(alpha), beta))
+            info = plateau_bounds(StarConfig(float(alpha), beta, 1.0 - beta))
             assert 0.0 < info.c1 < info.c2 < 1.0
-    # a round trip 2e-21 off beta = 1e-12 is off by 2e-9 of it
+    # a round trip 2e-9 off w, relative, fails
+    sc = StarConfig(2.0, 1e-12, 1.0 - 1e-12)
+    w = solve_w(sc)
     monkeypatch.setattr(surface, "pushed_beta",
-                        lambda alpha, ray: (1e-12 * (1.0 + 2e-9), None, None))
+                        lambda alpha, ray: (None, w * (1.0 + 2e-9), None))
     with pytest.raises(NumericalFailure, match="round trip"):
-        plateau_bounds(StarConfig(2.0, 1e-12))
+        plateau_bounds(sc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.floats(-12.0, 12.0), st.floats(-12.0, -1e-3), st.booleans())
+def test_the_plateau_round_trip_holds_far_inside_its_guard(log_alpha,
+                                                            log_beta, near_1):
+    # the w solved back along (c2, 1 - c2) meets w to 1e-13 relative, with
+    # beta or 1 - beta down to 1e-12, where a check of beta would see an
+    # error in 1 - beta only at 1e-12 of it: the guard's 1e-9 sees either
+    small = 10.0 ** log_beta
+    pair = (1.0 - small, small) if near_1 else (small, 1.0 - small)
+    sc = StarConfig(10.0 ** log_alpha, *pair)
+    w = solve_w(sc)
+    info = plateau_bounds(sc)
+    _, back, _ = pushed_beta(sc.alpha, (info.c2, info.one_minus_c2))
+    assert abs(back - w) <= 1e-13 * w
+
+
+@pytest.mark.xfail(strict=True, raises=NumericalFailure,
+                   reason="solve_d0's Horner cubic rounds positive at d1 "
+                          "when w is below eps")
+def test_solve_d0_brackets_a_w_below_rounding():
+    # the cubic is -2 w d1 (1 + alpha) < 0 at d1 exactly, but its Horner
+    # form carries rounding of order eps alpha d1, which swamps that for
+    # w ~ 1e-17: (alpha, 1 - beta) = (1e10, 2^-53) has no sign change at d1
+    plateau_bounds(StarConfig(1e10, 1.0 - 2.0 ** -53, 2.0 ** -53))
 
 
 def test_limits_at_endpoints(touching_system):
@@ -589,21 +644,23 @@ def test_failure_contexts_are_json(monkeypatch):
     ctx = exc.value.context
     assert json.loads(json.dumps(ctx)) == ctx
     # the plateau's contexts hold plain floats, not numpy scalars; a ray
-    # solve that misses beta by 1e-6 fails the gap round trip
+    # solve that misses w by 1e-6 fails the gap round trip
+    sc = StarConfig(2.0, 0.5, 0.5)
+    w = solve_w(sc)
     with monkeypatch.context() as m:
         m.setattr(surface, "pushed_beta",
-                  lambda alpha, ray: (np.float64(0.5 + 1e-6), None, None))
+                  lambda alpha, ray: (None, np.float64(w + 1e-6), None))
         with pytest.raises(NumericalFailure, match="round trip") as exc:
-            plateau_bounds(StarConfig(2.0, 0.5))
+            plateau_bounds(sc)
     ctx = exc.value.context
     assert json.loads(json.dumps(ctx)) == ctx
-    assert set(ctx) == {"c2", "beta", "back"}
+    assert set(ctx) == {"c2", "w", "back"}
     assert all(type(v) is float for v in ctx.values())
     # a reflection that returns the configuration itself, with c2 < 1/2,
     # puts c1 = 1 - c2 above c2
-    monkeypatch.setattr(surface, "reflected_star", lambda sc: (sc, None))
+    monkeypatch.setattr(StarConfig, "reflected", lambda sc: (sc, None))
     with pytest.raises(NumericalFailure, match="out of order") as exc:
-        plateau_bounds(StarConfig(0.1, 0.01))
+        plateau_bounds(StarConfig(0.1, 0.01, 0.99))
     ctx = exc.value.context
     assert json.loads(json.dumps(ctx)) == ctx
     assert set(ctx) == {"c1", "c2"} and ctx["c1"] > ctx["c2"]

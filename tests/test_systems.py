@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from angelesco import (AffineMap, AngelescoSystem, Interval, LimitCurve,
@@ -40,40 +40,98 @@ def test_system_rejects_unknown_weight():
 
 
 def test_star_config_bounds():
-    sc = StarConfig(2.0, 0.0)
-    sys = sc.system()
-    assert sys.i1 == Interval(-2.0, 0.0)
-    assert sys.i2 == Interval(0.0, 1.0)
+    sys = AngelescoSystem(Interval(-2.0, 0.0), Interval(0.0, 1.0))
+    assert star_normalize(sys)[0] == StarConfig(2.0, 0.0, 1.0)
+    # beta may round to 1: the pair keeps 1 - beta
+    assert StarConfig(1.0, 1.0, 1e-17).one_minus_beta == 1e-17
     with pytest.raises(ValueError):
-        StarConfig(0.0, 0.5)
+        StarConfig(0.0, 0.5, 0.5)
     with pytest.raises(ValueError):
-        StarConfig(1.0, 1.0)
+        StarConfig(1.0, 1.0, 0.0)
     with pytest.raises(ValueError):
-        StarConfig(1.0, -0.1)
+        StarConfig(1.0, -0.1, 1.1)
+    # a pair that does not sum to 1, NaN included
+    for beta, rest in ((0.5, 0.5 + 1e-14), (0.25, 0.5), (float("nan"), 0.5),
+                       (0.5, float("nan"))):
+        with pytest.raises(ValueError, match="sum"):
+            StarConfig(1.0, beta, rest)
 
 
 def test_star_normalize_examples():
     sc, amap = star_normalize(AngelescoSystem(Interval(-2.0, 0.0),
                                               Interval(0.0, 1.0)))
-    assert (sc.alpha, sc.beta) == (2.0, 0.0)
+    assert sc == StarConfig(2.0, 0.0, 1.0)
     assert (amap.scale, amap.shift) == (1.0, 0.0)
 
     sc, amap = star_normalize(AngelescoSystem(Interval(-2.0, 0.0),
                                               Interval(0.25, 1.0)))
-    assert (sc.alpha, sc.beta) == (2.0, 0.25)
+    assert sc == StarConfig(2.0, 0.25, 0.75)
     assert (amap.scale, amap.shift) == (1.0, 0.0)
 
     sc, amap = star_normalize(AngelescoSystem(Interval(0.0, 1.0),
                                               Interval(1.0, 3.0)))
-    assert (sc.alpha, sc.beta) == (0.5, 0.0)
+    assert sc == StarConfig(0.5, 0.0, 1.0)
     assert (amap.scale, amap.shift) == (2.0, 1.0)
 
 
 def test_star_normalize_of_star_system_is_identity():
-    sc0 = StarConfig(1.7, 0.3)
-    sc, amap = star_normalize(sc0.system())
-    assert (sc.alpha, sc.beta) == (sc0.alpha, sc0.beta)
+    sc0 = StarConfig(1.7, 0.3, 0.7)
+    sc, amap = star_normalize(AngelescoSystem(Interval(-1.7, 0.0),
+                                              Interval(0.3, 1.0)))
+    assert sc == sc0
     assert (amap.scale, amap.shift) == (1.0, 0.0)
+
+
+def test_star_normalize_keeps_1_minus_beta_where_beta_rounds_to_1():
+    sc, _ = star_normalize(AngelescoSystem(Interval(-1e20, -1e19),
+                                           Interval(0.0, 1.0)))
+    assert (sc.alpha, sc.beta, sc.one_minus_beta) == (9.0, 1.0, 1e-19)
+    hat, _ = StarConfig(1e-17, 0.5, 0.5).reflected()
+    assert hat.beta == 1.0
+    assert hat.one_minus_beta == pytest.approx(2e-17, rel=1e-15)
+    assert hat.alpha == pytest.approx(1.0, rel=1e-15)
+
+
+@st.composite
+def star_frames(draw):
+    """A system whose interval lengths and gap span 1e+-24 of each other,
+    shifted by up to a few hulls."""
+    log = st.floats(-12.0, 12.0)
+    left, right = 10.0 ** draw(log), 10.0 ** draw(log)
+    gap = draw(st.sampled_from([0.0]) | log.map(lambda e: 10.0 ** e))
+    shift = draw(st.sampled_from([0.0]) | st.floats(-4.0, 4.0)) * (
+        left + gap + right)
+    ends = (shift - left, shift, shift + gap, shift + gap + right)
+    assume(ends[0] < ends[1] <= ends[2] < ends[3])  # the shift kept them
+    return AngelescoSystem(Interval(*ends[:2]), Interval(*ends[2:]))
+
+
+_EPS = np.finfo(float).eps
+
+
+def _close(got, want, ulps):
+    return abs(got - want) <= ulps * _EPS * abs(want)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(star_frames())
+def test_the_star_pair_and_its_reflection(sys):
+    # beta and 1 - beta are each a length over the scale: one rounding per
+    # difference and per quotient, so the sum is 1 to 2 eps.  The reflected
+    # frame is three quotients of the pair; against the frame of the
+    # reflected system it differs by at most seven roundings (3.5 eps),
+    # and reflecting twice returns the frame to four eps
+    sc, _ = star_normalize(sys)
+    assert abs(sc.beta + sc.one_minus_beta - 1.0) <= 2 * _EPS
+    hat, back = sc.reflected()
+    ref, _ = star_normalize(reflect(sys))
+    for f in ("alpha", "beta", "one_minus_beta"):
+        assert _close(getattr(hat, f), getattr(ref, f), 3.5), f
+        assert _close(getattr(hat.reflected()[0], f), getattr(sc, f), 4), f
+    # the map sends the reflected frame's ends to this frame's, mirrored
+    for y, x in ((-hat.alpha, 1.0), (hat.beta, 0.0), (1.0, -sc.alpha)):
+        assert abs(back.apply(y) - x) <= 4 * _EPS * max(1.0, sc.alpha)
+    assert back.apply(0.0) == sc.beta
 
 
 def test_star_normalize_maps_endpoints(rng=np.random.default_rng(7)):
