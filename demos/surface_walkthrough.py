@@ -12,10 +12,10 @@ unbalanced system whose (u, tau) crowd against 1.
 """
 import numpy as np
 
-from angelesco import AngelescoSystem, Interval, star_normalize
-from angelesco.surface import (beta_coord, infinity_preimages, pushed_beta,
-                               ray_gaps, residue_limits, solve_d0, solve_w,
-                               threshold_ray)
+from angelesco import AngelescoSystem, Interval, StarConfig, star_normalize
+from angelesco.surface import (beta_coord, edge_d, infinity_preimages,
+                               plateau_bounds, pushed_beta, ray_gaps,
+                               residue_limits, solve_w, solve_x0)
 
 system = AngelescoSystem(Interval(-2.0, 0.0), Interval(0.25, 1.0))
 star, frame = star_normalize(system)
@@ -30,8 +30,9 @@ w = solve_w(star)
 print(f"\ngap invariant -> w = u - 1 = {w:.12f} "
       f"(beta recovered to {abs(beta_coord(alpha, w) - beta):.1e})")
 
-# the alpha level-set cubic in d has one positive root
-d0 = solve_d0(w, alpha)
+# the alpha level-set cubic in d has one positive root, d1 + x0 above the
+# closed-form d1 of the ray s = 1, bisected in x like every ray
+d0 = edge_d(alpha) + solve_x0(w, alpha)
 tau1, tau2 = infinity_preimages(w, d0)
 print(f"d0 = tau0 - 1 = {d0:.10f}; other preimages of infinity: "
       f"tau1={tau1:.10f} tau2={tau2:.10f}")
@@ -44,7 +45,7 @@ print(f"plateau constants (star frame): A1={A1:.8f} A2={A2:.8f} "
       f"B1={B1:.8f} B2={B2:.8f}")
 
 # rays right of the threshold see a growing effective gap
-s_a, _ = threshold_ray(alpha)
+s_a = plateau_bounds(StarConfig(alpha, 0.0, 1.0)).c2
 print(f"\nthreshold ray of the touching configuration: s_alpha = {s_a:.10f}")
 print(f"{'s':>6} {'beta_s':>12} {'w(s)':>12} {'d(s)':>12}")
 for s in np.linspace(s_a + 0.02, 0.98, 6):
@@ -60,6 +61,7 @@ s = np.array([0.9, 0.99, 0.999999])
 _, ws, ds = pushed_beta(alpha, (s, 1.0 - s))
 A1, A2, B1, B2 = residue_limits(alpha, ws, ds)
 rel = np.abs((B2 - B1) ** 2 - A1 / s ** 2 - A2 / (1 - s) ** 2) / (B2 - B1) ** 2
-print(f"\nalpha = {alpha:g}: d0 = {solve_d0(1.0, alpha):.3e} at w = 1")
+d0 = edge_d(alpha) + solve_x0(1.0, alpha)
+print(f"\nalpha = {alpha:g}: d0 = {d0:.3e} at w = 1")
 for row in zip(s, ws, ds, A2, rel):
     print("s={:<9g} w={:.3e} d={:.3e} A2={:.6e} identity {:.1e}".format(*row))

@@ -271,7 +271,7 @@ def _mirrored(branch, t):
     """Rows A1, A2, B1, B2 at the user rays 1 - t, increasing, from a branch
     of the reflected system read at its increasing rays ``t``."""
     back = pushforward_limits(LimitCurve(t, *branch.limit_values(t)),
-                              AffineMap(-1.0, 0.0), swapped=True)
+                              AffineMap(-1.0, 0.0))
     return np.array([back.A1, back.A2, back.B1, back.B2])
 
 

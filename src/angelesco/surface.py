@@ -24,8 +24,9 @@ every other ray.
 The configuration solves are scalar.  :func:`solve_w` runs once per
 system, on the star frame's exact pair (beta, 1 - beta): w is a cross-ratio
 of the four interval ends, so the reflected frame shares it.  The plateau,
-the threshold ray and the ray brackets of :func:`pushed_beta` share
-:func:`solve_d0`, cached per (w, alpha).  Every ray, the plateau edges
+the threshold ray and the ray brackets of :func:`pushed_beta` share x0 =
+d0 - d1 of the configuration point, bisected in x like a ray by
+:func:`solve_x0` and cached per (w, alpha).  Every ray, the plateau edges
 included, is the pair (s, 1 - s) of exact end distances.  The rays and the
 coordinate maps are elementwise numpy functions, so whole grids go through
 one call.
@@ -62,7 +63,7 @@ def edge_d(alpha):
 def level_set_w(alpha, x):
     """(w, d) on the alpha level set at d = d1 + x, w explicit in x >= 0.
 
-    The level-set cubic of :func:`solve_d0` is linear in w; its solution is
+    The level-set cubic of :func:`solve_x0` is linear in w; its solution is
     d (d^2 + 2d - alpha) / (alpha (1 + 2d) - d^2).  Its first factor splits
     at its root d1 = :func:`edge_d` into x (x + 2 d1 + 2), so w -> 0 at
     x = 0 is a product of x and keeps its digits however small x is.
@@ -111,27 +112,27 @@ def solve_w(sc):
 
 
 @lru_cache(maxsize=64)
-def solve_d0(w, alpha):
-    """Root d0 > 0 of the alpha level-set cubic at w, once per (w, alpha).
+def solve_x0(w, alpha):
+    """x0 = d0 - d1 of the configuration point (w, d0), once per (w, alpha).
 
-    d^3 + (w + 2) d^2 - alpha (1 + 2w) d - alpha w = 0 has coefficient signs
-    (+, +, -, -) for w > 0 and alpha > 0, so exactly one root d > 0
-    (Descartes' rule of signs), negative below it and positive above.  The
-    cubic is -2 w d1 (1 + alpha) < 0 at d1 = :func:`edge_d`.  For w in
-    (0, 1] it is at least d^3 + 2d^2 - 3 alpha d - alpha, which is
-    U^3 + 2 alpha^2 + 5 alpha^(3/2) + alpha > 0 at U = 2 alpha + sqrt(alpha)
-    (+inf, not NaN, in the Horner form where U overflows).  So [d1, U]
-    brackets the root on its own scale for every alpha: :func:`expand_upper`
-    confirms the sign without doubling, and the bisection needs no scan for
-    a second crossing.  w <= 0 or alpha <= 0 (NaN included) raises
-    ValueError.  The result is cached for the process.
+    The level-set cubic d^3 + (w + 2) d^2 - alpha (1 + 2w) d - alpha w over
+    d > 0, in the rays' unknown x = d - d1 (d1 = :func:`edge_d`), is
+    f(x) = x (x + 2 d1 + 2) - w (alpha / d + 2 alpha - d).  Each term rises
+    with x, so f has at most one root.  f(0) = -w (2 + 2 alpha), its sum
+    computed at least about 2, so the sign holds for every w > 0.  For w in
+    (0, 1] the cubic is at least d^3 + 2d^2 - 3 alpha d - alpha, positive
+    and rising from d = 1 + sqrt(3 alpha) on, and x = 1 + sqrt(3 alpha) puts
+    d a further d1 above that: :func:`expand_upper` confirms the sign without
+    doubling.  Every term stays finite from alpha = 1e-300 to 1e300.  w <= 0
+    or alpha <= 0 (NaN included) raises ValueError.  Cached for the process.
     """
     if not (w > 0.0 and alpha > 0.0):
-        raise ValueError(f"solve_d0 needs w > 0 and alpha > 0, "
+        raise ValueError(f"solve_x0 needs w > 0 and alpha > 0, "
                          f"got w={w}, alpha={alpha}")
-    f = lambda d: ((d + (w + 2.0)) * d - alpha * (1.0 + 2.0 * w)) * d - alpha * w
-    lo = edge_d(alpha)
-    return bisect(f, lo, expand_upper(f, lo, 2.0 * alpha + np.sqrt(alpha)))
+    d1 = edge_d(alpha)
+    f = lambda x: (x * (x + 2.0 * d1 + 2.0)
+                   - w * (alpha / (d1 + x) + 2.0 * alpha - (d1 + x)))
+    return bisect(f, 0.0, expand_upper(f, 0.0, 1.0 + np.sqrt(3.0 * alpha)))
 
 
 def infinity_preimages(w, d):
@@ -181,9 +182,9 @@ def residue_limits(alpha, w, d):
 
 
 def _edge(w, alpha):
-    """The ray (s, 1 - s) of the configuration point (w, d0(w, alpha)), each
-    an exact distance to its end: the halves of :func:`ray_gaps`."""
-    minus, plus = ray_gaps(w, solve_d0(w, alpha))
+    """The ray (s, 1 - s) of the configuration point (w, d1 + x0), each an
+    exact distance to its end: the halves of :func:`ray_gaps`."""
+    minus, plus = ray_gaps(w, edge_d(alpha) + solve_x0(w, alpha))
     return float(plus) / 2.0, float(minus) / 2.0
 
 
@@ -199,7 +200,7 @@ def pushed_beta(alpha, ray):
     ``ray`` is the pair (s, 1 - s), each as exact as the caller has it; only
     the smaller is read, matched on the side of the nearer end: 1 - theta
     = 2 (1 - s) for s >= 1/2 and 1 + theta = 2 s below (:func:`ray_gaps`).
-    The ray is solved by one bisection in x = d - d1 on [0, d0(w = 1) - d1],
+    The ray is one bisection in x = d - d1 on [0, :func:`solve_x0` at w = 1],
     from the ray s = 1 (w = 0) to the threshold ray (w = 1), with (w, d)
     from :func:`level_set_w`; since w is a product of x there, a ray next to
     s = 1 keeps its digits, and the ray (1, 0) itself, where 1 - theta is
@@ -213,8 +214,7 @@ def pushed_beta(alpha, ray):
         minus, plus = ray_gaps(*level_set_w(alpha, x))
         return np.where(upper, 2.0 * t - minus, plus - 2.0 * s)
 
-    x = bisect(f, np.zeros(s.shape),
-               np.full(s.shape, solve_d0(1.0, alpha) - edge_d(alpha)))
+    x = bisect(f, np.zeros(s.shape), np.full(s.shape, solve_x0(1.0, alpha)))
     w, d = level_set_w(alpha, x)
     return beta_coord(alpha, w), w, d
 
@@ -266,7 +266,8 @@ def plateau_bounds(sc):
     if not (0.0 < c1 <= c2 and one_minus_c2 > 0.0):
         raise NumericalFailure("plateau window out of order",
                                {"c1": c1, "c2": c2})
-    a1, a2, b1, b2 = residue_limits(sc.alpha, w, solve_d0(w, sc.alpha))
+    d0 = edge_d(sc.alpha) + solve_x0(w, sc.alpha)
+    a1, a2, b1, b2 = residue_limits(sc.alpha, w, d0)
     # computed constants: a broken contract is a numerical failure
     point = validate_computed(LimitCurve(
         [0.5 * (c1 + c2)], [a1], [a2], [b1], [b2], "plateau")).point(0)
@@ -316,7 +317,7 @@ def limit_curve(sys, grid, info=None):
         s = grid[left][::-1]  # the reflected rays 1 - s, increasing
         _, w, d = pushed_beta(sc_hat.alpha, (1.0 - s, s))
         hat = LimitCurve(1.0 - s, *residue_limits(sc_hat.alpha, w, d))
-        back = pushforward_limits(hat, back_map, swapped=True)
+        back = pushforward_limits(hat, back_map)
         star[:, left] = back.A1, back.A2, back.B1, back.B2
 
     return validate_computed(

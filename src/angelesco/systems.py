@@ -94,7 +94,7 @@ class StarConfig:
 
     def reflected(self):
         """The frame mirrored by x -> -x, [-1, -beta] u [0, alpha] rescaled,
-        and the map from its star frame into this one (``swapped=True``)."""
+        and the map from its star frame into this one, a reflection."""
         span = self.alpha + self.beta
         return (StarConfig(self.one_minus_beta / span, self.beta / span,
                            self.alpha / span), AffineMap(-span, self.beta))
@@ -255,27 +255,26 @@ def reflect(sys):
     """Reflect a system about the origin, restoring interval order.
 
     The reflected intervals are the negated originals with roles exchanged,
-    so limit data travels back through ``AffineMap(-1, 0)`` with
-    ``swapped=True``.  Weights travel with their intervals.
+    so limit data travels back through ``AffineMap(-1, 0)``, whose negative
+    scale exchanges the roles back.  Weights travel with their intervals.
     """
     return AngelescoSystem(Interval(-sys.i2.hi, -sys.i2.lo),
                            Interval(-sys.i1.hi, -sys.i1.lo),
                            sys.w2, sys.w1)
 
 
-def pushforward_limits(curve, amap, swapped=False):
+def pushforward_limits(curve, amap):
     """Transport a limit curve through an affine change of variable.
 
-    With ``swapped`` set, the interval roles are exchanged first (indices
-    1 <-> 2 and s -> 1 - s, the grid reversed so it stays increasing), then
-    the affine action A -> scale^2 * A, B -> scale * B + shift is applied
-    slotwise.  A negative scale encodes a reflection and is only consistent
-    together with ``swapped=True``.  The returned curve keeps the input's
-    method and a copy of its ``meta``.
+    A negative scale is a reflection, which exchanges the interval roles:
+    indices 1 <-> 2 and s -> 1 - s, the grid reversed so it stays
+    increasing.  Then the affine action A -> scale^2 * A, B -> scale * B +
+    shift is applied slotwise.  The returned curve keeps the input's method
+    and a copy of its ``meta``.
     """
     lam, c = amap.scale, amap.shift
     s, a1, a2, b1, b2 = curve.s, curve.A1, curve.A2, curve.B1, curve.B2
-    if swapped:
+    if lam < 0:
         s, a1, a2, b1, b2 = (1.0 - s)[::-1], a2[::-1], a1[::-1], b2[::-1], b1[::-1]
     return LimitCurve(s, lam * lam * a1, lam * lam * a2,
                       lam * b1 + c, lam * b2 + c, curve.method, dict(curve.meta))

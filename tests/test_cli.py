@@ -277,13 +277,18 @@ def test_an_unbalanced_surface_curve_answers(tmp_path, interval1):
     assert rc == 0
 
 
-@pytest.mark.parametrize("interval1,interval2", [("-1e-17,0", "0.5,1"),
-                                                 ("-1e20,-1e19", "0,1")])
+@pytest.mark.parametrize("interval1,interval2", [
+    ("-1e-17,0", "0.5,1"), ("-1e20,-1e19", "0,1"),
+    ("-1e10,0", "0.9999999999999999,1"), ("-1,-0.9999999999999999", "0,1e10")])
 def test_a_frame_whose_beta_rounds_to_1_answers(tmp_path, interval1,
                                                 interval2):
     # beta rounds to 1 in the reflected frame of the first system and in
     # the star frame of the second; the frame keeps the exact 1 - beta, so
-    # both compute, and surface and ODE meet to 1e-12 in A / L^2 and B / L
+    # both compute, and surface and ODE meet to 1e-12 in A / L^2 and B / L.
+    # The last two, a system and its mirror, have a frame whose beta is one
+    # ulp below 1, so w = 1.4e-17: the level-set cubic -2 w d1 (1 + alpha)
+    # at d1 is below the rounding of its terms in d, not of its quotient
+    # in x = d - d1
     assert main(["compute", f"--interval1={interval1}",
                  f"--interval2={interval2}",
                  "--output_dir", str(tmp_path / "out")]) == 0

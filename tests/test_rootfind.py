@@ -261,7 +261,7 @@ def test_surface_solves_equal_the_full_halving_loop(request, monkeypatch,
         return out
 
     monkeypatch.setattr(surface, "bisect", checked)
-    surface.solve_d0.cache_clear()  # solve the bracket ends here again
+    surface.solve_x0.cache_clear()  # solve the bracket ends here again
     grid = np.linspace(0.0, 1.0, 181)
     surface.limit_curve(request.getfixturevalue(name), grid)
     for beta in grid[1:-1:30]:

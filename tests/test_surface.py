@@ -12,12 +12,12 @@ from angelesco import (AffineMap, AngelescoSystem, Interval, NumericalFailure,
 from angelesco.surface import (beta_coord, edge_d, infinity_preimages,
                                level_set_w, limit_curve, limits_at,
                                plateau_bounds, pushed_beta, ray_gaps,
-                               residue_limits, solve_d0, solve_w,
+                               residue_limits, solve_w, solve_x0,
                                threshold_ray)
 
 
 def _cubic(w, alpha, d):
-    """The alpha level-set cubic in d at w, as solve_d0 bisects it."""
+    """The alpha level-set cubic in d at w, in Horner form."""
     return ((d + (w + 2.0)) * d - alpha * (1.0 + 2.0 * w)) * d - alpha * w
 
 
@@ -38,7 +38,7 @@ def test_projection_ratio_fixed_point():
     # root, d0 ~ sqrt(alpha w / (w + 2)), for every w
     for w in (0.2, 0.5, 0.9, 1.0):
         assert _cubic(w, 0.0, 0.0) == 0.0
-        d = solve_d0(w, 1e-20)
+        d = edge_d(1e-20) + solve_x0(w, 1e-20)
         assert d == pytest.approx(math.sqrt(1e-20 * w / (w + 2.0)), rel=1e-9)
 
 
@@ -108,7 +108,7 @@ def test_solve_u_touching_skips_the_bisection(monkeypatch):
 
 
 def test_solve_tau0():
-    d = solve_d0(1.0, 2.0)
+    d = edge_d(2.0) + solve_x0(1.0, 2.0)
     assert 1.0 + d == pytest.approx(2.5846, abs=1e-3)
     assert 1.0 + d == pytest.approx(2.5842254432165204, abs=1e-12)
     assert abs(_cubic(1.0, 2.0, d)) <= 1e-14
@@ -116,8 +116,8 @@ def test_solve_tau0():
 
 def test_tau0_cubic_in_d_has_one_sign_change():
     # projection_ratio(u, tau) = 1 + alpha cleared of its denominator, at
-    # u = 1 + w and tau = 1 + d, exactly in rationals: the cubic in d that
-    # solve_d0's docstring cites, with coefficient signs (+, +, -, -), and
+    # u = 1 + w and tau = 1 + d, exactly in rationals: the cubic in d whose
+    # quotient by d solve_x0 bisects, with coefficient signs (+, +, -, -), and
     # its linear solution in w that level_set_w evaluates
     ws = [Fraction(1, 10 ** k) for k in (1, 3, 9)] + [Fraction(1, 2), 1]
     alphas = [Fraction(1, 10 ** 9), Fraction(1, 1000), Fraction(7, 3),
@@ -145,11 +145,12 @@ def test_solve_tau0_scan_passes_at_the_ray_bracket_ends(w):
     # w -> 0, d0 tends to the closed-form end edge_d that pushed_beta uses:
     # the cubic is convex and negative there, so d0 lies between it and
     # one Newton step from it
-    surface.solve_d0.cache_clear()
+    surface.solve_x0.cache_clear()
     for alpha in np.logspace(-9, 9, 73):
-        d = solve_d0(w, float(alpha))
+        x0 = solve_x0(w, float(alpha))
+        d = edge_d(alpha) + x0
         assert d > 0.0
-        assert solve_d0(w, float(alpha)) is d  # cached
+        assert solve_x0(w, float(alpha)) is x0  # cached
         x = d * np.logspace(-3, 3, 257)
         signs = np.sign(_cubic(w, alpha, x))
         assert np.all(signs[x < d] == -1.0) and np.all(signs[x > d] == 1.0)
@@ -165,14 +166,14 @@ def test_solve_tau0_scan_passes_at_the_ray_bracket_ends(w):
 def test_solve_tau0_needs_u_above_1_and_alpha_above_0(u, alpha):
     # the uniqueness proof in its docstring holds only there: w = u - 1 > 0
     with pytest.raises(ValueError, match="w > 0 and alpha > 0"):
-        solve_d0(u - 1.0, alpha)
+        solve_x0(u - 1.0, alpha)
 
 
 @pytest.mark.parametrize("alpha", [1e-16, 1e-17, 1e-30])
 def test_solve_tau0_holds_an_alpha_lost_in_1_plus_alpha(alpha):
     # 1 + alpha rounds to 1, but the cubic in d never forms it: d0 keeps
     # its digits, d0 ~ sqrt(alpha / 3) for w = 1
-    d = solve_d0(1.0, alpha)
+    d = edge_d(alpha) + solve_x0(1.0, alpha)
     assert d == pytest.approx(math.sqrt(alpha / 3.0), rel=1e-9)
     lo, hi = np.nextafter(d, 0.0), np.nextafter(d, 1.0)
     assert _cubic(1.0, alpha, lo) <= 0.0 <= _cubic(1.0, alpha, hi)
@@ -189,7 +190,7 @@ def test_plateau_solves_tau0_once_per_u_alpha(monkeypatch):
         return real_expand(*args, **kwargs)
 
     monkeypatch.setattr(surface, "expand_upper", recording)
-    surface.solve_d0.cache_clear()
+    surface.solve_x0.cache_clear()
     sc = StarConfig(2.0, 0.0, 1.0)
     info = plateau_bounds(sc)
     assert len(calls) == 1
@@ -223,7 +224,7 @@ def test_infinity_preimages_signs_and_vieta(w, d):
 
 def test_surface_params_residuals():
     w = solve_w(StarConfig(2.0, 0.25, 0.75))
-    d = solve_d0(w, 2.0)
+    d = edge_d(2.0) + solve_x0(w, 2.0)
     assert beta_coord(2.0, w) == pytest.approx(0.25, rel=1e-15)
     assert abs(_cubic(w, 2.0, d)) <= 1e-14
     t1, t2 = infinity_preimages(w, d)
@@ -379,7 +380,7 @@ def _mp_limits(mp, alpha, beta, s, info):
     u = 2 if beta == 0.0 else _mp_root(mp, gap, 1 + mp.mpf(w))
     t0 = _mp_root(mp, lambda t: t * t * (t + u - 2)
                   - (1 + al) * ((2 * u - 1) * t - u),
-                  1 + mp.mpf(solve_d0(w, alpha)))
+                  1 + mp.mpf(edge_d(alpha) + solve_x0(w, alpha)))
     return _mp_residues(mp, al, u, t0)
 
 
@@ -510,10 +511,10 @@ def test_plateau_edges_against_60_digits(alpha, beta):
     w = solve_w(sc)
     with mp.workdps(60):
         al, be = mp.mpf(alpha), mp.mpf(beta)
-        c2 = _mp_edge(mp, al, be, w, solve_d0(w, alpha))[0]
+        c2 = _mp_edge(mp, al, be, w, edge_d(alpha) + solve_x0(w, alpha))[0]
         al_hat = (1 - be) / (al + be)
         c1 = _mp_edge(mp, al_hat, be / (al + be), w,
-                      solve_d0(w, float(al_hat)))[1]
+                      edge_d(float(al_hat)) + solve_x0(w, float(al_hat)))[1]
         assert abs(info.c2 - c2) <= 1e-15 * c2
         assert abs(info.c1 - c1) <= 1e-15 * c1
 
@@ -531,10 +532,11 @@ def test_threshold_ray_is_the_touching_plateau_edge():
             assert abs(got - want) <= 1e-15 * want, a
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_solve_d0_brackets_the_root_without_doubling(monkeypatch):
-    # U = 2 alpha + sqrt(alpha) lies above the root for every w in (0, 1],
-    # so the sign is confirmed at once, over six hundred decades of alpha
+    # x = 1 + sqrt(3 alpha) lies above the root for every w in (0, 1], so
+    # the sign is confirmed at once over six hundred decades of alpha, and
+    # d0 = d1 + x0 holds an 80-digit root of the cubic in d to 1e-15
+    mp = pytest.importorskip("mpmath")
     real_expand = surface.expand_upper
 
     def checked(f, lo, hi):
@@ -543,12 +545,18 @@ def test_solve_d0_brackets_the_root_without_doubling(monkeypatch):
         return out
 
     monkeypatch.setattr(surface, "expand_upper", checked)
-    surface.solve_d0.cache_clear()
+    surface.solve_x0.cache_clear()
     for alpha in np.logspace(-300, 300, 61):
-        for w in (1e-12, 1e-3, 1.0):
-            d = solve_d0(w, float(alpha))
-            lo, hi = np.nextafter(d, 0.0), np.nextafter(d, np.inf)
-            assert _cubic(w, alpha, lo) <= 0.0 <= _cubic(w, alpha, hi)
+        for w in (1e-17, 1e-12, 1e-3, 1.0):
+            d = edge_d(float(alpha)) + solve_x0(w, float(alpha))
+            with mp.workdps(80):
+                c, a = mp.mpf(d), mp.mpf(float(alpha))
+                terms = lambda y: (c ** 3 * y ** 3, (w + 2) * c ** 2 * y ** 2,
+                                   -a * (1 + 2 * w) * c * y, -a * w)
+                size = sum(abs(t) for t in terms(1))
+                y = mp.findroot(lambda y: sum(terms(y)) / size,
+                                (1, 1 + mp.mpf(2) ** -40))
+                assert abs(1 - y) <= 1e-15 * y, (alpha, w)
 
 
 def test_plateau_guards_are_scale_free(monkeypatch):
@@ -567,12 +575,13 @@ def test_plateau_guards_are_scale_free(monkeypatch):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(st.floats(-12.0, 12.0), st.floats(-12.0, -1e-3), st.booleans())
+@given(st.floats(-12.0, 12.0), st.floats(-16.5, -1e-3), st.booleans())
 def test_the_plateau_round_trip_holds_far_inside_its_guard(log_alpha,
                                                             log_beta, near_1):
     # the w solved back along (c2, 1 - c2) meets w to 1e-13 relative, with
-    # beta or 1 - beta down to 1e-12, where a check of beta would see an
-    # error in 1 - beta only at 1e-12 of it: the guard's 1e-9 sees either
+    # beta or 1 - beta down to 10^-16.5, where a check of beta would see an
+    # error in 1 - beta only at 1e-16 of it: the guard's 1e-9 sees either.
+    # 1 - beta below eps puts w below eps too
     small = 10.0 ** log_beta
     pair = (1.0 - small, small) if near_1 else (small, 1.0 - small)
     sc = StarConfig(10.0 ** log_alpha, *pair)
@@ -582,14 +591,16 @@ def test_the_plateau_round_trip_holds_far_inside_its_guard(log_alpha,
     assert abs(back - w) <= 1e-13 * w
 
 
-@pytest.mark.xfail(strict=True, raises=NumericalFailure,
-                   reason="solve_d0's Horner cubic rounds positive at d1 "
-                          "when w is below eps")
-def test_solve_d0_brackets_a_w_below_rounding():
-    # the cubic is -2 w d1 (1 + alpha) < 0 at d1 exactly, but its Horner
-    # form carries rounding of order eps alpha d1, which swamps that for
-    # w ~ 1e-17: (alpha, 1 - beta) = (1e10, 2^-53) has no sign change at d1
-    plateau_bounds(StarConfig(1e10, 1.0 - 2.0 ** -53, 2.0 ** -53))
+@pytest.mark.parametrize("alpha, rest", [
+    (1e10, 2.0 ** -53), (10.0 ** 0.25, 1e-16),
+    (1.4703094808339387e-07, 3.4783895692466677e-16)])
+def test_the_configuration_solve_brackets_a_w_below_rounding(alpha, rest):
+    # w < 1e-16 here: the level-set cubic is -2 w d1 (1 + alpha) at d1,
+    # which a Horner form in d rounds positive, while x0's f(0) =
+    # -w (2 + 2 alpha) keeps its sign for every w > 0
+    sc = StarConfig(alpha, 1.0 - rest, rest)
+    info = plateau_bounds(sc)
+    assert 0.0 < info.c1 < info.c2 and info.one_minus_c2 > 0.0
 
 
 def test_limits_at_endpoints(touching_system):

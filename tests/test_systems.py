@@ -212,7 +212,7 @@ def test_pushforward_point_examples():
 
     # reflection composition: swap slots, then negate the b's
     p = _one_point(0.3, 0.2, 0.4, -1.5, 0.5)
-    q = pushforward_limits(p, AffineMap(-1.0, 0.0), swapped=True).point(0)
+    q = pushforward_limits(p, AffineMap(-1.0, 0.0)).point(0)
     assert (q.s, q.A1, q.A2) == (0.7, 0.4, 0.2)
     assert (q.B1, q.B2) == (-0.5, 1.5)
 
@@ -221,7 +221,7 @@ def test_pushforward_swapped_curve_values():
     s = np.array([0.2, 0.5, 0.8])
     curve = LimitCurve(s, np.array([0.1, 0.2, 0.3]), np.array([0.3, 0.2, 0.1]),
                        np.array([-1.0, -0.9, -0.8]), np.array([0.5, 0.6, 0.7]))
-    out = pushforward_limits(curve, AffineMap(-2.0, 1.0), swapped=True)
+    out = pushforward_limits(curve, AffineMap(-2.0, 1.0))
     # s -> 1 - s with the grid reversed, A1 <-> A2 scaled by 4,
     # B1 <-> B2 sent through -2 B + 1
     np.testing.assert_allclose(out.s, [0.2, 0.5, 0.8], rtol=0, atol=1e-15)
@@ -239,7 +239,7 @@ def test_pushforward_log_does_not_leak():
                        np.array([-1.0, -0.8]), np.array([0.5, 0.7]),
                        "lattice", {"level": 3})
     out1 = pushforward_limits(curve, AffineMap(2.0, 0.0))
-    out2 = pushforward_limits(out1, AffineMap(-1.0, 1.0), swapped=True)
+    out2 = pushforward_limits(out1, AffineMap(-1.0, 1.0))
     out2.meta["extra"] = True
     assert curve.meta == out1.meta == {"level": 3}
     assert out2.meta == {"level": 3, "extra": True}
@@ -338,9 +338,9 @@ def test_power_of_two_pushforward_round_trip_is_exact(curve, k):
 @_PROPERTY
 @given(valid_curves())
 def test_swapped_reflection_is_an_involution(curve):
-    once = pushforward_limits(curve, AffineMap(-1.0, 0.0), swapped=True)
+    once = pushforward_limits(curve, AffineMap(-1.0, 0.0))
     assert once.validate() is once
-    twice = pushforward_limits(once, AffineMap(-1.0, 0.0), swapped=True)
+    twice = pushforward_limits(once, AffineMap(-1.0, 0.0))
     assert _same_values(twice, curve)
 
 
