@@ -22,6 +22,14 @@ shifted, so q does not either, and a shift c costs the b's only the rounding
 of b + q: under 64 ulp(c) after 1500 levels.  Expanded as
 (dS - b1 b2 + b2^2) / gap, the same step would cancel terms of size c^2.
 
+The sweep runs in hull units: on the system scaled by 2^-e, with 2^e the
+power of two just above its hull length L, so a is O(1) there and not
+O(L^2).  In user units the step relations form products a * gap of order
+L^3, which leave the range of normal doubles near L = 1e-103 and 1e103.
+Scaling by a power of two is exact, so the results are the user-unit
+values bit for bit wherever those stay normal doubles, and the range is
+set by a ~ L^2 alone: hull lengths from about 1e-150 to 1e153.
+
 Each diagonal's gap b2 - b1 is formed once.  Its b-phase solve divides by
 it, and the next diagonal's a-phase reads it again as the denominator of its
 step relations.  The b-phase guard therefore covers that a-phase too: it has
@@ -37,13 +45,15 @@ and m/8 follow a smooth series in 1/m.  A Neville table in h = 1/level
 extrapolates them to h = 0 (order 3), and the difference between its last
 entry and the entry one order lower is the read-out's error estimate.
 """
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalFailure
 from .orthopoly import axis_data
-from .systems import LimitCurve, check_grid, validate_computed
+from .systems import (AngelescoSystem, Interval, LimitCurve, check_grid,
+                      validate_computed)
 
 # smallest |b2 - b1| in a propagation denominator, in hull lengths
 _DENOM_FLOOR = 1e-12
@@ -100,10 +110,16 @@ def solve_lattice(sys, m, snapshot_levels=None):
     """Sweep the coefficient lattice of ``sys`` out to level ``m``.
 
     ``snapshot_levels`` defaults to the levels below m that the Richardson
-    table reads (:func:`table_levels`).  The sweep stores three rolling
-    diagonals plus the snapshots; cost is O(m^2) time and O(m) memory.  A
-    propagation denominator below 1e-12 hull lengths or a nonpositive
-    interior coefficient, NaN included, aborts with :class:`NumericalFailure`.
+    table reads (:func:`table_levels`).  The sweep works in hull units: it
+    runs on ``sys`` scaled by 2^-e, with 2^e the power of two just above the
+    hull length, and scales the results back by 2^2e (a's) and 2^e (b's and
+    residuals), all exactly.  So every system whose a's (of order L^2) and
+    b's are finite doubles sweeps, and scaling a system by a power of two
+    scales its lattice bit for bit.  Two sets of diagonal buffers of length
+    m + 2, used in turn, are allocated once; cost is O(m^2) time and O(m)
+    memory besides the snapshots.  A propagation denominator below 1e-12
+    hull lengths or a nonpositive interior coefficient, NaN included,
+    aborts with :class:`NumericalFailure`.
     """
     if m < 1:
         raise ValueError(f"level must be a positive integer, got {m}")
@@ -111,75 +127,87 @@ def solve_lattice(sys, m, snapshot_levels=None):
         snapshot_levels = table_levels(m)
     snapshot_levels = set(snapshot_levels)
 
-    floor = _DENOM_FLOOR * (sys.i2.hi - sys.i1.lo)
-    ax1 = axis_data(sys, 1, m)
-    ax2 = axis_data(sys, 2, m)
+    e = math.frexp(sys.i2.hi - sys.i1.lo)[1]
+    unit = AngelescoSystem(*(Interval(math.ldexp(iv.lo, -e),
+                                      math.ldexp(iv.hi, -e))
+                             for iv in (sys.i1, sys.i2)), sys.w1, sys.w2)
+    floor = _DENOM_FLOOR * (unit.i2.hi - unit.i1.lo)
+    ax1 = axis_data(unit, 1, m)
+    ax2 = axis_data(unit, 2, m)
+    own1, own2 = ax1.own_a.tolist(), ax2.own_a.tolist()
+    cross1, cross2 = ax1.cross_b.tolist(), ax2.cross_b.tolist()
 
-    # seed diagonal: the single site (0, 0)
-    a1 = np.array([0.0])
-    a2 = np.array([0.0])
-    mid1, mid2 = sys.i1.mid, sys.i2.mid
-    b1 = np.array([mid1])
-    b2 = np.array([mid2])
-    gap_prev = None
+    def unscaled(a1, a2, b1, b2):
+        return (np.ldexp(a1, 2 * e), np.ldexp(a2, 2 * e),
+                np.ldexp(b1, e), np.ldexp(b2, e))
+
+    # two sets of (a1, a2, b1, b2, gap) buffers of length m + 2, for the old
+    # and the new diagonal in turn.  The fills are the values no step
+    # writes: a1 = 0 and b2 = mid2 at k = 0, and a2 = 0 and b1 = mid1 at the
+    # axis-1 end, which a buffer reaches before any step writes there
+    n = m + 2
+    mid1, mid2 = unit.i1.mid, unit.i2.mid
+    old, new = ((np.zeros(n), np.zeros(n), np.full(n, mid1),
+                 np.full(n, mid2), np.empty(n)) for _ in range(2))
+    s_buf = np.empty(n)
+    q_buf = np.empty(n)
+    mul, div, add, sub = np.multiply, np.divide, np.add, np.subtract
+
     snaps = {}
     if 0 in snapshot_levels:
-        snaps[0] = (a1.copy(), a2.copy(), b1.copy(), b2.copy())
-    residuals = np.zeros((m, 2))
-    s_buf = np.empty(m + 1)
-    q_buf = np.empty(m)
-
+        snaps[0] = unscaled(*(buf[:1] for buf in old[:4]))
+    b1, b2 = old[2][:1], old[3][:1]
+    # the propagated axis cross-b's of every level, before the override
+    propagated = []
+    gap_prev = None
     for L in range(m):
         K = L + 2  # diagonal L + 1 has sites k = 0 .. L + 1
-        a1n = np.empty(K)
-        a2n = np.empty(K)
-        b1n = np.empty(K)
-        b2n = np.empty(K)
+        a1, a2, _, _, gap_buf = old
+        a1n, a2n, b1n, b2n, _ = new
+        b1n, b2n = b1n[:K], b2n[:K]
 
         # a-phase: axis values, then the multiplicative step relations for
         # interior sites (numerators from level L, denominators from L - 1,
-        # which passed the previous b-phase guard)
-        a1n[0] = 0.0
-        a2n[0] = ax2.own_a[L + 1]
-        a1n[K - 1] = ax1.own_a[L + 1]
-        a2n[K - 1] = 0.0
-        gap = b2 - b1
+        # which passed the previous b-phase guard).  x[x.argmin()] is the
+        # least element of x, NaN if x holds one: np.minimum.reduce(x) at a
+        # fraction of its call cost
+        a2n[0] = own2[L + 1]
+        a1n[K - 1] = own1[L + 1]
+        gap = sub(b2, b1, gap_buf[:K - 1])
         if L >= 1:
-            a1i, a2i = a1n[1:L + 1], a2n[1:L + 1]
-            np.divide(np.multiply(a1[1:L + 1], gap[1:L + 1], out=a1i),
-                      gap_prev[0:L], out=a1i)
-            np.divide(np.multiply(a2[0:L], gap[0:L], out=a2i),
-                      gap_prev[0:L], out=a2i)
-            if not (np.minimum.reduce(a1i) > 0.0
-                    and np.minimum.reduce(a2i) > 0.0):
+            a1i, a2i = a1n[1:K - 1], a2n[1:K - 1]
+            div(mul(a1[1:K - 1], gap[1:], a1i), gap_prev, a1i)
+            div(mul(a2[:L], gap[:L], a2i), gap_prev, a2i)
+            if not (a1i[a1i.argmin()] > 0.0 and a2i[a2i.argmin()] > 0.0):
                 raise NumericalFailure("interior coefficient lost positivity",
                                        {"level": L + 1})
 
         # b-phase: b2 at k + 1 and b1 at k both move by q = dS / gap
-        # (vectorized over the diagonal)
-        if not np.minimum.reduce(np.abs(gap)) >= floor:
+        # (vectorized over the diagonal); |gap| only when gap itself fails
+        if (not gap[gap.argmin()] >= floor
+                and not np.minimum.reduce(np.abs(gap)) >= floor):
             raise NumericalFailure("coefficient gap collapsed in b-phase",
                                    {"level": L + 1})
-        S = np.add(a1n, a2n, out=s_buf[0:K])
-        q = np.subtract(S[0:L + 1], S[1:L + 2], out=q_buf[0:L + 1])
-        np.divide(q, gap, out=q)
-        np.add(b2, q, out=b2n[1:K])
-        np.add(b1, q, out=b1n[0:K - 1])
+        S = add(a1n[:K], a2n[:K], s_buf[:K])
+        q = sub(S[:K - 1], S[1:], q_buf[:K - 1])
+        div(q, gap, q)
+        add(b2, q, b2n[1:])
+        add(b1, q, b1n[:K - 1])
 
-        # axis sites: log the propagated-vs-direct mismatch, then override
-        residuals[L, 0] = abs(b2n[K - 1] - ax1.cross_b[L + 1])
-        residuals[L, 1] = abs(b1n[0] - ax2.cross_b[L + 1])
-        b1n[K - 1] = mid1
-        b2n[K - 1] = ax1.cross_b[L + 1]
-        b2n[0] = mid2
-        b1n[0] = ax2.cross_b[L + 1]
+        # axis sites: keep the propagated values, then override
+        propagated.append((b2n[K - 1], b1n[0]))
+        b2n[K - 1] = cross1[L + 1]
+        b1n[0] = cross2[L + 1]
 
-        gap_prev = gap
-        a1, a2, b1, b2 = a1n, a2n, b1n, b2n
+        old, new = new, old
+        b1, b2, gap_prev = b1n, b2n, gap
         if L + 1 in snapshot_levels and L + 1 != m:
-            snaps[L + 1] = (a1.copy(), a2.copy(), b1.copy(), b2.copy())
+            snaps[L + 1] = unscaled(a1n[:K], a2n[:K], b1n, b2n)
 
-    return NnrrLattice(m, a1, a2, b1, b2, snaps, residuals)
+    residuals = np.abs(np.subtract(
+        propagated, np.column_stack((ax1.cross_b[1:], ax2.cross_b[1:]))))
+    top = unscaled(*(buf[:m + 1] for buf in old[:4]))
+    return NnrrLattice(m, *top, snaps, np.ldexp(residuals, e))
 
 
 def table_levels(m):

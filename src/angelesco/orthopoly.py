@@ -151,44 +151,50 @@ def mixed_ratios(src_kind, src_interval, dst_kind, dst_interval, m):
     if abs(t[0]) < abs(t[-1]):        # the rules list nodes monotonically
         t, w = t[::-1].copy(), w[::-1].copy()
     a = scalar_recurrence(src_kind, src_interval, m + 1).tolist()
-    n = t.size                        # live nodes t[:n]
+    # the live nodes [:n]; the views are cut again only when a node retires
+    n = t.size
     u_prev = np.ones(n)               # p_0
     u_curr = t.copy()                 # p_1
     v = np.empty(n)
     tmp = np.empty(n)
+    mul, sub, dot = np.multiply, np.subtract, np.dot
     h_curr = 1.0                      # h_0 of a probability measure
-    h_next = float(w @ u_curr)
-    r = np.empty(m + 1)
+    h_next = float(dot(w, u_curr))
+    r = []
     for k in range(m + 1):
         if not abs(h_curr) > 0.0:
             raise NumericalFailure("mixed moment vanished", {"k": k})
-        r[k] = h_next / h_curr
+        r.append(h_next / h_curr)
         if k == m:
             break
         # v = p_{k+2} = t p_{k+1} - a_k p_k on the live nodes
-        vn, un = v[:n], u_curr[:n]
-        np.multiply(t[:n], un, out=vn)
-        np.multiply(u_prev[:n], a[k], out=tmp[:n])
-        np.subtract(vn, tmp[:n], out=vn)
-        far = abs(float(vn[0]))
+        mul(t, u_curr, v)
+        sub(v, mul(u_prev, a[k], tmp), v)
+        far = abs(v.item(0))
         if not 0.0 < far < math.inf:
             raise NumericalFailure("polynomial lost its scale at the far node",
                                    {"k": k})
-        h_curr, h_next = h_next, float(w[:n] @ vn)
+        h_curr, h_next = h_next, float(dot(w, v))
         e = math.frexp(far)[1]
         if not -_EXP_WINDOW < e < _EXP_WINDOW:
             scale = math.ldexp(1.0, -e)
-            vn *= scale
-            un *= scale
+            v *= scale
+            u_curr *= scale
             h_curr *= scale
             h_next *= scale
             far = math.ldexp(far, -e)
         cut_v = _RETIRE * far
-        cut_u = _RETIRE * abs(float(un[0]))
-        while n > 1 and abs(vn[n - 1]) < cut_v and abs(un[n - 1]) < cut_u:
-            n -= 1
+        cut_u = _RETIRE * abs(u_curr.item(0))
+        live = n
+        while (live > 1 and abs(v.item(live - 1)) < cut_v
+               and abs(u_curr.item(live - 1)) < cut_u):
+            live -= 1
+        if live < n:
+            n = live
+            t, w, tmp = t[:n], w[:n], tmp[:n]
+            u_prev, u_curr, v = u_prev[:n], u_curr[:n], v[:n]
         u_prev, u_curr, v = u_curr, v, u_prev
-    return r
+    return np.array(r)
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,140 @@
+"""Reference loops for the lattice sweep and the mixed moment ratios.
+
+Both are the straightforward forms of :func:`angelesco.lattice.solve_lattice`
+and :func:`angelesco.orthopoly.mixed_ratios`: fresh arrays on every
+diagonal, the sweep in the user's units, every residual formed inside the
+loop, and the moment recursion slicing its live nodes on every step.  The
+package must compute the same values bit for bit, because it does the same
+floating-point operations in the same order with less per-step overhead.
+"""
+import math
+
+import numpy as np
+
+import angelesco.lattice as lattice_mod
+from angelesco.errors import NumericalFailure
+from angelesco.orthopoly import gauss_nodes, scalar_recurrence
+
+
+def sweep(sys, m, snapshot_levels=None):
+    """(a1, a2, b1, b2, snapshots, residuals) of the sweep to level ``m``.
+
+    Reads its axis data through ``angelesco.lattice.axis_data``, as the
+    package does, so a test that patches it there poisons both.
+    """
+    if snapshot_levels is None:
+        snapshot_levels = lattice_mod.table_levels(m)
+    snapshot_levels = set(snapshot_levels)
+
+    floor = 1e-12 * (sys.i2.hi - sys.i1.lo)
+    ax1 = lattice_mod.axis_data(sys, 1, m)
+    ax2 = lattice_mod.axis_data(sys, 2, m)
+
+    a1 = np.array([0.0])
+    a2 = np.array([0.0])
+    mid1, mid2 = sys.i1.mid, sys.i2.mid
+    b1 = np.array([mid1])
+    b2 = np.array([mid2])
+    gap_prev = None
+    snaps = {}
+    if 0 in snapshot_levels:
+        snaps[0] = (a1.copy(), a2.copy(), b1.copy(), b2.copy())
+    residuals = np.zeros((m, 2))
+    s_buf = np.empty(m + 1)
+    q_buf = np.empty(m)
+
+    for L in range(m):
+        K = L + 2
+        a1n = np.empty(K)
+        a2n = np.empty(K)
+        b1n = np.empty(K)
+        b2n = np.empty(K)
+
+        a1n[0] = 0.0
+        a2n[0] = ax2.own_a[L + 1]
+        a1n[K - 1] = ax1.own_a[L + 1]
+        a2n[K - 1] = 0.0
+        gap = b2 - b1
+        if L >= 1:
+            a1i, a2i = a1n[1:L + 1], a2n[1:L + 1]
+            np.divide(np.multiply(a1[1:L + 1], gap[1:L + 1], out=a1i),
+                      gap_prev[0:L], out=a1i)
+            np.divide(np.multiply(a2[0:L], gap[0:L], out=a2i),
+                      gap_prev[0:L], out=a2i)
+            if not (np.minimum.reduce(a1i) > 0.0
+                    and np.minimum.reduce(a2i) > 0.0):
+                raise NumericalFailure("interior coefficient lost positivity",
+                                       {"level": L + 1})
+
+        if not np.minimum.reduce(np.abs(gap)) >= floor:
+            raise NumericalFailure("coefficient gap collapsed in b-phase",
+                                   {"level": L + 1})
+        S = np.add(a1n, a2n, out=s_buf[0:K])
+        q = np.subtract(S[0:L + 1], S[1:L + 2], out=q_buf[0:L + 1])
+        np.divide(q, gap, out=q)
+        np.add(b2, q, out=b2n[1:K])
+        np.add(b1, q, out=b1n[0:K - 1])
+
+        residuals[L, 0] = abs(b2n[K - 1] - ax1.cross_b[L + 1])
+        residuals[L, 1] = abs(b1n[0] - ax2.cross_b[L + 1])
+        b1n[K - 1] = mid1
+        b2n[K - 1] = ax1.cross_b[L + 1]
+        b2n[0] = mid2
+        b1n[0] = ax2.cross_b[L + 1]
+
+        gap_prev = gap
+        a1, a2, b1, b2 = a1n, a2n, b1n, b2n
+        if L + 1 in snapshot_levels and L + 1 != m:
+            snaps[L + 1] = (a1.copy(), a2.copy(), b1.copy(), b2.copy())
+
+    return a1, a2, b1, b2, snaps, residuals
+
+
+def mixed_ratios(src_kind, src_interval, dst_kind, dst_interval, m):
+    """Ratios h_{k+1} / h_k, k = 0..m, of the mixed moments."""
+    if dst_kind == "uniform":
+        nodes = m + 2
+    else:
+        nodes = (m + 3) // 2
+    rule = gauss_nodes(dst_kind, dst_interval, max(nodes, 1))
+    t, w = rule.x - src_interval.mid, rule.w
+    if abs(t[0]) < abs(t[-1]):
+        t, w = t[::-1].copy(), w[::-1].copy()
+    a = scalar_recurrence(src_kind, src_interval, m + 1).tolist()
+    n = t.size
+    u_prev = np.ones(n)
+    u_curr = t.copy()
+    v = np.empty(n)
+    tmp = np.empty(n)
+    h_curr = 1.0
+    h_next = float(w @ u_curr)
+    r = np.empty(m + 1)
+    for k in range(m + 1):
+        if not abs(h_curr) > 0.0:
+            raise NumericalFailure("mixed moment vanished", {"k": k})
+        r[k] = h_next / h_curr
+        if k == m:
+            break
+        vn, un = v[:n], u_curr[:n]
+        np.multiply(t[:n], un, out=vn)
+        np.multiply(u_prev[:n], a[k], out=tmp[:n])
+        np.subtract(vn, tmp[:n], out=vn)
+        far = abs(float(vn[0]))
+        if not 0.0 < far < math.inf:
+            raise NumericalFailure("polynomial lost its scale at the far node",
+                                   {"k": k})
+        h_curr, h_next = h_next, float(w[:n] @ vn)
+        e = math.frexp(far)[1]
+        if not -256 < e < 256:
+            scale = math.ldexp(1.0, -e)
+            vn *= scale
+            un *= scale
+            h_curr *= scale
+            h_next *= scale
+            far = math.ldexp(far, -e)
+        cut_v = 2.0 ** -400 * far
+        cut_u = 2.0 ** -400 * abs(float(un[0]))
+        while n > 1 and abs(vn[n - 1]) < cut_v and abs(un[n - 1]) < cut_u:
+            n -= 1
+        u_prev, u_curr, v = u_curr, v, u_prev
+    return r

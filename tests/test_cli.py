@@ -421,6 +421,16 @@ def test_near_touching_plateau_constants_answer(tmp_path):
     assert rc == 0
 
 
+@pytest.mark.parametrize("length", ["1e-110", "1e150"])
+def test_the_lattice_sweeps_systems_far_from_unit_length(tmp_path, length):
+    # a ~ L^2 and gap ~ L make a * gap ~ L^3, which leaves the double range
+    # at these lengths unless the sweep runs in hull units
+    rc = main(["compute", "--methods", "dis", "--lattice_level", "50",
+               f"--interval1=-{length},0", f"--interval2=0,{length}",
+               "--output_dir", str(tmp_path / "out")])
+    assert rc == 0
+
+
 def _shifted_touching(power):
     c = 2 ** power
     return [f"--interval1={c - 2},{c}", f"--interval2={c},{c + 1}"]

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from angelesco.lattice import (curve_from_lattice, lagrange_interp,
                                table_levels)
 from angelesco.crossval import compared_points
 from angelesco.surface import limit_curve, limits_at
+import lattice_oracle
 from moment_oracle import MomentOracle
 
 
@@ -181,19 +183,56 @@ def test_richardson_table_exact_on_cubics_in_inverse_level(m):
 
 
 def test_sweep_scale_covariant_bit_for_bit(touching_system):
-    # scaling both intervals by 2^-50 scales every a by 2^-100 and every b
-    # by 2^-50, exactly; the gap guard's floor scales with the hull, so the
-    # sweep no longer reads a gap of order 2^-50 as collapsed
-    k = 2.0 ** -50
+    # scaling both intervals by 2^j scales every a by 2^2j and every b by
+    # 2^j, exactly: the sweep runs in hull units, so at 2^-400 (a ~ 1e-241)
+    # and 2^400 it neither underflows nor overflows, and the gap guard's
+    # floor scales with the hull, so a gap of order 2^-50 is not collapsed
     unit = solve_lattice(touching_system, 400)
-    small = solve_lattice(AngelescoSystem(Interval(-2.0 * k, 0.0),
-                                          Interval(0.0, k)), 400)
-    assert sorted(small.snapshots) == sorted(unit.snapshots)
-    for level in [*unit.snapshots, 400]:
-        for u, v, f in zip(unit.diagonal(level), small.diagonal(level),
-                           (k * k, k * k, k, k)):
-            assert np.array_equal(u * f, v), level
-    assert np.array_equal(unit.residuals * k, small.residuals)
+    for k in (2.0 ** -50, 2.0 ** -400, 2.0 ** 400):
+        scaled = solve_lattice(AngelescoSystem(Interval(-2.0 * k, 0.0),
+                                               Interval(0.0, k)), 400)
+        assert sorted(scaled.snapshots) == sorted(unit.snapshots)
+        for level in [*unit.snapshots, 400]:
+            for u, v, f in zip(unit.diagonal(level), scaled.diagonal(level),
+                               (k * k, k * k, k, k)):
+                assert np.array_equal(u * f, v), (k, level)
+        assert np.array_equal(unit.residuals * k, scaled.residuals), k
+
+
+GEOMETRIES = {"touching": ((-2.0, 0.0), (0.0, 1.0)),
+              "gap": ((-2.0, 0.0), (0.25, 1.0)),
+              "wide": ((-1000.0, 0.0), (0.0, 1.0)),
+              "apart": ((-3.0, -1.0), (2.0, 7.0))}
+KINDS = ("chebyshev1", "chebyshev2", "uniform")
+
+
+def assert_matches_oracle(lat, ref):
+    a1, a2, b1, b2, snaps, residuals = ref
+    for got, want in zip((lat.a1, lat.a2, lat.b1, lat.b2), (a1, a2, b1, b2)):
+        assert np.array_equal(got, want)
+    assert sorted(lat.snapshots) == sorted(snaps)
+    for level, diag in snaps.items():
+        for got, want in zip(lat.snapshots[level], diag):
+            assert np.array_equal(got, want), level
+    assert np.array_equal(lat.residuals, residuals)
+
+
+@pytest.mark.parametrize("geometry", GEOMETRIES)
+@pytest.mark.parametrize("w1,w2", itertools.product(KINDS, KINDS))
+def test_sweep_matches_the_reference_loop_bit_for_bit(geometry, w1, w2):
+    i1, i2 = GEOMETRIES[geometry]
+    sys = AngelescoSystem(Interval(*i1), Interval(*i2), w1, w2)
+    for m in (1, 2, 7, 400):
+        assert_matches_oracle(solve_lattice(sys, m), lattice_oracle.sweep(sys, m))
+    every = set(range(8))
+    assert_matches_oracle(solve_lattice(sys, 7, every),
+                          lattice_oracle.sweep(sys, 7, every))
+
+
+def test_deep_sweep_matches_the_reference_loop_bit_for_bit():
+    sys = AngelescoSystem(Interval(-1000.0, 0.0), Interval(0.0, 1.0))
+    assert_matches_oracle(solve_lattice(sys, 6000),
+                          lattice_oracle.sweep(sys, 6000))
 
 
 def test_richardson_table_of_one_level_is_that_level():
@@ -304,9 +343,8 @@ def test_error_estimate_over_the_compared_points(gap_system, gap_info):
     assert none.meta["error_estimate_compared"] is None
 
 
-@pytest.mark.parametrize("axis", [1, 2])
-@pytest.mark.parametrize("field", ["own_a", "cross_b"])
-def test_nan_axis_data_aborts_sweep(touching_system, monkeypatch, axis, field):
+def poison(monkeypatch, axis, field, value):
+    """Patch ``lattice.axis_data`` to put ``value(sys, axis)`` at site 5."""
     real = lattice_mod.axis_data
 
     def poisoned(sys, ax, m):
@@ -314,13 +352,46 @@ def test_nan_axis_data_aborts_sweep(touching_system, monkeypatch, axis, field):
         if ax != axis:
             return data
         values = getattr(data, field).copy()
-        values[5] = np.nan
+        values[5] = value(sys, axis)
         return dataclasses.replace(data, **{field: values})
 
     monkeypatch.setattr(lattice_mod, "axis_data", poisoned)
+
+
+def failure(sweep, *args):
     with pytest.raises(NumericalFailure) as exc:
-        solve_lattice(touching_system, 20)
-    assert exc.value.context["level"] in range(5, 21)
+        sweep(*args)
+    return str(exc.value), exc.value.context
+
+
+@pytest.mark.parametrize("axis", [1, 2])
+@pytest.mark.parametrize("field", ["own_a", "cross_b"])
+def test_nan_axis_data_aborts_sweep(touching_system, monkeypatch, axis, field):
+    poison(monkeypatch, axis, field, lambda sys, ax: np.nan)
+    got = failure(solve_lattice, touching_system, 20)
+    assert got == failure(lattice_oracle.sweep, touching_system, 20)
+    assert got[1]["level"] == 6
+
+
+@pytest.mark.parametrize("axis", [1, 2])
+@pytest.mark.parametrize("field,value", [
+    ("own_a", lambda sys, ax: -sys.i1.length ** 2),
+    ("own_a", lambda sys, ax: np.inf),
+    # a gap of 1e-14 hull lengths at the axis site: positive, so the a's
+    # it scales stay positive, and under the floor
+    ("cross_b", lambda sys, ax: (sys.i1, sys.i2)[ax - 1].mid
+     + (1e-14 if ax == 1 else -1e-14) * (sys.i2.hi - sys.i1.lo))],
+    ids=["negative-a", "infinite-a", "small-gap"])
+def test_poisoned_axis_data_fails_like_the_reference_loop(
+        gap_system, monkeypatch, axis, field, value):
+    # the same guard fires at the same level, in the sweep's hull units as
+    # in the reference loop's user units (an infinite a makes inf - inf)
+    poison(monkeypatch, axis, field, value)
+    with np.errstate(invalid="ignore"):
+        got = failure(solve_lattice, gap_system, 20)
+        assert got == failure(lattice_oracle.sweep, gap_system, 20)
+    if field == "cross_b":
+        assert got[0].startswith("coefficient gap collapsed")
 
 
 def test_level_validation(touching_system):

@@ -8,6 +8,7 @@ import angelesco.orthopoly as orthopoly_mod
 from angelesco import AngelescoSystem, Interval, NumericalFailure
 from angelesco.orthopoly import (axis_data, gauss_nodes, mixed_ratios,
                                  scalar_recurrence)
+import lattice_oracle
 from moment_oracle import MomentOracle, moments
 
 KINDS = ("chebyshev1", "chebyshev2", "uniform")
@@ -181,6 +182,23 @@ def test_mixed_ratios_never_underflow(src_kind, dst_kind, lo, src_left):
     with np.errstate(under="raise"):
         r = mixed_ratios(src_kind, src, dst_kind, dst, 1500)
     assert np.all(np.isfinite(r))
+
+
+@pytest.mark.parametrize("geometry", [((-2.0, 0.0), (0.0, 1.0)),
+                                      ((-2.0, 0.0), (0.25, 1.0)),
+                                      ((-1000.0, 0.0), (0.0, 1.0)),
+                                      ((-3.0, -1.0), (2.0, 7.0))],
+                         ids=["touching", "gap", "wide", "apart"])
+@pytest.mark.parametrize("src_kind,dst_kind", itertools.product(KINDS, KINDS))
+def test_mixed_ratios_match_the_reference_loop_bit_for_bit(
+        geometry, src_kind, dst_kind):
+    # both directions; at 1500 nodes retire and the scale window is left
+    left, right = (Interval(*iv) for iv in geometry)
+    for src, dst in ((left, right), (right, left)):
+        for m in (0, 1, 2, 7, 400, 1500):
+            assert np.array_equal(
+                mixed_ratios(src_kind, src, dst_kind, dst, m),
+                lattice_oracle.mixed_ratios(src_kind, src, dst_kind, dst, m))
 
 
 @pytest.mark.parametrize("index,value,k", [(7, np.nan, 7), (0, np.inf, 0)],
