@@ -23,9 +23,8 @@ out_dir.mkdir(exist_ok=True)
 system = AngelescoSystem(Interval(-2.0, 0.0), Interval(0.25, 1.0))
 info = plateau_bounds(star_normalize(system)[0])
 print(f"plateau window: [{info.c1:.10f}, {info.c2:.10f}]")
-p = info.plateau
-print(f"constant values inside: A1={p.A1:.8f} A2={p.A2:.8f} "
-      f"B1={p.B1:.8f} B2={p.B2:.8f}")
+print(f"constant values inside: A1={info.A1:.8f} A2={info.A2:.8f} "
+      f"B1={info.B1:.8f} B2={info.B2:.8f}")
 
 grid = np.linspace(0.0, 1.0, 181)
 assembled = solve_system(system, info, grid)

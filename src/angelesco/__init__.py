@@ -19,30 +19,28 @@ from .crossval import (ComparisonReport, ConvergenceTable, IdentityReport,
                        ResidualReport, compare, convergence_study,
                        identity_checks, ode_residuals)
 from .errors import NumericalFailure
-from .lattice import NnrrLattice, curve_from_lattice, ray_limit, solve_lattice
+from .lattice import NnrrLattice, curve_from_lattice, solve_lattice
 from .ode import (BoundaryPack, Branch, assemble_curve, boundary_values,
                   integrate_branch, solve_system)
 from .orthopoly import (AxisData, QuadratureRule, axis_data, gauss_nodes,
                         mixed_ratios, scalar_recurrence)
-from .surface import (PlateauInfo, limit_curve, limits_at, plateau_bounds,
-                      pushed_beta, residue_limits, threshold_ray)
+from .surface import (PlateauInfo, limit_curve, plateau_bounds, pushed_beta,
+                      residue_limits, threshold_ray)
 from .systems import (WEIGHT_KINDS, AffineMap, AngelescoSystem, Interval,
-                      LimitCurve, LimitPoint, StarConfig, pushforward_limits,
-                      reflect, star_normalize)
+                      LimitCurve, StarConfig, pushforward_limits, reflect,
+                      star_normalize)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AffineMap", "AngelescoSystem", "AxisData", "BoundaryPack", "Branch",
     "ComparisonReport", "ConvergenceTable", "IdentityReport", "Interval",
-    "LimitCurve", "LimitPoint", "NnrrLattice", "NumericalFailure",
-    "PlateauInfo", "QuadratureRule", "ResidualReport",
-    "StarConfig", "WEIGHT_KINDS",
+    "LimitCurve", "NnrrLattice", "NumericalFailure", "PlateauInfo",
+    "QuadratureRule", "ResidualReport", "StarConfig", "WEIGHT_KINDS",
     "assemble_curve", "axis_data", "boundary_values", "compare",
-    "convergence_study",
-    "curve_from_lattice", "gauss_nodes", "identity_checks",
-    "integrate_branch", "limit_curve", "limits_at", "mixed_ratios",
+    "convergence_study", "curve_from_lattice", "gauss_nodes",
+    "identity_checks", "integrate_branch", "limit_curve", "mixed_ratios",
     "ode_residuals", "plateau_bounds", "pushed_beta", "pushforward_limits",
-    "ray_limit", "reflect", "residue_limits", "scalar_recurrence",
-    "solve_lattice", "solve_system", "star_normalize", "threshold_ray",
+    "reflect", "residue_limits", "scalar_recurrence", "solve_lattice",
+    "solve_system", "star_normalize", "threshold_ray",
 ]

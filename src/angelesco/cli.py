@@ -211,13 +211,18 @@ def read_curve_csv(path):
 # ---------------------------------------------------------------------------
 
 def _compute_curves(cfg, methods):
-    """Run the requested methods; returns ({method: curve}, meta dict)."""
+    """Run the requested methods.
+
+    Returns ({method: curve}, meta dict, the :class:`PlateauInfo`, and the
+    mask of the grid points the lattice comparisons read).
+    """
     system = cfg.check().system()
     grid = cfg.grid()
     sc, _ = star_normalize(system)
     t0 = time.perf_counter()
     info = plateau_bounds(sc)
     timings = {"plateau": time.perf_counter() - t0}
+    compared = compared_points(grid, info.c1, info.c2, EXCLUDE_MARGIN)
     curves = {}
     meta = {"config": cfg.as_dict(), "plateau": info.as_dict(),
             "timings": timings}
@@ -227,9 +232,8 @@ def _compute_curves(cfg, methods):
         t0 = time.perf_counter()
         if method == "dis":
             lat = solve_lattice(system, cfg.lattice_level)
-            curves[method] = curve_from_lattice(
-                lat, grid, cfg.extrapolate,
-                compared_points(grid, info.c1, info.c2, EXCLUDE_MARGIN))
+            curves[method] = curve_from_lattice(lat, grid, cfg.extrapolate,
+                                                compared)
             meta["lattice"] = dict(curves[method].meta)
         elif method == "ode":
             curves[method] = solve_system(system, info, grid, cfg.ode_steps)
@@ -239,7 +243,7 @@ def _compute_curves(cfg, methods):
         else:
             curves[method] = limit_curve(system, grid, info)
         timings[method] = time.perf_counter() - t0
-    return curves, meta, info
+    return curves, meta, info, compared
 
 
 def run_compute(cfg, methods):
@@ -251,7 +255,7 @@ def run_compute(cfg, methods):
         raise ValueError(f"unknown methods: {sorted(unknown)}")
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    curves, meta, _ = _compute_curves(cfg, methods)
+    curves, meta, _, _ = _compute_curves(cfg, methods)
     for method, curve in curves.items():
         write_curve_csv(out / f"{method}.csv", curve)
     with open(out / "run_meta.json", "w", encoding="utf-8") as fh:
@@ -267,18 +271,18 @@ def run_compute(cfg, methods):
 def run_validate(cfg):
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    curves, meta, info = _compute_curves(cfg, set(METHODS))
+    curves, meta, info, compared = _compute_curves(cfg, set(METHODS))
     window = (info.c1, info.c2)
     # (name, report entry, worst value, tolerance, whether the rest holds)
     checks = []
-    for ma, mb, margin, tol in (
-            ("surface", "ode", 0.0, TOL_PAIR_EXACT),
-            ("dis", "surface", EXCLUDE_MARGIN, TOL_PAIR_LATTICE),
-            ("dis", "ode", EXCLUDE_MARGIN, TOL_PAIR_LATTICE)):
-        rep = compare(curves[ma], curves[mb], exclude_margin=margin,
-                      window=window)
-        checks.append((f"compare {ma} vs {mb}", rep.as_dict(), rep.worst(),
-                       tol, True))
+    for ma, mb, mask, margin, tol in (
+            ("surface", "ode", None, 0.0, TOL_PAIR_EXACT),
+            ("dis", "surface", compared, EXCLUDE_MARGIN, TOL_PAIR_LATTICE),
+            ("dis", "ode", compared, EXCLUDE_MARGIN, TOL_PAIR_LATTICE)):
+        rep = compare(curves[ma], curves[mb], mask)
+        checks.append((f"compare {ma} vs {mb}",
+                       dict(rep.as_dict(), exclude_margin=margin),
+                       rep.worst(), tol, True))
     ide = identity_checks(curves["surface"], window=window)
     checks.append(("identity surface", ide.as_dict(), ide.max_abs,
                    TOL_IDENTITY, ide.endpoint_ok and ide.min_gap > 0.0))

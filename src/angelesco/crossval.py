@@ -1,15 +1,17 @@
 """Cross-method diagnostics: curve comparison, ODE residuals, identities.
 
 The three computation routes (lattice, ODE, surface) approximate the same
-four limit functions, so any two curves can be differenced on a common grid.
-Independent of any pairing, a single curve can be checked against the
-differential relations the limits satisfy and against the square-root
-identity linking the a- and b-limits.  Together these give quantitative
-meaning to "the methods agree".
+four limit functions on whatever grid they are given, so two curves on one
+grid can be differenced point by point.  Independent of any pairing, a
+single curve can be checked against the differential relations the limits
+satisfy and against the square-root identity linking the a- and b-limits.
+Together these give quantitative meaning to "the methods agree".
 
-A check that must skip the plateau takes its window as an argument,
-``window=(c1, c2)``, or ``None`` for a curve without one; curves do not
-carry it.  Checks only report: one that finds no point to read reports
+Curves do not carry the plateau window.  A comparison reads the points of
+a boolean mask over the shared grid (the lattice pairs' mask is
+:func:`compared_points`); the identity and residual checks, which must skip
+the plateau, take it as ``window=(c1, c2)``, or ``None`` for a curve
+without one.  Checks only report: one that finds no point to read reports
 ``n_points = 0`` and zero statistics, and ``validate`` fails it.
 """
 from dataclasses import asdict, dataclass, field
@@ -30,7 +32,7 @@ def resample(curve, grid):
     ``grid`` (the curve's range widened by 1e-12) and a dict of the four
     functions there.  A curve already on ``grid`` gives its own arrays;
     otherwise they are interpolated linearly.  The mask is all False when
-    the grids do not overlap; :func:`compare` then reports no point.
+    the grids do not overlap.  ``angelesco plot`` draws curves through it.
     """
     if np.array_equal(curve.s, grid):
         return np.ones(grid.size, dtype=bool), {f: getattr(curve, f) for f in FUNCS}
@@ -50,12 +52,11 @@ class ComparisonReport:
     """Per-function max/mean absolute differences of two curves.
 
     ``max_abs`` and ``mean_abs`` map function name to the statistic over the
-    kept grid points, 0.0 when ``n_points`` is 0.
+    compared grid points, 0.0 when ``n_points`` is 0.
     """
     methods: tuple
     n_points: int
     n_excluded: int
-    exclude_margin: float
     max_abs: dict
     mean_abs: dict
 
@@ -66,36 +67,27 @@ class ComparisonReport:
         return asdict(self)
 
 
-def compare(a, b, exclude_margin=0.0, window=None):
-    """Difference two limit curves on their common grid.
+def compare(a, b, mask=None):
+    """Difference two limit curves on their shared grid.
 
-    Grids must agree point by point; otherwise ``b`` is resampled onto the
-    overlapping part of ``a``'s grid by :func:`resample`.  With a positive
-    ``exclude_margin`` (finite and nonnegative) every point closer than the
-    margin to the plateau window ``window`` = (c1, c2) is dropped.  No
-    overlap, or a margin that drops every point, gives ``n_points = 0``.
+    The grids must agree point by point, else ValueError.  ``mask``, a
+    boolean array over the grid, selects the compared points; None compares
+    all of them.  A mask with no point gives ``n_points = 0``.
     """
-    if not 0.0 <= exclude_margin < np.inf:
-        raise ValueError(f"exclude_margin must be finite and nonnegative, "
-                         f"got {exclude_margin}")
-    keep, vb = resample(b, a.s)
-    grid = a.s[keep]
-    va = {f: getattr(a, f)[keep] for f in FUNCS}
-
-    mask = np.ones(grid.size, dtype=bool)
-    if exclude_margin > 0.0:
-        if window is None:
-            raise ValueError("exclude_margin needs a plateau window")
-        mask = compared_points(grid, *window, exclude_margin)
+    if not np.array_equal(a.s, b.s):
+        raise ValueError(f"compare needs curves on one grid: {a.method!r} "
+                         f"has {a.s.size} points, {b.method!r} {b.s.size}")
+    mask = (np.ones(a.s.size, dtype=bool) if mask is None
+            else np.asarray(mask, dtype=bool))
 
     max_abs, mean_abs = {}, {}
     for f in FUNCS:
-        d = np.abs(va[f][mask] - vb[f][mask])
+        d = np.abs(getattr(a, f)[mask] - getattr(b, f)[mask])
         max_abs[f] = float(d.max(initial=0.0))
         mean_abs[f] = float(d.sum() / max(d.size, 1))
+    n = int(mask.sum())
     return ComparisonReport((a.method or "a", b.method or "b"),
-                            int(mask.sum()), int(grid.size - mask.sum()),
-                            float(exclude_margin), max_abs, mean_abs)
+                            n, int(mask.size - n), max_abs, mean_abs)
 
 
 @dataclass(frozen=True)
@@ -263,31 +255,29 @@ def convergence_study(sys, s, levels):
     """Error table of finite-level ray values against the surface reference.
 
     One lattice is swept to the largest level, snapshotting every level and
-    each level its Richardson table reads.  Each row reads the ray value at
-    ``s`` from that sweep cut back to its level, plain and extrapolated
-    (:func:`~angelesco.lattice.curve_from_lattice`), and differences it
-    against the closed-form surface values.  A row can differ from a fresh
-    sweep to its own level by the rounding of the deeper axis data: on the
-    touching system at levels 100 ... 1600 and s = 0.3, 0.5, 0.9 the values
-    moved by at most 1.6e-15 plain and 5.4e-15 extrapolated.
+    each level its Richardson table reads.  Each row reads the one-point
+    curve at ``s`` from that sweep cut back to its level, plain and
+    extrapolated (:func:`~angelesco.lattice.curve_from_lattice`), and
+    differences it against the surface route's one-point curve.  A row can
+    differ from a fresh sweep to its own level by the rounding of the
+    deeper axis data: on the touching system at levels 100 ... 1600 and
+    s = 0.3, 0.5, 0.9 the values moved by at most 1.6e-15 plain and 5.4e-15
+    extrapolated.
     """
-    from .lattice import ray_limit, solve_lattice, table_levels
-    from .surface import limits_at
+    from .lattice import curve_from_lattice, solve_lattice, table_levels
+    from .surface import limit_curve
     levels = tuple(int(m) for m in levels)
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError(f"levels must increase, got {levels}")
-    ref = limits_at(sys, s)
-    ref_t = (ref.A1, ref.A2, ref.B1, ref.B2)
+    ref = np.array([getattr(limit_curve(sys, [s]), f)[0] for f in FUNCS])
     lat = solve_lattice(sys, levels[-1], snapshot_levels={
         n for m in levels for n in table_levels(m)})
     plain = np.empty((len(levels), 4))
     extra = np.empty((len(levels), 4))
     for i, m in enumerate(levels):
         cut = lat.truncated(m)
-        p = ray_limit(cut, s)
-        r = ray_limit(cut, s, extrapolate=True)
-        plain[i] = [abs(p.A1 - ref.A1), abs(p.A2 - ref.A2),
-                    abs(p.B1 - ref.B1), abs(p.B2 - ref.B2)]
-        extra[i] = [abs(r.A1 - ref.A1), abs(r.A2 - ref.A2),
-                    abs(r.B1 - ref.B1), abs(r.B2 - ref.B2)]
-    return ConvergenceTable(float(s), levels, plain, extra, ref_t)
+        for row, extrapolate in ((plain, False), (extra, True)):
+            cv = curve_from_lattice(cut, [s], extrapolate)
+            row[i] = np.abs([getattr(cv, f)[0] for f in FUNCS] - ref)
+    return ConvergenceTable(float(s), levels, plain, extra,
+                            tuple(ref.tolist()))

@@ -28,7 +28,9 @@ O(L^2).  In user units the step relations form products a * gap of order
 L^3, which leave the range of normal doubles near L = 1e-103 and 1e103.
 Scaling by a power of two is exact, so the results are the user-unit
 values bit for bit wherever those stay normal doubles, and the range is
-set by a ~ L^2 alone: hull lengths from about 1e-150 to 1e153.
+set by a ~ L^2 alone: hull lengths from about 1e-150 to 1e153.  Outside
+it the sweep raises instead of returning a's that are 0, subnormal or
+infinite.
 
 Each diagonal's gap b2 - b1 is formed once.  Its b-phase solve divides by
 it, and the next diagonal's a-phase reads it again as the denominator of its
@@ -113,13 +115,16 @@ def solve_lattice(sys, m, snapshot_levels=None):
     table reads (:func:`table_levels`).  The sweep works in hull units: it
     runs on ``sys`` scaled by 2^-e, with 2^e the power of two just above the
     hull length, and scales the results back by 2^2e (a's) and 2^e (b's and
-    residuals), all exactly.  So every system whose a's (of order L^2) and
-    b's are finite doubles sweeps, and scaling a system by a power of two
-    scales its lattice bit for bit.  Two sets of diagonal buffers of length
+    residuals), all exactly.  So every system whose a's (of order L^2) are
+    normal doubles and whose b's are finite sweeps, and scaling a system by
+    a power of two scales its lattice bit for bit.  Two sets of diagonal buffers of length
     m + 2, used in turn, are allocated once; cost is O(m^2) time and O(m)
     memory besides the snapshots.  A propagation denominator below 1e-12
     hull lengths or a nonpositive interior coefficient, NaN included,
-    aborts with :class:`NumericalFailure`.
+    aborts with :class:`NumericalFailure`, and so does a diagonal whose
+    scaling back takes a positive a off the normal doubles or a b off the
+    finite ones, as on hull lengths outside about 1e-150 to 1e153.  a1 = 0
+    at k = 0 and a2 = 0 at k = level stay exact.
     """
     if m < 1:
         raise ValueError(f"level must be a positive integer, got {m}")
@@ -138,8 +143,25 @@ def solve_lattice(sys, m, snapshot_levels=None):
     cross1, cross2 = ax1.cross_b.tolist(), ax2.cross_b.tolist()
 
     def unscaled(a1, a2, b1, b2):
-        return (np.ldexp(a1, 2 * e), np.ldexp(a2, 2 * e),
-                np.ldexp(b1, e), np.ldexp(b2, e))
+        with np.errstate(over="ignore"):  # an overflow raises below
+            out = (np.ldexp(a1, 2 * e), np.ldexp(a2, 2 * e),
+                   np.ldexp(b1, e), np.ldexp(b2, e))
+        # values the scaling took out of range: a positive a (a1 = 0 at
+        # k = 0 and a2 = 0 at k = level stay 0) off the normal doubles, or
+        # a finite b overflowing.  Values already bad in hull units are left
+        # to the sweep's guards
+        a, ua = np.concatenate((a1, a2)), np.concatenate(out[:2])
+        b, ub = np.concatenate((b1, b2)), np.concatenate(out[2:])
+        tiny, big = np.finfo(float).tiny, np.finfo(float).max
+        if (np.any((0.0 < a) & (a <= big) & ~((tiny <= ua) & (ua <= big)))
+                or np.any(np.isfinite(b) & ~np.isfinite(ub))):
+            length = sys.i2.hi - sys.i1.lo
+            raise NumericalFailure(
+                f"lattice coefficients out of the double range at hull "
+                f"length {length:.3g}: the sweep supports hull lengths "
+                f"from about 1e-150 to 1e153", {"hull_length": length,
+                                                "level": len(a1) - 1})
+        return out
 
     # two sets of (a1, a2, b1, b2, gap) buffers of length m + 2, for the old
     # and the new diagonal in turn.  The fills are the values no step
@@ -259,14 +281,6 @@ def richardson_table(levels, values):
         col = [(levels[i + j] * col[i + 1] - levels[i] * col[i])
                / (levels[i + j] - levels[i]) for i in range(len(col) - 1)]
     return col[0], lower
-
-
-def ray_limit(lat, s, extrapolate=False):
-    """Finite-level ray values of ``lat`` at parameter ``s`` in [0, 1].
-
-    The one-point case of :func:`curve_from_lattice`.
-    """
-    return curve_from_lattice(lat, np.array([s]), extrapolate).point(0)
 
 
 def curve_from_lattice(lat, grid, extrapolate=False, compared=None):

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import NumericalFailure
 from .rootfind import bisect, expand_upper
-from .systems import (LimitCurve, LimitPoint, check_grid, plateau_zones,
+from .systems import (LimitCurve, check_grid, plateau_zones,
                       pushforward_limits, star_normalize, validate_computed)
 
 # ---------------------------------------------------------------------------
@@ -229,13 +229,16 @@ class PlateauInfo:
 
     For touching intervals c1 = c2 = threshold ray.  c1 is exact as the
     distance to s = 0 and ``one_minus_c2`` = 1 - c2 exactly as the distance
-    to s = 1, which c2 itself may round away.  ``plateau`` carries the
-    star-frame constant limit values at the window midpoint.
+    to s = 1, which c2 itself may round away.  ``A1 ... B2`` are the
+    star-frame constant limit values on the window.
     """
     c1: float
     c2: float
     one_minus_c2: float
-    plateau: LimitPoint
+    A1: float
+    A2: float
+    B1: float
+    B2: float
 
     def as_dict(self):
         return asdict(self)
@@ -269,18 +272,10 @@ def plateau_bounds(sc):
     d0 = edge_d(sc.alpha) + solve_x0(w, sc.alpha)
     a1, a2, b1, b2 = residue_limits(sc.alpha, w, d0)
     # computed constants: a broken contract is a numerical failure
-    point = validate_computed(LimitCurve(
-        [0.5 * (c1 + c2)], [a1], [a2], [b1], [b2], "plateau")).point(0)
-    return PlateauInfo(c1, c2, one_minus_c2, point)
-
-
-def limits_at(sys, s, info=None):
-    """Limit point of ``sys`` at ray parameter ``s`` via the surface route.
-
-    The one-point case of :func:`limit_curve`; ``info`` may carry a
-    precomputed :class:`PlateauInfo` for the star configuration.
-    """
-    return limit_curve(sys, np.array([s]), info).point(0)
+    validate_computed(LimitCurve(
+        [0.5 * (c1 + c2)], [a1], [a2], [b1], [b2], "plateau"))
+    return PlateauInfo(c1, c2, one_minus_c2,
+                       float(a1), float(a2), float(b1), float(b2))
 
 
 def limit_curve(sys, grid, info=None):
@@ -306,8 +301,7 @@ def limit_curve(sys, grid, info=None):
     right |= grid == 1.0
 
     star = np.zeros((4, grid.size))
-    p = info.plateau
-    star[:, plat] = np.array([[p.A1], [p.A2], [p.B1], [p.B2]])
+    star[:, plat] = np.array([[info.A1], [info.A2], [info.B1], [info.B2]])
     if np.any(right):
         s = grid[right]
         _, w, d = pushed_beta(sc.alpha, (s, 1.0 - s))

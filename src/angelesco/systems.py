@@ -10,7 +10,9 @@ It also owns the rules every limit curve obeys, whichever route computed
 it: :func:`check_grid` is the one grid check (nonempty, 1-d, strictly
 increasing inside [0, 1]), :func:`plateau_zones` the one split of a grid
 around the plateau window, and :meth:`LimitCurve.validate` the one set of
-pointwise invariants, which :class:`LimitPoint` applies as a one-point curve.
+pointwise invariants.  A single ray is a one-point curve: every route
+answers on a grid, and a one-point grid reads the same bits as that point
+of a longer one.
 """
 from dataclasses import dataclass, field
 
@@ -143,24 +145,6 @@ def plateau_zones(grid, c1, c2):
             interior & (s > c2))
 
 
-@dataclass(frozen=True)
-class LimitPoint:
-    """Recurrence-coefficient limits along the ray direction s.
-
-    A1, A2 are the limits of the lagging (a) coefficients, B1, B2 of the
-    diagonal (b) coefficients.  The invariants are those of a one-point
-    :class:`LimitCurve`.
-    """
-    s: float
-    A1: float
-    A2: float
-    B1: float
-    B2: float
-
-    def __post_init__(self):
-        LimitCurve([self.s], [self.A1], [self.A2], [self.B1], [self.B2]).validate()
-
-
 @dataclass
 class LimitCurve:
     """Sampled limit functions on an increasing grid of ray parameters."""
@@ -181,10 +165,6 @@ class LimitCurve:
 
     def __len__(self):
         return self.s.size
-
-    def point(self, i):
-        return LimitPoint(float(self.s[i]), float(self.A1[i]), float(self.A2[i]),
-                          float(self.B1[i]), float(self.B2[i]))
 
     def validate(self):
         """Check the grid and the pointwise invariants; ValueError on violation.

@@ -10,12 +10,11 @@ import pytest
 
 from angelesco import (AffineMap, AngelescoSystem, Interval, LimitCurve,
                        pushforward_limits, star_normalize)
-from angelesco.crossval import (compare, convergence_study, identity_checks,
-                                ode_residuals)
+from angelesco.crossval import (compare, compared_points, convergence_study,
+                                identity_checks, ode_residuals)
 from angelesco.lattice import curve_from_lattice, solve_lattice
 from angelesco.ode import solve_system
-from angelesco.surface import (limit_curve, limits_at, plateau_bounds,
-                               threshold_ray)
+from angelesco.surface import limit_curve, plateau_bounds, threshold_ray
 from moment_oracle import MomentOracle
 
 GRID = np.linspace(0.0, 1.0, 181)
@@ -32,17 +31,17 @@ def test_criterion_1_closed_form_endpoints(touching_system, touching_info):
     eps = 1e-6
     ode = solve_system(touching_system, touching_info,
                        np.array([0.0, eps, 0.5, 1.0 - eps, 1.0]))
-    near0_iii = limits_at(touching_system, eps, info=touching_info)
-    near1_iii = limits_at(touching_system, 1.0 - eps, info=touching_info)
+    near_iii = limit_curve(touching_system, [eps, 1.0 - eps],
+                           info=touching_info)
     elapsed = time.perf_counter() - t0
 
     targets1 = {"A1": 0.25, "B1": -1.0, "B2": 0.8660254}
     targets0 = {"A2": 0.0625, "B2": 0.5, "B1": -1.9747449}
     for f, v in targets0.items():
-        assert getattr(near0_iii, f) == pytest.approx(v, abs=1e-5)
+        assert getattr(near_iii, f)[0] == pytest.approx(v, abs=1e-5)
         assert getattr(ode, f)[1] == pytest.approx(v, abs=1e-5)
     for f, v in targets1.items():
-        assert getattr(near1_iii, f) == pytest.approx(v, abs=1e-5)
+        assert getattr(near_iii, f)[1] == pytest.approx(v, abs=1e-5)
         assert getattr(ode, f)[3] == pytest.approx(v, abs=1e-5)
     assert elapsed < 1.0
 
@@ -87,7 +86,7 @@ def test_criterion_3_gap_plateau_and_branches(gap_system, gap_info):
     # finite-level sweep agrees with the assembled curve off the plateau
     lat = solve_lattice(gap_system, 1500)
     curve_i = curve_from_lattice(lat, GRID)
-    rep = compare(curve_i, assembled, exclude_margin=0.05, window=(c1, c2))
+    rep = compare(curve_i, assembled, compared_points(GRID, c1, c2, 0.05))
     assert rep.worst() <= 2e-2
 
 

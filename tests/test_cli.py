@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from angelesco import NumericalFailure
-from angelesco.cli import (EXCLUDE_MARGIN, RunConfig, _compute_curves, _num,
-                           load_config, main, read_curve_csv, write_curve_csv)
+from angelesco.cli import (RunConfig, _compute_curves, _num, load_config,
+                           main, read_curve_csv, write_curve_csv)
 from angelesco.crossval import compare
 from angelesco.ode import boundary_values
 from angelesco.surface import limit_curve
@@ -36,11 +37,10 @@ def test_default_lattice_digits(interval2, tol):
     # the default read-out (level 400, third-order table) against the
     # surface, in the scale-free unit A / L^2, B / L, outside the margin
     cfg = RunConfig(interval2=interval2)
-    curves, _, info = _compute_curves(cfg, {"dis", "surface"})
+    curves, _, _, compared = _compute_curves(cfg, {"dis", "surface"})
     unit = AffineMap(1.0 / (cfg.interval2[1] - cfg.interval1[0]), 0.0)
     rep = compare(pushforward_limits(curves["dis"], unit),
-                  pushforward_limits(curves["surface"], unit),
-                  exclude_margin=EXCLUDE_MARGIN, window=(info.c1, info.c2))
+                  pushforward_limits(curves["surface"], unit), compared)
     assert rep.worst() <= tol
 
 
@@ -266,7 +266,7 @@ def test_an_unbalanced_surface_curve_answers(tmp_path, interval1):
     # the surface route meets the ODE route to 1e-12 in units of the hull
     # length L (A / L^2, B / L)
     cfg = RunConfig(interval1=tuple(map(float, interval1.split(","))))
-    curves, _, _ = _compute_curves(cfg, {"surface", "ode"})
+    curves, _, _, _ = _compute_curves(cfg, {"surface", "ode"})
     length = max(cfg.interval2[1], 0.0) - min(cfg.interval1[0], 0.0)
     surf, ode = curves["surface"], curves["ode"]
     for f, power in (("A1", 2), ("A2", 2), ("B1", 1), ("B2", 1)):
@@ -294,7 +294,7 @@ def test_a_frame_whose_beta_rounds_to_1_answers(tmp_path, interval1,
                  "--output_dir", str(tmp_path / "out")]) == 0
     cfg = RunConfig(interval1=tuple(map(float, interval1.split(","))),
                     interval2=tuple(map(float, interval2.split(","))))
-    curves, _, _ = _compute_curves(cfg, {"surface", "ode"})
+    curves, _, _, _ = _compute_curves(cfg, {"surface", "ode"})
     length = cfg.interval2[1] - cfg.interval1[0]
     surf, ode = curves["surface"], curves["ode"]
     for f, power in (("A1", 2), ("A2", 2), ("B1", 1), ("B2", 1)):
@@ -386,14 +386,6 @@ def test_a_fixed_validate_bound_is_not_a_config_key(tmp_path, capsys, key):
     assert f"unknown config key: {key}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("margin", ["nan", "-1"])
-def test_validate_rejects_a_bad_exclude_margin(tmp_path, capsys, margin):
-    rc = main(["validate", f"--exclude_margin={margin}",
-               "--output_dir", str(tmp_path / "out")] + FAST)
-    assert rc == 2
-    assert "exclude_margin" in capsys.readouterr().err
-
-
 def test_broken_plateau_constants_exit_3(tmp_path, capsys, monkeypatch):
     # plateau constants that lose A's sign are a numerical failure (3), not
     # a usage error (2)
@@ -429,6 +421,22 @@ def test_the_lattice_sweeps_systems_far_from_unit_length(tmp_path, length):
                f"--interval1=-{length},0", f"--interval2=0,{length}",
                "--output_dir", str(tmp_path / "out")])
     assert rc == 0
+
+
+@pytest.mark.parametrize("length", ["1e-160", "1e155"])
+def test_the_lattice_names_its_range_outside_it(tmp_path, capsys, length):
+    # a ~ L^2 is below the normal doubles at 1e-160 and overflows at
+    # 1e155: the sweep stops there and names the hull lengths it supports,
+    # and no RuntimeWarning comes first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["compute", "--methods", "dis", "--lattice_level", "50",
+                   f"--interval1=-{length},0", f"--interval2=0,{length}",
+                   "--output_dir", str(tmp_path / "out")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert f"hull length 2{length[1:]}" in err.replace("e+", "e")
+    assert "hull lengths from about 1e-150 to 1e153" in err
 
 
 def _shifted_touching(power):
@@ -488,6 +496,11 @@ def test_validate_passes(tmp_path):
     for entry in report["comparisons"] + [report["identity"],
                                           report["residuals"]]:
         assert entry["passed"] is True and entry["tolerance"] > 0.0
+    # the lattice pairs read the points 0.05 from the window, and say so
+    margins = [c["exclude_margin"] for c in report["comparisons"]]
+    assert margins == [0.0, 0.05, 0.05]
+    sizes = {(c["n_points"], c["n_excluded"]) for c in report["comparisons"]}
+    assert len(sizes) == 2 and (41, 0) in sizes
 
 
 def test_validate_passes_next_to_the_touching_limit(tmp_path, capsys):

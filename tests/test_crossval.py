@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+import angelesco.ode as ode_mod
 from angelesco import LimitCurve
-from angelesco.crossval import (compare, convergence_study, identity_checks,
+from angelesco.crossval import (FUNCS, compare, compared_points,
+                                convergence_study, identity_checks,
                                 ode_residuals)
-from angelesco.lattice import curve_from_lattice, ray_limit, solve_lattice
-from angelesco.surface import limit_curve, limits_at
+from angelesco.lattice import curve_from_lattice, solve_lattice
+from angelesco.ode import solve_system
+from angelesco.surface import limit_curve
 
 
 @pytest.fixture(scope="module")
@@ -27,23 +30,14 @@ def test_compare_curve_with_itself(touching_curve):
     assert d["n_points"] == 181 and "passed" not in d
 
 
-def test_compare_resamples_mismatched_grids(touching_system, touching_info,
-                                            touching_curve):
-    coarse = limit_curve(touching_system, np.linspace(0.0, 1.0, 91),
-                         info=touching_info)
-    rep = compare(touching_curve, coarse)
-    assert rep.n_points == 181
-    # pure linear-interpolation error of a smooth curve
-    assert 0.0 < rep.worst() < 1e-3
-
-
-def test_compare_restricts_to_overlap(touching_system, touching_info,
-                                      touching_curve):
-    mid = limit_curve(touching_system, np.linspace(0.2, 0.8, 61),
-                      info=touching_info)
-    rep = compare(touching_curve, mid)
-    assert rep.n_points == 109
-    assert rep.worst() < 1e-3
+def test_compare_rejects_mismatched_grids(touching_system, touching_info,
+                                          touching_curve):
+    # no resampling: curves on different grids, or on one grid's part,
+    # are not compared
+    for grid in (np.linspace(0.0, 1.0, 91), np.linspace(0.2, 0.8, 61)):
+        other = limit_curve(touching_system, grid, info=touching_info)
+        with pytest.raises(ValueError, match="one grid"):
+            compare(touching_curve, other)
 
 
 def test_compare_empty_overlap():
@@ -52,34 +46,31 @@ def test_compare_empty_overlap():
     one = np.ones(31)
     a = LimitCurve(s1, one * 0.1, one * 0.2, -one, one)
     b = LimitCurve(s2, one * 0.1, one * 0.2, -one, one * 2.0)
-    # a report, not a raise: the caller decides that no point fails
-    rep = compare(a, b)
-    assert rep.n_points == 0 and rep.n_excluded == 0
+    with pytest.raises(ValueError, match="one grid"):
+        compare(a, b)
+    # a mask with no point is a report, not a raise: the caller decides
+    # that no point fails
+    rep = compare(a, a, np.zeros(31, dtype=bool))
+    assert rep.n_points == 0 and rep.n_excluded == 31
     assert rep.worst() == 0.0 and set(rep.mean_abs.values()) == {0.0}
 
 
 def test_compare_margin_needs_window():
+    # the lattice pairs' mask: the points at least the margin from the
+    # window [0.4, 0.6]
     s = np.linspace(0.0, 1.0, 21)
     one = np.ones(21)
     a = LimitCurve(s, one * 0.1, one * 0.2, -one, one)
-    with pytest.raises(ValueError):
-        compare(a, a, exclude_margin=0.05)
-    rep = compare(a, a, exclude_margin=0.049, window=(0.4, 0.6))
+    b = LimitCurve(s, one * 0.1, one * 0.2, -one, 1.0 + 0.01 * s)
+    keep = compared_points(s, 0.4, 0.6, 0.049)
+    rep = compare(a, b, keep)
     # drops grid points closer than the margin to [0.4, 0.6]
     assert rep.n_excluded == 5
     assert rep.n_points == 16
-    rep = compare(a, a, exclude_margin=2.0, window=(0.4, 0.6))
+    # and reads only the kept ones
+    assert rep.max_abs["B2"] == np.abs(b.B2 - 1.0)[keep].max()
+    rep = compare(a, a, compared_points(s, 0.4, 0.6, 2.0))
     assert rep.n_points == 0 and rep.n_excluded == 21
-    assert rep.worst() == 0.0 and set(rep.mean_abs.values()) == {0.0}
-
-
-@pytest.mark.parametrize("margin", [float("nan"), -1.0, float("inf")])
-def test_compare_rejects_a_bad_margin(margin):
-    s = np.linspace(0.0, 1.0, 21)
-    one = np.ones(21)
-    a = LimitCurve(s, one * 0.1, one * 0.2, -one, one)
-    with pytest.raises(ValueError, match="exclude_margin"):
-        compare(a, a, exclude_margin=margin, window=(0.4, 0.6))
 
 
 def test_residuals_on_surface_curve(gap_curve_dense, gap_info):
@@ -192,8 +183,8 @@ def test_convergence_study(touching_system):
     plain = table.max_plain()
     assert np.all(np.diff(plain) < 0)
     assert table.max_extrapolated()[-1] < plain[-1] / 2.0
-    ref = limits_at(touching_system, 0.5)
-    assert table.reference == (ref.A1, ref.A2, ref.B1, ref.B2)
+    ref = limit_curve(touching_system, [0.5])
+    assert table.reference == (ref.A1[0], ref.A2[0], ref.B1[0], ref.B2[0])
     d = table.as_dict()
     assert d["levels"] == [100, 200, 400]
     with pytest.raises(ValueError):
@@ -215,7 +206,36 @@ def test_convergence_study_reads_one_sweep(touching_system, monkeypatch):
     monkeypatch.undo()
     # a fresh sweep per level agrees to rounding
     for i, m in enumerate((40, 80)):
-        p = ray_limit(solve_lattice(touching_system, m), 0.5, True)
-        err = max(abs(v - r) for v, r in zip((p.A1, p.A2, p.B1, p.B2),
-                                             table.reference))
+        p = curve_from_lattice(solve_lattice(touching_system, m), [0.5], True)
+        err = max(abs(v[0] - r) for v, r in zip((p.A1, p.A2, p.B1, p.B2),
+                                                table.reference))
         assert table.max_extrapolated()[i] == pytest.approx(err, abs=1e-14)
+
+
+@pytest.mark.parametrize("name", ["touching", "gap"])
+def test_a_one_point_read_is_the_grid_read(request, monkeypatch, name):
+    # every route answers on a grid, and each point of the 181-point grid
+    # read alone gives its bits: no route needs a one-point twin
+    system = request.getfixturevalue(f"{name}_system")
+    info = request.getfixturevalue(f"{name}_info")
+    grid = np.linspace(0.0, 1.0, 181)
+    lat = solve_lattice(system, 400)
+    # the ODE branches take no grid: integrate each once
+    branches, integrate = {}, ode_mod.integrate_branch
+
+    def once(*args):
+        if args not in branches:
+            branches[args] = integrate(*args)
+        return branches[args]
+
+    monkeypatch.setattr(ode_mod, "integrate_branch", once)
+    reads = {"surface": lambda g: limit_curve(system, g, info),
+             "ode": lambda g: solve_system(system, info, g),
+             "dis": lambda g: curve_from_lattice(lat, g),
+             "dis extrapolated": lambda g: curve_from_lattice(lat, g, True)}
+    for route, read in reads.items():
+        whole = read(grid)
+        for i, s in enumerate(grid):
+            one = read([s])
+            for f in FUNCS:
+                assert getattr(one, f)[0] == getattr(whole, f)[i], (route, s, f)

@@ -7,10 +7,9 @@ import pytest
 import angelesco.lattice as lattice_mod
 from angelesco import AngelescoSystem, Interval, LimitCurve, NumericalFailure
 from angelesco.lattice import (curve_from_lattice, lagrange_interp,
-                               ray_limit, richardson_table, solve_lattice,
-                               table_levels)
+                               richardson_table, solve_lattice, table_levels)
 from angelesco.crossval import compared_points
-from angelesco.surface import limit_curve, limits_at
+from angelesco.surface import limit_curve
 import lattice_oracle
 from moment_oracle import MomentOracle
 
@@ -97,35 +96,36 @@ def test_sweep_translation_covariant(deep_lattice, c):
         assert np.max(np.abs((b2 - c) - q2)) <= tol
 
 
+def _max_err(a, b):
+    return max(np.max(np.abs(getattr(a, f) - getattr(b, f)))
+               for f in ("A1", "A2", "B1", "B2"))
+
+
 def test_ray_limit_midpoint(deep_lattice, touching_system, touching_info):
-    ref = limits_at(touching_system, 0.5, info=touching_info)
-    p = ray_limit(deep_lattice, 0.5)
-    err_plain = max(abs(p.A1 - ref.A1), abs(p.A2 - ref.A2),
-                    abs(p.B1 - ref.B1), abs(p.B2 - ref.B2))
+    ref = limit_curve(touching_system, [0.5], info=touching_info)
+    err_plain = _max_err(curve_from_lattice(deep_lattice, [0.5]), ref)
     assert err_plain <= 2e-2
-    q = ray_limit(deep_lattice, 0.5, extrapolate=True)
-    err_ex = max(abs(q.A1 - ref.A1), abs(q.A2 - ref.A2),
-                 abs(q.B1 - ref.B1), abs(q.B2 - ref.B2))
+    err_ex = _max_err(curve_from_lattice(deep_lattice, [0.5], True), ref)
     assert err_ex < err_plain
 
 
 def test_ray_limit_endpoints(deep_lattice):
-    p = ray_limit(deep_lattice, 0.0)
-    assert p.A1 == 0.0
-    assert p.A2 > 0
-    assert p.B2 == 0.5
-    p = ray_limit(deep_lattice, 1.0)
-    assert p.A2 == 0.0
-    assert p.A1 == 0.25
-    assert p.B1 == -1.0
+    p = curve_from_lattice(deep_lattice, [0.0])
+    assert p.A1[0] == 0.0
+    assert p.A2[0] > 0
+    assert p.B2[0] == 0.5
+    p = curve_from_lattice(deep_lattice, [1.0])
+    assert p.A2[0] == 0.0
+    assert p.A1[0] == 0.25
+    assert p.B1[0] == -1.0
     with pytest.raises(ValueError):
-        ray_limit(deep_lattice, 1.2)
+        curve_from_lattice(deep_lattice, [1.2])
 
 
 @pytest.mark.parametrize("s", [float("nan"), -0.1, 1.5])
 def test_ray_limit_rejects_a_ray_off_the_grid_rules(deep_lattice, s):
     with pytest.raises(ValueError):
-        ray_limit(deep_lattice, s)
+        curve_from_lattice(deep_lattice, [s])
 
 
 def test_curve_from_lattice(deep_lattice):
@@ -400,11 +400,10 @@ def test_level_validation(touching_system):
 
 
 def test_level_error_shrinks(touching_system, touching_info):
-    ref = limits_at(touching_system, 0.5, info=touching_info)
+    ref = limit_curve(touching_system, [0.5], info=touching_info)
 
     def err(m):
-        p = ray_limit(solve_lattice(touching_system, m), 0.5)
-        return max(abs(p.A1 - ref.A1), abs(p.A2 - ref.A2),
-                   abs(p.B1 - ref.B1), abs(p.B2 - ref.B2))
+        return _max_err(
+            curve_from_lattice(solve_lattice(touching_system, m), [0.5]), ref)
 
     assert err(200) < err(100)

@@ -10,7 +10,7 @@ from angelesco.lattice import lagrange_interp
 from angelesco.ode import (BoundaryPack, Branch, _rk4, assemble_curve,
                            boundary_values, integrate_branch, rhs,
                            solve_system)
-from angelesco.surface import limit_curve, limits_at, plateau_bounds
+from angelesco.surface import limit_curve, plateau_bounds
 
 
 @pytest.fixture(scope="module")
@@ -267,12 +267,11 @@ def test_a_grid_point_on_the_threshold_ray_takes_the_plateau(
     a1, a2, b1, b2 = backward.limit_values(np.array([rest]))
     mean = 0.5 * (np.array(forward.limit_values(np.array([c])))
                   + np.array([a2, a1, -b2, -b1]))
-    p = touching_info.plateau
     sf = limit_curve(touching_system, grid, info=touching_info)
     for j, f in enumerate(("A1", "A2", "B1", "B2")):
         assert getattr(cv, f)[2] == mean[j, 0], f
         # the star frame of (-2, 0) u (0, 1) is the user frame
-        assert getattr(sf, f)[2] == getattr(p, f), f
+        assert getattr(sf, f)[2] == getattr(touching_info, f), f
 
 
 def test_branch_stop_validation(touching_pack):
@@ -362,11 +361,9 @@ def test_plateau_values_match_surface(gap_system, gap_info):
     mid = 0.5 * (gap_info.c1 + gap_info.c2)
     i = int(np.argmin(np.abs(grid - mid)))
     assert gap_info.c1 < grid[i] < gap_info.c2
-    p = limits_at(gap_system, float(grid[i]), info=gap_info)
-    assert cv.A1[i] == pytest.approx(p.A1, abs=1e-8)
-    assert cv.A2[i] == pytest.approx(p.A2, abs=1e-8)
-    assert cv.B1[i] == pytest.approx(p.B1, abs=1e-8)
-    assert cv.B2[i] == pytest.approx(p.B2, abs=1e-8)
+    p = limit_curve(gap_system, [grid[i]], info=gap_info)
+    for f in ("A1", "A2", "B1", "B2"):
+        assert getattr(cv, f)[i] == pytest.approx(getattr(p, f)[0], abs=1e-8)
 
 
 def test_positivity_failure_reports_last_good_s():

@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 from angelesco import (AffineMap, AngelescoSystem, Interval, NumericalFailure,
                        StarConfig, ode, pushforward_limits, reflect, surface)
 from angelesco.surface import (beta_coord, edge_d, infinity_preimages,
-                               level_set_w, limit_curve, limits_at,
-                               plateau_bounds, pushed_beta, ray_gaps,
-                               residue_limits, solve_w, solve_x0,
-                               threshold_ray)
+                               level_set_w, limit_curve, plateau_bounds,
+                               pushed_beta, ray_gaps, residue_limits,
+                               solve_w, solve_x0, threshold_ray)
 
 
 def _cubic(w, alpha, d):
@@ -460,8 +459,8 @@ def test_a_ray_one_ulp_from_an_end_keeps_its_a_positive(s):
     sys = AngelescoSystem(Interval(-0.1, 0.0), Interval(0.0, 1.0))
     far = s > 0.5
     dist = 1.0 - s if far else s
-    p, q = (limits_at(sys, x) for x in (s, 1.0 - 1e-8 if far else 1e-8))
-    a, b = (p.A2, q.A2) if far else (p.A1, q.A1)
+    p, q = (limit_curve(sys, [x]) for x in (s, 1.0 - 1e-8 if far else 1e-8))
+    a, b = (p.A2[0], q.A2[0]) if far else (p.A1[0], q.A1[0])
     assert a > 0.0
     assert a / dist ** 2 == pytest.approx(b / 1e-16, rel=1e-6)
 
@@ -604,47 +603,45 @@ def test_the_configuration_solve_brackets_a_w_below_rounding(alpha, rest):
 
 
 def test_limits_at_endpoints(touching_system):
-    p = limits_at(touching_system, 0.0)
-    assert (p.A1, p.A2) == (0.0, pytest.approx(0.0625, abs=1e-12))
-    assert p.B1 == pytest.approx(-1.974744871391589, abs=1e-12)
-    assert p.B2 == pytest.approx(0.5, abs=1e-12)
-    p = limits_at(touching_system, 1.0)
-    assert (p.A2, p.A1) == (0.0, pytest.approx(0.25, abs=1e-12))
-    assert p.B1 == pytest.approx(-1.0, abs=1e-12)
-    assert p.B2 == pytest.approx(np.sqrt(3.0) / 2.0, abs=1e-12)
+    p = limit_curve(touching_system, [0.0])
+    assert (p.A1[0], p.A2[0]) == (0.0, pytest.approx(0.0625, abs=1e-12))
+    assert p.B1[0] == pytest.approx(-1.974744871391589, abs=1e-12)
+    assert p.B2[0] == pytest.approx(0.5, abs=1e-12)
+    p = limit_curve(touching_system, [1.0])
+    assert (p.A2[0], p.A1[0]) == (0.0, pytest.approx(0.25, abs=1e-12))
+    assert p.B1[0] == pytest.approx(-1.0, abs=1e-12)
+    assert p.B2[0] == pytest.approx(np.sqrt(3.0) / 2.0, abs=1e-12)
     with pytest.raises(ValueError):
-        limits_at(touching_system, 1.5)
+        limit_curve(touching_system, [1.5])
 
 
 def test_limits_at_approaches_endpoint_values(touching_system):
-    p = limits_at(touching_system, 1.0 - 1e-6)
-    assert abs(p.A1 - 0.25) < 1e-9
-    assert abs(p.B1 + 1.0) < 1e-9
-    p = limits_at(touching_system, 1e-6)
-    assert abs(p.A2 - 0.0625) < 1e-9
+    p = limit_curve(touching_system, [1.0 - 1e-6])
+    assert abs(p.A1[0] - 0.25) < 1e-9
+    assert abs(p.B1[0] + 1.0) < 1e-9
+    p = limit_curve(touching_system, [1e-6])
+    assert abs(p.A2[0] - 0.0625) < 1e-9
 
 
 @pytest.mark.parametrize("s", [float("nan"), -0.1, 1.5])
 def test_limits_at_rejects_a_ray_off_the_grid_rules(touching_system,
                                                     touching_info, s):
     with pytest.raises(ValueError):
-        limits_at(touching_system, s, info=touching_info)
+        limit_curve(touching_system, [s], info=touching_info)
 
 
 def test_limits_at_answers_next_to_an_endpoint(touching_system,
                                               touching_info):
     # A1 ~ s^2 C1 as s -> 0 (through the reflected zone) and
     # A2 ~ (1 - s)^2 C2 as s -> 1: positive, with a settled quotient
-    near = {e: limits_at(touching_system, e, info=touching_info)
+    near = {e: limit_curve(touching_system, [e], info=touching_info).A1[0]
             for e in (1e-9, 1e-8)}
-    far = {e: limits_at(touching_system, 1.0 - e, info=touching_info)
+    far = {e: limit_curve(touching_system, [1.0 - e], info=touching_info).A2[0]
            for e in (1e-9, 1e-8)}
-    assert all(p.A1 > 0.0 for p in near.values())
-    assert all(p.A2 > 0.0 for p in far.values())
-    assert near[1e-8].A1 / 1e-16 == pytest.approx(near[1e-9].A1 / 1e-18,
-                                                  rel=1e-6)
-    assert far[1e-8].A2 / 1e-16 == pytest.approx(far[1e-9].A2 / 1e-18,
-                                                 rel=1e-6)
+    assert all(a > 0.0 for a in near.values())
+    assert all(a > 0.0 for a in far.values())
+    assert near[1e-8] / 1e-16 == pytest.approx(near[1e-9] / 1e-18, rel=1e-6)
+    assert far[1e-8] / 1e-16 == pytest.approx(far[1e-9] / 1e-18, rel=1e-6)
 
 
 def test_failure_contexts_are_json(monkeypatch):
@@ -691,16 +688,15 @@ def test_preimages_are_finite_and_ordered_on_the_whole_domain():
 def test_limits_at_returns_the_asked_ray(gap_system, gap_info):
     # left zone (reflected solve), plateau, right zone
     for s in (0.1, 0.3, 0.5, 0.9):
-        assert limits_at(gap_system, s, info=gap_info).s == s
+        assert limit_curve(gap_system, [s], info=gap_info).s[0] == s
 
 
 def test_curve_continuous_at_plateau_edges(gap_system, gap_info):
     eps = 1e-8
     for edge in (gap_info.c1, gap_info.c2):
-        pl = limits_at(gap_system, edge - eps, info=gap_info)
-        pr = limits_at(gap_system, edge + eps, info=gap_info)
+        cv = limit_curve(gap_system, [edge - eps, edge + eps], info=gap_info)
         for f in ("A1", "A2", "B1", "B2"):
-            assert abs(getattr(pl, f) - getattr(pr, f)) < 1e-6
+            assert abs(np.diff(getattr(cv, f))[0]) < 1e-6
 
 
 def test_symmetric_system_mirror():
@@ -715,24 +711,23 @@ def test_symmetric_system_mirror():
 
 def test_reflection_covariance(gap_system):
     ref = reflect(gap_system)
-    for s in (0.1, 0.3, 0.55, 0.7, 0.9):
-        p = limits_at(gap_system, s)
-        q = limits_at(ref, 1.0 - s)
-        assert q.A1 == pytest.approx(p.A2, abs=1e-10)
-        assert q.A2 == pytest.approx(p.A1, abs=1e-10)
-        assert q.B1 == pytest.approx(-p.B2, abs=1e-10)
-        assert q.B2 == pytest.approx(-p.B1, abs=1e-10)
+    s = np.array([0.1, 0.3, 0.55, 0.7, 0.9])
+    p = limit_curve(gap_system, s)
+    q = limit_curve(ref, (1.0 - s)[::-1])
+    np.testing.assert_allclose(q.A1[::-1], p.A2, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(q.A2[::-1], p.A1, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(q.B1[::-1], -p.B2, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(q.B2[::-1], -p.B1, rtol=0, atol=1e-10)
 
 
 def test_limit_curve_matches_pointwise(gap_system, gap_info):
+    # each point of a grid is the one-point grid's answer, to the bit
     grid = np.linspace(0.0, 1.0, 41)
     cv = limit_curve(gap_system, grid, info=gap_info)
     for i, s in enumerate(grid):
-        p = limits_at(gap_system, float(s), info=gap_info)
-        assert cv.A1[i] == pytest.approx(p.A1, abs=1e-12)
-        assert cv.A2[i] == pytest.approx(p.A2, abs=1e-12)
-        assert cv.B1[i] == pytest.approx(p.B1, abs=1e-12)
-        assert cv.B2[i] == pytest.approx(p.B2, abs=1e-12)
+        p = limit_curve(gap_system, [s], info=gap_info)
+        for f in ("A1", "A2", "B1", "B2"):
+            assert getattr(p, f)[0] == getattr(cv, f)[i], (s, f)
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.25, 0.9])

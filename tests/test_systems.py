@@ -4,8 +4,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from angelesco import (AffineMap, AngelescoSystem, Interval, LimitCurve,
-                       LimitPoint, NumericalFailure, StarConfig,
-                       pushforward_limits, reflect, star_normalize)
+                       NumericalFailure, StarConfig, pushforward_limits,
+                       reflect, star_normalize)
 from angelesco.systems import plateau_zones, validate_computed
 
 
@@ -179,42 +179,42 @@ def test_affine_map_roundtrip():
         AffineMap(0.0, 1.0)
 
 
-def test_limit_point_invariants():
-    LimitPoint(0.0, 0.0, 0.1, -1.0, 0.5)
-    LimitPoint(1.0, 0.3, 0.0, -1.0, 0.5)
-    with pytest.raises(ValueError):
-        LimitPoint(0.5, 0.0, 0.1, -1.0, 0.5)   # A1 = 0 off the endpoint
-    with pytest.raises(ValueError):
-        LimitPoint(0.5, 0.1, 0.0, -1.0, 0.5)
-    with pytest.raises(ValueError):
-        LimitPoint(0.5, 0.1, 0.1, 0.5, -1.0)   # B order
-    with pytest.raises(ValueError):
-        LimitPoint(1.5, 0.1, 0.1, -1.0, 0.5)
-    with pytest.raises(ValueError):
-        LimitPoint(0.5, -0.1, 0.1, -1.0, 0.5)
-    with pytest.raises(ValueError):
-        LimitPoint(0.5, float("nan"), 0.1, -1.0, 0.5)
-    with pytest.raises(ValueError):
-        LimitPoint(0.5, 0.1, float("nan"), -1.0, 0.5)
-
-
 def _one_point(s, a1, a2, b1, b2):
     return LimitCurve([s], [a1], [a2], [b1], [b2])
+
+
+def _values(curve):
+    return tuple(float(getattr(curve, f)[0])
+                 for f in ("s", "A1", "A2", "B1", "B2"))
+
+
+def test_limit_point_invariants():
+    # a single ray is a one-point curve
+    _one_point(0.0, 0.0, 0.1, -1.0, 0.5).validate()
+    _one_point(1.0, 0.3, 0.0, -1.0, 0.5).validate()
+    for bad in ((0.5, 0.0, 0.1, -1.0, 0.5),    # A1 = 0 off the endpoint
+                (0.5, 0.1, 0.0, -1.0, 0.5),
+                (0.5, 0.1, 0.1, 0.5, -1.0),    # B order
+                (1.5, 0.1, 0.1, -1.0, 0.5),
+                (0.5, -0.1, 0.1, -1.0, 0.5),
+                (0.5, float("nan"), 0.1, -1.0, 0.5),
+                (0.5, 0.1, float("nan"), -1.0, 0.5)):
+        with pytest.raises(ValueError):
+            _one_point(*bad).validate()
 
 
 def test_pushforward_point_examples():
     ident = AffineMap(1.0, 0.0)
     p = _one_point(0.5, 1.0, 1.0, -1.0, 1.0)
-    assert pushforward_limits(p, ident).point(0) == p.point(0)
+    assert _values(pushforward_limits(p, ident)) == _values(p)
 
-    q = pushforward_limits(p, AffineMap(2.0, 3.0)).point(0)
-    assert (q.s, q.A1, q.A2, q.B1, q.B2) == (0.5, 4.0, 4.0, 1.0, 5.0)
+    q = pushforward_limits(p, AffineMap(2.0, 3.0))
+    assert _values(q) == (0.5, 4.0, 4.0, 1.0, 5.0)
 
     # reflection composition: swap slots, then negate the b's
     p = _one_point(0.3, 0.2, 0.4, -1.5, 0.5)
-    q = pushforward_limits(p, AffineMap(-1.0, 0.0)).point(0)
-    assert (q.s, q.A1, q.A2) == (0.7, 0.4, 0.2)
-    assert (q.B1, q.B2) == (-0.5, 1.5)
+    q = pushforward_limits(p, AffineMap(-1.0, 0.0))
+    assert _values(q) == (0.7, 0.4, 0.2, -0.5, 1.5)
 
 
 def test_pushforward_swapped_curve_values():
@@ -258,7 +258,7 @@ def test_curve_validate():
     bad2 = LimitCurve(s, np.array([0.0, 0.0, 0.3]), good.A2, good.B1, good.B2)
     with pytest.raises(ValueError):
         bad2.validate()
-    # A1 may vanish only at s = 0 and A2 only at s = 1, as for a LimitPoint
+    # A1 may vanish only at s = 0 and A2 only at s = 1, as on one point
     bad3 = LimitCurve(s, np.array([0.0, 0.2, 0.0]), good.A2, good.B1, good.B2)
     with pytest.raises(ValueError, match="vanish"):
         bad3.validate()
@@ -287,8 +287,6 @@ def test_a_computed_curve_off_the_contract_is_a_numerical_failure():
     # the same values given as input stay a usage error
     with pytest.raises(ValueError):
         bad.validate()
-    with pytest.raises(ValueError):
-        LimitPoint(0.5, -0.2, 0.2, -1.0, 0.5)
 
 
 # --- properties of the curve contract --------------------------------------
@@ -352,18 +350,8 @@ def _accepts(make):
     return True
 
 
-_EDGE_S = st.sampled_from([0.0, 1.0, 0.5]) | st.floats(allow_nan=True)
 _EDGE_A = st.sampled_from([0.0, -0.0, 0.25]) | st.floats(allow_nan=True)
 _EDGE_B = st.sampled_from([-1.0, 0.5]) | st.floats(allow_nan=True)
-
-
-@_PROPERTY
-@given(_EDGE_S, _EDGE_A, _EDGE_A, _EDGE_B, _EDGE_B)
-def test_point_and_one_point_curve_share_the_invariants(s, a1, a2, b1, b2):
-    point = _accepts(lambda: LimitPoint(s, a1, a2, b1, b2))
-    curve = _accepts(
-        lambda: LimitCurve([s], [a1], [a2], [b1], [b2]).validate())
-    assert point == curve
 
 
 @_PROPERTY
