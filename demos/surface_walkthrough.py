@@ -45,11 +45,12 @@ print(f"plateau constants (star frame): A1={A1:.8f} A2={A2:.8f} "
       f"B1={B1:.8f} B2={B2:.8f}")
 
 # rays right of the threshold see a growing effective gap
-s_a = plateau_bounds(StarConfig(alpha, 0.0, 1.0)).c2
+touching = plateau_bounds(StarConfig(alpha, 0.0, 1.0))
+s_a = touching.c2
 print(f"\nthreshold ray of the touching configuration: s_alpha = {s_a:.10f}")
 print(f"{'s':>6} {'beta_s':>12} {'w(s)':>12} {'d(s)':>12}")
 for s in np.linspace(s_a + 0.02, 0.98, 6):
-    b, ws, ds = pushed_beta(alpha, (s, 1.0 - s))
+    b, ws, ds = pushed_beta(alpha, (s, 1.0 - s), touching.top)
     print(f"{s:>6.3f} {b:>12.8f} {ws:>12.8f} {ds:>12.8f}")
 print("beta_s -> 0 at the threshold and -> 1 toward s = 1.")
 
@@ -58,10 +59,12 @@ print("beta_s -> 0 at the threshold and -> 1 toward s = 1.")
 # w is proportional to x = d - d1 there, and the bisection resolves x
 alpha = 1e-6
 s = np.array([0.9, 0.99, 0.999999])
-_, ws, ds = pushed_beta(alpha, (s, 1.0 - s))
+# the rays bisect in x on [0, x0(w = 1)], the threshold ray's x0
+top = solve_x0(1.0, alpha)
+_, ws, ds = pushed_beta(alpha, (s, 1.0 - s), top)
 A1, A2, B1, B2 = residue_limits(alpha, ws, ds)
 rel = np.abs((B2 - B1) ** 2 - A1 / s ** 2 - A2 / (1 - s) ** 2) / (B2 - B1) ** 2
-d0 = edge_d(alpha) + solve_x0(1.0, alpha)
+d0 = edge_d(alpha) + top
 print(f"\nalpha = {alpha:g}: d0 = {d0:.3e} at w = 1")
 for row in zip(s, ws, ds, A2, rel):
     print("s={:<9g} w={:.3e} d={:.3e} A2={:.6e} identity {:.1e}".format(*row))

@@ -269,7 +269,8 @@ def convergence_study(sys, s, levels):
     levels = tuple(int(m) for m in levels)
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError(f"levels must increase, got {levels}")
-    ref = np.array([getattr(limit_curve(sys, [s]), f)[0] for f in FUNCS])
+    surf = limit_curve(sys, [s])
+    ref = np.array([getattr(surf, f)[0] for f in FUNCS])
     lat = solve_lattice(sys, levels[-1], snapshot_levels={
         n for m in levels for n in table_levels(m)})
     plain = np.empty((len(levels), 4))

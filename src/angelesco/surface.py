@@ -21,18 +21,19 @@ formulas are explicit.  It reads nothing of the ODE route, not even its
 closed-form endpoint values: the end rays s = 0 and s = 1 are solved like
 every other ray.
 
-The configuration solves are scalar.  :func:`solve_w` runs once per
+Each stage is one elementwise bisection.  :func:`solve_w` runs once per
 system, on the star frame's exact pair (beta, 1 - beta): w is a cross-ratio
-of the four interval ends, so the reflected frame shares it.  The plateau,
-the threshold ray and the ray brackets of :func:`pushed_beta` share x0 =
-d0 - d1 of the configuration point, bisected in x like a ray by
-:func:`solve_x0` and cached per (w, alpha).  Every ray, the plateau edges
-included, is the pair (s, 1 - s) of exact end distances.  The rays and the
-coordinate maps are elementwise numpy functions, so whole grids go through
-one call.
+of the four interval ends, so the reflected frame shares it.  x0 = d0 - d1
+of a configuration point is bisected in x like a ray by :func:`solve_x0`;
+:func:`plateau_bounds` solves the four points it needs, (w, alpha) and
+(1, alpha) of the frame and of its reflection, in one call, and keeps the
+two at w = 1 as the ray brackets of :func:`pushed_beta`.  Every ray, the
+plateau edges included, is the pair (s, 1 - s) of exact end distances, and
+:func:`limit_curve` bisects the rays of both zones together.  The solves,
+the rays and the coordinate maps are elementwise numpy functions, so whole
+grids go through one call.
 """
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -111,9 +112,8 @@ def solve_w(sc):
                   - r * x * (2.0 + x) ** 3, 0.0, 1.0)
 
 
-@lru_cache(maxsize=64)
 def solve_x0(w, alpha):
-    """x0 = d0 - d1 of the configuration point (w, d0), once per (w, alpha).
+    """x0 = d0 - d1 of the configuration points (w, d0), elementwise.
 
     The level-set cubic d^3 + (w + 2) d^2 - alpha (1 + 2w) d - alpha w over
     d > 0, in the rays' unknown x = d - d1 (d1 = :func:`edge_d`), is
@@ -123,16 +123,23 @@ def solve_x0(w, alpha):
     (0, 1] the cubic is at least d^3 + 2d^2 - 3 alpha d - alpha, positive
     and rising from d = 1 + sqrt(3 alpha) on, and x = 1 + sqrt(3 alpha) puts
     d a further d1 above that: :func:`expand_upper` confirms the sign without
-    doubling.  Every term stays finite from alpha = 1e-300 to 1e300.  w <= 0
-    or alpha <= 0 (NaN included) raises ValueError.  Cached for the process.
+    doubling.  Every term stays finite from alpha = 1e-300 to 1e300.  ``w``
+    and ``alpha`` broadcast against each other, and all points go through
+    one bisection; a scalar pair gives a scalar.  A point with w <= 0 or
+    alpha <= 0 (NaN included) raises ValueError naming the first such pair.
     """
-    if not (w > 0.0 and alpha > 0.0):
-        raise ValueError(f"solve_x0 needs w > 0 and alpha > 0, "
-                         f"got w={w}, alpha={alpha}")
+    w, alpha = np.broadcast_arrays(np.asarray(w, dtype=float),
+                                   np.asarray(alpha, dtype=float))
+    bad = ~((w > 0.0) & (alpha > 0.0))
+    if np.any(bad):
+        i = np.flatnonzero(bad)[0]
+        raise ValueError(f"solve_x0 needs w > 0 and alpha > 0, got "
+                         f"w={float(w.flat[i])}, alpha={float(alpha.flat[i])}")
     d1 = edge_d(alpha)
     f = lambda x: (x * (x + 2.0 * d1 + 2.0)
                    - w * (alpha / (d1 + x) + 2.0 * alpha - (d1 + x)))
-    return bisect(f, 0.0, expand_upper(f, 0.0, 1.0 + np.sqrt(3.0 * alpha)))
+    return bisect(f, np.zeros(w.shape),
+                  expand_upper(f, 0.0, 1.0 + np.sqrt(3.0 * alpha)))
 
 
 def infinity_preimages(w, d):
@@ -181,40 +188,45 @@ def residue_limits(alpha, w, d):
     return a1, a2, kb * (k0 + t1 * k1), kb * (kt0 - d02 * s * e)
 
 
-def _edge(w, alpha):
+def _edge(w, alpha, x0):
     """The ray (s, 1 - s) of the configuration point (w, d1 + x0), each an
     exact distance to its end: the halves of :func:`ray_gaps`."""
-    minus, plus = ray_gaps(w, edge_d(alpha) + solve_x0(w, alpha))
-    return float(plus) / 2.0, float(minus) / 2.0
+    minus, plus = ray_gaps(w, edge_d(alpha) + x0)
+    return plus / 2.0, minus / 2.0
 
 
 def threshold_ray(alpha):
     """The ray (s, 1 - s) where the touching configuration fills both
     supports: the plateau edge at w = 1."""
-    return _edge(1.0, float(alpha))
+    alpha = float(alpha)
+    s, rest = _edge(1.0, alpha, solve_x0(1.0, alpha))
+    return float(s), float(rest)
 
 
-def pushed_beta(alpha, ray):
+def pushed_beta(alpha, ray, top):
     """Gap beta_s of the support configuration seen along ray s in (s_alpha, 1].
 
     ``ray`` is the pair (s, 1 - s), each as exact as the caller has it; only
     the smaller is read, matched on the side of the nearer end: 1 - theta
     = 2 (1 - s) for s >= 1/2 and 1 + theta = 2 s below (:func:`ray_gaps`).
-    The ray is one bisection in x = d - d1 on [0, :func:`solve_x0` at w = 1],
-    from the ray s = 1 (w = 0) to the threshold ray (w = 1), with (w, d)
-    from :func:`level_set_w`; since w is a product of x there, a ray next to
-    s = 1 keeps its digits, and the ray (1, 0) itself, where 1 - theta is
-    exactly 0 at x = 0, returns x = 0.  Returns (beta_s, w, d).
+    The ray is one bisection in x = d - d1 on [0, top], ``top`` being
+    :func:`solve_x0` at (1, alpha), from the ray s = 1 (w = 0) to the
+    threshold ray (w = 1), with (w, d) from :func:`level_set_w`; since w is
+    a product of x there, a ray next to s = 1 keeps its digits, and the ray
+    (1, 0) itself, where 1 - theta is exactly 0 at x = 0, returns x = 0.
+    ``alpha`` and ``top`` broadcast against the ray, so rays of several
+    configurations go through one bisection.  Returns (beta_s, w, d).
     """
     s, t = (np.asarray(v, dtype=float) for v in ray)
     upper = s >= t
-    alpha = float(alpha)
+    alpha = np.asarray(alpha, dtype=float)
 
     def f(x):  # the nearer end's gap at x minus the ray's
         minus, plus = ray_gaps(*level_set_w(alpha, x))
         return np.where(upper, 2.0 * t - minus, plus - 2.0 * s)
 
-    x = bisect(f, np.zeros(s.shape), np.full(s.shape, solve_x0(1.0, alpha)))
+    shape = np.broadcast(s, alpha, top).shape
+    x = bisect(f, np.zeros(shape), np.broadcast_to(top, shape))
     w, d = level_set_w(alpha, x)
     return beta_coord(alpha, w), w, d
 
@@ -230,7 +242,10 @@ class PlateauInfo:
     For touching intervals c1 = c2 = threshold ray.  c1 is exact as the
     distance to s = 0 and ``one_minus_c2`` = 1 - c2 exactly as the distance
     to s = 1, which c2 itself may round away.  ``A1 ... B2`` are the
-    star-frame constant limit values on the window.
+    star-frame constant limit values on the window.  ``top`` and
+    ``top_hat`` are :func:`solve_x0` at w = 1 for the frame and for its
+    reflection: the :func:`pushed_beta` brackets of the rays right of the
+    window and of the reflected rays left of it.
     """
     c1: float
     c2: float
@@ -239,6 +254,8 @@ class PlateauInfo:
     A2: float
     B1: float
     B2: float
+    top: float
+    top_hat: float
 
     def as_dict(self):
         return asdict(self)
@@ -251,43 +268,51 @@ def plateau_bounds(sc):
     point (w, d0), and c1 the distance to its own s = 1 of ``sc.reflected()``,
     which keeps w, a cross-ratio of the four interval ends.  Both are exact
     end distances from :func:`_edge`; for touching intervals (w = 1)
-    c1 = c2 is the threshold ray.  NumericalFailure unless w solved again
-    along (c2, 1 - c2) comes back within 1e-9 relative (w, unlike beta,
-    keeps 1 - beta) and 0 < c1 <= c2 with 1 - c2 > 0.
+    c1 = c2 is the threshold ray.  One :func:`solve_x0` call solves both
+    configuration points and the two ray brackets at w = 1.
+    NumericalFailure unless w solved again along (c2, 1 - c2) comes back
+    within 1e-9 relative (w, unlike beta, keeps 1 - beta) and
+    0 < c1 <= c2 with 1 - c2 > 0.
     """
     w = solve_w(sc)
-    c2, one_minus_c2 = _edge(w, sc.alpha)
+    alphas = np.array([sc.alpha, sc.reflected()[0].alpha] * 2)
+    ws = np.array([w, w, 1.0, 1.0])
+    x0 = solve_x0(ws, alphas)
+    top, top_hat = float(x0[2]), float(x0[3])
+    s, rest = _edge(w, alphas[:2], x0[:2])
+    c2, one_minus_c2 = float(s[0]), float(rest[0])
     if sc.beta == 0.0:
         c1 = c2
     else:
-        _, back, _ = pushed_beta(sc.alpha, (c2, one_minus_c2))
+        _, back, _ = pushed_beta(sc.alpha, (c2, one_minus_c2), top)
         if not abs(back - w) <= 1e-9 * w:
             raise NumericalFailure("plateau edge failed the gap round trip",
                                    {"c2": c2, "w": float(w),
                                     "back": float(back)})
-        c1 = _edge(w, sc.reflected()[0].alpha)[1]
+        c1 = float(rest[1])
     if not (0.0 < c1 <= c2 and one_minus_c2 > 0.0):
         raise NumericalFailure("plateau window out of order",
                                {"c1": c1, "c2": c2})
-    d0 = edge_d(sc.alpha) + solve_x0(w, sc.alpha)
-    a1, a2, b1, b2 = residue_limits(sc.alpha, w, d0)
+    a1, a2, b1, b2 = residue_limits(sc.alpha, w, edge_d(sc.alpha) + x0[0])
     # computed constants: a broken contract is a numerical failure
     validate_computed(LimitCurve(
         [0.5 * (c1 + c2)], [a1], [a2], [b1], [b2], "plateau"))
-    return PlateauInfo(c1, c2, one_minus_c2,
-                       float(a1), float(a2), float(b1), float(b2))
+    return PlateauInfo(c1, c2, one_minus_c2, float(a1), float(a2),
+                       float(b1), float(b2), top, top_hat)
 
 
 def limit_curve(sys, grid, info=None):
     """Limit curve of ``sys`` on ``grid`` via the surface route (vectorized).
 
-    Grid points are split by :func:`~angelesco.systems.plateau_zones` and
-    each zone is solved in one vector pass: the plateau constants inside
-    [c1, c2], the direct solve right of the plateau, and ``sc.reflected()``
-    at the ray pair (1 - s, s) left of it, whose distance s to the end is
-    exact.  s = 1 joins the right zone and s = 0 the left one:
-    their ray (1, 0) solves to x = 0 exactly, so w = 0, d = d1 and the
-    vanishing A is exactly 0.  Star-frame values reach the user frame through
+    Grid points are split by :func:`~angelesco.systems.plateau_zones`: the
+    plateau constants inside [c1, c2], the direct solve right of the
+    plateau, and ``sc.reflected()`` at the ray pair (1 - s, s) left of it,
+    whose distance s to the end is exact.  The rays of both zones, each
+    with its frame's alpha and bracket top, go through one
+    :func:`pushed_beta` bisection and one :func:`residue_limits` call.
+    s = 1 joins the right zone and s = 0 the left one: their ray (1, 0)
+    solves to x = 0 exactly, so w = 0, d = d1 and the vanishing A is
+    exactly 0.  Star-frame values reach the user frame through
     :func:`pushforward_limits`.  ``info`` may carry a precomputed
     :class:`PlateauInfo`.
     """
@@ -302,16 +327,19 @@ def limit_curve(sys, grid, info=None):
 
     star = np.zeros((4, grid.size))
     star[:, plat] = np.array([[info.A1], [info.A2], [info.B1], [info.B2]])
-    if np.any(right):
-        s = grid[right]
-        _, w, d = pushed_beta(sc.alpha, (s, 1.0 - s))
-        star[:, right] = residue_limits(sc.alpha, w, d)
-    if np.any(left):
+    if np.any(left | right):
         sc_hat, back_map = sc.reflected()
-        s = grid[left][::-1]  # the reflected rays 1 - s, increasing
-        _, w, d = pushed_beta(sc_hat.alpha, (1.0 - s, s))
-        hat = LimitCurve(1.0 - s, *residue_limits(sc_hat.alpha, w, d))
-        back = pushforward_limits(hat, back_map)
+        s, r = grid[right], grid[left][::-1]  # reflected: the rays (1 - r, r)
+        n = s.size
+        hat = np.arange(n + r.size) >= n
+        alpha = np.where(hat, sc_hat.alpha, sc.alpha)
+        ray = np.concatenate([[s, 1.0 - s], [1.0 - r, r]], axis=1)
+        top = np.where(hat, info.top_hat, info.top)
+        _, w, d = pushed_beta(alpha, ray, top)
+        limits = residue_limits(alpha, w, d)
+        star[:, right] = [v[:n] for v in limits]
+        hat_curve = LimitCurve(1.0 - r, *(v[n:] for v in limits))
+        back = pushforward_limits(hat_curve, back_map)
         star[:, left] = back.A1, back.A2, back.B1, back.B2
 
     return validate_computed(

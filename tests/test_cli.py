@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from angelesco import NumericalFailure
+from angelesco import NumericalFailure, surface
 from angelesco.cli import (RunConfig, _compute_curves, _num, load_config,
                            main, read_curve_csv, write_curve_csv)
 from angelesco.crossval import compare
@@ -484,6 +484,29 @@ def test_an_alpha_lost_in_1_plus_alpha_answers(tmp_path):
 def test_cli_requires_subcommand():
     with pytest.raises(SystemExit):
         main([])
+
+
+@pytest.mark.parametrize("command, interval2, calls", [
+    ("compute", "0.25,1", 4), ("validate", "0.25,1", 5),
+    ("compute", "0,1", 2), ("validate", "0,1", 3)],
+    ids=["gap-compute", "gap-validate", "touching-compute",
+         "touching-validate"])
+def test_the_surface_route_bisects_once_per_stage(tmp_path, monkeypatch,
+                                                  command, interval2, calls):
+    # w, the four configuration points' x0 in one call, the plateau round
+    # trip and one ray solve for both zones; touching intervals need
+    # neither w nor the round trip, and validate adds the residual grid's
+    # ray solve.  Nothing is kept between calls
+    real, seen = surface.bisect, []
+
+    def counted(f, lo, hi):
+        seen.append(np.size(lo))
+        return real(f, lo, hi)
+
+    monkeypatch.setattr(surface, "bisect", counted)
+    rc = main([command, f"--interval2={interval2}",
+               "--output_dir", str(tmp_path)] + FAST)
+    assert rc == 0 and len(seen) == calls, seen
 
 
 def test_validate_passes(tmp_path):

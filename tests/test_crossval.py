@@ -212,6 +212,23 @@ def test_convergence_study_reads_one_sweep(touching_system, monkeypatch):
         assert table.max_extrapolated()[i] == pytest.approx(err, abs=1e-14)
 
 
+def test_convergence_study_solves_the_reference_once(gap_system,
+                                                     monkeypatch):
+    # one surface read gives all four reference values, plateau included
+    import angelesco.surface as surface_mod
+    real, calls = surface_mod.limit_curve, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(surface_mod, "limit_curve", counted)
+    table = convergence_study(gap_system, 0.9, (20, 40))
+    assert len(calls) == 1
+    ref = real(gap_system, [0.9])
+    assert table.reference == (ref.A1[0], ref.A2[0], ref.B1[0], ref.B2[0])
+
+
 @pytest.mark.parametrize("name", ["touching", "gap"])
 def test_a_one_point_read_is_the_grid_read(request, monkeypatch, name):
     # every route answers on a grid, and each point of the 181-point grid

@@ -224,7 +224,7 @@ def test_bisect_keeps_an_exact_root(f, lo, hi, root):
     # falling used to let the bracket run to hi
     out = bisect(f, lo, hi)
     assert _same_bits(out, root) and f(out) == 0.0
-    assert type(out) is np.float64 and hash(out) == hash(root)  # lru_cache
+    assert type(out) is np.float64 and hash(out) == hash(root)  # a scalar
     vec = bisect(f, np.array([lo, lo]), np.array([hi, hi]))
     assert _same_bits(vec, [root, root])
 
@@ -261,11 +261,11 @@ def test_surface_solves_equal_the_full_halving_loop(request, monkeypatch,
         return out
 
     monkeypatch.setattr(surface, "bisect", checked)
-    surface.solve_x0.cache_clear()  # solve the bracket ends here again
     grid = np.linspace(0.0, 1.0, 181)
     surface.limit_curve(request.getfixturevalue(name), grid)
     for beta in grid[1:-1:30]:
         surface.solve_w(StarConfig(2.0, beta, 1.0 - beta))  # the gap solve
     s = grid[140:-1]
-    surface.pushed_beta(2.0, (s, 1.0 - s))  # a ray solve on an array
+    surface.pushed_beta(2.0, (s, 1.0 - s),
+                        surface.solve_x0(1.0, 2.0))  # a ray solve on an array
     assert sizes.count(1) >= 5 and sum(n > 1 for n in sizes) >= 3

@@ -8,11 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from angelesco import (AffineMap, AngelescoSystem, Interval, NumericalFailure,
-                       StarConfig, ode, pushforward_limits, reflect, surface)
+                       StarConfig, ode, pushforward_limits, reflect,
+                       star_normalize, surface)
 from angelesco.surface import (beta_coord, edge_d, infinity_preimages,
                                level_set_w, limit_curve, plateau_bounds,
                                pushed_beta, ray_gaps, residue_limits,
                                solve_w, solve_x0, threshold_ray)
+import surface_reference
 
 
 def _cubic(w, alpha, d):
@@ -143,13 +145,14 @@ def test_solve_tau0_scan_passes_at_the_ray_bracket_ends(w):
     # 1e3 times d0, the cubic changes sign once, from below, at d0.  Toward
     # w -> 0, d0 tends to the closed-form end edge_d that pushed_beta uses:
     # the cubic is convex and negative there, so d0 lies between it and
-    # one Newton step from it
-    surface.solve_x0.cache_clear()
-    for alpha in np.logspace(-9, 9, 73):
-        x0 = solve_x0(w, float(alpha))
-        d = edge_d(alpha) + x0
+    # one Newton step from it.  The 73 points solved in one call are the
+    # scalar solves, bit for bit
+    alphas = np.logspace(-9, 9, 73)
+    assert np.array_equal(solve_x0(w, alphas),
+                          [solve_x0(w, float(a)) for a in alphas])
+    for alpha in alphas:
+        d = edge_d(alpha) + solve_x0(w, float(alpha))
         assert d > 0.0
-        assert solve_x0(w, float(alpha)) is x0  # cached
         x = d * np.logspace(-3, 3, 257)
         signs = np.sign(_cubic(w, alpha, x))
         assert np.all(signs[x < d] == -1.0) and np.all(signs[x > d] == 1.0)
@@ -168,6 +171,19 @@ def test_solve_tau0_needs_u_above_1_and_alpha_above_0(u, alpha):
         solve_x0(u - 1.0, alpha)
 
 
+def test_solve_x0_names_the_first_bad_pair():
+    # elementwise: the message holds the first offending (w, alpha), not
+    # the arrays
+    w = np.array([0.5, math.nan, 1.0])
+    alpha = np.array([2.0, 2.0, 0.0])
+    with pytest.raises(ValueError) as exc:
+        solve_x0(w, alpha)
+    assert str(exc.value) == ("solve_x0 needs w > 0 and alpha > 0, "
+                              "got w=nan, alpha=2.0")
+    with pytest.raises(ValueError, match=r"got w=1\.0, alpha=0\.0$"):
+        solve_x0(w[::2], alpha[::2])
+
+
 @pytest.mark.parametrize("alpha", [1e-16, 1e-17, 1e-30])
 def test_solve_tau0_holds_an_alpha_lost_in_1_plus_alpha(alpha):
     # 1 + alpha rounds to 1, but the cubic in d never forms it: d0 keeps
@@ -178,22 +194,26 @@ def test_solve_tau0_holds_an_alpha_lost_in_1_plus_alpha(alpha):
     assert _cubic(1.0, alpha, lo) <= 0.0 <= _cubic(1.0, alpha, hi)
 
 
-def test_plateau_solves_tau0_once_per_u_alpha(monkeypatch):
-    # touching, (-2, 0) u (0, 1): the window is the threshold ray of the
-    # configuration itself, (w, alpha) = (1, 2), the one solve it needs
+@pytest.mark.parametrize("beta", [0.0, 0.25], ids=["touching", "gap"])
+def test_plateau_makes_one_x0_call(monkeypatch, beta):
+    # the configuration points (w, alpha), (w, alpha_hat) and the bracket
+    # tops (1, alpha), (1, alpha_hat) go through one solve_x0 call, whose
+    # bracket is confirmed once; nothing is kept between plateaus
     real_expand = surface.expand_upper
-    calls = []
+    sizes = []
 
-    def recording(*args, **kwargs):
-        calls.append(1)
-        return real_expand(*args, **kwargs)
+    def recording(f, lo, hi):
+        sizes.append(np.size(hi))
+        return real_expand(f, lo, hi)
 
     monkeypatch.setattr(surface, "expand_upper", recording)
-    surface.solve_x0.cache_clear()
-    sc = StarConfig(2.0, 0.0, 1.0)
+    sc = StarConfig(2.0, beta, 1.0 - beta)
     info = plateau_bounds(sc)
-    assert len(calls) == 1
-    assert plateau_bounds(sc) == info and len(calls) == 1
+    assert sizes == [4]
+    assert plateau_bounds(sc) == info and sizes == [4, 4]
+    alpha_hat = sc.reflected()[0].alpha
+    assert (info.top, info.top_hat) == (solve_x0(1.0, 2.0),
+                                        solve_x0(1.0, alpha_hat))
 
 
 def test_infinity_preimages():
@@ -269,19 +289,20 @@ def test_threshold_ray_monotone_and_reflective():
 
 def test_pushed_beta_limits():
     s_a, _ = threshold_ray(2.0)
-    b, w, d = pushed_beta(2.0, (s_a + 1e-6, 1.0 - (s_a + 1e-6)))
+    top = solve_x0(1.0, 2.0)
+    b, w, d = pushed_beta(2.0, (s_a + 1e-6, 1.0 - (s_a + 1e-6)), top)
     assert 0.0 <= b < 1e-12
     assert abs(_cubic(w, 2.0, d)) <= 1e-14
-    b, _, _ = pushed_beta(1.0, (0.5 + 1e-9, 0.5 - 1e-9))
+    b, _, _ = pushed_beta(1.0, (0.5 + 1e-9, 0.5 - 1e-9), solve_x0(1.0, 1.0))
     assert 0.0 <= b < 1e-12
-    b, _, _ = pushed_beta(2.0, (1.0 - 1e-6, 1e-6))
+    b, _, _ = pushed_beta(2.0, (1.0 - 1e-6, 1e-6), top)
     assert 1.0 - 1e-4 < b < 1.0
 
 
 def test_pushed_beta_increasing():
     s_a, _ = threshold_ray(2.0)
     s = s_a + (1.0 - s_a) * np.linspace(0.05, 0.95, 12)
-    b, _, _ = pushed_beta(2.0, (s, 1.0 - s))
+    b, _, _ = pushed_beta(2.0, (s, 1.0 - s), solve_x0(1.0, 2.0))
     assert np.all(np.diff(b) > 0)
 
 
@@ -297,7 +318,7 @@ def test_pushed_beta_against_50_digits(alpha, tau_rtol, beta_atol):
     mp = pytest.importorskip("mpmath")
     s_a, _ = threshold_ray(alpha)
     s = s_a + (1.0 - s_a) * np.linspace(0.025, 0.975, 20)
-    beta, w, d = pushed_beta(alpha, (s, 1.0 - s))
+    beta, w, d = pushed_beta(alpha, (s, 1.0 - s), solve_x0(1.0, alpha))
     with mp.workdps(50):
         al = mp.mpf(alpha)
         for i in range(s.size):
@@ -358,7 +379,8 @@ def _mp_star_right(mp, al, s):
                                            * (u + t - 2))
         return (t - u) * mp.sqrt(ratio) - theta
 
-    _, _, d = pushed_beta(float(al), (float(s), float(1 - s)))  # a start
+    _, _, d = pushed_beta(float(al), (float(s), float(1 - s)),
+                          solve_x0(1.0, float(al)))  # a start
     t = _mp_root(mp, ray, 1 + mp.mpf(float(d)))
     return _mp_residues(mp, al, u_of(t), t)
 
@@ -442,7 +464,7 @@ def test_right_zone_limits_are_ordered_and_hold_the_identity(log_alpha,
     alpha = 10.0 ** log_alpha
     s_a, _ = threshold_ray(alpha)
     s = 1.0 - max((1.0 - s_a) * 10.0 ** log_dist, 1e-12)
-    _, w, d = pushed_beta(alpha, (s, 1.0 - s))
+    _, w, d = pushed_beta(alpha, (s, 1.0 - s), solve_x0(1.0, alpha))
     a1, a2, b1, b2 = residue_limits(alpha, w, d)
     assert a1 > 0.0 and a2 > 0.0 and b1 < b2
     lhs = (b2 - b1) ** 2
@@ -544,7 +566,6 @@ def test_solve_d0_brackets_the_root_without_doubling(monkeypatch):
         return out
 
     monkeypatch.setattr(surface, "expand_upper", checked)
-    surface.solve_x0.cache_clear()
     for alpha in np.logspace(-300, 300, 61):
         for w in (1e-17, 1e-12, 1e-3, 1.0):
             d = edge_d(float(alpha)) + solve_x0(w, float(alpha))
@@ -568,7 +589,7 @@ def test_plateau_guards_are_scale_free(monkeypatch):
     sc = StarConfig(2.0, 1e-12, 1.0 - 1e-12)
     w = solve_w(sc)
     monkeypatch.setattr(surface, "pushed_beta",
-                        lambda alpha, ray: (None, w * (1.0 + 2e-9), None))
+                        lambda alpha, ray, top: (None, w * (1.0 + 2e-9), None))
     with pytest.raises(NumericalFailure, match="round trip"):
         plateau_bounds(sc)
 
@@ -586,7 +607,7 @@ def test_the_plateau_round_trip_holds_far_inside_its_guard(log_alpha,
     sc = StarConfig(10.0 ** log_alpha, *pair)
     w = solve_w(sc)
     info = plateau_bounds(sc)
-    _, back, _ = pushed_beta(sc.alpha, (info.c2, info.one_minus_c2))
+    _, back, _ = pushed_beta(sc.alpha, (info.c2, info.one_minus_c2), info.top)
     assert abs(back - w) <= 1e-13 * w
 
 
@@ -648,7 +669,7 @@ def test_failure_contexts_are_json(monkeypatch):
     # an open bisection bracket, reached through a public call: a ray left
     # of the threshold ray has no right-zone solution
     with pytest.raises(NumericalFailure, match="bracket") as exc:
-        pushed_beta(2.0, (0.3, 0.7))
+        pushed_beta(2.0, (0.3, 0.7), solve_x0(1.0, 2.0))
     ctx = exc.value.context
     assert json.loads(json.dumps(ctx)) == ctx
     # the plateau's contexts hold plain floats, not numpy scalars; a ray
@@ -657,7 +678,7 @@ def test_failure_contexts_are_json(monkeypatch):
     w = solve_w(sc)
     with monkeypatch.context() as m:
         m.setattr(surface, "pushed_beta",
-                  lambda alpha, ray: (None, np.float64(w + 1e-6), None))
+                  lambda alpha, ray, top: (None, np.float64(w + 1e-6), None))
         with pytest.raises(NumericalFailure, match="round trip") as exc:
             plateau_bounds(sc)
     ctx = exc.value.context
@@ -761,8 +782,8 @@ def test_limit_curve_solves_its_own_endpoints(monkeypatch, beta):
 
 
 def test_limit_curve_solves_each_zone_once(monkeypatch, gap_system, gap_info):
-    # one array bisection per off-plateau zone, its end ray included;
-    # scalar ones set up brackets
+    # one array bisection holds the rays of both off-plateau zones, the end
+    # rays included: 67 reflected left of the window and 29 right of it
     sizes = []
     real_bisect = surface.bisect
 
@@ -773,9 +794,40 @@ def test_limit_curve_solves_each_zone_once(monkeypatch, gap_system, gap_info):
     monkeypatch.setattr(surface, "bisect", recording)
     grid = np.linspace(0.0, 1.0, 181)
     limit_curve(gap_system, grid, info=gap_info)
-    zones = sorted([np.count_nonzero(grid < gap_info.c1),
-                    np.count_nonzero(grid > gap_info.c2)])
-    assert sorted(n for n in sizes if n > 1) == zones
+    zones = [np.count_nonzero(grid < gap_info.c1),
+             np.count_nonzero(grid > gap_info.c2)]
+    assert zones == [67, 29] and sizes == [96]
+
+
+# touching, gap, unbalanced, shifted, near-touching, wide window, w below
+# rounding and beta rounding to 1
+_BIT_SYSTEMS = [((-2.0, 0.0), (0.0, 1.0)), ((-2.0, 0.0), (0.25, 1.0)),
+                ((-1000.0, 0.0), (0.0, 1.0)), ((-3.0, -1.0), (2.0, 7.0)),
+                ((-1e-3, 0.0), (0.0, 1.0)), ((-2.0, 0.0), (0.5, 1.0)),
+                ((-1e10, 0.0), (0.9999999999999999, 1.0)),
+                ((-1e-17, 0.0), (0.5, 1.0))]
+
+
+@pytest.mark.parametrize("i1, i2", _BIT_SYSTEMS, ids=[
+    "touching", "gap", "wide-left", "shifted", "near-touching", "wide-window",
+    "w-below-rounding", "beta-rounds-to-1"])
+def test_limit_curve_is_the_zone_by_zone_solve(i1, i2):
+    # the four configuration points in one solve_x0 call and both zones in
+    # one ray bisection give the bits of one solve per point and per zone
+    sys = AngelescoSystem(Interval(*i1), Interval(*i2))
+    sc, _ = star_normalize(sys)
+    info = plateau_bounds(sc)
+    _, c1, c2, one_minus_c2 = surface_reference.window(sc)
+    assert (info.c1, info.c2, info.one_minus_c2) == (c1, c2, one_minus_c2)
+    ends = [e for k in (1, 3, 6, 9, 12, 15) for e in (10.0 ** -k,
+                                                      1.0 - 10.0 ** -k)]
+    for grid in (np.linspace(0.0, 1.0, 181),
+                 np.unique([0.0, 1.0, 2.0 ** -53, np.nextafter(1.0, 0.0)]
+                           + ends)):
+        got = limit_curve(sys, grid)
+        want = surface_reference.reference_curve(sys, grid)
+        for f in ("s", "A1", "A2", "B1", "B2"):
+            assert np.array_equal(getattr(got, f), getattr(want, f)), f
 
 
 @pytest.mark.parametrize("name", ["touching_system", "gap_system"])
