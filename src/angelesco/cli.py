@@ -9,7 +9,8 @@ cross-method agreement, identities and residuals against fixed bounds, and
 produces byte-identical CSVs.
 
 Exit codes: 0 success, 1 validation failure, 2 input or configuration
-error, 3 numerical failure.
+error, 3 numerical failure, which ``compute`` and ``validate`` record in
+``failure.json`` in the output directory.
 """
 import argparse
 import dataclasses
@@ -26,7 +27,7 @@ from .crossval import (compare, compared_points, identity_checks,
                        ode_residuals, resample, residual_stride)
 from .errors import NumericalFailure
 from .lattice import curve_from_lattice, solve_lattice
-from .ode import DEFAULT_STEPS_PER_UNIT, solve_system
+from .ode import DEFAULT_MAX_STEPS, solve_system
 from .surface import limit_curve, plateau_bounds
 from .systems import (AngelescoSystem, Interval, LimitCurve, check_grid,
                       star_normalize)
@@ -58,7 +59,7 @@ class RunConfig:
     grid_points: int = 181
     lattice_level: int = 400
     extrapolate: bool = True
-    ode_steps: int = DEFAULT_STEPS_PER_UNIT
+    ode_steps: int = DEFAULT_MAX_STEPS
     fd_step: float = 1e-3
     residual_grid_points: int = 2001
     output_dir: str = "out"
@@ -246,6 +247,15 @@ def _compute_curves(cfg, methods):
     return curves, meta, info, compared
 
 
+def write_failure(output_dir, command, exc):
+    """Write ``failure.json``, the record of a :class:`NumericalFailure`:
+    the subcommand, the message and the failure's context."""
+    with open(Path(output_dir) / "failure.json", "w", encoding="utf-8") as fh:
+        json.dump({"command": command, "message": str(exc),
+                   "context": exc.context}, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def run_compute(cfg, methods):
     methods = set(methods)
     if not methods:
@@ -379,20 +389,22 @@ def main(argv=None):
     args, extra = parser.parse_known_args(argv)
     if extra and (args.command == "plot" or not extra[0].startswith("--")):
         parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    cfg = None
     try:
         if extra:  # a --key naming no field fails as in a config file
             raise ValueError("unknown config key: "
                              f"{extra[0][2:].split('=', 1)[0]}")
+        if args.command == "plot":
+            return run_plot(args.csvs, args.out)
+        cfg = load_config(args.config, _overrides(args))
         if args.command == "compute":
-            cfg = load_config(args.config, _overrides(args))
             methods = [m for m in args.methods.split(",") if m]
             return run_compute(cfg, methods)
-        if args.command == "validate":
-            cfg = load_config(args.config, _overrides(args))
-            return run_validate(cfg)
-        return run_plot(args.csvs, args.out)
+        return run_validate(cfg)
     except NumericalFailure as exc:
         print(f"numerical failure: {exc} {exc.context}", file=_sys.stderr)
+        if cfg is not None:
+            write_failure(cfg.output_dir, args.command, exc)
         return 3
     except (ValueError, TypeError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=_sys.stderr)

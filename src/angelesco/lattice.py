@@ -246,8 +246,7 @@ def lagrange_interp(values, x):
     interval holding x and clamped at both ends.  The weights are products
     of exact node differences over exact integer denominators, so at an
     integer x they are exactly 1 and 0 and the node value comes back bit
-    for bit.  The lattice read-out and the ODE route's dense output both
-    use it.
+    for bit.  The lattice read-out uses it.
     """
     values = np.asarray(values)
     x = np.asarray(x, dtype=float)

@@ -2,35 +2,40 @@
 
 In the interior of each support window the four limit functions satisfy a
 closed ODE system in the rescaled variables C1 = A1/s^2, C2 = A2/(1-s)^2.
-Both branches run forward from s = 0 with classical Runge-Kutta on a
-uniform mesh, from the closed-form values there: one on the system up to
-the plateau edge c1, one on the reflected system (x -> -x, which swaps the
-intervals and maps s to 1 - s) up to the exact distance 1 - c2, read back
-at 1 - s through the mirror A1 <-> A2, (B1, B2) -> (-B2, -B1) as the
-surface route reads its left zone.  The assembled curve splices branch
-values with the plateau constants.
+Both branches run forward from s = 0, from the closed-form values there:
+one on the system up to the plateau edge c1, one on the reflected system
+(x -> -x, which swaps the intervals and maps s to 1 - s) up to the exact
+distance 1 - c2, read back at 1 - s through the mirror A1 <-> A2,
+(B1, B2) -> (-B2, -B1) as the surface route reads its left zone.  The
+assembled curve splices branch values with the plateau constants.
 
-Each branch controls its own step count by step doubling: runs of n and 2n
-steps share n + 1 nodes, where their difference over 15 estimates the 2n
-run's error and, added to it, gives a Richardson-extrapolated state.  The
-count doubles until the estimate, scaled by the endpoint gap B2 - B1, meets
-a tolerance or a cap.  The doubling is what makes the route hold its digits
-on unbalanced systems: no fixed count serves (-1000, 0) u (0, 1) and
-(-2, 0) u (0, 1) alike.  Dense output is local 6-point Lagrange
-interpolation on the finest mesh (:func:`angelesco.lattice.lagrange_interp`).
+Each branch is integrated by Taylor series of fixed order 24 (Jorba & Zou,
+Experiment. Math. 14 (2005) 99-117).  The right-hand side is rational in
+(s, C1, C2) with one square root, so the Taylor coefficients of the
+solution through a state follow order by order from the recurrences for
+products, quotients and square roots of series.  They are taken in the
+scaled variable t, s = s0 + r t with r the previous step, so they stay of
+the size of the state where the radius of convergence is tiny (beside the
+pole of C2 at s = 1 that systems with alpha ~ 1e32 approach).  Each
+component bounds the step through its last two coefficients, and the last
+step lands on the branch's stop exactly.  Each step's polynomial, evaluated
+by Horner's rule, is the branch's dense output.  The terms the step rule
+bounds, summed over the steps, plus a rounding floor, are the branch's
+error estimate, per component: C relative to itself, B relative to the gap
+B2 - B1 at s = 0.
 
-The state is four numbers, so the RK4 stages run on Python floats: ``rhs``
-takes floats and returns a 4-tuple, and each stage is formed component by
-component in the same operation order as the array expression it replaces
-(``y + 0.5*h*k`` and ``y + h/6*(k1 + 2 k2 + 2 k3 + k4)``), which gives the
-same IEEE results without a numpy allocation per stage.  Only the node
-arrays, the doubling test and dense output are numpy.
+The series run on Python floats with + - * / and sqrt only, summed in a
+fixed order, so no BLAS or CPU kernel touches a result.  They work on the
+state scaled by a power of two (C by 4^-e, B by 2^-e, 2^e near the gap at
+s = 0), which is exact, so the products in the recurrences stay in range at
+any length scale and a copy scaled by a power of two integrates to the same
+bits.
 
 The linear system defining (C1', C2') degenerates at the endpoints only
 through a removable factor s (1 - s); the solved form used here cancels that
-factor exactly, so the right-hand side is regular (locally Lipschitz) on
-all of [0, 1].  The limit curve is then the unique solution through the
-closed-form endpoint state, and RK4 starts at s = 0 itself.
+factor exactly, so the right-hand side is analytic on all of [0, 1].  The
+limit curve is then the unique solution through the closed-form endpoint
+state, and the first series is taken at s = 0 itself.
 """
 import math
 from dataclasses import dataclass, field
@@ -38,18 +43,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalFailure
-from .lattice import lagrange_interp
 from .systems import (AffineMap, LimitCurve, check_grid, plateau_zones,
                       pushforward_limits, reflect, validate_computed)
 
-# steps per unit s of a branch's first RK4 run
-DEFAULT_STEPS_PER_UNIT = 500
-# scaled tolerance of the step-doubling estimate (C over gap^2, B over gap)
-_DOUBLING_TOL = 1e-12
-# most doublings of the step count; at the cap the best branch is returned
-_MAX_DOUBLINGS = 5
-# rounding floor of the stopping test, in eps times max |y| per component
-_ROUNDING_ULPS = 256
+# most Taylor steps one branch may take
+DEFAULT_MAX_STEPS = 500
+# order of each step's Taylor polynomial
+_ORDER = 24
+# bound on each of a step's last two terms, relative to the component's scale
+_STEP_TOL = 1e-16
+# rounding floor of the estimate, in eps per step: the largest rounding
+# error seen against 30-digit references is 6.6 eps per step, C2 of the
+# backward branch of (-1e-6,0) u (0,1) at s = 0.994 after 42 steps
+_FLOOR_EPS_PER_STEP = 16
 # scaled bound of the splice mismatch (A over gap^2, B over gap); on the
 # default touching and gap systems it is stricter than 1e-4 absolute
 _SPLICE_TOL = 1e-5
@@ -103,9 +109,19 @@ def rhs(s, y):
         (1+s) s C1' + (2-s)(1-s) C2' = -4 s C1 + 4 (1-s) C2
         (s^2 / C1) C1' - ((1-s)^2 / C2) C2' = -2,
 
-    written in the equivalent solved form whose denominators stay bounded on
-    [0, 1].  B1' and B2' use the regularized square-root relations; both B
-    components are integrated so their mutual consistency can be monitored.
+    whose solved form, cleared of the removable factor s (1 - s), is
+
+        C1' = -2 C1 (2 (1-s) C1 + (3-2s) C2) / P
+        C2' =  2 C2 ((1+2s) C1 + 2s C2) / P,   P = (1+s)(1-s) C1 + s (2-s) C2,
+
+    with P > 0 on [0, 1].  The B's follow from the square-root relations,
+    regularized the same way, with D = (1-s) C1 - s C2:
+
+        B1' = 2 (1-s) sqrt(C1 + C2) D / P,   B2' = -2 s sqrt(C1 + C2) D / P.
+
+    Both B components are integrated so that B2 - B1 = sqrt(C1 + C2) can
+    be monitored.  The Taylor recurrences of :func:`_jet` follow these
+    operations, so their order-one coefficient is this derivative times r.
 
     ``y`` is any 4-sequence of floats; the result is a 4-tuple of floats.
     A nonpositive or NaN C raises :class:`NumericalFailure`.
@@ -114,29 +130,102 @@ def rhs(s, y):
     if not (C1 > 0.0 and C2 > 0.0):
         raise NumericalFailure("positivity lost in ODE state",
                                {"s": s, "C1": C1, "C2": C2})
-    q = (1.0 + s) * (1.0 - s) / C2 + s * (2.0 - s) / C1
-    d1 = -2.0 * (2.0 * (1.0 - s) * C1 / C2 + (3.0 - 2.0 * s)) / q
-    d2 = 2.0 * ((1.0 + 2.0 * s) + 2.0 * s * C2 / C1) / q
-    root = math.sqrt(C1 + C2)
-    dB1 = (2.0 * C1 + s * d1) / root * (1.0 + C2 / C1)
-    dB2 = (2.0 * C2 - (1.0 - s) * d2) / root * (1.0 + C1 / C2)
-    return d1, d2, dB1, dB2
+    P = (1.0 + s) * (1.0 - s) * C1 + s * (2.0 - s) * C2
+    F = math.sqrt(C1 + C2) * (((1.0 - s) * C1 - s * C2) / P)
+    return (-2.0 * (C1 * (2.0 * (1.0 - s) * C1 + (3.0 - 2.0 * s) * C2) / P),
+            2.0 * (C2 * ((1.0 + 2.0 * s) * C1 + 2.0 * s * C2) / P),
+            2.0 * (1.0 - s) * F, -2.0 * s * F)
+
+
+def _jet(s0, r, y):
+    """Taylor coefficients, to order 24 in t, of the solution through ``y``
+    at ``s0``, where s = s0 + r t.
+
+    Returns four lists (C1, C2, B1, B2) of 25 floats.  The factors of
+    :func:`rhs` that are polynomials in s have at most three coefficients
+    in t; the products, quotients by P and the root sqrt(C1 + C2) follow
+    the Cauchy-product recurrences, each sum taken in increasing index
+    order.  Both C's must be positive.
+    """
+    C1, C2, B1, B2 = y
+    # t-coefficients of the polynomial factors: (1+s)(1-s) is (a0, a1, rr),
+    # s(2-s) is (b0, b1, rr), 2(1-s) and 3-2s share u1, 1+2s and 2s share w1
+    rr = -r * r
+    a0, a1 = (1.0 + s0) * (1.0 - s0), -2.0 * s0 * r
+    b0, b1 = s0 * (2.0 - s0), 2.0 * (1.0 - s0) * r
+    u0, v0, u1 = 2.0 * (1.0 - s0), 3.0 - 2.0 * s0, -2.0 * r
+    w0, z0, w1 = 1.0 + 2.0 * s0, 2.0 * s0, 2.0 * r
+    e0 = 1.0 - s0
+    c1, c2, b1s, b2s = [C1], [C2], [B1], [B2]
+    P, N1, N2, Q1, Q2, E, R = [], [], [], [], [], [], []
+    x1 = x2 = xx1 = xx2 = f1 = 0.0     # c1, c2 at k - 1 and k - 2; F at k - 1
+    for k in range(_ORDER):
+        y1, y2 = c1[k], c2[k]
+        P.append(a0 * y1 + a1 * x1 + rr * xx1 + (b0 * y2 + b1 * x2 + rr * xx2))
+        N1.append(u0 * y1 + u1 * x1 + (v0 * y2 + u1 * x2))
+        N2.append(w0 * y1 + w1 * x1 + (z0 * y2 + w1 * x2))
+        q1 = q2 = 0.0
+        i = k
+        for j in range(k + 1):
+            q1 += c1[j] * N1[i]
+            q2 += c2[j] * N2[i]
+            i -= 1
+        e = e0 * y1 - r * x1 - (s0 * y2 + r * x2)
+        i = k - 1
+        for j in range(1, k + 1):
+            p = P[j]
+            q1 -= p * Q1[i]
+            q2 -= p * Q2[i]
+            e -= p * E[i]
+            i -= 1
+        p = P[0]
+        Q1.append(q1 / p)
+        Q2.append(q2 / p)
+        ek = e / p
+        E.append(ek)
+        if k:
+            root = y1 + y2
+            fk = 0.0
+            i = k - 1
+            for j in range(1, k):
+                a = R[j]
+                root -= a * R[i]
+                fk += a * E[i]
+                i -= 1
+            rk = root / (2.0 * R[0])
+            R.append(rk)
+            fk += R[0] * ek + rk * E[0]
+        else:
+            R.append(math.sqrt(y1 + y2))
+            fk = R[0] * ek
+        m = r / (k + 1)
+        c1.append(-2.0 * m * Q1[k])
+        c2.append(2.0 * m * Q2[k])
+        b1s.append(m * (u0 * fk + u1 * f1))
+        b2s.append(-m * (z0 * fk + w1 * f1))
+        x1, x2, xx1, xx2, f1 = y1, y2, x1, x2, fk
+    return c1, c2, b1s, b2s
 
 
 @dataclass
 class Branch:
-    """One branch run forward from s = 0, with dense 6-point Lagrange output.
+    """One branch run forward from s = 0, with its Taylor steps as dense output.
 
-    ``s`` is ascending and uniformly spaced from 0 (a reflected system's
-    rays, 1 - s in the user frame); ``y`` holds the state (C1, C2, B1, B2)
-    at each node.  ``identity_drift`` is the largest
-    |B2 - B1 - sqrt(C1 + C2)| over the finest RK4 run (redundancy monitor
-    for the B integration).  ``meta`` holds ``stop``, ``steps`` (every RK4
-    step of the branch's completed runs), ``doublings``, the scaled
-    ``error_estimate`` and ``stopped`` ("tolerance" or "cap").
+    ``s`` holds the step nodes, ascending from 0 to the stop (a reflected
+    system's rays, 1 - s in the user frame), and ``y`` the state (C1, C2,
+    B1, B2) at each.  Step k's polynomial in t = (s - s[k]) / r[k] has the
+    coefficients ``jets[k]`` (shape (25, 4)), in units of 4^e for C and 2^e
+    for B, e = ``exponent``.  ``identity_drift`` is the largest
+    |B2 - B1 - sqrt(C1 + C2)| at the nodes (redundancy monitor for the B
+    integration).  ``meta`` holds ``stop``, ``steps`` and the
+    ``error_estimate``: the largest over the components of its truncation
+    bound plus rounding floor, C relative to itself and B to the gap.
     """
     s: np.ndarray
     y: np.ndarray
+    r: np.ndarray
+    jets: np.ndarray
+    exponent: int
     identity_drift: float
     pack: BoundaryPack
     meta: dict = field(default_factory=dict)
@@ -144,13 +233,21 @@ class Branch:
     def sample(self, grid):
         """State samples at ``grid`` (columns C1, C2, B1, B2).
 
-        Local 6-point Lagrange interpolation on the uniform nodes; queries
-        outside the node range are extrapolated from the edge stencil, and
-        callers keep them inside the branch span.
+        Each point is read from the polynomial of the step that holds it,
+        by Horner's rule; a node is the start of its step and reads that
+        step's state exactly.  Queries outside the branch span are
+        extrapolated from the end steps, and callers keep them inside.
         """
         grid = np.asarray(grid, dtype=float)
-        x = grid * ((self.s.size - 1) / self.s[-1])
-        return lagrange_interp(self.y.T, x).T
+        k = np.clip(np.searchsorted(self.s, grid, side="right") - 1,
+                    0, self.r.size - 1)
+        t = ((grid - self.s[k]) / self.r[k])[:, None]
+        c = self.jets[k]
+        acc = c[:, _ORDER]
+        for j in range(_ORDER - 1, -1, -1):
+            acc = acc * t + c[:, j]
+        e = self.exponent
+        return np.ldexp(acc, [2 * e, 2 * e, e, e])
 
     def limit_values(self, grid):
         """(A1, A2, B1, B2) at ``grid``; B2 is reconstructed as B1 + sqrt(C1+C2)."""
@@ -163,108 +260,107 @@ class Branch:
         return A1, A2, B1, B2
 
 
-def _rk4(y, stop, n):
-    """``n`` classical RK4 steps on Python floats from state ``y`` at s = 0.
-
-    Returns the nodes i h, the state at each, and the largest identity
-    drift |B2 - B1 - sqrt(C1 + C2)| after a step.  Halving h is exact, so
-    the nodes of n steps are every second node of 2n steps.  Loss of
-    positivity in C raises :class:`NumericalFailure` with the last good s.
-    """
-    h = float(stop) / n
-    hh = 0.5 * h
-    h6 = h / 6.0
-    s_nodes = np.empty(n + 1)
-    y_nodes = np.empty((n + 1, 4))
-    s = 0.0
-    drift = 0.0
-    for i in range(n):
-        y0, y1, y2, y3 = y
-        try:
-            a0, a1, a2, a3 = rhs(s, y)
-            b0, b1, b2, b3 = rhs(s + hh, (y0 + hh * a0, y1 + hh * a1,
-                                          y2 + hh * a2, y3 + hh * a3))
-            c0, c1, c2, c3 = rhs(s + hh, (y0 + hh * b0, y1 + hh * b1,
-                                          y2 + hh * b2, y3 + hh * b3))
-            d0, d1, d2, d3 = rhs(s + h, (y0 + h * c0, y1 + h * c1,
-                                         y2 + h * c2, y3 + h * c3))
-        except NumericalFailure as exc:
-            exc.context["last_good_s"] = s
-            raise
-        s_nodes[i] = s
-        y_nodes[i] = y
-        y = (y0 + h6 * (a0 + 2.0 * b0 + 2.0 * c0 + d0),
-             y1 + h6 * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
-             y2 + h6 * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
-             y3 + h6 * (a3 + 2.0 * b3 + 2.0 * c3 + d3))
-        s = (i + 1) * h
-        csum = y[0] + y[1]
-        # a negative sum is left to the next rhs call's positivity check
-        if not csum < 0.0:
-            drift = max(drift, abs(y[3] - y[2] - math.sqrt(csum)))
-    s_nodes[n] = s
-    y_nodes[n] = y
-    return s_nodes, y_nodes, drift
+def _check_positive(y, e, s, context):
+    """NumericalFailure unless both C's of the scaled state ``y`` at ``s``
+    are positive; ``context`` adds to the reported user-unit values."""
+    if not (y[0] > 0.0 and y[1] > 0.0):
+        raise NumericalFailure("positivity lost in ODE state",
+                               {"s": s, "C1": math.ldexp(y[0], 2 * e),
+                                "C2": math.ldexp(y[1], 2 * e), **context})
 
 
-def integrate_branch(pack, stop, steps_per_unit=DEFAULT_STEPS_PER_UNIT):
-    """Integrate one branch forward from s = 0 to ``stop``, error-controlled.
+def integrate_branch(pack, stop, max_steps=DEFAULT_MAX_STEPS):
+    """Integrate one branch forward from s = 0 to ``stop`` by Taylor steps.
 
     The branch starts from the closed-form state in ``pack`` (the
-    right-hand side is regular there, so the first RK4 stage is taken at
-    s = 0 itself); the one next to s = 1 runs on the reflected system.
+    right-hand side is analytic there); the one next to s = 1 runs on the
+    reflected system.  The first series is taken in t = s / stop, each
+    later one with r the step before.  Step length h (in t) follows the
+    rule of Jorba & Zou: the least over the components i and j in {23, 24}
+    of (tol scale_i / |y_ij|)^(1/j), scale_i being |C_i| at the step's start
+    and the gap at s = 0 for the B's, so each of the last two terms is at
+    most tol of its component's scale.  A step that would pass ``stop``
+    lands on it.  A step below the spacing of doubles at its start (only
+    next to a singular end, as on alpha ~ 1e32 systems) goes to the next
+    double.  The estimate sums each component's larger last term over the
+    steps and adds ``_FLOOR_EPS_PER_STEP`` eps per step, times the
+    component's largest value over its scale for the B's.
 
-    Step doubling with Richardson extrapolation (Hairer, Norsett & Wanner,
-    *Solving ODEs I*, II.4): the first run takes n = ceil(``stop`` *
-    ``steps_per_unit``) steps (at least 1), the next 2n.  At the n + 1
-    shared nodes RK4's h^4 error gives the extrapolated state
-    y2n + (y2n - yn)/15 and the estimate |y2n - yn|/15, scaled by the gap
-    at s = 0 (C over gap^2, B over gap).  While the estimate of some
-    component exceeds ``_DOUBLING_TOL`` plus a rounding floor of
-    ``_ROUNDING_ULPS`` eps max|y|, the step count doubles again and the old
-    fine run becomes the coarse one, so each doubling integrates once.  A
-    run too coarse to keep C positive counts as unconverged: the count
-    doubles past it, and its failure is raised only when no pair of runs is
-    left under the cap.  After ``_MAX_DOUBLINGS`` doublings the best branch
-    is returned with its estimate; that is not an error.  The returned nodes
-    are those of the finest run, with the correction (y2n - yn)/15
-    interpolated onto its odd nodes.  ``meta`` reports the work and the
-    estimate (see :class:`Branch`).
+    A branch that has not reached ``stop`` after ``max_steps`` steps and a
+    state that loses positivity raise :class:`NumericalFailure` with the s
+    reached and the last good s, as floats.  ``meta`` reports the work and
+    the estimate (see :class:`Branch`).
     """
-    if not steps_per_unit >= 1:
-        raise ValueError(f"steps_per_unit must be at least 1, got {steps_per_unit}")
+    if not max_steps >= 1:
+        raise ValueError(f"max_steps must be at least 1, got {max_steps}")
     if not 0.0 < stop <= 1.0:
         raise ValueError(f"branch stop must lie in (0, 1], got {stop}")
-    y = (pack.C1_0, pack.C2_0, pack.B1_0, pack.B2_0)
-    gap = pack.gap_0
-    scale = np.array([gap * gap, gap * gap, gap, gap])
-    n = max(1, int(np.ceil(stop * steps_per_unit)))
-    coarse, steps = None, 0
-    for doublings in range(_MAX_DOUBLINGS + 1):
-        try:
-            s_fine, fine, drift = _rk4(y, stop, n)
-        except NumericalFailure:
-            if doublings >= _MAX_DOUBLINGS - 1:
-                raise
-            coarse, n = None, 2 * n
-            continue
-        steps += n
-        if coarse is not None:
-            diff = (fine[::2] - coarse) / 15.0
-            err = np.abs(diff).max(axis=0)
-            floor = (_ROUNDING_ULPS * np.finfo(float).eps
-                     * np.abs(fine).max(axis=0))
-            converged = bool(np.all(err <= _DOUBLING_TOL * scale + floor))
-            if converged:
-                break
-        coarse, n = fine, 2 * n
-    # the correction is smooth and tiny, so interpolating it onto the odd
-    # fine nodes loses nothing and halves the mesh the read-out sees
-    y_nodes = fine + lagrange_interp(diff.T, np.arange(len(fine)) / 2.0).T
-    meta = {"steps": steps, "stop": stop, "doublings": doublings,
-            "error_estimate": float(np.max(err / scale)),
-            "stopped": "tolerance" if converged else "cap"}
-    return Branch(s_fine, y_nodes, drift, pack, meta)
+    e = math.frexp(pack.gap_0)[1]
+    y = (math.ldexp(pack.C1_0, -2 * e), math.ldexp(pack.C2_0, -2 * e),
+         math.ldexp(pack.B1_0, -e), math.ldexp(pack.B2_0, -e))
+    gap = math.ldexp(pack.gap_0, -e)
+    _check_positive(y, e, 0.0, {})
+    nodes, states, dense_r, jets = [0.0], [y], [], []
+    trunc = [0.0] * 4
+    s0, r = 0.0, float(stop)
+    for _ in range(max_steps):
+        jet = _jet(s0, r, y)
+        scale = (y[0], y[1], gap, gap)
+        h = left = (stop - s0) / r
+        for c, b in zip(jet, scale):
+            for j in (_ORDER - 1, _ORDER):
+                a = abs(c[j])
+                if a > 0.0:
+                    h = min(h, (_STEP_TOL * b / a) ** (1.0 / j))
+        s1, dense = s0 + r * h, r
+        if h == left or s1 >= stop:
+            h, s1 = left, stop
+        elif s1 == s0:
+            # s cannot resolve a step below its spacing at s0: the state
+            # the step reaches goes to the next double, the step's dense
+            # output maps that double onto it, and the lag enters the
+            # estimate to first order
+            s1 = math.nextafter(s0, stop)
+            dense = (s1 - s0) / h
+            h = (s1 - s0) / dense
+            lag = (s1 - s0) / r - h
+            for i, (c, b) in enumerate(zip(jet, scale)):
+                trunc[i] += abs(c[1]) * lag / b
+        for i, (c, b) in enumerate(zip(jet, scale)):
+            trunc[i] += max(abs(c[_ORDER - 1]) * h ** (_ORDER - 1),
+                            abs(c[_ORDER]) * h ** _ORDER) / b
+        new = []
+        for c in jet:
+            acc = c[_ORDER]
+            for j in range(_ORDER - 1, -1, -1):
+                acc = acc * h + c[j]
+            new.append(acc)
+        y = tuple(new)
+        _check_positive(y, e, s1, {"last_good_s": s0})
+        jets.append(jet)
+        dense_r.append(dense)
+        nodes.append(s1)
+        states.append(y)
+        r, s0 = s1 - s0, s1
+        if s1 == stop:
+            break
+    else:
+        raise NumericalFailure(
+            f"ODE branch did not reach its stop within max_steps = {max_steps}",
+            {"s": s0, "last_good_s": s0, "stop": float(stop)})
+    steps = len(jets)
+    ys = np.array(states)
+    # C's round relative to themselves, B's relative to their size
+    big = np.maximum(np.max(np.abs(ys), axis=0) / gap, 1.0)
+    big[:2] = 1.0
+    floor = _FLOOR_EPS_PER_STEP * np.finfo(float).eps * steps * big
+    y_user = np.ldexp(ys, [2 * e, 2 * e, e, e])
+    drift = float(np.max(np.abs(y_user[:, 3] - y_user[:, 2]
+                                - np.sqrt(y_user[:, 0] + y_user[:, 1]))))
+    meta = {"steps": steps, "stop": stop,
+            "error_estimate": float(np.max(np.array(trunc) + floor))}
+    return Branch(np.array(nodes), y_user, np.array(dense_r),
+                  np.array(jets).transpose(0, 2, 1), e, drift, pack, meta)
 
 
 def _mirrored(branch, t):
@@ -286,7 +382,7 @@ def assemble_curve(forward, backward, c1, c2, grid):
     each read at its branch's own stop.  Their mismatch is recorded in
     ``meta``, ``ok`` when at most ``_SPLICE_TOL`` scaled by the smaller
     endpoint gap, together with the branch redundancy monitors and, under
-    ``branches``, each branch's step-doubling report.
+    ``branches``, each branch's steps and error estimate.
     """
     grid = check_grid(grid)
     end_f = np.array(forward.limit_values(np.array([forward.meta["stop"]])))
@@ -312,23 +408,30 @@ def assemble_curve(forward, backward, c1, c2, grid):
     meta = {"splice_mismatch": mism,
             "identity_drift": {"forward": forward.identity_drift,
                                "backward": backward.identity_drift},
-            "branches": {name: {k: br.meta[k] for k in
-                                ("error_estimate", "steps", "doublings",
-                                 "stopped")}
+            "branches": {name: {k: br.meta[k]
+                                for k in ("error_estimate", "steps")}
                          for name, br in (("forward", forward),
                                           ("backward", backward))}}
     return validate_computed(LimitCurve(grid.copy(), *vals, "ode", meta))
 
 
-def solve_system(sys, plateau, grid, steps_per_unit=DEFAULT_STEPS_PER_UNIT):
+def solve_system(sys, plateau, grid, max_steps=DEFAULT_MAX_STEPS):
     """Full ODE-route curve for ``sys``: both branches plus the splice.
 
     ``plateau`` (from the surface route) supplies c1, c2 and the exact
     1 - c2: the forward branch runs ``sys`` to c1, the backward one
-    ``reflect(sys)`` to 1 - c2.  Returns the assembled :class:`LimitCurve`.
+    ``reflect(sys)`` to 1 - c2, each within ``max_steps`` steps.  A
+    :class:`NumericalFailure` of a branch names it under ``branch``.
+    Returns the assembled :class:`LimitCurve`.
     """
-    forward = integrate_branch(boundary_values(sys), plateau.c1,
-                               steps_per_unit)
-    backward = integrate_branch(boundary_values(reflect(sys)),
-                                plateau.one_minus_c2, steps_per_unit)
-    return assemble_curve(forward, backward, plateau.c1, plateau.c2, grid)
+    branches = []
+    for name, pack, stop in (
+            ("forward", boundary_values(sys), plateau.c1),
+            ("backward", boundary_values(reflect(sys)),
+             plateau.one_minus_c2)):
+        try:
+            branches.append(integrate_branch(pack, stop, max_steps))
+        except NumericalFailure as exc:
+            exc.context["branch"] = name
+            raise
+    return assemble_curve(*branches, plateau.c1, plateau.c2, grid)

@@ -205,10 +205,9 @@ def test_run_meta_states_the_ode_error_estimate(tmp_path, interval1):
     branches = json.loads((out / "run_meta.json").read_text())["ode"]["branches"]
     assert set(branches) == {"forward", "backward"}
     for b in branches.values():
-        assert set(b) == {"error_estimate", "steps", "doublings", "stopped"}
-        assert b["stopped"] == "tolerance"
+        assert set(b) == {"error_estimate", "steps"}
         assert 0.0 < b["error_estimate"] <= 1e-12
-        assert b["steps"] > 0 and 1 <= b["doublings"] <= 5
+        assert 0 < b["steps"] <= 500
 
 
 def test_run_meta_states_the_lattice_estimate_at_the_compared_points(tmp_path):
@@ -629,9 +628,28 @@ def test_numerical_failure_exit_code(tmp_path, monkeypatch):
         raise NumericalFailure("forced", {})
 
     monkeypatch.setattr(climod, "plateau_bounds", boom)
-    rc = main(["compute", "--methods", "surface",
-               "--output_dir", str(tmp_path / "out")])
+    for command in (["compute", "--methods", "surface"], ["validate"]):
+        out = tmp_path / command[0]
+        rc = main(command + ["--output_dir", str(out)])
+        assert rc == 3
+        record = json.loads((out / "failure.json").read_text())
+        assert record == {"command": command[0], "message": "forced",
+                          "context": {}}
+
+
+def test_a_branch_at_its_step_cap_leaves_a_failure_record(tmp_path):
+    # touching's forward branch needs 7 Taylor steps
+    out = tmp_path / "out"
+    rc = main(["compute", "--methods", "ode", "--ode_steps", "1",
+               "--output_dir", str(out)])
     assert rc == 3
+    record = json.loads((out / "failure.json").read_text())
+    assert record["command"] == "compute"
+    assert "max_steps = 1" in record["message"]
+    ctx = record["context"]
+    assert ctx["branch"] == "forward"
+    assert 0.0 < ctx["s"] == ctx["last_good_s"] < ctx["stop"]
+    assert not (out / "ode.csv").exists()
 
 
 def test_plot(tmp_path):

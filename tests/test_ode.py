@@ -3,14 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from angelesco import (AngelescoSystem, Interval, NumericalFailure, reflect,
-                       star_normalize)
+from angelesco import (AngelescoSystem, BoundaryPack, Branch, Interval,
+                       NumericalFailure, reflect, star_normalize)
 import angelesco.ode as ode_mod
-from angelesco.lattice import lagrange_interp
-from angelesco.ode import (BoundaryPack, Branch, _rk4, assemble_curve,
-                           boundary_values, integrate_branch, rhs,
-                           solve_system)
+from angelesco.ode import (_jet, assemble_curve, boundary_values,
+                           integrate_branch, rhs, solve_system)
 from angelesco.surface import limit_curve, plateau_bounds
+from angelesco.systems import plateau_zones
 
 
 @pytest.fixture(scope="module")
@@ -238,7 +237,7 @@ def test_splice_verdict_is_scale_free(name, request):
     base = request.getfixturevalue(f"{name}_system")
     info = request.getfixturevalue(f"{name}_info")
     seen = []
-    for k in (-20, 0, 20):
+    for k in (-30, 0, 30):
         lam = 2.0 ** k
         sys = AngelescoSystem(Interval(lam * base.i1.lo, lam * base.i1.hi),
                               Interval(lam * base.i2.lo, lam * base.i2.hi))
@@ -250,7 +249,7 @@ def test_splice_verdict_is_scale_free(name, request):
         seen.append((mism["ok"], scaled.tolist()))
     assert seen[0] == seen[1] == seen[2]
     assert seen[0][0]
-    # the raw mismatch of the 2^20 copy is far above the old absolute 1e-4
+    # the raw mismatch of the 2^30 copy is far above the old absolute 1e-4
     assert max(mism["at_c1_vs_c2"]) > 1e-4
 
 
@@ -293,8 +292,8 @@ def test_ode_matches_surface(touching_system, touching_info,
 
 @pytest.mark.parametrize("name", ["touching", "gap"])
 def test_ode_reaches_surface_digits(name, request):
-    # RK4 from the exact endpoint state has no start-up error floor: at the
-    # default step count the ODE curve meets the surface to near rounding
+    # the series start at the exact endpoint state, so there is no
+    # start-up error floor: the ODE curve meets the surface to near rounding
     sys = request.getfixturevalue(f"{name}_system")
     info = request.getfixturevalue(f"{name}_info")
     grid = np.linspace(0.0, 1.0, 181)
@@ -327,7 +326,7 @@ def test_solve_system_rejects_a_bad_grid_as_input(touching_system,
     # the caller's grid is input (ValueError), not a numerical failure
     with pytest.raises(ValueError, match="grid"):
         solve_system(touching_system, touching_info, np.array([0.3, 0.2]),
-                     steps_per_unit=100)
+                     max_steps=100)
 
 
 def test_assembled_curve_endpoints_exact(touching_system, touching_info,
@@ -347,12 +346,14 @@ def test_assembled_curve_endpoints_exact(touching_system, touching_info,
 
 def test_monotone_structure_near_ends(touching_pack, touching_hat,
                                       touching_info):
-    fwd = integrate_branch(touching_pack, touching_info.c1)
-    assert np.all(np.diff(fwd.y[:100, 1]) > 0)      # C2 grows off s = 0
-    assert np.all(np.diff(fwd.y[:100, 0]) < 0)      # C1 falls
-    bwd = integrate_branch(touching_hat, touching_info.one_minus_c2)
+    near = np.linspace(0.0, 0.1, 100)
+    fwd = integrate_branch(touching_pack, touching_info.c1).sample(near)
+    assert np.all(np.diff(fwd[:, 1]) > 0)      # C2 grows off s = 0
+    assert np.all(np.diff(fwd[:, 0]) < 0)      # C1 falls
+    bwd = integrate_branch(touching_hat,
+                           touching_info.one_minus_c2).sample(near)
     # C1 still falling into s = 1: the reflected C2 grows off its s = 0
-    assert np.all(np.diff(bwd.y[:100, 1]) > 0)
+    assert np.all(np.diff(bwd[:, 1]) > 0)
 
 
 def test_plateau_values_match_surface(gap_system, gap_info):
@@ -366,86 +367,90 @@ def test_plateau_values_match_surface(gap_system, gap_info):
         assert getattr(cv, f)[i] == pytest.approx(getattr(p, f)[0], abs=1e-8)
 
 
-def test_positivity_failure_reports_last_good_s():
-    # fabricated data that drives C1 through zero almost immediately
-    pk = BoundaryPack(1e-4, 25.0, -4.5, 0.5001)
-    with pytest.raises(NumericalFailure) as exc:
-        integrate_branch(pk, 0.5)
+def test_positivity_failure_reports_last_good_s(monkeypatch,
+                                                touching_pack):
+    # a jet whose C1 falls steeply drives the state through zero within
+    # the step the rule allows; the failure names the step's start
+    real = ode_mod._jet
+
+    def steep(s0, r, y):
+        c1, c2, b1, b2 = real(s0, r, y)
+        c1[1] = -100.0 * c1[0]
+        return c1, c2, b1, b2
+
+    monkeypatch.setattr(ode_mod, "_jet", steep)
+    with pytest.raises(NumericalFailure, match="positivity") as exc:
+        integrate_branch(touching_pack, 0.5)
     ctx = exc.value.context
-    assert "last_good_s" in ctx
+    assert ctx["last_good_s"] == 0.0 and ctx["s"] > 0.0 and ctx["C1"] < 0.0
     # plain floats, so a failure record can be written as JSON
     assert all(type(v) is float for v in ctx.values())
     assert json.loads(json.dumps(ctx)) == ctx
 
 
-@pytest.mark.parametrize("name", ["touching", "gap"])
-@pytest.mark.parametrize("steps", [1, 2])
-def test_a_run_that_loses_positivity_counts_as_unconverged(name, steps,
-                                                           request):
-    # a one-step run overshoots C1 through zero (s ~ 0.30 and 0.40 on
-    # touching, 0.37 on gap); the count doubles past it, only completed
-    # runs count as steps, and the capped curve meets the surface
-    sys = request.getfixturevalue(f"{name}_system")
-    info = request.getfixturevalue(f"{name}_info")
-    grid = np.linspace(0.0, 1.0, 181)
-    cv = solve_system(sys, info, grid, steps)
-    ref = limit_curve(sys, grid, info)
-    for f in ("A1", "A2", "B1", "B2"):
-        assert np.max(np.abs(getattr(cv, f) - getattr(ref, f))) < 1e-7, f
-    lost = 0
-    for (pk, stop), br in zip(_branches(sys, info),
-                              cv.meta["branches"].values()):
-        n = max(1, int(np.ceil(stop * steps)))
-        try:
-            _rk4(_end_state(pk), stop, n)
-            first = 0
-        except NumericalFailure:
-            first = n
-        lost += first
-        assert br["steps"] == n * (2 ** (br["doublings"] + 1) - 1) - first
-    assert lost
+def test_a_nonpositive_start_state_is_a_numerical_failure():
+    with pytest.raises(NumericalFailure, match="positivity") as exc:
+        integrate_branch(BoundaryPack(-1e-4, 25.0, -4.5, 0.5001), 0.5)
+    assert exc.value.context["s"] == 0.0
 
 
 @pytest.mark.parametrize("steps", [0, -5, 0.5, float("nan")])
 def test_branch_rejects_step_count_below_one(touching_pack, steps):
-    with pytest.raises(ValueError, match="steps_per_unit"):
-        integrate_branch(touching_pack, 0.5, steps_per_unit=steps)
+    with pytest.raises(ValueError, match="max_steps"):
+        integrate_branch(touching_pack, 0.5, max_steps=steps)
 
 
-def _reference_branch(pack, stop, steps_per_unit):
-    """The RK4 branch loop written on 4-element numpy arrays.
+def test_a_branch_at_its_step_cap_is_a_numerical_failure(touching_system,
+                                                          touching_info,
+                                                          touching_pack):
+    # touching needs 7 and 5 steps: a cap below that never returns a
+    # branch short of its stop, and the failure names the branch
+    stop = touching_info.c1
+    assert integrate_branch(touching_pack, stop, 7).meta["steps"] == 7
+    with pytest.raises(NumericalFailure, match="within max_steps = 6") as exc:
+        integrate_branch(touching_pack, stop, 6)
+    ctx = exc.value.context
+    assert 0.0 < ctx["s"] == ctx["last_good_s"] < ctx["stop"] == stop
+    assert all(type(v) is float for v in ctx.values())
+    unbalanced = AngelescoSystem(Interval(-1e-3, 0.0), Interval(0.0, 1.0))
+    for sys, info, cap, name in (
+            (touching_system, touching_info, 1, "forward"),
+            (touching_system, touching_info, 6, "forward"),
+            (unbalanced, plateau_bounds(star_normalize(unbalanced)[0]), 10,
+             "backward")):
+        with pytest.raises(NumericalFailure) as exc:
+            solve_system(sys, info, np.linspace(0.0, 1.0, 181), cap)
+        assert exc.value.context["branch"] == name
+    cv = solve_system(touching_system, touching_info,
+                      np.linspace(0.0, 1.0, 181), 7)
+    assert [b["steps"] for b in cv.meta["branches"].values()] == [7, 5]
 
-    A reference for :func:`angelesco.ode._rk4`, whose float loop forms every
-    stage with the same operations in the same order and so must reproduce
-    these nodes bit for bit.  Returns (s, y, d, identity_drift).
-    """
-    def f(s, y):
-        C1, C2 = y[0], y[1]
-        q = (1.0 + s) * (1.0 - s) / C2 + s * (2.0 - s) / C1
-        d1 = -2.0 * (2.0 * (1.0 - s) * C1 / C2 + (3.0 - 2.0 * s)) / q
-        d2 = 2.0 * ((1.0 + 2.0 * s) + 2.0 * s * C2 / C1) / q
-        root = np.sqrt(C1 + C2)
-        dB1 = (2.0 * C1 + s * d1) / root * (1.0 + C2 / C1)
-        dB2 = (2.0 * C2 - (1.0 - s) * d2) / root * (1.0 + C1 / C2)
-        return np.array([d1, d2, dB1, dB2])
 
-    s, y = 0.0, np.array(_end_state(pack))
-    n = max(1, int(np.ceil(stop * steps_per_unit)))
-    h = stop / n
-    s_nodes, y_nodes, d_nodes = np.empty(n + 1), np.empty((n + 1, 4)), \
-        np.empty((n + 1, 4))
-    drift = 0.0
-    for i in range(n):
-        k1 = f(s, y)
-        k2 = f(s + 0.5 * h, y + 0.5 * h * k1)
-        k3 = f(s + 0.5 * h, y + 0.5 * h * k2)
-        k4 = f(s + h, y + h * k3)
-        s_nodes[i], y_nodes[i], d_nodes[i] = s, y, k1
-        y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        s = (i + 1) * h
-        drift = max(drift, abs(y[3] - y[2] - np.sqrt(y[0] + y[1])))
-    s_nodes[n], y_nodes[n], d_nodes[n] = s, y, f(s, y)
-    return s_nodes, y_nodes, d_nodes, drift
+def test_jet_order_one_is_rhs():
+    # the recurrences follow rhs's operations, so the order-one coefficient
+    # is r times the derivative; checked to 2 ulp at random positive states
+    rng = np.random.default_rng(26)
+    for _ in range(2000):
+        s = rng.uniform(0.0, 1.0)
+        r = 10.0 ** rng.uniform(-17, 0)
+        y = (*10.0 ** rng.uniform(-60, 60, 2), *rng.uniform(-5.0, 5.0, 2))
+        jet = _jet(s, r, y)
+        want = rhs(s, y)
+        for i in range(4):
+            assert jet[i][0] == y[i]
+            got = jet[i][1] / r
+            assert abs(got - want[i]) <= 2 * np.spacing(abs(want[i])), (s, r, y, i)
+
+
+def test_jet_has_the_order_and_scaling_of_the_series():
+    # t-coefficients at scale r are the s-coefficients times r^j
+    y = (6.0, 0.5, -2.0, 0.5)
+    one = _jet(0.2, 1.0, y)
+    half = _jet(0.2, 0.5, y)
+    for a, b in zip(one, half):
+        assert len(a) == len(b) == ode_mod._ORDER + 1
+        for j, (x, z) in enumerate(zip(a, b)):
+            assert z == pytest.approx(x * 0.5 ** j, rel=1e-13, abs=1e-300)
 
 
 def _branches(sys, info):
@@ -455,40 +460,66 @@ def _branches(sys, info):
             (boundary_values(reflect(sys)), info.one_minus_c2))
 
 
-@pytest.mark.parametrize("name", ["touching", "gap"])
-def test_branches_match_array_reference_bit_for_bit(name, request):
+def _mp_rhs(mp):
+    """The closed-form right-hand side of :func:`rhs` in mpmath numbers."""
+    def f(s, y):
+        C1, C2, B1, B2 = y
+        P = (1 + s) * (1 - s) * C1 + s * (2 - s) * C2
+        F = mp.sqrt(C1 + C2) * ((1 - s) * C1 - s * C2) / P
+        return [-2 * C1 * (2 * (1 - s) * C1 + (3 - 2 * s) * C2) / P,
+                2 * C2 * ((1 + 2 * s) * C1 + 2 * s * C2) / P,
+                2 * (1 - s) * F, -2 * s * F]
+    return f
+
+
+@pytest.mark.parametrize("name,side", [("touching", 0), ("gap", 1)],
+                         ids=["touching-forward", "gap-backward"])
+def test_branch_matches_a_30_digit_reference(name, side, request):
+    # mpmath's own Taylor integrator at 30 digits, from the same double
+    # start state: C relative to itself, B relative to the gap at s = 0,
+    # at ten points across the branch, its stop included
+    mp = pytest.importorskip("mpmath")
     sys = request.getfixturevalue(f"{name}_system")
     info = request.getfixturevalue(f"{name}_info")
-    for pk, stop in _branches(sys, info):
-        n = max(1, int(np.ceil(stop * 2000)))
-        br_s, br_y, br_drift = _rk4(_end_state(pk), stop, n)
-        s, y, d, drift = _reference_branch(pk, stop, 2000)
-        assert br_s.tolist() == s.tolist()
-        assert br_y.tolist() == y.tolist()
-        assert br_drift == drift
+    pk, stop = _branches(sys, info)[side]
+    br = integrate_branch(pk, stop)
+    est = br.meta["error_estimate"]
+    points = stop * np.arange(1, 11) / 10.0
+    points[-1] = stop
+    got = br.sample(points)
+    with mp.workdps(30):
+        sol = mp.odefun(_mp_rhs(mp), 0,
+                        [mp.mpf(v) for v in (pk.C1_0, pk.C2_0, pk.B1_0,
+                                             pk.B2_0)])
+        for x, row in zip(points, got):
+            ref = sol(mp.mpf(x))
+            err = [float(abs(row[i] - ref[i]) / abs(ref[i])) for i in (0, 1)]
+            err += [float(abs(row[i] - ref[i]) / pk.gap_0) for i in (2, 3)]
+            assert max(err) <= min(1e-14, est), (x, err, est)
 
 
 def _branch_errors(i1, i2):
-    """Each branch of the system with its error at the 181 grid points.
+    """Each branch of the system with its error against the surface.
 
-    The error is in the estimate's units (C over gap^2, B over gap, gap at
-    the branch's s = 0), against plain RK4 at 200000 steps per unit.  The
-    reflected branch is checked on its own rays.
+    The error is the largest over the branch's zone of the 181-point grid
+    in the estimate's units: A1 and A2 relative to themselves (A = s^2 C1,
+    (1-s)^2 C2), B1 and B2 over the branch's gap at its s = 0.
     """
     sys = AngelescoSystem(Interval(*i1), Interval(*i2))
     info = plateau_bounds(star_normalize(sys)[0])
     grid = np.linspace(0.0, 1.0, 181)
+    cv = solve_system(sys, info, grid)
+    ref = limit_curve(sys, grid, info)
     out = []
-    for pk, stop in _branches(sys, info):
-        br = integrate_branch(pk, stop)
-        n = max(1, int(np.ceil(stop * 200000)))
-        _, ref, _ = _rk4(_end_state(pk), stop, n)
-        g = grid[(grid >= br.s[0]) & (grid <= br.s[-1])]
-        want = lagrange_interp(ref.T, g * (n / stop)).T
-        gap = pk.gap_0
-        scale = np.array([gap * gap, gap * gap, gap, gap])
-        err = np.abs(br.sample(g) - want) / scale
-        out.append((br, float(err.max()) if g.size else 0.0))
+    for (pk, _), zone, name in zip(_branches(sys, info),
+                                   plateau_zones(grid, info.c1, info.c2)[::2],
+                                   ("forward", "backward")):
+        err = [np.abs(getattr(cv, f)[zone] - getattr(ref, f)[zone])
+               / np.abs(getattr(ref, f)[zone]) for f in ("A1", "A2")]
+        err += [np.abs(getattr(cv, f)[zone] - getattr(ref, f)[zone])
+                / pk.gap_0 for f in ("B1", "B2")]
+        out.append((cv.meta["branches"][name],
+                    float(np.max(err)) if np.any(zone) else 0.0))
     return out
 
 
@@ -498,76 +529,109 @@ def _branch_errors(i1, i2):
                                    ((-1.0, 0.0), (2.0, 3.0)),
                                    ((-1000.0, 0.0), (0.0, 1.0)),
                                    ((-1e-3, 0.0), (0.0, 1.0)),
-                                   ((-1e-6, 0.0), (0.0, 1.0))],
+                                   ((-1e-6, 0.0), (0.0, 1.0)),
+                                   ((-1e-9, 0.0), (0.0, 1.0)),
+                                   ((-1.0, 0.0), (0.0, 1000.0)),
+                                   ((-1e9, 0.0), (0.0, 1.0))],
                          ids=["touching", "gap", "symmetric", "apart",
-                              "alpha1e3", "alpha1e-3", "alpha1e-6-cap"])
+                              "alpha1e3", "alpha1e-3", "alpha1e-6",
+                              "alpha1e-9", "wide-right", "alpha1e9"])
 def test_branch_error_is_within_its_estimate(i1, i2):
-    for side, (br, err) in enumerate(_branch_errors(i1, i2)):
-        est = br.meta["error_estimate"]
-        assert err <= est, (side, err, est)
-        if br.meta["stopped"] == "tolerance":
-            assert est <= ode_mod._DOUBLING_TOL
+    # every branch reaches its stop on the tolerance, and its estimate
+    # covers its error against the surface
+    for br, err in _branch_errors(i1, i2):
+        assert err <= br["error_estimate"] <= 1e-12, (br, err)
 
 
-def test_branch_steps_count_every_rk4_run(touching_pack, touching_info):
-    # the first run takes n steps and each doubling one run of twice the last
-    br = integrate_branch(touching_pack, touching_info.c1, 100)
-    n = int(np.ceil(touching_info.c1 * 100))
-    k = br.meta["doublings"]
-    assert br.meta["steps"] == n * (2 ** (k + 1) - 1)
-    assert br.s.size == n * 2 ** k + 1
-
-
-def test_unbalanced_system_takes_more_doublings(touching_system,
-                                                touching_info):
-    # one first-run step count, two systems: touching meets the tolerance
-    # after one doubling, (-1000,0) u (0,1) only after four
-    sys = AngelescoSystem(Interval(-1000.0, 0.0), Interval(0.0, 1.0))
-    info = plateau_bounds(star_normalize(sys)[0])
+def test_unbalanced_systems_take_more_steps_not_more_error(touching_system,
+                                                          touching_info):
+    # touching takes 7 and 5 steps; (-1e-9,0) u (0,1) takes 62 on the
+    # branch that runs into the thin layer before its plateau edge
     grid = np.linspace(0.0, 1.0, 181)
     easy = solve_system(touching_system, touching_info, grid)
-    hard = solve_system(sys, info, grid)
-    for name in ("forward", "backward"):
-        assert easy.meta["branches"][name]["doublings"] == 1
-        assert hard.meta["branches"][name]["doublings"] == 4
-        assert hard.meta["branches"][name]["stopped"] == "tolerance"
-
-
-def test_cap_returns_a_valid_curve_with_its_estimate():
-    # (-1e-6,0) u (0,1) does not meet the tolerance within the cap: the
-    # curve still passes the contract, and the estimate says how good it is
-    sys = AngelescoSystem(Interval(-1e-6, 0.0), Interval(0.0, 1.0))
-    info = plateau_bounds(star_normalize(sys)[0])
-    cv = solve_system(sys, info, np.linspace(0.0, 1.0, 181))
-    capped = [b for b in cv.meta["branches"].values() if b["stopped"] == "cap"]
-    assert capped
-    for b in capped:
-        assert b["doublings"] == ode_mod._MAX_DOUBLINGS
-        assert ode_mod._DOUBLING_TOL < b["error_estimate"] < 1e-8
+    sys = AngelescoSystem(Interval(-1e-9, 0.0), Interval(0.0, 1.0))
+    hard = solve_system(sys, plateau_bounds(star_normalize(sys)[0]), grid)
+    assert [b["steps"] for b in easy.meta["branches"].values()] == [7, 5]
+    assert hard.meta["branches"]["backward"]["steps"] > 50
+    assert max(b["error_estimate"]
+               for b in hard.meta["branches"].values()) <= 1e-12
 
 
 def test_far_from_the_origin_stops_below_the_cap():
-    # touching moved by 2^20: B ~ 1e6, so without the rounding floor the
-    # B estimate could never meet the tolerance
-    sys = AngelescoSystem(Interval(1048574.0, 1048576.0),
-                          Interval(1048576.0, 1048577.0))
-    for pk, stop in ((boundary_values(sys), 0.6),
-                     (boundary_values(reflect(sys)), 0.4)):
+    # touching moved by 2^20: B ~ 1e6 rounds at 1e6 eps, which the
+    # estimate's floor counts in units of the gap
+    for br, err in _branch_errors((1048574.0, 1048576.0),
+                                  (1048576.0, 1048577.0)):
+        assert br["steps"] < ode_mod.DEFAULT_MAX_STEPS
+        assert err <= br["error_estimate"] <= 1e-7, (br, err)
+
+
+def test_the_small_component_of_a_1e32_system_is_right():
+    # (-2,0) u (0,1e32): C1 and C2 differ by about 1e60 near the end of the
+    # backward branch.  Every component meets the surface to 1e-10
+    # relative, and each branch's estimate covers its error
+    sys = AngelescoSystem(Interval(-2.0, 0.0), Interval(0.0, 1e32))
+    info = plateau_bounds(star_normalize(sys)[0])
+    grid = np.linspace(0.0, 1.0, 181)
+    cv = solve_system(sys, info, grid)
+    ref = limit_curve(sys, grid, info)
+    for f in ("A1", "A2", "B1", "B2"):
+        a, b = getattr(cv, f)[1:-1], getattr(ref, f)[1:-1]
+        assert np.max(np.abs(a - b) / np.abs(b)) <= 1e-10, f
+    for br, err in _branch_errors((-2.0, 0.0), (0.0, 1e32)):
+        assert err <= br["error_estimate"], (br, err)
+
+
+@pytest.mark.parametrize("name", ["touching", "gap"])
+def test_branches_match_array_reference_bit_for_bit(name, request):
+    # the numpy dense output reproduces the float loop's node states: a
+    # node starts its step, at t = 0, and the stop ends the last one at the
+    # t the loop stepped to
+    sys = request.getfixturevalue(f"{name}_system")
+    info = request.getfixturevalue(f"{name}_info")
+    for pk, stop in _branches(sys, info):
         br = integrate_branch(pk, stop)
-        assert br.meta["stopped"] == "tolerance"
-        assert br.meta["doublings"] < ode_mod._MAX_DOUBLINGS
+        assert br.s[0] == 0.0 and br.s[-1] == stop
+        assert br.s.size == br.meta["steps"] + 1 == br.r.size + 1
+        assert br.sample(br.s).tolist() == br.y.tolist()
+        # between the nodes the step polynomials join continuously
+        left = br.sample(np.nextafter(br.s[1:-1], 0.0))
+        np.testing.assert_allclose(left, br.y[1:-1], rtol=1e-14)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_branch_sample_is_exact_on_quintics(seed):
-    # dense output is 6-point Lagrange on the uniform nodes from s = 0
+    # dense output is each step's polynomial in t = (s - s_k) / r_k, so a
+    # branch holding a quintic's Taylor coefficients at its nodes reads it
     rng = np.random.default_rng(seed)
     coef = rng.uniform(-1.0, 1.0, size=(4, 6))
-    s = np.linspace(0.0, 0.7, 41)
-    y = np.stack([np.polyval(c, s) for c in coef], axis=1)
-    br = Branch(s, y, 0.0, None)
+    nodes = np.array([0.0, 0.2, 0.45, 0.7])
+    r = np.array([0.3, 0.2, 0.25])
+    jets = np.zeros((3, ode_mod._ORDER + 1, 4))
+    for k, (s0, rk) in enumerate(zip(nodes[:-1], r)):
+        for i, c in enumerate(coef):
+            shifted = np.polynomial.Polynomial(c[::-1])(
+                np.polynomial.Polynomial([s0, rk]))
+            jets[k, :6, i] = shifted.coef
+    y = np.stack([np.polyval(c, nodes) for c in coef], axis=1)
+    br = Branch(nodes, y, r, jets, 0, 0.0, None)
     q = rng.uniform(0.0, 0.7, 100)
     got = br.sample(q)
     for j, c in enumerate(coef):
         assert np.max(np.abs(got[:, j] - np.polyval(c, q))) <= 1e-13
-    assert np.array_equal(br.sample(s[[0, -1]]), y[[0, -1]])
+    assert np.array_equal(br.sample(nodes[:-1]), jets[:, 0, :])
+
+
+def test_a_step_below_the_spacing_of_doubles_goes_to_the_next_double():
+    # (-1e32,0) u (0,1): the forward branch's stop rounds to 1, and the
+    # last steps the rule allows fall below the spacing of doubles there;
+    # each goes to the next double, and the estimate says the end is loose
+    sys = AngelescoSystem(Interval(-1e32, 0.0), Interval(0.0, 1.0))
+    info = plateau_bounds(star_normalize(sys)[0])
+    assert info.c1 == 1.0
+    br = integrate_branch(boundary_values(sys), 1.0)
+    last = br.s[-4:]
+    assert np.array_equal(last, [np.nextafter(1.0, 0.0) - np.spacing(0.5) * k
+                                 for k in (2, 1, 0)] + [1.0])
+    assert br.meta["error_estimate"] > 1e-12
+    assert np.array_equal(br.sample(br.s), br.y)
