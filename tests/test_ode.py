@@ -532,10 +532,14 @@ def _branch_errors(i1, i2):
                                    ((-1e-6, 0.0), (0.0, 1.0)),
                                    ((-1e-9, 0.0), (0.0, 1.0)),
                                    ((-1.0, 0.0), (0.0, 1000.0)),
-                                   ((-1e9, 0.0), (0.0, 1.0))],
+                                   ((-1e9, 0.0), (0.0, 1.0)),
+                                   ((-1e-12, 0.0), (0.0, 1.0)),
+                                   ((-1e6, 0.0), (0.5, 1.0)),
+                                   ((-1e-4, 0.0), (0.999, 1.0))],
                          ids=["touching", "gap", "symmetric", "apart",
                               "alpha1e3", "alpha1e-3", "alpha1e-6",
-                              "alpha1e-9", "wide-right", "alpha1e9"])
+                              "alpha1e-9", "wide-right", "alpha1e9",
+                              "alpha1e-12", "alpha1e6-gap", "alpha1e-4-near"])
 def test_branch_error_is_within_its_estimate(i1, i2):
     # every branch reaches its stop on the tolerance, and its estimate
     # covers its error against the surface
