@@ -209,7 +209,7 @@ def _jet(s0, r, y):
 
 @dataclass
 class Branch:
-    """One branch run forward from s = 0, with its Taylor steps as dense output.
+    """One branch run forward from s = 0; its Taylor steps are dense output.
 
     ``s`` holds the step nodes, ascending from 0 to the stop (a reflected
     system's rays, 1 - s in the user frame), and ``y`` the state (C1, C2,
@@ -346,7 +346,8 @@ def integrate_branch(pack, stop, max_steps=DEFAULT_MAX_STEPS):
             break
     else:
         raise NumericalFailure(
-            f"ODE branch did not reach its stop within max_steps = {max_steps}",
+            "ODE branch did not reach its stop within "
+            f"max_steps = {max_steps}",
             {"s": s0, "last_good_s": s0, "stop": float(stop)})
     steps = len(jets)
     ys = np.array(states)

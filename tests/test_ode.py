@@ -438,8 +438,8 @@ def test_jet_order_one_is_rhs():
         want = rhs(s, y)
         for i in range(4):
             assert jet[i][0] == y[i]
-            got = jet[i][1] / r
-            assert abs(got - want[i]) <= 2 * np.spacing(abs(want[i])), (s, r, y, i)
+            ulp = np.spacing(abs(want[i]))
+            assert abs(jet[i][1] / r - want[i]) <= 2 * ulp, (s, r, y, i)
 
 
 def test_jet_has_the_order_and_scaling_of_the_series():
