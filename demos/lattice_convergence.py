@@ -3,9 +3,9 @@
 Sweeps the coefficient lattice once to the largest level, reads the
 diagonal ray values at s = 1/2 at each smaller level from its snapshots,
 measures their error against the closed-form surface reference, and shows
-the gain from the third-order Richardson table over the levels m, m/2, m/4
-and m/8.  The plain error decays like 1/m, so each doubling of the level
-should roughly halve it; the table's error decays like 1/m^4.
+the gain from the third-order Richardson table over the top levels 5m/8,
+6m/8, 7m/8 and m.  The plain error decays like 1/m, so each doubling of the
+level should roughly halve it; the table's error decays like 1/m^4.
 """
 import numpy as np
 

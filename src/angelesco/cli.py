@@ -18,7 +18,6 @@ import json
 import math
 import sys as _sys
 import time
-from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -57,7 +56,7 @@ class RunConfig:
     weight1: str = "chebyshev2"
     weight2: str = "chebyshev2"
     grid_points: int = 181
-    lattice_level: int = 400
+    lattice_level: int = 256
     extrapolate: bool = True
     ode_steps: int = DEFAULT_MAX_STEPS
     fd_step: float = 1e-3
@@ -158,16 +157,22 @@ CSV_HEADER = "s,A1,A2,B1,B2"
 
 
 def _num(v):
-    # 12 significant digits, correctly rounded, in positional notation
-    return format(Decimal(f"{v:.11e}"), "f")
+    """12 significant digits of the float ``v``, correctly rounded, in
+    positional notation: the digits of ``f"{v:.11e}"`` with the point moved
+    by its exponent, zeros kept, as ``format(Decimal(f"{v:.11e}"), "f")``."""
+    mant, exp = f"{v:.11e}".split("e")
+    e = int(exp)
+    sign, digits = mant[:-13], mant[-13] + mant[-11:]
+    if e < 0:
+        return f"{sign}0.{'0' * (-e - 1)}{digits}"
+    if e < 11:
+        return f"{sign}{digits[:e + 1]}.{digits[e + 1:]}"
+    return f"{sign}{digits}{'0' * (e - 11)}"
 
 
 def write_curve_csv(path, curve):
-    lines = [CSV_HEADER]
-    for i in range(len(curve)):
-        lines.append(",".join(_num(v) for v in
-                              (curve.s[i], curve.A1[i], curve.A2[i],
-                               curve.B1[i], curve.B2[i])))
+    rows = np.column_stack((curve.s, curve.A1, curve.A2, curve.B1, curve.B2))
+    lines = [CSV_HEADER, *(",".join(map(_num, row)) for row in rows.tolist())]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -34,7 +34,7 @@ def test_defaults():
                                            ((0.25, 1.0), 5e-6)],
                          ids=["touching", "gap"])
 def test_default_lattice_digits(interval2, tol):
-    # the default read-out (level 400, third-order table) against the
+    # the default read-out (level 256, third-order table) against the
     # surface, in the scale-free unit A / L^2, B / L, outside the margin
     cfg = RunConfig(interval2=interval2)
     curves, _, _, compared = _compute_curves(cfg, {"dis", "surface"})
@@ -44,12 +44,72 @@ def test_default_lattice_digits(interval2, tol):
     assert rep.worst() <= tol
 
 
+# Twelve systems (chebyshev2 unless named) and the digits of the default
+# lattice read-out against the surface, in A / L^2 and B / L over the
+# points validate compares, measured with the previous default (level 400,
+# table levels m, m/2, m/4, m/8) and rounded down: a faster default must
+# not read fewer.  The table over the top levels at 256 reads 0.16 to 2.06
+# digits more.
+DIGIT_FLOORS = {
+    "touching": ((-2.0, 0.0), (0.0, 1.0), "chebyshev2", "chebyshev2", 7.10),
+    "gap": ((-2.0, 0.0), (0.25, 1.0), "chebyshev2", "chebyshev2", 6.03),
+    "alpha 1e-3": ((-1e-3, 0.0), (0.0, 1.0), "chebyshev2", "chebyshev2",
+                   6.82),
+    "alpha 1e3": ((-1000.0, 0.0), (0.0, 1.0), "chebyshev2", "chebyshev2",
+                  6.82),
+    "apart": ((-3.0, -1.0), (2.0, 7.0), "chebyshev2", "chebyshev2", 5.38),
+    "gap uniform/chebyshev1": ((-2.0, 0.0), (0.25, 1.0), "uniform",
+                               "chebyshev1", 5.42),
+    "touching chebyshev1/uniform": ((-2.0, 0.0), (0.0, 1.0), "chebyshev1",
+                                    "uniform", 4.06),
+    "beta 0.5": ((-2.0, 0.0), (0.5, 1.0), "chebyshev2", "chebyshev2", 5.55),
+    "beta 0.9": ((-1.0, 0.0), (0.9, 1.0), "chebyshev2", "chebyshev2", 6.07),
+    "alpha 1e-2": ((-0.01, 0.0), (0.0, 1.0), "chebyshev2", "chebyshev2",
+                   6.22),
+    "apart uniform/uniform": ((-3.0, -1.0), (2.0, 7.0), "uniform", "uniform",
+                              5.00),
+    "gap chebyshev1/chebyshev1": ((-2.0, 0.0), (0.25, 1.0), "chebyshev1",
+                                  "chebyshev1", 4.67),
+}
+
+
+@pytest.fixture(scope="module")
+def default_reads():
+    """Per system: digits in A / L^2, B / L, the absolute error and the
+    lattice's error estimate, all over the compared points."""
+    reads = {}
+    for name, (i1, i2, w1, w2, _) in DIGIT_FLOORS.items():
+        cfg = RunConfig(interval1=i1, interval2=i2, weight1=w1, weight2=w2)
+        curves, meta, _, compared = _compute_curves(cfg, {"dis", "surface"})
+        unit = AffineMap(1.0 / (i2[1] - i1[0]), 0.0)
+        scaled = compare(pushforward_limits(curves["dis"], unit),
+                         pushforward_limits(curves["surface"], unit), compared)
+        error = compare(curves["dis"], curves["surface"], compared).worst()
+        reads[name] = (-np.log10(scaled.worst()), error,
+                       meta["lattice"]["error_estimate_compared"]["max_abs"])
+    return reads
+
+
+@pytest.mark.parametrize("name", DIGIT_FLOORS)
+def test_default_lattice_keeps_its_digit_floor(default_reads, name):
+    assert default_reads[name][0] >= DIGIT_FLOORS[name][-1]
+
+
+@pytest.mark.parametrize("name", DIGIT_FLOORS)
+def test_default_lattice_estimate_covers_its_error(default_reads, name):
+    # estimate / error measured 1.84 (touching chebyshev1/uniform) to 53
+    # (touching); the table over m, m/2, m/4, m/8 at 400 read 0.32 and 0.41
+    # on gap chebyshev1/chebyshev1 and touching chebyshev1/uniform
+    _, error, estimate = default_reads[name]
+    assert error <= estimate
+
+
 def test_run_meta_states_the_lattice_error_estimate(tmp_path):
     out = tmp_path / "out"
     assert main(["compute", "--methods", "dis",
                  "--output_dir", str(out)]) == 0
     lattice = json.loads((out / "run_meta.json").read_text())["lattice"]
-    assert lattice["level"] == 400 and lattice["extrapolated"] is True
+    assert lattice["level"] == 256 and lattice["extrapolated"] is True
     assert lattice["linear_points"] == 0
     est = lattice["error_estimate"]
     assert set(est) == {"max_abs", "s"}
@@ -58,7 +118,7 @@ def test_run_meta_states_the_lattice_error_estimate(tmp_path):
                  "--output_dir", str(out)]) == 0
     lattice = json.loads((out / "run_meta.json").read_text())["lattice"]
     # the plain read-out is the one-level table: no lower order to differ from
-    assert lattice["extrapolated"] is False and lattice["table_levels"] == [400]
+    assert lattice["extrapolated"] is False and lattice["table_levels"] == [256]
     assert lattice["error_estimate"] is None
 
 
@@ -173,6 +233,25 @@ def test_num_is_positional_and_rounds_to_twelve_digits(value):
     digits = text.lstrip("-").replace(".", "").lstrip("0")
     if value != 0.0 and abs(value) < 1e11:
         assert len(digits) == 12
+
+
+def test_num_matches_the_decimal_formula():
+    # the positional string is built by slicing f"{v:.11e}"; it must be the
+    # string the decimal module makes from it, on doubles of every exponent
+    # (random bit patterns), around the points where the point moves past
+    # the digits (|v| near 10^k), and on the extremes
+    from decimal import Decimal
+    rng = np.random.default_rng(27)
+    bits = rng.integers(0, 2 ** 64 - 1, size=100_000, dtype=np.uint64,
+                        endpoint=True).view(np.float64)
+    near = rng.uniform(1.0, 10.0, 20_000) * 10.0 ** rng.integers(-15, 16,
+                                                                 20_000)
+    values = [*bits[np.isfinite(bits)].tolist(), *near.tolist(),
+              *(-near).tolist(), 0.0, -0.0, 9.999999999995, 99999999999.95,
+              1e11, 5e-324, -5e-324, 2.2250738585072014e-308,
+              1.7976931348623157e308, -1.7976931348623157e308]
+    bad = [v for v in values if _num(v) != format(Decimal(f"{v:.11e}"), "f")]
+    assert not bad, bad[:5]
 
 
 def test_compute_surface_endpoints(tmp_path, touching_system):

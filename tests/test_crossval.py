@@ -202,14 +202,15 @@ def test_convergence_study_reads_one_sweep(touching_system, monkeypatch):
     monkeypatch.setattr(lattice_mod, "solve_lattice", counted)
     table = convergence_study(touching_system, 0.5, (40, 80))
     # each level and the sub-levels of its table, from one sweep to 80
-    assert calls == [(80, [5, 10, 20, 40, 80])]
+    assert calls == [(80, [25, 30, 35, 40, 50, 60, 70, 80])]
     monkeypatch.undo()
-    # a fresh sweep per level agrees to rounding
+    # a fresh sweep per level agrees to rounding, which the table amplifies
+    # by its Lebesgue constant, 386: measured 5.8e-14
     for i, m in enumerate((40, 80)):
         p = curve_from_lattice(solve_lattice(touching_system, m), [0.5], True)
         err = max(abs(v[0] - r) for v, r in zip((p.A1, p.A2, p.B1, p.B2),
                                                 table.reference))
-        assert table.max_extrapolated()[i] == pytest.approx(err, abs=1e-14)
+        assert table.max_extrapolated()[i] == pytest.approx(err, abs=1e-12)
 
 
 def test_convergence_study_solves_the_reference_once(gap_system,

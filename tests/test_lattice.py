@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -83,11 +84,11 @@ def test_sweep_translation_covariant(deep_lattice, c):
     # shifting both intervals by c (exact in binary) shifts every b by c and
     # leaves every a alone; the b-phase adds a shift-free step to b, so the
     # lattice keeps that to within 64 ulp(c) all the way to level 1500
-    # (measured 38 and 47)
+    # (measured 38 and 47), on the top diagonal and every snapshot
     shifted = AngelescoSystem(Interval(-2.0 + c, c), Interval(c, 1.0 + c))
     lat = solve_lattice(shifted, 1500)
     tol = 64 * np.spacing(c)
-    for level in (750, 1500):
+    for level in table_levels(1500):
         a1, a2, b1, b2 = lat.diagonal(level)
         r1, r2, q1, q2 = deep_lattice.diagonal(level)
         assert np.max(np.abs(a1 - r1)) <= tol
@@ -144,42 +145,71 @@ def test_curve_from_lattice(deep_lattice):
 
 def test_snapshot_bookkeeping(touching_system):
     # the default snapshots are the levels below m that the table reads
-    lat = solve_lattice(touching_system, 10)
-    assert set(lat.snapshots) == {5, 2, 1}
-    lat.diagonal(5)
-    lat.diagonal(10)
+    lat = solve_lattice(touching_system, 16)
+    assert set(lat.snapshots) == {10, 12, 14}
+    lat.diagonal(12)
+    lat.diagonal(16)
     with pytest.raises(KeyError):
-        lat.diagonal(7)
-    cut = lat.truncated(5)
-    assert cut.m == 5 and set(cut.snapshots) == {2, 1}
-    assert cut.residuals.shape == (5, 2)
-    assert cut.b1 is lat.diagonal(5)[2]
+        lat.diagonal(13)
+    cut = lat.truncated(12)
+    assert cut.m == 12 and set(cut.snapshots) == {10}
+    assert cut.residuals.shape == (12, 2)
+    assert cut.b1 is lat.diagonal(12)[2]
     with pytest.raises(KeyError):
-        lat.truncated(7)
+        lat.truncated(13)
 
 
-@pytest.mark.parametrize("m,levels", [(1, [1]), (2, [1, 2]), (3, [1, 3]),
-                                      (5, [1, 2, 5]), (9, [1, 2, 4, 9]),
-                                      (400, [50, 100, 200, 400]),
-                                      (1001, [125, 250, 500, 1001])])
+@pytest.mark.parametrize("m,levels", [(1, [1]), (2, [1, 2]), (3, [1, 2, 3]),
+                                      (5, [3, 4, 5]), (9, [5, 6, 7, 9]),
+                                      (400, [250, 300, 350, 400]),
+                                      (1001, [625, 750, 875, 1001]),
+                                      (256, [160, 192, 224, 256])])
 def test_table_levels(m, levels):
     assert table_levels(m) == levels
 
 
-@pytest.mark.parametrize("m", [4, 9, 400, 1001])
-def test_richardson_table_exact_on_cubics_in_inverse_level(m):
+def lebesgue_constant(levels):
+    """Sum of |l_i(0)| over the Lagrange basis in h = 1/level: the factor
+    by which the table's value at h = 0 can amplify errors in its inputs."""
+    h = [1.0 / n for n in levels]
+    return sum(abs(math.prod(hj / (hj - hi) for hj in h if hj != hi))
+               for hi in h)
+
+
+def cubic_table(m, levels):
     # x(n) = c0 + c1/n + c2/n^2 + c3/n^3 is what an order-3 table removes
-    # exactly; with fewer than four levels only the lower orders go
+    # exactly; with fewer than four levels only the lower orders go.
+    # Returns the table's error in c0 and the largest input
     rng = np.random.default_rng(m)
     c = rng.uniform(-4.0, 4.0, size=(4, 5))
-    levels = table_levels(m)
     order = len(levels) - 1
     vals = [sum(c[p] / n ** p for p in range(order + 1)) for n in levels]
     best, lower = richardson_table(levels, vals)
-    assert np.max(np.abs(best - c[0])) <= 64 * np.finfo(float).eps
     # the entry one order lower is the exact table over the finer levels
     sub, _ = richardson_table(levels[1:], vals[1:])
     assert np.array_equal(lower, sub)
+    return np.max(np.abs(best - c[0])), max(np.max(np.abs(v)) for v in vals)
+
+
+@pytest.mark.parametrize("m,levels", [(4, [1, 2, 4]), (9, [1, 2, 4, 9]),
+                                      (400, [50, 100, 200, 400]),
+                                      (1001, [125, 250, 500, 1001])],
+                         ids=["4", "9", "400", "1001"])
+def test_richardson_table_exact_on_cubics_in_inverse_level(m, levels):
+    # the halving levels m, m/2, m/4, m/8 are far apart (Lebesgue constant
+    # 5 to 6.4), so the table returns the cubics to rounding
+    err, _ = cubic_table(m, levels)
+    assert err <= 64 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("m", [4, 9, 256, 400, 1001])
+def test_richardson_table_on_cubics_at_the_table_levels(m):
+    # the top levels are close together (Lebesgue constant 386 at m = 256),
+    # so the inputs' rounding comes back amplified by up to that factor:
+    # 0.9 of lebesgue * eps * max|input| at worst over 300 draws per m
+    levels = table_levels(m)
+    err, scale = cubic_table(m, levels)
+    assert err <= 2 * lebesgue_constant(levels) * np.finfo(float).eps * scale
 
 
 def test_sweep_scale_covariant_bit_for_bit(touching_system):
@@ -288,22 +318,24 @@ def test_extrapolated_curve_valid_at_small_levels(touching_system, gap_system,
 def test_points_off_the_contract_fall_back_to_linear(extrapolate):
     # the first Chebyshev-1 coefficients stand out from the rest, so within
     # a node of the ends the high-order read-out leaves the contract on a
-    # fine grid (8 points plain, 5 extrapolated)
+    # fine grid (8 points plain at m = 200; the table over the top levels
+    # stays on it there, and leaves it on 21 points at m = 80)
+    m = 80 if extrapolate else 200
     sys = AngelescoSystem(Interval(-2.0, 0.0), Interval(0.5, 1.0),
                           "chebyshev1", "chebyshev1")
-    lat = solve_lattice(sys, 200)
+    lat = solve_lattice(sys, m)
     grid = np.linspace(0.0, 1.0, 2001)
     cv = curve_from_lattice(lat, grid, extrapolate)
-    k = np.arange(201, dtype=float)
-    linear = [np.interp(grid * 200, k, arr) for arr in lat.diagonal(200)]
-    levels = table_levels(200) if extrapolate else [200]
+    k = np.arange(m + 1, dtype=float)
+    linear = [np.interp(grid * m, k, arr) for arr in lat.diagonal(m)]
+    levels = table_levels(m) if extrapolate else [m]
     high, _ = richardson_table(
         levels, [lagrange_interp(lat.diagonal(n), grid * n) for n in levels])
     high[0][0] = high[1][-1] = 0.0
     off = LimitCurve(grid, *high).broken()
     assert cv.meta["linear_points"] == np.count_nonzero(off) > 0
-    x = grid[off] * 200
-    assert np.all(np.minimum(x, 200 - x) < 1.0)
+    x = grid[off] * m
+    assert np.all(np.minimum(x, m - x) < 1.0)
     for f, h, lin in zip(("A1", "A2", "B1", "B2"), high, linear):
         assert np.array_equal(getattr(cv, f), np.where(off, lin, h))
 
@@ -318,7 +350,7 @@ def test_error_estimate_bounds_the_table_error(touching_system, touching_info):
     err = max(np.max(np.abs(getattr(cv, f) - getattr(ref, f)))
               for f in ("A1", "A2", "B1", "B2"))
     assert err <= cv.meta["error_estimate"]["max_abs"]
-    assert cv.meta["table_levels"] == [50, 100, 200, 400]
+    assert cv.meta["table_levels"] == [250, 300, 350, 400]
 
 
 def test_error_estimate_over_the_compared_points(gap_system, gap_info):
