@@ -170,9 +170,25 @@ def _num(v):
     return f"{sign}{digits}{'0' * (e - 11)}"
 
 
+# "%#.12g" rounds as f"{v:.11e}" does and keeps its zeros, so a field whose
+# rounded exponent lies in [-4, 10] is already _num's text
+_ROW = ",".join(["%#.12g"] * 5)
+
+
 def write_curve_csv(path, curve):
+    """Write ``curve`` as CSV, each field as :func:`_num` prints it.
+
+    A row is formatted by one ``%``; the rare row with a field in exponent
+    form (or inf/nan), or with an exponent-11 field that ends in the point
+    ``#`` keeps, is written through :func:`_num` instead.
+    """
     rows = np.column_stack((curve.s, curve.A1, curve.A2, curve.B1, curve.B2))
-    lines = [CSV_HEADER, *(",".join(map(_num, row)) for row in rows.tolist())]
+    lines = [CSV_HEADER]
+    for row in rows.tolist():
+        line = _ROW % tuple(row)
+        if "e" in line or "n" in line or ".," in line or line[-1] == ".":
+            line = ",".join(map(_num, row))
+        lines.append(line)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

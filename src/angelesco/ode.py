@@ -56,8 +56,9 @@ _STEP_TOL = 1e-16
 # error seen against 30-digit references is 6.6 eps per step, C2 of the
 # backward branch of (-1e-6,0) u (0,1) at s = 0.994 after 42 steps
 _FLOOR_EPS_PER_STEP = 16
-# scaled bound of the splice mismatch (A over gap^2, B over gap); on the
-# default touching and gap systems it is stricter than 1e-4 absolute
+# scaled bound of the splice mismatch (A over the larger |A| of the two
+# ends, B over gap); on the default touching and gap systems it is
+# stricter than 1e-4 absolute
 _SPLICE_TOL = 1e-5
 
 
@@ -381,8 +382,9 @@ def assemble_curve(forward, backward, c1, c2, grid):
     and s > c2, and on [c1, c2] (for touching systems the one ray
     c1 = c2) the four functions are the mean of the two branch end states,
     each read at its branch's own stop.  Their mismatch is recorded in
-    ``meta``, ``ok`` when at most ``_SPLICE_TOL`` scaled by the smaller
-    endpoint gap, together with the branch redundancy monitors and, under
+    ``meta``, ``ok`` when at most ``_SPLICE_TOL`` relative to the larger
+    |A| of the two ends for each A, and to the smaller endpoint gap for each
+    B, together with the branch redundancy monitors and, under
     ``branches``, each branch's steps and error estimate.
     """
     grid = check_grid(grid)
@@ -390,10 +392,11 @@ def assemble_curve(forward, backward, c1, c2, grid):
     end_b = _mirrored(backward, np.array([backward.meta["stop"]]))
     diff = np.abs(end_f - end_b)[:, 0]
     gap = min(forward.pack.gap_0, backward.pack.gap_0)
+    # an A against its own size, not gap^2, so a wrong small A shows
+    size = np.maximum(np.abs(end_f), np.abs(end_b))[:2, 0]
     # flagged, never fatal: both branch endpoints estimate the same plateau
     mism = {"at_c1_vs_c2": diff.tolist(),
-            "ok": bool(np.max(diff / [gap * gap, gap * gap, gap, gap])
-                       <= _SPLICE_TOL)}
+            "ok": bool(np.max(diff / [*size, gap, gap]) <= _SPLICE_TOL)}
 
     vals = np.empty((4, grid.size))
     left, plat, right = plateau_zones(grid, c1, c2)

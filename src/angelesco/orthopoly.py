@@ -15,10 +15,12 @@ Every supported weight is symmetric about its interval's midpoint, so every
 b[k] is that midpoint (``Interval.mid``) and only the a's are computed.
 
 The mixed moments run the source recurrence on the destination's quadrature
-nodes, far nodes first.  Only the far node sets the scale, adjusted by exact
-powers of two, and near nodes whose values have dropped 2^-400 below it are
-retired for good, so no step works on subnormal numbers or on nodes that no
-longer count (see :func:`mixed_ratios`).
+nodes, far nodes first, each node's value carrying its weight.  Only the far
+node sets the scale, adjusted by exact powers of two, and near nodes whose
+values have dropped 2^-400 below it are retired for good, so no step works on
+subnormal numbers or on nodes that no longer count.  The moments are sums in
+numpy's fixed pairwise order, with no BLAS call, so they do not depend on the
+CPU (see :func:`mixed_ratios`).
 """
 import math
 from dataclasses import dataclass
@@ -115,22 +117,27 @@ def mixed_ratios(src_kind, src_interval, dst_kind, dst_interval, m):
     that is exact through degree m + 1.  The destination must lie on one side
     of the source (touching allowed), so no zero of any p_k falls inside it.
 
-    The nodes are visited from far to near, as seen from the source.  Every
-    |p_k| is then nonincreasing along the nodes, and the ratio of a node's
-    value to the far node's value does not increase with k (|p_{k+1}/p_k|
-    grows with the distance from the source).  The far node therefore
+    Each node carries u_k = w_j p_k(t_j), its term of h_k: the recurrence is
+    linear and homogeneous at each node, so u_0 = w and u_1 = w t start it,
+    and h_k is the sum of the row, taken by ``np.add.reduce`` in numpy's
+    fixed pairwise order rather than by a BLAS dot, whose order depends on
+    the CPU.
+
+    The nodes are visited from far to near, as seen from the source.  The
+    ratio of a node's |p_k| to the far node's then does not increase with k
+    (|p_{k+1}/p_k| grows with the distance from the source), and neither
+    does the ratio of its u_k to the far node's.  The far node therefore
     carries the scale: whenever the binary exponent of its value leaves a
-    fixed window, the two live polynomial rows and the two live moments are
-    multiplied by a power of two, which is exact and leaves every ratio
-    untouched.  The source midpoint, every b of every supported weight, is
-    subtracted from the nodes once.
+    fixed window, the two live rows and the two live moments are multiplied
+    by a power of two, which is exact and leaves every ratio untouched.  The
+    source midpoint, every b of every supported weight, is subtracted from
+    the nodes once.
 
     A tail node is retired once both of its values fall below 2^-400 of the
     far node's; by the monotonicity above it never comes back.  All terms of
-    the quadrature sum share one sign, so h_k is at least the far term
-    w_far |p_k(far)| and the dropped part is below 2^-400 |p_k(far)|: less
-    than 2^-400 / w_far of h_k, some hundred digits under rounding for any
-    rule in use (w_far is about 2 pi^2 / n^3 at the smallest).  Without
+    the quadrature sum share one sign, so h_k is at least the far term, and
+    each of the n nodes dropped is below 2^-400 of it: the dropped part is
+    below n 2^-400 of h_k, some hundred digits under rounding.  Without
     retirement such nodes sink into subnormals and carry rounding noise only.
 
     A vanished moment or a far value that is zero or not finite (NaN
@@ -153,13 +160,13 @@ def mixed_ratios(src_kind, src_interval, dst_kind, dst_interval, m):
     a = scalar_recurrence(src_kind, src_interval, m + 1).tolist()
     # the live nodes [:n]; the views are cut again only when a node retires
     n = t.size
-    u_prev = np.ones(n)               # p_0
-    u_curr = t.copy()                 # p_1
+    u_prev = w                        # w p_0
+    u_curr = w * t                    # w p_1
     v = np.empty(n)
     tmp = np.empty(n)
-    mul, sub, dot = np.multiply, np.subtract, np.dot
+    mul, sub, total = np.multiply, np.subtract, np.add.reduce
     h_curr = 1.0                      # h_0 of a probability measure
-    h_next = float(dot(w, u_curr))
+    h_next = float(total(u_curr))
     r = []
     for k in range(m + 1):
         if not abs(h_curr) > 0.0:
@@ -167,14 +174,14 @@ def mixed_ratios(src_kind, src_interval, dst_kind, dst_interval, m):
         r.append(h_next / h_curr)
         if k == m:
             break
-        # v = p_{k+2} = t p_{k+1} - a_k p_k on the live nodes
+        # v = w p_{k+2} = t (w p_{k+1}) - a_k (w p_k) on the live nodes
         mul(t, u_curr, v)
         sub(v, mul(u_prev, a[k], tmp), v)
         far = abs(v.item(0))
         if not 0.0 < far < math.inf:
             raise NumericalFailure("polynomial lost its scale at the far node",
                                    {"k": k})
-        h_curr, h_next = h_next, float(dot(w, v))
+        h_curr, h_next = h_next, float(total(v))
         e = math.frexp(far)[1]
         if not -_EXP_WINDOW < e < _EXP_WINDOW:
             scale = math.ldexp(1.0, -e)
@@ -191,7 +198,7 @@ def mixed_ratios(src_kind, src_interval, dst_kind, dst_interval, m):
             live -= 1
         if live < n:
             n = live
-            t, w, tmp = t[:n], w[:n], tmp[:n]
+            t, tmp = t[:n], tmp[:n]
             u_prev, u_curr, v = u_prev[:n], u_curr[:n], v[:n]
         u_prev, u_curr, v = u_curr, v, u_prev
     return np.array(r)

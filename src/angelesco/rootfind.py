@@ -46,7 +46,9 @@ def bisect(f, lo, hi):
              "hi": hi[bad].ravel()[:5].tolist()})
     falls = (flo > 0) | (fhi < 0)  # a zero end says nothing
     ilo, ihi = lo.view(np.int64), hi.view(np.int64)
-    while np.any(ihi - ilo > 1):
+    # ceil(log2) of the widest bracket: each halving leaves at most the
+    # ceiling of half of it, so that many steps finish every bracket
+    for _ in range((int(np.max(ihi - ilo, initial=1)) - 1).bit_length()):
         imid = ilo + (ihi - ilo) // 2
         fm = np.asarray(f(imid.view(np.float64)), dtype=float)
         to_lo = (fm > 0) == falls  # a zero of a rising f goes to lo

@@ -91,7 +91,8 @@ def sweep(sys, m, snapshot_levels=None):
 
 
 def mixed_ratios(src_kind, src_interval, dst_kind, dst_interval, m):
-    """Ratios h_{k+1} / h_k, k = 0..m, of the mixed moments."""
+    """Ratios h_{k+1} / h_k, k = 0..m, of the mixed moments, each node's
+    value w_j p_k(t_j) carrying its weight and each moment a pairwise sum."""
     if dst_kind == "uniform":
         nodes = m + 2
     else:
@@ -102,12 +103,12 @@ def mixed_ratios(src_kind, src_interval, dst_kind, dst_interval, m):
         t, w = t[::-1].copy(), w[::-1].copy()
     a = scalar_recurrence(src_kind, src_interval, m + 1).tolist()
     n = t.size
-    u_prev = np.ones(n)
-    u_curr = t.copy()
+    u_prev = w.copy()
+    u_curr = w * t
     v = np.empty(n)
     tmp = np.empty(n)
     h_curr = 1.0
-    h_next = float(w @ u_curr)
+    h_next = float(np.add.reduce(u_curr))
     r = np.empty(m + 1)
     for k in range(m + 1):
         if not abs(h_curr) > 0.0:
@@ -123,7 +124,7 @@ def mixed_ratios(src_kind, src_interval, dst_kind, dst_interval, m):
         if not 0.0 < far < math.inf:
             raise NumericalFailure("polynomial lost its scale at the far node",
                                    {"k": k})
-        h_curr, h_next = h_next, float(w[:n] @ vn)
+        h_curr, h_next = h_next, float(np.add.reduce(vn))
         e = math.frexp(far)[1]
         if not -256 < e < 256:
             scale = math.ldexp(1.0, -e)

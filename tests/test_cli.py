@@ -1,17 +1,24 @@
 import dataclasses
 import json
+import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import angelesco
 from angelesco import NumericalFailure, surface
-from angelesco.cli import (RunConfig, _compute_curves, _num, load_config,
-                           main, read_curve_csv, write_curve_csv)
+from angelesco.cli import (CSV_HEADER, RunConfig, _compute_curves, _num,
+                           load_config, main, read_curve_csv,
+                           write_curve_csv)
 from angelesco.crossval import compare
 from angelesco.ode import boundary_values
 from angelesco.surface import limit_curve
@@ -235,23 +242,50 @@ def test_num_is_positional_and_rounds_to_twelve_digits(value):
         assert len(digits) == 12
 
 
-def test_num_matches_the_decimal_formula():
-    # the positional string is built by slicing f"{v:.11e}"; it must be the
-    # string the decimal module makes from it, on doubles of every exponent
-    # (random bit patterns), around the points where the point moves past
-    # the digits (|v| near 10^k), and on the extremes
-    from decimal import Decimal
+def _num_values():
+    # doubles of every exponent (random bit patterns), around the points
+    # where the point moves past the digits (|v| near 10^k), and the extremes
     rng = np.random.default_rng(27)
     bits = rng.integers(0, 2 ** 64 - 1, size=100_000, dtype=np.uint64,
                         endpoint=True).view(np.float64)
     near = rng.uniform(1.0, 10.0, 20_000) * 10.0 ** rng.integers(-15, 16,
                                                                  20_000)
-    values = [*bits[np.isfinite(bits)].tolist(), *near.tolist(),
-              *(-near).tolist(), 0.0, -0.0, 9.999999999995, 99999999999.95,
-              1e11, 5e-324, -5e-324, 2.2250738585072014e-308,
-              1.7976931348623157e308, -1.7976931348623157e308]
-    bad = [v for v in values if _num(v) != format(Decimal(f"{v:.11e}"), "f")]
+    return [*bits[np.isfinite(bits)].tolist(), *near.tolist(),
+            *(-near).tolist(), 0.0, -0.0, 9.999999999995, 99999999999.95,
+            1e11, 5e-324, -5e-324, 2.2250738585072014e-308,
+            1.7976931348623157e308, -1.7976931348623157e308]
+
+
+def test_num_matches_the_decimal_formula():
+    # the positional string is built by slicing f"{v:.11e}"; it must be the
+    # string the decimal module makes from it
+    from decimal import Decimal
+    bad = [v for v in _num_values()
+           if _num(v) != format(Decimal(f"{v:.11e}"), "f")]
     assert not bad, bad[:5]
+
+
+def test_csv_rows_are_the_fields_of_num(tmp_path):
+    # write_curve_csv formats a row with one "%#.12g" per field and rewrites
+    # only rows with a field in exponent form or at exponent 11; each row
+    # must be _num's fields joined, also at exponent 11 (12-digit integers,
+    # and values that round up into or out of it), at 1e-4 +- 1 ulp, where
+    # %g leaves positional form, and at +-0.0 and the extremes
+    edges = [1e11, 123456789012.0, 99999999999.95, 99999999999.949,
+             999999999999.4, 999999999999.5, 1e12,
+             1e-4, math.nextafter(1e-4, 0.0), math.nextafter(1e-4, 1.0),
+             9.99999999999949e-05, 9.9999999999995e-05,
+             0.0, -0.0, 5e-324, 2.2250738585072014e-308,
+             1.7976931348623157e308]
+    values = _num_values() + edges + [-v for v in edges]
+    values += [0.5] * (-len(values) % 5)
+    rows = np.array(values).reshape(-1, 5)
+    path = tmp_path / "rows.csv"
+    write_curve_csv(path, SimpleNamespace(s=rows[:, 0], A1=rows[:, 1],
+                                          A2=rows[:, 2], B1=rows[:, 3],
+                                          B2=rows[:, 4]))
+    want = [CSV_HEADER, *(",".join(map(_num, r)) for r in rows.tolist())]
+    assert path.read_bytes() == ("\n".join(want) + "\n").encode()
 
 
 def test_compute_surface_endpoints(tmp_path, touching_system):
@@ -300,6 +334,27 @@ def test_run_meta_states_the_lattice_estimate_at_the_compared_points(tmp_path):
     assert c1 <= whole["s"] + 0.05 and whole["s"] <= c2 + 0.05
     assert part["s"] <= c1 - 0.05 or part["s"] >= c2 + 0.05
     assert part["max_abs"] < whole["max_abs"]
+
+
+def test_dis_csv_does_not_depend_on_the_blas_kernel(tmp_path):
+    # the mixed moments sum in numpy's fixed pairwise order, not by a BLAS
+    # dot; OpenBLAS picks its kernel, and with it a dot's summation order,
+    # from the CPU or from OPENBLAS_CORETYPE
+    pkg = Path(angelesco.__file__).parent.parent
+    got = []
+    for coretype in (None, "Haswell"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(pkg), os.environ.get("PYTHONPATH")])))
+        env.pop("OPENBLAS_CORETYPE", None)
+        if coretype:
+            env["OPENBLAS_CORETYPE"] = coretype
+        out = tmp_path / (coretype or "default")
+        subprocess.run([sys.executable, "-m", "angelesco", "compute",
+                        "--methods", "dis", "--interval2=0.25,1",
+                        "--output_dir", str(out)],
+                       env=env, check=True, capture_output=True)
+        got.append((out / "dis.csv").read_bytes())
+    assert got[0] == got[1]
 
 
 def test_compute_deterministic(tmp_path):

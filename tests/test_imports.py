@@ -30,3 +30,51 @@ def test_the_scan_sees_an_unused_import(tmp_path):
     mod.write_text("import math\nimport numpy as np\n"
                    "from os import path, sep\n\nx = np.pi + len(sep)\n")
     assert _unused_imports(mod) == [(1, "math"), (3, "path")]
+
+
+_BLAS_NAMES = {"dot", "matmul", "inner", "vdot", "einsum", "tensordot",
+               "linalg"}
+
+
+def _blas_calls(path):
+    """(line, name) of each BLAS-backed operation ``path`` names: ``@``, or
+    any of ``_BLAS_NAMES`` as a name, an attribute or an import."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
+                node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        elif isinstance(node, ast.Attribute) and node.attr in _BLAS_NAMES:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Name) and node.id in _BLAS_NAMES:
+            found.append((node.lineno, node.id))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.name for a in node.names]
+            names += [node.module] if isinstance(node, ast.ImportFrom) else []
+            found += [(node.lineno, n) for n in names
+                      if n and _BLAS_NAMES & set(n.split("."))]
+    return found
+
+
+def test_the_package_makes_no_blas_call():
+    # a BLAS kernel picks its summation order by CPU, so one call would
+    # make the output bytes depend on the machine
+    src = Path(angelesco.__file__).parent
+    calls = [f"{path.name}:{line}: {name}"
+             for path in sorted(src.glob("*.py"))
+             for line, name in _blas_calls(path)]
+    assert not calls, calls
+
+
+def test_the_scan_sees_each_blas_call(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("import numpy as np\nfrom numpy.linalg import norm\n"
+                   "x = np.dot(a, b)\ny = a @ b\ny @= a\nz = a.dot(b)\n"
+                   "np.linalg.solve(a, b)\nnp.einsum('i,i', a, b)\n"
+                   "np.inner(a, b) + np.vdot(a, b) + np.tensordot(a, b)\n"
+                   "np.matmul(a, b)\nw = np.add.reduce(a * b)\n")
+    assert sorted(_blas_calls(mod)) == [
+        (2, "numpy.linalg"), (3, "dot"), (4, "@"), (5, "@"), (6, "dot"),
+        (7, "linalg"), (8, "einsum"), (9, "inner"), (9, "tensordot"),
+        (9, "vdot"), (10, "matmul")]

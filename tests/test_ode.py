@@ -253,6 +253,19 @@ def test_splice_verdict_is_scale_free(name, request):
     assert max(mism["at_c1_vs_c2"]) > 1e-4
 
 
+def test_splice_flags_a_wrong_small_A():
+    # (-1e32,0) u (0,1): the forward branch stops at c1 = 1.0 (the threshold
+    # ray 1 - 7.7e-17 rounded), where A2 = (1 - 1.0)^2 C2 = 0 against the
+    # plateau's 2.85e14; against gap^2 ~ 1e64 that passed, against |A| not
+    sys = AngelescoSystem(Interval(-1e32, 0.0), Interval(0.0, 1.0))
+    info = plateau_bounds(star_normalize(sys)[0])
+    mism = solve_system(sys, info, np.linspace(0.0, 1.0, 181)
+                        ).meta["splice_mismatch"]
+    assert info.c1 == 1.0
+    assert mism["at_c1_vs_c2"][1] == pytest.approx(2.85e14, rel=0.01)
+    assert not mism["ok"]
+
+
 def test_a_grid_point_on_the_threshold_ray_takes_the_plateau(
         touching_system, touching_info, touching_pack, touching_hat):
     # touching: c1 = c2, and a grid point there is a plateau point in both
