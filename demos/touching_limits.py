@@ -32,7 +32,9 @@ lattice = solve_lattice(system, 1500)
 dis = curve_from_lattice(lattice, grid)
 print(f"lattice axis-consistency residual: {lattice.max_residual():.2e}")
 
-# route 2: integrate the limiting ODE from both endpoints
+# route 2: integrate the limiting ODE forward from s = 0 up to the
+# threshold ray; the part next to s = 1 is the reflected system's
+# forward branch, read back through the mirror
 ode = solve_system(system, info, grid)
 
 # route 3: closed forms from the rational surface parametrization

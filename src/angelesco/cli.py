@@ -1,12 +1,12 @@
 """Configuration-driven command line driver.
 
 Three subcommands: ``compute`` writes one CSV of limit values per requested
-method plus a JSON sidecar, ``validate`` runs all methods and checks
-cross-method agreement, identities and residuals against fixed bounds, and
-``plot`` renders CSVs into a four-panel SVG.  Settings come from an optional
-``key = value`` config file; every key can also be overridden by a
-``--key value`` flag.  Outputs are deterministic: identical configuration
-produces byte-identical CSVs.
+method and ``run_meta.json``; ``validate`` is ``compute`` of every method
+plus checks of cross-method agreement, identities and residuals against
+fixed bounds, written to ``validate_report.json``; ``plot`` renders CSVs
+into a four-panel SVG.  Settings come from an optional ``key = value``
+config file, and a ``--key value`` flag overrides any key.  Identical
+configuration produces byte-identical CSVs.
 
 Exit codes: 0 success, 1 validation failure, 2 input or configuration
 error, 3 numerical failure, which ``compute`` and ``validate`` record in
@@ -233,76 +233,79 @@ def read_curve_csv(path):
 # ---------------------------------------------------------------------------
 
 def _compute_curves(cfg, methods):
-    """Run the requested methods.
-
-    Returns ({method: curve}, meta dict, the :class:`PlateauInfo`, and the
-    mask of the grid points the lattice comparisons read).
-    """
+    """Run the requested methods; returns ({method: curve}, meta dict, the
+    :class:`PlateauInfo`, and the mask of the grid points the lattice
+    comparisons read).  A ValueError past the configuration's checks comes
+    from a computed value and is raised as a :class:`NumericalFailure`."""
     system = cfg.check().system()
     grid = cfg.grid()
-    sc, _ = star_normalize(system)
-    t0 = time.perf_counter()
-    info = plateau_bounds(sc)
-    timings = {"plateau": time.perf_counter() - t0}
-    compared = compared_points(grid, info.c1, info.c2, EXCLUDE_MARGIN)
-    curves = {}
-    meta = {"config": cfg.as_dict(), "plateau": info.as_dict(),
-            "timings": timings}
-    for method in METHODS:
-        if method not in methods:
-            continue
+    try:
+        sc, _ = star_normalize(system)
         t0 = time.perf_counter()
-        if method == "dis":
-            lat = solve_lattice(system, cfg.lattice_level)
-            curves[method] = curve_from_lattice(lat, grid, cfg.extrapolate,
-                                                compared)
-            meta["lattice"] = dict(curves[method].meta)
-        elif method == "ode":
-            curves[method] = solve_system(system, info, grid, cfg.ode_steps)
-            meta["ode"] = {k: curves[method].meta[k]
-                           for k in ("splice_mismatch", "identity_drift",
-                                     "branches")}
-        else:
-            curves[method] = limit_curve(system, grid, info)
-        timings[method] = time.perf_counter() - t0
+        info = plateau_bounds(sc)
+        timings = {"plateau": time.perf_counter() - t0}
+        compared = compared_points(grid, info.c1, info.c2, EXCLUDE_MARGIN)
+        curves = {}
+        meta = {"config": cfg.as_dict(), "plateau": info.as_dict(),
+                "timings": timings}
+        for method in sorted(methods, key=METHODS.index):
+            t0 = time.perf_counter()
+            if method == "dis":
+                lat = solve_lattice(system, cfg.lattice_level)
+                curve = curve_from_lattice(lat, grid, cfg.extrapolate,
+                                           compared)
+                meta["lattice"] = dict(curve.meta)
+            elif method == "ode":
+                curve = solve_system(system, info, grid, cfg.ode_steps)
+                meta["ode"] = {k: curve.meta[k] for k in (
+                    "splice_mismatch", "identity_drift", "branches")}
+            else:
+                curve = limit_curve(system, grid, info)
+            curves[method] = curve
+            timings[method] = time.perf_counter() - t0
+    except ValueError as exc:
+        raise NumericalFailure(str(exc), {"interval1": cfg.interval1,
+                                          "interval2": cfg.interval2}) from exc
     return curves, meta, info, compared
+
+
+def _write_json(path, obj):
+    """Write ``obj`` as JSON, indented, keys sorted, with a final newline."""
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n",
+                          encoding="utf-8")
 
 
 def write_failure(output_dir, command, exc):
     """Write ``failure.json``, the record of a :class:`NumericalFailure`:
     the subcommand, the message and the failure's context."""
-    with open(Path(output_dir) / "failure.json", "w", encoding="utf-8") as fh:
-        json.dump({"command": command, "message": str(exc),
-                   "context": exc.context}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(Path(output_dir) / "failure.json",
+                {"command": command, "message": str(exc),
+                 "context": exc.context})
 
 
 def run_compute(cfg, methods):
+    """Run ``methods``; once all have answered, write one CSV per curve and
+    ``run_meta.json``.  Returns what :func:`_compute_curves` returns."""
     methods = set(methods)
-    if not methods:
-        raise ValueError("no methods selected")
-    unknown = methods - set(METHODS)
-    if unknown:
-        raise ValueError(f"unknown methods: {sorted(unknown)}")
+    if not methods or methods - set(METHODS):
+        raise ValueError(f"methods must be some of {', '.join(METHODS)}, "
+                         f"got {sorted(methods)}")
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    curves, meta, _, _ = _compute_curves(cfg, methods)
-    for method, curve in curves.items():
-        write_curve_csv(out / f"{method}.csv", curve)
-    with open(out / "run_meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    curves, meta, info, compared = _compute_curves(cfg, methods)
     for method in METHODS:
         if method in curves:
+            write_curve_csv(out / f"{method}.csv", curves[method])
             print(f"wrote {out / (method + '.csv')}")
+    _write_json(out / "run_meta.json", meta)
     print(f"wrote {out / 'run_meta.json'}")
-    return 0
+    return curves, meta, info, compared
 
 
 def run_validate(cfg):
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    curves, meta, info, compared = _compute_curves(cfg, set(METHODS))
+    """``compute`` of every method, then the checks on its curves, written
+    to ``validate_report.json``; returns the exit code, 0 pass or 1 fail."""
+    curves, _, info, compared = run_compute(cfg, METHODS)
     window = (info.c1, info.c2)
     # (name, report entry, worst value, tolerance, whether the rest holds)
     checks = []
@@ -332,14 +335,11 @@ def run_validate(cfg):
         print(f"{'PASS' if ok else 'FAIL'}  {name}: "
               + (f"worst {worst:.3e} tolerance {tol:.1e}" if seen
                  else "saw no point"))
-    report = {"config": meta["config"], "plateau": meta["plateau"],
-              "comparisons": [c[1] for c in checks[:3]],
-              "identity": checks[3][1], "residuals": checks[4][1],
-              "passed": passed}
-    with open(out / "validate_report.json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"report: {out / 'validate_report.json'}")
+    path = Path(cfg.output_dir) / "validate_report.json"
+    _write_json(path, {"comparisons": [c[1] for c in checks[:3]],
+                       "identity": checks[3][1], "residuals": checks[4][1],
+                       "passed": passed})
+    print(f"report: {path}")
     return 0 if passed else 1
 
 
@@ -419,8 +419,8 @@ def main(argv=None):
             return run_plot(args.csvs, args.out)
         cfg = load_config(args.config, _overrides(args))
         if args.command == "compute":
-            methods = [m for m in args.methods.split(",") if m]
-            return run_compute(cfg, methods)
+            run_compute(cfg, [m for m in args.methods.split(",") if m])
+            return 0
         return run_validate(cfg)
     except NumericalFailure as exc:
         print(f"numerical failure: {exc} {exc.context}", file=_sys.stderr)

@@ -130,7 +130,8 @@ def solve_lattice(sys, m, snapshot_levels=None):
     hull lengths or a nonpositive interior coefficient, NaN included,
     aborts with :class:`NumericalFailure`, and so does a diagonal whose
     scaling back takes a positive a off the normal doubles or a b off the
-    finite ones, as on hull lengths outside about 1e-150 to 1e153.  a1 = 0
+    finite ones, as on hull lengths outside about 1e-150 to 1e153, or on an
+    interval of length 1e-154 in a hull of length 1.  a1 = 0
     at k = 0 and a2 = 0 at k = level stay exact.
     """
     if m < 1:
@@ -162,12 +163,18 @@ def solve_lattice(sys, m, snapshot_levels=None):
         tiny, big = np.finfo(float).tiny, np.finfo(float).max
         if (np.any((0.0 < a) & (a <= big) & ~((tiny <= ua) & (ua <= big)))
                 or np.any(np.isfinite(b) & ~np.isfinite(ub))):
+            # an interval's a's are of the order of its length squared, so
+            # a short interval leaves the range inside a supported hull
             length = sys.i2.hi - sys.i1.lo
+            l1, l2 = sys.i1.length, sys.i2.length
             raise NumericalFailure(
                 f"lattice coefficients out of the double range at hull "
-                f"length {length:.3g}: the sweep supports hull lengths "
-                f"from about 1e-150 to 1e153", {"hull_length": length,
-                                                "level": len(a1) - 1})
+                f"length {length:.3g}, interval lengths {l1:.3g} and "
+                f"{l2:.3g}: the sweep supports hull lengths from about "
+                f"1e-150 to 1e153 and a's, of the order of each interval "
+                f"length squared, among the normal doubles",
+                {"hull_length": length, "interval_lengths": [l1, l2],
+                 "level": len(a1) - 1})
         return out
 
     # two sets of (a1, a2, b1, b2, gap) buffers of length m + 2, for the old

@@ -287,9 +287,11 @@ def integrate_branch(pack, stop, max_steps=DEFAULT_MAX_STEPS):
     steps and adds ``_FLOOR_EPS_PER_STEP`` eps per step, times the
     component's largest value over its scale for the B's.
 
-    A branch that has not reached ``stop`` after ``max_steps`` steps and a
-    state that loses positivity raise :class:`NumericalFailure` with the s
-    reached and the last good s, as floats.  ``meta`` reports the work and
+    A branch that has not reached ``stop`` after ``max_steps`` steps, a
+    zero step and a state that loses positivity raise
+    :class:`NumericalFailure` with the s reached and the last good s, as
+    floats; so does a start state with a C below the normal doubles in
+    units of the end gap squared, whose step rule would give h = 0.  ``meta`` reports the work and
     the estimate (see :class:`Branch`).
     """
     if not max_steps >= 1:
@@ -301,6 +303,12 @@ def integrate_branch(pack, stop, max_steps=DEFAULT_MAX_STEPS):
          math.ldexp(pack.B1_0, -e), math.ldexp(pack.B2_0, -e))
     gap = math.ldexp(pack.gap_0, -e)
     _check_positive(y, e, 0.0, {})
+    if min(y[:2]) < np.finfo(float).tiny:
+        # a subnormal C has too few bits for the step rule, which would
+        # underflow to a zero step
+        raise NumericalFailure("ODE start state: a C relative to the end "
+                               "gap squared is below the normal doubles",
+                               {"s": 0.0, "C1": pack.C1_0, "C2": pack.C2_0})
     nodes, states, dense_r, jets = [0.0], [y], [], []
     trunc = [0.0] * 4
     s0, r = 0.0, float(stop)
@@ -313,6 +321,10 @@ def integrate_branch(pack, stop, max_steps=DEFAULT_MAX_STEPS):
                 a = abs(c[j])
                 if a > 0.0:
                     h = min(h, (_STEP_TOL * b / a) ** (1.0 / j))
+        if not h > 0.0:
+            raise NumericalFailure("ODE step rule gave a zero step",
+                                   {"s": s0, "last_good_s": s0,
+                                    "stop": float(stop)})
         s1, dense = s0 + r * h, r
         if h == left or s1 >= stop:
             h, s1 = left, stop

@@ -572,6 +572,20 @@ def test_the_lattice_names_its_range_outside_it(tmp_path, capsys, length):
     assert "hull lengths from about 1e-150 to 1e153" in err
 
 
+def test_the_lattice_names_the_short_interval_inside_its_hull_range(
+        tmp_path, capsys):
+    # hull length 1 is inside the range; the a's of the interval of length
+    # 1e-155, of the order of its length squared, are not normal doubles
+    out = tmp_path / "out"
+    rc = main(["compute", "--methods", "dis", "--lattice_level", "50",
+               "--interval1=-1e-155,0", "--output_dir", str(out)])
+    assert rc == 3
+    assert "interval lengths 1e-155 and 1:" in capsys.readouterr().err
+    ctx = json.loads((out / "failure.json").read_text())["context"]
+    assert ctx["hull_length"] == 1.0
+    assert ctx["interval_lengths"] == [1e-155, 1.0]
+
+
 def _shifted_touching(power):
     c = 2 ** power
     return [f"--interval1={c - 2},{c}", f"--interval2={c},{c + 1}"]
@@ -783,6 +797,73 @@ def test_a_branch_at_its_step_cap_leaves_a_failure_record(tmp_path):
     ctx = record["context"]
     assert ctx["branch"] == "forward"
     assert 0.0 < ctx["s"] == ctx["last_good_s"] < ctx["stop"]
+    assert not (out / "ode.csv").exists()
+
+
+def test_validate_writes_no_csv_before_every_route_answers(tmp_path):
+    # the lattice answers, then the ODE branch stops at its cap: validate,
+    # like compute, leaves the failure record and no curve
+    out = tmp_path / "out"
+    assert main(["validate", "--ode_steps", "1", "--lattice_level", "200",
+                 "--output_dir", str(out)]) == 3
+    assert [p.name for p in out.iterdir()] == ["failure.json"]
+
+
+@pytest.mark.parametrize("interval1, interval2, rc", [
+    ("-2,0", "0,1", 0), ("-2,0", "0.25,1", 0), ("-0.01,0", "0.9,1", 1)],
+    ids=["touching", "gap", "wide-window"])
+def test_validate_writes_what_compute_writes(tmp_path, interval1, interval2,
+                                             rc):
+    # one run path: validate's CSVs are compute's bytes, and run_meta.json
+    # differs only in its wall timings and the output directory
+    args = [f"--interval1={interval1}", f"--interval2={interval2}"]
+    dirs = tmp_path / "compute", tmp_path / "validate"
+    assert main(["compute", *args, "--output_dir", str(dirs[0])]) == 0
+    assert main(["validate", *args, "--output_dir", str(dirs[1])]) == rc
+    for name in ("dis.csv", "ode.csv", "surface.csv"):
+        assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+    metas = [json.loads((d / "run_meta.json").read_text()) for d in dirs]
+    for meta, d in zip(metas, dirs):
+        assert set(meta.pop("timings")) == {"plateau", "dis", "ode",
+                                            "surface"}
+        assert meta["config"].pop("output_dir") == str(d)
+    assert metas[0] == metas[1]
+    # the configuration and the plateau live in run_meta.json only
+    report = json.loads((dirs[1] / "validate_report.json").read_text())
+    assert set(report) == {"comparisons", "identity", "residuals", "passed"}
+    assert report["passed"] is (rc == 0)
+
+
+@pytest.mark.parametrize("interval1, interval2", [
+    ("-1e-300,0", "0,1e300"), ("-1e-200,0", "0,1e200")])
+@pytest.mark.parametrize("command", ["compute", "validate"])
+def test_an_alpha_that_underflows_is_a_numerical_failure(
+        tmp_path, capsys, command, interval1, interval2):
+    # both configurations pass their checks; alpha = 1e-600 or 1e-400
+    # rounds to 0, which the star frame rejects: exit 3 with a record, not
+    # the usage error 2
+    out = tmp_path / "out"
+    rc = main([command, f"--interval1={interval1}",
+               f"--interval2={interval2}", "--output_dir", str(out)])
+    assert rc == 3
+    assert "alpha must be positive" in capsys.readouterr().err
+    record = json.loads((out / "failure.json").read_text())
+    assert record["command"] == command
+    assert "alpha must be positive" in record["message"]
+
+
+def test_a_subnormal_ode_start_state_leaves_a_failure_record(tmp_path):
+    # C2 = (1e-160 / 4)^2 at the start of the reflected system's branch is
+    # subnormal, and the step rule would underflow to a zero step there
+    out = tmp_path / "out"
+    rc = main(["compute", "--methods", "ode", "--interval1=-1e-160,0",
+               "--output_dir", str(out)])
+    assert rc == 3
+    record = json.loads((out / "failure.json").read_text())
+    assert "normal doubles" in record["message"]
+    ctx = record["context"]
+    assert ctx["branch"] == "backward" and ctx["s"] == 0.0
+    assert 0.0 < ctx["C2"] < np.finfo(float).tiny
     assert not (out / "ode.csv").exists()
 
 

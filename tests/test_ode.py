@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -405,6 +406,29 @@ def test_a_nonpositive_start_state_is_a_numerical_failure():
     with pytest.raises(NumericalFailure, match="positivity") as exc:
         integrate_branch(BoundaryPack(-1e-4, 25.0, -4.5, 0.5001), 0.5)
     assert exc.value.context["s"] == 0.0
+
+
+def test_a_subnormal_start_state_is_a_numerical_failure():
+    # the branch beside the interval of length 1e-160 starts from
+    # C2 = (1e-160 / 4)^2, a subnormal, where its step rule would give
+    # h = 0 (the mirror's backward branch starts from the same pack)
+    sys = AngelescoSystem(Interval(-1.0, 0.0), Interval(0.0, 1e-160))
+    with pytest.raises(NumericalFailure, match="normal doubles") as exc:
+        integrate_branch(boundary_values(sys), 0.5)
+    ctx = exc.value.context
+    assert ctx["s"] == 0.0 and 0.0 < ctx["C2"] < np.finfo(float).tiny
+    assert json.loads(json.dumps(ctx)) == ctx
+    plateau = SimpleNamespace(c1=0.5, c2=0.5, one_minus_c2=0.5)
+    with pytest.raises(NumericalFailure) as exc:
+        solve_system(sys, plateau, np.linspace(0.0, 1.0, 11))
+    assert exc.value.context["branch"] == "forward"
+
+
+def test_a_zero_step_is_a_numerical_failure(monkeypatch, touching_pack):
+    monkeypatch.setattr(ode_mod, "_STEP_TOL", 0.0)
+    with pytest.raises(NumericalFailure, match="zero step") as exc:
+        integrate_branch(touching_pack, 0.5)
+    assert exc.value.context == {"s": 0.0, "last_good_s": 0.0, "stop": 0.5}
 
 
 @pytest.mark.parametrize("steps", [0, -5, 0.5, float("nan")])
