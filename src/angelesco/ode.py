@@ -38,13 +38,14 @@ limit curve is then the unique solution through the closed-form endpoint
 state, and the first series is taken at s = 0 itself.
 """
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import NumericalFailure
-from .systems import (AffineMap, LimitCurve, check_grid, plateau_zones,
-                      pushforward_limits, reflect, validate_computed)
+from .systems import (AffineMap, LimitCurve, check_a_range, check_grid,
+                      plateau_zones, pushforward_limits, reflect,
+                      validate_computed)
 
 # most Taylor steps one branch may take
 DEFAULT_MAX_STEPS = 500
@@ -437,17 +438,27 @@ def solve_system(sys, plateau, grid, max_steps=DEFAULT_MAX_STEPS):
     ``plateau`` (from the surface route) supplies c1, c2 and the exact
     1 - c2: the forward branch runs ``sys`` to c1, the backward one
     ``reflect(sys)`` to 1 - c2, each within ``max_steps`` steps.  A
-    :class:`NumericalFailure` of a branch names it under ``branch``.
-    Returns the assembled :class:`LimitCurve`.
+    :class:`NumericalFailure` of a branch names it under ``branch``, and
+    so does an A at the grid rays a branch reaches that leaves the normal
+    doubles on the way from the branch's units to user units
+    (:func:`~angelesco.systems.check_a_range`).  Returns the assembled
+    :class:`LimitCurve`.
     """
+    grid = check_grid(grid)
     branches = []
-    for name, pack, stop in (
-            ("forward", boundary_values(sys), plateau.c1),
+    for name, pack, stop, rays in (
+            ("forward", boundary_values(sys), plateau.c1, grid),
             ("backward", boundary_values(reflect(sys)),
-             plateau.one_minus_c2)):
+             plateau.one_minus_c2, 1.0 - grid)):
         try:
-            branches.append(integrate_branch(pack, stop, max_steps))
+            branch = integrate_branch(pack, stop, max_steps)
+            # with exponent 0 the branch reads its A's in its own units;
+            # 4^e times them is normal exactly where limit_values' A is
+            own = np.array(replace(branch, exponent=0).limit_values(
+                rays[rays <= stop])[:2])
+            check_a_range(own, np.ldexp(own, 2 * branch.exponent), sys)
         except NumericalFailure as exc:
             exc.context["branch"] = name
             raise
+        branches.append(branch)
     return assemble_curve(*branches, plateau.c1, plateau.c2, grid)

@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import NumericalFailure
 from .rootfind import bisect, expand_upper
-from .systems import (LimitCurve, check_grid, plateau_zones,
+from .systems import (LimitCurve, check_a_range, check_grid, plateau_zones,
                       pushforward_limits, star_normalize, validate_computed)
 
 # ---------------------------------------------------------------------------
@@ -294,9 +294,9 @@ def plateau_bounds(sc):
         raise NumericalFailure("plateau window out of order",
                                {"c1": c1, "c2": c2})
     a1, a2, b1, b2 = residue_limits(sc.alpha, w, edge_d(sc.alpha) + x0[0])
-    # computed constants: a broken contract is a numerical failure
-    validate_computed(LimitCurve(
-        [0.5 * (c1 + c2)], [a1], [a2], [b1], [b2], "plateau"))
+    # computed constants, a numerical failure off the contract, checked at
+    # an interior ray: the window may round to s = 1, as on (-1e32,0)u(0,1)
+    validate_computed(LimitCurve([0.5], [a1], [a2], [b1], [b2], "plateau"))
     return PlateauInfo(c1, c2, one_minus_c2, float(a1), float(a2),
                        float(b1), float(b2), top, top_hat)
 
@@ -313,8 +313,10 @@ def limit_curve(sys, grid, info=None):
     s = 1 joins the right zone and s = 0 the left one: their ray (1, 0)
     solves to x = 0 exactly, so w = 0, d = d1 and the vanishing A is
     exactly 0.  Star-frame values reach the user frame through
-    :func:`pushforward_limits`.  ``info`` may carry a precomputed
-    :class:`PlateauInfo`.
+    :func:`pushforward_limits`; an A that leaves the normal doubles there
+    is a :class:`NumericalFailure` naming the hull length
+    (:func:`~angelesco.systems.check_a_range`).  ``info`` may carry a
+    precomputed :class:`PlateauInfo`.
     """
     grid = check_grid(grid)
     sc, amap = star_normalize(sys)
@@ -342,5 +344,6 @@ def limit_curve(sys, grid, info=None):
         back = pushforward_limits(hat_curve, back_map)
         star[:, left] = back.A1, back.A2, back.B1, back.B2
 
-    return validate_computed(
-        pushforward_limits(LimitCurve(grid.copy(), *star, "surface"), amap))
+    curve = pushforward_limits(LimitCurve(grid.copy(), *star, "surface"), amap)
+    check_a_range(star[:2], [curve.A1, curve.A2], sys)
+    return validate_computed(curve)

@@ -52,11 +52,10 @@ def _data_range(arrays, margin=0.06):
 def render_panels(curves, labels, comments=()):
     """SVG document showing the four limit functions of ``curves``.
 
-    ``curves`` is a sequence of (s, values) pairs where values maps each
-    panel name to an array; ``labels`` names them in the legend (escaped
-    here, as they may hold ``&`` or ``<``).  Extra ``comments`` are
-    embedded verbatim as XML comments (resampling warnings, provenance and
-    the like).
+    ``curves`` is a sequence of :class:`~angelesco.systems.LimitCurve`,
+    each drawn on its own grid ``s``; ``labels`` names them in the legend
+    (escaped here, as they may hold ``&`` or ``<``).  Extra ``comments``
+    are embedded verbatim as XML comments (provenance and the like).
     """
     out = []
     out.append('<?xml version="1.0" encoding="UTF-8"?>')
@@ -81,8 +80,8 @@ def render_panels(curves, labels, comments=()):
 
     for idx, name in enumerate(PANELS):
         x0, y0, x1, y1 = _panel_box(idx)
-        ylo, yhi = _data_range([vals[name] for _, vals in curves])
-        slo, shi = _data_range([s for s, _ in curves], margin=0.0)
+        ylo, yhi = _data_range([getattr(c, name) for c in curves])
+        slo, shi = _data_range([c.s for c in curves], margin=0.0)
 
         def sx(v):
             return x0 + (v - slo) / (shi - slo) * (x1 - x0)
@@ -112,10 +111,10 @@ def render_panels(curves, labels, comments=()):
             out.append(f'<text x="{_fmt(x0 - 8)}" y="{_fmt(py + 4)}" '
                        f'font-family="sans-serif" font-size="11" '
                        f'text-anchor="end">{_tick_label(gv)}</text>')
-        for ci, (s, vals) in enumerate(curves):
+        for ci, c in enumerate(curves):
             color = COLORS[ci % len(COLORS)]
             pts = " ".join(f"{_fmt(sx(u))},{_fmt(sy(v))}"
-                           for u, v in zip(s, vals[name]))
+                           for u, v in zip(c.s, getattr(c, name)))
             out.append(f'<polyline points="{pts}" fill="none" '
                        f'stroke="{color}" stroke-width="1.6"/>')
     out.append("</svg>")

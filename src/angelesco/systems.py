@@ -10,7 +10,8 @@ It also owns the rules every limit curve obeys, whichever route computed
 it: :func:`check_grid` is the one grid check (nonempty, 1-d, strictly
 increasing inside [0, 1]), :func:`plateau_zones` the one split of a grid
 around the plateau window, and :meth:`LimitCurve.validate` the one set of
-pointwise invariants.  A single ray is a one-point curve: every route
+pointwise invariants, the endpoint zeros and B1 < B2 among them, which
+each route applies once.  A single ray is a one-point curve: every route
 answers on a grid, and a one-point grid reads the same bits as that point
 of a longer one.
 """
@@ -163,14 +164,12 @@ class LimitCurve:
         self.B1 = np.asarray(self.B1, dtype=float)
         self.B2 = np.asarray(self.B2, dtype=float)
 
-    def __len__(self):
-        return self.s.size
-
     def validate(self):
         """Check the grid and the pointwise invariants; ValueError on violation.
 
-        All values are finite, A1, A2 >= 0 with A1 vanishing only at s = 0
-        and A2 only at s = 1, and B1 < B2 everywhere.
+        All values are finite, A1, A2 >= 0, A1 is 0 at s = 0 and nowhere
+        else (every route writes exact end zeros), A2 is 0 at s = 1 and
+        nowhere else, and B1 < B2 everywhere.
         """
         for name in ("s", "A1", "A2", "B1", "B2"):
             if not np.all(np.isfinite(getattr(self, name))):
@@ -195,8 +194,9 @@ class LimitCurve:
         s = self.s
         return (("A limits must be nonnegative",
                  (self.A1 < 0) | (self.A2 < 0)),
-                ("A1 may vanish only at s = 0, A2 only at s = 1",
-                 ((self.A1 == 0) & (s != 0.0)) | ((self.A2 == 0) & (s != 1.0))),
+                ("A1 must vanish at s = 0 and nowhere else, "
+                 "A2 at s = 1 and nowhere else",
+                 ((self.A1 == 0) != (s == 0.0)) | ((self.A2 == 0) != (s == 1.0))),
                 ("need B1 < B2 everywhere", self.B1 >= self.B2))
 
 
@@ -211,6 +211,28 @@ def validate_computed(curve):
     except ValueError as exc:
         raise NumericalFailure(f"{curve.method} curve: {exc}",
                                {"method": curve.method}) from exc
+
+
+def check_a_range(own, user, sys):
+    """NumericalFailure where an A of ``sys`` that is a positive normal
+    double in a route's own units (``own``) is 0, subnormal or inf in user
+    units (``user``, the same points); the record names the hull length.
+
+    A is of the order of the hull length squared, so on hull lengths
+    outside about 1e-151 to 1e154 a correct A leaves the normal doubles.
+    An A already out of range in the route's own units is the route's own
+    failure and is left to the curve contract.
+    """
+    tiny, big = np.finfo(float).tiny, np.finfo(float).max
+    own, user = np.asarray(own), np.asarray(user)
+    if np.any((tiny <= own) & (own <= big) & ~((tiny <= user) & (user <= big))):
+        length = sys.i2.hi - sys.i1.lo
+        raise NumericalFailure(
+            f"A limits out of the double range at hull length {length:.3g}: "
+            f"an A, of the order of the hull length squared, leaves the "
+            f"normal doubles on the way from the route's own units to user "
+            f"units",
+            {"hull_length": length})
 
 
 # ---------------------------------------------------------------------------

@@ -106,8 +106,9 @@ def test_criterion_5_square_root_identity(touching_system, touching_info,
                       (gap_system, gap_info)):
         curve = limit_curve(sys, GRID, info=info)
         rep = identity_checks(curve, window=(info.c1, info.c2))
-        assert rep.max_abs <= 1e-8
-        assert rep.endpoint_ok and rep.min_gap > 0.0
+        assert rep.max_abs <= 1e-8 and rep.n_points > 0
+        # B2 > B1 and the endpoint zeros are the curve contract's
+        assert curve.validate() is curve
 
 
 def test_criterion_6_symmetric_system_mirror():

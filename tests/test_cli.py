@@ -867,6 +867,35 @@ def test_a_subnormal_ode_start_state_leaves_a_failure_record(tmp_path):
     assert not (out / "ode.csv").exists()
 
 
+@pytest.mark.parametrize("method", ["ode", "surface"])
+def test_a_values_out_of_the_double_range_leave_a_failure_record(tmp_path,
+                                                                  method):
+    # A ~ L^2 ~ 1e-320 on a hull of length 2e-160: each route's A's are
+    # normal in its own units and leave the normal doubles in user units
+    out = tmp_path / "out"
+    rc = main(["compute", "--methods", method, "--interval1=-1e-160,0",
+               "--interval2=0,1e-160", "--output_dir", str(out)])
+    assert rc == 3
+    record = json.loads((out / "failure.json").read_text())
+    assert "normal doubles" in record["message"]
+    assert "hull length 2e-160" in record["message"]
+    assert record["context"]["hull_length"] == 2e-160
+    assert not (out / f"{method}.csv").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_an_internal_overflow_does_not_claim_the_double_range(tmp_path):
+    # on (-1e-70,0) u (0,1) the hull length is about 1 and the surface
+    # route overflows inside its star frame: the contract names that
+    out = tmp_path / "out"
+    rc = main(["compute", "--methods", "surface", "--interval1=-1e-70,0",
+               "--output_dir", str(out)])
+    assert rc == 3
+    record = json.loads((out / "failure.json").read_text())
+    assert record["message"].startswith("surface curve:")
+    assert "hull_length" not in record["context"]
+
+
 def test_plot(tmp_path):
     out = tmp_path / "out"
     assert main(["compute", "--output_dir", str(out)] + FAST) == 0
@@ -900,22 +929,26 @@ def test_plot_escapes_its_legend_labels(tmp_path):
     assert "a&b<c>" in texts
 
 
-def test_plot_resamples_mismatched_grids(tmp_path):
-    out1 = tmp_path / "a"
-    out2 = tmp_path / "b"
-    assert main(["compute", "--methods", "surface",
-                 "--output_dir", str(out1)] + FAST) == 0
-    assert main(["compute", "--methods", "surface", "--grid_points", "31",
-                 "--output_dir", str(out2), "--lattice_level", "200"]) == 0
-    second = out2 / "other.csv"
-    (out2 / "surface.csv").rename(second)
+def test_plot_draws_each_curve_on_its_own_grid(tmp_path):
+    # a 181-point and a 41-point curve: each polyline has its own curve's
+    # points, and nothing is resampled
+    import xml.etree.ElementTree as ET
+
+    paths = []
+    for n in (181, 41):
+        out = tmp_path / f"g{n}"
+        assert main(["compute", "--methods", "surface", "--grid_points",
+                     str(n), "--output_dir", str(out)]) == 0
+        paths.append(out / f"surface{n}.csv")
+        (out / "surface.csv").rename(paths[-1])
     svg_path = tmp_path / "fig.svg"
-    rc = main(["plot", str(out1 / "surface.csv"), str(second),
-               "--out", str(svg_path)])
-    assert rc == 0
+    assert main(["plot", *map(str, paths), "--out", str(svg_path)]) == 0
     svg = svg_path.read_text()
-    assert "resampled" in svg
-    assert svg.count("<polyline") == 8
+    assert "resampled" not in svg
+    root = ET.parse(svg_path).getroot()
+    lines = list(root.iter("{http://www.w3.org/2000/svg}polyline"))
+    counts = [len(el.get("points").split()) for el in lines]
+    assert counts == [181, 41] * 4          # 4 panels x 2 curves
 
 
 def test_plot_draws_a_one_row_curve(tmp_path):

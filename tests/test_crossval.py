@@ -156,8 +156,8 @@ def test_identity_on_surface_curve(gap_curve_dense, gap_info,
     rep = identity_checks(touching_curve,
                           window=(touching_info.c1, touching_info.c2))
     assert rep.max_abs <= 1e-8
-    assert rep.min_gap > 0
-    assert rep.endpoint_ok
+    # every interior point: the threshold ray is no point of the grid
+    assert rep.n_points == touching_curve.s.size - 2
     # the plateau points are skipped
     rep = identity_checks(gap_curve_dense, window=(gap_info.c1, gap_info.c2))
     assert rep.n_points < gap_curve_dense.s.size - 2
@@ -168,14 +168,8 @@ def test_identity_on_lattice_curve(touching_system):
     cv = curve_from_lattice(lat, np.linspace(0.05, 0.95, 19))
     rep = identity_checks(cv)
     assert rep.max_rel <= 2e-2
-    assert rep.min_gap > 0
-
-
-def test_identity_flags_bad_endpoint():
-    s = np.array([0.0, 0.5, 1.0])
-    cv = LimitCurve(s, np.array([0.1, 0.2, 0.3]), np.array([0.3, 0.2, 0.0]),
-                    -np.ones(3), np.ones(3))
-    assert not identity_checks(cv).endpoint_ok
+    assert rep.n_points == cv.s.size
+    assert set(rep.as_dict()) == {"max_abs", "max_rel", "n_points"}
 
 
 def test_convergence_study(touching_system):

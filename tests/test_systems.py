@@ -251,7 +251,6 @@ def test_curve_validate():
     good = LimitCurve(s, np.array([0.0, 0.2, 0.3]), np.array([0.3, 0.2, 0.0]),
                       np.full(3, -1.0), np.full(3, 0.5))
     assert good.validate() is good
-    assert len(good) == 3
     bad = LimitCurve(s[::-1], good.A1, good.A2, good.B1, good.B2)
     with pytest.raises(ValueError):
         bad.validate()
@@ -272,6 +271,19 @@ def test_curve_validate():
             fields[name][1] = value
             with pytest.raises(ValueError, match="finite"):
                 LimitCurve(**fields).validate()
+
+
+def test_curve_validate_needs_the_endpoint_zeros():
+    # A1 is 0 at s = 0 and A2 at s = 1, exactly, on every route's curve
+    s = np.array([0.0, 0.5, 1.0])
+    b1, b2 = -np.ones(3), np.ones(3)
+    with pytest.raises(ValueError, match="vanish at s = 0"):
+        LimitCurve(s, [0.1, 0.2, 0.3], [0.3, 0.2, 0.0], b1, b2).validate()
+    with pytest.raises(ValueError, match="vanish at s = 0"):
+        LimitCurve(s, [0.0, 0.2, 0.3], [0.3, 0.2, 1e-300], b1, b2).validate()
+    # the rule reads the grid's ends, not its first and last points
+    inner = LimitCurve([0.25, 0.75], [0.1, 0.2], [0.2, 0.1], b1[:2], b2[:2])
+    assert inner.validate() is inner
 
 
 def test_a_computed_curve_off_the_contract_is_a_numerical_failure():
