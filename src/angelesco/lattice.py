@@ -22,15 +22,14 @@ shifted, so q does not either, and a shift c costs the b's only the rounding
 of b + q: under 64 ulp(c) after 1500 levels.  Expanded as
 (dS - b1 b2 + b2^2) / gap, the same step would cancel terms of size c^2.
 
-The sweep runs in hull units: on the system scaled by 2^-e, with 2^e the
-power of two just above its hull length L, so a is O(1) there and not
-O(L^2).  In user units the step relations form products a * gap of order
-L^3, which leave the range of normal doubles near L = 1e-103 and 1e103.
-Scaling by a power of two is exact, so the results are the user-unit
-values bit for bit wherever those stay normal doubles, and the range is
-set by a ~ L^2 alone: hull lengths from about 1e-150 to 1e153.  Outside
-it the sweep raises instead of returning a's that are 0, subnormal or
-infinite.
+The sweep and the read-out run in hull units
+(:func:`~angelesco.systems.hull_units`), so a is O(1) there and not
+O(L^2), L the hull length.  In user units the step relations form products
+a * gap of order L^3, which leave the range of normal doubles near
+L = 1e-103 and 1e103.  The finished curve returns to user units through
+:func:`~angelesco.systems.user_units`, exactly, so the range is set by
+A ~ L^2 alone.  The sweep's own check is that its a's are normal doubles in
+hull units, which an interval far shorter than the hull breaks.
 
 Each diagonal's gap b2 - b1 is formed once.  Its b-phase solve divides by
 it, and the next diagonal's a-phase reads it again as the denominator of its
@@ -54,15 +53,14 @@ m/8 at m = 400 on every system measured (touching 7.73 against 7.11, gap
 11.24.  They lie close together, so the table amplifies the rounding of
 its inputs by its Lebesgue constant, 386 (6.4 for the halving levels).
 """
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalFailure
 from .orthopoly import axis_data
-from .systems import (AngelescoSystem, Interval, LimitCurve, check_grid,
-                      validate_computed)
+from .systems import (AngelescoSystem, LimitCurve, check_grid, hull_units,
+                      range_failure, user_units, validate_computed)
 
 # smallest |b2 - b1| in a propagation denominator, in hull lengths
 _DENOM_FLOOR = 1e-12
@@ -77,9 +75,11 @@ class NnrrLattice:
     """Completed sweep: top diagonal, snapshots, and consistency residuals.
 
     ``a1 ... b2`` hold the top diagonal n1 + n2 = m indexed by k = n1.
-    ``snapshots`` maps a level to its four diagonal arrays.  ``residuals``
-    has one row per completed diagonal: the absolute mismatch between the
-    propagated and the directly computed axis cross-b on each axis.
+    ``snapshots`` maps a level to its four diagonal arrays, all in the hull
+    units of ``system`` (a's times 4^e and b's times 2^e are in user units,
+    e = ``exponent``).  ``residuals`` has one row per completed diagonal:
+    the absolute mismatch, in user units, between the propagated and the
+    directly computed axis cross-b on each axis.
     """
     m: int
     a1: np.ndarray
@@ -88,6 +88,8 @@ class NnrrLattice:
     b2: np.ndarray
     snapshots: dict
     residuals: np.ndarray
+    system: AngelescoSystem
+    exponent: int
 
     def diagonal(self, level):
         """Diagonal arrays (a1, a2, b1, b2) at ``level`` (top or snapshot)."""
@@ -109,7 +111,7 @@ class NnrrLattice:
         return NnrrLattice(level, *self.diagonal(level),
                            {n: d for n, d in self.snapshots.items()
                             if n < level},
-                           self.residuals[:level])
+                           self.residuals[:level], self.system, self.exponent)
 
     def max_residual(self):
         return float(self.residuals.max()) if self.residuals.size else 0.0
@@ -119,19 +121,16 @@ def solve_lattice(sys, m, snapshot_levels=None):
     """Sweep the coefficient lattice of ``sys`` out to level ``m``.
 
     ``snapshot_levels`` defaults to the levels below m that the Richardson
-    table reads (:func:`table_levels`).  The sweep works in hull units: it
-    runs on ``sys`` scaled by 2^-e, with 2^e the power of two just above the
-    hull length, and scales the results back by 2^2e (a's) and 2^e (b's and
-    residuals), all exactly.  So every system whose a's (of order L^2) are
-    normal doubles and whose b's are finite sweeps, and scaling a system by
-    a power of two scales its lattice bit for bit.  Two sets of diagonal buffers of length
-    m + 2, used in turn, are allocated once; cost is O(m^2) time and O(m)
-    memory besides the snapshots.  A propagation denominator below 1e-12
-    hull lengths or a nonpositive interior coefficient, NaN included,
-    aborts with :class:`NumericalFailure`, and so does a diagonal whose
-    scaling back takes a positive a off the normal doubles or a b off the
-    finite ones, as on hull lengths outside about 1e-150 to 1e153, or on an
-    interval of length 1e-154 in a hull of length 1.  a1 = 0
+    table reads (:func:`table_levels`).  The sweep runs on
+    :func:`~angelesco.systems.hull_units` of ``sys`` and keeps its
+    diagonals there, so scaling a system by a power of two leaves them
+    bit for bit.  Two sets of diagonal buffers of length m + 2, used in
+    turn, are allocated once; cost is O(m^2) time and O(m) memory besides
+    the snapshots.  A propagation denominator below 1e-12 hull lengths or
+    a nonpositive interior coefficient, NaN included, aborts with
+    :class:`NumericalFailure`, and so does a kept diagonal with a positive
+    a below the normal doubles, as on an interval of length 1e-154 in a
+    hull of length 1 (:func:`~angelesco.systems.range_failure`).  a1 = 0
     at k = 0 and a2 = 0 at k = level stay exact.
     """
     if m < 1:
@@ -140,42 +139,12 @@ def solve_lattice(sys, m, snapshot_levels=None):
         snapshot_levels = table_levels(m)
     snapshot_levels = set(snapshot_levels)
 
-    e = math.frexp(sys.i2.hi - sys.i1.lo)[1]
-    unit = AngelescoSystem(*(Interval(math.ldexp(iv.lo, -e),
-                                      math.ldexp(iv.hi, -e))
-                             for iv in (sys.i1, sys.i2)), sys.w1, sys.w2)
+    unit, e = hull_units(sys)
     floor = _DENOM_FLOOR * (unit.i2.hi - unit.i1.lo)
     ax1 = axis_data(unit, 1, m)
     ax2 = axis_data(unit, 2, m)
     own1, own2 = ax1.own_a.tolist(), ax2.own_a.tolist()
     cross1, cross2 = ax1.cross_b.tolist(), ax2.cross_b.tolist()
-
-    def unscaled(a1, a2, b1, b2):
-        with np.errstate(over="ignore"):  # an overflow raises below
-            out = (np.ldexp(a1, 2 * e), np.ldexp(a2, 2 * e),
-                   np.ldexp(b1, e), np.ldexp(b2, e))
-        # values the scaling took out of range: a positive a (a1 = 0 at
-        # k = 0 and a2 = 0 at k = level stay 0) off the normal doubles, or
-        # a finite b overflowing.  Values already bad in hull units are left
-        # to the sweep's guards
-        a, ua = np.concatenate((a1, a2)), np.concatenate(out[:2])
-        b, ub = np.concatenate((b1, b2)), np.concatenate(out[2:])
-        tiny, big = np.finfo(float).tiny, np.finfo(float).max
-        if (np.any((0.0 < a) & (a <= big) & ~((tiny <= ua) & (ua <= big)))
-                or np.any(np.isfinite(b) & ~np.isfinite(ub))):
-            # an interval's a's are of the order of its length squared, so
-            # a short interval leaves the range inside a supported hull
-            length = sys.i2.hi - sys.i1.lo
-            l1, l2 = sys.i1.length, sys.i2.length
-            raise NumericalFailure(
-                f"lattice coefficients out of the double range at hull "
-                f"length {length:.3g}, interval lengths {l1:.3g} and "
-                f"{l2:.3g}: the sweep supports hull lengths from about "
-                f"1e-150 to 1e153 and a's, of the order of each interval "
-                f"length squared, among the normal doubles",
-                {"hull_length": length, "interval_lengths": [l1, l2],
-                 "level": len(a1) - 1})
-        return out
 
     # two sets of (a1, a2, b1, b2, gap) buffers of length m + 2, for the old
     # and the new diagonal in turn.  The fills are the values no step
@@ -191,7 +160,7 @@ def solve_lattice(sys, m, snapshot_levels=None):
 
     snaps = {}
     if 0 in snapshot_levels:
-        snaps[0] = unscaled(*(buf[:1] for buf in old[:4]))
+        snaps[0] = tuple(buf[:1].copy() for buf in old[:4])
     b1, b2 = old[2][:1], old[3][:1]
     # the propagated axis cross-b's of every level, before the override
     propagated = []
@@ -238,12 +207,17 @@ def solve_lattice(sys, m, snapshot_levels=None):
         old, new = new, old
         b1, b2, gap_prev = b1n, b2n, gap
         if L + 1 in snapshot_levels and L + 1 != m:
-            snaps[L + 1] = unscaled(a1n[:K], a2n[:K], b1n, b2n)
+            snaps[L + 1] = tuple(buf[:K].copy() for buf in old[:4])
 
     residuals = np.abs(np.subtract(
         propagated, np.column_stack((ax1.cross_b[1:], ax2.cross_b[1:]))))
-    top = unscaled(*(buf[:m + 1] for buf in old[:4]))
-    return NnrrLattice(m, *top, snaps, np.ldexp(residuals, e))
+    top = tuple(buf[:m + 1] for buf in old[:4])
+    # an interval's a's are of the order of its length squared, so a short
+    # interval leaves the normal doubles inside a supported hull
+    a = np.concatenate([v for d in (top, *snaps.values()) for v in d[:2]])
+    if np.any((0.0 < a) & (a < np.finfo(float).tiny)):
+        raise range_failure(sys)
+    return NnrrLattice(m, *top, snaps, np.ldexp(residuals, e), sys, e)
 
 
 def table_levels(m):
@@ -319,9 +293,11 @@ def curve_from_lattice(lat, grid, extrapolate=False, compared=None):
     read-out can break the curve's invariants there (A1 <= 0 next to s = 0,
     say) on short sweeps or fine grids.  Such points take the top
     diagonal's linear interpolation instead, which keeps them; their count
-    is ``meta["linear_points"]``.
+    is ``meta["linear_points"]``.  This runs in hull units; the curve and
+    the estimates return in :func:`~angelesco.systems.user_units`.
     """
     grid = check_grid(grid)
+    e = lat.exponent
     top = lat.diagonal(lat.m)
     levels = table_levels(lat.m) if extrapolate else [lat.m]
     vals, lower = richardson_table(
@@ -335,7 +311,11 @@ def curve_from_lattice(lat, grid, extrapolate=False, compared=None):
             "max_residual": lat.max_residual(),
             "linear_points": int(np.count_nonzero(off)),
             "table_levels": levels}
-    diff = np.abs(vals - lower).max(axis=0)
+    curve = user_units(validate_computed(
+        LimitCurve(grid.copy(), *vals, "lattice", meta)), lat.system, e)
+    # each function's difference in user units, then the largest
+    diff = np.ldexp(np.abs(vals - lower), [[2 * e], [2 * e], [e], [e]])
+    diff = diff.max(axis=0)
     masks = {"error_estimate": np.ones(grid.size, dtype=bool)}
     if compared is not None:
         masks["error_estimate_compared"] = np.asarray(compared, dtype=bool)
@@ -345,5 +325,4 @@ def curve_from_lattice(lat, grid, extrapolate=False, compared=None):
             worst = np.flatnonzero(mask)[np.argmax(diff[mask])]
             meta[key] = {"max_abs": float(diff[worst]),
                          "s": float(grid[worst])}
-    return validate_computed(
-        LimitCurve(grid.copy(), *vals, "lattice", meta))
+    return curve

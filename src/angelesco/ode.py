@@ -25,11 +25,10 @@ error estimate, per component: C relative to itself, B relative to the gap
 B2 - B1 at s = 0.
 
 The series run on Python floats with + - * / and sqrt only, summed in a
-fixed order, so no BLAS or CPU kernel touches a result.  They work on the
-state scaled by a power of two (C by 4^-e, B by 2^-e, 2^e near the gap at
-s = 0), which is exact, so the products in the recurrences stay in range at
-any length scale and a copy scaled by a power of two integrates to the same
-bits.
+fixed order, so no BLAS or CPU kernel touches a result.  They run in hull
+units (:mod:`angelesco.systems`), where the end gaps lie between 1/8 and 1,
+so the products in the recurrences stay in range at any length scale and a
+copy scaled by a power of two integrates to the same bits.
 
 The linear system defining (C1', C2') degenerates at the endpoints only
 through a removable factor s (1 - s); the solved form used here cancels that
@@ -38,13 +37,13 @@ limit curve is then the unique solution through the closed-form endpoint
 state, and the first series is taken at s = 0 itself.
 """
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NumericalFailure
-from .systems import (AffineMap, LimitCurve, check_a_range, check_grid,
-                      plateau_zones, pushforward_limits, reflect,
+from .systems import (AffineMap, LimitCurve, check_grid, hull_units,
+                      plateau_zones, pushforward_limits, reflect, user_units,
                       validate_computed)
 
 # most Taylor steps one branch may take
@@ -216,10 +215,10 @@ class Branch:
     ``s`` holds the step nodes, ascending from 0 to the stop (a reflected
     system's rays, 1 - s in the user frame), and ``y`` the state (C1, C2,
     B1, B2) at each.  Step k's polynomial in t = (s - s[k]) / r[k] has the
-    coefficients ``jets[k]`` (shape (25, 4)), in units of 4^e for C and 2^e
-    for B, e = ``exponent``.  ``identity_drift`` is the largest
-    |B2 - B1 - sqrt(C1 + C2)| at the nodes (redundancy monitor for the B
-    integration).  ``meta`` holds ``stop``, ``steps`` and the
+    coefficients ``jets[k]`` (shape (25, 4)), all in the units of ``pack``
+    (hull units under :func:`solve_system`).  ``identity_drift`` is the
+    largest |B2 - B1 - sqrt(C1 + C2)| at the nodes (redundancy monitor for
+    the B integration).  ``meta`` holds ``stop``, ``steps`` and the
     ``error_estimate``: the largest over the components of its truncation
     bound plus rounding floor, C relative to itself and B to the gap.
     """
@@ -227,7 +226,6 @@ class Branch:
     y: np.ndarray
     r: np.ndarray
     jets: np.ndarray
-    exponent: int
     identity_drift: float
     pack: BoundaryPack
     meta: dict = field(default_factory=dict)
@@ -248,8 +246,7 @@ class Branch:
         acc = c[:, _ORDER]
         for j in range(_ORDER - 1, -1, -1):
             acc = acc * t + c[:, j]
-        e = self.exponent
-        return np.ldexp(acc, [2 * e, 2 * e, e, e])
+        return acc
 
     def limit_values(self, grid):
         """(A1, A2, B1, B2) at ``grid``; B2 is reconstructed as B1 + sqrt(C1+C2)."""
@@ -262,13 +259,12 @@ class Branch:
         return A1, A2, B1, B2
 
 
-def _check_positive(y, e, s, context):
-    """NumericalFailure unless both C's of the scaled state ``y`` at ``s``
-    are positive; ``context`` adds to the reported user-unit values."""
+def _check_positive(y, s, context):
+    """NumericalFailure unless both C's of the state ``y`` at ``s`` are
+    positive; ``context`` adds to the reported values."""
     if not (y[0] > 0.0 and y[1] > 0.0):
         raise NumericalFailure("positivity lost in ODE state",
-                               {"s": s, "C1": math.ldexp(y[0], 2 * e),
-                                "C2": math.ldexp(y[1], 2 * e), **context})
+                               {"s": s, "C1": y[0], "C2": y[1], **context})
 
 
 def integrate_branch(pack, stop, max_steps=DEFAULT_MAX_STEPS):
@@ -291,25 +287,22 @@ def integrate_branch(pack, stop, max_steps=DEFAULT_MAX_STEPS):
     A branch that has not reached ``stop`` after ``max_steps`` steps, a
     zero step and a state that loses positivity raise
     :class:`NumericalFailure` with the s reached and the last good s, as
-    floats; so does a start state with a C below the normal doubles in
-    units of the end gap squared, whose step rule would give h = 0.  ``meta`` reports the work and
-    the estimate (see :class:`Branch`).
+    floats, the C's in the units of ``pack``; so does a start state with a
+    C below the normal doubles, whose step rule would give h = 0.  ``meta``
+    reports the work and the estimate (see :class:`Branch`).
     """
     if not max_steps >= 1:
         raise ValueError(f"max_steps must be at least 1, got {max_steps}")
     if not 0.0 < stop <= 1.0:
         raise ValueError(f"branch stop must lie in (0, 1], got {stop}")
-    e = math.frexp(pack.gap_0)[1]
-    y = (math.ldexp(pack.C1_0, -2 * e), math.ldexp(pack.C2_0, -2 * e),
-         math.ldexp(pack.B1_0, -e), math.ldexp(pack.B2_0, -e))
-    gap = math.ldexp(pack.gap_0, -e)
-    _check_positive(y, e, 0.0, {})
+    y = (pack.C1_0, pack.C2_0, pack.B1_0, pack.B2_0)
+    gap = pack.gap_0
+    _check_positive(y, 0.0, {})
     if min(y[:2]) < np.finfo(float).tiny:
         # a subnormal C has too few bits for the step rule, which would
         # underflow to a zero step
-        raise NumericalFailure("ODE start state: a C relative to the end "
-                               "gap squared is below the normal doubles",
-                               {"s": 0.0, "C1": pack.C1_0, "C2": pack.C2_0})
+        raise NumericalFailure("ODE start state: a C is below the normal "
+                               "doubles", {"s": 0.0, "C1": y[0], "C2": y[1]})
     nodes, states, dense_r, jets = [0.0], [y], [], []
     trunc = [0.0] * 4
     s0, r = 0.0, float(stop)
@@ -350,7 +343,7 @@ def integrate_branch(pack, stop, max_steps=DEFAULT_MAX_STEPS):
                 acc = acc * h + c[j]
             new.append(acc)
         y = tuple(new)
-        _check_positive(y, e, s1, {"last_good_s": s0})
+        _check_positive(y, s1, {"last_good_s": s0})
         jets.append(jet)
         dense_r.append(dense)
         nodes.append(s1)
@@ -369,13 +362,12 @@ def integrate_branch(pack, stop, max_steps=DEFAULT_MAX_STEPS):
     big = np.maximum(np.max(np.abs(ys), axis=0) / gap, 1.0)
     big[:2] = 1.0
     floor = _FLOOR_EPS_PER_STEP * np.finfo(float).eps * steps * big
-    y_user = np.ldexp(ys, [2 * e, 2 * e, e, e])
-    drift = float(np.max(np.abs(y_user[:, 3] - y_user[:, 2]
-                                - np.sqrt(y_user[:, 0] + y_user[:, 1]))))
+    drift = float(np.max(np.abs(ys[:, 3] - ys[:, 2]
+                                - np.sqrt(ys[:, 0] + ys[:, 1]))))
     meta = {"steps": steps, "stop": stop,
             "error_estimate": float(np.max(np.array(trunc) + floor))}
-    return Branch(np.array(nodes), y_user, np.array(dense_r),
-                  np.array(jets).transpose(0, 2, 1), e, drift, pack, meta)
+    return Branch(np.array(nodes), ys, np.array(dense_r),
+                  np.array(jets).transpose(0, 2, 1), drift, pack, meta)
 
 
 def _mirrored(branch, t):
@@ -386,7 +378,7 @@ def _mirrored(branch, t):
     return np.array([back.A1, back.A2, back.B1, back.B2])
 
 
-def assemble_curve(forward, backward, c1, c2, grid):
+def assemble_curve(forward, backward, c1, c2, grid, sys=None, e=0):
     """Splice two branches and the plateau constants into one limit curve.
 
     ``forward`` is the system's branch, run to c1; ``backward`` is the
@@ -399,6 +391,10 @@ def assemble_curve(forward, backward, c1, c2, grid):
     |A| of the two ends for each A, and to the smaller endpoint gap for each
     B, together with the branch redundancy monitors and, under
     ``branches``, each branch's steps and error estimate.
+
+    Branches run on ``(hull_units(sys), e)`` return with the mismatch and
+    drift in user units (:func:`~angelesco.systems.user_units`); by
+    default the branches are in user units already.
     """
     grid = check_grid(grid)
     end_f = np.array(forward.limit_values(np.array([forward.meta["stop"]])))
@@ -408,8 +404,7 @@ def assemble_curve(forward, backward, c1, c2, grid):
     # an A against its own size, not gap^2, so a wrong small A shows
     size = np.maximum(np.abs(end_f), np.abs(end_b))[:2, 0]
     # flagged, never fatal: both branch endpoints estimate the same plateau
-    mism = {"at_c1_vs_c2": diff.tolist(),
-            "ok": bool(np.max(diff / [*size, gap, gap]) <= _SPLICE_TOL)}
+    mism = {"ok": bool(np.max(diff / [*size, gap, gap]) <= _SPLICE_TOL)}
 
     vals = np.empty((4, grid.size))
     left, plat, right = plateau_zones(grid, c1, c2)
@@ -422,43 +417,41 @@ def assemble_curve(forward, backward, c1, c2, grid):
     pk, hat = forward.pack, backward.pack
     vals[:, grid == 0.0] = [[0.0], [pk.C2_0], [pk.B1_0], [pk.B2_0]]
     vals[:, grid == 1.0] = [[hat.C2_0], [0.0], [-hat.B2_0], [-hat.B1_0]]
+    named = (("forward", forward), ("backward", backward))
     meta = {"splice_mismatch": mism,
-            "identity_drift": {"forward": forward.identity_drift,
-                               "backward": backward.identity_drift},
             "branches": {name: {k: br.meta[k]
                                 for k in ("error_estimate", "steps")}
-                         for name, br in (("forward", forward),
-                                          ("backward", backward))}}
-    return validate_computed(LimitCurve(grid.copy(), *vals, "ode", meta))
+                         for name, br in named}}
+    # with e = 0 no value leaves the doubles, so sys = None is never named
+    curve = user_units(validate_computed(
+        LimitCurve(grid.copy(), *vals, "ode", meta)), sys, e)
+    # the monitors in user units, once the values are known to fit
+    mism["at_c1_vs_c2"] = np.ldexp(diff, [2 * e, 2 * e, e, e]).tolist()
+    meta["identity_drift"] = {name: float(np.ldexp(br.identity_drift, e))
+                              for name, br in named}
+    return curve
 
 
 def solve_system(sys, plateau, grid, max_steps=DEFAULT_MAX_STEPS):
     """Full ODE-route curve for ``sys``: both branches plus the splice.
 
     ``plateau`` (from the surface route) supplies c1, c2 and the exact
-    1 - c2: the forward branch runs ``sys`` to c1, the backward one
-    ``reflect(sys)`` to 1 - c2, each within ``max_steps`` steps.  A
-    :class:`NumericalFailure` of a branch names it under ``branch``, and
-    so does an A at the grid rays a branch reaches that leaves the normal
-    doubles on the way from the branch's units to user units
-    (:func:`~angelesco.systems.check_a_range`).  Returns the assembled
-    :class:`LimitCurve`.
+    1 - c2: the forward branch runs :func:`~angelesco.systems.hull_units`
+    of ``sys`` to c1, the backward one its reflection to 1 - c2, each
+    within ``max_steps`` steps.  A :class:`NumericalFailure` of a branch
+    names it under ``branch``.  Returns the assembled
+    :class:`LimitCurve`, in user units.
     """
     grid = check_grid(grid)
+    unit, e = hull_units(sys)
     branches = []
-    for name, pack, stop, rays in (
-            ("forward", boundary_values(sys), plateau.c1, grid),
-            ("backward", boundary_values(reflect(sys)),
-             plateau.one_minus_c2, 1.0 - grid)):
+    for name, pack, stop in (
+            ("forward", boundary_values(unit), plateau.c1),
+            ("backward", boundary_values(reflect(unit)),
+             plateau.one_minus_c2)):
         try:
-            branch = integrate_branch(pack, stop, max_steps)
-            # with exponent 0 the branch reads its A's in its own units;
-            # 4^e times them is normal exactly where limit_values' A is
-            own = np.array(replace(branch, exponent=0).limit_values(
-                rays[rays <= stop])[:2])
-            check_a_range(own, np.ldexp(own, 2 * branch.exponent), sys)
+            branches.append(integrate_branch(pack, stop, max_steps))
         except NumericalFailure as exc:
             exc.context["branch"] = name
             raise
-        branches.append(branch)
-    return assemble_curve(*branches, plateau.c1, plateau.c2, grid)
+    return assemble_curve(*branches, plateau.c1, plateau.c2, grid, sys, e)

@@ -39,8 +39,9 @@ import numpy as np
 
 from .errors import NumericalFailure
 from .rootfind import bisect, expand_upper
-from .systems import (LimitCurve, check_a_range, check_grid, plateau_zones,
-                      pushforward_limits, star_normalize, validate_computed)
+from .systems import (LimitCurve, check_grid, hull_units, plateau_zones,
+                      pushforward_limits, star_normalize, user_units,
+                      validate_computed)
 
 # ---------------------------------------------------------------------------
 # coordinate functions of the parametrization
@@ -312,14 +313,14 @@ def limit_curve(sys, grid, info=None):
     :func:`pushed_beta` bisection and one :func:`residue_limits` call.
     s = 1 joins the right zone and s = 0 the left one: their ray (1, 0)
     solves to x = 0 exactly, so w = 0, d = d1 and the vanishing A is
-    exactly 0.  Star-frame values reach the user frame through
-    :func:`pushforward_limits`; an A that leaves the normal doubles there
-    is a :class:`NumericalFailure` naming the hull length
-    (:func:`~angelesco.systems.check_a_range`).  ``info`` may carry a
-    precomputed :class:`PlateauInfo`.
+    exactly 0.  Star-frame values land in hull units (the star frame is
+    that of :func:`~angelesco.systems.hull_units`) through
+    :func:`pushforward_limits`, then return in user units.  ``info`` may
+    carry a precomputed :class:`PlateauInfo`.
     """
     grid = check_grid(grid)
-    sc, amap = star_normalize(sys)
+    unit, e = hull_units(sys)
+    sc, amap = star_normalize(unit)
     if info is None:
         info = plateau_bounds(sc)
 
@@ -345,5 +346,4 @@ def limit_curve(sys, grid, info=None):
         star[:, left] = back.A1, back.A2, back.B1, back.B2
 
     curve = pushforward_limits(LimitCurve(grid.copy(), *star, "surface"), amap)
-    check_a_range(star[:2], [curve.A1, curve.A2], sys)
-    return validate_computed(curve)
+    return user_units(validate_computed(curve), sys, e)

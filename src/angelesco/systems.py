@@ -14,7 +14,13 @@ pointwise invariants, the endpoint zeros and B1 < B2 among them, which
 each route applies once.  A single ray is a one-point curve: every route
 answers on a grid, and a one-point grid reads the same bits as that point
 of a longer one.
+
+It owns the units too.  Scaling a system by 2^-e scales its A's by 4^-e
+and its B's by 2^-e, exactly, so every route computes on :func:`hull_units`
+(hull length in [1/2, 1)) and returns through :func:`user_units`, where an
+A ~ L^2 that leaves the normal doubles is the one :func:`range_failure`.
 """
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,6 +75,9 @@ class AngelescoSystem:
         if self.i1.hi > self.i2.lo:
             raise ValueError(
                 f"intervals must be disjoint or touching: {self.i1} vs {self.i2}")
+        if not math.isfinite(self.i2.hi - self.i1.lo):
+            raise ValueError(f"hull length of {self.i1} and {self.i2} "
+                             f"overflows the doubles")
 
     @property
     def touching(self):
@@ -213,26 +222,43 @@ def validate_computed(curve):
                                {"method": curve.method}) from exc
 
 
-def check_a_range(own, user, sys):
-    """NumericalFailure where an A of ``sys`` that is a positive normal
-    double in a route's own units (``own``) is 0, subnormal or inf in user
-    units (``user``, the same points); the record names the hull length.
+def range_failure(sys):
+    """The one :class:`NumericalFailure` of a system whose limits leave the
+    doubles, naming its hull length and interval lengths."""
+    length = sys.i2.hi - sys.i1.lo
+    l1, l2 = sys.i1.length, sys.i2.length
+    return NumericalFailure(
+        f"limits out of the double range at hull length {length:.3g}, "
+        f"interval lengths {l1:.3g} and {l2:.3g}: the routes support hull "
+        f"lengths from about 1e-150 to 1e153 and A's, of the order of each "
+        f"interval length squared, among the normal doubles",
+        {"hull_length": length, "interval_lengths": [l1, l2]})
 
-    A is of the order of the hull length squared, so on hull lengths
-    outside about 1e-151 to 1e154 a correct A leaves the normal doubles.
-    An A already out of range in the route's own units is the route's own
-    failure and is left to the curve contract.
+
+def hull_units(sys):
+    """``(unit, e)``: ``sys`` scaled by 2^-e, whose hull length lies in
+    [1/2, 1), and the exponent e.  The scaling is exact."""
+    e = math.frexp(sys.i2.hi - sys.i1.lo)[1]
+    return AngelescoSystem(*(Interval(math.ldexp(iv.lo, -e),
+                                      math.ldexp(iv.hi, -e))
+                             for iv in (sys.i1, sys.i2)), sys.w1, sys.w2), e
+
+
+def user_units(curve, sys, e):
+    """``curve`` of ``hull_units(sys)`` in the units of ``sys``: A by 4^e
+    and B by 2^e, exactly, sharing the curve's ``meta``.  An A that is a
+    positive normal double, or a B that is finite, and leaves the doubles
+    on the way is :func:`range_failure`; a value already out of range in
+    hull units is the route's failure, left to the curve contract.
     """
+    a, b = np.array([curve.A1, curve.A2]), np.array([curve.B1, curve.B2])
+    with np.errstate(over="ignore"):  # an overflow raises below
+        ua, ub = np.ldexp(a, 2 * e), np.ldexp(b, e)
     tiny, big = np.finfo(float).tiny, np.finfo(float).max
-    own, user = np.asarray(own), np.asarray(user)
-    if np.any((tiny <= own) & (own <= big) & ~((tiny <= user) & (user <= big))):
-        length = sys.i2.hi - sys.i1.lo
-        raise NumericalFailure(
-            f"A limits out of the double range at hull length {length:.3g}: "
-            f"an A, of the order of the hull length squared, leaves the "
-            f"normal doubles on the way from the route's own units to user "
-            f"units",
-            {"hull_length": length})
+    if (np.any((tiny <= a) & (a <= big) & ~((tiny <= ua) & (ua <= big)))
+            or np.any(np.isfinite(b) & ~np.isfinite(ub))):
+        raise range_failure(sys)
+    return LimitCurve(curve.s, *ua, *ub, curve.method, curve.meta)
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,14 @@ def sweep(sys, m, snapshot_levels=None):
     return a1, a2, b1, b2, snaps, residuals
 
 
+
+def user_diagonal(lat, level):
+    """The diagonal of ``lat`` at ``level`` in user units: the package keeps
+    it in hull units, so a's are 4^e and b's 2^e times their stored values,
+    e = ``lat.exponent``."""
+    return tuple(np.ldexp(v, f * lat.exponent)
+                 for v, f in zip(lat.diagonal(level), (2, 2, 1, 1)))
+
 def mixed_ratios(src_kind, src_interval, dst_kind, dst_interval, m):
     """Ratios h_{k+1} / h_k, k = 0..m, of the mixed moments, each node's
     value w_j p_k(t_j) carrying its weight and each moment a pairwise sum."""

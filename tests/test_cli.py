@@ -381,6 +381,19 @@ def test_compute_rejects_step_count_below_one(tmp_path, steps):
 
 
 @pytest.mark.parametrize("method", ["dis", "ode", "surface"])
+def test_compute_rejects_a_hull_length_that_overflows(tmp_path, capsys,
+                                                      method):
+    # on (-1e308,0) u (0,1e308) the hull length is inf: every method gives
+    # the one usage error and writes no failure record
+    out = tmp_path / "out"
+    rc = main(["compute", "--methods", method, "--interval1=-1e308,0",
+               "--interval2=0,1e308", "--output_dir", str(out)])
+    assert rc == 2
+    assert "hull length" in capsys.readouterr().err
+    assert not (out / "failure.json").exists()
+
+
+@pytest.mark.parametrize("method", ["dis", "ode", "surface"])
 def test_compute_rejects_an_empty_grid(tmp_path, monkeypatch, method):
     import angelesco.cli as climod
 

@@ -34,6 +34,15 @@ def test_system_ordering():
         AngelescoSystem(Interval(-2.0, 0.5), Interval(0.25, 1.0))
 
 
+@pytest.mark.parametrize("i1,i2", [((-1e308, 0.0), (0.0, 1e308)),
+                                   ((-1.7e308, -1.0), (1.0, 1.7e308))])
+def test_system_rejects_a_hull_length_that_overflows(i1, i2):
+    # each interval is finite, but i2.hi - i1.lo is inf, which no power of
+    # two can bring into hull units
+    with pytest.raises(ValueError, match="hull length"):
+        AngelescoSystem(Interval(*i1), Interval(*i2))
+
+
 def test_system_rejects_unknown_weight():
     with pytest.raises(ValueError):
         AngelescoSystem(Interval(-1.0, 0.0), Interval(0.0, 1.0), w1="hermite")
