@@ -23,8 +23,11 @@ out_dir.mkdir(exist_ok=True)
 system = AngelescoSystem(Interval(-2.0, 0.0), Interval(0.25, 1.0))
 info = plateau_bounds(star_normalize(system)[0])
 print(f"plateau window: [{info.c1:.10f}, {info.c2:.10f}]")
-print(f"constant values inside: A1={info.A1:.8f} A2={info.A2:.8f} "
-      f"B1={info.B1:.8f} B2={info.B2:.8f}")
+# the window holds no limit values: the surface curve evaluates them
+mid = 0.5 * (info.c1 + info.c2)
+inside = limit_curve(system, [mid], info=info)
+print(f"constant values inside (s = {mid:.4f}): A1={inside.A1[0]:.8f} "
+      f"A2={inside.A2[0]:.8f} B1={inside.B1[0]:.8f} B2={inside.B2[0]:.8f}")
 
 grid = np.linspace(0.0, 1.0, 181)
 assembled = solve_system(system, info, grid)

@@ -29,7 +29,7 @@ from .lattice import curve_from_lattice, solve_lattice
 from .ode import DEFAULT_MAX_STEPS, solve_system
 from .surface import limit_curve, plateau_bounds
 from .systems import (AngelescoSystem, Interval, LimitCurve, check_grid,
-                      star_normalize)
+                      hull_units, star_normalize)
 
 METHODS = ("dis", "ode", "surface")
 
@@ -240,13 +240,13 @@ def _compute_curves(cfg, methods):
     system = cfg.check().system()
     grid = cfg.grid()
     try:
-        sc, _ = star_normalize(system)
+        sc, _ = star_normalize(hull_units(system)[0])
         t0 = time.perf_counter()
         info = plateau_bounds(sc)
         timings = {"plateau": time.perf_counter() - t0}
         compared = compared_points(grid, info.c1, info.c2, EXCLUDE_MARGIN)
         curves = {}
-        meta = {"config": cfg.as_dict(), "plateau": info.as_dict(),
+        meta = {"config": cfg.as_dict(), "plateau": dataclasses.asdict(info),
                 "timings": timings}
         for method in sorted(methods, key=METHODS.index):
             t0 = time.perf_counter()

@@ -27,13 +27,14 @@ of the four interval ends, so the reflected frame shares it.  x0 = d0 - d1
 of a configuration point is bisected in x like a ray by :func:`solve_x0`;
 :func:`plateau_bounds` solves the four points it needs, (w, alpha) and
 (1, alpha) of the frame and of its reflection, in one call, and keeps the
-two at w = 1 as the ray brackets of :func:`pushed_beta`.  Every ray, the
-plateau edges included, is the pair (s, 1 - s) of exact end distances, and
-:func:`limit_curve` bisects the rays of both zones together.  The solves,
-the rays and the coordinate maps are elementwise numpy functions, so whole
-grids go through one call.
+two at w = 1 as the ray brackets of :func:`pushed_beta`.  It evaluates no
+limit: :func:`limit_curve` evaluates the window's constants at (w, d0).
+Every ray, the plateau edges included, is the pair (s, 1 - s) of exact end
+distances, and :func:`limit_curve` bisects the rays of both zones together.
+The solves, the rays and the coordinate maps are elementwise numpy
+functions, so whole grids go through one call.
 """
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -238,32 +239,27 @@ def pushed_beta(alpha, ray, top):
 
 @dataclass(frozen=True)
 class PlateauInfo:
-    """Plateau window [c1, c2] of a star configuration and its constants.
+    """Plateau window [c1, c2] of a star configuration, no limit values.
 
     For touching intervals c1 = c2 = threshold ray.  c1 is exact as the
     distance to s = 0 and ``one_minus_c2`` = 1 - c2 exactly as the distance
-    to s = 1, which c2 itself may round away.  ``A1 ... B2`` are the
-    star-frame constant limit values on the window.  ``top`` and
-    ``top_hat`` are :func:`solve_x0` at w = 1 for the frame and for its
-    reflection: the :func:`pushed_beta` brackets of the rays right of the
-    window and of the reflected rays left of it.
+    to s = 1, which c2 itself may round away.  The constant limits on the
+    window are :func:`residue_limits` at the configuration point (w, d0).
+    ``top`` and ``top_hat`` are :func:`solve_x0` at w = 1 for the frame and
+    for its reflection: the :func:`pushed_beta` brackets of the rays right
+    of the window and of the reflected rays left of it.
     """
     c1: float
     c2: float
     one_minus_c2: float
-    A1: float
-    A2: float
-    B1: float
-    B2: float
+    w: float
+    d0: float
     top: float
     top_hat: float
 
-    def as_dict(self):
-        return asdict(self)
-
 
 def plateau_bounds(sc):
-    """Plateau window and constants for a star configuration.
+    """Plateau window of a star configuration, with its configuration point.
 
     The gap invariant fixes w once.  c2 is the ray of the configuration
     point (w, d0), and c1 the distance to its own s = 1 of ``sc.reflected()``,
@@ -294,21 +290,18 @@ def plateau_bounds(sc):
     if not (0.0 < c1 <= c2 and one_minus_c2 > 0.0):
         raise NumericalFailure("plateau window out of order",
                                {"c1": c1, "c2": c2})
-    a1, a2, b1, b2 = residue_limits(sc.alpha, w, edge_d(sc.alpha) + x0[0])
-    # computed constants, a numerical failure off the contract, checked at
-    # an interior ray: the window may round to s = 1, as on (-1e32,0)u(0,1)
-    validate_computed(LimitCurve([0.5], [a1], [a2], [b1], [b2], "plateau"))
-    return PlateauInfo(c1, c2, one_minus_c2, float(a1), float(a2),
-                       float(b1), float(b2), top, top_hat)
+    return PlateauInfo(c1, c2, one_minus_c2, float(w),
+                       float(edge_d(sc.alpha) + x0[0]), top, top_hat)
 
 
 def limit_curve(sys, grid, info=None):
     """Limit curve of ``sys`` on ``grid`` via the surface route (vectorized).
 
     Grid points are split by :func:`~angelesco.systems.plateau_zones`: the
-    plateau constants inside [c1, c2], the direct solve right of the
-    plateau, and ``sc.reflected()`` at the ray pair (1 - s, s) left of it,
-    whose distance s to the end is exact.  The rays of both zones, each
+    plateau constants, :func:`residue_limits` at (w, d0) evaluated only if
+    a grid point lies in [c1, c2], the direct solve right of the plateau,
+    and ``sc.reflected()`` at the ray pair (1 - s, s) left of it, whose
+    distance s to the end is exact.  The rays of both zones, each
     with its frame's alpha and bracket top, go through one
     :func:`pushed_beta` bisection and one :func:`residue_limits` call.
     s = 1 joins the right zone and s = 0 the left one: their ray (1, 0)
@@ -329,7 +322,8 @@ def limit_curve(sys, grid, info=None):
     right |= grid == 1.0
 
     star = np.zeros((4, grid.size))
-    star[:, plat] = np.array([[info.A1], [info.A2], [info.B1], [info.B2]])
+    if np.any(plat):  # the constants, checked with the curve below
+        star[:, plat] = np.vstack(residue_limits(sc.alpha, info.w, info.d0))
     if np.any(left | right):
         sc_hat, back_map = sc.reflected()
         s, r = grid[right], grid[left][::-1]  # reflected: the rays (1 - r, r)

@@ -237,8 +237,13 @@ def range_failure(sys):
 
 def hull_units(sys):
     """``(unit, e)``: ``sys`` scaled by 2^-e, whose hull length lies in
-    [1/2, 1), and the exponent e.  The scaling is exact."""
+    [1/2, 1), and the exponent e.  The scaling is exact.  An interval of
+    scaled length l whose A's, about l^2 / 16, are not normal doubles is
+    :func:`range_failure`, the same in every route."""
     e = math.frexp(sys.i2.hi - sys.i1.lo)[1]
+    short = min(math.ldexp(iv.length, -e) for iv in (sys.i1, sys.i2))
+    if short ** 2 / 16.0 < np.finfo(float).tiny:
+        raise range_failure(sys)
     return AngelescoSystem(*(Interval(math.ldexp(iv.lo, -e),
                                       math.ldexp(iv.hi, -e))
                              for iv in (sys.i1, sys.i2)), sys.w1, sys.w2), e

@@ -449,10 +449,10 @@ def test_a_frame_whose_beta_rounds_to_1_answers(tmp_path, interval1,
 
 
 _OFF_THE_CONTRACT = {
-    # alpha^2 overflows in the plateau residues
-    "-1e100,0": "plateau curve: A1 values must be finite",
-    # alpha^2 underflows in the plateau residues
-    "-1e-200,0": "plateau curve: A2 values must be finite",
+    # alpha^2 overflows in the surface residues
+    "-1e100,0": "surface curve: A1 values must be finite",
+    # A2 ~ 1e-400 of the short interval is below the normal doubles
+    "-1e-200,0": "interval lengths 1e-200 and 1",
 }
 
 
@@ -486,6 +486,38 @@ def test_a_computed_curve_off_the_contract_exits_3(tmp_path, capsys,
                "--output_dir", str(tmp_path / "out")])
     assert rc == 3
     assert _OFF_THE_CONTRACT[interval1] in capsys.readouterr().err
+
+
+# systems whose plateau constants leave the doubles in the star frame's
+# residues (alpha = 1e100 and 1e-100), which the surface route still fails on
+_SURFACE_ONLY_LIMITS = [("-1e100,0", "0,1"), ("-1e-100,0", "0.5,1")]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("method", ["dis", "ode"])
+@pytest.mark.parametrize("interval1,interval2", _SURFACE_ONLY_LIMITS)
+def test_the_lattice_and_ode_answer_where_the_plateau_constants_do_not(
+        tmp_path, interval1, interval2, method):
+    # the window is all these routes read of the surface; its constants
+    # are the surface curve's, checked there
+    rc = main(["compute", "--methods", method, f"--interval1={interval1}",
+               f"--interval2={interval2}",
+               "--output_dir", str(tmp_path / "out")])
+    assert rc == 0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("interval1,interval2", _SURFACE_ONLY_LIMITS)
+def test_the_lattice_and_ode_agree_where_the_plateau_constants_do_not(
+        interval1, interval2):
+    cfg = RunConfig(interval1=tuple(map(float, interval1.split(","))),
+                    interval2=tuple(map(float, interval2.split(","))))
+    curves, _, _, compared = _compute_curves(cfg, {"dis", "ode"})
+    assert np.count_nonzero(compared) > 0
+    length = cfg.interval2[1] - cfg.interval1[0]
+    for f, power in (("A1", 2), ("A2", 2), ("B1", 1), ("B2", 1)):
+        diff = np.abs(getattr(curves["dis"], f) - getattr(curves["ode"], f))
+        assert np.max(diff[compared]) / length ** power < 1e-6, f
 
 
 @pytest.mark.parametrize("command,flag,key", [
@@ -543,17 +575,17 @@ def test_broken_plateau_constants_exit_3(tmp_path, capsys, monkeypatch):
         return -a1, a2, b1, b2
 
     monkeypatch.setattr(surface, "residue_limits", broken)
-    rc = main(["compute", "--methods", "dis", "--lattice_level", "50",
+    rc = main(["compute", "--methods", "surface",
                "--interval2=0.25,1", "--output_dir", str(tmp_path / "out")])
     assert rc == 3
-    assert "plateau curve: A limits must be nonnegative" in \
+    assert "surface curve: A limits must be nonnegative" in \
         capsys.readouterr().err
 
 
 def test_near_touching_plateau_constants_answer(tmp_path):
     # a gap of 1e-6 against a left interval of 0.01: the plateau's
     # A2 ~ 6e-14 keeps its sign
-    rc = main(["compute", "--methods", "dis", "--lattice_level", "50",
+    rc = main(["compute", "--methods", "surface",
                "--interval1=-0.01,0", "--interval2=0.999999,1",
                "--output_dir", str(tmp_path / "out")])
     assert rc == 0
@@ -853,30 +885,32 @@ def test_validate_writes_what_compute_writes(tmp_path, interval1, interval2,
 def test_an_alpha_that_underflows_is_a_numerical_failure(
         tmp_path, capsys, command, interval1, interval2):
     # both configurations pass their checks; alpha = 1e-600 or 1e-400
-    # rounds to 0, which the star frame rejects: exit 3 with a record, not
-    # the usage error 2
+    # would round to 0, and the short interval's A's leave the doubles:
+    # exit 3 with the range record, not the usage error 2
     out = tmp_path / "out"
     rc = main([command, f"--interval1={interval1}",
                f"--interval2={interval2}", "--output_dir", str(out)])
     assert rc == 3
-    assert "alpha must be positive" in capsys.readouterr().err
+    assert "out of the double range" in capsys.readouterr().err
     record = json.loads((out / "failure.json").read_text())
     assert record["command"] == command
-    assert "alpha must be positive" in record["message"]
+    short = interval1.split(",")[0][1:]
+    assert f"interval lengths {short} and" in record["message"]
 
 
 def test_a_subnormal_ode_start_state_leaves_a_failure_record(tmp_path):
     # C2 = (1e-160 / 4)^2 at the start of the reflected system's branch is
-    # subnormal, and the step rule would underflow to a zero step there
+    # subnormal, and the step rule would underflow to a zero step there:
+    # the hull frame names the short interval before any branch runs
     out = tmp_path / "out"
     rc = main(["compute", "--methods", "ode", "--interval1=-1e-160,0",
                "--output_dir", str(out)])
     assert rc == 3
     record = json.loads((out / "failure.json").read_text())
     assert "normal doubles" in record["message"]
-    ctx = record["context"]
-    assert ctx["branch"] == "backward" and ctx["s"] == 0.0
-    assert 0.0 < ctx["C2"] < np.finfo(float).tiny
+    assert "interval lengths 1e-160 and 1" in record["message"]
+    assert record["context"] == {"hull_length": 1.0,
+                                 "interval_lengths": [1e-160, 1.0]}
     assert not (out / "ode.csv").exists()
 
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from angelesco import (AffineMap, AngelescoSystem, Interval, LimitCurve,
                        NumericalFailure, StarConfig, pushforward_limits,
                        reflect, star_normalize)
-from angelesco.systems import plateau_zones, validate_computed
+from angelesco.systems import hull_units, plateau_zones, validate_computed
 
 
 def test_interval_basic():
@@ -41,6 +41,24 @@ def test_system_rejects_a_hull_length_that_overflows(i1, i2):
     # two can bring into hull units
     with pytest.raises(ValueError, match="hull length"):
         AngelescoSystem(Interval(*i1), Interval(*i2))
+
+
+@pytest.mark.parametrize("short,hull,ok", [
+    (1e-152, 1.0, True), (1e-153, 1.0, False), (1e-300, 1e300, False),
+    (1e-10, 1e140, True), (1e-10, 1e150, False)])
+def test_an_interval_too_short_for_its_hull_is_the_range_failure(short,
+                                                                 hull, ok):
+    # A ~ l^2 / 16 of the short interval in hull units, l its scaled length,
+    # is the first value to leave the normal doubles
+    sys = AngelescoSystem(Interval(-short, 0.0), Interval(0.0, hull))
+    if ok:
+        unit, e = hull_units(sys)
+        assert unit.i1.length == np.ldexp(short, -e)
+        return
+    with pytest.raises(NumericalFailure, match="out of the double range") \
+            as exc:
+        hull_units(sys)
+    assert exc.value.context["interval_lengths"] == [short, hull]
 
 
 def test_system_rejects_unknown_weight():
