@@ -1,7 +1,7 @@
 """How fast the finite-level lattice approaches its limit.
 
 Sweeps the coefficient lattice once to the largest level, reads the
-diagonal ray values at s = 1/2 at each smaller level from its snapshots,
+diagonal ray values at s = 1/2 at each smaller level from its kept diagonals,
 measures their error against the closed-form surface reference, and shows
 the gain from the third-order Richardson table over the top levels 5m/8,
 6m/8, 7m/8 and m.  The plain error decays like 1/m, so each doubling of the

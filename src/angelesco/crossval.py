@@ -10,8 +10,9 @@ Together these give quantitative meaning to "the methods agree".
 Curves do not carry the plateau window.  A comparison reads the points of
 a boolean mask over the shared grid (the lattice pairs' mask is
 :func:`compared_points`); the identity and residual checks, which must skip
-the plateau, take it as ``window=(c1, c2)``, or ``None`` for a curve
-without one.  Checks only report: one that finds no point to read reports
+the plateau, take it as ``window=(c1, c2)``: ``(c, c)`` on a touching
+system, ``(0.0, 0.0)`` for a curve with no plateau, which keeps the whole
+interior.  Checks only report: one that finds no point to read reports
 ``n_points = 0`` and zero statistics, and ``validate`` fails it.  B1 < B2
 and the endpoint zeros are the curve contract's
 (:meth:`~angelesco.systems.LimitCurve.validate`), which no check repeats.
@@ -103,7 +104,7 @@ def residual_stride(h, step):
     return stride
 
 
-def ode_residuals(curve, h=1e-3, window=None):
+def ode_residuals(curve, h, window):
     """Central-difference residuals of the four limit relations on a curve.
 
     The relations (with ' = d/ds) are
@@ -119,7 +120,8 @@ def ode_residuals(curve, h=1e-3, window=None):
     0 or 1 are excluded, and so is the plateau ``window`` = (c1, c2),
     where all four relations hold trivially: the points are split by
     :func:`~angelesco.systems.plateau_zones` on the window widened by
-    ``EDGE_MARGIN`` at both edges.  A nonuniform
+    ``EDGE_MARGIN`` at both edges (``(0.0, 0.0)`` drops no point the end
+    margin keeps).  A nonuniform
     grid, or one whose spacing does not divide ``h``
     (:func:`residual_stride`), raises ValueError.
     """
@@ -138,11 +140,9 @@ def ode_residuals(curve, h=1e-3, window=None):
     der = {f: (getattr(curve, f)[i + stride] - getattr(curve, f)[i - stride])
            / (2.0 * stride * step) for f in FUNCS}
 
-    keep = (sm > EDGE_MARGIN) & (sm < 1.0 - EDGE_MARGIN)
-    if window is not None:
-        c1, c2 = window
-        left, _, right = plateau_zones(sm, c1 - EDGE_MARGIN, c2 + EDGE_MARGIN)
-        keep &= left | right
+    c1, c2 = window
+    left, _, right = plateau_zones(sm, c1 - EDGE_MARGIN, c2 + EDGE_MARGIN)
+    keep = (left | right) & (sm > EDGE_MARGIN) & (sm < 1.0 - EDGE_MARGIN)
     sm = sm[keep]
     A1, A2, B1, B2 = (vals[f][keep] for f in FUNCS)
     dA1, dA2, dB1, dB2 = (der[f][keep] for f in FUNCS)
@@ -176,19 +176,16 @@ class IdentityReport:
         return asdict(self)
 
 
-def identity_checks(curve, window=None):
+def identity_checks(curve, window):
     """Check (B2 - B1)^2 = A1/s^2 + A2/(1-s)^2 off the plateau.
 
     The identity is evaluated on the interior points off the plateau
     ``window`` = (c1, c2), as :func:`~angelesco.systems.plateau_zones`
-    splits them; without a window the whole interior is used.
+    splits them; ``(0.0, 0.0)`` keeps the whole interior.
     """
     s = curve.s
-    if window is None:
-        keep = (s > 0.0) & (s < 1.0)
-    else:
-        left, _, right = plateau_zones(s, *window)
-        keep = left | right
+    left, _, right = plateau_zones(s, *window)
+    keep = left | right
     sm = s[keep]
     lhs = (curve.B2[keep] - curve.B1[keep]) ** 2
     rhs = curve.A1[keep] / sm ** 2 + curve.A2[keep] / (1.0 - sm) ** 2
@@ -226,7 +223,7 @@ class ConvergenceTable:
 def convergence_study(sys, s, levels):
     """Error table of finite-level ray values against the surface reference.
 
-    One lattice is swept to the largest level, snapshotting every level and
+    One lattice is swept to the largest level, keeping every level and
     each level its Richardson table reads.  Each row reads the one-point
     curve at ``s`` from that sweep cut back to its level, plain and
     extrapolated (:func:`~angelesco.lattice.curve_from_lattice`), and

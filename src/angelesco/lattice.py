@@ -72,45 +72,38 @@ _TABLE_EIGHTHS = range(5, 9)
 
 @dataclass
 class NnrrLattice:
-    """Completed sweep: top diagonal, snapshots, and consistency residuals.
+    """Completed sweep: its kept diagonals and consistency residuals.
 
-    ``a1 ... b2`` hold the top diagonal n1 + n2 = m indexed by k = n1.
-    ``snapshots`` maps a level to its four diagonal arrays, all in the hull
-    units of ``system`` (a's times 4^e and b's times 2^e are in user units,
-    e = ``exponent``).  ``residuals`` has one row per completed diagonal:
-    the absolute mismatch, in user units, between the propagated and the
-    directly computed axis cross-b on each axis.
+    ``diagonals`` maps every kept level, ``m`` included, to its arrays
+    (a1, a2, b1, b2) indexed by k = n1, all in the hull units of ``system``
+    (a's times 4^e and b's times 2^e are in user units, e = ``exponent``).
+    ``residuals`` has one row per completed diagonal: the absolute mismatch,
+    in user units, between the propagated and the directly computed axis
+    cross-b on each axis.
     """
     m: int
-    a1: np.ndarray
-    a2: np.ndarray
-    b1: np.ndarray
-    b2: np.ndarray
-    snapshots: dict
+    diagonals: dict
     residuals: np.ndarray
     system: AngelescoSystem
     exponent: int
 
     def diagonal(self, level):
-        """Diagonal arrays (a1, a2, b1, b2) at ``level`` (top or snapshot)."""
-        if level == self.m:
-            return self.a1, self.a2, self.b1, self.b2
-        if level not in self.snapshots:
-            raise KeyError(f"level {level} was not snapshotted "
-                           f"(have {sorted(self.snapshots)})")
-        return self.snapshots[level]
+        """Diagonal arrays (a1, a2, b1, b2) at a kept ``level``."""
+        if level not in self.diagonals:
+            raise KeyError(f"level {level} was not kept "
+                           f"(have {sorted(self.diagonals)})")
+        return self.diagonals[level]
 
     def truncated(self, level):
-        """This sweep cut back to ``level``, which must be snapshotted.
+        """This sweep cut back to a kept ``level``, with the levels below it.
 
-        The diagonals are the snapshots, so a table read from the result
-        needs every level it reads snapshotted here.  A fresh sweep to
-        ``level`` can differ in the last bits, because the axis data of a
-        deeper sweep uses more quadrature nodes.
+        A table read from the result needs every level it reads kept here.
+        A fresh sweep to ``level`` can differ in the last bits, because the
+        axis data of a deeper sweep uses more quadrature nodes.
         """
-        return NnrrLattice(level, *self.diagonal(level),
-                           {n: d for n, d in self.snapshots.items()
-                            if n < level},
+        self.diagonal(level)  # KeyError unless the level was kept
+        return NnrrLattice(level, {n: d for n, d in self.diagonals.items()
+                                   if n <= level},
                            self.residuals[:level], self.system, self.exponent)
 
     def max_residual(self):
@@ -120,14 +113,16 @@ class NnrrLattice:
 def solve_lattice(sys, m, snapshot_levels=None):
     """Sweep the coefficient lattice of ``sys`` out to level ``m``.
 
-    ``snapshot_levels`` defaults to the levels below m that the Richardson
-    table reads (:func:`table_levels`).  The sweep runs on
+    It keeps the diagonal of level m and of each of ``snapshot_levels``,
+    which defaults to the levels the Richardson table reads
+    (:func:`table_levels`).  The sweep runs on
     :func:`~angelesco.systems.hull_units` of ``sys`` and keeps its
     diagonals there, so scaling a system by a power of two leaves them
     bit for bit.  Two sets of diagonal buffers of length m + 2, used in
-    turn, are allocated once; cost is O(m^2) time and O(m) memory besides
-    the snapshots.  A propagation denominator below 1e-12 hull lengths or
-    a nonpositive interior coefficient, NaN included, aborts with
+    turn, are allocated once, and level m keeps views of them; cost is
+    O(m^2) time and O(m) memory besides the kept levels below m.  A
+    propagation denominator below 1e-12 hull lengths or a nonpositive
+    interior coefficient, NaN included, aborts with
     :class:`NumericalFailure`, and so does a kept diagonal with a positive
     a below the normal doubles, as on an interval of length 1e-154 in a
     hull of length 1 (:func:`~angelesco.systems.range_failure`).  a1 = 0
@@ -158,9 +153,9 @@ def solve_lattice(sys, m, snapshot_levels=None):
     q_buf = np.empty(n)
     mul, div, add, sub = np.multiply, np.divide, np.add, np.subtract
 
-    snaps = {}
+    diagonals = {}
     if 0 in snapshot_levels:
-        snaps[0] = tuple(buf[:1].copy() for buf in old[:4])
+        diagonals[0] = tuple(buf[:1].copy() for buf in old[:4])
     b1, b2 = old[2][:1], old[3][:1]
     # the propagated axis cross-b's of every level, before the override
     propagated = []
@@ -207,17 +202,17 @@ def solve_lattice(sys, m, snapshot_levels=None):
         old, new = new, old
         b1, b2, gap_prev = b1n, b2n, gap
         if L + 1 in snapshot_levels and L + 1 != m:
-            snaps[L + 1] = tuple(buf[:K].copy() for buf in old[:4])
+            diagonals[L + 1] = tuple(buf[:K].copy() for buf in old[:4])
 
     residuals = np.abs(np.subtract(
         propagated, np.column_stack((ax1.cross_b[1:], ax2.cross_b[1:]))))
-    top = tuple(buf[:m + 1] for buf in old[:4])
+    diagonals[m] = tuple(buf[:m + 1] for buf in old[:4])
     # an interval's a's are of the order of its length squared, so a short
     # interval leaves the normal doubles inside a supported hull
-    a = np.concatenate([v for d in (top, *snaps.values()) for v in d[:2]])
+    a = np.concatenate([v for d in diagonals.values() for v in d[:2]])
     if np.any((0.0 < a) & (a < np.finfo(float).tiny)):
         raise range_failure(sys)
-    return NnrrLattice(m, *top, snaps, np.ldexp(residuals, e), sys, e)
+    return NnrrLattice(m, diagonals, np.ldexp(residuals, e), sys, e)
 
 
 def table_levels(m):

@@ -212,15 +212,16 @@ def _jet(s0, r, y):
 class Branch:
     """One branch run forward from s = 0; its Taylor steps are dense output.
 
-    ``s`` holds the step nodes, ascending from 0 to the stop (a reflected
-    system's rays, 1 - s in the user frame), and ``y`` the state (C1, C2,
-    B1, B2) at each.  Step k's polynomial in t = (s - s[k]) / r[k] has the
-    coefficients ``jets[k]`` (shape (25, 4)), all in the units of ``pack``
-    (hull units under :func:`solve_system`).  ``identity_drift`` is the
-    largest |B2 - B1 - sqrt(C1 + C2)| at the nodes (redundancy monitor for
-    the B integration).  ``meta`` holds ``stop``, ``steps`` and the
-    ``error_estimate``: the largest over the components of its truncation
-    bound plus rounding floor, C relative to itself and B to the gap.
+    ``s`` holds the step nodes, ascending from 0; the last is the stop (a
+    reflected system's rays, 1 - s in the user frame).  ``y`` holds the
+    state (C1, C2, B1, B2) at each.  Step k's polynomial in
+    t = (s - s[k]) / r[k] has the coefficients ``jets[k]`` (shape (25, 4)),
+    all in the units of ``pack`` (hull units under :func:`solve_system`).
+    ``identity_drift`` is the largest |B2 - B1 - sqrt(C1 + C2)| at the
+    nodes (redundancy monitor for the B integration).  ``meta`` holds
+    ``steps`` and the ``error_estimate``: the largest over the components
+    of its truncation bound plus rounding floor, C relative to itself and B
+    to the gap.
     """
     s: np.ndarray
     y: np.ndarray
@@ -259,14 +260,6 @@ class Branch:
         return A1, A2, B1, B2
 
 
-def _check_positive(y, s, context):
-    """NumericalFailure unless both C's of the state ``y`` at ``s`` are
-    positive; ``context`` adds to the reported values."""
-    if not (y[0] > 0.0 and y[1] > 0.0):
-        raise NumericalFailure("positivity lost in ODE state",
-                               {"s": s, "C1": y[0], "C2": y[1], **context})
-
-
 def integrate_branch(pack, stop, max_steps=DEFAULT_MAX_STEPS):
     """Integrate one branch forward from s = 0 to ``stop`` by Taylor steps.
 
@@ -288,8 +281,9 @@ def integrate_branch(pack, stop, max_steps=DEFAULT_MAX_STEPS):
     zero step and a state that loses positivity raise
     :class:`NumericalFailure` with the s reached and the last good s, as
     floats, the C's in the units of ``pack``; so does a start state with a
-    C below the normal doubles, whose step rule would give h = 0.  ``meta``
-    reports the work and the estimate (see :class:`Branch`).
+    C that is not a positive normal double.  The branch's last node is
+    ``stop``; ``meta`` reports the work and the estimate (see
+    :class:`Branch`).
     """
     if not max_steps >= 1:
         raise ValueError(f"max_steps must be at least 1, got {max_steps}")
@@ -297,12 +291,12 @@ def integrate_branch(pack, stop, max_steps=DEFAULT_MAX_STEPS):
         raise ValueError(f"branch stop must lie in (0, 1], got {stop}")
     y = (pack.C1_0, pack.C2_0, pack.B1_0, pack.B2_0)
     gap = pack.gap_0
-    _check_positive(y, 0.0, {})
-    if min(y[:2]) < np.finfo(float).tiny:
-        # a subnormal C has too few bits for the step rule, which would
-        # underflow to a zero step
-        raise NumericalFailure("ODE start state: a C is below the normal "
-                               "doubles", {"s": 0.0, "C1": y[0], "C2": y[1]})
+    tiny = np.finfo(float).tiny
+    # a subnormal C has too few bits to carry the branch; NaN fails too
+    if not (y[0] >= tiny and y[1] >= tiny):
+        raise NumericalFailure("ODE start state lost positivity or left the "
+                               "normal doubles",
+                               {"s": 0.0, "C1": y[0], "C2": y[1]})
     nodes, states, dense_r, jets = [0.0], [y], [], []
     trunc = [0.0] * 4
     s0, r = 0.0, float(stop)
@@ -314,7 +308,7 @@ def integrate_branch(pack, stop, max_steps=DEFAULT_MAX_STEPS):
             for j in (_ORDER - 1, _ORDER):
                 a = abs(c[j])
                 if a > 0.0:
-                    h = min(h, (_STEP_TOL * b / a) ** (1.0 / j))
+                    h = min(h, (_STEP_TOL * (b / a)) ** (1.0 / j))
         if not h > 0.0:
             raise NumericalFailure("ODE step rule gave a zero step",
                                    {"s": s0, "last_good_s": s0,
@@ -343,7 +337,10 @@ def integrate_branch(pack, stop, max_steps=DEFAULT_MAX_STEPS):
                 acc = acc * h + c[j]
             new.append(acc)
         y = tuple(new)
-        _check_positive(y, s1, {"last_good_s": s0})
+        if not (y[0] > 0.0 and y[1] > 0.0):
+            raise NumericalFailure("positivity lost in ODE state",
+                                   {"s": s1, "C1": y[0], "C2": y[1],
+                                    "last_good_s": s0})
         jets.append(jet)
         dense_r.append(dense)
         nodes.append(s1)
@@ -364,7 +361,7 @@ def integrate_branch(pack, stop, max_steps=DEFAULT_MAX_STEPS):
     floor = _FLOOR_EPS_PER_STEP * np.finfo(float).eps * steps * big
     drift = float(np.max(np.abs(ys[:, 3] - ys[:, 2]
                                 - np.sqrt(ys[:, 0] + ys[:, 1]))))
-    meta = {"steps": steps, "stop": stop,
+    meta = {"steps": steps,
             "error_estimate": float(np.max(np.array(trunc) + floor))}
     return Branch(np.array(nodes), ys, np.array(dense_r),
                   np.array(jets).transpose(0, 2, 1), drift, pack, meta)
@@ -378,7 +375,7 @@ def _mirrored(branch, t):
     return np.array([back.A1, back.A2, back.B1, back.B2])
 
 
-def assemble_curve(forward, backward, c1, c2, grid, sys=None, e=0):
+def assemble_curve(forward, backward, c1, c2, grid, sys, e):
     """Splice two branches and the plateau constants into one limit curve.
 
     ``forward`` is the system's branch, run to c1; ``backward`` is the
@@ -386,19 +383,18 @@ def assemble_curve(forward, backward, c1, c2, grid, sys=None, e=0):
     by :func:`~angelesco.systems.plateau_zones`: branch values fill s < c1
     and s > c2, and on [c1, c2] (for touching systems the one ray
     c1 = c2) the four functions are the mean of the two branch end states,
-    each read at its branch's own stop.  Their mismatch is recorded in
+    each read at its branch's last node.  Their mismatch is recorded in
     ``meta``, ``ok`` when at most ``_SPLICE_TOL`` relative to the larger
     |A| of the two ends for each A, and to the smaller endpoint gap for each
     B, together with the branch redundancy monitors and, under
     ``branches``, each branch's steps and error estimate.
 
     Branches run on ``(hull_units(sys), e)`` return with the mismatch and
-    drift in user units (:func:`~angelesco.systems.user_units`); by
-    default the branches are in user units already.
+    drift in user units (:func:`~angelesco.systems.user_units`).
     """
     grid = check_grid(grid)
-    end_f = np.array(forward.limit_values(np.array([forward.meta["stop"]])))
-    end_b = _mirrored(backward, np.array([backward.meta["stop"]]))
+    end_f = np.array(forward.limit_values(forward.s[-1:]))
+    end_b = _mirrored(backward, backward.s[-1:])
     diff = np.abs(end_f - end_b)[:, 0]
     gap = min(forward.pack.gap_0, backward.pack.gap_0)
     # an A against its own size, not gap^2, so a wrong small A shows
@@ -419,10 +415,7 @@ def assemble_curve(forward, backward, c1, c2, grid, sys=None, e=0):
     vals[:, grid == 1.0] = [[hat.C2_0], [0.0], [-hat.B2_0], [-hat.B1_0]]
     named = (("forward", forward), ("backward", backward))
     meta = {"splice_mismatch": mism,
-            "branches": {name: {k: br.meta[k]
-                                for k in ("error_estimate", "steps")}
-                         for name, br in named}}
-    # with e = 0 no value leaves the doubles, so sys = None is never named
+            "branches": {name: dict(br.meta) for name, br in named}}
     curve = user_units(validate_computed(
         LimitCurve(grid.copy(), *vals, "ode", meta)), sys, e)
     # the monitors in user units, once the values are known to fit

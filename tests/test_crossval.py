@@ -107,7 +107,7 @@ def test_residuals_vanish_on_constant_curve():
     s = np.linspace(0.1, 0.9, 801)
     one = np.ones_like(s)
     cv = LimitCurve(s, 0.3 * one, 0.2 * one, -one, 0.5 * one)
-    rep = ode_residuals(cv, h=2e-3)
+    rep = ode_residuals(cv, h=2e-3, window=(0.0, 0.0))
     assert rep.worst() == 0.0
 
 
@@ -116,7 +116,7 @@ def test_residuals_report_no_point_when_the_margins_leave_none():
     s = np.linspace(0.0, 1.0, 3)
     one = np.ones_like(s)
     cv = LimitCurve(s, 0.3 * one, 0.2 * one, -one, 0.5 * one)
-    assert ode_residuals(cv, h=0.5).n_points == 1
+    assert ode_residuals(cv, h=0.5, window=(0.0, 0.0)).n_points == 1
     rep = ode_residuals(cv, h=0.5, window=(0.495, 0.505))
     assert rep.n_points == 0 and rep.max_rel == (0.0, 0.0, 0.0, 0.0)
     assert rep.as_dict()["n_points"] == 0
@@ -138,17 +138,17 @@ def test_residuals_grid_validation(touching_system, touching_info):
     coarse = limit_curve(touching_system, np.linspace(0.0, 1.0, 51),
                          info=touching_info)
     with pytest.raises(ValueError):
-        ode_residuals(coarse, h=1e-3)
+        ode_residuals(coarse, h=1e-3, window=(0.0, 0.0))
     s = np.concatenate([np.linspace(0.0, 0.5, 100, endpoint=False),
                         np.linspace(0.5, 1.0, 301)])
     one = np.ones_like(s)
     bumpy = LimitCurve(s, 0.1 * one, 0.1 * one, -one, one)
     with pytest.raises(ValueError):
-        ode_residuals(bumpy, h=1e-3)
+        ode_residuals(bumpy, h=1e-3, window=(0.0, 0.0))
     tiny = LimitCurve(np.array([0.4, 0.6]), np.ones(2), np.ones(2),
                       -np.ones(2), np.ones(2))
     with pytest.raises(ValueError):
-        ode_residuals(tiny, h=1e-3)
+        ode_residuals(tiny, h=1e-3, window=(0.0, 0.0))
 
 
 def test_identity_on_surface_curve(gap_curve_dense, gap_info,
@@ -166,7 +166,7 @@ def test_identity_on_surface_curve(gap_curve_dense, gap_info,
 def test_identity_on_lattice_curve(touching_system):
     lat = solve_lattice(touching_system, 1500)
     cv = curve_from_lattice(lat, np.linspace(0.05, 0.95, 19))
-    rep = identity_checks(cv)
+    rep = identity_checks(cv, window=(0.0, 0.0))
     assert rep.max_rel <= 2e-2
     assert rep.n_points == cv.s.size
     assert set(rep.as_dict()) == {"max_abs", "max_rel", "n_points"}

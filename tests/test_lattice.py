@@ -145,17 +145,17 @@ def test_curve_from_lattice(deep_lattice):
 
 
 def test_snapshot_bookkeeping(touching_system):
-    # the default snapshots are the levels below m that the table reads
+    # the default kept levels are the levels the table reads
     lat = solve_lattice(touching_system, 16)
-    assert set(lat.snapshots) == {10, 12, 14}
+    assert set(lat.diagonals) == {10, 12, 14, 16}
     lat.diagonal(12)
     lat.diagonal(16)
     with pytest.raises(KeyError):
         lat.diagonal(13)
     cut = lat.truncated(12)
-    assert cut.m == 12 and set(cut.snapshots) == {10}
+    assert cut.m == 12 and set(cut.diagonals) == {10, 12}
     assert cut.residuals.shape == (12, 2)
-    assert cut.b1 is lat.diagonal(12)[2]
+    assert cut.diagonal(12)[2] is lat.diagonal(12)[2]
     with pytest.raises(KeyError):
         lat.truncated(13)
 
@@ -222,8 +222,8 @@ def test_sweep_scale_covariant_bit_for_bit(touching_system):
     for k in (2.0 ** -50, 2.0 ** -400, 2.0 ** 400):
         scaled = solve_lattice(AngelescoSystem(Interval(-2.0 * k, 0.0),
                                                Interval(0.0, k)), 400)
-        assert sorted(scaled.snapshots) == sorted(unit.snapshots)
-        for level in [*unit.snapshots, 400]:
+        assert sorted(scaled.diagonals) == sorted(unit.diagonals)
+        for level in unit.diagonals:
             for u, v, f in zip(user_diagonal(unit, level),
                                user_diagonal(scaled, level),
                                (k * k, k * k, k, k)):
@@ -242,7 +242,7 @@ def assert_matches_oracle(lat, ref):
     a1, a2, b1, b2, snaps, residuals = ref
     for got, want in zip(user_diagonal(lat, lat.m), (a1, a2, b1, b2)):
         assert np.array_equal(got, want)
-    assert sorted(lat.snapshots) == sorted(snaps)
+    assert sorted(lat.diagonals) == sorted([*snaps, lat.m])
     for level, diag in snaps.items():
         for got, want in zip(user_diagonal(lat, level), diag):
             assert np.array_equal(got, want), level

@@ -276,7 +276,7 @@ def test_a_grid_point_on_the_threshold_ray_takes_the_plateau(
     grid = np.array([0.0, 0.25, c, 0.75, 1.0])
     forward = integrate_branch(touching_pack, c)
     backward = integrate_branch(touching_hat, rest)
-    cv = assemble_curve(forward, backward, c, c, grid)
+    cv = assemble_curve(forward, backward, c, c, grid, touching_system, 0)
     a1, a2, b1, b2 = backward.limit_values(np.array([rest]))
     mean = 0.5 * (np.array(forward.limit_values(np.array([c])))
                   + np.array([a2, a1, -b2, -b1]))

@@ -75,7 +75,7 @@ def test_a_complex_step_passes_through_the_ray(alpha, x):
     assert abs(got - want) <= 1e-15 * abs(want)
 
 
-def test_solve_u():
+def test_solve_w():
     w = solve_w(StarConfig(2.0, 0.25, 0.75))
     assert 0.0 < w < 1.0
     assert beta_coord(2.0, w) == pytest.approx(0.25, rel=1e-15)
@@ -88,7 +88,7 @@ def test_solve_u():
         assert beta_coord(alpha, w) == pytest.approx(0.5, rel=1e-14)
 
 
-def test_solve_u_touching_skips_the_bisection(monkeypatch):
+def test_solve_w_touching_skips_the_bisection(monkeypatch):
     real_bisect = surface.bisect
     calls = []
 
@@ -108,7 +108,7 @@ def test_solve_u_touching_skips_the_bisection(monkeypatch):
     assert mixed[1] == solve_w(StarConfig(2.0, 0.25, 0.75))
 
 
-def test_solve_tau0():
+def test_solve_x0():
     d = edge_d(2.0) + solve_x0(1.0, 2.0)
     assert 1.0 + d == pytest.approx(2.5846, abs=1e-3)
     assert 1.0 + d == pytest.approx(2.5842254432165204, abs=1e-12)
@@ -553,7 +553,7 @@ def test_threshold_ray_is_the_touching_plateau_edge():
             assert abs(got - want) <= 1e-15 * want, a
 
 
-def test_solve_d0_brackets_the_root_without_doubling(monkeypatch):
+def test_solve_x0_brackets_the_root_without_doubling(monkeypatch):
     # x = 1 + sqrt(3 alpha) lies above the root for every w in (0, 1], so
     # the sign is confirmed at once over six hundred decades of alpha, and
     # d0 = d1 + x0 holds an 80-digit root of the cubic in d to 1e-15
