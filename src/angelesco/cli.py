@@ -234,9 +234,11 @@ def read_curve_csv(path):
 
 def _compute_curves(cfg, methods):
     """Run the requested methods; returns ({method: curve}, meta dict, the
-    :class:`PlateauInfo`, and the mask of the grid points the lattice
-    comparisons read).  A ValueError past the configuration's checks comes
-    from a computed value and is raised as a :class:`NumericalFailure`."""
+    :class:`PlateauInfo`, the mask of the grid points the lattice
+    comparisons read, and the :class:`~angelesco.lattice.NnrrLattice` of
+    ``dis``, None without it).  A ValueError past the configuration's checks
+    comes from a computed value and is raised as a
+    :class:`NumericalFailure`."""
     system = cfg.check().system()
     grid = cfg.grid()
     try:
@@ -246,6 +248,7 @@ def _compute_curves(cfg, methods):
         timings = {"plateau": time.perf_counter() - t0}
         compared = compared_points(grid, info.c1, info.c2, EXCLUDE_MARGIN)
         curves = {}
+        lat = None
         meta = {"config": cfg.as_dict(), "plateau": dataclasses.asdict(info),
                 "timings": timings}
         for method in sorted(methods, key=METHODS.index):
@@ -266,7 +269,7 @@ def _compute_curves(cfg, methods):
     except ValueError as exc:
         raise NumericalFailure(str(exc), {"interval1": cfg.interval1,
                                           "interval2": cfg.interval2}) from exc
-    return curves, meta, info, compared
+    return curves, meta, info, compared, lat
 
 
 def _write_json(path, obj):
@@ -292,20 +295,25 @@ def run_compute(cfg, methods):
                          f"got {sorted(methods)}")
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    curves, meta, info, compared = _compute_curves(cfg, methods)
+    curves, meta, info, compared, lat = _compute_curves(cfg, methods)
     for method in METHODS:
         if method in curves:
             write_curve_csv(out / f"{method}.csv", curves[method])
             print(f"wrote {out / (method + '.csv')}")
     _write_json(out / "run_meta.json", meta)
     print(f"wrote {out / 'run_meta.json'}")
-    return curves, meta, info, compared
+    return curves, meta, info, compared, lat
 
 
 def run_validate(cfg):
     """``compute`` of every method, then the checks on its curves, written
-    to ``validate_report.json``; returns the exit code, 0 pass or 1 fail."""
-    curves, _, info, compared = run_compute(cfg, METHODS)
+    to ``validate_report.json``; returns the exit code, 0 pass or 1 fail.
+
+    The report also records the lattice's consistency residual
+    (:attr:`~angelesco.lattice.NnrrLattice.residuals`), raw, over the hull
+    length and with the level where it peaks.  It is a diagnostic with no
+    tolerance: it does not enter ``passed``."""
+    curves, _, info, compared, lat = run_compute(cfg, METHODS)
     window = (info.c1, info.c2)
     # (name, report entry, worst value, tolerance)
     checks = []
@@ -335,12 +343,27 @@ def run_validate(cfg):
         print(f"{'PASS' if ok else 'FAIL'}  {name}: "
               + (f"worst {worst:.3e} tolerance {tol:.1e}" if seen
                  else "saw no point"))
+    axis = _axis_residual(lat)
+    print(f"note  lattice axis residual: {axis['max_abs']:.3e} "
+          f"({axis['max_scaled']:.1e} hull lengths) at level {axis['level']}")
     path = Path(cfg.output_dir) / "validate_report.json"
     _write_json(path, {"comparisons": [c[1] for c in checks[:3]],
                        "identity": checks[3][1], "residuals": checks[4][1],
-                       "passed": passed})
+                       "axis_residual": axis, "passed": passed})
     print(f"report: {path}")
     return 0 if passed else 1
+
+
+def _axis_residual(lat):
+    """The report entry of the lattice's consistency residual: the largest
+    over both axes and all levels in user units (NaN if any is NaN), the
+    same over the hull length L, and the level where it peaks."""
+    worst = lat.residuals.max(axis=1)
+    peak = int(np.argmax(worst))  # the first NaN, if there is one
+    value = float(worst[peak])
+    length = lat.system.i2.hi - lat.system.i1.lo
+    return {"max_abs": value, "max_scaled": value / length,
+            "level": peak + 1}
 
 
 def run_plot(paths, out_path):

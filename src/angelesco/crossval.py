@@ -227,12 +227,9 @@ def convergence_study(sys, s, levels):
     each level its Richardson table reads.  Each row reads the one-point
     curve at ``s`` from that sweep cut back to its level, plain and
     extrapolated (:func:`~angelesco.lattice.curve_from_lattice`), and
-    differences it against the surface route's one-point curve.  A row can
-    differ from a fresh sweep to its own level by the rounding of the
-    deeper axis data: on the touching system at levels 100 ... 1600 and
-    s = 0.3, 0.5, 0.9 the values moved by at most 1.6e-15 plain and 6.3e-13
-    extrapolated, where the table's Lebesgue constant (386) amplifies the
-    plain reads' rounding.
+    differences it against the surface route's one-point curve.  A sweep
+    is the first levels of any deeper one, bit for bit, so each row is what
+    a fresh sweep to its own level reads.
     """
     from .lattice import curve_from_lattice, solve_lattice, table_levels
     from .surface import limit_curve

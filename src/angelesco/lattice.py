@@ -1,18 +1,23 @@
 """Recurrence limits from a finite lattice of nearest-neighbor coefficients.
 
 The four coefficient families live on the integer lattice of bi-degrees
-(n1, n2).  Pure powers of either index sit on an axis, where all data comes
-from classical scalar three-term recurrences plus mixed moment ratios
-(:mod:`angelesco.orthopoly`).  Interior sites follow from the compatibility
-relations between neighboring recurrences: a multiplicative two-term
-relation fixes the a's along each unit step and a linear two-by-two system
-fixes the b's one diagonal ahead.  Sweeping diagonal by diagonal therefore
-fills the whole triangle n1 + n2 <= m from axis data alone.
+(n1, n2).  Pure powers of either index sit on an axis, where the own a's and
+b's are those of the measure's classical scalar three-term recurrence
+(:func:`~angelesco.orthopoly.scalar_recurrence`, in closed form).  Interior
+sites follow from the compatibility relations between neighboring
+recurrences: a multiplicative two-term relation fixes the a's along each
+unit step and a linear two-by-two system fixes the b's one diagonal ahead.
+Sweeping diagonal by diagonal therefore fills the whole triangle
+n1 + n2 <= m from the two measures' own recurrences alone (Filipuk,
+Haneczok & Van Assche, Numer. Algorithms 70 (2015)).
 
-Propagation re-derives the axis b's of each new diagonal; the sweep replaces
-them with the directly computed axis values and logs the difference.  These
-residuals are the only genuine redundancy in the scheme and act as a running
-consistency check of the whole construction.
+Propagation also derives the cross b of each axis site, the coefficient in
+the direction of the other measure, and the sweep keeps it.  The mixed
+moment ratios of :func:`~angelesco.orthopoly.axis_data` give the same
+coefficients independently; :attr:`NnrrLattice.residuals` compares the two
+on demand.  These residuals are the only genuine redundancy in the scheme
+and check the whole construction; ``validate`` reports them, and no route
+computes the moments.
 
 The b-phase solve of the two-by-two system reduces to one shared step: with
 S = a1 + a2 on the new diagonal, dS its drop from site k to k + 1 and
@@ -34,7 +39,7 @@ hull units, which an interval far shorter than the hull breaks.
 Each diagonal's gap b2 - b1 is formed once.  Its b-phase solve divides by
 it, and the next diagonal's a-phase reads it again as the denominator of its
 step relations.  The b-phase guard therefore covers that a-phase too: it has
-already checked every site of the gap, axis overrides included, so the
+already checked every site of the gap, axis sites included, so the
 a-phase needs no guard of its own.  The guards are written so that NaN fails
 them.
 
@@ -54,11 +59,12 @@ m/8 at m = 400 on every system measured (touching 7.73 against 7.11, gap
 its inputs by its Lebesgue constant, 386 (6.4 for the halving levels).
 """
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import NumericalFailure
-from .orthopoly import axis_data
+from .orthopoly import axis_data, scalar_recurrence
 from .systems import (AngelescoSystem, LimitCurve, check_grid, hull_units,
                       range_failure, user_units, validate_computed)
 
@@ -72,18 +78,18 @@ _TABLE_EIGHTHS = range(5, 9)
 
 @dataclass
 class NnrrLattice:
-    """Completed sweep: its kept diagonals and consistency residuals.
+    """Completed sweep: its kept diagonals and propagated axis cross-b's.
 
     ``diagonals`` maps every kept level, ``m`` included, to its arrays
     (a1, a2, b1, b2) indexed by k = n1, all in the hull units of ``system``
     (a's times 4^e and b's times 2^e are in user units, e = ``exponent``).
-    ``residuals`` has one row per completed diagonal: the absolute mismatch,
-    in user units, between the propagated and the directly computed axis
-    cross-b on each axis.
+    ``axis_b`` has one row per level 1 .. m: the cross-b the sweep
+    propagated onto the axis-1 site (b2 at k = level) and onto the axis-2
+    site (b1 at k = 0), in hull units.
     """
     m: int
     diagonals: dict
-    residuals: np.ndarray
+    axis_b: np.ndarray
     system: AngelescoSystem
     exponent: int
 
@@ -98,16 +104,39 @@ class NnrrLattice:
         """This sweep cut back to a kept ``level``, with the levels below it.
 
         A table read from the result needs every level it reads kept here.
-        A fresh sweep to ``level`` can differ in the last bits, because the
-        axis data of a deeper sweep uses more quadrature nodes.
+        Nothing in the sweep depends on how deep it runs, so the cut is a
+        fresh sweep to ``level`` bit for bit.
         """
         self.diagonal(level)  # KeyError unless the level was kept
         return NnrrLattice(level, {n: d for n, d in self.diagonals.items()
                                    if n <= level},
-                           self.residuals[:level], self.system, self.exponent)
+                           self.axis_b[:level], self.system, self.exponent)
+
+    @cached_property
+    def residuals(self):
+        """Consistency residuals, one row per level 1 .. m: the absolute
+        mismatch, in user units, between the propagated axis cross-b's and
+        the mixed-moment ones of :func:`~angelesco.orthopoly.axis_data` on
+        each axis.  Computed once, on first use; the sweep never reads the
+        moments."""
+        unit, e = hull_units(self.system)
+        direct = np.column_stack([axis_data(unit, axis, self.m).cross_b[1:]
+                                  for axis in (1, 2)])
+        return np.ldexp(np.abs(np.subtract(self.axis_b, direct)), e)
 
     def max_residual(self):
+        """The largest of :attr:`residuals`, NaN if any is; 0.0 for m = 0."""
         return float(self.residuals.max()) if self.residuals.size else 0.0
+
+
+def _aligned(n, fill):
+    """``n`` doubles set to ``fill``, starting on a 64-byte boundary, so no
+    wide vector load of the sweep splits a cache line."""
+    raw = np.empty(n + 8)
+    start = -raw.ctypes.data % 64 // 8
+    buf = raw[start:start + n]
+    buf.fill(fill)
+    return buf
 
 
 def solve_lattice(sys, m, snapshot_levels=None):
@@ -118,15 +147,18 @@ def solve_lattice(sys, m, snapshot_levels=None):
     (:func:`table_levels`).  The sweep runs on
     :func:`~angelesco.systems.hull_units` of ``sys`` and keeps its
     diagonals there, so scaling a system by a power of two leaves them
-    bit for bit.  Two sets of diagonal buffers of length m + 2, used in
-    turn, are allocated once, and level m keeps views of them; cost is
-    O(m^2) time and O(m) memory besides the kept levels below m.  A
-    propagation denominator below 1e-12 hull lengths or a nonpositive
-    interior coefficient, NaN included, aborts with
-    :class:`NumericalFailure`, and so does a kept diagonal with a positive
-    a below the normal doubles, as on an interval of length 1e-154 in a
-    hull of length 1 (:func:`~angelesco.systems.range_failure`).  a1 = 0
-    at k = 0 and a2 = 0 at k = level stay exact.
+    bit for bit.  Its only input is each measure's own recurrence
+    (:func:`~angelesco.orthopoly.scalar_recurrence`, in closed form), so
+    no value depends on m: a sweep to n is the first n levels of any
+    deeper one, bit for bit.  Two sets of diagonal buffers of length m + 2,
+    used in turn, are allocated once on 64-byte boundaries, and level m
+    keeps views of them; cost is O(m^2) time and O(m) memory besides the
+    kept levels below m.  A propagation denominator below 1e-12 hull
+    lengths or a nonpositive interior coefficient, NaN included, aborts
+    with :class:`NumericalFailure`, and so does a kept diagonal with a
+    positive a below the normal doubles, as on an interval of length
+    1e-154 in a hull of length 1 (:func:`~angelesco.systems.range_failure`).
+    a1 = 0 at k = 0 and a2 = 0 at k = level stay exact.
     """
     if m < 1:
         raise ValueError(f"level must be a positive integer, got {m}")
@@ -136,10 +168,9 @@ def solve_lattice(sys, m, snapshot_levels=None):
 
     unit, e = hull_units(sys)
     floor = _DENOM_FLOOR * (unit.i2.hi - unit.i1.lo)
-    ax1 = axis_data(unit, 1, m)
-    ax2 = axis_data(unit, 2, m)
-    own1, own2 = ax1.own_a.tolist(), ax2.own_a.tolist()
-    cross1, cross2 = ax1.cross_b.tolist(), ax2.cross_b.tolist()
+    # own1[L] is the axis-1 a at site k = L + 1 of diagonal L + 1
+    own1 = scalar_recurrence(unit.w1, unit.i1, m).tolist()
+    own2 = scalar_recurrence(unit.w2, unit.i2, m).tolist()
 
     # two sets of (a1, a2, b1, b2, gap) buffers of length m + 2, for the old
     # and the new diagonal in turn.  The fills are the values no step
@@ -147,17 +178,17 @@ def solve_lattice(sys, m, snapshot_levels=None):
     # axis-1 end, which a buffer reaches before any step writes there
     n = m + 2
     mid1, mid2 = unit.i1.mid, unit.i2.mid
-    old, new = ((np.zeros(n), np.zeros(n), np.full(n, mid1),
-                 np.full(n, mid2), np.empty(n)) for _ in range(2))
-    s_buf = np.empty(n)
-    q_buf = np.empty(n)
+    old, new = ((_aligned(n, 0.0), _aligned(n, 0.0), _aligned(n, mid1),
+                 _aligned(n, mid2), _aligned(n, 0.0)) for _ in range(2))
+    s_buf = _aligned(n, 0.0)
+    q_buf = _aligned(n, 0.0)
     mul, div, add, sub = np.multiply, np.divide, np.add, np.subtract
 
     diagonals = {}
     if 0 in snapshot_levels:
         diagonals[0] = tuple(buf[:1].copy() for buf in old[:4])
     b1, b2 = old[2][:1], old[3][:1]
-    # the propagated axis cross-b's of every level, before the override
+    # the axis cross-b's every level propagates
     propagated = []
     gap_prev = None
     for L in range(m):
@@ -171,8 +202,8 @@ def solve_lattice(sys, m, snapshot_levels=None):
         # which passed the previous b-phase guard).  x[x.argmin()] is the
         # least element of x, NaN if x holds one: np.minimum.reduce(x) at a
         # fraction of its call cost
-        a2n[0] = own2[L + 1]
-        a1n[K - 1] = own1[L + 1]
+        a2n[0] = own2[L]
+        a1n[K - 1] = own1[L]
         gap = sub(b2, b1, gap_buf[:K - 1])
         if L >= 1:
             a1i, a2i = a1n[1:K - 1], a2n[1:K - 1]
@@ -193,26 +224,20 @@ def solve_lattice(sys, m, snapshot_levels=None):
         div(q, gap, q)
         add(b2, q, b2n[1:])
         add(b1, q, b1n[:K - 1])
-
-        # axis sites: keep the propagated values, then override
         propagated.append((b2n[K - 1], b1n[0]))
-        b2n[K - 1] = cross1[L + 1]
-        b1n[0] = cross2[L + 1]
 
         old, new = new, old
         b1, b2, gap_prev = b1n, b2n, gap
         if L + 1 in snapshot_levels and L + 1 != m:
             diagonals[L + 1] = tuple(buf[:K].copy() for buf in old[:4])
 
-    residuals = np.abs(np.subtract(
-        propagated, np.column_stack((ax1.cross_b[1:], ax2.cross_b[1:]))))
     diagonals[m] = tuple(buf[:m + 1] for buf in old[:4])
     # an interval's a's are of the order of its length squared, so a short
     # interval leaves the normal doubles inside a supported hull
     a = np.concatenate([v for d in diagonals.values() for v in d[:2]])
     if np.any((0.0 < a) & (a < np.finfo(float).tiny)):
         raise range_failure(sys)
-    return NnrrLattice(m, diagonals, np.ldexp(residuals, e), sys, e)
+    return NnrrLattice(m, diagonals, np.array(propagated), sys, e)
 
 
 def table_levels(m):
@@ -303,11 +328,10 @@ def curve_from_lattice(lat, grid, extrapolate=False, compared=None):
         for v, arr in zip(vals, top):
             v[off] = np.interp(grid[off] * lat.m, k, arr)
     meta = {"level": lat.m, "extrapolated": bool(extrapolate),
-            "max_residual": lat.max_residual(),
             "linear_points": int(np.count_nonzero(off)),
             "table_levels": levels}
     curve = user_units(validate_computed(
-        LimitCurve(grid.copy(), *vals, "lattice", meta)), lat.system, e)
+        LimitCurve(grid.copy(), *vals, "dis", meta)), lat.system, e)
     # each function's difference in user units, then the largest
     diff = np.ldexp(np.abs(vals - lower), [[2 * e], [2 * e], [e], [e]])
     diff = diff.max(axis=0)

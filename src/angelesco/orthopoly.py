@@ -1,9 +1,13 @@
-"""Scalar orthogonal-polynomial data feeding the lattice boundary.
+"""Scalar orthogonal-polynomial data on the lattice boundary.
 
-Monic three-term recurrence coefficients for the supported weights, Gauss /
-Clenshaw-Curtis quadrature on a single interval, and the mixed moment ratios
-that give the off-axis recurrence coefficient along each boundary row of the
-multi-index lattice.
+Monic three-term recurrence coefficients for the supported weights, which
+seed the lattice sweep, and Gauss / Clenshaw-Curtis quadrature on a single
+interval with the mixed moment ratios that give the off-axis recurrence
+coefficient along each boundary row of the multi-index lattice.  The sweep
+propagates those off-axis coefficients itself; the moments are the
+independent values its consistency residuals
+(:attr:`angelesco.lattice.NnrrLattice.residuals`) compare them against,
+which ``validate`` reports.
 
 Recurrence convention: with monic polynomials p_k of a single weight,
 
@@ -208,11 +212,11 @@ def mixed_ratios(src_kind, src_interval, dst_kind, dst_interval, m):
 class AxisData:
     """Boundary-row data for one axis of the lattice, sites k = 0..m.
 
-    own_a[k] is the recurrence a in the axis' own direction (own_a[0] = 0);
-    the own b is the interval midpoint at every site, so it is not stored.
     cross_b[k] is the coefficient in the direction of the other measure.
+    The own coefficients are the scalar recurrence's
+    (:func:`scalar_recurrence`; the own b is the interval midpoint), so
+    they are not stored.
     """
-    own_a: np.ndarray
     cross_b: np.ndarray
 
     @property
@@ -225,9 +229,9 @@ def axis_data(sys, axis, m):
 
     The cross coefficient is own b plus the mixed moment ratio: projecting
     the step toward the other measure onto the axis polynomials leaves
-    cross_b[k] = b_k + h_{k+1}/h_k with b_k the midpoint, which feeds the
-    lattice sweep and is checked against a brute-force moment construction
-    in the tests.
+    cross_b[k] = b_k + h_{k+1}/h_k with b_k the midpoint.  The lattice's
+    consistency residuals check the sweep's propagated cross b's against it,
+    and the tests check it against a brute-force moment construction.
     """
     if axis not in (1, 2):
         raise ValueError("axis must be 1 or 2")
@@ -237,6 +241,4 @@ def axis_data(sys, axis, m):
     else:
         kind, iv = sys.w2, sys.i2
         other_kind, other_iv = sys.w1, sys.i1
-    own_a = np.concatenate([[0.0], scalar_recurrence(kind, iv, m + 1)[:m]])
-    cross_b = iv.mid + mixed_ratios(kind, iv, other_kind, other_iv, m)
-    return AxisData(own_a, cross_b)
+    return AxisData(iv.mid + mixed_ratios(kind, iv, other_kind, other_iv, m))

@@ -2,8 +2,9 @@
 
 Both are the straightforward forms of :func:`angelesco.lattice.solve_lattice`
 and :func:`angelesco.orthopoly.mixed_ratios`: fresh arrays on every
-diagonal, the sweep in the user's units, every residual formed inside the
-loop, and the moment recursion slicing its live nodes on every step.  The
+diagonal, the sweep in the user's units, every consistency residual formed
+inside the loop, and the moment recursion slicing its live nodes on every
+step.  The
 package must compute the same values bit for bit, because it does the same
 floating-point operations in the same order with less per-step overhead.
 """
@@ -19,16 +20,18 @@ from angelesco.orthopoly import gauss_nodes, scalar_recurrence
 def sweep(sys, m, snapshot_levels=None):
     """(a1, a2, b1, b2, snapshots, residuals) of the sweep to level ``m``.
 
-    Reads its axis data through ``angelesco.lattice.axis_data``, as the
-    package does, so a test that patches it there poisons both.
+    The sweep reads each axis's own a's through
+    ``angelesco.lattice.scalar_recurrence`` and the residuals read the
+    mixed-moment cross-b's through ``angelesco.lattice.axis_data``, as the
+    package does, so a test that patches either there poisons both.
     """
     if snapshot_levels is None:
         snapshot_levels = lattice_mod.table_levels(m)
     snapshot_levels = set(snapshot_levels)
 
     floor = 1e-12 * (sys.i2.hi - sys.i1.lo)
-    ax1 = lattice_mod.axis_data(sys, 1, m)
-    ax2 = lattice_mod.axis_data(sys, 2, m)
+    own1 = lattice_mod.scalar_recurrence(sys.w1, sys.i1, m)
+    own2 = lattice_mod.scalar_recurrence(sys.w2, sys.i2, m)
 
     a1 = np.array([0.0])
     a2 = np.array([0.0])
@@ -40,6 +43,8 @@ def sweep(sys, m, snapshot_levels=None):
     if 0 in snapshot_levels:
         snaps[0] = (a1.copy(), a2.copy(), b1.copy(), b2.copy())
     residuals = np.zeros((m, 2))
+    cross1 = lattice_mod.axis_data(sys, 1, m).cross_b
+    cross2 = lattice_mod.axis_data(sys, 2, m).cross_b
     s_buf = np.empty(m + 1)
     q_buf = np.empty(m)
 
@@ -51,8 +56,8 @@ def sweep(sys, m, snapshot_levels=None):
         b2n = np.empty(K)
 
         a1n[0] = 0.0
-        a2n[0] = ax2.own_a[L + 1]
-        a1n[K - 1] = ax1.own_a[L + 1]
+        a2n[0] = own2[L]
+        a1n[K - 1] = own1[L]
         a2n[K - 1] = 0.0
         gap = b2 - b1
         if L >= 1:
@@ -75,12 +80,10 @@ def sweep(sys, m, snapshot_levels=None):
         np.add(b2, q, out=b2n[1:K])
         np.add(b1, q, out=b1n[0:K - 1])
 
-        residuals[L, 0] = abs(b2n[K - 1] - ax1.cross_b[L + 1])
-        residuals[L, 1] = abs(b1n[0] - ax2.cross_b[L + 1])
         b1n[K - 1] = mid1
-        b2n[K - 1] = ax1.cross_b[L + 1]
         b2n[0] = mid2
-        b1n[0] = ax2.cross_b[L + 1]
+        residuals[L, 0] = abs(b2n[K - 1] - cross1[L + 1])
+        residuals[L, 1] = abs(b1n[0] - cross2[L + 1])
 
         gap_prev = gap
         a1, a2, b1, b2 = a1n, a2n, b1n, b2n
@@ -88,7 +91,6 @@ def sweep(sys, m, snapshot_levels=None):
             snaps[L + 1] = (a1.copy(), a2.copy(), b1.copy(), b2.copy())
 
     return a1, a2, b1, b2, snaps, residuals
-
 
 
 def user_diagonal(lat, level):

@@ -44,7 +44,7 @@ def test_default_lattice_digits(interval2, tol):
     # the default read-out (level 256, third-order table) against the
     # surface, in the scale-free unit A / L^2, B / L, outside the margin
     cfg = RunConfig(interval2=interval2)
-    curves, _, _, compared = _compute_curves(cfg, {"dis", "surface"})
+    curves, _, _, compared, _ = _compute_curves(cfg, {"dis", "surface"})
     unit = AffineMap(1.0 / (cfg.interval2[1] - cfg.interval1[0]), 0.0)
     rep = compare(pushforward_limits(curves["dis"], unit),
                   pushforward_limits(curves["surface"], unit), compared)
@@ -87,7 +87,7 @@ def default_reads():
     reads = {}
     for name, (i1, i2, w1, w2, _) in DIGIT_FLOORS.items():
         cfg = RunConfig(interval1=i1, interval2=i2, weight1=w1, weight2=w2)
-        curves, meta, _, compared = _compute_curves(cfg, {"dis", "surface"})
+        curves, meta, _, compared, _ = _compute_curves(cfg, {"dis", "surface"})
         unit = AffineMap(1.0 / (i2[1] - i1[0]), 0.0)
         scaled = compare(pushforward_limits(curves["dis"], unit),
                          pushforward_limits(curves["surface"], unit), compared)
@@ -412,7 +412,7 @@ def test_an_unbalanced_surface_curve_answers(tmp_path, interval1):
     # the surface route meets the ODE route to 1e-12 in units of the hull
     # length L (A / L^2, B / L)
     cfg = RunConfig(interval1=tuple(map(float, interval1.split(","))))
-    curves, _, _, _ = _compute_curves(cfg, {"surface", "ode"})
+    curves, _, _, _, _ = _compute_curves(cfg, {"surface", "ode"})
     length = max(cfg.interval2[1], 0.0) - min(cfg.interval1[0], 0.0)
     surf, ode = curves["surface"], curves["ode"]
     for f, power in (("A1", 2), ("A2", 2), ("B1", 1), ("B2", 1)):
@@ -440,7 +440,7 @@ def test_a_frame_whose_beta_rounds_to_1_answers(tmp_path, interval1,
                  "--output_dir", str(tmp_path / "out")]) == 0
     cfg = RunConfig(interval1=tuple(map(float, interval1.split(","))),
                     interval2=tuple(map(float, interval2.split(","))))
-    curves, _, _, _ = _compute_curves(cfg, {"surface", "ode"})
+    curves, _, _, _, _ = _compute_curves(cfg, {"surface", "ode"})
     length = cfg.interval2[1] - cfg.interval1[0]
     surf, ode = curves["surface"], curves["ode"]
     for f, power in (("A1", 2), ("A2", 2), ("B1", 1), ("B2", 1)):
@@ -512,7 +512,7 @@ def test_the_lattice_and_ode_agree_where_the_plateau_constants_do_not(
         interval1, interval2):
     cfg = RunConfig(interval1=tuple(map(float, interval1.split(","))),
                     interval2=tuple(map(float, interval2.split(","))))
-    curves, _, _, compared = _compute_curves(cfg, {"dis", "ode"})
+    curves, _, _, compared, _ = _compute_curves(cfg, {"dis", "ode"})
     assert np.count_nonzero(compared) > 0
     length = cfg.interval2[1] - cfg.interval1[0]
     for f, power in (("A1", 2), ("A2", 2), ("B1", 1), ("B2", 1)):
@@ -875,8 +875,17 @@ def test_validate_writes_what_compute_writes(tmp_path, interval1, interval2,
     assert metas[0] == metas[1]
     # the configuration and the plateau live in run_meta.json only
     report = json.loads((dirs[1] / "validate_report.json").read_text())
-    assert set(report) == {"comparisons", "identity", "residuals", "passed"}
+    assert set(report) == {"comparisons", "identity", "residuals",
+                           "axis_residual", "passed"}
     assert report["passed"] is (rc == 0)
+    # the lattice's consistency residual is validate's record alone, and
+    # the propagated axis cross-b's meet the mixed moments
+    assert "max_residual" not in metas[0]["lattice"]
+    axis = report["axis_residual"]
+    assert axis["max_scaled"] == axis["max_abs"] / (
+        float(interval2.split(",")[1]) - float(interval1.split(",")[0]))
+    assert 0.0 <= axis["max_scaled"] <= 1e-11
+    assert 1 <= axis["level"] <= 256
 
 
 @pytest.mark.parametrize("interval1, interval2", [

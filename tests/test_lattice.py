@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import angelesco.lattice as lattice_mod
 from angelesco import AngelescoSystem, Interval, LimitCurve, NumericalFailure
@@ -133,7 +135,7 @@ def test_ray_limit_rejects_a_ray_off_the_grid_rules(deep_lattice, s):
 def test_curve_from_lattice(deep_lattice):
     grid = np.linspace(0.0, 1.0, 61)
     cv = curve_from_lattice(deep_lattice, grid)
-    assert cv.method == "lattice"
+    assert cv.method == "dis"
     assert cv.meta["level"] == 1500
     assert not cv.meta["extrapolated"]
     assert cv.A1[0] == 0.0 and cv.A2[-1] == 0.0
@@ -267,6 +269,36 @@ def test_deep_sweep_matches_the_reference_loop_bit_for_bit():
                           lattice_oracle.sweep(sys, 6000))
 
 
+@pytest.mark.parametrize("w1,w2", itertools.product(KINDS, KINDS))
+def test_a_sweep_is_a_prefix_of_any_deeper_sweep(w1, w2):
+    # the sweep reads only closed-form own a's, so nothing in it depends on
+    # its depth: cut back to n, a deeper sweep is the sweep to n bit for bit
+    sys = AngelescoSystem(Interval(-2.0, 0.0), Interval(0.25, 1.0), w1, w2)
+    short = solve_lattice(sys, 256)
+    cut = solve_lattice(sys, 800, table_levels(800) + table_levels(256)
+                        ).truncated(256)
+    assert sorted(cut.diagonals) == sorted(short.diagonals)
+    for level in short.diagonals:
+        for got, want in zip(cut.diagonal(level), short.diagonal(level)):
+            assert np.array_equal(got, want), level
+    assert np.array_equal(cut.axis_b, short.axis_b)
+    assert np.array_equal(cut.residuals, short.residuals)
+
+
+@pytest.mark.parametrize("w1,w2", itertools.product(KINDS, KINDS))
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(st.floats(-6.0, 6.0).map(lambda x: 10.0 ** x),
+       st.just(0.0) | st.floats(1e-4, 0.9))
+def test_propagated_axis_cross_b_agree_with_the_mixed_moments(w1, w2, alpha,
+                                                              beta):
+    # the sweep propagates its axis cross-b's from the own a's alone; the
+    # mixed moments of the consistency check agree to 1e-11 hull lengths
+    # at level 256 (1.5e-13 at worst over 360 random draws)
+    sys = AngelescoSystem(Interval(-alpha, 0.0), Interval(beta, 1.0), w1, w2)
+    lat = solve_lattice(sys, 256)
+    assert lat.max_residual() <= 1e-11 * (1.0 + alpha)
+
+
 def test_richardson_table_of_one_level_is_that_level():
     best, lower = richardson_table([7], [np.array([1.5, -2.0])])
     assert np.array_equal(best, [1.5, -2.0]) and np.array_equal(lower, best)
@@ -378,17 +410,39 @@ def test_error_estimate_over_the_compared_points(gap_system, gap_info):
     assert none.meta["error_estimate_compared"] is None
 
 
+def axis_of(interval):
+    """The axis an interval of the touching or gap system belongs to, in
+    any units: interval 1 lies left of 0 and interval 2 right of it."""
+    return 1 if interval.mid < 0.0 else 2
+
+
 def poison(monkeypatch, axis, field, value):
-    """Patch ``lattice.axis_data`` to put ``value(sys, axis)`` at site 5."""
+    """Put ``value(iv)`` into ``field`` of ``axis`` at site 5, ``iv`` the
+    axis's interval in the units of the caller.  The own a goes through
+    ``lattice.scalar_recurrence``, which both sweeps read; the cross-b goes
+    through ``lattice.axis_data``, which only the consistency residuals
+    read."""
+    if field == "own_a":
+        real = lattice_mod.scalar_recurrence
+
+        def poisoned(kind, iv, n):
+            a = real(kind, iv, n)
+            if axis_of(iv) == axis:
+                a = a.copy()
+                a[4] = value(iv)  # the own a at site 5 of level 5
+            return a
+
+        monkeypatch.setattr(lattice_mod, "scalar_recurrence", poisoned)
+        return
     real = lattice_mod.axis_data
 
     def poisoned(sys, ax, m):
         data = real(sys, ax, m)
         if ax != axis:
             return data
-        values = getattr(data, field).copy()
-        values[5] = value(sys, axis)
-        return dataclasses.replace(data, **{field: values})
+        values = data.cross_b.copy()
+        values[5] = value((sys.i1, sys.i2)[ax - 1])
+        return dataclasses.replace(data, cross_b=values)
 
     monkeypatch.setattr(lattice_mod, "axis_data", poisoned)
 
@@ -399,34 +453,58 @@ def failure(sweep, *args):
     return str(exc.value), exc.value.context
 
 
+def assert_residuals_flag_level_5(lat, ref, axis):
+    """The poisoned cross-b shows in the consistency residuals at level 5 on
+    ``axis`` alone, as in the reference loop, and fails ``max_residual``."""
+    res = lat.residuals
+    assert np.array_equal(res, ref[5], equal_nan=True)
+    bad = ~(res <= 1e-12 * (lat.system.i2.hi - lat.system.i1.lo))
+    assert np.array_equal(np.argwhere(bad), [[4, axis - 1]])
+    worst = lat.max_residual()
+    assert not worst <= 1e-3 * (lat.system.i2.hi - lat.system.i1.lo)
+
+
 @pytest.mark.parametrize("axis", [1, 2])
 @pytest.mark.parametrize("field", ["own_a", "cross_b"])
 def test_nan_axis_data_aborts_sweep(touching_system, monkeypatch, axis, field):
-    poison(monkeypatch, axis, field, lambda sys, ax: np.nan)
-    got = failure(solve_lattice, touching_system, 20)
-    assert got == failure(lattice_oracle.sweep, touching_system, 20)
-    assert got[1]["level"] == 6
+    # a NaN own a aborts the sweep one level on, as in the reference loop;
+    # no sweep reads a cross-b, so a NaN one makes the residual check NaN
+    poison(monkeypatch, axis, field, lambda iv: np.nan)
+    if field == "own_a":
+        got = failure(solve_lattice, touching_system, 20)
+        assert got == failure(lattice_oracle.sweep, touching_system, 20)
+        assert got[1]["level"] == 6
+        return
+    lat = solve_lattice(touching_system, 20)
+    assert math.isnan(lat.max_residual())
+    assert_residuals_flag_level_5(
+        lat, lattice_oracle.sweep(touching_system, 20), axis)
 
 
 @pytest.mark.parametrize("axis", [1, 2])
 @pytest.mark.parametrize("field,value", [
-    ("own_a", lambda sys, ax: -sys.i1.length ** 2),
-    ("own_a", lambda sys, ax: np.inf),
-    # a gap of 1e-14 hull lengths at the axis site: positive, so the a's
-    # it scales stay positive, and under the floor
-    ("cross_b", lambda sys, ax: (sys.i1, sys.i2)[ax - 1].mid
-     + (1e-14 if ax == 1 else -1e-14) * (sys.i2.hi - sys.i1.lo))],
+    ("own_a", lambda iv: -iv.length ** 2),
+    ("own_a", lambda iv: np.inf),
+    # a gap of 1e-14 interval lengths at the axis site: under the sweep's
+    # floor, had the sweep read it
+    ("cross_b", lambda iv: iv.mid
+     + (1e-14 if axis_of(iv) == 1 else -1e-14) * iv.length)],
     ids=["negative-a", "infinite-a", "small-gap"])
 def test_poisoned_axis_data_fails_like_the_reference_loop(
         gap_system, monkeypatch, axis, field, value):
-    # the same guard fires at the same level, in the sweep's hull units as
-    # in the reference loop's user units (an infinite a makes inf - inf)
+    # a poisoned own a fires the same guard at the same level, in the
+    # sweep's hull units as in the reference loop's user units (an infinite
+    # a makes inf - inf); a poisoned cross-b leaves the sweep alone and
+    # fails the consistency check with the reference loop's residuals
     poison(monkeypatch, axis, field, value)
     with np.errstate(invalid="ignore"):
-        got = failure(solve_lattice, gap_system, 20)
-        assert got == failure(lattice_oracle.sweep, gap_system, 20)
-    if field == "cross_b":
-        assert got[0].startswith("coefficient gap collapsed")
+        if field == "own_a":
+            got = failure(solve_lattice, gap_system, 20)
+            assert got == failure(lattice_oracle.sweep, gap_system, 20)
+            return
+        lat = solve_lattice(gap_system, 20)
+        ref = lattice_oracle.sweep(gap_system, 20)
+    assert_residuals_flag_level_5(lat, ref, axis)
 
 
 def test_level_validation(touching_system):

@@ -25,7 +25,7 @@ BETAS = ("0", "1e-12", "1e-6", "1e-3", "0.1", "0.5", "0.9", "0.999",
 
 def check_names(report):
     """(name, report entry) of each check; a comparison is named by the
-    curves' methods, so ``dis`` reads ``lattice`` there."""
+    curves' methods, as ``validate`` prints it."""
     for entry in report["comparisons"]:
         yield "compare {} vs {}".format(*entry["methods"]), entry
     yield "identity surface", report["identity"]
