@@ -10,6 +10,11 @@ value for nonnegative doubles, so every bracket, [0, 1e300] as much as
 one call finish together (Roots.jl's Float64 bisection does the same).
 Each root problem is one-dimensional, and the solvers work elementwise on
 numpy arrays so that whole grids of root problems go through one call.
+A halving costs numpy call overhead more than arithmetic, so the bracket
+and f's values at its ends are held in two (2, ...) arrays updated in
+place, one masked copy each per halving.  f is given only fresh values,
+which nothing writes into later, so it may keep them, and it is called once
+per end and once per halving.
 """
 import numpy as np
 
@@ -28,7 +33,10 @@ def bisect(f, lo, hi):
     zero midpoint replaces the end whose sign it would take).  ``f`` must be
     deterministic and elementwise: a finished bracket's midpoint is its
     lower end, whose value repeats, so it stays as it is while the others
-    finish.
+    finish.  ``f`` is called on the two ends and then on one fresh midpoint
+    array per halving, at most 63 of them; the ends are held in place in
+    copies, so no array ``f`` is given, nor ``lo`` or ``hi``, is written
+    into.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     down = hi < lo
@@ -45,17 +53,27 @@ def bisect(f, lo, hi):
             {"lo": lo[bad].ravel()[:5].tolist(),
              "hi": hi[bad].ravel()[:5].tolist()})
     falls = (flo > 0) | (fhi < 0)  # a zero end says nothing
-    ilo, ihi = lo.view(np.int64), hi.view(np.int64)
+    # the int64 views of the ends and f's values there, as rows 0 (lo) and
+    # 1 (hi) of one array each, updated in place: copies, since f may keep
+    # what it was given.  [0, ...] is a view of a row even of a 0-d bracket
+    ends = np.stack([lo, hi]).view(np.int64)
+    fends = np.empty(ends.shape)
+    fends[0], fends[1] = flo, fhi
+    ilo, ihi = ends[0, ...], ends[1, ...]
+    flo, fhi = fends[0, ...], fends[1, ...]
+    # a midpoint replaces lo where (fm > 0) == falls, else hi: the rows of
+    # (fm > 0) ^ flip
+    flip = np.stack([~falls, falls])
     # ceil(log2) of the widest bracket: each halving leaves at most the
     # ceiling of half of it, so that many steps finish every bracket
     for _ in range((int(np.max(ihi - ilo, initial=1)) - 1).bit_length()):
-        imid = ilo + (ihi - ilo) // 2
+        imid = ihi - ilo
+        imid //= 2
+        imid += ilo
         fm = np.asarray(f(imid.view(np.float64)), dtype=float)
-        to_lo = (fm > 0) == falls  # a zero of a rising f goes to lo
-        ilo = np.where(to_lo, imid, ilo)
-        ihi = np.where(to_lo, ihi, imid)
-        flo = np.where(to_lo, fm, flo)
-        fhi = np.where(to_lo, fhi, fm)
+        to_end = (fm > 0.0) ^ flip  # a zero of a rising f goes to lo
+        np.copyto(ends, imid, where=to_end)
+        np.copyto(fends, fm, where=to_end)
     lo, hi = ilo.view(np.float64), ihi.view(np.float64)
     return np.where(flo == 0, lo, np.where(fhi == 0, hi, 0.5 * (lo + hi)))[()]
 

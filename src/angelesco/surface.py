@@ -63,15 +63,15 @@ def edge_d(alpha):
     return alpha / (1.0 + np.sqrt(1.0 + alpha))
 
 
-def level_set_w(alpha, x):
+def level_set_w(alpha, d1, x):
     """(w, d) on the alpha level set at d = d1 + x, w explicit in x >= 0.
 
+    ``d1`` is :func:`edge_d` of ``alpha``, which a bisection computes once.
     The level-set cubic of :func:`solve_x0` is linear in w; its solution is
     d (d^2 + 2d - alpha) / (alpha (1 + 2d) - d^2).  Its first factor splits
-    at its root d1 = :func:`edge_d` into x (x + 2 d1 + 2), so w -> 0 at
-    x = 0 is a product of x and keeps its digits however small x is.
+    at its root d1 into x (x + 2 d1 + 2), so w -> 0 at x = 0 is a product
+    of x and keeps its digits however small x is.
     """
-    d1 = edge_d(alpha)
     d = d1 + x
     return x * d * (x + 2.0 * d1 + 2.0) / (alpha * (1.0 + 2.0 * d) - d * d), d
 
@@ -138,8 +138,12 @@ def solve_x0(w, alpha):
         raise ValueError(f"solve_x0 needs w > 0 and alpha > 0, got "
                          f"w={float(w.flat[i])}, alpha={float(alpha.flat[i])}")
     d1 = edge_d(alpha)
-    f = lambda x: (x * (x + 2.0 * d1 + 2.0)
-                   - w * (alpha / (d1 + x) + 2.0 * alpha - (d1 + x)))
+    two_d1, two_alpha = 2.0 * d1, 2.0 * alpha
+
+    def f(x):
+        d = d1 + x
+        return x * (x + two_d1 + 2.0) - w * (alpha / d + two_alpha - d)
+
     return bisect(f, np.zeros(w.shape),
                   expand_upper(f, 0.0, 1.0 + np.sqrt(3.0 * alpha)))
 
@@ -222,14 +226,16 @@ def pushed_beta(alpha, ray, top):
     s, t = (np.asarray(v, dtype=float) for v in ray)
     upper = s >= t
     alpha = np.asarray(alpha, dtype=float)
+    d1 = edge_d(alpha)
+    two_s, two_t = 2.0 * s, 2.0 * t
 
     def f(x):  # the nearer end's gap at x minus the ray's
-        minus, plus = ray_gaps(*level_set_w(alpha, x))
-        return np.where(upper, 2.0 * t - minus, plus - 2.0 * s)
+        minus, plus = ray_gaps(*level_set_w(alpha, d1, x))
+        return np.where(upper, two_t - minus, plus - two_s)
 
     shape = np.broadcast(s, alpha, top).shape
     x = bisect(f, np.zeros(shape), np.broadcast_to(top, shape))
-    w, d = level_set_w(alpha, x)
+    w, d = level_set_w(alpha, d1, x)
     return beta_coord(alpha, w), w, d
 
 

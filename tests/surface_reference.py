@@ -32,11 +32,11 @@ def zone(alpha, s, t):
     upper = s >= t
 
     def f(x):
-        minus, plus = ray_gaps(*level_set_w(alpha, x))
+        minus, plus = ray_gaps(*level_set_w(alpha, edge_d(alpha), x))
         return np.where(upper, 2.0 * t - minus, plus - 2.0 * s)
 
     x = bisect(f, np.zeros(s.shape), np.full(s.shape, x0(1.0, alpha)))
-    return level_set_w(alpha, x)
+    return level_set_w(alpha, edge_d(alpha), x)
 
 
 def edge(w, alpha):

@@ -314,7 +314,7 @@ def test_interp_exact_on_quintics(level):
     coef = rng.uniform(-1.0, 1.0, size=(4, deg + 1))
     diag = tuple(np.polyval(c, k / level) for c in coef)
     s = np.linspace(0.0, 1.0, 181)
-    got = lagrange_interp(diag, s * level)
+    [got] = lagrange_interp([diag], [s * level])
     for c, g in zip(coef, got):
         assert np.max(np.abs(g - np.polyval(c, s))) <= 1e-12
 
@@ -329,9 +329,56 @@ def test_interp_returns_node_values_bit_for_bit(level):
     x = s * level
     on_node = x == np.floor(x)
     assert np.count_nonzero(on_node) > level // 2
-    got = lagrange_interp(diag, s * level)
+    [got] = lagrange_interp([diag], [s * level])
     for arr, g in zip(diag, got):
         assert np.array_equal(g[on_node], arr[x[on_node].astype(int)])
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _interp_alone(values, x):
+    """The read-out of one diagonal on its own: the stencil of
+    min(6, N) points, its weights and its sum over those points alone."""
+    values = np.asarray(values)
+    N = values.shape[-1]
+    n = min(6, N)
+    j0 = np.clip(np.floor(x).astype(np.int64) - (n // 2 - 1), 0, N - n)
+    d = (x - j0)[:, None] - np.arange(n)
+    w = np.empty_like(d)
+    for j in range(n):
+        others = [i for i in range(n) if i != j]
+        w[:, j] = np.prod(d[:, others], axis=1) / np.prod(
+            [float(j - i) for i in others])
+    return np.sum(w * values[:, j0[:, None] + np.arange(n)], axis=2)
+
+
+def test_one_pass_read_out_reads_each_level_as_alone(monkeypatch, gap_system):
+    # every table level of an extrapolated read-out, those whose diagonal
+    # is shorter than the 6-point stencil included, reads the values the
+    # one-diagonal stencil gives, bit for bit and zero signs too
+    calls = []
+
+    def spy(diagonals, xs):
+        out = lagrange_interp(diagonals, xs)
+        calls.append((diagonals, xs, out))
+        return out
+
+    monkeypatch.setattr(lattice_mod, "lagrange_interp", spy)
+    rng = np.random.default_rng(36)
+    for m in range(1, 65):
+        grid = np.unique(np.concatenate([[0.0, 1.0], rng.random(40),
+                                         np.arange(m + 1) / m]))
+        calls.clear()
+        curve_from_lattice(solve_lattice(gap_system, m), grid, True)
+        [(diagonals, xs, out)] = calls
+        assert len(out) == len(table_levels(m)), m
+        for n, diag, x, got in zip(table_levels(m), diagonals, xs, out):
+            assert np.shape(diag) == (4, n + 1) and _same_bits(x, grid * n)
+            assert _same_bits(got, lagrange_interp([diag], [x])[0]), (m, n)
+            assert _same_bits(got, _interp_alone(diag, x)), (m, n)
 
 
 @pytest.mark.parametrize("m", range(1, 10))
@@ -363,9 +410,8 @@ def test_points_off_the_contract_fall_back_to_linear(extrapolate):
     k = np.arange(m + 1, dtype=float)
     linear = [np.interp(grid * m, k, arr) for arr in user_diagonal(lat, m)]
     levels = table_levels(m) if extrapolate else [m]
-    high, _ = richardson_table(
-        levels, [lagrange_interp(user_diagonal(lat, n), grid * n)
-                 for n in levels])
+    high, _ = richardson_table(levels, lagrange_interp(
+        [user_diagonal(lat, n) for n in levels], [grid * n for n in levels]))
     high[0][0] = high[1][-1] = 0.0
     off = LimitCurve(grid, *high).broken()
     assert cv.meta["linear_points"] == np.count_nonzero(off) > 0

@@ -120,6 +120,24 @@ def test_bisect_rejects_a_negative_end(lo, hi):
     assert not calls
 
 
+@pytest.mark.parametrize("lo, hi", [
+    (np.array([0.0, 2.0, 0.5, 1e300]), np.array([1.0, 0.0, 4.0, 5e-324])),
+    (np.array(0.0), np.array(1.0)), (np.array(3.0), np.array(0.25))])
+def test_bisect_writes_into_no_array_it_gives_or_is_given(lo, hi):
+    # bisect holds its bracket in place; f may keep what it is given, as the
+    # benchmark's counting f does, so every x must keep the values it had
+    # when f saw it, and the caller's ends must keep theirs
+    root = 0.375 * lo + 0.625 * hi
+    seen = []
+    f, calls = _counting(lambda x: seen.append(np.copy(x)) or x - root)
+    ends = lo.copy(), hi.copy()
+    out = bisect(f, lo, hi)
+    assert len(calls) == len(seen) <= 65
+    assert all(_same_bits(x, x_then) for x, x_then in zip(calls, seen))
+    assert _same_bits(lo, ends[0]) and _same_bits(hi, ends[1])
+    assert _same_bits(out, _reference_bisect(lambda x: x - root, lo, hi))
+
+
 def test_bisect_deterministic():
     f = lambda x: np.cos(x) - x
     a = bisect(f, 0.0, 1.0)

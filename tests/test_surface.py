@@ -47,7 +47,7 @@ def test_coordinate_maps_degenerate_values():
     assert beta_coord(0.7, 1.0) == 0.0
     # the level set leaves w = 0 at x = 0, its closed-form edge d = d1
     for alpha in (1e-9, 2.0, 1e9):
-        assert level_set_w(alpha, 0.0) == (0.0, edge_d(alpha))
+        assert level_set_w(alpha, edge_d(alpha), 0.0) == (0.0, edge_d(alpha))
     assert ray_gaps(0.6, 0.6) == (1.0, 1.0)
 
 
@@ -58,7 +58,7 @@ def test_a_complex_step_passes_through_the_ray(alpha, x):
     # every formula is analytic in x, so the step holds to rounding
     mp = pytest.importorskip("mpmath")
     h = 1e-30 * x
-    _, plus = ray_gaps(*level_set_w(alpha, complex(x, h)))
+    _, plus = ray_gaps(*level_set_w(alpha, edge_d(alpha), complex(x, h)))
     got = float(np.imag(plus)) / (2.0 * h)
     with mp.workdps(40):
         al = mp.mpf(alpha)
