@@ -47,9 +47,8 @@ Ray values along n ~ (s m, (1-s) m) are read off each diagonal by local
 6-point Lagrange interpolation at k = s m.  Linear interpolation there would
 leave an O(m^-2) error that depends on frac(s m) and so is not smooth in m;
 with 6 points that error is O(m^-6), and the values follow a smooth series
-in 1/level.  The stencils of all the levels a read-out needs go through one
-pass of the weight loop, and each level reads bit for bit as it would
-alone, those with fewer than 6 nodes included.  A Neville table in
+in 1/level.  Each level is interpolated on its own, over weight
+denominators that are looked up, not formed per call.  A Neville table in
 h = 1/level extrapolates the values at the four levels 5m/8, 6m/8, 7m/8 and
 m to h = 0 (order 3), and the difference between its last entry and the
 entry one order lower is the read-out's error estimate.  The table reads
@@ -76,12 +75,10 @@ from .systems import (AngelescoSystem, LimitCurve, check_grid, hull_units,
 _DENOM_FLOOR = 1e-12
 # points of the local Lagrange stencil along a diagonal
 _INTERP_POINTS = 6
-# row n: the Lagrange denominators prod_{i != j} (j - i) over the nodes
-# i, j < n of an n-point stencil, and 1.0 at the missing nodes j >= n
-_WEIGHT_DENOMINATORS = np.array(
-    [[math.prod(j - i for i in range(n) if i != j) if j < n else 1
-      for j in range(_INTERP_POINTS)] for n in range(_INTERP_POINTS + 1)],
-    dtype=float)
+# row n: the Lagrange denominators prod_{i != j} (j - i), j < n, of the
+# n-point stencil on the nodes 0 .. n - 1
+_WEIGHT_DENOMINATORS = [[float(math.prod(j - i for i in range(n) if i != j))
+                         for j in range(n)] for n in range(_INTERP_POINTS + 1)]
 # the Richardson table reads the levels j m // 8 for these j (order 3)
 _TABLE_EIGHTHS = range(5, 9)
 
@@ -256,46 +253,29 @@ def table_levels(m):
     return sorted({j * m // 8 for j in _TABLE_EIGHTHS} - {0})
 
 
-def lagrange_interp(diagonals, xs):
+def lagrange_interp(values, x):
     """Local Lagrange interpolation of uniformly spaced node values.
 
-    ``diagonals[i]`` has shape (k, N_i): k arrays sampled at the nodes
-    0 .. N_i - 1, and ``xs[i]`` holds fractional node positions on it.
-    Returns one (k, len(xs[i])) array per diagonal.  Each stencil has 6
-    points (N_i when fewer exist), centred on the node interval holding x
-    and clamped at both ends.  The weights are products of exact node
-    differences over exact integer denominators, so at an integer x they
-    are exactly 1 and 0 and the node value comes back bit for bit.  The
-    stencils of all diagonals go through one pass of the weight loop; a
-    stencil of n < 6 points multiplies 1.0 into each weight for every
-    missing node and adds -0.0 to its sum for it, which moves no bit, so
-    every diagonal reads as it would alone.  The lattice read-out passes
-    all its table levels in one call.
+    ``values`` has shape (k, N): k arrays sampled at the nodes 0 .. N - 1.
+    ``x`` holds fractional node positions.  Returns a (k, len(x)) array.
+    The stencil has 6 points (N when fewer exist), centred on the node
+    interval holding x and clamped at both ends.  The weights are products
+    of exact node differences over exact integer denominators, which are
+    looked up, so at an integer x they are exactly 1 and 0 and the node
+    value comes back bit for bit.  The lattice read-out calls it per level.
     """
-    sizes = np.array([np.shape(v)[-1] for v in diagonals])
-    counts = [np.size(x) for x in xs]
-    nodes = np.concatenate(diagonals, axis=-1)
-    x = np.concatenate([np.ravel(x) for x in xs]).astype(float)
-    N = np.repeat(sizes, counts)[:, None]
-    n = np.minimum(_INTERP_POINTS, N)
-    j0 = np.clip(np.floor(x[:, None]).astype(np.int64) - (n // 2 - 1), 0,
-                 N - n)
-    i = np.arange(_INTERP_POINTS)
-    missing = i >= n
-    d = (x[:, None] - j0) - i      # t - i for stencil nodes i
-    d[missing] = 1.0
-    den = _WEIGHT_DENOMINATORS[n[:, 0]]
+    values = np.asarray(values)
+    x = np.asarray(x, dtype=float)
+    N = values.shape[-1]
+    n = min(_INTERP_POINTS, N)
+    j0 = np.clip(np.floor(x).astype(np.int64) - (n // 2 - 1), 0, N - n)
+    d = (x - j0)[:, None] - np.arange(n)      # t - i for stencil nodes i
     w = np.empty_like(d)
-    for j in range(_INTERP_POINTS):
-        others = [k for k in range(_INTERP_POINTS) if k != j]
-        w[:, j] = np.prod(d[:, others], axis=1) / den[:, j]
-    # the stencil's nodes in the concatenation, the last one repeated for
-    # the missing ones
-    idx = np.repeat(np.cumsum(sizes) - sizes, counts)[:, None] + np.minimum(
-        j0 + i, N - 1)
-    terms = w * nodes[:, idx]
-    np.copyto(terms, -0.0, where=missing)
-    return np.split(np.sum(terms, axis=2), np.cumsum(counts)[:-1], axis=1)
+    for j in range(n):
+        others = [i for i in range(n) if i != j]
+        w[:, j] = np.prod(d[:, others], axis=1) / _WEIGHT_DENOMINATORS[n][j]
+    idx = j0[:, None] + np.arange(n)
+    return np.sum(w * values[:, idx], axis=2)
 
 
 def richardson_table(levels, values):
@@ -346,8 +326,8 @@ def curve_from_lattice(lat, grid, extrapolate=False, compared=None):
     e = lat.exponent
     top = lat.diagonal(lat.m)
     levels = table_levels(lat.m) if extrapolate else [lat.m]
-    vals, lower = richardson_table(levels, lagrange_interp(
-        [lat.diagonal(n) for n in levels], [grid * n for n in levels]))
+    vals, lower = richardson_table(
+        levels, [lagrange_interp(lat.diagonal(n), grid * n) for n in levels])
     off = LimitCurve(grid, *vals).broken()
     if np.any(off):
         k = np.arange(lat.m + 1, dtype=float)

@@ -314,7 +314,7 @@ def test_interp_exact_on_quintics(level):
     coef = rng.uniform(-1.0, 1.0, size=(4, deg + 1))
     diag = tuple(np.polyval(c, k / level) for c in coef)
     s = np.linspace(0.0, 1.0, 181)
-    [got] = lagrange_interp([diag], [s * level])
+    got = lagrange_interp(diag, s * level)
     for c, g in zip(coef, got):
         assert np.max(np.abs(g - np.polyval(c, s))) <= 1e-12
 
@@ -329,7 +329,7 @@ def test_interp_returns_node_values_bit_for_bit(level):
     x = s * level
     on_node = x == np.floor(x)
     assert np.count_nonzero(on_node) > level // 2
-    [got] = lagrange_interp([diag], [s * level])
+    got = lagrange_interp(diag, s * level)
     for arr, g in zip(diag, got):
         assert np.array_equal(g[on_node], arr[x[on_node].astype(int)])
 
@@ -355,15 +355,17 @@ def _interp_alone(values, x):
     return np.sum(w * values[:, j0[:, None] + np.arange(n)], axis=2)
 
 
-def test_one_pass_read_out_reads_each_level_as_alone(monkeypatch, gap_system):
-    # every table level of an extrapolated read-out, those whose diagonal
-    # is shorter than the 6-point stencil included, reads the values the
-    # one-diagonal stencil gives, bit for bit and zero signs too
+def test_read_out_interpolates_each_level_once_as_alone(monkeypatch,
+                                                        gap_system):
+    # an extrapolated read-out interpolates each table level in one call of
+    # its own, and every level, those whose diagonal is shorter than the
+    # 6-point stencil included, reads the values the one-diagonal stencil
+    # gives, bit for bit and zero signs too
     calls = []
 
-    def spy(diagonals, xs):
-        out = lagrange_interp(diagonals, xs)
-        calls.append((diagonals, xs, out))
+    def spy(values, x):
+        out = lagrange_interp(values, x)
+        calls.append((values, x, out))
         return out
 
     monkeypatch.setattr(lattice_mod, "lagrange_interp", spy)
@@ -372,12 +374,12 @@ def test_one_pass_read_out_reads_each_level_as_alone(monkeypatch, gap_system):
         grid = np.unique(np.concatenate([[0.0, 1.0], rng.random(40),
                                          np.arange(m + 1) / m]))
         calls.clear()
-        curve_from_lattice(solve_lattice(gap_system, m), grid, True)
-        [(diagonals, xs, out)] = calls
-        assert len(out) == len(table_levels(m)), m
-        for n, diag, x, got in zip(table_levels(m), diagonals, xs, out):
+        lat = solve_lattice(gap_system, m)
+        curve_from_lattice(lat, grid, True)
+        assert len(calls) == len(table_levels(m)), m
+        for n, (diag, x, got) in zip(table_levels(m), calls):
             assert np.shape(diag) == (4, n + 1) and _same_bits(x, grid * n)
-            assert _same_bits(got, lagrange_interp([diag], [x])[0]), (m, n)
+            assert _same_bits(diag, lat.diagonal(n)), (m, n)
             assert _same_bits(got, _interp_alone(diag, x)), (m, n)
 
 
@@ -410,8 +412,9 @@ def test_points_off_the_contract_fall_back_to_linear(extrapolate):
     k = np.arange(m + 1, dtype=float)
     linear = [np.interp(grid * m, k, arr) for arr in user_diagonal(lat, m)]
     levels = table_levels(m) if extrapolate else [m]
-    high, _ = richardson_table(levels, lagrange_interp(
-        [user_diagonal(lat, n) for n in levels], [grid * n for n in levels]))
+    high, _ = richardson_table(
+        levels, [lagrange_interp(user_diagonal(lat, n), grid * n)
+                 for n in levels])
     high[0][0] = high[1][-1] = 0.0
     off = LimitCurve(grid, *high).broken()
     assert cv.meta["linear_points"] == np.count_nonzero(off) > 0

@@ -140,7 +140,7 @@ def test_tau0_cubic_in_d_has_one_sign_change():
 
 
 @pytest.mark.parametrize("w", [1.0, 1e-9], ids=["u=2", "u->1"])
-def test_solve_tau0_scan_passes_at_the_ray_bracket_ends(w):
+def test_solve_x0_scan_passes_at_the_ray_bracket_ends(w):
     # over eighteen decades of alpha, on 257 geometric points from 1e-3 to
     # 1e3 times d0, the cubic changes sign once, from below, at d0.  Toward
     # w -> 0, d0 tends to the closed-form end edge_d that pushed_beta uses:
@@ -165,7 +165,7 @@ def test_solve_tau0_scan_passes_at_the_ray_bracket_ends(w):
 
 @pytest.mark.parametrize("u, alpha", [(1.0, 2.0), (2.0, 0.0),
                                       (math.nan, 2.0), (2.0, math.nan)])
-def test_solve_tau0_needs_u_above_1_and_alpha_above_0(u, alpha):
+def test_solve_x0_needs_u_above_1_and_alpha_above_0(u, alpha):
     # the uniqueness proof in its docstring holds only there: w = u - 1 > 0
     with pytest.raises(ValueError, match="w > 0 and alpha > 0"):
         solve_x0(u - 1.0, alpha)
@@ -185,7 +185,7 @@ def test_solve_x0_names_the_first_bad_pair():
 
 
 @pytest.mark.parametrize("alpha", [1e-16, 1e-17, 1e-30])
-def test_solve_tau0_holds_an_alpha_lost_in_1_plus_alpha(alpha):
+def test_solve_x0_holds_an_alpha_lost_in_1_plus_alpha(alpha):
     # 1 + alpha rounds to 1, but the cubic in d never forms it: d0 keeps
     # its digits, d0 ~ sqrt(alpha / 3) for w = 1
     d = edge_d(alpha) + solve_x0(1.0, alpha)
