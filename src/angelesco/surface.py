@@ -21,7 +21,8 @@ formulas are explicit.  It reads nothing of the ODE route, not even its
 closed-form endpoint values: the end rays s = 0 and s = 1 are solved like
 every other ray.
 
-Each stage is one elementwise bisection.  :func:`solve_w` runs once per
+Each stage is one elementwise bisection, and there are three: w, then
+the configuration points, then the rays.  :func:`solve_w` runs once per
 system, on the star frame's exact pair (beta, 1 - beta): w is a cross-ratio
 of the four interval ends, so the reflected frame shares it.  x0 = d0 - d1
 of a configuration point is bisected in x like a ray by :func:`solve_x0`;
@@ -30,7 +31,9 @@ of a configuration point is bisected in x like a ray by :func:`solve_x0`;
 two at w = 1 as the ray brackets of :func:`pushed_beta`.  It evaluates no
 limit: :func:`limit_curve` evaluates the window's constants at (w, d0).
 Every ray, the plateau edges included, is the pair (s, 1 - s) of exact end
-distances, and :func:`limit_curve` bisects the rays of both zones together.
+distances, and :func:`limit_curve` bisects the rays of both zones together
+in one :func:`pushed_beta` call; on a gap the edge (c2, 1 - c2) rides in
+it, and the w it solves back to is the window's round-trip check.
 The solves, the rays and the coordinate maps are elementwise numpy
 functions, so whole grids go through one call.
 """
@@ -253,7 +256,8 @@ class PlateauInfo:
     window are :func:`residue_limits` at the configuration point (w, d0).
     ``top`` and ``top_hat`` are :func:`solve_x0` at w = 1 for the frame and
     for its reflection: the :func:`pushed_beta` brackets of the rays right
-    of the window and of the reflected rays left of it.
+    of the window and of the reflected rays left of it.  c2 is not solved
+    back here: :func:`limit_curve`'s ray bisection checks it against w.
     """
     c1: float
     c2: float
@@ -273,9 +277,9 @@ def plateau_bounds(sc):
     end distances from :func:`_edge`; for touching intervals (w = 1)
     c1 = c2 is the threshold ray.  One :func:`solve_x0` call solves both
     configuration points and the two ray brackets at w = 1.
-    NumericalFailure unless w solved again along (c2, 1 - c2) comes back
-    within 1e-9 relative (w, unlike beta, keeps 1 - beta) and
-    0 < c1 <= c2 with 1 - c2 > 0.
+    NumericalFailure unless 0 < c1 <= c2 with 1 - c2 > 0.  The gap round
+    trip along (c2, 1 - c2) is :func:`limit_curve`'s, inside the ray
+    bisection it runs anyway.
     """
     w = solve_w(sc)
     alphas = np.array([sc.alpha, sc.reflected()[0].alpha] * 2)
@@ -284,15 +288,7 @@ def plateau_bounds(sc):
     top, top_hat = float(x0[2]), float(x0[3])
     s, rest = _edge(w, alphas[:2], x0[:2])
     c2, one_minus_c2 = float(s[0]), float(rest[0])
-    if sc.beta == 0.0:
-        c1 = c2
-    else:
-        _, back, _ = pushed_beta(sc.alpha, (c2, one_minus_c2), top)
-        if not abs(back - w) <= 1e-9 * w:
-            raise NumericalFailure("plateau edge failed the gap round trip",
-                                   {"c2": c2, "w": float(w),
-                                    "back": float(back)})
-        c1 = float(rest[1])
+    c1 = c2 if sc.beta == 0.0 else float(rest[1])
     if not (0.0 < c1 <= c2 and one_minus_c2 > 0.0):
         raise NumericalFailure("plateau window out of order",
                                {"c1": c1, "c2": c2})
@@ -312,7 +308,12 @@ def limit_curve(sys, grid, info=None):
     :func:`pushed_beta` bisection and one :func:`residue_limits` call.
     s = 1 joins the right zone and s = 0 the left one: their ray (1, 0)
     solves to x = 0 exactly, so w = 0, d = d1 and the vanishing A is
-    exactly 0.  Star-frame values land in hull units (the star frame is
+    exactly 0.  With a gap (beta > 0) the plateau edge (c2, 1 - c2) joins
+    the bisection as one more ray of the frame, and is dropped before
+    :func:`residue_limits`: NumericalFailure ("plateau edge failed the gap
+    round trip", with c2, w and the w solved back as floats) unless that w
+    comes back within 1e-9 relative of ``info.w`` (w, unlike beta, keeps
+    1 - beta).  Star-frame values land in hull units (the star frame is
     that of :func:`~angelesco.systems.hull_units`) through
     :func:`pushforward_limits`, then return in user units.  ``info`` may
     carry a precomputed :class:`PlateauInfo`.
@@ -330,16 +331,25 @@ def limit_curve(sys, grid, info=None):
     star = np.zeros((4, grid.size))
     if np.any(plat):  # the constants, checked with the curve below
         star[:, plat] = np.vstack(residue_limits(sc.alpha, info.w, info.d0))
-    if np.any(left | right):
+    s, r = grid[right], grid[left][::-1]  # reflected: the rays (1 - r, r)
+    n, m = s.size, s.size + r.size
+    # a gap's plateau edge (c2, 1 - c2) rides last, as a ray of the frame
+    edge = [[info.c2], [info.one_minus_c2]] if sc.beta > 0.0 else [[], []]
+    ray = np.concatenate([[s, 1.0 - s], [1.0 - r, r], edge], axis=1)
+    if ray.size:
         sc_hat, back_map = sc.reflected()
-        s, r = grid[right], grid[left][::-1]  # reflected: the rays (1 - r, r)
-        n = s.size
-        hat = np.arange(n + r.size) >= n
+        i = np.arange(ray.shape[1])
+        hat = (i >= n) & (i < m)
         alpha = np.where(hat, sc_hat.alpha, sc.alpha)
-        ray = np.concatenate([[s, 1.0 - s], [1.0 - r, r]], axis=1)
         top = np.where(hat, info.top_hat, info.top)
         _, w, d = pushed_beta(alpha, ray, top)
-        limits = residue_limits(alpha, w, d)
+        if w.size > m:  # the gap round trip: w solved back along the edge
+            w_back = float(w[m])
+            if not abs(w_back - info.w) <= 1e-9 * info.w:
+                raise NumericalFailure("plateau edge failed the gap round trip",
+                                       {"c2": info.c2, "w": info.w,
+                                        "back": w_back})
+        limits = residue_limits(alpha[:m], w[:m], d[:m])
         star[:, right] = [v[:n] for v in limits]
         hat_curve = LimitCurve(1.0 - r, *(v[n:] for v in limits))
         back = pushforward_limits(hat_curve, back_map)

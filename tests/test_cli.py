@@ -679,16 +679,16 @@ def test_cli_requires_subcommand():
 
 
 @pytest.mark.parametrize("command, interval2, calls", [
-    ("compute", "0.25,1", 4), ("validate", "0.25,1", 5),
+    ("compute", "0.25,1", 3), ("validate", "0.25,1", 4),
     ("compute", "0,1", 2), ("validate", "0,1", 3)],
     ids=["gap-compute", "gap-validate", "touching-compute",
          "touching-validate"])
 def test_the_surface_route_bisects_once_per_stage(tmp_path, monkeypatch,
                                                   command, interval2, calls):
-    # w, the four configuration points' x0 in one call, the plateau round
-    # trip and one ray solve for both zones; touching intervals need
-    # neither w nor the round trip, and validate adds the residual grid's
-    # ray solve.  Nothing is kept between calls
+    # w, the four configuration points' x0 in one call and one ray solve
+    # for both zones, which holds the plateau round trip; touching intervals
+    # need no w, and validate adds the residual grid's ray solve.  Nothing
+    # is kept between calls
     real, seen = surface.bisect, []
 
     def counted(f, lo, hi):
@@ -699,6 +699,35 @@ def test_the_surface_route_bisects_once_per_stage(tmp_path, monkeypatch,
     rc = main([command, f"--interval2={interval2}",
                "--output_dir", str(tmp_path)] + FAST)
     assert rc == 0 and len(seen) == calls, seen
+
+
+def test_only_the_surface_route_runs_the_gap_round_trip(tmp_path,
+                                                         monkeypatch):
+    # the plateau edge rides in the surface route's one ray solve: the ODE
+    # route reads the window and solves no ray, and the surface route under
+    # a ray solve that misses w on the edge exits 3 with a record
+    real, calls = surface.pushed_beta, []
+
+    def off(alpha, ray, top):
+        calls.append(np.size(alpha))
+        beta, w, d = real(alpha, ray, top)
+        w = w.copy()
+        w[-1] *= 1.0 + 1e-6
+        return beta, w, d
+
+    monkeypatch.setattr(surface, "pushed_beta", off)
+    rc = main(["compute", "--methods", "ode", "--interval2=0.25,1",
+               "--output_dir", str(tmp_path / "ode")] + FAST)
+    assert rc == 0 and calls == []
+    out = tmp_path / "surface"
+    rc = main(["compute", "--methods", "surface", "--interval2=0.25,1",
+               "--output_dir", str(out)] + FAST)
+    assert rc == 3 and len(calls) == 1
+    record = json.loads((out / "failure.json").read_text())
+    assert record["command"] == "compute"
+    assert "gap round trip" in record["message"]
+    assert set(record["context"]) == {"c2", "w", "back"}
+    assert not (out / "surface.csv").exists()
 
 
 def test_validate_passes(tmp_path):

@@ -579,19 +579,33 @@ def test_solve_x0_brackets_the_root_without_doubling(monkeypatch):
                 assert abs(1 - y) <= 1e-15 * y, (alpha, w)
 
 
+def _edge_solves_back_to(monkeypatch, back):
+    """:func:`pushed_beta` as it is, except that its last ray, the plateau
+    edge that :func:`limit_curve` adds on a gap, solves back to ``back``."""
+    real = surface.pushed_beta
+
+    def off(alpha, ray, top):
+        beta, w, d = real(alpha, ray, top)
+        w = w.copy()
+        w[-1] = back
+        return beta, w, d
+
+    monkeypatch.setattr(surface, "pushed_beta", off)
+
+
 def test_plateau_guards_are_scale_free(monkeypatch):
-    # every window of the sweep passes the round trip, held relative to w
+    # every window of the sweep is in order
     for alpha in np.logspace(-12, 12, 25):
         for beta in (1e-12, 1e-9, 1e-6, 1e-3, 0.1, 0.5, 0.9, 0.999999):
             info = plateau_bounds(StarConfig(float(alpha), beta, 1.0 - beta))
             assert 0.0 < info.c1 < info.c2 < 1.0
-    # a round trip 2e-9 off w, relative, fails
-    sc = StarConfig(2.0, 1e-12, 1.0 - 1e-12)
-    w = solve_w(sc)
-    monkeypatch.setattr(surface, "pushed_beta",
-                        lambda alpha, ray, top: (None, w * (1.0 + 2e-9), None))
+    # a round trip 2e-9 off w, relative, fails in the ray bisection of
+    # limit_curve; the star frame is (2, 1e-12)
+    sys = AngelescoSystem(Interval(-2.0, 0.0), Interval(1e-12, 1.0))
+    w = solve_w(StarConfig(2.0, 1e-12, 1.0 - 1e-12))
+    _edge_solves_back_to(monkeypatch, w * (1.0 + 2e-9))
     with pytest.raises(NumericalFailure, match="round trip"):
-        plateau_bounds(sc)
+        limit_curve(sys, np.linspace(0.0, 1.0, 11))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -623,7 +637,7 @@ def test_the_configuration_solve_brackets_a_w_below_rounding(alpha, rest):
     assert 0.0 < info.c1 < info.c2 and info.one_minus_c2 > 0.0
 
 
-def test_limits_at_endpoints(touching_system):
+def test_limit_curve_at_endpoints(touching_system):
     p = limit_curve(touching_system, [0.0])
     assert (p.A1[0], p.A2[0]) == (0.0, pytest.approx(0.0625, abs=1e-12))
     assert p.B1[0] == pytest.approx(-1.974744871391589, abs=1e-12)
@@ -636,7 +650,7 @@ def test_limits_at_endpoints(touching_system):
         limit_curve(touching_system, [1.5])
 
 
-def test_limits_at_approaches_endpoint_values(touching_system):
+def test_limit_curve_approaches_endpoint_values(touching_system):
     p = limit_curve(touching_system, [1.0 - 1e-6])
     assert abs(p.A1[0] - 0.25) < 1e-9
     assert abs(p.B1[0] + 1.0) < 1e-9
@@ -673,14 +687,14 @@ def test_failure_contexts_are_json(monkeypatch):
     ctx = exc.value.context
     assert json.loads(json.dumps(ctx)) == ctx
     # the plateau's contexts hold plain floats, not numpy scalars; a ray
-    # solve that misses w by 1e-6 fails the gap round trip
-    sc = StarConfig(2.0, 0.5, 0.5)
-    w = solve_w(sc)
+    # solve that misses w by 1e-6 fails the gap round trip in limit_curve,
+    # on the star frame (2, 0.5)
+    sys = AngelescoSystem(Interval(-2.0, 0.0), Interval(0.5, 1.0))
+    w = solve_w(StarConfig(2.0, 0.5, 0.5))
     with monkeypatch.context() as m:
-        m.setattr(surface, "pushed_beta",
-                  lambda alpha, ray, top: (None, np.float64(w + 1e-6), None))
+        _edge_solves_back_to(m, w + 1e-6)
         with pytest.raises(NumericalFailure, match="round trip") as exc:
-            plateau_bounds(sc)
+            limit_curve(sys, np.linspace(0.0, 1.0, 11))
     ctx = exc.value.context
     assert json.loads(json.dumps(ctx)) == ctx
     assert set(ctx) == {"c2", "w", "back"}
@@ -783,7 +797,8 @@ def test_limit_curve_solves_its_own_endpoints(monkeypatch, beta):
 
 def test_limit_curve_solves_each_zone_once(monkeypatch, gap_system, gap_info):
     # one array bisection holds the rays of both off-plateau zones, the end
-    # rays included: 67 reflected left of the window and 29 right of it
+    # rays included: 67 reflected left of the window and 29 right of it,
+    # and the plateau edge (c2, 1 - c2) of the gap round trip
     sizes = []
     real_bisect = surface.bisect
 
@@ -796,7 +811,7 @@ def test_limit_curve_solves_each_zone_once(monkeypatch, gap_system, gap_info):
     limit_curve(gap_system, grid, info=gap_info)
     zones = [np.count_nonzero(grid < gap_info.c1),
              np.count_nonzero(grid > gap_info.c2)]
-    assert zones == [67, 29] and sizes == [96]
+    assert zones == [67, 29] and sizes == [97]
 
 
 # touching, gap, unbalanced, shifted, near-touching, wide window, w below
