@@ -15,9 +15,8 @@ a two-interval Angelesco system:
 :mod:`angelesco.crossval` quantifies their agreement; the ``angelesco``
 command line tool drives full runs and renders figures.
 """
-from .crossval import (ComparisonReport, ConvergenceTable, IdentityReport,
-                       ResidualReport, compare, convergence_study,
-                       identity_checks, ode_residuals)
+from .crossval import (ComparisonReport, IdentityReport, ResidualReport,
+                       compare, identity_checks, ode_residuals)
 from .errors import NumericalFailure
 from .lattice import NnrrLattice, curve_from_lattice, solve_lattice
 from .ode import (BoundaryPack, Branch, assemble_curve, boundary_values,
@@ -34,13 +33,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AffineMap", "AngelescoSystem", "AxisData", "BoundaryPack", "Branch",
-    "ComparisonReport", "ConvergenceTable", "IdentityReport", "Interval",
-    "LimitCurve", "NnrrLattice", "NumericalFailure", "PlateauInfo",
-    "QuadratureRule", "ResidualReport", "StarConfig", "WEIGHT_KINDS",
-    "assemble_curve", "axis_data", "boundary_values", "compare",
-    "convergence_study", "curve_from_lattice", "gauss_nodes",
-    "identity_checks", "integrate_branch", "limit_curve", "mixed_ratios",
-    "ode_residuals", "plateau_bounds", "pushed_beta", "pushforward_limits",
-    "reflect", "residue_limits", "scalar_recurrence", "solve_lattice",
-    "solve_system", "star_normalize", "threshold_ray",
+    "ComparisonReport", "IdentityReport", "Interval", "LimitCurve",
+    "NnrrLattice", "NumericalFailure", "PlateauInfo", "QuadratureRule",
+    "ResidualReport", "StarConfig", "WEIGHT_KINDS", "assemble_curve",
+    "axis_data", "boundary_values", "compare", "curve_from_lattice",
+    "gauss_nodes", "identity_checks", "integrate_branch", "limit_curve",
+    "mixed_ratios", "ode_residuals", "plateau_bounds", "pushed_beta",
+    "pushforward_limits", "reflect", "residue_limits", "scalar_recurrence",
+    "solve_lattice", "solve_system", "star_normalize", "threshold_ray",
 ]

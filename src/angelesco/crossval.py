@@ -5,7 +5,11 @@ four limit functions on whatever grid they are given, so two curves on one
 grid can be differenced point by point.  Independent of any pairing, a
 single curve can be checked against the differential relations the limits
 satisfy and against the square-root identity linking the a- and b-limits.
-Together these give quantitative meaning to "the methods agree".
+Together these give quantitative meaning to "the methods agree".  How the
+lattice route converges in its level is no check here: a sweep to n is the
+first n levels of any deeper sweep, bit for bit, so a study over levels
+reads one sweep per level against one surface curve
+(``demos/lattice_convergence.py``).
 
 Curves do not carry the plateau window.  A comparison reads the points of
 a boolean mask over the shared grid (the lattice pairs' mask is
@@ -193,59 +197,3 @@ def identity_checks(curve, window):
     rel = diff / np.maximum(1.0, lhs)
     return IdentityReport(float(diff.max(initial=0.0)),
                           float(rel.max(initial=0.0)), int(sm.size))
-
-
-@dataclass(frozen=True)
-class ConvergenceTable:
-    """Lattice-vs-surface errors at one ray parameter over several levels.
-
-    Every row is read from one sweep to the largest level.
-    """
-    s: float
-    levels: tuple
-    plain: np.ndarray      # rows: levels; columns: A1, A2, B1, B2
-    extrapolated: np.ndarray
-    reference: tuple
-
-    def max_plain(self):
-        return self.plain.max(axis=1)
-
-    def max_extrapolated(self):
-        return self.extrapolated.max(axis=1)
-
-    def as_dict(self):
-        return {"s": self.s, "levels": list(self.levels),
-                "plain": self.plain.tolist(),
-                "extrapolated": self.extrapolated.tolist(),
-                "reference": list(self.reference)}
-
-
-def convergence_study(sys, s, levels):
-    """Error table of finite-level ray values against the surface reference.
-
-    One lattice is swept to the largest level, keeping every level and
-    each level its Richardson table reads.  Each row reads the one-point
-    curve at ``s`` from that sweep cut back to its level, plain and
-    extrapolated (:func:`~angelesco.lattice.curve_from_lattice`), and
-    differences it against the surface route's one-point curve.  A sweep
-    is the first levels of any deeper one, bit for bit, so each row is what
-    a fresh sweep to its own level reads.
-    """
-    from .lattice import curve_from_lattice, solve_lattice, table_levels
-    from .surface import limit_curve
-    levels = tuple(int(m) for m in levels)
-    if any(b <= a for a, b in zip(levels, levels[1:])):
-        raise ValueError(f"levels must increase, got {levels}")
-    surf = limit_curve(sys, [s])
-    ref = np.array([getattr(surf, f)[0] for f in FUNCS])
-    lat = solve_lattice(sys, levels[-1], snapshot_levels={
-        n for m in levels for n in table_levels(m)})
-    plain = np.empty((len(levels), 4))
-    extra = np.empty((len(levels), 4))
-    for i, m in enumerate(levels):
-        cut = lat.truncated(m)
-        for row, extrapolate in ((plain, False), (extra, True)):
-            cv = curve_from_lattice(cut, [s], extrapolate)
-            row[i] = np.abs([getattr(cv, f)[0] for f in FUNCS] - ref)
-    return ConvergenceTable(float(s), levels, plain, extra,
-                            tuple(ref.tolist()))

@@ -51,8 +51,10 @@ in 1/level.  Each level is interpolated on its own, over weight
 denominators that are looked up, not formed per call.  A Neville table in
 h = 1/level extrapolates the values at the four levels 5m/8, 6m/8, 7m/8 and
 m to h = 0 (order 3), and the difference between its last entry and the
-entry one order lower is the read-out's error estimate.  The table reads
-the top of the sweep because lower levels are still pre-asymptotic:
+entry one order lower is the read-out's error estimate.  These four levels
+are the only diagonals a sweep keeps; a lower level's read-out is a sweep
+of its own, the same bits as those levels of a deeper sweep.  The table
+reads the top of the sweep because lower levels are still pre-asymptotic:
 against the surface route, in A/L^2 and B/L, these levels at m = 256 read
 more digits than the levels m, m/2, m/4 and m/8 at m = 400 on every system
 measured (touching 7.73 against 7.11, gap 6.72 against 6.03), and at
@@ -87,9 +89,10 @@ _TABLE_EIGHTHS = range(5, 9)
 class NnrrLattice:
     """Completed sweep: its kept diagonals and propagated axis cross-b's.
 
-    ``diagonals`` maps every kept level, ``m`` included, to its arrays
-    (a1, a2, b1, b2) indexed by k = n1, all in the hull units of ``system``
-    (a's times 4^e and b's times 2^e are in user units, e = ``exponent``).
+    ``diagonals`` maps each level the read-out reads, :func:`table_levels`
+    of ``m``, to its arrays (a1, a2, b1, b2) indexed by k = n1, all in the
+    hull units of ``system`` (a's times 4^e and b's times 2^e are in user
+    units, e = ``exponent``).
     ``axis_b`` has one row per level 1 .. m: the cross-b the sweep
     propagated onto the axis-1 site (b2 at k = level) and onto the axis-2
     site (b1 at k = 0), in hull units.
@@ -106,18 +109,6 @@ class NnrrLattice:
             raise KeyError(f"level {level} was not kept "
                            f"(have {sorted(self.diagonals)})")
         return self.diagonals[level]
-
-    def truncated(self, level):
-        """This sweep cut back to a kept ``level``, with the levels below it.
-
-        A table read from the result needs every level it reads kept here.
-        Nothing in the sweep depends on how deep it runs, so the cut is a
-        fresh sweep to ``level`` bit for bit.
-        """
-        self.diagonal(level)  # KeyError unless the level was kept
-        return NnrrLattice(level, {n: d for n, d in self.diagonals.items()
-                                   if n <= level},
-                           self.axis_b[:level], self.system, self.exponent)
 
     @cached_property
     def residuals(self):
@@ -146,32 +137,30 @@ def _aligned(n, fill):
     return buf
 
 
-def solve_lattice(sys, m, snapshot_levels=None):
+def solve_lattice(sys, m):
     """Sweep the coefficient lattice of ``sys`` out to level ``m``.
 
-    It keeps the diagonal of level m and of each of ``snapshot_levels``,
-    which defaults to the levels the Richardson table reads
-    (:func:`table_levels`).  The sweep runs on
+    It keeps the diagonals of the levels the Richardson table reads,
+    :func:`table_levels` of m, m among them.  The sweep runs on
     :func:`~angelesco.systems.hull_units` of ``sys`` and keeps its
     diagonals there, so scaling a system by a power of two leaves them
     bit for bit.  Its only input is each measure's own recurrence
     (:func:`~angelesco.orthopoly.scalar_recurrence`, in closed form), so
     no value depends on m: a sweep to n is the first n levels of any
-    deeper one, bit for bit.  Two sets of diagonal buffers of length m + 2,
-    used in turn, are allocated once on 64-byte boundaries, and level m
-    keeps views of them; cost is O(m^2) time and O(m) memory besides the
-    kept levels below m.  A propagation denominator below 1e-12 hull
-    lengths or a nonpositive interior coefficient, NaN included, aborts
-    with :class:`NumericalFailure`, and so does a kept diagonal with a
-    positive a below the normal doubles, as on an interval of length
-    1e-154 in a hull of length 1 (:func:`~angelesco.systems.range_failure`).
+    deeper one, bit for bit, and a study over several levels is one sweep
+    per level.  Two sets of diagonal buffers of length m + 2, used in
+    turn, are allocated once on 64-byte boundaries, and level m keeps
+    views of them; cost is O(m^2) time and O(m) memory.  A propagation
+    denominator below 1e-12 hull lengths or a nonpositive interior
+    coefficient, NaN included, aborts with :class:`NumericalFailure`, and
+    so does a kept diagonal with a positive a below the normal doubles, as
+    on an interval of length 1e-154 in a hull of length 1
+    (:func:`~angelesco.systems.range_failure`).
     a1 = 0 at k = 0 and a2 = 0 at k = level stay exact.
     """
     if m < 1:
         raise ValueError(f"level must be a positive integer, got {m}")
-    if snapshot_levels is None:
-        snapshot_levels = table_levels(m)
-    snapshot_levels = set(snapshot_levels)
+    kept = set(table_levels(m))
 
     unit, e = hull_units(sys)
     floor = _DENOM_FLOOR * (unit.i2.hi - unit.i1.lo)
@@ -192,8 +181,6 @@ def solve_lattice(sys, m, snapshot_levels=None):
     mul, div, add, sub = np.multiply, np.divide, np.add, np.subtract
 
     diagonals = {}
-    if 0 in snapshot_levels:
-        diagonals[0] = tuple(buf[:1].copy() for buf in old[:4])
     b1, b2 = old[2][:1], old[3][:1]
     # the axis cross-b's every level propagates
     propagated = []
@@ -235,7 +222,7 @@ def solve_lattice(sys, m, snapshot_levels=None):
 
         old, new = new, old
         b1, b2, gap_prev = b1n, b2n, gap
-        if L + 1 in snapshot_levels and L + 1 != m:
+        if L + 1 in kept and L + 1 != m:
             diagonals[L + 1] = tuple(buf[:K].copy() for buf in old[:4])
 
     diagonals[m] = tuple(buf[:m + 1] for buf in old[:4])

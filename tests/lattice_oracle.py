@@ -17,17 +17,17 @@ from angelesco.errors import NumericalFailure
 from angelesco.orthopoly import gauss_nodes, scalar_recurrence
 
 
-def sweep(sys, m, snapshot_levels=None):
+def sweep(sys, m):
     """(a1, a2, b1, b2, snapshots, residuals) of the sweep to level ``m``.
 
+    The snapshots are the diagonals of the levels of
+    ``angelesco.lattice.table_levels`` below m, as the package keeps them.
     The sweep reads each axis's own a's through
     ``angelesco.lattice.scalar_recurrence`` and the residuals read the
     mixed-moment cross-b's through ``angelesco.lattice.axis_data``, as the
     package does, so a test that patches either there poisons both.
     """
-    if snapshot_levels is None:
-        snapshot_levels = lattice_mod.table_levels(m)
-    snapshot_levels = set(snapshot_levels)
+    kept = set(lattice_mod.table_levels(m))
 
     floor = 1e-12 * (sys.i2.hi - sys.i1.lo)
     own1 = lattice_mod.scalar_recurrence(sys.w1, sys.i1, m)
@@ -40,8 +40,6 @@ def sweep(sys, m, snapshot_levels=None):
     b2 = np.array([mid2])
     gap_prev = None
     snaps = {}
-    if 0 in snapshot_levels:
-        snaps[0] = (a1.copy(), a2.copy(), b1.copy(), b2.copy())
     residuals = np.zeros((m, 2))
     cross1 = lattice_mod.axis_data(sys, 1, m).cross_b
     cross2 = lattice_mod.axis_data(sys, 2, m).cross_b
@@ -87,7 +85,7 @@ def sweep(sys, m, snapshot_levels=None):
 
         gap_prev = gap
         a1, a2, b1, b2 = a1n, a2n, b1n, b2n
-        if L + 1 in snapshot_levels and L + 1 != m:
+        if L + 1 in kept and L + 1 != m:
             snaps[L + 1] = (a1.copy(), a2.copy(), b1.copy(), b2.copy())
 
     return a1, a2, b1, b2, snaps, residuals

@@ -4,8 +4,7 @@ import pytest
 import angelesco.ode as ode_mod
 from angelesco import LimitCurve
 from angelesco.crossval import (FUNCS, compare, compared_points,
-                                convergence_study, identity_checks,
-                                ode_residuals)
+                                identity_checks, ode_residuals)
 from angelesco.lattice import curve_from_lattice, solve_lattice
 from angelesco.ode import solve_system
 from angelesco.surface import limit_curve
@@ -170,58 +169,6 @@ def test_identity_on_lattice_curve(touching_system):
     assert rep.max_rel <= 2e-2
     assert rep.n_points == cv.s.size
     assert set(rep.as_dict()) == {"max_abs", "max_rel", "n_points"}
-
-
-def test_convergence_study(touching_system):
-    table = convergence_study(touching_system, 0.5, (100, 200, 400))
-    plain = table.max_plain()
-    assert np.all(np.diff(plain) < 0)
-    assert table.max_extrapolated()[-1] < plain[-1] / 2.0
-    ref = limit_curve(touching_system, [0.5])
-    assert table.reference == (ref.A1[0], ref.A2[0], ref.B1[0], ref.B2[0])
-    d = table.as_dict()
-    assert d["levels"] == [100, 200, 400]
-    with pytest.raises(ValueError):
-        convergence_study(touching_system, 0.5, (200, 100))
-
-
-def test_convergence_study_reads_one_sweep(touching_system, monkeypatch):
-    import angelesco.lattice as lattice_mod
-    real, calls = lattice_mod.solve_lattice, []
-
-    def counted(sys, m, snapshot_levels=None):
-        calls.append((m, sorted(snapshot_levels)))
-        return real(sys, m, snapshot_levels)
-
-    monkeypatch.setattr(lattice_mod, "solve_lattice", counted)
-    table = convergence_study(touching_system, 0.5, (40, 80))
-    # each level and the sub-levels of its table, from one sweep to 80
-    assert calls == [(80, [25, 30, 35, 40, 50, 60, 70, 80])]
-    monkeypatch.undo()
-    # a fresh sweep per level agrees to rounding, which the table amplifies
-    # by its Lebesgue constant, 386: measured 5.8e-14
-    for i, m in enumerate((40, 80)):
-        p = curve_from_lattice(solve_lattice(touching_system, m), [0.5], True)
-        err = max(abs(v[0] - r) for v, r in zip((p.A1, p.A2, p.B1, p.B2),
-                                                table.reference))
-        assert table.max_extrapolated()[i] == pytest.approx(err, abs=1e-12)
-
-
-def test_convergence_study_solves_the_reference_once(gap_system,
-                                                     monkeypatch):
-    # one surface read gives all four reference values, plateau included
-    import angelesco.surface as surface_mod
-    real, calls = surface_mod.limit_curve, []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(surface_mod, "limit_curve", counted)
-    table = convergence_study(gap_system, 0.9, (20, 40))
-    assert len(calls) == 1
-    ref = real(gap_system, [0.9])
-    assert table.reference == (ref.A1[0], ref.A2[0], ref.B1[0], ref.B2[0])
 
 
 @pytest.mark.parametrize("name", ["touching", "gap"])

@@ -32,6 +32,39 @@ def test_the_scan_sees_an_unused_import(tmp_path):
     assert _unused_imports(mod) == [(1, "math"), (3, "path")]
 
 
+def _export_faults(path):
+    """What is wrong with the ``__all__`` of the package ``__init__`` at
+    ``path``: each name listed twice, each listed name it does not import
+    (a stale export) and each imported name it does not list."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    exported, imported = [], set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            imported |= {a.asname or a.name for a in node.names}
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            exported = ast.literal_eval(node.value)
+    twice = sorted({n for n in exported if exported.count(n) > 1})
+    return ([f"listed twice: {n}" for n in twice]
+            + [f"not imported: {n}" for n in exported if n not in imported]
+            + [f"not listed: {n}" for n in sorted(imported - set(exported))])
+
+
+def test_all_lists_each_import_of_the_package_once():
+    init = Path(angelesco.__file__)
+    assert not _export_faults(init), _export_faults(init)
+    assert not [n for n in angelesco.__all__ if not hasattr(angelesco, n)]
+
+
+def test_the_export_scan_sees_a_stale_export(tmp_path):
+    init = tmp_path / "__init__.py"
+    init.write_text("from .a import x, y as z\nfrom .b import v\n\n"
+                    "__all__ = [\"x\", \"gone\", \"z\", \"x\"]\n")
+    assert _export_faults(init) == ["listed twice: x", "not imported: gone",
+                                    "not listed: v"]
+
+
 _BLAS_NAMES = {"dot", "matmul", "inner", "vdot", "einsum", "tensordot",
                "linalg"}
 

@@ -659,14 +659,14 @@ def test_limit_curve_approaches_endpoint_values(touching_system):
 
 
 @pytest.mark.parametrize("s", [float("nan"), -0.1, 1.5])
-def test_limits_at_rejects_a_ray_off_the_grid_rules(touching_system,
-                                                    touching_info, s):
+def test_limit_curve_rejects_a_ray_off_the_grid_rules(touching_system,
+                                                      touching_info, s):
     with pytest.raises(ValueError):
         limit_curve(touching_system, [s], info=touching_info)
 
 
-def test_limits_at_answers_next_to_an_endpoint(touching_system,
-                                              touching_info):
+def test_limit_curve_answers_next_to_an_endpoint(touching_system,
+                                                touching_info):
     # A1 ~ s^2 C1 as s -> 0 (through the reflected zone) and
     # A2 ~ (1 - s)^2 C2 as s -> 1: positive, with a settled quotient
     near = {e: limit_curve(touching_system, [e], info=touching_info).A1[0]
@@ -720,7 +720,7 @@ def test_preimages_are_finite_and_ordered_on_the_whole_domain():
     assert np.all(t1 < 0.0) and np.all(t2 > 0.0)
 
 
-def test_limits_at_returns_the_asked_ray(gap_system, gap_info):
+def test_limit_curve_returns_the_asked_ray(gap_system, gap_info):
     # left zone (reflected solve), plateau, right zone
     for s in (0.1, 0.3, 0.5, 0.9):
         assert limit_curve(gap_system, [s], info=gap_info).s[0] == s
