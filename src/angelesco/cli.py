@@ -25,7 +25,8 @@ import numpy as np
 from .crossval import (compare, compared_points, identity_checks,
                        ode_residuals, residual_stride)
 from .errors import NumericalFailure
-from .lattice import curve_from_lattice, solve_lattice
+from .lattice import (LADDER_TOL, Ladder, curve_from_lattice,
+                      solve_lattice)
 from .ode import DEFAULT_MAX_STEPS, solve_system
 from .surface import limit_curve, plateau_bounds
 from .systems import (AngelescoSystem, Interval, LimitCurve, check_grid,
@@ -254,10 +255,13 @@ def _compute_curves(cfg, methods):
         for method in sorted(methods, key=METHODS.index):
             t0 = time.perf_counter()
             if method == "dis":
-                lat = solve_lattice(system, cfg.lattice_level)
-                curve = curve_from_lattice(lat, grid, cfg.extrapolate,
-                                           compared)
-                meta["lattice"] = dict(curve.meta)
+                ladder = Ladder(lambda rung: curve_from_lattice(
+                    rung, grid, cfg.extrapolate, compared), compared)
+                lat = solve_lattice(system, cfg.lattice_level, ladder)
+                curve = ladder.curve
+                meta["lattice"] = dict(curve.meta, ladder={
+                    "cap": cfg.lattice_level, "stop": lat.m,
+                    "tolerance": LADDER_TOL, "rungs": ladder.rungs})
             elif method == "ode":
                 curve = solve_system(system, info, grid, cfg.ode_steps)
                 meta["ode"] = {k: curve.meta[k] for k in (
@@ -396,30 +400,39 @@ def _overrides(args):
     return out
 
 
-def build_parser():
+# the subcommands and their help lines
+COMMANDS = {"compute": "write limit-curve CSVs",
+            "validate": "cross-method agreement checks",
+            "plot": "render CSVs to a 4-panel SVG"}
+
+
+def build_parser(command=None):
+    """The command line parser; when ``command`` names a subcommand, only
+    that subcommand's parser is built, and it prints the same texts."""
     parser = argparse.ArgumentParser(
         prog="angelesco",
         description="Limits of nearest-neighbor recurrence coefficients "
                     "for two-interval Angelesco systems.")
+    names = [command] if command in COMMANDS else list(COMMANDS)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_compute = sub.add_parser("compute", help="write limit-curve CSVs")
-    _add_config_flags(p_compute)
-    p_compute.add_argument("--methods", default="dis,ode,surface",
+    if len(names) == 1:  # the usage still names all three, as argparse would
+        sub.metavar = "{" + ",".join(COMMANDS) + "}"
+    for name in names:
+        p = sub.add_parser(name, help=COMMANDS[name])
+        if name == "plot":
+            p.add_argument("csvs", nargs="+", help="curve CSV paths")
+            p.add_argument("--out", required=True, help="output SVG path")
+            continue
+        _add_config_flags(p)
+        if name == "compute":
+            p.add_argument("--methods", default="dis,ode,surface",
                            help="comma list from dis,ode,surface")
-
-    p_validate = sub.add_parser("validate",
-                                help="cross-method agreement checks")
-    _add_config_flags(p_validate)
-
-    p_plot = sub.add_parser("plot", help="render CSVs to a 4-panel SVG")
-    p_plot.add_argument("csvs", nargs="+", help="curve CSV paths")
-    p_plot.add_argument("--out", required=True, help="output SVG path")
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
+    argv = _sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     args, extra = parser.parse_known_args(argv)
     if extra and (args.command == "plot" or not extra[0].startswith("--")):
         parser.error(f"unrecognized arguments: {' '.join(extra)}")

@@ -52,8 +52,7 @@ denominators that are looked up, not formed per call.  A Neville table in
 h = 1/level extrapolates the values at the four levels 5m/8, 6m/8, 7m/8 and
 m to h = 0 (order 3), and the difference between its last entry and the
 entry one order lower is the read-out's error estimate.  These four levels
-are the only diagonals a sweep keeps; a lower level's read-out is a sweep
-of its own, the same bits as those levels of a deeper sweep.  The table
+are the only diagonals a sweep to m keeps.  The table
 reads the top of the sweep because lower levels are still pre-asymptotic:
 against the surface route, in A/L^2 and B/L, these levels at m = 256 read
 more digits than the levels m, m/2, m/4 and m/8 at m = 400 on every system
@@ -61,9 +60,25 @@ measured (touching 7.73 against 7.11, gap 6.72 against 6.03), and at
 m = 6000 on (-1000,0)u(0,1) 11.71 against 11.24.  They lie close together,
 so the table amplifies the rounding of its inputs by its Lebesgue constant,
 386 (6.4 for the halving levels).
+
+The command line's level is a cap, read by one sweep: the table is read
+at each rung m_i = 256 sqrt(2)^i below the cap / sqrt(2)
+(:func:`ladder_rungs`), then at the cap, and the sweep stops at the first rung whose same-order
+estimate max |T(m_i) - T(m_(i-1))|, in A/L^2 and B/L on the compared
+points, is at most ``LADDER_TOL`` = 1e-11 (:class:`Ladder`).  That
+estimate follows the error of the lower rung, as the difference of tables
+of one order should (Sidi, *Practical Extrapolation Methods*, CUP 2003),
+where the table's own estimate follows the lower order's error and
+overestimates more as m grows.  Past the first rung it read 1.08 to 9.4
+times the error against the surface route on six systems (up to 87 on
+gap uniform/uniform below 728); rungs closer than sqrt(2) to each other
+read less (0.17 to 0.5 at 5792 against 6000), which the cap / sqrt(2)
+rule avoids.  A sweep to n being the first n levels of any deeper one,
+the stop rung's lattice is the sweep to that rung, bit for bit.
 """
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -83,6 +98,9 @@ _WEIGHT_DENOMINATORS = [[float(math.prod(j - i for i in range(n) if i != j))
                          for j in range(n)] for n in range(_INTERP_POINTS + 1)]
 # the Richardson table reads the levels j m // 8 for these j (order 3)
 _TABLE_EIGHTHS = range(5, 9)
+# a capped sweep stops at the first rung whose same-order estimate, in A/L^2
+# and B/L (L the hull length), is at most this
+LADDER_TOL = 1e-11
 
 
 @dataclass
@@ -123,8 +141,8 @@ class NnrrLattice:
         return np.ldexp(np.abs(np.subtract(self.axis_b, direct)), e)
 
     def max_residual(self):
-        """The largest of :attr:`residuals`, NaN if any is; 0.0 for m = 0."""
-        return float(self.residuals.max()) if self.residuals.size else 0.0
+        """The largest of :attr:`residuals`, NaN if any is."""
+        return float(self.residuals.max())
 
 
 def _aligned(n, fill):
@@ -137,30 +155,55 @@ def _aligned(n, fill):
     return buf
 
 
-def solve_lattice(sys, m):
+def ladder_rungs(cap):
+    """The rungs a sweep capped at level ``cap`` reads: m_i = 256 sqrt(2)^i,
+    each the multiple of 8 nearest to it, those below cap / sqrt(2), then
+    ``cap``.  Integer arithmetic alone: 8 round(sqrt(2^(i + 10))) is
+    8 ((isqrt(2^(i + 12)) + 1) // 2), and m < cap / sqrt(2) is
+    2 m^2 < cap^2.  So the last rung below the cap lies at least a factor
+    sqrt(2) under it, and a cap of 362 or less is the one rung."""
+    rungs = []
+    for i in itertools.count():
+        rung = 8 * ((math.isqrt(1 << (i + 12)) + 1) // 2)
+        if 2 * rung * rung >= cap * cap:
+            return rungs + [cap]
+        rungs.append(rung)
+
+
+def solve_lattice(sys, m, on_rung=None):
     """Sweep the coefficient lattice of ``sys`` out to level ``m``.
 
     It keeps the diagonals of the levels the Richardson table reads,
-    :func:`table_levels` of m, m among them.  The sweep runs on
+    :func:`table_levels` of m, m among them.  With ``on_rung``, m is a cap
+    instead: at each rung of :func:`ladder_rungs` of m the sweep calls
+    ``on_rung`` with the lattice to that rung, and stops there, returning
+    that lattice, when the call returns true or the rung is the cap.  It is
+    one sweep, each level swept once; it holds only the diagonals that the
+    pending rungs' tables read, so a lattice given to ``on_rung`` may hold
+    some of a later rung's as well, and its top diagonal may be a view of
+    the sweep's buffers, valid during the call.  The returned lattice keeps
+    exactly :func:`table_levels` of its level.  The sweep runs on
     :func:`~angelesco.systems.hull_units` of ``sys`` and keeps its
     diagonals there, so scaling a system by a power of two leaves them
     bit for bit.  Its only input is each measure's own recurrence
     (:func:`~angelesco.orthopoly.scalar_recurrence`, in closed form), so
     no value depends on m: a sweep to n is the first n levels of any
-    deeper one, bit for bit, and a study over several levels is one sweep
-    per level.  Two sets of diagonal buffers of length m + 2, used in
-    turn, are allocated once on 64-byte boundaries, and level m keeps
-    views of them; cost is O(m^2) time and O(m) memory.  A propagation
-    denominator below 1e-12 hull lengths or a nonpositive interior
-    coefficient, NaN included, aborts with :class:`NumericalFailure`, and
-    so does a kept diagonal with a positive a below the normal doubles, as
-    on an interval of length 1e-154 in a hull of length 1
+    deeper one, bit for bit, and a rung's lattice is the sweep to that
+    rung.  Two sets of diagonal buffers of length m + 2, used in turn, are
+    allocated once on 64-byte boundaries, and the top level keeps views of
+    them; cost is O(m^2) time and O(m) memory.  A propagation denominator
+    below 1e-12 hull lengths or a nonpositive interior coefficient, NaN
+    included, aborts with :class:`NumericalFailure`, and so does a rung's
+    table diagonal with a positive a below the normal doubles, as on an
+    interval of length 1e-154 in a hull of length 1
     (:func:`~angelesco.systems.range_failure`).
     a1 = 0 at k = 0 and a2 = 0 at k = level stay exact.
     """
     if m < 1:
         raise ValueError(f"level must be a positive integer, got {m}")
-    kept = set(table_levels(m))
+    rungs = ladder_rungs(m) if on_rung is not None else [m]
+    # each table level and the last rung that reads it
+    last_reader = {lv: r for r in rungs for lv in table_levels(r)}
 
     unit, e = hull_units(sys)
     floor = _DENOM_FLOOR * (unit.i2.hi - unit.i1.lo)
@@ -180,10 +223,14 @@ def solve_lattice(sys, m):
     q_buf = _aligned(n, 0.0)
     mul, div, add, sub = np.multiply, np.divide, np.add, np.subtract
 
-    diagonals = {}
+    held = {}
+    rung = iter(rungs)
+    next_rung = next(rung)
     b1, b2 = old[2][:1], old[3][:1]
-    # the axis cross-b's every level propagates
+    # the axis cross-b's every level propagates, and those of the levels
+    # up to the last rung as an array
     propagated = []
+    axis_b = np.empty((0, 2))
     gap_prev = None
     for L in range(m):
         K = L + 2  # diagonal L + 1 has sites k = 0 .. L + 1
@@ -222,16 +269,29 @@ def solve_lattice(sys, m):
 
         old, new = new, old
         b1, b2, gap_prev = b1n, b2n, gap
-        if L + 1 in kept and L + 1 != m:
-            diagonals[L + 1] = tuple(buf[:K].copy() for buf in old[:4])
-
-    diagonals[m] = tuple(buf[:m + 1] for buf in old[:4])
-    # an interval's a's are of the order of its length squared, so a short
-    # interval leaves the normal doubles inside a supported hull
-    a = np.concatenate([v for d in diagonals.values() for v in d[:2]])
-    if np.any((0.0 < a) & (a < np.finfo(float).tiny)):
-        raise range_failure(sys)
-    return NnrrLattice(m, diagonals, np.array(propagated), sys, e)
+        level = L + 1
+        if level in last_reader:
+            diag = tuple(buf[:K] for buf in old[:4])
+            # a view serves the rung at its own level alone; a diagonal a
+            # later rung reads is copied out of the buffers
+            held[level] = (diag if last_reader[level] == level == next_rung
+                           else tuple(v.copy() for v in diag))
+        if level == next_rung:
+            axis_b = np.concatenate([axis_b,
+                                     np.array(propagated[len(axis_b):])])
+            table = {n: held[n] for n in table_levels(level)}
+            # an interval's a's are of the order of its length squared, so a
+            # short interval leaves the normal doubles inside a supported hull
+            a = np.concatenate([v for d in table.values() for v in d[:2]])
+            if np.any((0.0 < a) & (a < np.finfo(float).tiny)):
+                raise range_failure(sys)
+            stop = on_rung is not None and on_rung(
+                NnrrLattice(level, dict(held), axis_b, sys, e))
+            if stop or level == m:
+                return NnrrLattice(level, table, axis_b, sys, e)
+            for lv in [lv for lv in held if last_reader[lv] == level]:
+                del held[lv]
+            next_rung = next(rung)
 
 
 def table_levels(m):
@@ -338,3 +398,47 @@ def curve_from_lattice(lat, grid, extrapolate=False, compared=None):
             meta[key] = {"max_abs": float(diff[worst]),
                          "s": float(grid[worst])}
     return curve
+
+
+def same_order_estimate(curve, prev, length, compared=None):
+    """Largest |curve - prev| over A1 ... B2, the A's over length^2 and the
+    B's over ``length``, the system's hull length, on the ``compared`` grid
+    points (all when None); None when none is compared.  ``curve`` and
+    ``prev`` are the read-outs of consecutive rungs, each from a table of
+    the same order, so their difference follows the error of the lower
+    rung's (Sidi, *Practical Extrapolation Methods*, CUP 2003)."""
+    mask = (np.ones(curve.s.size, dtype=bool) if compared is None
+            else np.asarray(compared, dtype=bool))
+    if not np.any(mask):
+        return None
+    scale = (length * length, length * length, length, length)
+    return max(float(np.max(np.abs(np.subtract(getattr(curve, f)[mask],
+                                                getattr(prev, f)[mask])))) / sc
+               for f, sc in zip(("A1", "A2", "B1", "B2"), scale))
+
+
+@dataclass
+class Ladder:
+    """The ``on_rung`` of a capped :func:`solve_lattice`.
+
+    ``read`` turns a rung's lattice into its curve, which ``curve`` keeps
+    until the next rung.  The sweep stops at the first rung whose
+    :func:`same_order_estimate` against the rung below, on the ``compared``
+    points, is at most ``LADDER_TOL``.  ``rungs`` records each rung read,
+    as its level and that estimate (None on the first rung).
+    """
+    read: object
+    compared: object = None
+    curve: object = None
+    rungs: list = field(default_factory=list)
+
+    def __call__(self, lat):
+        curve = self.read(lat)
+        estimate = None
+        if self.curve is not None:
+            length = lat.system.i2.hi - lat.system.i1.lo
+            estimate = same_order_estimate(curve, self.curve, length,
+                                           self.compared)
+        self.curve = curve
+        self.rungs.append({"level": lat.m, "estimate": estimate})
+        return estimate is not None and estimate <= LADDER_TOL

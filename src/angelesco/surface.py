@@ -87,14 +87,24 @@ def ray_gaps(w, d):
     smaller of the two is that product over the larger, 1 + |theta|, and it
     keeps its digits where theta is within rounding of +-1.  |theta| is
     +-theta by the sign of its real part, so a complex step passes through.
+    Each is :func:`_end_gap` of its end.
     """
-    e = w + d + 2.0 * w * d
-    q = e * (2.0 + w + d) * (w + d)
+    return _end_gap(w, d, True), _end_gap(w, d, False)
+
+
+def _end_gap(w, d, upper):
+    """The gap of the ray through (w, d) at one end: 1 - theta where
+    ``upper`` holds, else 1 + theta, formed as :func:`ray_gaps` says, as the
+    product over 1 + |theta| when it is the smaller of the two and as
+    1 + |theta| when it is the larger."""
+    s = w + d
+    e = s + 2.0 * w * d
+    q = e * (2.0 + w + d) * s
     theta = (d - w) * np.sqrt((2.0 + e) / q)
     up = np.real(theta) > 0.0
     big = 1.0 + np.where(up, theta, -theta)
-    small = 8.0 * w * d * (1.0 + w) * (1.0 + d) / (q * big)
-    return np.where(up, small, big), np.where(up, big, small)
+    return np.where(up == upper,
+                    8.0 * w * d * (1.0 + w) * (1.0 + d) / (q * big), big)
 
 
 # ---------------------------------------------------------------------------
@@ -230,11 +240,13 @@ def pushed_beta(alpha, ray, top):
     upper = s >= t
     alpha = np.asarray(alpha, dtype=float)
     d1 = edge_d(alpha)
-    two_s, two_t = 2.0 * s, 2.0 * t
+    # f falls on both sides: 2 (1 - s) - (1 - theta) above s = 1/2 and
+    # (1 + theta) - 2 s below, each the nearer end's gap alone
+    side = np.where(upper, 1.0, -1.0)
+    near = side * np.where(upper, 2.0 * t, 2.0 * s)
 
-    def f(x):  # the nearer end's gap at x minus the ray's
-        minus, plus = ray_gaps(*level_set_w(alpha, d1, x))
-        return np.where(upper, two_t - minus, plus - two_s)
+    def f(x):  # the nearer end's gap, the ray's minus x's, falling in x
+        return near - side * _end_gap(*level_set_w(alpha, d1, x), upper)
 
     shape = np.broadcast(s, alpha, top).shape
     x = bisect(f, np.zeros(shape), np.broadcast_to(top, shape))

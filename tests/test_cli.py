@@ -129,6 +129,23 @@ def test_run_meta_states_the_lattice_error_estimate(tmp_path):
     assert lattice["error_estimate"] is None
 
 
+def test_run_meta_records_the_ladder(tmp_path):
+    # the default level is one rung; a cap of 1024 reads 256, 360, 512 and
+    # the cap, and touching's estimate at 1024 is above the tolerance
+    for cap, rungs in ((256, [256]), (1024, [256, 360, 512, 1024])):
+        out = tmp_path / str(cap)
+        assert main(["compute", "--methods", "dis", "--lattice_level",
+                     str(cap), "--output_dir", str(out)]) == 0
+        lattice = json.loads((out / "run_meta.json").read_text())["lattice"]
+        ladder = lattice["ladder"]
+        assert ladder["cap"] == cap == ladder["stop"] == lattice["level"]
+        assert ladder["tolerance"] == 1e-11
+        assert [r["level"] for r in ladder["rungs"]] == rungs
+        estimates = [r["estimate"] for r in ladder["rungs"]]
+        assert estimates[0] is None
+        assert all(1e-11 < e < 1e-6 for e in estimates[1:])
+
+
 def test_readme_config_table_lists_every_field():
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     table = readme.split("| key | default | meaning |", 1)[1].split("\n\n", 1)[0]

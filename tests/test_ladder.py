@@ -1,0 +1,142 @@
+"""The capped lattice sweep: rungs 256 sqrt(2)^i, read once each, stopping at
+the first whose same-order estimate meets LADDER_TOL."""
+import math
+
+import numpy as np
+import pytest
+
+from angelesco import AngelescoSystem, Interval, plateau_bounds
+from angelesco.crossval import compared_points
+from angelesco.lattice import (LADDER_TOL, Ladder, curve_from_lattice,
+                               ladder_rungs, same_order_estimate,
+                               solve_lattice, table_levels)
+from angelesco.surface import limit_curve
+from angelesco.systems import hull_units, star_normalize
+
+GRID = np.linspace(0.0, 1.0, 181)
+WIDE = AngelescoSystem(Interval(-1000.0, 0.0), Interval(0.0, 1.0))
+
+
+def _compared(sys):
+    info = plateau_bounds(star_normalize(hull_units(sys)[0])[0])
+    return info, compared_points(GRID, info.c1, info.c2, 0.05)
+
+
+def _length(sys):
+    return sys.i2.hi - sys.i1.lo
+
+
+def _sweep(sys, cap):
+    """The capped sweep as ``compute`` runs it: its lattice, its ladder and
+    the mask of the compared points."""
+    _, compared = _compared(sys)
+    lad = Ladder(lambda lat: curve_from_lattice(lat, GRID, True, compared),
+                 compared)
+    return solve_lattice(sys, cap, lad), lad, compared
+
+
+def test_rungs_are_multiples_of_8_next_to_256_sqrt2_powers():
+    assert ladder_rungs(6000) == [256, 360, 512, 728, 1024, 1448, 2048, 2896,
+                                  4096, 6000]
+    rungs = ladder_rungs(10 ** 6)[:-1]
+    for i, rung in enumerate(rungs):
+        assert rung % 8 == 0
+        assert abs(rung - 256.0 * math.sqrt(2.0) ** i) <= 4.0
+    # the last rung below the cap lies a factor sqrt(2) or more under it
+    for cap in (363, 1000, 4096, 5792, 5793, 6000):
+        *below, top = ladder_rungs(cap)
+        assert top == cap and 2 * below[-1] ** 2 < cap * cap
+
+
+@pytest.mark.parametrize("cap", [1, 4, 200, 256, 300, 362])
+def test_a_cap_of_362_or_less_reads_one_rung(touching_system, cap):
+    assert ladder_rungs(cap) == [cap]
+    seen = []
+    lat = solve_lattice(touching_system, cap,
+                        lambda rung: seen.append(rung.m) or False)
+    assert seen == [cap] and lat.m == cap
+    plain = solve_lattice(touching_system, cap)
+    assert sorted(lat.diagonals) == table_levels(cap)
+    assert sorted(plain.diagonals) == table_levels(cap)
+    for n in table_levels(cap):
+        for got, want in zip(lat.diagonal(n), plain.diagonal(n)):
+            assert np.array_equal(got, want)
+    assert ladder_rungs(363) == [256, 363]
+
+
+def test_lattice_wide_stops_at_4096_with_the_bits_of_that_sweep():
+    lat, lad, compared = _sweep(WIDE, 6000)
+    assert lat.m == 4096
+    assert [r["level"] for r in lad.rungs] == ladder_rungs(6000)[:-1]
+    assert lad.rungs[0]["estimate"] is None
+    assert lad.rungs[-1]["estimate"] <= LADDER_TOL
+    assert all(r["estimate"] > LADDER_TOL for r in lad.rungs[1:-1])
+    plain = solve_lattice(WIDE, 4096)
+    want = curve_from_lattice(plain, GRID, True, compared)
+    for f in ("A1", "A2", "B1", "B2"):
+        assert np.array_equal(getattr(lad.curve, f), getattr(want, f))
+    assert lad.curve.meta == want.meta
+    assert sorted(lat.diagonals) == table_levels(4096)
+    for n in table_levels(4096):
+        for got, ref in zip(lat.diagonal(n), plain.diagonal(n)):
+            assert np.array_equal(got, ref)
+    assert np.array_equal(lat.axis_b, plain.axis_b)
+
+
+def test_a_ladder_that_never_meets_the_tolerance_sweeps_to_the_cap():
+    # on touching chebyshev1/uniform the threshold ray converges like 1/m,
+    # so at 6000 the estimate still reads about 3.7e-10
+    sys = AngelescoSystem(Interval(-2.0, 0.0), Interval(0.0, 1.0),
+                          "chebyshev1", "uniform")
+    lat, lad, _ = _sweep(sys, 6000)
+    assert lat.m == 6000
+    assert [r["level"] for r in lad.rungs] == ladder_rungs(6000)
+    assert lad.rungs[-1]["estimate"] > LADDER_TOL
+
+
+@pytest.mark.parametrize("interval1, interval2", [
+    ((-2.0, 0.0), (0.25, 1.0)), ((-1000.0, 0.0), (0.0, 1.0))],
+    ids=["gap", "lattice-wide"])
+def test_each_rung_estimate_covers_its_error(interval1, interval2):
+    # estimate / error read 2.1 to 3.9 on gap and 1.45 to 3.2 on
+    # lattice-wide, against the surface route in A/L^2 and B/L
+    sys = AngelescoSystem(Interval(*interval1), Interval(*interval2))
+    info, compared = _compared(sys)
+    ref = limit_curve(sys, GRID, info)
+    errors = []
+
+    def read(lat):
+        curve = curve_from_lattice(lat, GRID, True, compared)
+        errors.append(same_order_estimate(curve, ref, _length(sys), compared))
+        return curve
+
+    lad = Ladder(read, compared)
+    solve_lattice(sys, 6000, lad)
+    assert len(lad.rungs) >= 9
+    for rung, error in zip(lad.rungs[1:], errors[1:]):
+        assert error <= rung["estimate"], rung
+
+
+def test_the_sweep_holds_only_what_the_pending_rungs_read(gap_system):
+    rungs = ladder_rungs(3000)
+    held = []
+
+    def spy(lat):
+        held.append(set(lat.diagonals))
+        return False
+
+    lat = solve_lattice(gap_system, 3000, spy)
+    assert len(held) == len(rungs)
+    for i, (rung, levels) in enumerate(zip(rungs, held)):
+        pending = set().union(*(table_levels(r) for r in rungs[i:]))
+        assert set(table_levels(rung)) <= levels <= pending
+    assert sorted(lat.diagonals) == table_levels(3000)
+
+
+def test_no_compared_point_leaves_no_estimate(gap_system):
+    none = np.zeros(GRID.size, dtype=bool)
+    lad = Ladder(lambda lat: curve_from_lattice(lat, GRID, True, none), none)
+    lat = solve_lattice(gap_system, 800, lad)
+    assert lat.m == 800
+    assert [r["estimate"] for r in lad.rungs] == [None] * len(
+        ladder_rungs(800))
