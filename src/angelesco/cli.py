@@ -256,7 +256,7 @@ def _compute_curves(cfg, methods):
             t0 = time.perf_counter()
             if method == "dis":
                 ladder = Ladder(lambda rung: curve_from_lattice(
-                    rung, grid, cfg.extrapolate, compared), compared)
+                    rung, grid, cfg.extrapolate), compared)
                 lat = solve_lattice(system, cfg.lattice_level, ladder)
                 curve = ladder.curve
                 meta["lattice"] = dict(curve.meta, ladder={

@@ -82,8 +82,9 @@ DIGIT_FLOORS = {
 
 @pytest.fixture(scope="module")
 def default_reads():
-    """Per system: digits in A / L^2, B / L, the absolute error and the
-    lattice's error estimate, all over the compared points."""
+    """Per system: digits in A / L^2, B / L, the error in those units and
+    the lattice's same-order estimate at its stop rung, all over the
+    compared points."""
     reads = {}
     for name, (i1, i2, w1, w2, _) in DIGIT_FLOORS.items():
         cfg = RunConfig(interval1=i1, interval2=i2, weight1=w1, weight2=w2)
@@ -91,9 +92,8 @@ def default_reads():
         unit = AffineMap(1.0 / (i2[1] - i1[0]), 0.0)
         scaled = compare(pushforward_limits(curves["dis"], unit),
                          pushforward_limits(curves["surface"], unit), compared)
-        error = compare(curves["dis"], curves["surface"], compared).worst()
-        reads[name] = (-np.log10(scaled.worst()), error,
-                       meta["lattice"]["error_estimate_compared"]["max_abs"])
+        reads[name] = (-np.log10(scaled.worst()), scaled.worst(),
+                       meta["lattice"]["ladder"]["rungs"][-1]["estimate"])
     return reads
 
 
@@ -104,35 +104,38 @@ def test_default_lattice_keeps_its_digit_floor(default_reads, name):
 
 @pytest.mark.parametrize("name", DIGIT_FLOORS)
 def test_default_lattice_estimate_covers_its_error(default_reads, name):
-    # estimate / error measured 1.84 (touching chebyshev1/uniform) to 53
-    # (touching); the table over m, m/2, m/4, m/8 at 400 read 0.32 and 0.41
-    # on gap chebyshev1/chebyshev1 and touching chebyshev1/uniform
+    # |T(256) - T(184)| / error at 256 measured 2.66 to 47.5; the table's
+    # own last difference, its estimate before, read 1.84 to 53
     _, error, estimate = default_reads[name]
     assert error <= estimate
 
 
 def test_run_meta_states_the_lattice_error_estimate(tmp_path):
+    # the default cap reads the rungs 184 and 256, and the estimate at 256
+    # is the difference of their read-outs, extrapolated or plain
     out = tmp_path / "out"
-    assert main(["compute", "--methods", "dis",
-                 "--output_dir", str(out)]) == 0
-    lattice = json.loads((out / "run_meta.json").read_text())["lattice"]
-    assert lattice["level"] == 256 and lattice["extrapolated"] is True
-    assert lattice["linear_points"] == 0
-    est = lattice["error_estimate"]
-    assert set(est) == {"max_abs", "s"}
-    assert 0.0 < est["max_abs"] < 1e-4 and 0.0 <= est["s"] <= 1.0
-    assert main(["compute", "--methods", "dis", "--extrapolate", "false",
-                 "--output_dir", str(out)]) == 0
-    lattice = json.loads((out / "run_meta.json").read_text())["lattice"]
-    # the plain read-out is the one-level table: no lower order to differ from
-    assert lattice["extrapolated"] is False and lattice["table_levels"] == [256]
-    assert lattice["error_estimate"] is None
+    estimates = []
+    for flags in ([], ["--extrapolate", "false"]):
+        assert main(["compute", "--methods", "dis", *flags,
+                     "--output_dir", str(out)]) == 0
+        lattice = json.loads((out / "run_meta.json").read_text())["lattice"]
+        assert lattice["level"] == 256 and lattice["linear_points"] == 0
+        assert lattice["extrapolated"] is (not flags)
+        assert "error_estimate" not in lattice
+        rungs = lattice["ladder"]["rungs"]
+        assert [r["level"] for r in rungs] == [184, 256]
+        assert rungs[0]["estimate"] is None
+        estimates.append(rungs[1]["estimate"])
+    # the plain read-out is the one-level table, which converges like 1/m
+    # (1.8e-3 against 5.0e-8 on touching)
+    assert lattice["table_levels"] == [256]
+    assert 0.0 < estimates[0] < 1e-4 < estimates[1]
 
 
 def test_run_meta_records_the_ladder(tmp_path):
-    # the default level is one rung; a cap of 1024 reads 256, 360, 512 and
-    # the cap, and touching's estimate at 1024 is above the tolerance
-    for cap, rungs in ((256, [256]), (1024, [256, 360, 512, 1024])):
+    # the default cap reads 184 and the cap; a cap of 1024 reads 256, 360,
+    # 512 and the cap, and touching's estimate at 1024 is above the tolerance
+    for cap, rungs in ((256, [184, 256]), (1024, [256, 360, 512, 1024])):
         out = tmp_path / str(cap)
         assert main(["compute", "--methods", "dis", "--lattice_level",
                      str(cap), "--output_dir", str(out)]) == 0
@@ -338,19 +341,6 @@ def test_run_meta_states_the_ode_error_estimate(tmp_path, interval1):
         assert set(b) == {"error_estimate", "steps"}
         assert 0.0 < b["error_estimate"] <= 1e-12
         assert 0 < b["steps"] <= 500
-
-
-def test_run_meta_states_the_lattice_estimate_at_the_compared_points(tmp_path):
-    out = tmp_path / "out"
-    assert main(["compute", "--methods", "dis", "--interval2=0.25,1",
-                 "--output_dir", str(out)]) == 0
-    meta = json.loads((out / "run_meta.json").read_text())
-    c1, c2 = meta["plateau"]["c1"], meta["plateau"]["c2"]
-    whole = meta["lattice"]["error_estimate"]
-    part = meta["lattice"]["error_estimate_compared"]
-    assert c1 <= whole["s"] + 0.05 and whole["s"] <= c2 + 0.05
-    assert part["s"] <= c1 - 0.05 or part["s"] >= c2 + 0.05
-    assert part["max_abs"] < whole["max_abs"]
 
 
 def test_dis_csv_does_not_depend_on_the_blas_kernel(tmp_path):

@@ -1,5 +1,7 @@
-"""The capped lattice sweep: rungs 256 sqrt(2)^i, read once each, stopping at
-the first whose same-order estimate meets LADDER_TOL."""
+"""The capped lattice sweep: rungs 256 sqrt(2)^i (below a cap of 363, the
+multiple of 8 nearest cap / sqrt(2)), read once each, stopping at the first
+whose same-order estimate meets LADDER_TOL."""
+import itertools
 import math
 
 import numpy as np
@@ -30,8 +32,7 @@ def _sweep(sys, cap):
     """The capped sweep as ``compute`` runs it: its lattice, its ladder and
     the mask of the compared points."""
     _, compared = _compared(sys)
-    lad = Ladder(lambda lat: curve_from_lattice(lat, GRID, True, compared),
-                 compared)
+    lad = Ladder(lambda lat: curve_from_lattice(lat, GRID, True), compared)
     return solve_lattice(sys, cap, lad), lad, compared
 
 
@@ -48,19 +49,51 @@ def test_rungs_are_multiples_of_8_next_to_256_sqrt2_powers():
         assert top == cap and 2 * below[-1] ** 2 < cap * cap
 
 
-@pytest.mark.parametrize("cap", [1, 4, 200, 256, 300, 362])
-def test_a_cap_of_362_or_less_reads_one_rung(touching_system, cap):
-    assert ladder_rungs(cap) == [cap]
+def _sqrt2_ladder(cap):
+    # the rungs 256 sqrt(2)^i below cap / sqrt(2), then the cap: the whole
+    # ladder of every cap, before caps of 9 to 362 read one more rung
+    rungs = []
+    for i in itertools.count():
+        rung = 8 * ((math.isqrt(1 << (i + 12)) + 1) // 2)
+        if 2 * rung * rung >= cap * cap:
+            return rungs + [cap]
+        rungs.append(rung)
+
+
+def test_every_cap_from_9_reads_a_rung_below_it():
+    for cap in range(1, 20001):
+        rungs = ladder_rungs(cap)
+        assert rungs[-1] == cap
+        assert all(a < b for a, b in zip(rungs, rungs[1:])), cap
+        if cap <= 8:
+            assert rungs == [cap]
+        elif cap <= 362:
+            assert len(rungs) == 2 and rungs[0] % 8 == 0, cap
+            assert abs(rungs[0] - cap / math.sqrt(2.0)) <= 4.0, cap
+        else:
+            assert rungs == _sqrt2_ladder(cap), cap
+
+
+SHORT_LADDERS = {1: [1], 4: [4], 200: [144, 200], 256: [184, 256],
+                 300: [216, 300], 362: [256, 362]}
+
+
+@pytest.mark.parametrize("cap", SHORT_LADDERS)
+def test_a_cap_of_362_or_less_stops_at_the_cap(touching_system, cap):
+    # the first rung has no estimate to stop on, so the sweep runs on to the
+    # cap and returns the plain sweep's bits
+    assert ladder_rungs(cap) == SHORT_LADDERS[cap]
     seen = []
     lat = solve_lattice(touching_system, cap,
                         lambda rung: seen.append(rung.m) or False)
-    assert seen == [cap] and lat.m == cap
+    assert seen == ladder_rungs(cap) and lat.m == cap
     plain = solve_lattice(touching_system, cap)
     assert sorted(lat.diagonals) == table_levels(cap)
     assert sorted(plain.diagonals) == table_levels(cap)
     for n in table_levels(cap):
         for got, want in zip(lat.diagonal(n), plain.diagonal(n)):
             assert np.array_equal(got, want)
+    assert np.array_equal(lat.axis_b, plain.axis_b)
     assert ladder_rungs(363) == [256, 363]
 
 
@@ -72,7 +105,7 @@ def test_lattice_wide_stops_at_4096_with_the_bits_of_that_sweep():
     assert lad.rungs[-1]["estimate"] <= LADDER_TOL
     assert all(r["estimate"] > LADDER_TOL for r in lad.rungs[1:-1])
     plain = solve_lattice(WIDE, 4096)
-    want = curve_from_lattice(plain, GRID, True, compared)
+    want = curve_from_lattice(plain, GRID, True)
     for f in ("A1", "A2", "B1", "B2"):
         assert np.array_equal(getattr(lad.curve, f), getattr(want, f))
     assert lad.curve.meta == want.meta
@@ -106,7 +139,7 @@ def test_each_rung_estimate_covers_its_error(interval1, interval2):
     errors = []
 
     def read(lat):
-        curve = curve_from_lattice(lat, GRID, True, compared)
+        curve = curve_from_lattice(lat, GRID, True)
         errors.append(same_order_estimate(curve, ref, _length(sys), compared))
         return curve
 
@@ -135,7 +168,7 @@ def test_the_sweep_holds_only_what_the_pending_rungs_read(gap_system):
 
 def test_no_compared_point_leaves_no_estimate(gap_system):
     none = np.zeros(GRID.size, dtype=bool)
-    lad = Ladder(lambda lat: curve_from_lattice(lat, GRID, True, none), none)
+    lad = Ladder(lambda lat: curve_from_lattice(lat, GRID, True), none)
     lat = solve_lattice(gap_system, 800, lad)
     assert lat.m == 800
     assert [r["estimate"] for r in lad.rungs] == [None] * len(

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 import angelesco.lattice as lattice_mod
 from angelesco import AngelescoSystem, Interval, LimitCurve, NumericalFailure
-from angelesco.lattice import (curve_from_lattice, lagrange_interp,
-                               richardson_table, solve_lattice, table_levels)
+from angelesco.lattice import (Ladder, curve_from_lattice, lagrange_interp,
+                               richardson_table, same_order_estimate,
+                               solve_lattice, table_levels)
 from angelesco.crossval import compared_points
 from angelesco.surface import limit_curve
 import lattice_oracle
@@ -173,10 +174,7 @@ def cubic_table(m, levels):
     c = rng.uniform(-4.0, 4.0, size=(4, 5))
     order = len(levels) - 1
     vals = [sum(c[p] / n ** p for p in range(order + 1)) for n in levels]
-    best, lower = richardson_table(levels, vals)
-    # the entry one order lower is the exact table over the finer levels
-    sub, _ = richardson_table(levels[1:], vals[1:])
-    assert np.array_equal(lower, sub)
+    best = richardson_table(levels, vals)
     return np.max(np.abs(best - c[0])), max(np.max(np.abs(v)) for v in vals)
 
 
@@ -280,8 +278,8 @@ def test_propagated_axis_cross_b_agree_with_the_mixed_moments(w1, w2, alpha,
 
 
 def test_richardson_table_of_one_level_is_that_level():
-    best, lower = richardson_table([7], [np.array([1.5, -2.0])])
-    assert np.array_equal(best, [1.5, -2.0]) and np.array_equal(lower, best)
+    best = richardson_table([7], [np.array([1.5, -2.0])])
+    assert np.array_equal(best, [1.5, -2.0])
 
 
 @pytest.mark.parametrize("level", [1, 2, 3, 4, 5, 7, 40, 400])
@@ -370,11 +368,6 @@ def test_extrapolated_curve_valid_at_small_levels(touching_system, gap_system,
     for sys in (touching_system, gap_system):
         cv = curve_from_lattice(solve_lattice(sys, m), grid, True)
         assert cv.meta["table_levels"] == table_levels(m)
-        est = cv.meta["error_estimate"]
-        if m == 1:
-            assert est is None
-        else:
-            assert est["max_abs"] >= 0.0 and est["s"] in grid
 
 
 @pytest.mark.parametrize("extrapolate", [False, True])
@@ -392,7 +385,7 @@ def test_points_off_the_contract_fall_back_to_linear(extrapolate):
     k = np.arange(m + 1, dtype=float)
     linear = [np.interp(grid * m, k, arr) for arr in user_diagonal(lat, m)]
     levels = table_levels(m) if extrapolate else [m]
-    high, _ = richardson_table(
+    high = richardson_table(
         levels, [lagrange_interp(user_diagonal(lat, n), grid * n)
                  for n in levels])
     high[0][0] = high[1][-1] = 0.0
@@ -404,39 +397,45 @@ def test_points_off_the_contract_fall_back_to_linear(extrapolate):
         assert np.array_equal(getattr(cv, f), np.where(off, lin, h))
 
 
+def _length(sys):
+    return sys.i2.hi - sys.i1.lo
+
+
 def test_error_estimate_bounds_the_table_error(touching_system, touching_info):
-    # on the touching system the largest last table difference bounds the
-    # largest error over the whole grid
+    # on the touching system the same-order estimate at the cap 400, against
+    # the rung 256, bounds the largest error over the whole grid in A/L^2
+    # and B/L (4.8 times it)
     grid = np.linspace(0.0, 1.0, 181)
-    lat = solve_lattice(touching_system, 400)
-    cv = curve_from_lattice(lat, grid, True)
+    lad = Ladder(lambda lat: curve_from_lattice(lat, grid, True))
+    solve_lattice(touching_system, 400, lad)
     ref = limit_curve(touching_system, grid, info=touching_info)
-    err = max(np.max(np.abs(getattr(cv, f) - getattr(ref, f)))
-              for f in ("A1", "A2", "B1", "B2"))
-    assert err <= cv.meta["error_estimate"]["max_abs"]
-    assert cv.meta["table_levels"] == [250, 300, 350, 400]
+    assert [r["level"] for r in lad.rungs] == [256, 400]
+    err = same_order_estimate(lad.curve, ref, _length(touching_system))
+    assert err <= lad.rungs[-1]["estimate"]
+    assert lad.curve.meta["table_levels"] == [250, 300, 350, 400]
 
 
 def test_error_estimate_over_the_compared_points(gap_system, gap_info):
-    # on gap the whole-grid figure sits at the plateau edge, where the table
-    # stalls; over the points at least 0.05 from the window it is far lower
-    # and still bounds the error there
+    # on gap the whole-grid estimate sits at the plateau edge, where the
+    # table stalls, and reads below the error (0.82 times it); over the
+    # points at least 0.05 from the window it is far lower and bounds the
+    # error there (5.8 times it)
     grid = np.linspace(0.0, 1.0, 181)
     keep = compared_points(grid, gap_info.c1, gap_info.c2, 0.05)
-    lat = solve_lattice(gap_system, 400)
-    cv = curve_from_lattice(lat, grid, True, keep)
-    whole = cv.meta["error_estimate"]
-    part = cv.meta["error_estimate_compared"]
-    assert part["s"] in grid[keep]
-    assert part["max_abs"] < 0.1 * whole["max_abs"]
+    curves = []
+
+    def read(lat):
+        curves.append(curve_from_lattice(lat, grid, True))
+        return curves[-1]
+
+    lad = Ladder(read, keep)
+    solve_lattice(gap_system, 400, lad)
+    length = _length(gap_system)
+    part = lad.rungs[-1]["estimate"]
+    assert part == same_order_estimate(curves[1], curves[0], length, keep)
+    assert part < 0.1 * same_order_estimate(curves[1], curves[0], length)
     ref = limit_curve(gap_system, grid, info=gap_info)
-    err = max(np.max(np.abs(getattr(cv, f) - getattr(ref, f))[keep])
-              for f in ("A1", "A2", "B1", "B2"))
-    assert err <= part["max_abs"]
-    # the whole-grid figure does not depend on the mask
-    assert curve_from_lattice(lat, grid, True).meta["error_estimate"] == whole
-    none = curve_from_lattice(lat, grid, True, np.zeros(grid.size, bool))
-    assert none.meta["error_estimate_compared"] is None
+    assert same_order_estimate(lad.curve, ref, length, keep) <= part
 
 
 def axis_of(interval):
