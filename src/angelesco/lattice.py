@@ -73,8 +73,9 @@ systems (median 3.1), and at least 0.89 times the error at 256 over 72
 systems at the default rungs 184 and 256 (median 4.4).  Rungs closer than
 sqrt(2) to each other read less (0.17 to 0.5 at 5792 against 6000), which
 the cap / sqrt(2) rule avoids.  A sweep to n being the first n levels of
-any deeper one, the stop rung's lattice is the sweep to that rung, bit for
-bit.
+any deeper one, each rung's lattice is the sweep to that rung, bit for
+bit, and holds its own copy of each table diagonal: the lattice the ladder
+reads at the stop rung is the one the sweep returns.
 """
 import itertools
 import math
@@ -108,9 +109,9 @@ class NnrrLattice:
     """Completed sweep: its kept diagonals and propagated axis cross-b's.
 
     ``diagonals`` maps each level the read-out reads, :func:`table_levels`
-    of ``m``, to its arrays (a1, a2, b1, b2) indexed by k = n1, all in the
-    hull units of ``system`` (a's times 4^e and b's times 2^e are in user
-    units, e = ``exponent``).
+    of ``m`` and no other, to its own (4, level + 1) array, rows a1, a2, b1
+    and b2 indexed by k = n1, all in the hull units of ``system`` (a's times
+    4^e and b's times 2^e are in user units, e = ``exponent``).
     ``axis_b`` has one row per level 1 .. m: the cross-b the sweep
     propagated onto the axis-1 site (b2 at k = level) and onto the axis-2
     site (b1 at k = 0), in hull units.
@@ -122,7 +123,7 @@ class NnrrLattice:
     exponent: int
 
     def diagonal(self, level):
-        """Diagonal arrays (a1, a2, b1, b2) at a kept ``level``."""
+        """Diagonal array, rows a1, a2, b1, b2, at a kept ``level``."""
         if level not in self.diagonals:
             raise KeyError(f"level {level} was not kept "
                            f"(have {sorted(self.diagonals)})")
@@ -183,28 +184,27 @@ def solve_lattice(sys, m, on_rung=None):
 
     It keeps the diagonals of the levels the Richardson table reads,
     :func:`table_levels` of m, m among them.  With ``on_rung``, m is a cap
-    instead: at each rung of :func:`ladder_rungs` of m the sweep calls
-    ``on_rung`` with the lattice to that rung, and stops there, returning
-    that lattice, when the call returns true or the rung is the cap.  It is
-    one sweep, each level swept once; it holds only the diagonals that the
-    pending rungs' tables read, so a lattice given to ``on_rung`` may hold
-    some of a later rung's as well, and its top diagonal may be a view of
-    the sweep's buffers, valid during the call.  The returned lattice keeps
-    exactly :func:`table_levels` of its level.  The sweep runs on
+    instead: at each rung of :func:`ladder_rungs` of m, the cap included,
+    the sweep builds the lattice to that rung and calls ``on_rung`` with it.
+    It stops there, returning that same lattice, when the call returns true
+    or the rung is the cap.  It is one sweep, each level swept once.  Each
+    kept diagonal is copied out of the sweep's buffers once, as one array,
+    and the sweep holds only those that the pending rungs' tables read.  So
+    every rung's lattice, kept or returned, holds exactly
+    :func:`table_levels` of its rung.  The sweep runs on
     :func:`~angelesco.systems.hull_units` of ``sys`` and keeps its
-    diagonals there, so scaling a system by a power of two leaves them
-    bit for bit.  Its only input is each measure's own recurrence
-    (:func:`~angelesco.orthopoly.scalar_recurrence`, in closed form), so
-    no value depends on m: a sweep to n is the first n levels of any
-    deeper one, bit for bit, and a rung's lattice is the sweep to that
-    rung.  Two sets of diagonal buffers of length m + 2, used in turn, are
-    allocated once on 64-byte boundaries, and the top level keeps views of
-    them; cost is O(m^2) time and O(m) memory.  A propagation denominator
-    below 1e-12 hull lengths or a nonpositive interior coefficient, NaN
-    included, aborts with :class:`NumericalFailure`, and so does a rung's
-    table diagonal with a positive a below the normal doubles, as on an
-    interval of length 1e-154 in a hull of length 1
-    (:func:`~angelesco.systems.range_failure`).
+    diagonals there, so scaling a system by a power of two leaves them bit
+    for bit.  Its only input is each measure's own recurrence
+    (:func:`~angelesco.orthopoly.scalar_recurrence`, in closed form), so no
+    value depends on m: a sweep to n is the first n levels of any deeper
+    one, bit for bit, and a rung's lattice is the sweep to that rung.  Two
+    sets of diagonal buffers of length m + 2, used in turn, are allocated
+    once on 64-byte boundaries; cost is O(m^2) time and O(m) memory.  A
+    propagation denominator below 1e-12 hull lengths or a nonpositive
+    interior coefficient, NaN included, aborts with
+    :class:`NumericalFailure`, and so does a rung's table diagonal with a
+    positive a below the normal doubles, as on an interval of length
+    1e-154 in a hull of length 1 (:func:`~angelesco.systems.range_failure`).
     a1 = 0 at k = 0 and a2 = 0 at k = level stay exact.
     """
     if m < 1:
@@ -279,26 +279,22 @@ def solve_lattice(sys, m, on_rung=None):
         b1, b2, gap_prev = b1n, b2n, gap
         level = L + 1
         if level in last_reader:
-            diag = tuple(buf[:K] for buf in old[:4])
-            # a view serves the rung at its own level alone; a diagonal a
-            # later rung reads is copied out of the buffers
-            held[level] = (diag if last_reader[level] == level == next_rung
-                           else tuple(v.copy() for v in diag))
+            # copied out of the buffers once, rows a1, a2, b1, b2
+            held[level] = np.array([buf[:K] for buf in old[:4]])
         if level == next_rung:
             axis_b = np.concatenate([axis_b,
                                      np.array(propagated[len(axis_b):])])
-            table = {n: held[n] for n in table_levels(level)}
+            lat = NnrrLattice(level, {n: held[n] for n in table_levels(level)},
+                              axis_b, sys, e)
             # an interval's a's are of the order of its length squared, so a
             # short interval leaves the normal doubles inside a supported hull
-            a = np.concatenate([v for d in table.values() for v in d[:2]])
+            a = np.concatenate([d[:2].ravel() for d in lat.diagonals.values()])
             if np.any((0.0 < a) & (a < np.finfo(float).tiny)):
                 raise range_failure(sys)
-            stop = on_rung is not None and on_rung(
-                NnrrLattice(level, dict(held), axis_b, sys, e))
-            if stop or level == m:
-                return NnrrLattice(level, table, axis_b, sys, e)
-            for lv in [lv for lv in held if last_reader[lv] == level]:
-                del held[lv]
+            if (on_rung is not None and on_rung(lat)) or level == m:
+                return lat
+            # the diagonals a pending rung reads, and no others
+            held = {n: d for n, d in held.items() if last_reader[n] > level}
             next_rung = next(rung)
 
 
@@ -352,12 +348,14 @@ def richardson_table(levels, values):
 def curve_from_lattice(lat, grid, extrapolate=False):
     """Limit-curve estimate on ``grid`` from the finished lattice.
 
-    Interpolates the diagonal of every level n in ``meta["table_levels"]``
-    (:func:`table_levels` with ``extrapolate``, else the top level alone)
-    at bi-degrees (s n, (1 - s) n), and a Neville table in h = 1/level takes
-    them to h = 0; a one-level table returns its values unchanged.  Its
-    error estimate is the difference from the rung below
-    (:func:`same_order_estimate`), which :class:`Ladder` forms.
+    With ``extrapolate`` it interpolates the diagonal of every level n the
+    lattice holds, :func:`table_levels` of its level as
+    :func:`solve_lattice` keeps them, else of the top level alone, at
+    bi-degrees (s n, (1 - s) n); ``meta["table_levels"]`` lists them.  A
+    Neville table in h = 1/level takes them to h = 0; a one-level table
+    returns its values unchanged.  Its error estimate is the difference
+    from the rung below (:func:`same_order_estimate`), which
+    :class:`Ladder` forms.
 
     Within a few nodes of either end of a diagonal the coefficients are not
     yet samples of a smooth function of k / level, and the high-order
@@ -370,7 +368,7 @@ def curve_from_lattice(lat, grid, extrapolate=False):
     grid = check_grid(grid)
     e = lat.exponent
     top = lat.diagonal(lat.m)
-    levels = table_levels(lat.m) if extrapolate else [lat.m]
+    levels = sorted(lat.diagonals) if extrapolate else [lat.m]
     vals = richardson_table(
         levels, [lagrange_interp(lat.diagonal(n), grid * n) for n in levels])
     off = LimitCurve(grid, *vals).broken()

@@ -6,6 +6,10 @@ Every route computes on the system scaled to a hull length in [1/2, 1)
 scaled system's curves are the base curves scaled, bit for bit, and all
 three routes share one range of hull lengths and one message outside it.
 Timings that pick their units at random from a seed rely on this.
+
+The mirror x -> -x is a symmetry of the limits too, but not an exact one in
+floating point: each route's curve of the reflected system, carried back by
+``AffineMap(-1, 0)``, meets its curve of the system to a stated bound.
 """
 import io
 import json
@@ -18,10 +22,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from angelesco import (WEIGHT_KINDS, AngelescoSystem, Interval,
+from angelesco import (WEIGHT_KINDS, AffineMap, AngelescoSystem, Interval,
                        curve_from_lattice, limit_curve, plateau_bounds,
-                       solve_lattice, solve_system, star_normalize)
+                       pushforward_limits, reflect, solve_lattice,
+                       solve_system, star_normalize)
 from angelesco.cli import main
+from angelesco.lattice import same_order_estimate
 
 GRID = np.linspace(0.0, 1.0, 41)
 
@@ -82,6 +88,51 @@ def test_every_route_scales_exactly_at_the_ends_of_the_range(beta, k):
     _assert_scaled(base, scaled, k)
     lattice = scaled[2].meta
     assert lattice["linear_points"] == 0
+
+
+# k / 128, so the mirrored grid 1 - s is this grid, exactly
+DYADIC = np.linspace(0.0, 1.0, 129)
+# each route's bound on its mirror difference in A/L^2 and B/L, 5 times or
+# more the worst over the 60 draws of the test (surface 7.8e-16, ode
+# 2.2e-16, dis 7.5e-14); 300 draws of other seeds read at most 9.0e-16,
+# 4.0e-16 and 1.1e-13
+MIRROR_BOUNDS = {"surface": 4e-15, "ode": 2e-15, "dis": 5e-13}
+
+
+def _mirror_curves(sys):
+    """The surface, ODE and lattice (level 256, extrapolated) curves on the
+    dyadic grid."""
+    info = plateau_bounds(star_normalize(sys)[0])
+    return (limit_curve(sys, DYADIC, info), solve_system(sys, info, DYADIC),
+            curve_from_lattice(solve_lattice(sys, 256), DYADIC, True))
+
+
+def _mirror_draws(n, seed):
+    """``n`` draws of (alpha, beta, w1, w2): alpha log-uniform in
+    [1e-6, 1e6], beta 0 with probability 0.3 and otherwise log-uniform in
+    [1e-12, 0.9], each weight one of the three kinds."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        alpha = 10.0 ** rng.uniform(-6.0, 6.0)
+        beta = (0.0 if rng.random() < 0.3
+                else 10.0 ** rng.uniform(-12.0, math.log10(0.9)))
+        w1, w2 = (WEIGHT_KINDS[i] for i in rng.integers(0, 3, 2))
+        yield alpha, beta, w1, w2
+
+
+def test_every_route_is_mirror_symmetric_to_a_bound():
+    # each route's curve of the reflected system, read back through the
+    # reflection, is its curve of the system to within MIRROR_BOUNDS
+    back = AffineMap(-1.0, 0.0)
+    for draw in _mirror_draws(60, 7):
+        sys = _system(*draw, 0)
+        for curve, hat in zip(_mirror_curves(sys),
+                              _mirror_curves(reflect(sys))):
+            mirrored = pushforward_limits(hat, back)
+            assert np.array_equal(mirrored.s, curve.s)
+            diff = same_order_estimate(curve, mirrored, 1.0 + draw[0])
+            assert diff <= MIRROR_BOUNDS[curve.method], (draw, curve.method,
+                                                         diff)
 
 
 # decades d of the hull-length sweep (-10^d,0) u (0,10^d): both edges of
