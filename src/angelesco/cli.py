@@ -365,8 +365,7 @@ def _axis_residual(lat):
     worst = lat.residuals.max(axis=1)
     peak = int(np.argmax(worst))  # the first NaN, if there is one
     value = float(worst[peak])
-    length = lat.system.i2.hi - lat.system.i1.lo
-    return {"max_abs": value, "max_scaled": value / length,
+    return {"max_abs": value, "max_scaled": value / lat.system.hull_length,
             "level": peak + 1}
 
 

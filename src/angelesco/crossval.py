@@ -5,10 +5,12 @@ four limit functions on whatever grid they are given, so two curves on one
 grid can be differenced point by point.  Independent of any pairing, a
 single curve can be checked against the differential relations the limits
 satisfy and against the square-root identity linking the a- and b-limits.
-Together these give quantitative meaning to "the methods agree".  How the
-lattice route converges in its level is no check here: a sweep to n is the
-first n levels of any deeper sweep, bit for bit, so a study over levels
-reads one sweep per level against one surface curve
+Together these give quantitative meaning to "the methods agree"; given the
+hull length L, :func:`compare` states a difference in A/L^2 and B/L, as
+the lattice ladder's estimate does (:class:`~angelesco.lattice.Ladder`).
+How the lattice route converges in its level is no check here: a sweep to
+n is the first n levels of any deeper sweep, bit for bit, so a study over
+levels reads one sweep per level against one surface curve
 (``demos/lattice_convergence.py``).
 
 Curves do not carry the plateau window.  A comparison reads the points of
@@ -43,7 +45,8 @@ class ComparisonReport:
     """Per-function max/mean absolute differences of two curves.
 
     ``max_abs`` and ``mean_abs`` map function name to the statistic over the
-    compared grid points, 0.0 when ``n_points`` is 0.
+    compared grid points, 0.0 when ``n_points`` is 0, in A/L^2 and B/L when
+    :func:`compare` was given the hull length L.
     """
     methods: tuple
     n_points: int
@@ -58,24 +61,28 @@ class ComparisonReport:
         return asdict(self)
 
 
-def compare(a, b, mask=None):
+def compare(a, b, mask=None, length=None):
     """Difference two limit curves on their shared grid.
 
     The grids must agree point by point, else ValueError.  ``mask``, a
     boolean array over the grid, selects the compared points; None compares
-    all of them.  A mask with no point gives ``n_points = 0``.
+    all of them.  A mask with no point gives ``n_points = 0``.  Given the
+    hull ``length`` L, the statistics of A1 and A2 are over L^2 and those
+    of B1 and B2 over L, in the scale-free units A/L^2 and B/L.
     """
     if not np.array_equal(a.s, b.s):
         raise ValueError(f"compare needs curves on one grid: {a.method!r} "
                          f"has {a.s.size} points, {b.method!r} {b.s.size}")
     mask = (np.ones(a.s.size, dtype=bool) if mask is None
             else np.asarray(mask, dtype=bool))
+    scales = ((1.0,) * 4 if length is None
+              else (length * length,) * 2 + (length,) * 2)
 
     max_abs, mean_abs = {}, {}
-    for f in FUNCS:
+    for f, scale in zip(FUNCS, scales):
         d = np.abs(getattr(a, f)[mask] - getattr(b, f)[mask])
-        max_abs[f] = float(d.max(initial=0.0))
-        mean_abs[f] = float(d.sum() / max(d.size, 1))
+        max_abs[f] = float(d.max(initial=0.0)) / scale
+        mean_abs[f] = float(d.sum() / max(d.size, 1)) / scale
     n = int(mask.sum())
     return ComparisonReport((a.method or "a", b.method or "b"),
                             n, int(mask.size - n), max_abs, mean_abs)

@@ -63,19 +63,18 @@ The command line's level is a cap, read by one sweep: the table is read
 at each rung of :func:`ladder_rungs`, m_i = 256 sqrt(2)^i below the
 cap / sqrt(2) (for a cap of 9 to 362, the multiple of 8 nearest
 cap / sqrt(2)), then at the cap, and the sweep stops at the first rung
-whose same-order estimate max |T(m_i) - T(m_(i-1))|, in A/L^2 and B/L on
-the compared points, is at most ``LADDER_TOL`` = 1e-11 (:class:`Ladder`).
-It is the route's one error estimate.  It follows the error of the lower
-rung, as the difference of tables of one order should (Sidi, *Practical
-Extrapolation Methods*, CUP 2003).  Against the surface route it read at
-least 0.62 times the error of the returned rung over 431 rungs of 60
-systems (median 3.1), and at least 0.89 times the error at 256 over 72
-systems at the default rungs 184 and 256 (median 4.4).  Rungs closer than
-sqrt(2) to each other read less (0.17 to 0.5 at 5792 against 6000), which
-the cap / sqrt(2) rule avoids.  A sweep to n being the first n levels of
-any deeper one, each rung's lattice is the sweep to that rung, bit for
-bit, and holds its own copy of each table diagonal: the lattice the ladder
-reads at the stop rung is the one the sweep returns.
+whose same-order estimate max |T(m_i) - T(m_(i-1))| on the compared points,
+:func:`~angelesco.crossval.compare` in A/L^2 and B/L, is at most
+``LADDER_TOL`` = 1e-11 (:class:`Ladder`).  It is the route's one error
+estimate, and follows the error of the lower rung.  Against the surface
+route it read at least 0.62 times the error of the returned rung over 431
+rungs of 60 systems (median 3.1), and at least 0.89 times the error at 256
+over 72 systems at the default rungs 184 and 256 (median 4.4).  Rungs
+closer than sqrt(2) to each other read less (0.17 to 0.5 at 5792 against
+6000), which the cap / sqrt(2) rule avoids.  A sweep to n being the first n
+levels of any deeper one, each rung's lattice is the sweep to that rung,
+bit for bit, and holds its own copy of each table diagonal: the lattice the
+ladder reads at the stop rung is the one the sweep returns.
 """
 import itertools
 import math
@@ -84,6 +83,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .crossval import compare
 from .errors import NumericalFailure
 from .orthopoly import axis_data, scalar_recurrence
 from .systems import (AngelescoSystem, LimitCurve, check_grid, hull_units,
@@ -214,7 +214,7 @@ def solve_lattice(sys, m, on_rung=None):
     last_reader = {lv: r for r in rungs for lv in table_levels(r)}
 
     unit, e = hull_units(sys)
-    floor = _DENOM_FLOOR * (unit.i2.hi - unit.i1.lo)
+    floor = _DENOM_FLOOR * unit.hull_length
     # own1[L] is the axis-1 a at site k = L + 1 of diagonal L + 1
     own1 = scalar_recurrence(unit.w1, unit.i1, m).tolist()
     own2 = scalar_recurrence(unit.w2, unit.i2, m).tolist()
@@ -354,8 +354,7 @@ def curve_from_lattice(lat, grid, extrapolate=False):
     bi-degrees (s n, (1 - s) n); ``meta["table_levels"]`` lists them.  A
     Neville table in h = 1/level takes them to h = 0; a one-level table
     returns its values unchanged.  Its error estimate is the difference
-    from the rung below (:func:`same_order_estimate`), which
-    :class:`Ladder` forms.
+    from the rung below, which :class:`Ladder` forms.
 
     Within a few nodes of either end of a diagonal the coefficients are not
     yet samples of a smooth function of k / level, and the high-order
@@ -383,32 +382,19 @@ def curve_from_lattice(lat, grid, extrapolate=False):
         LimitCurve(grid.copy(), *vals, "dis", meta)), lat.system, e)
 
 
-def same_order_estimate(curve, prev, length, compared=None):
-    """Largest |curve - prev| over A1 ... B2, the A's over length^2 and the
-    B's over ``length``, the system's hull length, on the ``compared`` grid
-    points (all when None); None when none is compared.  ``curve`` and
-    ``prev`` are the read-outs of consecutive rungs, each from a table of
-    the same order, so their difference follows the error of the lower
-    rung's (Sidi, *Practical Extrapolation Methods*, CUP 2003)."""
-    mask = (np.ones(curve.s.size, dtype=bool) if compared is None
-            else np.asarray(compared, dtype=bool))
-    if not np.any(mask):
-        return None
-    scale = (length * length, length * length, length, length)
-    return max(float(np.max(np.abs(np.subtract(getattr(curve, f)[mask],
-                                                getattr(prev, f)[mask])))) / sc
-               for f, sc in zip(("A1", "A2", "B1", "B2"), scale))
-
-
 @dataclass
 class Ladder:
     """The ``on_rung`` of a capped :func:`solve_lattice`.
 
     ``read`` turns a rung's lattice into its curve, which ``curve`` keeps
-    until the next rung.  The sweep stops at the first rung whose
-    :func:`same_order_estimate` against the rung below, on the ``compared``
-    points, is at most ``LADDER_TOL``.  ``rungs`` records each rung read,
-    as its level and that estimate (None on the first rung).
+    until the next rung.  A rung's estimate is its worst difference from
+    the rung below, :func:`~angelesco.crossval.compare` on the ``compared``
+    points given the hull length, None when no point is compared.  Both
+    read-outs come from tables of one order, so it follows the error of
+    the lower rung (Sidi, *Practical Extrapolation Methods*, CUP 2003).
+    The sweep stops at the first rung whose estimate is at most
+    ``LADDER_TOL``.  ``rungs`` records each rung read, as its level and
+    that estimate (None on the first rung).
     """
     read: object
     compared: object = None
@@ -419,9 +405,10 @@ class Ladder:
         curve = self.read(lat)
         estimate = None
         if self.curve is not None:
-            length = lat.system.i2.hi - lat.system.i1.lo
-            estimate = same_order_estimate(curve, self.curve, length,
-                                           self.compared)
+            rep = compare(curve, self.curve, self.compared,
+                          lat.system.hull_length)
+            if rep.n_points:
+                estimate = rep.worst()
         self.curve = curve
         self.rungs.append({"level": lat.m, "estimate": estimate})
         return estimate is not None and estimate <= LADDER_TOL

@@ -75,13 +75,18 @@ class AngelescoSystem:
         if self.i1.hi > self.i2.lo:
             raise ValueError(
                 f"intervals must be disjoint or touching: {self.i1} vs {self.i2}")
-        if not math.isfinite(self.i2.hi - self.i1.lo):
+        if not math.isfinite(self.hull_length):
             raise ValueError(f"hull length of {self.i1} and {self.i2} "
                              f"overflows the doubles")
 
     @property
     def touching(self):
         return self.i1.hi == self.i2.lo
+
+    @property
+    def hull_length(self):
+        """L, the length of [i1.lo, i2.hi]; A/L^2 and B/L are scale-free."""
+        return self.i2.hi - self.i1.lo
 
 
 @dataclass(frozen=True)
@@ -225,7 +230,7 @@ def validate_computed(curve):
 def range_failure(sys):
     """The one :class:`NumericalFailure` of a system whose limits leave the
     doubles, naming its hull length and interval lengths."""
-    length = sys.i2.hi - sys.i1.lo
+    length = sys.hull_length
     l1, l2 = sys.i1.length, sys.i2.length
     return NumericalFailure(
         f"limits out of the double range at hull length {length:.3g}, "
@@ -240,7 +245,7 @@ def hull_units(sys):
     [1/2, 1), and the exponent e.  The scaling is exact.  An interval of
     scaled length l whose A's, about l^2 / 16, are not normal doubles is
     :func:`range_failure`, the same in every route."""
-    e = math.frexp(sys.i2.hi - sys.i1.lo)[1]
+    e = math.frexp(sys.hull_length)[1]
     short = min(math.ldexp(iv.length, -e) for iv in (sys.i1, sys.i2))
     if short ** 2 / 16.0 < np.finfo(float).tiny:
         raise range_failure(sys)

@@ -22,7 +22,7 @@ from angelesco.cli import (CSV_HEADER, RunConfig, _compute_curves, _num,
 from angelesco.crossval import compare
 from angelesco.ode import boundary_values
 from angelesco.surface import limit_curve
-from angelesco.systems import AffineMap, pushforward_limits, reflect
+from angelesco.systems import reflect
 
 FAST = ["--lattice_level", "200", "--ode_steps", "2000",
         "--grid_points", "41", "--residual_grid_points", "501",
@@ -45,9 +45,8 @@ def test_default_lattice_digits(interval2, tol):
     # surface, in the scale-free unit A / L^2, B / L, outside the margin
     cfg = RunConfig(interval2=interval2)
     curves, _, _, compared, _ = _compute_curves(cfg, {"dis", "surface"})
-    unit = AffineMap(1.0 / (cfg.interval2[1] - cfg.interval1[0]), 0.0)
-    rep = compare(pushforward_limits(curves["dis"], unit),
-                  pushforward_limits(curves["surface"], unit), compared)
+    rep = compare(curves["dis"], curves["surface"], compared,
+                  cfg.system().hull_length)
     assert rep.worst() <= tol
 
 
@@ -89,9 +88,8 @@ def default_reads():
     for name, (i1, i2, w1, w2, _) in DIGIT_FLOORS.items():
         cfg = RunConfig(interval1=i1, interval2=i2, weight1=w1, weight2=w2)
         curves, meta, _, compared, _ = _compute_curves(cfg, {"dis", "surface"})
-        unit = AffineMap(1.0 / (i2[1] - i1[0]), 0.0)
-        scaled = compare(pushforward_limits(curves["dis"], unit),
-                         pushforward_limits(curves["surface"], unit), compared)
+        scaled = compare(curves["dis"], curves["surface"], compared,
+                         cfg.system().hull_length)
         reads[name] = (-np.log10(scaled.worst()), scaled.worst(),
                        meta["lattice"]["ladder"]["rungs"][-1]["estimate"])
     return reads
@@ -420,11 +418,9 @@ def test_an_unbalanced_surface_curve_answers(tmp_path, interval1):
     # length L (A / L^2, B / L)
     cfg = RunConfig(interval1=tuple(map(float, interval1.split(","))))
     curves, _, _, _, _ = _compute_curves(cfg, {"surface", "ode"})
-    length = max(cfg.interval2[1], 0.0) - min(cfg.interval1[0], 0.0)
-    surf, ode = curves["surface"], curves["ode"]
-    for f, power in (("A1", 2), ("A2", 2), ("B1", 1), ("B2", 1)):
-        diff = np.abs(getattr(surf, f) - getattr(ode, f)) / length ** power
-        assert np.max(diff) < 1e-12, f
+    rep = compare(curves["surface"], curves["ode"],
+                  length=cfg.system().hull_length)
+    assert rep.worst() < 1e-12, rep.max_abs
     rc = main(["compute", "--methods", "surface", f"--interval1={interval1}",
                "--output_dir", str(tmp_path / "out")])
     assert rc == 0
@@ -448,11 +444,9 @@ def test_a_frame_whose_beta_rounds_to_1_answers(tmp_path, interval1,
     cfg = RunConfig(interval1=tuple(map(float, interval1.split(","))),
                     interval2=tuple(map(float, interval2.split(","))))
     curves, _, _, _, _ = _compute_curves(cfg, {"surface", "ode"})
-    length = cfg.interval2[1] - cfg.interval1[0]
-    surf, ode = curves["surface"], curves["ode"]
-    for f, power in (("A1", 2), ("A2", 2), ("B1", 1), ("B2", 1)):
-        diff = np.abs(getattr(surf, f) - getattr(ode, f)) / length ** power
-        assert np.max(diff) < 1e-12, f
+    rep = compare(curves["surface"], curves["ode"],
+                  length=cfg.system().hull_length)
+    assert rep.worst() < 1e-12, rep.max_abs
 
 
 _OFF_THE_CONTRACT = {
@@ -521,10 +515,9 @@ def test_the_lattice_and_ode_agree_where_the_plateau_constants_do_not(
                     interval2=tuple(map(float, interval2.split(","))))
     curves, _, _, compared, _ = _compute_curves(cfg, {"dis", "ode"})
     assert np.count_nonzero(compared) > 0
-    length = cfg.interval2[1] - cfg.interval1[0]
-    for f, power in (("A1", 2), ("A2", 2), ("B1", 1), ("B2", 1)):
-        diff = np.abs(getattr(curves["dis"], f) - getattr(curves["ode"], f))
-        assert np.max(diff[compared]) / length ** power < 1e-6, f
+    rep = compare(curves["dis"], curves["ode"], compared,
+                  cfg.system().hull_length)
+    assert rep.worst() < 1e-6, rep.max_abs
 
 
 @pytest.mark.parametrize("command,flag,key", [

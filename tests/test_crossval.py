@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 import angelesco.ode as ode_mod
-from angelesco import LimitCurve
+from angelesco import AngelescoSystem, Interval, LimitCurve
 from angelesco.crossval import (FUNCS, compare, compared_points,
                                 identity_checks, ode_residuals)
 from angelesco.lattice import curve_from_lattice, solve_lattice
@@ -198,3 +200,41 @@ def test_a_one_point_read_is_the_grid_read(request, monkeypatch, name):
             one = read([s])
             for f in FUNCS:
                 assert getattr(one, f)[0] == getattr(whole, f)[i], (route, s, f)
+
+
+def test_compare_with_the_hull_length_reads_a_over_l2_and_b_over_l(
+        touching_system, touching_curve):
+    # each statistic is the raw one over L^2 (A1, A2) or L (B1, B2), bit
+    # for bit, and an empty mask still reads no point
+    lat = solve_lattice(touching_system, 64)
+    dis = curve_from_lattice(lat, touching_curve.s, True)
+    length = touching_system.hull_length
+    raw = compare(dis, touching_curve)
+    scaled = compare(dis, touching_curve, length=length)
+    assert scaled.n_points == raw.n_points == 181
+    for f, scale in zip(FUNCS, (length * length,) * 2 + (length,) * 2):
+        assert scaled.max_abs[f] == raw.max_abs[f] / scale
+        assert scaled.mean_abs[f] == raw.mean_abs[f] / scale
+    assert 0.0 < scaled.worst() < raw.worst()
+    empty = compare(dis, touching_curve, np.zeros(181, dtype=bool), length)
+    assert empty.n_points == 0 and empty.worst() == 0.0
+
+
+@pytest.mark.parametrize("k", [-40, 40])
+def test_compare_with_the_hull_length_is_scale_free(gap_system, gap_info, k):
+    # a system and its copy scaled by 2^k read the same statistics, bit for
+    # bit, for the lattice against the surface on the compared points
+    grid = np.linspace(0.0, 1.0, 181)
+    keep = compared_points(grid, gap_info.c1, gap_info.c2, 0.05)
+    scaled_system = AngelescoSystem(
+        *(Interval(math.ldexp(iv.lo, k), math.ldexp(iv.hi, k))
+          for iv in (gap_system.i1, gap_system.i2)))
+    reports = []
+    for sys in (gap_system, scaled_system):
+        dis = curve_from_lattice(solve_lattice(sys, 64), grid, True)
+        reports.append(compare(dis, limit_curve(sys, grid, info=gap_info),
+                               keep, sys.hull_length))
+    base, scaled = reports
+    assert base.n_points == scaled.n_points > 0
+    assert scaled.max_abs == base.max_abs and scaled.mean_abs == base.mean_abs
+    assert base.worst() > 0.0

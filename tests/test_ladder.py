@@ -9,10 +9,9 @@ import numpy as np
 import pytest
 
 from angelesco import AngelescoSystem, Interval, plateau_bounds
-from angelesco.crossval import compared_points
+from angelesco.crossval import compare, compared_points
 from angelesco.lattice import (LADDER_TOL, Ladder, curve_from_lattice,
-                               ladder_rungs, same_order_estimate,
-                               solve_lattice, table_levels)
+                               ladder_rungs, solve_lattice, table_levels)
 from angelesco.surface import limit_curve
 from angelesco.systems import hull_units, star_normalize
 
@@ -23,10 +22,6 @@ WIDE = AngelescoSystem(Interval(-1000.0, 0.0), Interval(0.0, 1.0))
 def _compared(sys):
     info = plateau_bounds(star_normalize(hull_units(sys)[0])[0])
     return info, compared_points(GRID, info.c1, info.c2, 0.05)
-
-
-def _length(sys):
-    return sys.i2.hi - sys.i1.lo
 
 
 def _sweep(sys, cap):
@@ -141,7 +136,7 @@ def test_each_rung_estimate_covers_its_error(interval1, interval2):
 
     def read(lat):
         curve = curve_from_lattice(lat, GRID, True)
-        errors.append(same_order_estimate(curve, ref, _length(sys), compared))
+        errors.append(compare(curve, ref, compared, sys.hull_length).worst())
         return curve
 
     lad = Ladder(read, compared)

@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 import angelesco.lattice as lattice_mod
 from angelesco import AngelescoSystem, Interval, LimitCurve, NumericalFailure
 from angelesco.lattice import (Ladder, curve_from_lattice, lagrange_interp,
-                               richardson_table, same_order_estimate,
-                               solve_lattice, table_levels)
-from angelesco.crossval import compared_points
+                               richardson_table, solve_lattice, table_levels)
+from angelesco.crossval import compare, compared_points
 from angelesco.surface import limit_curve
 import lattice_oracle
 from lattice_oracle import user_diagonal
@@ -397,10 +396,6 @@ def test_points_off_the_contract_fall_back_to_linear(extrapolate):
         assert np.array_equal(getattr(cv, f), np.where(off, lin, h))
 
 
-def _length(sys):
-    return sys.i2.hi - sys.i1.lo
-
-
 def test_error_estimate_bounds_the_table_error(touching_system, touching_info):
     # on the touching system the same-order estimate at the cap 400, against
     # the rung 256, bounds the largest error over the whole grid in A/L^2
@@ -410,7 +405,7 @@ def test_error_estimate_bounds_the_table_error(touching_system, touching_info):
     solve_lattice(touching_system, 400, lad)
     ref = limit_curve(touching_system, grid, info=touching_info)
     assert [r["level"] for r in lad.rungs] == [256, 400]
-    err = same_order_estimate(lad.curve, ref, _length(touching_system))
+    err = compare(lad.curve, ref, length=touching_system.hull_length).worst()
     assert err <= lad.rungs[-1]["estimate"]
     assert lad.curve.meta["table_levels"] == [250, 300, 350, 400]
 
@@ -430,12 +425,12 @@ def test_error_estimate_over_the_compared_points(gap_system, gap_info):
 
     lad = Ladder(read, keep)
     solve_lattice(gap_system, 400, lad)
-    length = _length(gap_system)
+    length = gap_system.hull_length
     part = lad.rungs[-1]["estimate"]
-    assert part == same_order_estimate(curves[1], curves[0], length, keep)
-    assert part < 0.1 * same_order_estimate(curves[1], curves[0], length)
+    assert part == compare(curves[1], curves[0], keep, length).worst()
+    assert part < 0.1 * compare(curves[1], curves[0], length=length).worst()
     ref = limit_curve(gap_system, grid, info=gap_info)
-    assert same_order_estimate(lad.curve, ref, length, keep) <= part
+    assert compare(lad.curve, ref, keep, length).worst() <= part
 
 
 def axis_of(interval):
@@ -486,10 +481,10 @@ def assert_residuals_flag_level_5(lat, ref, axis):
     ``axis`` alone, as in the reference loop, and fails ``max_residual``."""
     res = lat.residuals
     assert np.array_equal(res, ref[5], equal_nan=True)
-    bad = ~(res <= 1e-12 * (lat.system.i2.hi - lat.system.i1.lo))
+    bad = ~(res <= 1e-12 * lat.system.hull_length)
     assert np.array_equal(np.argwhere(bad), [[4, axis - 1]])
     worst = lat.max_residual()
-    assert not worst <= 1e-3 * (lat.system.i2.hi - lat.system.i1.lo)
+    assert not worst <= 1e-3 * lat.system.hull_length
 
 
 @pytest.mark.parametrize("axis", [1, 2])
