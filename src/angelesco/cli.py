@@ -5,8 +5,9 @@ method and ``run_meta.json``; ``validate`` is ``compute`` of every method
 plus checks of cross-method agreement, identities and residuals against
 fixed bounds, written to ``validate_report.json``; ``plot`` renders CSVs
 into a four-panel SVG.  Settings come from an optional ``key = value``
-config file, and a ``--key value`` flag overrides any key.  Identical
-configuration produces byte-identical CSVs.
+config file and from the command line, whose ``--key value`` and
+``--key=value`` pairs are read like config lines and override the file.
+Identical configuration produces byte-identical CSVs.
 
 Exit codes: 0 success, 1 validation failure, 2 input or configuration
 error, 3 numerical failure, which ``compute`` and ``validate`` record in
@@ -384,65 +385,59 @@ def run_plot(paths, out_path):
 # argument handling
 # ---------------------------------------------------------------------------
 
-def _add_config_flags(sub):
-    sub.add_argument("--config", metavar="PATH", help="config file")
-    for f in dataclasses.fields(RunConfig):
-        sub.add_argument(f"--{f.name}", metavar="VALUE", dest=f"opt_{f.name}")
-
-
-def _overrides(args):
-    out = {}
-    for f in dataclasses.fields(RunConfig):
-        v = getattr(args, f"opt_{f.name}", None)
-        if v is not None:
-            out[f.name] = v
-    return out
-
-
-# the subcommands and their help lines
-COMMANDS = {"compute": "write limit-curve CSVs",
-            "validate": "cross-method agreement checks",
-            "plot": "render CSVs to a 4-panel SVG"}
-
-
-def build_parser(command=None):
-    """The command line parser; when ``command`` names a subcommand, only
-    that subcommand's parser is built, and it prints the same texts."""
+def build_parser():
+    """The command line parser.  Settings are no options of it: the tokens
+    it leaves over are read by :func:`main` like config lines, and the
+    ``compute`` and ``validate`` help lists their keys."""
     parser = argparse.ArgumentParser(
         prog="angelesco",
         description="Limits of nearest-neighbor recurrence coefficients "
                     "for two-interval Angelesco systems.")
-    names = [command] if command in COMMANDS else list(COMMANDS)
     sub = parser.add_subparsers(dest="command", required=True)
-    if len(names) == 1:  # the usage still names all three, as argparse would
-        sub.metavar = "{" + ",".join(COMMANDS) + "}"
-    for name in names:
-        p = sub.add_parser(name, help=COMMANDS[name])
-        if name == "plot":
-            p.add_argument("csvs", nargs="+", help="curve CSV paths")
-            p.add_argument("--out", required=True, help="output SVG path")
-            continue
-        _add_config_flags(p)
+    epilog = ("settings, as --key value or --key=value, each overriding the "
+              "config file: "
+              + ", ".join(f.name for f in dataclasses.fields(RunConfig)))
+    for name, text in (("compute", "write limit-curve CSVs"),
+                       ("validate", "cross-method agreement checks")):
+        p = sub.add_parser(name, help=text, epilog=epilog)
+        p.add_argument("--config", metavar="PATH", help="config file")
         if name == "compute":
             p.add_argument("--methods", default="dis,ode,surface",
                            help="comma list from dis,ode,surface")
+    p = sub.add_parser("plot", help="render CSVs to a 4-panel SVG")
+    p.add_argument("csvs", nargs="+", help="curve CSV paths")
+    p.add_argument("--out", required=True, help="output SVG path")
     return parser
 
 
+def _settings(parser, tokens):
+    """The ``--key value`` and ``--key=value`` pairs of the tokens the parser
+    left over, as the raw strings of a config file; any other token is a
+    usage error.  A value may start with one ``-`` but not with two."""
+    settings = {}
+    tokens = iter(tokens)
+    for token in tokens:
+        key, eq, raw = token.partition("=")
+        if not (key.startswith("--") and len(key) > 2):
+            parser.error(f"unrecognized arguments: {token}")
+        if not eq:
+            raw = next(tokens, "--")
+            if raw.startswith("--"):
+                parser.error(f"argument {key}: expected one argument")
+        settings[key[2:]] = raw
+    return settings
+
+
 def main(argv=None):
-    argv = _sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv[0] if argv else None)
+    parser = build_parser()
     args, extra = parser.parse_known_args(argv)
-    if extra and (args.command == "plot" or not extra[0].startswith("--")):
+    if extra and args.command == "plot":
         parser.error(f"unrecognized arguments: {' '.join(extra)}")
     cfg = None
     try:
-        if extra:  # a --key naming no field fails as in a config file
-            raise ValueError("unknown config key: "
-                             f"{extra[0][2:].split('=', 1)[0]}")
         if args.command == "plot":
             return run_plot(args.csvs, args.out)
-        cfg = load_config(args.config, _overrides(args))
+        cfg = load_config(args.config, _settings(parser, extra))
         if args.command == "compute":
             run_compute(cfg, [m for m in args.methods.split(",") if m])
             return 0

@@ -190,6 +190,52 @@ def test_flags_override_file(tmp_path):
     assert cfg.lattice_level == 500
 
 
+def test_a_setting_may_start_with_one_dash(tmp_path):
+    # "--key value" is read like "--key=value", also when the value looks
+    # like an option
+    for name, settings in (
+            ("pair", ["--interval1", "-2,0", "--interval2", "0.25,1"]),
+            ("eq", ["--interval1=-2,0", "--interval2=0.25,1"])):
+        assert main(["compute", "--output_dir", str(tmp_path / name)]
+                    + settings + FAST) == 0
+    for csv in ("dis.csv", "ode.csv", "surface.csv"):
+        assert ((tmp_path / "pair" / csv).read_bytes()
+                == (tmp_path / "eq" / csv).read_bytes()), csv
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "stray", "--grid_points", "41"],
+    ["compute", "--grid_points", "41", "stray", "--lattice_level", "8"],
+    ["validate", "--grid_points", "41", "stray"],
+    ["compute", "--grid_points"],
+    ["validate", "--grid_points", "--lattice_level", "8"],
+    ["plot", "a.csv", "--out", "x.svg", "--grid_points", "3"],
+], ids=["stray-before", "stray-between", "stray-after", "no-value-at-end",
+        "no-value-before-a-key", "setting-to-plot"])
+def test_a_token_that_is_no_setting_is_a_usage_error(tmp_path, monkeypatch,
+                                                     argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["compute", "validate"])
+def test_help_lists_every_setting(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    words = set(re.findall(r"\w+", capsys.readouterr().out))
+    assert {f.name for f in dataclasses.fields(RunConfig)} <= words
+
+
+def test_a_key_is_matched_whole(tmp_path, capsys):
+    rc = main(["compute", "--grid", "41",
+               "--output_dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert "unknown config key: grid" in capsys.readouterr().err
+
+
 def test_csv_roundtrip(tmp_path, touching_system, touching_info):
     curve = limit_curve(touching_system, np.linspace(0.0, 1.0, 61),
                         info=touching_info)

@@ -10,7 +10,8 @@ Timings that pick their units at random from a seed rely on this.
 The mirror x -> -x is a symmetry of the limits too, but not an exact one in
 floating point: each route's curve of the reflected system, carried back by
 ``AffineMap(-1, 0)``, meets its curve of the system to a stated bound.  On
-the same draws the three routes meet each other in A/L^2 and B/L.
+the same draws the three routes meet each other in A/L^2 and B/L, and
+``validate`` exits 0 or 1, never 3.
 """
 import io
 import json
@@ -157,6 +158,29 @@ def test_every_route_is_mirror_symmetric_to_a_bound():
                                                          diff)
         _assert_routes_agree(draw, length, compared, curves)
         _assert_routes_agree(draw, length, hat_compared, hats)
+
+
+def test_validate_exits_0_or_1_on_every_mirror_draw(tmp_path):
+    # a valid system is never a numerical failure for validate: it passes,
+    # or its report names a check that failed or saw no point
+    for i, draw in enumerate(_mirror_draws(60, 7)):
+        sys = _system(*draw, 0)
+        for j, s in enumerate((sys, reflect(sys))):
+            out = tmp_path / f"{i}-{j}"
+            with redirect_stdout(io.StringIO()):
+                rc = main(["validate",
+                           f"--interval1={s.i1.lo!r},{s.i1.hi!r}",
+                           f"--interval2={s.i2.lo!r},{s.i2.hi!r}",
+                           "--weight1", s.w1, "--weight2", s.w2,
+                           "--output_dir", str(out)])
+            assert rc in (0, 1), (draw, j, rc)
+            if rc == 1:
+                report = json.loads((out / "validate_report.json").read_text())
+                entries = report["comparisons"] + [report["identity"],
+                                                   report["residuals"]]
+                assert report["passed"] is False
+                assert any(not e["passed"] or e["n_points"] == 0
+                           for e in entries), (draw, j)
 
 
 # decades d of the hull-length sweep (-10^d,0) u (0,10^d): both edges of
