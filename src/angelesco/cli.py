@@ -6,14 +6,15 @@ plus checks of cross-method agreement, identities and residuals against
 fixed bounds, written to ``validate_report.json``; ``plot`` renders CSVs
 into a four-panel SVG.  Settings come from an optional ``key = value``
 config file and from the command line, whose ``--key value`` and
-``--key=value`` pairs are read like config lines and override the file.
-Identical configuration produces byte-identical CSVs.
+``--key=value`` pairs, ``--config``, ``--methods`` and ``--out`` among
+them, are read like config lines, keys matched whole, and override the
+file.  ``-h`` or ``--help`` where the subcommand or a key stands prints
+the help.  Identical configuration produces byte-identical CSVs.
 
-Exit codes: 0 success, 1 validation failure, 2 input or configuration
-error, 3 numerical failure, which ``compute`` and ``validate`` record in
-``failure.json`` in the output directory.
+Exit codes: 0 success, 1 validation failure, 2 usage, input or
+configuration error, 3 numerical failure, which ``compute`` and
+``validate`` record in ``failure.json`` in the output directory.
 """
-import argparse
 import dataclasses
 import json
 import math
@@ -146,8 +147,7 @@ def load_config(config_path, overrides):
         for key, raw in src.items():
             if key not in fields:
                 raise ValueError(f"unknown config key: {key}")
-            default = getattr(RunConfig(), key)
-            setattr(cfg, key, _coerce(key, default, raw))
+            setattr(cfg, key, _coerce(key, fields[key].default, raw))
     return cfg
 
 
@@ -385,67 +385,65 @@ def run_plot(paths, out_path):
 # argument handling
 # ---------------------------------------------------------------------------
 
-def build_parser():
-    """The command line parser.  Settings are no options of it: the tokens
-    it leaves over are read by :func:`main` like config lines, and the
-    ``compute`` and ``validate`` help lists their keys."""
-    parser = argparse.ArgumentParser(
-        prog="angelesco",
-        description="Limits of nearest-neighbor recurrence coefficients "
-                    "for two-interval Angelesco systems.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    epilog = ("settings, as --key value or --key=value, each overriding the "
-              "config file: "
-              + ", ".join(f.name for f in dataclasses.fields(RunConfig)))
-    for name, text in (("compute", "write limit-curve CSVs"),
-                       ("validate", "cross-method agreement checks")):
-        p = sub.add_parser(name, help=text, epilog=epilog)
-        p.add_argument("--config", metavar="PATH", help="config file")
-        if name == "compute":
-            p.add_argument("--methods", default="dis,ode,surface",
-                           help="comma list from dis,ode,surface")
-    p = sub.add_parser("plot", help="render CSVs to a 4-panel SVG")
-    p.add_argument("csvs", nargs="+", help="curve CSV paths")
-    p.add_argument("--out", required=True, help="output SVG path")
-    return parser
+USAGE = """\
+usage: angelesco compute [--config PATH] [--methods dis,ode,surface] [--KEY VALUE ...]
+       angelesco validate [--config PATH] [--KEY VALUE ...]
+       angelesco plot CSV [CSV ...] --out SVG"""
 
 
-def _settings(parser, tokens):
-    """The ``--key value`` and ``--key=value`` pairs of the tokens the parser
-    left over, as the raw strings of a config file; any other token is a
-    usage error.  A value may start with one ``-`` but not with two."""
-    settings = {}
-    tokens = iter(tokens)
-    for token in tokens:
+def _usage_error(message):
+    print(f"{USAGE}\nangelesco: error: {message}", file=_sys.stderr)
+    raise SystemExit(2)
+
+
+def read_argv(argv=None):
+    """The subcommand, its words and its ``--key value`` / ``--key=value``
+    pairs as raw strings; help exits 0 and a usage error exits 2."""
+    tokens = iter(_sys.argv[1:] if argv is None else argv)
+    command, words, pairs = next(tokens, None), [], {}
+    if command not in ("compute", "validate", "plot", "-h", "--help"):
+        _usage_error("the first argument must be compute, validate or plot")
+    for token in [command] if command.startswith("-") else tokens:
         key, eq, raw = token.partition("=")
-        if not (key.startswith("--") and len(key) > 2):
-            parser.error(f"unrecognized arguments: {token}")
-        if not eq:
-            raw = next(tokens, "--")
-            if raw.startswith("--"):
-                parser.error(f"argument {key}: expected one argument")
-        settings[key[2:]] = raw
-    return settings
+        if token in ("-h", "--help"):
+            print(f"{USAGE}\n\nsettings of compute and validate, each "
+                  "overriding the --config file:\n  "
+                  + "\n  ".join(f.name for f in dataclasses.fields(RunConfig)))
+            raise SystemExit(0)
+        if not token.startswith("-"):
+            words.append(token)
+        elif not (key.startswith("--") and len(key) > 2):
+            _usage_error(f"unrecognized argument: {token}")
+        else:
+            if not eq:
+                raw = next(tokens, "--")
+                if raw.startswith("--"):
+                    _usage_error(f"argument {key}: expected one argument")
+            pairs[key[2:]] = raw
+    if command == "plot" and not (words and set(pairs) == {"out"}):
+        _usage_error("plot takes one or more CSV paths, --out and no setting")
+    if command != "plot" and words:
+        _usage_error(f"unrecognized arguments: {' '.join(words)}")
+    return command, words, pairs
 
 
 def main(argv=None):
-    parser = build_parser()
-    args, extra = parser.parse_known_args(argv)
-    if extra and args.command == "plot":
-        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    command, words, pairs = read_argv(argv)
     cfg = None
     try:
-        if args.command == "plot":
-            return run_plot(args.csvs, args.out)
-        cfg = load_config(args.config, _settings(parser, extra))
-        if args.command == "compute":
-            run_compute(cfg, [m for m in args.methods.split(",") if m])
+        if command == "plot":
+            return run_plot(words, pairs["out"])
+        if command == "compute":
+            methods = pairs.pop("methods", ",".join(METHODS)).split(",")
+        cfg = load_config(pairs.pop("config", None), pairs)
+        if command == "compute":
+            run_compute(cfg, [m for m in methods if m])
             return 0
         return run_validate(cfg)
     except NumericalFailure as exc:
         print(f"numerical failure: {exc} {exc.context}", file=_sys.stderr)
         if cfg is not None:
-            write_failure(cfg.output_dir, args.command, exc)
+            write_failure(cfg.output_dir, command, exc)
         return 3
     except (ValueError, TypeError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=_sys.stderr)

@@ -1,8 +1,10 @@
+import os
 import sys
 from pathlib import Path
 
 import pytest
 
+import angelesco
 from angelesco import AngelescoSystem, Interval, plateau_bounds, star_normalize
 
 sys.path.insert(0, str(Path(__file__).parent))  # moment_oracle importable
@@ -30,3 +32,11 @@ def gap_system():
 def gap_info(gap_system):
     sc, _ = star_normalize(gap_system)
     return plateau_bounds(sc)
+
+
+@pytest.fixture
+def package_env():
+    """The environment of a subprocess that imports this package."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(Path(angelesco.__file__).parent.parent),
+        os.environ.get("PYTHONPATH")])))

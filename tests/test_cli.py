@@ -220,10 +220,11 @@ def test_a_token_that_is_no_setting_is_a_usage_error(tmp_path, monkeypatch,
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("command", ["compute", "validate"])
+@pytest.mark.parametrize("command", ["compute", "validate", "plot", None])
 def test_help_lists_every_setting(capsys, command):
+    # one help text, where the subcommand or a key stands
     with pytest.raises(SystemExit) as exc:
-        main([command, "--help"])
+        main([command, "--help"] if command else ["--help"])
     assert exc.value.code == 0
     words = set(re.findall(r"\w+", capsys.readouterr().out))
     assert {f.name for f in dataclasses.fields(RunConfig)} <= words
@@ -234,6 +235,35 @@ def test_a_key_is_matched_whole(tmp_path, capsys):
                "--output_dir", str(tmp_path / "out")])
     assert rc == 2
     assert "unknown config key: grid" in capsys.readouterr().err
+    # --config and --methods are matched whole too: a prefix or a longer
+    # name is an unknown key
+    for key, value in (("meth", "dis"), ("conf", "x"), ("method", "dis")):
+        rc = main(["compute", f"--{key}", value, "--grid_points", "5",
+                   "--output_dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"unknown config key: {key}" in capsys.readouterr().err
+
+
+def test_a_value_of_dash_h_is_a_value(tmp_path, monkeypatch):
+    # -h is help only where a key stands
+    monkeypatch.chdir(tmp_path)
+    assert main(["compute", "--methods", "surface", "--grid_points", "5",
+                 "--output_dir", "-h"]) == 0
+    assert (tmp_path / "-h" / "surface.csv").is_file()
+
+
+def test_the_module_reads_sys_argv(tmp_path, package_env):
+    # main(None) reads the command line itself
+    run = subprocess.run([sys.executable, "-m", "angelesco", "--help"],
+                         env=package_env, cwd=tmp_path, capture_output=True,
+                         text=True)
+    assert run.returncode == 0
+    words = set(re.findall(r"\w+", run.stdout))
+    assert {f.name for f in dataclasses.fields(RunConfig)} <= words
+    run = subprocess.run([sys.executable, "-m", "angelesco"], env=package_env,
+                         cwd=tmp_path, capture_output=True, text=True)
+    assert run.returncode == 2
+    assert run.stderr.startswith("usage: angelesco") and not run.stdout
 
 
 def test_csv_roundtrip(tmp_path, touching_system, touching_info):
@@ -720,8 +750,10 @@ def test_an_alpha_lost_in_1_plus_alpha_answers(tmp_path):
 
 
 def test_cli_requires_subcommand():
-    with pytest.raises(SystemExit):
-        main([])
+    for argv in ([], ["nosuch"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("command, interval2, calls", [

@@ -1,4 +1,6 @@
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import angelesco
@@ -111,3 +113,12 @@ def test_the_scan_sees_each_blas_call(tmp_path):
         (2, "numpy.linalg"), (3, "dot"), (4, "@"), (5, "@"), (6, "dot"),
         (7, "linalg"), (8, "einsum"), (9, "inner"), (9, "tensordot"),
         (9, "vdot"), (10, "matmul")]
+
+
+def test_the_cli_imports_no_argument_parser(package_env):
+    # the command line is read by cli.read_argv alone
+    code = ("import sys, angelesco.cli; "
+            "print(sorted({'argparse', 'gettext'} & set(sys.modules)))")
+    run = subprocess.run([sys.executable, "-c", code], env=package_env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "[]"
