@@ -24,15 +24,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .crossval import (compare, compared_points, identity_checks,
-                       ode_residuals, residual_stride)
+from .crossval import compare, identity_checks, ode_residuals, residual_stride
 from .errors import NumericalFailure
 from .lattice import (LADDER_TOL, Ladder, curve_from_lattice,
                       solve_lattice)
 from .ode import DEFAULT_MAX_STEPS, solve_system
 from .surface import limit_curve, plateau_bounds
 from .systems import (AngelescoSystem, Interval, LimitCurve, check_grid,
-                      hull_units, star_normalize)
+                      hull_units, off_window, star_normalize)
 
 METHODS = ("dis", "ode", "surface")
 
@@ -93,6 +92,8 @@ class RunConfig:
                                  f"{'at least' if closed else 'above'} {low}, "
                                  f"got {v}")
         residual_stride(self.fd_step, 1.0 / (self.residual_grid_points - 1))
+        if not str(self.output_dir).strip():
+            raise ValueError("output_dir must be a path, got an empty one")
         return self
 
     def as_dict(self):
@@ -139,11 +140,10 @@ def load_config(config_path, overrides):
     """Build a RunConfig from defaults, an optional file, and flag overrides."""
     cfg = RunConfig()
     fields = {f.name: f for f in dataclasses.fields(RunConfig)}
-    sources = []
-    if config_path:
-        sources.append(parse_config_file(config_path))
-    sources.append(overrides)
-    for src in sources:
+    if config_path is not None and not str(config_path).strip():
+        raise ValueError("config must be a path, got an empty one")
+    sources = [] if config_path is None else [parse_config_file(config_path)]
+    for src in sources + [overrides]:
         for key, raw in src.items():
             if key not in fields:
                 raise ValueError(f"unknown config key: {key}")
@@ -248,7 +248,7 @@ def _compute_curves(cfg, methods):
         t0 = time.perf_counter()
         info = plateau_bounds(sc)
         timings = {"plateau": time.perf_counter() - t0}
-        compared = compared_points(grid, info.c1, info.c2, EXCLUDE_MARGIN)
+        compared = off_window(grid, info.c1, info.c2, EXCLUDE_MARGIN)
         curves = {}
         lat = None
         meta = {"config": cfg.as_dict(), "plateau": dataclasses.asdict(info),

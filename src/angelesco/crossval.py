@@ -13,31 +13,25 @@ n is the first n levels of any deeper sweep, bit for bit, so a study over
 levels reads one sweep per level against one surface curve
 (``demos/lattice_convergence.py``).
 
-Curves do not carry the plateau window.  A comparison reads the points of
-a boolean mask over the shared grid (the lattice pairs' mask is
-:func:`compared_points`); the identity and residual checks, which must skip
-the plateau, take it as ``window=(c1, c2)``: ``(c, c)`` on a touching
-system, ``(0.0, 0.0)`` for a curve with no plateau, which keeps the whole
-interior.  Checks only report: one that finds no point to read reports
-``n_points = 0`` and zero statistics, and ``validate`` fails it.  B1 < B2
-and the endpoint zeros are the curve contract's
-(:meth:`~angelesco.systems.LimitCurve.validate`), which no check repeats.
+Curves do not carry the plateau window.  Every check reads the points
+that :func:`~angelesco.systems.off_window` keeps: a comparison takes its
+mask over the shared grid, while the identity and residual checks take the
+window as ``window=(c1, c2)``: ``(c, c)`` on a touching system, ``(0.0,
+0.0)`` for a curve with no plateau.  Checks only report: one that finds no
+point to read reports ``n_points = 0`` and zero statistics, and
+``validate`` fails it.  B1 < B2 and the endpoint zeros are the curve
+contract's (:meth:`~angelesco.systems.LimitCurve.validate`), which no
+check repeats.
 """
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .systems import plateau_zones
+from .systems import off_window
 
 FUNCS = ("A1", "A2", "B1", "B2")
 # ode_residuals skips points this close to 0, 1 and the plateau window
 EDGE_MARGIN = 0.01
-
-
-def compared_points(grid, c1, c2, exclude_margin):
-    """Mask of the points of ``grid`` at least ``exclude_margin`` from [c1, c2]."""
-    dist = np.maximum(np.maximum(c1 - grid, grid - c2), 0.0)
-    return dist >= exclude_margin
 
 
 @dataclass(frozen=True)
@@ -127,14 +121,12 @@ def ode_residuals(curve, h, window):
 
     evaluated with stride-based central differences of step ``h`` on the
     curve's own uniform grid; each residual is divided by
-    max(1, largest |term|) at that point.  Points within ``EDGE_MARGIN`` of
-    0 or 1 are excluded, and so is the plateau ``window`` = (c1, c2),
-    where all four relations hold trivially: the points are split by
-    :func:`~angelesco.systems.plateau_zones` on the window widened by
-    ``EDGE_MARGIN`` at both edges (``(0.0, 0.0)`` drops no point the end
-    margin keeps).  A nonuniform
-    grid, or one whose spacing does not divide ``h``
-    (:func:`residual_stride`), raises ValueError.
+    max(1, largest |term|) at that point.  It reads the points more than
+    ``EDGE_MARGIN`` from 0, 1 and the plateau ``window`` = (c1, c2), where
+    all four relations hold trivially: :func:`~angelesco.systems.off_window`
+    with ``(EDGE_MARGIN, EDGE_MARGIN)``.  A nonuniform grid, or one whose
+    spacing does not divide ``h`` (:func:`residual_stride`), raises
+    ValueError.
     """
     s = curve.s
     if s.size < 3:
@@ -151,9 +143,7 @@ def ode_residuals(curve, h, window):
     der = {f: (getattr(curve, f)[i + stride] - getattr(curve, f)[i - stride])
            / (2.0 * stride * step) for f in FUNCS}
 
-    c1, c2 = window
-    left, _, right = plateau_zones(sm, c1 - EDGE_MARGIN, c2 + EDGE_MARGIN)
-    keep = (left | right) & (sm > EDGE_MARGIN) & (sm < 1.0 - EDGE_MARGIN)
+    keep = off_window(sm, *window, EDGE_MARGIN, EDGE_MARGIN)
     sm = sm[keep]
     A1, A2, B1, B2 = (vals[f][keep] for f in FUNCS)
     dA1, dA2, dB1, dB2 = (der[f][keep] for f in FUNCS)
@@ -188,15 +178,11 @@ class IdentityReport:
 
 
 def identity_checks(curve, window):
-    """Check (B2 - B1)^2 = A1/s^2 + A2/(1-s)^2 off the plateau.
-
-    The identity is evaluated on the interior points off the plateau
-    ``window`` = (c1, c2), as :func:`~angelesco.systems.plateau_zones`
-    splits them; ``(0.0, 0.0)`` keeps the whole interior.
-    """
+    """Check (B2 - B1)^2 = A1/s^2 + A2/(1-s)^2 off the plateau ``window``
+    = (c1, c2), on the interior points :func:`~angelesco.systems.off_window`
+    keeps with ``(0.0, 0.0)``; the window ``(0.0, 0.0)`` keeps them all."""
     s = curve.s
-    left, _, right = plateau_zones(s, *window)
-    keep = left | right
+    keep = off_window(s, *window, 0.0, 0.0)
     sm = s[keep]
     lhs = (curve.B2[keep] - curve.B1[keep]) ** 2
     rhs = curve.A1[keep] / sm ** 2 + curve.A2[keep] / (1.0 - sm) ** 2

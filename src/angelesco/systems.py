@@ -8,8 +8,9 @@ that moves recurrence-limit data between frames.
 
 It also owns the rules every limit curve obeys, whichever route computed
 it: :func:`check_grid` is the one grid check (nonempty, 1-d, strictly
-increasing inside [0, 1]), :func:`plateau_zones` the one split of a grid
-around the plateau window, and :meth:`LimitCurve.validate` the one set of
+increasing inside [0, 1]), :func:`plateau_zones` the routes' split of a
+grid around the plateau window, :func:`off_window` the one rule for the
+points each check reads, and :meth:`LimitCurve.validate` the one set of
 pointwise invariants, the endpoint zeros and B1 < B2 among them, which
 each route applies once.  A single ray is a one-point curve: every route
 answers on a grid, and a one-point grid reads the same bits as that point
@@ -150,14 +151,27 @@ def plateau_zones(grid, c1, c2):
 
     Interior means 0 < s < 1; the endpoints belong to no zone.  The plateau
     is closed, c1 <= s <= c2, so for c1 <= c2 the three masks are disjoint
-    and cover the interior.  Every route and check splits a grid this way
-    (the residual check on the window widened by its edge margin) except
-    the lattice comparisons' distance rule, ``crossval.compared_points``.
+    and cover the interior.  The surface and ODE routes split a grid so.
     """
     s = np.asarray(grid, dtype=float)
     interior = (s > 0.0) & (s < 1.0)
     return (interior & (s < c1), interior & (s >= c1) & (s <= c2),
             interior & (s > c2))
+
+
+def off_window(grid, c1, c2, margin, end_margin=None):
+    """Mask of the points of ``grid`` more than ``margin`` from [c1, c2]
+    and, given ``end_margin``, more than it from s = 0 and s = 1.
+
+    The one rule for the points a check reads: the lattice pairs and the
+    ladder keep the ends, ``(cli.EXCLUDE_MARGIN, None)``, the identity
+    reads ``(0.0, 0.0)`` and the residuals ``(EDGE_MARGIN, EDGE_MARGIN)``.
+    """
+    s = np.asarray(grid, dtype=float)
+    keep = np.maximum(np.maximum(c1 - s, s - c2), 0.0) > margin
+    if end_margin is not None:
+        keep &= (s > end_margin) & (s < 1.0 - end_margin)
+    return keep
 
 
 @dataclass

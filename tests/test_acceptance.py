@@ -10,11 +10,11 @@ import pytest
 
 from angelesco import (AffineMap, AngelescoSystem, Interval, LimitCurve,
                        pushforward_limits, star_normalize)
-from angelesco.crossval import (compare, compared_points, identity_checks,
-                                ode_residuals)
+from angelesco.crossval import compare, identity_checks, ode_residuals
 from angelesco.lattice import curve_from_lattice, solve_lattice
 from angelesco.ode import solve_system
 from angelesco.surface import limit_curve, plateau_bounds, threshold_ray
+from angelesco.systems import off_window
 from lattice_oracle import user_diagonal
 from moment_oracle import MomentOracle
 
@@ -87,7 +87,7 @@ def test_criterion_3_gap_plateau_and_branches(gap_system, gap_info):
     # finite-level sweep agrees with the assembled curve off the plateau
     lat = solve_lattice(gap_system, 1500)
     curve_i = curve_from_lattice(lat, GRID)
-    rep = compare(curve_i, assembled, compared_points(GRID, c1, c2, 0.05))
+    rep = compare(curve_i, assembled, off_window(GRID, c1, c2, 0.05))
     assert rep.worst() <= 2e-2
 
 

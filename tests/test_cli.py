@@ -622,6 +622,36 @@ def test_a_value_out_of_its_domain_exits_2_before_any_route(
     assert f"error: {key} " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["compute", "validate"])
+@pytest.mark.parametrize("args", [["--output_dir="], ["--output_dir", " "],
+                                  ["--config", "run.cfg"]],
+                         ids=["eq", "pair", "config-file"])
+def test_an_empty_output_dir_exits_2_before_any_route(
+        tmp_path, capsys, monkeypatch, command, args):
+    # an empty output_dir would write into the working directory
+    import angelesco.cli as climod
+
+    def unreachable(*args):
+        raise AssertionError("the config is checked before any solve")
+
+    monkeypatch.setattr(climod, "plateau_bounds", unreachable)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text("output_dir =\n")
+    assert main([command] + args) == 2
+    assert "error: output_dir " in capsys.readouterr().err
+    assert [f.name for f in tmp_path.iterdir()] == ["run.cfg"]
+
+
+@pytest.mark.parametrize("args", [["--config="], ["--config", ""],
+                                  ["--config", " "]],
+                         ids=["eq", "pair", "blank"])
+def test_an_empty_config_path_exits_2(tmp_path, capsys, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)
+    assert main(["compute"] + args + ["--output_dir", "out"]) == 2
+    assert "error: config " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_fd_step_off_the_residual_grid_names_both_keys(tmp_path, capsys):
     rc = main(["validate", "--fd_step=0.0007",
                "--output_dir", str(tmp_path / "out")])

@@ -5,11 +5,11 @@ import pytest
 
 import angelesco.ode as ode_mod
 from angelesco import AngelescoSystem, Interval, LimitCurve
-from angelesco.crossval import (FUNCS, compare, compared_points,
-                                identity_checks, ode_residuals)
+from angelesco.crossval import FUNCS, compare, identity_checks, ode_residuals
 from angelesco.lattice import curve_from_lattice, solve_lattice
 from angelesco.ode import solve_system
-from angelesco.surface import limit_curve
+from angelesco.surface import limit_curve, plateau_bounds
+from angelesco.systems import off_window, star_normalize
 
 
 @pytest.fixture(scope="module")
@@ -57,20 +57,20 @@ def test_compare_empty_overlap():
 
 
 def test_compare_margin_needs_window():
-    # the lattice pairs' mask: the points at least the margin from the
+    # the lattice pairs' mask: the points more than the margin from the
     # window [0.4, 0.6]
     s = np.linspace(0.0, 1.0, 21)
     one = np.ones(21)
     a = LimitCurve(s, one * 0.1, one * 0.2, -one, one)
     b = LimitCurve(s, one * 0.1, one * 0.2, -one, 1.0 + 0.01 * s)
-    keep = compared_points(s, 0.4, 0.6, 0.049)
+    keep = off_window(s, 0.4, 0.6, 0.049)
     rep = compare(a, b, keep)
     # drops grid points closer than the margin to [0.4, 0.6]
     assert rep.n_excluded == 5
     assert rep.n_points == 16
     # and reads only the kept ones
     assert rep.max_abs["B2"] == np.abs(b.B2 - 1.0)[keep].max()
-    rep = compare(a, a, compared_points(s, 0.4, 0.6, 2.0))
+    rep = compare(a, a, off_window(s, 0.4, 0.6, 2.0))
     assert rep.n_points == 0 and rep.n_excluded == 21
 
 
@@ -95,6 +95,18 @@ def test_residuals_skip_the_plateau_interior(gap_curve_dense, gap_info):
             & ((s < c1 - 0.01) | (s > c2 + 0.01)))
     assert rep.n_points == np.count_nonzero(kept) == 976
     assert 1e-5 < rep.worst() < 3e-5
+
+
+def test_residuals_read_the_points_next_to_a_one_point_window():
+    # (-1,0)u(0,1) has c1 = c2 = 1/2, and 0.5 - 0.49 rounds just above
+    # EDGE_MARGIN: of the 1997 central differences, only the 19 at most the
+    # margin from 0, the 19 from 1 and the 39 from 0.5 are skipped
+    sys = AngelescoSystem(Interval(-1.0, 0.0), Interval(0.0, 1.0))
+    info = plateau_bounds(star_normalize(sys)[0])
+    curve = limit_curve(sys, np.linspace(0.0, 1.0, 2001), info=info)
+    rep = ode_residuals(curve, h=1e-3, window=(info.c1, info.c2))
+    assert (info.c1, info.c2) == (0.5, 0.5)
+    assert rep.n_points == 1920 and rep.worst() <= 1e-3
 
 
 def test_residuals_shrink_with_h(gap_curve_dense, gap_info):
@@ -225,7 +237,7 @@ def test_compare_with_the_hull_length_is_scale_free(gap_system, gap_info, k):
     # a system and its copy scaled by 2^k read the same statistics, bit for
     # bit, for the lattice against the surface on the compared points
     grid = np.linspace(0.0, 1.0, 181)
-    keep = compared_points(grid, gap_info.c1, gap_info.c2, 0.05)
+    keep = off_window(grid, gap_info.c1, gap_info.c2, 0.05)
     scaled_system = AngelescoSystem(
         *(Interval(math.ldexp(iv.lo, k), math.ldexp(iv.hi, k))
           for iv in (gap_system.i1, gap_system.i2)))

@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 from angelesco import AngelescoSystem, Interval, plateau_bounds
-from angelesco.crossval import compare, compared_points
+from angelesco.crossval import compare
 from angelesco.lattice import (LADDER_TOL, Ladder, curve_from_lattice,
                                ladder_rungs, solve_lattice, table_levels)
 from angelesco.surface import limit_curve
-from angelesco.systems import hull_units, star_normalize
+from angelesco.systems import hull_units, off_window, star_normalize
 
 GRID = np.linspace(0.0, 1.0, 181)
 WIDE = AngelescoSystem(Interval(-1000.0, 0.0), Interval(0.0, 1.0))
@@ -21,7 +21,7 @@ WIDE = AngelescoSystem(Interval(-1000.0, 0.0), Interval(0.0, 1.0))
 
 def _compared(sys):
     info = plateau_bounds(star_normalize(hull_units(sys)[0])[0])
-    return info, compared_points(GRID, info.c1, info.c2, 0.05)
+    return info, off_window(GRID, info.c1, info.c2, 0.05)
 
 
 def _sweep(sys, cap):

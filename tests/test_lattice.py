@@ -11,8 +11,9 @@ import angelesco.lattice as lattice_mod
 from angelesco import AngelescoSystem, Interval, LimitCurve, NumericalFailure
 from angelesco.lattice import (Ladder, curve_from_lattice, lagrange_interp,
                                richardson_table, solve_lattice, table_levels)
-from angelesco.crossval import compare, compared_points
+from angelesco.crossval import compare
 from angelesco.surface import limit_curve
+from angelesco.systems import off_window
 import lattice_oracle
 from lattice_oracle import user_diagonal
 from moment_oracle import MomentOracle
@@ -413,10 +414,10 @@ def test_error_estimate_bounds_the_table_error(touching_system, touching_info):
 def test_error_estimate_over_the_compared_points(gap_system, gap_info):
     # on gap the whole-grid estimate sits at the plateau edge, where the
     # table stalls, and reads below the error (0.82 times it); over the
-    # points at least 0.05 from the window it is far lower and bounds the
+    # points more than 0.05 from the window it is far lower and bounds the
     # error there (5.8 times it)
     grid = np.linspace(0.0, 1.0, 181)
-    keep = compared_points(grid, gap_info.c1, gap_info.c2, 0.05)
+    keep = off_window(grid, gap_info.c1, gap_info.c2, 0.05)
     curves = []
 
     def read(lat):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -6,7 +8,10 @@ from hypothesis import strategies as st
 from angelesco import (AffineMap, AngelescoSystem, Interval, LimitCurve,
                        NumericalFailure, StarConfig, pushforward_limits,
                        reflect, star_normalize)
-from angelesco.systems import hull_units, plateau_zones, validate_computed
+from angelesco.cli import EXCLUDE_MARGIN
+from angelesco.crossval import EDGE_MARGIN
+from angelesco.systems import (hull_units, off_window, plateau_zones,
+                               validate_computed)
 
 
 def test_interval_basic():
@@ -431,3 +436,42 @@ def test_plateau_zones_split_the_interior(case):
     # the plateau is closed: its edges belong to it
     assert np.all(plat[(grid == c1) | (grid == c2)])
     assert np.all(grid[left] < c1) and np.all(grid[right] > c2)
+
+
+_MARGINS = st.floats(0.0, 0.5)
+
+
+@_PROPERTY
+@given(windows_and_grids(), _MARGINS, _MARGINS, st.none() | _MARGINS)
+def test_off_window_is_the_rule_each_check_reads(case, m1, m2, end):
+    c1, c2, grid = case
+    # the identity's pair (0.0, 0.0) keeps what plateau_zones puts off the
+    # window
+    left, _, right = plateau_zones(grid, c1, c2)
+    assert np.array_equal(off_window(grid, c1, c2, 0.0, 0.0), left | right)
+    # each kept point is more than the margin from [c1, c2], exactly, and
+    # inside (end, 1 - end) when an end margin is given
+    keep = off_window(grid, c1, c2, m1, end)
+    for s in grid[keep]:
+        dist = max(Fraction(c1) - Fraction(s), Fraction(s) - Fraction(c2))
+        assert dist > Fraction(m1)
+        assert end is None or end < s < 1.0 - end
+    # a wider margin never gains a point
+    lo, hi = sorted((m1, m2))
+    assert not np.any(off_window(grid, c1, c2, hi, end)
+                      & ~off_window(grid, c1, c2, lo, end))
+
+
+def test_off_window_on_the_knife_edge_of_a_symmetric_touching_system():
+    # (-1,0)u(0,1) has c1 = c2 = 1/2: 0.5 - 0.45 rounds below the lattice
+    # margin and 0.55 - 0.5 above it, while 0.5 - 0.49 and 0.51 - 0.5 round
+    # above the residual margin, so the residual check reads both
+    grid = np.linspace(0.0, 1.0, 181)
+    lattice = off_window(grid, 0.5, 0.5, EXCLUDE_MARGIN)
+    assert (grid[81], grid[99]) == (0.45, 0.55)
+    assert not lattice[81] and lattice[99]
+    assert list(grid[~lattice]) == list(grid[81:99])
+    fine = np.linspace(0.0, 1.0, 2001)
+    residual = off_window(fine, 0.5, 0.5, EDGE_MARGIN, EDGE_MARGIN)
+    assert (fine[980], fine[1020]) == (0.49, 0.51)
+    assert residual[980] and residual[1020] and not residual[981:1020].any()

@@ -29,7 +29,8 @@ from angelesco import (WEIGHT_KINDS, AffineMap, AngelescoSystem, Interval,
                        pushforward_limits, reflect, solve_lattice,
                        solve_system, star_normalize)
 from angelesco.cli import EXCLUDE_MARGIN, TOL_PAIR_LATTICE, main
-from angelesco.crossval import compare, compared_points
+from angelesco.crossval import compare
+from angelesco.systems import off_window
 
 GRID = np.linspace(0.0, 1.0, 41)
 
@@ -110,7 +111,7 @@ def _mirror_curves(sys):
     """The mask of the dyadic grid's points the lattice pairs compare, and
     the surface, ODE and lattice (level 256, extrapolated) curves there."""
     info = plateau_bounds(star_normalize(sys)[0])
-    return (compared_points(DYADIC, info.c1, info.c2, EXCLUDE_MARGIN),
+    return (off_window(DYADIC, info.c1, info.c2, EXCLUDE_MARGIN),
             (limit_curve(sys, DYADIC, info), solve_system(sys, info, DYADIC),
              curve_from_lattice(solve_lattice(sys, 256), DYADIC, True)))
 
