@@ -15,8 +15,7 @@ a two-interval Angelesco system:
 :mod:`angelesco.crossval` quantifies their agreement; the ``angelesco``
 command line tool drives full runs and renders figures.
 """
-from .crossval import (ComparisonReport, IdentityReport, ResidualReport,
-                       compare, identity_checks, ode_residuals)
+from .crossval import compare, identity_checks, ode_residuals
 from .errors import NumericalFailure
 from .lattice import NnrrLattice, curve_from_lattice, solve_lattice
 from .ode import (BoundaryPack, Branch, assemble_curve, boundary_values,
@@ -33,9 +32,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AffineMap", "AngelescoSystem", "AxisData", "BoundaryPack", "Branch",
-    "ComparisonReport", "IdentityReport", "Interval", "LimitCurve",
-    "NnrrLattice", "NumericalFailure", "PlateauInfo", "QuadratureRule",
-    "ResidualReport", "StarConfig", "WEIGHT_KINDS", "assemble_curve",
+    "Interval", "LimitCurve", "NnrrLattice", "NumericalFailure", "PlateauInfo",
+    "QuadratureRule", "StarConfig", "WEIGHT_KINDS", "assemble_curve",
     "axis_data", "boundary_values", "compare", "curve_from_lattice",
     "gauss_nodes", "identity_checks", "integrate_branch", "limit_curve",
     "mixed_ratios", "ode_residuals", "plateau_bounds", "pushed_beta",

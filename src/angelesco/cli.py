@@ -96,9 +96,6 @@ class RunConfig:
             raise ValueError("output_dir must be a path, got an empty one")
         return self
 
-    def as_dict(self):
-        return dataclasses.asdict(self)
-
 
 def _coerce(name, default, raw):
     """Parse a raw config/flag string into the type of the field default."""
@@ -251,8 +248,8 @@ def _compute_curves(cfg, methods):
         compared = off_window(grid, info.c1, info.c2, EXCLUDE_MARGIN)
         curves = {}
         lat = None
-        meta = {"config": cfg.as_dict(), "plateau": dataclasses.asdict(info),
-                "timings": timings}
+        meta = {"config": dataclasses.asdict(cfg),
+                "plateau": dataclasses.asdict(info), "timings": timings}
         for method in sorted(methods, key=METHODS.index):
             t0 = time.perf_counter()
             if method == "dis":
@@ -326,18 +323,16 @@ def run_validate(cfg):
             ("surface", "ode", None, 0.0, TOL_PAIR_EXACT),
             ("dis", "surface", compared, EXCLUDE_MARGIN, TOL_PAIR_LATTICE),
             ("dis", "ode", compared, EXCLUDE_MARGIN, TOL_PAIR_LATTICE)):
-        rep = compare(curves[ma], curves[mb], mask)
-        checks.append((f"compare {ma} vs {mb}",
-                       dict(rep.as_dict(), exclude_margin=margin),
-                       rep.worst(), tol))
+        rep = dict(compare(curves[ma], curves[mb], mask),
+                   exclude_margin=margin)
+        checks.append((f"compare {ma} vs {mb}", rep,
+                       max(rep["max_abs"].values()), tol))
     ide = identity_checks(curves["surface"], window=window)
-    checks.append(("identity surface", ide.as_dict(), ide.max_abs,
-                   TOL_IDENTITY))
+    checks.append(("identity surface", ide, ide["max_abs"], TOL_IDENTITY))
     res_grid = np.linspace(0.0, 1.0, cfg.residual_grid_points)
     res_curve = limit_curve(cfg.system(), res_grid, info)
     res = ode_residuals(res_curve, h=cfg.fd_step, window=window)
-    checks.append(("ode residuals", res.as_dict(), res.worst(),
-                   TOL_RESIDUAL))
+    checks.append(("ode residuals", res, max(res["max_rel"]), TOL_RESIDUAL))
 
     passed = True
     for name, entry, worst, tol in checks:

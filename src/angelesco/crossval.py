@@ -22,9 +22,21 @@ point to read reports ``n_points = 0`` and zero statistics, and
 ``validate`` fails it.  B1 < B2 and the endpoint zeros are the curve
 contract's (:meth:`~angelesco.systems.LimitCurve.validate`), which no
 check repeats.
-"""
-from dataclasses import asdict, dataclass, field
 
+Each check returns the dict that ``validate_report.json`` stores as its
+entry, JSON as it stands; ``validate`` adds ``exclude_margin``,
+``tolerance`` and ``passed``.  The keys:
+
+- :func:`compare`: ``methods``, the two curves' methods; ``n_points`` and
+  ``n_excluded``, the grid points compared and skipped; ``max_abs`` and
+  ``mean_abs``, each mapping A1, A2, B1 and B2 to its statistic over the
+  compared points.
+- :func:`identity_checks`: ``max_abs`` and ``max_rel``, the identity's
+  largest absolute and relative residual, and ``n_points``.
+- :func:`ode_residuals`: ``h``, ``n_points``, ``max_rel``, the list of the
+  four relations' largest relative residuals, ``stride``, ``edge_margin``
+  and ``window``.
+"""
 import numpy as np
 
 from .systems import off_window
@@ -34,35 +46,14 @@ FUNCS = ("A1", "A2", "B1", "B2")
 EDGE_MARGIN = 0.01
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Per-function max/mean absolute differences of two curves.
-
-    ``max_abs`` and ``mean_abs`` map function name to the statistic over the
-    compared grid points, 0.0 when ``n_points`` is 0, in A/L^2 and B/L when
-    :func:`compare` was given the hull length L.
-    """
-    methods: tuple
-    n_points: int
-    n_excluded: int
-    max_abs: dict
-    mean_abs: dict
-
-    def worst(self):
-        return max(self.max_abs.values())
-
-    def as_dict(self):
-        return asdict(self)
-
-
 def compare(a, b, mask=None, length=None):
     """Difference two limit curves on their shared grid.
 
     The grids must agree point by point, else ValueError.  ``mask``, a
     boolean array over the grid, selects the compared points; None compares
-    all of them.  A mask with no point gives ``n_points = 0``.  Given the
-    hull ``length`` L, the statistics of A1 and A2 are over L^2 and those
-    of B1 and B2 over L, in the scale-free units A/L^2 and B/L.
+    all of them.  Given the hull ``length`` L, the statistics of A1 and A2
+    are over L^2 and those of B1 and B2 over L, in the scale-free units
+    A/L^2 and B/L.
     """
     if not np.array_equal(a.s, b.s):
         raise ValueError(f"compare needs curves on one grid: {a.method!r} "
@@ -78,24 +69,9 @@ def compare(a, b, mask=None, length=None):
         max_abs[f] = float(d.max(initial=0.0)) / scale
         mean_abs[f] = float(d.sum() / max(d.size, 1)) / scale
     n = int(mask.sum())
-    return ComparisonReport((a.method or "a", b.method or "b"),
-                            n, int(mask.size - n), max_abs, mean_abs)
-
-
-@dataclass(frozen=True)
-class ResidualReport:
-    """Max relative residuals of the four differential relations."""
-    h: float
-    n_points: int
-    max_rel: tuple
-    meta: dict = field(default_factory=dict)
-
-    def worst(self):
-        return max(self.max_rel)
-
-    def as_dict(self):
-        return {"h": self.h, "n_points": self.n_points,
-                "max_rel": list(self.max_rel), **self.meta}
+    return {"methods": (a.method or "a", b.method or "b"), "n_points": n,
+            "n_excluded": int(mask.size - n), "max_abs": max_abs,
+            "mean_abs": mean_abs}
 
 
 def residual_stride(h, step):
@@ -161,20 +137,8 @@ def ode_residuals(curve, h, window):
     r3 = rel(t31 + t32, t31, t32)
     t41, t42 = A2 * (dB1 - dB2) * sm, dA2 * (B1 - B2) * t
     r4 = rel(t41 + t42, t41, t42)
-    return ResidualReport(h, int(sm.size), (r1, r2, r3, r4),
-                          {"stride": stride, "edge_margin": EDGE_MARGIN,
-                           "window": window})
-
-
-@dataclass(frozen=True)
-class IdentityReport:
-    """Square-root identity residuals of one curve."""
-    max_abs: float
-    max_rel: float
-    n_points: int
-
-    def as_dict(self):
-        return asdict(self)
+    return {"h": h, "n_points": int(sm.size), "max_rel": [r1, r2, r3, r4],
+            "stride": stride, "edge_margin": EDGE_MARGIN, "window": window}
 
 
 def identity_checks(curve, window):
@@ -188,5 +152,5 @@ def identity_checks(curve, window):
     rhs = curve.A1[keep] / sm ** 2 + curve.A2[keep] / (1.0 - sm) ** 2
     diff = np.abs(lhs - rhs)
     rel = diff / np.maximum(1.0, lhs)
-    return IdentityReport(float(diff.max(initial=0.0)),
-                          float(rel.max(initial=0.0)), int(sm.size))
+    return {"max_abs": float(diff.max(initial=0.0)),
+            "max_rel": float(rel.max(initial=0.0)), "n_points": int(sm.size)}

@@ -407,8 +407,8 @@ class Ladder:
         if self.curve is not None:
             rep = compare(curve, self.curve, self.compared,
                           lat.system.hull_length)
-            if rep.n_points:
-                estimate = rep.worst()
+            if rep["n_points"]:
+                estimate = max(rep["max_abs"].values())
         self.curve = curve
         self.rungs.append({"level": lat.m, "estimate": estimate})
         return estimate is not None and estimate <= LADDER_TOL

@@ -136,7 +136,8 @@ def test_each_rung_estimate_covers_its_error(interval1, interval2):
 
     def read(lat):
         curve = curve_from_lattice(lat, GRID, True)
-        errors.append(compare(curve, ref, compared, sys.hull_length).worst())
+        rep = compare(curve, ref, compared, sys.hull_length)
+        errors.append(max(rep["max_abs"].values()))
         return curve
 
     lad = Ladder(read, compared)

@@ -406,7 +406,8 @@ def test_error_estimate_bounds_the_table_error(touching_system, touching_info):
     solve_lattice(touching_system, 400, lad)
     ref = limit_curve(touching_system, grid, info=touching_info)
     assert [r["level"] for r in lad.rungs] == [256, 400]
-    err = compare(lad.curve, ref, length=touching_system.hull_length).worst()
+    rep = compare(lad.curve, ref, length=touching_system.hull_length)
+    err = max(rep["max_abs"].values())
     assert err <= lad.rungs[-1]["estimate"]
     assert lad.curve.meta["table_levels"] == [250, 300, 350, 400]
 
@@ -428,10 +429,13 @@ def test_error_estimate_over_the_compared_points(gap_system, gap_info):
     solve_lattice(gap_system, 400, lad)
     length = gap_system.hull_length
     part = lad.rungs[-1]["estimate"]
-    assert part == compare(curves[1], curves[0], keep, length).worst()
-    assert part < 0.1 * compare(curves[1], curves[0], length=length).worst()
+    kept = compare(curves[1], curves[0], keep, length)["max_abs"]
+    whole = compare(curves[1], curves[0], length=length)["max_abs"]
+    assert part == max(kept.values())
+    assert part < 0.1 * max(whole.values())
     ref = limit_curve(gap_system, grid, info=gap_info)
-    assert compare(lad.curve, ref, keep, length).worst() <= part
+    err = compare(lad.curve, ref, keep, length)["max_abs"]
+    assert max(err.values()) <= part
 
 
 def axis_of(interval):

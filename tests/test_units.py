@@ -120,11 +120,12 @@ def _assert_routes_agree(draw, length, compared, curves):
     """Surface and ODE agree over the whole grid, and the lattice with each
     on the ``compared`` points, if there are any, in A/L^2 and B/L."""
     surface, ode, dis = curves
-    worst = compare(surface, ode, length=length).worst()
+    worst = max(compare(surface, ode, length=length)["max_abs"].values())
     assert worst <= TOL_SURFACE_ODE, (draw, worst)
     if np.any(compared):
         for other in (surface, ode):
-            worst = compare(dis, other, compared, length).worst()
+            rep = compare(dis, other, compared, length)
+            worst = max(rep["max_abs"].values())
             assert worst <= TOL_PAIR_LATTICE, (draw, other.method, worst)
 
 
@@ -154,7 +155,8 @@ def test_every_route_is_mirror_symmetric_to_a_bound():
         for curve, hat in zip(curves, hats):
             mirrored = pushforward_limits(hat, back)
             assert np.array_equal(mirrored.s, curve.s)
-            diff = compare(curve, mirrored, length=length).worst()
+            rep = compare(curve, mirrored, length=length)
+            diff = max(rep["max_abs"].values())
             assert diff <= MIRROR_BOUNDS[curve.method], (draw, curve.method,
                                                          diff)
         _assert_routes_agree(draw, length, compared, curves)
