@@ -30,8 +30,8 @@ from .lattice import (LADDER_TOL, Ladder, curve_from_lattice,
                       solve_lattice)
 from .ode import DEFAULT_MAX_STEPS, solve_system
 from .surface import limit_curve, plateau_bounds
-from .systems import (AngelescoSystem, Interval, LimitCurve, check_grid,
-                      hull_units, off_window, star_normalize)
+from .systems import (FUNCS, AngelescoSystem, Interval, LimitCurve,
+                      check_grid, hull_units, off_window, star_normalize)
 
 METHODS = ("dis", "ode", "surface")
 
@@ -152,7 +152,7 @@ def load_config(config_path, overrides):
 # CSV format
 # ---------------------------------------------------------------------------
 
-CSV_HEADER = "s,A1,A2,B1,B2"
+CSV_HEADER = ",".join(("s", *FUNCS))
 
 
 def _num(v):
@@ -262,8 +262,7 @@ def _compute_curves(cfg, methods):
                     "tolerance": LADDER_TOL, "rungs": ladder.rungs})
             elif method == "ode":
                 curve = solve_system(system, info, grid, cfg.ode_steps)
-                meta["ode"] = {k: curve.meta[k] for k in (
-                    "splice_mismatch", "identity_drift", "branches")}
+                meta["ode"] = curve.meta
             else:
                 curve = limit_curve(system, grid, info)
             curves[method] = curve

@@ -39,9 +39,8 @@ entry, JSON as it stands; ``validate`` adds ``exclude_margin``,
 """
 import numpy as np
 
-from .systems import off_window
+from .systems import FUNCS, off_window
 
-FUNCS = ("A1", "A2", "B1", "B2")
 # ode_residuals skips points this close to 0, 1 and the plateau window
 EDGE_MARGIN = 0.01
 

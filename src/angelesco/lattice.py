@@ -111,7 +111,8 @@ class NnrrLattice:
     ``diagonals`` maps each level the read-out reads, :func:`table_levels`
     of ``m`` and no other, to its own (4, level + 1) array, rows a1, a2, b1
     and b2 indexed by k = n1, all in the hull units of ``system`` (a's times
-    4^e and b's times 2^e are in user units, e = ``exponent``).
+    4^e and b's times 2^e are in user units, e the exponent of
+    :func:`~angelesco.systems.hull_units`).
     ``axis_b`` has one row per level 1 .. m: the cross-b the sweep
     propagated onto the axis-1 site (b2 at k = level) and onto the axis-2
     site (b1 at k = 0), in hull units.
@@ -120,7 +121,6 @@ class NnrrLattice:
     diagonals: dict
     axis_b: np.ndarray
     system: AngelescoSystem
-    exponent: int
 
     def diagonal(self, level):
         """Diagonal array, rows a1, a2, b1, b2, at a kept ``level``."""
@@ -213,7 +213,7 @@ def solve_lattice(sys, m, on_rung=None):
     # each table level and the last rung that reads it
     last_reader = {lv: r for r in rungs for lv in table_levels(r)}
 
-    unit, e = hull_units(sys)
+    unit = hull_units(sys)[0]
     floor = _DENOM_FLOOR * unit.hull_length
     # own1[L] is the axis-1 a at site k = L + 1 of diagonal L + 1
     own1 = scalar_recurrence(unit.w1, unit.i1, m).tolist()
@@ -285,7 +285,7 @@ def solve_lattice(sys, m, on_rung=None):
             axis_b = np.concatenate([axis_b,
                                      np.array(propagated[len(axis_b):])])
             lat = NnrrLattice(level, {n: held[n] for n in table_levels(level)},
-                              axis_b, sys, e)
+                              axis_b, sys)
             # an interval's a's are of the order of its length squared, so a
             # short interval leaves the normal doubles inside a supported hull
             a = np.concatenate([d[:2].ravel() for d in lat.diagonals.values()])
@@ -365,7 +365,7 @@ def curve_from_lattice(lat, grid, extrapolate=False):
     returns in :func:`~angelesco.systems.user_units`.
     """
     grid = check_grid(grid)
-    e = lat.exponent
+    e = hull_units(lat.system)[1]
     top = lat.diagonal(lat.m)
     levels = sorted(lat.diagonals) if extrapolate else [lat.m]
     vals = richardson_table(

@@ -380,14 +380,15 @@ def assemble_curve(forward, backward, c1, c2, grid, sys, e):
 
     ``forward`` is the system's branch, run to c1; ``backward`` is the
     reflected system's, run to 1 - c2 and mirrored back.  The grid is split
-    by :func:`~angelesco.systems.plateau_zones`: branch values fill s < c1
-    and s > c2, and on [c1, c2] (for touching systems the one ray
-    c1 = c2) the four functions are the mean of the two branch end states,
-    each read at its branch's last node.  Their mismatch is recorded in
-    ``meta``, ``ok`` when at most ``_SPLICE_TOL`` relative to the larger
-    |A| of the two ends for each A, and to the smaller endpoint gap for each
-    B, together with the branch redundancy monitors and, under
-    ``branches``, each branch's steps and error estimate.
+    by :func:`~angelesco.systems.plateau_zones`: branch values fill the
+    zones off the window, whose end rays then take the packs' closed forms,
+    and on [c1, c2] (for touching systems the one ray c1 = c2) the four
+    functions are the mean of the two branch end states, each read at its
+    branch's last node.  Their mismatch is recorded in ``meta``, ``ok``
+    when at most ``_SPLICE_TOL`` relative to the larger |A| of the two ends
+    for each A, and to the smaller endpoint gap for each B, together with
+    the branch redundancy monitors and, under ``branches``, each branch's
+    steps and error estimate.
 
     Branches run on ``(hull_units(sys), e)`` return with the mismatch and
     drift in user units (:func:`~angelesco.systems.user_units`).
@@ -409,7 +410,7 @@ def assemble_curve(forward, backward, c1, c2, grid, sys, e):
     # plateau constants: A is constant there, so C must be read through
     # the s-rescaling at each grid point rather than copied
     vals[:, plat] = 0.5 * (end_f + end_b)
-    # s = 0 and s = 1 are in no zone: the closed-form start states
+    # the end rays, which their zones read from the branches: closed forms
     pk, hat = forward.pack, backward.pack
     vals[:, grid == 0.0] = [[0.0], [pk.C2_0], [pk.B1_0], [pk.B2_0]]
     vals[:, grid == 1.0] = [[hat.C2_0], [0.0], [-hat.B2_0], [-hat.B1_0]]

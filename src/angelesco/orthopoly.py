@@ -1,11 +1,12 @@
 """Scalar orthogonal-polynomial data on the lattice boundary.
 
 Monic three-term recurrence coefficients for the supported weights, which
-seed the lattice sweep, and Gauss / Clenshaw-Curtis quadrature on a single
-interval with the mixed moment ratios that give the off-axis recurrence
-coefficient along each boundary row of the multi-index lattice.  The sweep
-propagates those off-axis coefficients itself; the moments are the
-independent values its consistency residuals
+seed the lattice sweep, and each family's smallest quadrature rule exact
+through a given degree on a single interval (:func:`gauss_nodes`), with
+the mixed moment ratios that give the off-axis recurrence coefficient
+along each boundary row of the multi-index lattice.  The sweep propagates
+those off-axis coefficients itself; the moments are the independent
+values its consistency residuals
 (:attr:`angelesco.lattice.NnrrLattice.residuals`) compare them against,
 which ``validate`` reports.
 
@@ -41,14 +42,6 @@ _EXP_WINDOW = 256
 _RETIRE = 2.0 ** -400
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes and probability-normalized weights; exact through ``degree``."""
-    x: np.ndarray
-    w: np.ndarray
-    degree: int
-
-
 def scalar_recurrence(kind, interval, n):
     """First ``n`` monic recurrence a's of the weight on ``interval``.
 
@@ -71,33 +64,29 @@ def scalar_recurrence(kind, interval, n):
     return a
 
 
-def gauss_nodes(kind, interval, n):
-    """Quadrature rule with ``n`` nodes for the weight on ``interval``.
-
-    Chebyshev families use the closed-form Gauss rules (exact degree 2n - 1);
-    the uniform weight uses Clenshaw-Curtis points with weights normalized to
-    total mass one (exact degree at least n - 1).
+def gauss_nodes(kind, interval, degree):
+    """``(x, w)`` of the smallest rule of ``kind``'s family on ``interval``
+    exact through ``degree``: nodes, listed monotonically, and weights of
+    total mass one.  The Gauss rules of the Chebyshev families are exact
+    through 2n - 1 on n nodes, so take degree // 2 + 1; Clenshaw-Curtis, for
+    the uniform weight, through at least n - 1 on n >= 2, so takes
+    max(degree + 1, 2) (Trefethen, SIAM Rev. 50 (2008) 67-87).
     """
     check_weight_kind(kind)
-    if n < 1:
-        raise ValueError("need at least one node")
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
     mid, rad = interval.mid, interval.radius
+    n = degree // 2 + 1               # the Gauss rules' nodes
     if kind == "chebyshev1":
         i = np.arange(1, n + 1)
-        x = mid + rad * np.cos((2 * i - 1) * np.pi / (2 * n))
-        w = np.full(n, 1.0 / n)
-        return QuadratureRule(x, w, 2 * n - 1)
+        return (mid + rad * np.cos((2 * i - 1) * np.pi / (2 * n)),
+                np.full(n, 1.0 / n))
     if kind == "chebyshev2":
-        i = np.arange(1, n + 1)
-        t = i * np.pi / (n + 1)
-        x = mid + rad * np.cos(t)
-        w = 2.0 / (n + 1) * np.sin(t) ** 2
-        return QuadratureRule(x, w, 2 * n - 1)
-    # uniform: Clenshaw-Curtis on n points (n - 1 panels)
-    if n == 1:
-        return QuadratureRule(np.array([mid]), np.array([1.0]), 1)
-    m = n - 1
-    j = np.arange(n)
+        t = np.arange(1, n + 1) * np.pi / (n + 1)
+        return mid + rad * np.cos(t), 2.0 / (n + 1) * np.sin(t) ** 2
+    # uniform: Clenshaw-Curtis on m + 1 >= 2 points (m panels)
+    m = max(degree, 1)
+    j = np.arange(m + 1)
     x = mid + rad * np.cos(j * np.pi / m)
     ks = np.arange(1, m // 2 + 1)
     coef = np.zeros(m)
@@ -109,7 +98,7 @@ def gauss_nodes(kind, interval, n):
     w[0] *= 0.5
     w[-1] *= 0.5
     w = w / np.sum(w)
-    return QuadratureRule(x[::-1].copy(), w[::-1].copy(), n - 1)
+    return x[::-1].copy(), w[::-1].copy()
 
 
 def mixed_ratios(src_kind, src_interval, dst_kind, dst_interval, m):
@@ -153,12 +142,8 @@ def mixed_ratios(src_kind, src_interval, dst_kind, dst_interval, m):
     if dst_interval.hi > src_interval.lo and src_interval.hi > dst_interval.lo:
         raise ValueError(f"destination {dst_interval} overlaps source "
                          f"{src_interval}")
-    if dst_kind == "uniform":
-        nodes = m + 2
-    else:
-        nodes = (m + 3) // 2
-    rule = gauss_nodes(dst_kind, dst_interval, max(nodes, 1))
-    t, w = rule.x - src_interval.mid, rule.w
+    x, w = gauss_nodes(dst_kind, dst_interval, m + 1)
+    t = x - src_interval.mid
     if abs(t[0]) < abs(t[-1]):        # the rules list nodes monotonically
         t, w = t[::-1].copy(), w[::-1].copy()
     a = scalar_recurrence(src_kind, src_interval, m + 1).tolist()

@@ -318,15 +318,15 @@ def limit_curve(sys, grid, info=None):
     distance s to the end is exact.  The rays of both zones, each
     with its frame's alpha and bracket top, go through one
     :func:`pushed_beta` bisection and one :func:`residue_limits` call.
-    s = 1 joins the right zone and s = 0 the left one: their ray (1, 0)
-    solves to x = 0 exactly, so w = 0, d = d1 and the vanishing A is
-    exactly 0.  With a gap (beta > 0) the plateau edge (c2, 1 - c2) joins
-    the bisection as one more ray of the frame, and is dropped before
-    :func:`residue_limits`: NumericalFailure ("plateau edge failed the gap
-    round trip", with c2, w and the w solved back as floats) unless that w
-    comes back within 1e-9 relative of ``info.w`` (w, unlike beta, keeps
-    1 - beta).  Star-frame values land in hull units (the star frame is
-    that of :func:`~angelesco.systems.hull_units`) through
+    ``plateau_zones`` puts s = 1 in the right zone and s = 0 in the left
+    one: their ray (1, 0) solves to x = 0 exactly, so w = 0, d = d1 and the
+    vanishing A is exactly 0.  With a gap (beta > 0) the plateau edge
+    (c2, 1 - c2) joins the bisection as one more ray of the frame, and is
+    dropped before :func:`residue_limits`: NumericalFailure ("plateau edge
+    failed the gap round trip", with c2, w and the w solved back as floats)
+    unless that w comes back within 1e-9 relative of ``info.w`` (w, unlike
+    beta, keeps 1 - beta).  Star-frame values land in hull units (the star
+    frame is that of :func:`~angelesco.systems.hull_units`) through
     :func:`pushforward_limits`, then return in user units.  ``info`` may
     carry a precomputed :class:`PlateauInfo`.
     """
@@ -337,8 +337,6 @@ def limit_curve(sys, grid, info=None):
         info = plateau_bounds(sc)
 
     left, plat, right = plateau_zones(grid, info.c1, info.c2)
-    left |= grid == 0.0  # the end rays are solved with their zones
-    right |= grid == 1.0
 
     star = np.zeros((4, grid.size))
     if np.any(plat):  # the constants, checked with the curve below

@@ -9,11 +9,12 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
+from .systems import FUNCS
+
 WIDTH, HEIGHT = 960.0, 660.0
 LEGEND_H = 40.0
 PANEL_PAD = {"left": 62.0, "right": 16.0, "top": 34.0, "bottom": 40.0}
 COLORS = ("#1f77b4", "#ff7f0e", "#d62728", "#2ca02c", "#9467bd", "#8c564b")
-PANELS = ("A1", "A2", "B1", "B2")
 
 
 def _fmt(x):
@@ -78,7 +79,7 @@ def render_panels(curves, labels, comments=()):
                    f'font-size="13">{escape(label)}</text>')
         x += 44.0 + 7.5 * len(label)
 
-    for idx, name in enumerate(PANELS):
+    for idx, name in enumerate(FUNCS):
         x0, y0, x1, y1 = _panel_box(idx)
         ylo, yhi = _data_range([getattr(c, name) for c in curves])
         slo, shi = _data_range([c.s for c in curves], margin=0.0)

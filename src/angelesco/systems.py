@@ -7,14 +7,14 @@ is [-alpha, 0]; this module holds the value types plus the affine bookkeeping
 that moves recurrence-limit data between frames.
 
 It also owns the rules every limit curve obeys, whichever route computed
-it: :func:`check_grid` is the one grid check (nonempty, 1-d, strictly
-increasing inside [0, 1]), :func:`plateau_zones` the routes' split of a
-grid around the plateau window, :func:`off_window` the one rule for the
-points each check reads, and :meth:`LimitCurve.validate` the one set of
-pointwise invariants, the endpoint zeros and B1 < B2 among them, which
-each route applies once.  A single ray is a one-point curve: every route
-answers on a grid, and a one-point grid reads the same bits as that point
-of a longer one.
+it: ``FUNCS`` orders the four functions, :func:`check_grid` is the one
+grid check (nonempty, 1-d, strictly increasing inside [0, 1]),
+:func:`plateau_zones` the routes' split of a grid, end rays included,
+:func:`off_window` the one rule for the points each check reads, and
+:meth:`LimitCurve.validate` the one set of pointwise invariants, the
+endpoint zeros and B1 < B2 among them, which each route applies once.  A
+single ray is a one-point curve: every route answers on a grid, and a
+one-point grid reads the same bits as that point of a longer one.
 
 It owns the units too.  Scaling a system by 2^-e scales its A's by 4^-e
 and its B's by 2^-e, exactly, so every route computes on :func:`hull_units`
@@ -81,10 +81,6 @@ class AngelescoSystem:
                              f"overflows the doubles")
 
     @property
-    def touching(self):
-        return self.i1.hi == self.i2.lo
-
-    @property
     def hull_length(self):
         """L, the length of [i1.lo, i2.hi]; A/L^2 and B/L are scale-free."""
         return self.i2.hi - self.i1.lo
@@ -147,16 +143,17 @@ def check_grid(s):
 
 
 def plateau_zones(grid, c1, c2):
-    """Masks ``(left, plateau, right)`` of the interior points of ``grid``.
+    """Masks ``(left, plateau, right)`` of the points of ``grid``.
 
-    Interior means 0 < s < 1; the endpoints belong to no zone.  The plateau
-    is closed, c1 <= s <= c2, so for c1 <= c2 the three masks are disjoint
-    and cover the interior.  The surface and ODE routes split a grid so.
+    s = 0 is left and s = 1 right, whatever c1 and c2 round to; a point
+    0 < s < 1 is in the closed plateau c1 <= s <= c2 or on its side of it.
+    For c1 <= c2 the masks are disjoint and cover the grid.  The surface
+    and ODE routes split a grid so.
     """
     s = np.asarray(grid, dtype=float)
     interior = (s > 0.0) & (s < 1.0)
-    return (interior & (s < c1), interior & (s >= c1) & (s <= c2),
-            interior & (s > c2))
+    return ((s == 0.0) | interior & (s < c1),
+            interior & (s >= c1) & (s <= c2), (s == 1.0) | interior & (s > c2))
 
 
 def off_window(grid, c1, c2, margin, end_margin=None):
@@ -174,6 +171,10 @@ def off_window(grid, c1, c2, margin, end_margin=None):
     return keep
 
 
+# the four limit functions, in the order of every curve, table and figure
+FUNCS = ("A1", "A2", "B1", "B2")
+
+
 @dataclass
 class LimitCurve:
     """Sampled limit functions on an increasing grid of ray parameters."""
@@ -186,11 +187,8 @@ class LimitCurve:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.s = np.asarray(self.s, dtype=float)
-        self.A1 = np.asarray(self.A1, dtype=float)
-        self.A2 = np.asarray(self.A2, dtype=float)
-        self.B1 = np.asarray(self.B1, dtype=float)
-        self.B2 = np.asarray(self.B2, dtype=float)
+        for name in ("s", *FUNCS):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
 
     def validate(self):
         """Check the grid and the pointwise invariants; ValueError on violation.
@@ -199,7 +197,7 @@ class LimitCurve:
         else (every route writes exact end zeros), A2 is 0 at s = 1 and
         nowhere else, and B1 < B2 everywhere.
         """
-        for name in ("s", "A1", "A2", "B1", "B2"):
+        for name in ("s", *FUNCS):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} values must be finite")
         check_grid(self.s)

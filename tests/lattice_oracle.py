@@ -15,6 +15,7 @@ import numpy as np
 import angelesco.lattice as lattice_mod
 from angelesco.errors import NumericalFailure
 from angelesco.orthopoly import gauss_nodes, scalar_recurrence
+from angelesco.systems import hull_units
 
 
 def sweep(sys, m):
@@ -94,19 +95,16 @@ def sweep(sys, m):
 def user_diagonal(lat, level):
     """The diagonal of ``lat`` at ``level`` in user units: the package keeps
     it in hull units, so a's are 4^e and b's 2^e times their stored values,
-    e = ``lat.exponent``."""
-    return tuple(np.ldexp(v, f * lat.exponent)
+    e the exponent of ``hull_units(lat.system)``."""
+    e = hull_units(lat.system)[1]
+    return tuple(np.ldexp(v, f * e)
                  for v, f in zip(lat.diagonal(level), (2, 2, 1, 1)))
 
 def mixed_ratios(src_kind, src_interval, dst_kind, dst_interval, m):
     """Ratios h_{k+1} / h_k, k = 0..m, of the mixed moments, each node's
     value w_j p_k(t_j) carrying its weight and each moment a pairwise sum."""
-    if dst_kind == "uniform":
-        nodes = m + 2
-    else:
-        nodes = (m + 3) // 2
-    rule = gauss_nodes(dst_kind, dst_interval, max(nodes, 1))
-    t, w = rule.x - src_interval.mid, rule.w
+    x, w = gauss_nodes(dst_kind, dst_interval, m + 1)
+    t = x - src_interval.mid
     if abs(t[0]) < abs(t[-1]):
         t, w = t[::-1].copy(), w[::-1].copy()
     a = scalar_recurrence(src_kind, src_interval, m + 1).tolist()

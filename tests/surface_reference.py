@@ -59,8 +59,6 @@ def reference_curve(sys, grid):
     sc, amap = star_normalize(sys)
     w, c1, c2, _ = window(sc)
     left, plat, right = plateau_zones(grid, c1, c2)
-    left |= grid == 0.0
-    right |= grid == 1.0
     star = np.zeros((4, grid.size))
     plateau = residue_limits(sc.alpha, w, edge_d(sc.alpha) + x0(w, sc.alpha))
     star[:, plat] = np.reshape([float(v) for v in plateau], (4, 1))

@@ -1,4 +1,6 @@
 import ast
+import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -122,3 +124,41 @@ def test_the_cli_imports_no_argument_parser(package_env):
     run = subprocess.run([sys.executable, "-c", code], env=package_env,
                          capture_output=True, text=True, check=True)
     assert run.stdout.strip() == "[]"
+
+
+_TRACED_RUN = """\
+import json, sys
+from tracer import TIME_METRICS, Tracer, install
+from angelesco.cli import main
+tracer = Tracer(0, 3.0)
+install(tracer)
+args = ["--grid_points", "19", "--lattice_level", "64",
+        "--output_dir", sys.argv[1]]
+codes = [main(["compute", *args]), main(["validate", *args])]
+print(json.dumps({"codes": codes,
+                  "spans": sorted({s["name"] for s in tracer.spans}),
+                  "metrics": {name for name, _ in TIME_METRICS.values()},
+                  "counters": dict(tracer.counters)}, default=sorted))
+"""
+
+
+def test_the_benchmark_tracer_finds_every_name_it_patches(package_env,
+                                                          tmp_path):
+    # perfbench/tracer.py wraps and replaces package names from outside; a
+    # renamed one raises AttributeError in install, and a name no route
+    # calls leaves its span unrecorded
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    env = dict(package_env, PYTHONWARNINGS="error::RuntimeWarning",
+               PYTHONPATH=os.pathsep.join([package_env["PYTHONPATH"],
+                                           str(perfbench)]))
+    run = subprocess.run([sys.executable, "-c", _TRACED_RUN, str(tmp_path)],
+                         env=env, capture_output=True, text=True, check=True)
+    got = json.loads(run.stdout.splitlines()[-1])
+    assert got["codes"] == [0, 0], run.stdout
+    report = json.loads((tmp_path / "validate_report.json").read_text())
+    assert report["passed"] is True
+    # surface.threshold_ray is wrapped but no route calls it
+    assert set(got["metrics"]) - set(got["spans"]) == {"surface.threshold_ray"}
+    for name in ("rootfind.bisect_calls", "ode.steps", "lattice.diagonals",
+                 "orthopoly.ratio_steps"):
+        assert got["counters"].get(name, 0) > 0, (name, got["counters"])

@@ -54,24 +54,25 @@ def test_scalar_recurrence_matches_rational_oracle(kind):
 
 
 def test_gauss_single_chebyshev1_node():
-    rule = gauss_nodes("chebyshev1", Interval(-1.0, 1.0), 1)
-    np.testing.assert_allclose(rule.x, [0.0], atol=1e-16)
-    np.testing.assert_allclose(rule.w, [1.0], atol=0)
+    x, w = gauss_nodes("chebyshev1", Interval(-1.0, 1.0), 1)
+    np.testing.assert_allclose(x, [0.0], atol=1e-16)
+    np.testing.assert_allclose(w, [1.0], atol=0)
 
 
 @pytest.mark.parametrize("kind", ["chebyshev1", "chebyshev2", "uniform"])
-@pytest.mark.parametrize("n", [1, 2, 7, 40])
-def test_gauss_weights_are_probability(kind, n):
-    rule = gauss_nodes(kind, Interval(-2.0, 0.5), n)
-    assert np.sum(rule.w) == pytest.approx(1.0, abs=1e-14)
-    assert np.all(rule.w > 0)
-    assert np.all(rule.x >= -2.0) and np.all(rule.x <= 0.5)
+@pytest.mark.parametrize("degree", [1, 2, 7, 40])
+def test_gauss_weights_are_probability(kind, degree):
+    x, w = gauss_nodes(kind, Interval(-2.0, 0.5), degree)
+    assert np.sum(w) == pytest.approx(1.0, abs=1e-14)
+    assert np.all(w > 0)
+    assert np.all(x >= -2.0) and np.all(x <= 0.5)
 
 
 def test_gauss_uniform_mean_exact():
-    for n in range(2, 9):
-        rule = gauss_nodes("uniform", Interval(0.0, 1.0), n)
-        assert rule.w @ rule.x == pytest.approx(0.5, abs=1e-15)
+    # degrees 1 to 7: Clenshaw-Curtis on 2 to 8 points
+    for degree in range(1, 8):
+        x, w = gauss_nodes("uniform", Interval(0.0, 1.0), degree)
+        assert w @ x == pytest.approx(0.5, abs=1e-15)
 
 
 def test_clenshaw_curtis_weights_against_30_digits():
@@ -81,7 +82,7 @@ def test_clenshaw_curtis_weights_against_30_digits():
     mp = pytest.importorskip("mpmath")
     for n in (51, 402):
         m = n - 1
-        got = gauss_nodes("uniform", Interval(-1.0, 1.0), n).w[::-1]
+        got = gauss_nodes("uniform", Interval(-1.0, 1.0), n - 1)[1][::-1]
         with mp.workdps(30):
             ref = []
             for j in range(n):
@@ -97,11 +98,21 @@ def test_clenshaw_curtis_weights_against_30_digits():
 
 @pytest.mark.parametrize("kind", ["chebyshev1", "chebyshev2", "uniform"])
 def test_gauss_exact_through_stated_degree(kind):
+    # each degree gets its family's smallest rule: Gauss is exact through
+    # 2n - 1 on n nodes, Clenshaw-Curtis through n - 1 on n >= 2
     iv = Interval(0.0, 1.0)
-    rule = gauss_nodes(kind, iv, 8)
-    mom = moments(kind, 0, 1, rule.degree)
-    for j in range(rule.degree + 1):
-        assert rule.w @ rule.x ** j == pytest.approx(float(mom[j]), abs=1e-13)
+    mom = moments(kind, 0, 1, 15)
+    for degree in range(16):
+        x, w = gauss_nodes(kind, iv, degree)
+        assert x.size == (max(degree + 1, 2) if kind == "uniform"
+                          else degree // 2 + 1)
+        for j in range(degree + 1):
+            assert w @ x ** j == pytest.approx(float(mom[j]), abs=1e-13)
+
+
+def test_gauss_rejects_a_negative_degree():
+    with pytest.raises(ValueError):
+        gauss_nodes("chebyshev2", Interval(0.0, 1.0), -1)
 
 
 def test_mixed_ratio_zeroth_is_destination_mean():
@@ -138,14 +149,12 @@ def _ratios_50_digits(src_kind, src, dst_kind, dst, m):
     Decimal exactly), no rescaling and no node ever dropped.
     """
     D = decimal.Decimal
-    nodes = m + 2 if dst_kind == "uniform" else (m + 3) // 2
-    rule = gauss_nodes(dst_kind, dst, nodes)
+    x, w = gauss_nodes(dst_kind, dst, m + 1)
     a = scalar_recurrence(src_kind, src, m + 1)
     with decimal.localcontext() as ctx:
         ctx.prec = 50
-        t = np.array([D(x) - D(src.mid) for x in rule.x.tolist()],
-                     dtype=object)
-        w = np.array([D(x) for x in rule.w.tolist()], dtype=object)
+        t = np.array([D(v) - D(src.mid) for v in x.tolist()], dtype=object)
+        w = np.array([D(v) for v in w.tolist()], dtype=object)
         p_prev, p_curr = np.full(t.size, D(1), dtype=object), t
         h = [D(1), w.dot(p_curr)]
         for k in range(m):

@@ -31,10 +31,8 @@ def test_interval_rejects_bad_endpoints():
 
 
 def test_system_ordering():
-    sys = AngelescoSystem(Interval(-2.0, 0.0), Interval(0.0, 1.0))
-    assert sys.touching
-    sys2 = AngelescoSystem(Interval(-2.0, 0.0), Interval(0.25, 1.0))
-    assert not sys2.touching
+    AngelescoSystem(Interval(-2.0, 0.0), Interval(0.0, 1.0))
+    AngelescoSystem(Interval(-2.0, 0.0), Interval(0.25, 1.0))
     with pytest.raises(ValueError):
         AngelescoSystem(Interval(-2.0, 0.5), Interval(0.25, 1.0))
 
@@ -432,10 +430,27 @@ def test_plateau_zones_split_the_interior(case):
     c1, c2, grid = case
     left, plat, right = plateau_zones(grid, c1, c2)
     total = left.astype(int) + plat.astype(int) + right.astype(int)
-    assert np.array_equal(total, ((grid > 0.0) & (grid < 1.0)).astype(int))
+    assert np.all(total == 1)
     # the plateau is closed: its edges belong to it
     assert np.all(plat[(grid == c1) | (grid == c2)])
-    assert np.all(grid[left] < c1) and np.all(grid[right] > c2)
+    # each end ray is in its end's zone
+    assert np.all(left[grid == 0.0]) and np.all(right[grid == 1.0])
+    interior = (grid > 0.0) & (grid < 1.0)
+    assert np.all(grid[left & interior] < c1)
+    assert np.all(grid[right & interior] > c2)
+
+
+@pytest.mark.parametrize("c1,c2", [(0.0, 0.0), (0.0, 1.0), (1.0, 1.0),
+                                   (0.5, 1.0), (5e-324, 1.0)])
+def test_plateau_zones_put_the_end_rays_in_the_end_zones(c1, c2):
+    # a window edge that rounds to an end leaves the end ray in its zone
+    grid = np.array([0.0, 5e-324, 0.5, 1.0 - 2.0 ** -53, 1.0])
+    left, plat, right = plateau_zones(grid, c1, c2)
+    assert left[0] and right[-1]
+    assert not (plat[0] or right[0] or plat[-1] or left[-1])
+    interior = grid[1:-1]
+    assert np.array_equal(left[1:-1], interior < c1)
+    assert np.array_equal(plat[1:-1], (interior >= c1) & (interior <= c2))
 
 
 _MARGINS = st.floats(0.0, 0.5)
@@ -445,10 +460,12 @@ _MARGINS = st.floats(0.0, 0.5)
 @given(windows_and_grids(), _MARGINS, _MARGINS, st.none() | _MARGINS)
 def test_off_window_is_the_rule_each_check_reads(case, m1, m2, end):
     c1, c2, grid = case
-    # the identity's pair (0.0, 0.0) keeps what plateau_zones puts off the
-    # window
+    # the identity's pair (0.0, 0.0) keeps the interior points that
+    # plateau_zones puts off the window
     left, _, right = plateau_zones(grid, c1, c2)
-    assert np.array_equal(off_window(grid, c1, c2, 0.0, 0.0), left | right)
+    interior = (grid > 0.0) & (grid < 1.0)
+    assert np.array_equal(off_window(grid, c1, c2, 0.0, 0.0),
+                          (left | right) & interior)
     # each kept point is more than the margin from [c1, c2], exactly, and
     # inside (end, 1 - end) when an end margin is given
     keep = off_window(grid, c1, c2, m1, end)
