@@ -2,14 +2,15 @@
 
 Three subcommands: ``compute`` writes one CSV of limit values per requested
 method and ``run_meta.json``; ``validate`` is ``compute`` of every method
-plus checks of cross-method agreement, identities and residuals against
-fixed bounds, written to ``validate_report.json``; ``plot`` renders CSVs
-into a four-panel SVG.  Settings come from an optional ``key = value``
-config file and from the command line, whose ``--key value`` and
-``--key=value`` pairs, ``--config``, ``--methods`` and ``--out`` among
-them, are read like config lines, keys matched whole, and override the
-file.  ``-h`` or ``--help`` where the subcommand or a key stands prints
-the help.  Identical configuration produces byte-identical CSVs.
+plus checks of cross-method agreement and identities, in A/L^2 and B/L with
+L the hull length, and of residuals, each against a fixed bound, written to
+``validate_report.json``; ``plot`` renders CSVs into a four-panel SVG.
+Settings come from an optional ``key = value`` config file and from the
+command line, whose ``--key value`` and ``--key=value`` pairs,
+``--config``, ``--methods`` and ``--out`` among them, are read like config
+lines, keys matched whole, and override the file.  ``-h`` or ``--help``
+where the subcommand or a key stands prints the help.  Identical
+configuration produces byte-identical CSVs.
 
 Exit codes: 0 success, 1 validation failure, 2 usage, input or
 configuration error, 3 numerical failure, which ``compute`` and
@@ -44,9 +45,9 @@ _DOMAINS = (("grid_points", 1, True), ("lattice_level", 1, True),
 # validate's fixed bounds: a check passes when its worst value is at most its
 # tolerance; lattice points within EXCLUDE_MARGIN of the window are skipped
 EXCLUDE_MARGIN = 0.05
-TOL_PAIR_EXACT = 1e-4      # ode vs surface
-TOL_PAIR_LATTICE = 1e-3    # dis vs surface, dis vs ode
-TOL_IDENTITY = 1e-8        # square-root identity, max abs
+TOL_PAIR_EXACT = 1e-4      # ode vs surface, A/L^2 and B/L
+TOL_PAIR_LATTICE = 1e-3    # dis vs surface, dis vs ode, A/L^2 and B/L
+TOL_IDENTITY = 1e-8        # square-root identity, max abs over L^2
 TOL_RESIDUAL = 1e-3        # limit-relation residuals, max rel
 
 
@@ -316,17 +317,18 @@ def run_validate(cfg):
     tolerance: it does not enter ``passed``."""
     curves, _, info, compared, lat = run_compute(cfg, METHODS)
     window = (info.c1, info.c2)
+    length = cfg.system().hull_length
     # (name, report entry, worst value, tolerance)
     checks = []
     for ma, mb, mask, margin, tol in (
             ("surface", "ode", None, 0.0, TOL_PAIR_EXACT),
             ("dis", "surface", compared, EXCLUDE_MARGIN, TOL_PAIR_LATTICE),
             ("dis", "ode", compared, EXCLUDE_MARGIN, TOL_PAIR_LATTICE)):
-        rep = dict(compare(curves[ma], curves[mb], mask),
+        rep = dict(compare(curves[ma], curves[mb], mask, length),
                    exclude_margin=margin)
         checks.append((f"compare {ma} vs {mb}", rep,
                        max(rep["max_abs"].values()), tol))
-    ide = identity_checks(curves["surface"], window=window)
+    ide = identity_checks(curves["surface"], window, length)
     checks.append(("identity surface", ide, ide["max_abs"], TOL_IDENTITY))
     res_grid = np.linspace(0.0, 1.0, cfg.residual_grid_points)
     res_curve = limit_curve(cfg.system(), res_grid, info)

@@ -5,9 +5,10 @@ four limit functions on whatever grid they are given, so two curves on one
 grid can be differenced point by point.  Independent of any pairing, a
 single curve can be checked against the differential relations the limits
 satisfy and against the square-root identity linking the a- and b-limits.
-Together these give quantitative meaning to "the methods agree"; given the
-hull length L, :func:`compare` states a difference in A/L^2 and B/L, as
-the lattice ladder's estimate does (:class:`~angelesco.lattice.Ladder`).
+Together these give quantitative meaning to "the methods agree".  Each
+difference is in A/L^2 and B/L, L the hull length, as the lattice ladder's
+estimate is (:class:`~angelesco.lattice.Ladder`), so a bound reads alike
+at every scale.
 How the lattice route converges in its level is no check here: a sweep to
 n is the first n levels of any deeper sweep, bit for bit, so a study over
 levels reads one sweep per level against one surface curve
@@ -30,9 +31,9 @@ entry, JSON as it stands; ``validate`` adds ``exclude_margin``,
 - :func:`compare`: ``methods``, the two curves' methods; ``n_points`` and
   ``n_excluded``, the grid points compared and skipped; ``max_abs`` and
   ``mean_abs``, each mapping A1, A2, B1 and B2 to its statistic over the
-  compared points.
-- :func:`identity_checks`: ``max_abs`` and ``max_rel``, the identity's
-  largest absolute and relative residual, and ``n_points``.
+  compared points, in A/L^2 and B/L.
+- :func:`identity_checks`: ``max_abs``, the identity's largest difference
+  over L^2, and ``n_points``.
 - :func:`ode_residuals`: ``h``, ``n_points``, ``max_rel``, the list of the
   four relations' largest relative residuals, ``stride``, ``edge_margin``
   and ``window``.
@@ -45,25 +46,22 @@ from .systems import FUNCS, off_window
 EDGE_MARGIN = 0.01
 
 
-def compare(a, b, mask=None, length=None):
-    """Difference two limit curves on their shared grid.
+def compare(a, b, mask, length):
+    """Difference two limit curves on their shared grid, in A/L^2 and B/L.
 
     The grids must agree point by point, else ValueError.  ``mask``, a
     boolean array over the grid, selects the compared points; None compares
-    all of them.  Given the hull ``length`` L, the statistics of A1 and A2
-    are over L^2 and those of B1 and B2 over L, in the scale-free units
-    A/L^2 and B/L.
+    all of them.  The statistics of A1 and A2 are over L^2 and those of B1
+    and B2 over L, with L the hull ``length``.
     """
     if not np.array_equal(a.s, b.s):
         raise ValueError(f"compare needs curves on one grid: {a.method!r} "
                          f"has {a.s.size} points, {b.method!r} {b.s.size}")
     mask = (np.ones(a.s.size, dtype=bool) if mask is None
             else np.asarray(mask, dtype=bool))
-    scales = ((1.0,) * 4 if length is None
-              else (length * length,) * 2 + (length,) * 2)
 
     max_abs, mean_abs = {}, {}
-    for f, scale in zip(FUNCS, scales):
+    for f, scale in zip(FUNCS, (length * length,) * 2 + (length,) * 2):
         d = np.abs(getattr(a, f)[mask] - getattr(b, f)[mask])
         max_abs[f] = float(d.max(initial=0.0)) / scale
         mean_abs[f] = float(d.sum() / max(d.size, 1)) / scale
@@ -140,16 +138,15 @@ def ode_residuals(curve, h, window):
             "stride": stride, "edge_margin": EDGE_MARGIN, "window": window}
 
 
-def identity_checks(curve, window):
+def identity_checks(curve, window, length):
     """Check (B2 - B1)^2 = A1/s^2 + A2/(1-s)^2 off the plateau ``window``
     = (c1, c2), on the interior points :func:`~angelesco.systems.off_window`
-    keeps with ``(0.0, 0.0)``; the window ``(0.0, 0.0)`` keeps them all."""
+    keeps with ``(0.0, 0.0)``; the window ``(0.0, 0.0)`` keeps them all.
+    Both sides grow as L^2: the worst is over the hull ``length`` squared."""
     s = curve.s
     keep = off_window(s, *window, 0.0, 0.0)
     sm = s[keep]
     lhs = (curve.B2[keep] - curve.B1[keep]) ** 2
     rhs = curve.A1[keep] / sm ** 2 + curve.A2[keep] / (1.0 - sm) ** 2
-    diff = np.abs(lhs - rhs)
-    rel = diff / np.maximum(1.0, lhs)
-    return {"max_abs": float(diff.max(initial=0.0)),
-            "max_rel": float(rel.max(initial=0.0)), "n_points": int(sm.size)}
+    worst = float(np.abs(lhs - rhs).max(initial=0.0))
+    return {"max_abs": worst / (length * length), "n_points": int(sm.size)}

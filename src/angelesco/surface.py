@@ -195,12 +195,13 @@ def residue_limits(alpha, w, d):
     d01 = t0 - t1  # tau0 - tau1
     d02 = 2.0 * d * t0 * (w * (w + 2.0) + d * (1.0 + 2.0 * w)) / (e * d01)
     g2 = 2.0 * (w * t0) ** 2 / (e * g1)  # tau2 - gamma
+    q1, q2 = d01 * d01, d02 * d02  # powers as products, not ufunc pow
     ka = alpha * alpha * t0 * t0 * s / r
-    a1 = ka * t1 * t1 * g1 / (d01 ** 4 * d02)
-    a2 = ka * t2 * t2 * g2 / (d02 ** 4 * d01)
-    kb = alpha * t0 * t0 / (e * d01 ** 2 * d02 ** 2)
+    a1 = ka * t1 * t1 * g1 / (q1 * q1 * d02)
+    a2 = ka * t2 * t2 * g2 / (q2 * q2 * d01)
+    kb = alpha * t0 * t0 / (e * q1 * q2)
     k0 = (w * w * (2.0 * w + 3.0) + d * w * (5.0 * w + 2.0)
-          + d * d * (1.0 - 2.0 * w) - d ** 3 * (1.0 + 2.0 * w))
+          + d * d * (1.0 - 2.0 * w) - d * d * d * (1.0 + 2.0 * w))
     k1 = w * w + 2.0 * d * w * (w + 1.0) + d * d * (1.0 + 2.0 * w)
     kt0 = 2.0 * (w * w * (w + 2.0) + d * w * (4.0 * w + 2.0)
                  + d * d * (w * w + w + 1.0))

@@ -87,8 +87,9 @@ def test_criterion_3_gap_plateau_and_branches(gap_system, gap_info):
     # finite-level sweep agrees with the assembled curve off the plateau
     lat = solve_lattice(gap_system, 1500)
     curve_i = curve_from_lattice(lat, GRID)
-    rep = compare(curve_i, assembled, off_window(GRID, c1, c2, 0.05))
-    assert max(rep["max_abs"].values()) <= 2e-2
+    rep = compare(curve_i, assembled, off_window(GRID, c1, c2, 0.05),
+                  gap_system.hull_length)
+    assert max(rep["max_abs"].values()) <= 2e-3
 
 
 def test_criterion_4_residuals_of_limit_relations(gap_system, gap_info):
@@ -106,8 +107,8 @@ def test_criterion_5_square_root_identity(touching_system, touching_info,
     for sys, info in ((touching_system, touching_info),
                       (gap_system, gap_info)):
         curve = limit_curve(sys, GRID, info=info)
-        rep = identity_checks(curve, window=(info.c1, info.c2))
-        assert rep["max_abs"] <= 1e-8 and rep["n_points"] > 0
+        rep = identity_checks(curve, (info.c1, info.c2), sys.hull_length)
+        assert rep["max_abs"] <= 1e-14 and rep["n_points"] > 0
         # B2 > B1 and the endpoint zeros are the curve contract's
         assert curve.validate() is curve
 

@@ -495,8 +495,8 @@ def test_an_unbalanced_surface_curve_answers(tmp_path, interval1):
     # length L (A / L^2, B / L)
     cfg = RunConfig(interval1=tuple(map(float, interval1.split(","))))
     curves, _, _, _, _ = _compute_curves(cfg, {"surface", "ode"})
-    rep = compare(curves["surface"], curves["ode"],
-                  length=cfg.system().hull_length)
+    rep = compare(curves["surface"], curves["ode"], None,
+                  cfg.system().hull_length)
     assert max(rep["max_abs"].values()) < 1e-12, rep["max_abs"]
     rc = main(["compute", "--methods", "surface", f"--interval1={interval1}",
                "--output_dir", str(tmp_path / "out")])
@@ -521,8 +521,8 @@ def test_a_frame_whose_beta_rounds_to_1_answers(tmp_path, interval1,
     cfg = RunConfig(interval1=tuple(map(float, interval1.split(","))),
                     interval2=tuple(map(float, interval2.split(","))))
     curves, _, _, _, _ = _compute_curves(cfg, {"surface", "ode"})
-    rep = compare(curves["surface"], curves["ode"],
-                  length=cfg.system().hull_length)
+    rep = compare(curves["surface"], curves["ode"], None,
+                  cfg.system().hull_length)
     assert max(rep["max_abs"].values()) < 1e-12, rep["max_abs"]
 
 
@@ -760,8 +760,8 @@ def test_a_shifted_touching_system_keeps_its_a_columns(tmp_path, power):
 
 @pytest.mark.parametrize("power", [22, 24])
 def test_validate_passes_on_a_shifted_touching_system(tmp_path, power):
-    # B2 - B1 carries ulp(shift), so the identity's absolute bound is read
-    # at 2^24 as 9.9e-9 against 1e-8; from 2^26 on it fails
+    # B2 - B1 carries ulp(shift), so the identity, over L^2 = 9, reads
+    # 1.1e-9 at 2^24 and 5.1e-9 at 2^26 against 1e-8; from 2^28 on it fails
     out = tmp_path / "out"
     assert main(["validate", "--output_dir", str(out)]
                 + _shifted_touching(power)) == 0
@@ -892,6 +892,32 @@ def test_validate_fails_on_tight_tolerance(tmp_path, capsys, monkeypatch):
     assert [c["passed"] for c in report["comparisons"]] == [True, False, False]
     lines = capsys.readouterr().out.splitlines()
     assert sum(line.startswith("FAIL") for line in lines) == 2
+
+
+@pytest.mark.parametrize("interval1, interval2", [
+    ("-2e-3,0", "0,1e-3"), ("-2,0", "0,1")], ids=["small", "unit"])
+def test_validate_fails_an_ode_curve_off_by_a_hundredth_of_l(
+        tmp_path, capsys, monkeypatch, interval1, interval2):
+    # B2 of the ODE curve moved by 0.01 L is 0.01 in B/L on every system,
+    # so both pairs with the ODE fail on a system of length 3, and on one
+    # of length 3e-3, where the difference in user units is only 3e-5
+    import angelesco.cli as climod
+    solve = climod.solve_system
+
+    def off(system, *args):
+        curve = solve(system, *args)
+        return dataclasses.replace(curve,
+                                   B2=curve.B2 + 0.01 * system.hull_length)
+
+    monkeypatch.setattr(climod, "solve_system", off)
+    out = tmp_path / "out"
+    rc = main(["validate", f"--interval1={interval1}",
+               f"--interval2={interval2}", "--output_dir", str(out)] + FAST)
+    assert rc == 1
+    lines = capsys.readouterr().out.splitlines()
+    fails = [line.split(":")[0] for line in lines if line.startswith("FAIL")]
+    assert fails == ["FAIL  compare surface vs ode",
+                     "FAIL  compare dis vs ode"]
 
 
 @pytest.mark.parametrize("interval2, grid_points", [

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 import angelesco.ode as ode_mod
 from angelesco import AngelescoSystem, Interval, LimitCurve
+from angelesco.cli import main
 from angelesco.crossval import FUNCS, compare, identity_checks, ode_residuals
 from angelesco.lattice import curve_from_lattice, solve_lattice
 from angelesco.ode import solve_system
@@ -24,7 +26,7 @@ def gap_curve_dense(gap_system, gap_info):
 
 
 def test_compare_curve_with_itself(touching_curve):
-    rep = compare(touching_curve, touching_curve)
+    rep = compare(touching_curve, touching_curve, None, 1.0)
     assert max(rep["max_abs"].values()) == 0.0
     assert rep["n_excluded"] == 0
     assert rep["n_points"] == 181 and "passed" not in rep
@@ -37,7 +39,7 @@ def test_compare_rejects_mismatched_grids(touching_system, touching_info,
     for grid in (np.linspace(0.0, 1.0, 91), np.linspace(0.2, 0.8, 61)):
         other = limit_curve(touching_system, grid, info=touching_info)
         with pytest.raises(ValueError, match="one grid"):
-            compare(touching_curve, other)
+            compare(touching_curve, other, None, 1.0)
 
 
 def test_compare_empty_overlap():
@@ -47,10 +49,10 @@ def test_compare_empty_overlap():
     a = LimitCurve(s1, one * 0.1, one * 0.2, -one, one)
     b = LimitCurve(s2, one * 0.1, one * 0.2, -one, one * 2.0)
     with pytest.raises(ValueError, match="one grid"):
-        compare(a, b)
+        compare(a, b, None, 1.0)
     # a mask with no point is a report, not a raise: the caller decides
     # that no point fails
-    rep = compare(a, a, np.zeros(31, dtype=bool))
+    rep = compare(a, a, np.zeros(31, dtype=bool), 1.0)
     assert rep["n_points"] == 0 and rep["n_excluded"] == 31
     assert set(rep["max_abs"].values()) == {0.0}
     assert set(rep["mean_abs"].values()) == {0.0}
@@ -64,13 +66,13 @@ def test_compare_margin_needs_window():
     a = LimitCurve(s, one * 0.1, one * 0.2, -one, one)
     b = LimitCurve(s, one * 0.1, one * 0.2, -one, 1.0 + 0.01 * s)
     keep = off_window(s, 0.4, 0.6, 0.049)
-    rep = compare(a, b, keep)
+    rep = compare(a, b, keep, 1.0)
     # drops grid points closer than the margin to [0.4, 0.6]
     assert rep["n_excluded"] == 5
     assert rep["n_points"] == 16
     # and reads only the kept ones
     assert rep["max_abs"]["B2"] == np.abs(b.B2 - 1.0)[keep].max()
-    rep = compare(a, a, off_window(s, 0.4, 0.6, 2.0))
+    rep = compare(a, a, off_window(s, 0.4, 0.6, 2.0), 1.0)
     assert rep["n_points"] == 0 and rep["n_excluded"] == 21
 
 
@@ -165,25 +167,28 @@ def test_residuals_grid_validation(touching_system, touching_info):
         ode_residuals(tiny, h=1e-3, window=(0.0, 0.0))
 
 
-def test_identity_on_surface_curve(gap_curve_dense, gap_info,
-                                   touching_curve, touching_info):
+def test_identity_on_surface_curve(gap_system, gap_curve_dense, gap_info,
+                                   touching_system, touching_curve,
+                                   touching_info):
     rep = identity_checks(touching_curve,
-                          window=(touching_info.c1, touching_info.c2))
-    assert rep["max_abs"] <= 1e-8
+                          (touching_info.c1, touching_info.c2),
+                          touching_system.hull_length)
+    assert rep["max_abs"] <= 1e-14
     # every interior point: the threshold ray is no point of the grid
     assert rep["n_points"] == touching_curve.s.size - 2
     # the plateau points are skipped
-    rep = identity_checks(gap_curve_dense, window=(gap_info.c1, gap_info.c2))
+    rep = identity_checks(gap_curve_dense, (gap_info.c1, gap_info.c2),
+                          gap_system.hull_length)
     assert rep["n_points"] < gap_curve_dense.s.size - 2
 
 
 def test_identity_on_lattice_curve(touching_system):
     lat = solve_lattice(touching_system, 1500)
     cv = curve_from_lattice(lat, np.linspace(0.05, 0.95, 19))
-    rep = identity_checks(cv, window=(0.0, 0.0))
-    assert rep["max_rel"] <= 2e-2
+    rep = identity_checks(cv, (0.0, 0.0), touching_system.hull_length)
+    assert rep["max_abs"] <= 5e-3
     assert rep["n_points"] == cv.s.size
-    assert set(rep) == {"max_abs", "max_rel", "n_points"}
+    assert set(rep) == {"max_abs", "n_points"}
 
 
 @pytest.mark.parametrize("name", ["touching", "gap"])
@@ -217,19 +222,18 @@ def test_a_one_point_read_is_the_grid_read(request, monkeypatch, name):
 
 def test_compare_with_the_hull_length_reads_a_over_l2_and_b_over_l(
         touching_system, touching_curve):
-    # each statistic is the raw one over L^2 (A1, A2) or L (B1, B2), bit
-    # for bit, and an empty mask still reads no point
+    # each statistic is the difference in user units over L^2 (A1, A2) or
+    # L (B1, B2), bit for bit, and an empty mask still reads no point
     lat = solve_lattice(touching_system, 64)
     dis = curve_from_lattice(lat, touching_curve.s, True)
     length = touching_system.hull_length
-    raw = compare(dis, touching_curve)
-    scaled = compare(dis, touching_curve, length=length)
-    assert scaled["n_points"] == raw["n_points"] == 181
+    scaled = compare(dis, touching_curve, None, length)
+    assert scaled["n_points"] == 181
     for f, scale in zip(FUNCS, (length * length,) * 2 + (length,) * 2):
-        assert scaled["max_abs"][f] == raw["max_abs"][f] / scale
-        assert scaled["mean_abs"][f] == raw["mean_abs"][f] / scale
-    assert (0.0 < max(scaled["max_abs"].values())
-            < max(raw["max_abs"].values()))
+        d = np.abs(getattr(dis, f) - getattr(touching_curve, f))
+        assert scaled["max_abs"][f] == float(d.max()) / scale
+        assert scaled["mean_abs"][f] == float(d.sum() / d.size) / scale
+    assert 0.0 < max(scaled["max_abs"].values())
     empty = compare(dis, touching_curve, np.zeros(181, dtype=bool), length)
     assert empty["n_points"] == 0
     assert max(empty["max_abs"].values()) == 0.0
@@ -253,3 +257,23 @@ def test_compare_with_the_hull_length_is_scale_free(gap_system, gap_info, k):
     assert base["n_points"] == scaled["n_points"] > 0
     assert scaled == base
     assert max(base["max_abs"].values()) > 0.0
+
+
+def test_validate_pair_and_identity_entries_are_scale_free(tmp_path, capsys):
+    # validate on gap and on its copies scaled by 2^-40 and 2^40 writes the
+    # same comparison and identity entries, bit for bit.  The residual
+    # check is left out: its max(1, largest |term|) floor makes it read an
+    # absolute value on systems whose terms are below 1, which grows as L^2
+    entries = []
+    for k in (0, -40, 40):
+        i1, i2 = ((math.ldexp(lo, k), math.ldexp(hi, k))
+                  for lo, hi in ((-2.0, 0.0), (0.25, 1.0)))
+        out = tmp_path / str(k)
+        main(["validate", f"--interval1={i1[0]!r},{i1[1]!r}",
+              f"--interval2={i2[0]!r},{i2[1]!r}", "--output_dir", str(out)])
+        report = json.loads((out / "validate_report.json").read_text())
+        entries.append((report["comparisons"], report["identity"]))
+    capsys.readouterr()
+    assert entries[1] == entries[0] and entries[2] == entries[0]
+    assert all(c["n_points"] > 0 and c["passed"] for c in entries[0][0])
+    assert entries[0][1]["n_points"] > 0 and entries[0][1]["passed"]

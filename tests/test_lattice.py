@@ -406,7 +406,7 @@ def test_error_estimate_bounds_the_table_error(touching_system, touching_info):
     solve_lattice(touching_system, 400, lad)
     ref = limit_curve(touching_system, grid, info=touching_info)
     assert [r["level"] for r in lad.rungs] == [256, 400]
-    rep = compare(lad.curve, ref, length=touching_system.hull_length)
+    rep = compare(lad.curve, ref, None, touching_system.hull_length)
     err = max(rep["max_abs"].values())
     assert err <= lad.rungs[-1]["estimate"]
     assert lad.curve.meta["table_levels"] == [250, 300, 350, 400]
@@ -430,7 +430,7 @@ def test_error_estimate_over_the_compared_points(gap_system, gap_info):
     length = gap_system.hull_length
     part = lad.rungs[-1]["estimate"]
     kept = compare(curves[1], curves[0], keep, length)["max_abs"]
-    whole = compare(curves[1], curves[0], length=length)["max_abs"]
+    whole = compare(curves[1], curves[0], None, length)["max_abs"]
     assert part == max(kept.values())
     assert part < 0.1 * max(whole.values())
     ref = limit_curve(gap_system, grid, info=gap_info)

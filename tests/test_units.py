@@ -120,7 +120,7 @@ def _assert_routes_agree(draw, length, compared, curves):
     """Surface and ODE agree over the whole grid, and the lattice with each
     on the ``compared`` points, if there are any, in A/L^2 and B/L."""
     surface, ode, dis = curves
-    worst = max(compare(surface, ode, length=length)["max_abs"].values())
+    worst = max(compare(surface, ode, None, length)["max_abs"].values())
     assert worst <= TOL_SURFACE_ODE, (draw, worst)
     if np.any(compared):
         for other in (surface, ode):
@@ -155,7 +155,7 @@ def test_every_route_is_mirror_symmetric_to_a_bound():
         for curve, hat in zip(curves, hats):
             mirrored = pushforward_limits(hat, back)
             assert np.array_equal(mirrored.s, curve.s)
-            rep = compare(curve, mirrored, length=length)
+            rep = compare(curve, mirrored, None, length)
             diff = max(rep["max_abs"].values())
             assert diff <= MIRROR_BOUNDS[curve.method], (draw, curve.method,
                                                          diff)

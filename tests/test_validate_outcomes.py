@@ -10,12 +10,12 @@ lattice curve against the surface, against the committed
 ``tests/validate_outcomes.json``.  An entry's key is "w1/w2 alpha beta".
 
 The digits are -log10 of the largest difference of ``validate``'s
-"compare dis vs surface" over its compared points, A over L^2 and B over
-L with L = 1 + alpha the hull length, to one decimal.  They are null where
-that comparison sees no point or the run writes no report, and are held
-to within 0.1; exit codes and check names are held exactly.  A run that
-exits 3 writes no report; the first clause of its failure message (the
-text before its first ", ") stands in for the failing checks.
+"compare dis vs surface" over its compared points, as the report states
+it in A/L^2 and B/L (L the hull length), to one decimal.  They are null
+where that comparison sees no point or the run writes no report, and are
+held to within 0.1; exit codes and check names are held exactly.  A run
+that exits 3 writes no report; the first clause of its failure message
+(the text before its first ", ") stands in for the failing checks.
 
 Tier-1 sweeps ``TIER1_PAIRS``, chebyshev2 on both intervals and the two
 pairs with chebyshev1 at the touching end; CI sweeps all nine with
@@ -48,16 +48,13 @@ def check_names(report):
     yield "ode residuals", report["residuals"]
 
 
-def dis_digits(checks, alpha):
-    """Digits of the dis vs surface comparison in A/L^2 and B/L, one
-    decimal; None where it saw no point."""
+def dis_digits(checks):
+    """Digits of the dis vs surface comparison, one decimal; None where it
+    saw no point."""
     entry = dict(checks)["compare dis vs surface"]
     if not entry["n_points"]:
         return None
-    length = 1.0 + float(alpha)
-    worst = max(v / length ** (2 if f[0] == "A" else 1)
-                for f, v in entry["max_abs"].items())
-    return round(-math.log10(worst), 1)
+    return round(-math.log10(max(entry["max_abs"].values())), 1)
 
 
 def outcomes(out_dir, pairs):
@@ -83,7 +80,7 @@ def outcomes(out_dir, pairs):
                 failed = [n for n, c in checks
                           if c["n_points"] and not c["passed"]]
                 unseen = [n for n, c in checks if not c["n_points"]]
-                table[key] = [rc, failed, unseen, dis_digits(checks, alpha)]
+                table[key] = [rc, failed, unseen, dis_digits(checks)]
     return table
 
 
