@@ -20,8 +20,7 @@ from .errors import NumericalFailure
 from .lattice import NnrrLattice, curve_from_lattice, solve_lattice
 from .ode import (BoundaryPack, Branch, assemble_curve, boundary_values,
                   integrate_branch, solve_system)
-from .orthopoly import (AxisData, axis_data, gauss_nodes, mixed_ratios,
-                        scalar_recurrence)
+from .orthopoly import AxisData, axis_data, mixed_ratios, scalar_recurrence
 from .surface import (PlateauInfo, limit_curve, plateau_bounds, pushed_beta,
                       residue_limits, threshold_ray)
 from .systems import (WEIGHT_KINDS, AffineMap, AngelescoSystem, Interval,
@@ -34,9 +33,9 @@ __all__ = [
     "AffineMap", "AngelescoSystem", "AxisData", "BoundaryPack", "Branch",
     "Interval", "LimitCurve", "NnrrLattice", "NumericalFailure", "PlateauInfo",
     "StarConfig", "WEIGHT_KINDS", "assemble_curve", "axis_data",
-    "boundary_values", "compare", "curve_from_lattice", "gauss_nodes",
-    "identity_checks", "integrate_branch", "limit_curve", "mixed_ratios",
-    "ode_residuals", "plateau_bounds", "pushed_beta", "pushforward_limits",
-    "reflect", "residue_limits", "scalar_recurrence", "solve_lattice",
-    "solve_system", "star_normalize", "threshold_ray",
+    "boundary_values", "compare", "curve_from_lattice", "identity_checks",
+    "integrate_branch", "limit_curve", "mixed_ratios", "ode_residuals",
+    "plateau_bounds", "pushed_beta", "pushforward_limits", "reflect",
+    "residue_limits", "scalar_recurrence", "solve_lattice", "solve_system",
+    "star_normalize", "threshold_ray",
 ]

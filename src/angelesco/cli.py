@@ -280,12 +280,13 @@ def _write_json(path, obj):
                           encoding="utf-8")
 
 
-def write_failure(output_dir, command, exc):
+def write_failure(cfg, command, exc):
     """Write ``failure.json``, the record of a :class:`NumericalFailure`:
-    the subcommand, the message and the failure's context."""
-    _write_json(Path(output_dir) / "failure.json",
+    the subcommand, the message, the failure's context and the run's
+    settings, as ``run_meta.json`` records them."""
+    _write_json(Path(cfg.output_dir) / "failure.json",
                 {"command": command, "message": str(exc),
-                 "context": exc.context})
+                 "context": exc.context, "config": dataclasses.asdict(cfg)})
 
 
 def run_compute(cfg, methods):
@@ -439,7 +440,7 @@ def main(argv=None):
     except NumericalFailure as exc:
         print(f"numerical failure: {exc} {exc.context}", file=_sys.stderr)
         if cfg is not None:
-            write_failure(cfg.output_dir, command, exc)
+            write_failure(cfg, command, exc)
         return 3
     except (ValueError, TypeError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=_sys.stderr)

@@ -69,8 +69,10 @@ whose same-order estimate max |T(m_i) - T(m_(i-1))| on the compared points,
 estimate, and follows the error of the lower rung.  Against the surface
 route it read at least 0.62 times the error of the returned rung over 431
 rungs of 60 systems (median 3.1), and at least 0.89 times the error at 256
-over 72 systems at the default rungs 184 and 256 (median 4.4).  Rungs
-closer than sqrt(2) to each other read less (0.17 to 0.5 at 5792 against
+over 72 systems at the default rungs 184 and 256 (median 4.4).  Both were
+measured on the three supported weights; on Nevai-class perturbations of
+them, each a_k times 1 - 1/(2 k^p) for p = 2, 1 and 1/2, it read only 0.50
+down to 0.13 times the error.  Rungs closer than sqrt(2) to each other read less (0.17 to 0.5 at 5792 against
 6000), which the cap / sqrt(2) rule avoids.  A sweep to n being the first n
 levels of any deeper one, each rung's lattice is the sweep to that rung,
 bit for bit, and holds its own copy of each table diagonal: the lattice the

@@ -3,10 +3,10 @@
 Both are the straightforward forms of :func:`angelesco.lattice.solve_lattice`
 and :func:`angelesco.orthopoly.mixed_ratios`: fresh arrays on every
 diagonal, the sweep in the user's units, every consistency residual formed
-inside the loop, and the moment recursion slicing its live nodes on every
-step.  The
-package must compute the same values bit for bit, because it does the same
-floating-point operations in the same order with less per-step overhead.
+inside the loop, and the moment recursion padding fresh vectors on every
+step.  The package must compute the same values bit for bit, because it
+does the same floating-point operations in the same order with less
+per-step overhead.
 """
 import math
 
@@ -14,7 +14,7 @@ import numpy as np
 
 import angelesco.lattice as lattice_mod
 from angelesco.errors import NumericalFailure
-from angelesco.orthopoly import gauss_nodes, scalar_recurrence
+from angelesco.orthopoly import scalar_recurrence
 from angelesco.systems import hull_units
 
 
@@ -101,47 +101,38 @@ def user_diagonal(lat, level):
                  for v, f in zip(lat.diagonal(level), (2, 2, 1, 1)))
 
 def mixed_ratios(src_kind, src_interval, dst_kind, dst_interval, m):
-    """Ratios h_{k+1} / h_k, k = 0..m, of the mixed moments, each node's
-    value w_j p_k(t_j) carrying its weight and each moment a pairwise sum."""
-    x, w = gauss_nodes(dst_kind, dst_interval, m + 1)
-    t = x - src_interval.mid
-    if abs(t[0]) < abs(t[-1]):
-        t, w = t[::-1].copy(), w[::-1].copy()
+    """Ratios h_{k+1} / h_k, k = 0..m, of the mixed moments h_k =
+    e1' p_k(J) e1, J the destination's symmetric Jacobi matrix: fresh,
+    zero-padded copies of the two vectors on every step, each new vector
+    formed on the entries that can still reach e1 and its tail cut below
+    2^-400 of the moment."""
     a = scalar_recurrence(src_kind, src_interval, m + 1).tolist()
-    n = t.size
-    u_prev = w.copy()
-    u_curr = w * t
-    v = np.empty(n)
-    tmp = np.empty(n)
-    h_curr = 1.0
-    h_next = float(np.add.reduce(u_curr))
+    beta = np.sqrt(scalar_recurrence(dst_kind, dst_interval, m // 2 + 2))
+    d = dst_interval.mid - src_interval.mid
+    u, v = np.array([1.0]), np.array([d, beta[0]])
     r = np.empty(m + 1)
     for k in range(m + 1):
-        if not abs(h_curr) > 0.0:
-            raise NumericalFailure("mixed moment vanished", {"k": k})
-        r[k] = h_next / h_curr
+        r[k] = v[0] / u[0]
         if k == m:
             break
-        vn, un = v[:n], u_curr[:n]
-        np.multiply(t[:n], un, out=vn)
-        np.multiply(u_prev[:n], a[k], out=tmp[:n])
-        np.subtract(vn, tmp[:n], out=vn)
-        far = abs(float(vn[0]))
-        if not 0.0 < far < math.inf:
-            raise NumericalFailure("polynomial lost its scale at the far node",
+        n = min(v.size + 1, m - k)
+        up, vp = np.zeros(n), np.zeros(n + 1)
+        up[:min(u.size, n)] = u[:n]
+        vp[:min(v.size, n + 1)] = v[:n + 1]
+        w = d * vp[:n] - a[k] * up
+        w[1:] += beta[:n - 1] * vp[:n - 1]
+        w += beta[:n] * vp[1:]
+        h = abs(float(w[0]))
+        if not 0.0 < h < math.inf:
+            raise NumericalFailure("mixed moment vanished or is not finite",
                                    {"k": k})
-        h_curr, h_next = h_next, float(np.add.reduce(vn))
-        e = math.frexp(far)[1]
+        e = math.frexp(h)[1]
         if not -256 < e < 256:
-            scale = math.ldexp(1.0, -e)
-            vn *= scale
-            un *= scale
-            h_curr *= scale
-            h_next *= scale
-            far = math.ldexp(far, -e)
-        cut_v = 2.0 ** -400 * far
-        cut_u = 2.0 ** -400 * abs(float(un[0]))
-        while n > 1 and abs(vn[n - 1]) < cut_v and abs(un[n - 1]) < cut_u:
+            w *= math.ldexp(1.0, -e)
+            vp *= math.ldexp(1.0, -e)
+            h = math.ldexp(h, -e)
+        cut = 2.0 ** -400 * h
+        while n > 1 and abs(w[n - 1]) < cut and abs(vp[n - 1]) < cut:
             n -= 1
-        u_prev, u_curr, v = u_curr, v, u_prev
+        u, v = vp[:n], w[:n]
     return r

@@ -1029,8 +1029,10 @@ def test_numerical_failure_exit_code(tmp_path, monkeypatch):
         rc = main(command + ["--output_dir", str(out)])
         assert rc == 3
         record = json.loads((out / "failure.json").read_text())
+        config = dataclasses.asdict(RunConfig(output_dir=str(out)))
         assert record == {"command": command[0], "message": "forced",
-                          "context": {}}
+                          "context": {},
+                          "config": json.loads(json.dumps(config))}
 
 
 def test_a_branch_at_its_step_cap_leaves_a_failure_record(tmp_path):
@@ -1046,6 +1048,22 @@ def test_a_branch_at_its_step_cap_leaves_a_failure_record(tmp_path):
     assert ctx["branch"] == "forward"
     assert 0.0 < ctx["s"] == ctx["last_good_s"] < ctx["stop"]
     assert not (out / "ode.csv").exists()
+
+
+def test_a_failure_record_replays_its_run(tmp_path):
+    # the record's settings, written out as a config file, give the same
+    # failure: the same message, context and settings
+    out = tmp_path / "out"
+    assert main(["compute", "--methods", "ode", "--ode_steps", "1",
+                 "--output_dir", str(out)]) == 3
+    record = json.loads((out / "failure.json").read_text())
+    lines = [f"{key} = {','.join(map(str, v)) if isinstance(v, list) else v}"
+             for key, v in record["config"].items()]
+    config = tmp_path / "replay.cfg"
+    config.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (out / "failure.json").unlink()
+    assert main([record["command"], "--config", str(config)]) == 3
+    assert json.loads((out / "failure.json").read_text()) == record
 
 
 def test_validate_writes_no_csv_before_every_route_answers(tmp_path):

@@ -1,13 +1,13 @@
 import decimal
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import angelesco.orthopoly as orthopoly_mod
 from angelesco import AngelescoSystem, Interval, NumericalFailure
-from angelesco.orthopoly import (axis_data, gauss_nodes, mixed_ratios,
-                                 scalar_recurrence)
+from angelesco.orthopoly import axis_data, mixed_ratios, scalar_recurrence
 import lattice_oracle
 from moment_oracle import MomentOracle, moments
 
@@ -53,70 +53,8 @@ def test_scalar_recurrence_matches_rational_oracle(kind):
         assert sys.i1.mid == pytest.approx(float(b1), abs=1e-13)
 
 
-def test_gauss_single_chebyshev1_node():
-    x, w = gauss_nodes("chebyshev1", Interval(-1.0, 1.0), 1)
-    np.testing.assert_allclose(x, [0.0], atol=1e-16)
-    np.testing.assert_allclose(w, [1.0], atol=0)
-
-
-@pytest.mark.parametrize("kind", ["chebyshev1", "chebyshev2", "uniform"])
-@pytest.mark.parametrize("degree", [1, 2, 7, 40])
-def test_gauss_weights_are_probability(kind, degree):
-    x, w = gauss_nodes(kind, Interval(-2.0, 0.5), degree)
-    assert np.sum(w) == pytest.approx(1.0, abs=1e-14)
-    assert np.all(w > 0)
-    assert np.all(x >= -2.0) and np.all(x <= 0.5)
-
-
-def test_gauss_uniform_mean_exact():
-    # degrees 1 to 7: Clenshaw-Curtis on 2 to 8 points
-    for degree in range(1, 8):
-        x, w = gauss_nodes("uniform", Interval(0.0, 1.0), degree)
-        assert w @ x == pytest.approx(0.5, abs=1e-15)
-
-
-def test_clenshaw_curtis_weights_against_30_digits():
-    # w_j = (2/m)(1 - 2 sum_k c_k cos(2 pi k j / m)), halved at the ends and
-    # normalized; the sum cancels to O(1/m) at the ends, so a few ulps
-    # times n is what rounding leaves
-    mp = pytest.importorskip("mpmath")
-    for n in (51, 402):
-        m = n - 1
-        got = gauss_nodes("uniform", Interval(-1.0, 1.0), n - 1)[1][::-1]
-        with mp.workdps(30):
-            ref = []
-            for j in range(n):
-                csum = sum((mp.mpf(1) / 2 if 2 * k == m else 1)
-                           / (4 * k * k - 1) * mp.cos(2 * k * j * mp.pi / m)
-                           for k in range(1, m // 2 + 1))
-                ref.append((1 - 2 * csum) / (m if 0 < j < m else 2 * m))
-            total = sum(ref)
-            err = max(abs(g - r / total) / (r / total)
-                      for g, r in zip(got, ref))
-        assert err <= 4e-16 * n, n
-
-
-@pytest.mark.parametrize("kind", ["chebyshev1", "chebyshev2", "uniform"])
-def test_gauss_exact_through_stated_degree(kind):
-    # each degree gets its family's smallest rule: Gauss is exact through
-    # 2n - 1 on n nodes, Clenshaw-Curtis through n - 1 on n >= 2
-    iv = Interval(0.0, 1.0)
-    mom = moments(kind, 0, 1, 15)
-    for degree in range(16):
-        x, w = gauss_nodes(kind, iv, degree)
-        assert x.size == (max(degree + 1, 2) if kind == "uniform"
-                          else degree // 2 + 1)
-        for j in range(degree + 1):
-            assert w @ x ** j == pytest.approx(float(mom[j]), abs=1e-13)
-
-
-def test_gauss_rejects_a_negative_degree():
-    with pytest.raises(ValueError):
-        gauss_nodes("chebyshev2", Interval(0.0, 1.0), -1)
-
-
 def test_mixed_ratio_zeroth_is_destination_mean():
-    # h_0 = 1 and h_1 = mean(dst) - b_0(src), so r_0 needs no quadrature
+    # h_0 = 1 and h_1 = mean(dst) - b_0(src), so r_0 is read before any step
     r = mixed_ratios("chebyshev2", Interval(-2.0, 0.0),
                      "uniform", Interval(0.0, 1.0), 0)
     assert r[0] == pytest.approx(0.5 - (-1.0), abs=1e-14)
@@ -145,21 +83,27 @@ def test_mixed_ratios_rejects_overlapping_intervals():
 def _ratios_50_digits(src_kind, src, dst_kind, dst, m):
     """The recurrence of ``mixed_ratios`` in 50-digit decimal arithmetic.
 
-    Same nodes, weights and coefficients (every binary float converts to a
-    Decimal exactly), no rescaling and no node ever dropped.
+    The same float coefficients, the destination's off-diagonals sqrt(a)
+    among them (every binary float converts to a Decimal exactly); the
+    whole vector p_k(J) e1, with no rescaling and no tail cut.
     """
     D = decimal.Decimal
-    x, w = gauss_nodes(dst_kind, dst, m + 1)
-    a = scalar_recurrence(src_kind, src, m + 1)
+    a = [D(v) for v in scalar_recurrence(src_kind, src, m + 1).tolist()]
+    beta = [D(v) for v in
+            np.sqrt(scalar_recurrence(dst_kind, dst, m + 2)).tolist()]
     with decimal.localcontext() as ctx:
         ctx.prec = 50
-        t = np.array([D(v) - D(src.mid) for v in x.tolist()], dtype=object)
-        w = np.array([D(v) for v in w.tolist()], dtype=object)
-        p_prev, p_curr = np.full(t.size, D(1), dtype=object), t
-        h = [D(1), w.dot(p_curr)]
+        d = D(dst.mid) - D(src.mid)
+        u, v = [D(1)], [d, beta[0]]
+        h = [u[0], v[0]]
         for k in range(m):
-            p_prev, p_curr = p_curr, t * p_curr - D(a[k]) * p_prev
-            h.append(w.dot(p_curr))
+            # p_k(J) e1 has k + 1 entries; pad both with the zeros past them
+            u, v = u + [D(0)] * 2, v + [D(0)] * 2
+            w = [d * v[j] - a[k] * u[j] + beta[j] * v[j + 1]
+                 + (beta[j - 1] * v[j - 1] if j else 0)
+                 for j in range(k + 3)]
+            u, v = v[:k + 2], w
+            h.append(w[0])
         return np.array([float(h[k + 1] / h[k]) for k in range(m + 1)])
 
 
@@ -168,24 +112,67 @@ def _ratios_50_digits(src_kind, src, dst_kind, dst, m):
 @pytest.mark.parametrize("src_left", [True, False])
 def test_mixed_ratios_match_50_digit_reference(geometry, src_kind, dst_kind,
                                                src_left):
-    # at m = 400 tail nodes retire in every case except gap with the source
-    # on the left, so this also bounds what retirement drops
+    # at m = 400 the tail is cut in every one of these cases, so this also
+    # bounds what the cut drops
     left = Interval(-2.0, 0.0)
     right = Interval(0.0, 1.0) if geometry == "touching" else Interval(0.25, 1.0)
     src, dst = (left, right) if src_left else (right, left)
     r = mixed_ratios(src_kind, src, dst_kind, dst, 400)
     ref = _ratios_50_digits(src_kind, src, dst_kind, dst, 400)
-    # measured worst 3.9 ulp over these 36 cases
+    # measured worst 1.6 ulp over these 36 cases
     assert np.max(np.abs(r - ref) / np.abs(ref)) <= 8 * np.finfo(float).eps
+
+
+def _ratios_exact(src_kind, src, dst_kind, dst, m):
+    """h_{k+1} / h_k, k = 0..m, as Fractions: p_k from the source's float
+    a's, converted exactly, in the power basis, and integrated against the
+    destination's power moments (:func:`moment_oracle.moments`), with no
+    Jacobi matrix and no quadrature."""
+    a = [Fraction(v)
+         for v in scalar_recurrence(src_kind, src, m + 1).tolist()]
+    b = Fraction(src.mid)
+    mom = moments(dst_kind, dst.lo, dst.hi, m + 1)
+    p_prev, p = [Fraction(1)], [-b, Fraction(1)]
+    h = [mom[0], mom[1] - b]
+    for k in range(m):
+        # p_{k+2} = (x - b) p_{k+1} - a[k] p_k, lowest power first
+        nxt = [Fraction(0)] + p
+        for i, c in enumerate(p):
+            nxt[i] -= b * c
+        for i, c in enumerate(p_prev):
+            nxt[i] -= a[k] * c
+        p_prev, p = p, nxt
+        h.append(sum(c * mu for c, mu in zip(p, mom)))
+    return [h[k + 1] / h[k] for k in range(m + 1)]
+
+
+@pytest.mark.parametrize("geometry", ["touching", "gap"])
+@pytest.mark.parametrize("src_kind,dst_kind", itertools.product(KINDS, KINDS))
+@pytest.mark.parametrize("src_left", [True, False])
+def test_mixed_ratios_match_exact_moments(geometry, src_kind, dst_kind,
+                                          src_left):
+    # an oracle that shares no step with the Jacobi-matrix form: the
+    # destination enters only through its exact power moments
+    left = Interval(-2.0, 0.0)
+    right = Interval(0.0, 1.0) if geometry == "touching" else Interval(0.25, 1.0)
+    src, dst = (left, right) if src_left else (right, left)
+    for m in (0, 1, 2, 7, 24):
+        r = mixed_ratios(src_kind, src, dst_kind, dst, m)
+        ref = _ratios_exact(src_kind, src, dst_kind, dst, m)
+        err = max(abs(Fraction(x) - y) for x, y in zip(r.tolist(), ref))
+        # the hull has length 3; measured worst 2.4e-16 hull lengths
+        # over these 36 cases
+        assert err / 3 <= 1e-15, m
 
 
 @pytest.mark.parametrize("src_kind,dst_kind", [("chebyshev2", "chebyshev2"),
                                                ("uniform", "chebyshev1"),
                                                ("chebyshev1", "uniform")])
-@pytest.mark.parametrize("lo", [-2.0, -1000.0])
+@pytest.mark.parametrize("lo", [-2.0, -1000.0, -1e-3])
 @pytest.mark.parametrize("src_left", [True, False])
 def test_mixed_ratios_never_underflow(src_kind, dst_kind, lo, src_left):
-    # near nodes are retired before their values reach the subnormal range
+    # the tail is cut before its entries reach the subnormal range; on
+    # (-1e-3,0)u(0,1) the monic (sqrt-free) form of J loses h_k outright
     left, right = Interval(lo, 0.0), Interval(0.0, 1.0)
     src, dst = (left, right) if src_left else (right, left)
     with np.errstate(under="raise"):
@@ -201,7 +188,7 @@ def test_mixed_ratios_never_underflow(src_kind, dst_kind, lo, src_left):
 @pytest.mark.parametrize("src_kind,dst_kind", itertools.product(KINDS, KINDS))
 def test_mixed_ratios_match_the_reference_loop_bit_for_bit(
         geometry, src_kind, dst_kind):
-    # both directions; at 1500 nodes retire and the scale window is left
+    # both directions; at 1500 the tail is cut and the scale window is left
     left, right = (Interval(*iv) for iv in geometry)
     for src, dst in ((left, right), (right, left)):
         for m in (0, 1, 2, 7, 400, 1500):
@@ -210,21 +197,36 @@ def test_mixed_ratios_match_the_reference_loop_bit_for_bit(
                 lattice_oracle.mixed_ratios(src_kind, src, dst_kind, dst, m))
 
 
-@pytest.mark.parametrize("index,value,k", [(7, np.nan, 7), (0, np.inf, 0)],
-                         ids=["a-7-nan-7", "a-0-inf-0"])
-def test_mixed_ratios_bad_coefficient_raises(monkeypatch, index, value, k):
+@pytest.mark.parametrize("index,value,only_dst,k",
+                         [(7, np.nan, False, 7), (0, np.inf, False, 0),
+                          (7, np.nan, True, 7)],
+                         ids=["a-7-nan-7", "a-0-inf-0", "dst-a-7-nan-7"])
+def test_mixed_ratios_bad_coefficient_raises(monkeypatch, index, value,
+                                             only_dst, k):
+    # the moments read both recurrences, and each is checked before any step
     real = orthopoly_mod.scalar_recurrence
+    src, dst = Interval(-2.0, 0.0), Interval(0.0, 1.0)
 
     def poisoned(kind, interval, n):
         a = real(kind, interval, n).copy()
-        a[index] = value
+        if interval == dst or not only_dst:
+            a[index] = value
         return a
 
     monkeypatch.setattr(orthopoly_mod, "scalar_recurrence", poisoned)
     with pytest.raises(NumericalFailure) as exc:
-        mixed_ratios("chebyshev2", Interval(-2.0, 0.0),
-                     "uniform", Interval(0.0, 1.0), 20)
-    assert exc.value.context["k"] == k
+        mixed_ratios("chebyshev2", src, "uniform", dst, 20)
+    measure = "destination" if only_dst else "source"
+    assert exc.value.context == {"measure": measure, "k": k}
+
+
+def test_mixed_ratios_raise_on_a_moment_past_the_doubles():
+    # h_2 of a source 1e160 from its destination is about 1e320, while
+    # its a's, about 6e298, are finite
+    src = Interval(-1e160, -1e160 + 1e150)
+    with np.errstate(over="ignore"), pytest.raises(NumericalFailure) as exc:
+        mixed_ratios("chebyshev2", src, "chebyshev2", Interval(0.0, 1.0), 5)
+    assert exc.value.context == {"k": 0}
 
 
 def test_axis_data_touching_star(touching_system):
