@@ -280,13 +280,16 @@ def _write_json(path, obj):
                           encoding="utf-8")
 
 
-def write_failure(cfg, command, exc):
+def write_failure(cfg, command, methods, exc):
     """Write ``failure.json``, the record of a :class:`NumericalFailure`:
-    the subcommand, the message, the failure's context and the run's
-    settings, as ``run_meta.json`` records them."""
+    the subcommand, the routes it ran in their order, the message, the
+    failure's context and the run's settings, as ``run_meta.json`` records
+    them."""
     _write_json(Path(cfg.output_dir) / "failure.json",
-                {"command": command, "message": str(exc),
-                 "context": exc.context, "config": dataclasses.asdict(cfg)})
+                {"command": command,
+                 "methods": sorted(set(methods), key=METHODS.index),
+                 "message": str(exc), "context": exc.context,
+                 "config": dataclasses.asdict(cfg)})
 
 
 def run_compute(cfg, methods):
@@ -427,20 +430,22 @@ def read_argv(argv=None):
 def main(argv=None):
     command, words, pairs = read_argv(argv)
     cfg = None
+    methods = METHODS
     try:
         if command == "plot":
             return run_plot(words, pairs["out"])
         if command == "compute":
-            methods = pairs.pop("methods", ",".join(METHODS)).split(",")
+            methods = [m for m in pairs.pop("methods", ",".join(METHODS))
+                       .split(",") if m]
         cfg = load_config(pairs.pop("config", None), pairs)
         if command == "compute":
-            run_compute(cfg, [m for m in methods if m])
+            run_compute(cfg, methods)
             return 0
         return run_validate(cfg)
     except NumericalFailure as exc:
         print(f"numerical failure: {exc} {exc.context}", file=_sys.stderr)
         if cfg is not None:
-            write_failure(cfg, command, exc)
+            write_failure(cfg, command, methods, exc)
         return 3
     except (ValueError, TypeError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=_sys.stderr)

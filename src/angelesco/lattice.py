@@ -36,22 +36,39 @@ L = 1e-103 and 1e103.  The finished curve returns to user units through
 A ~ L^2 alone.  The sweep's own check is that its a's are normal doubles in
 hull units, which an interval far shorter than the hull breaks.
 
-Each diagonal's gap b2 - b1 is formed once.  Its b-phase solve divides by
-it, and the next diagonal's a-phase reads it again as the denominator of its
-step relations.  The b-phase guard therefore covers that a-phase too: it has
-already checked every site of the gap, axis sites included, so the
-a-phase needs no guard of its own.  The guards are written so that NaN fails
-them.
+Each diagonal's gap b2 - b1 is formed once, and its least element is read
+once.  Its b-phase solve divides by it, and the next diagonal's a-phase
+reads it again as the denominator of its step relations.  The b-phase guard
+therefore covers that a-phase's denominators: it has already checked every
+site of the gap, axis sites included.  The guards are written so that NaN
+fails them.
+
+The a-phase guard, that every interior a is positive, runs only where it
+can fail.  The sweep runs with every floating-point exception raised
+(:func:`numpy.errstate`), and it skips the guard on a diagonal when the
+least gap of this level and of the one below are at least the floor and
+the two axis a's that enter the interior are positive.  Each interior a is
+then a positive a times gap / gap_prev, with both gaps finite and at least
+the floor, so without an exception it is positive: an underflow to 0
+raises underflow, inf / inf raises invalid, and an infinite gap comes only
+with a -inf one on the same diagonal (an infinite a makes S jump up at one
+site and down at the next), which fails the floor.  On the first exception
+the sweep starts again from level 0 with every guard on and the caller's
+error state: the same operations in the same order, so it fails, warns
+and returns as a sweep with every guard on always does.  A rung already
+handed to ``on_rung`` is not handed on again.  The skip saves two argmins
+on almost every diagonal.
 
 Ray values along n ~ (s m, (1-s) m) are read off each diagonal by local
 6-point Lagrange interpolation at k = s m.  Linear interpolation there would
 leave an O(m^-2) error that depends on frac(s m) and so is not smooth in m;
 with 6 points that error is O(m^-6), and the values follow a smooth series
-in 1/level.  Each level is interpolated on its own, over weight
-denominators that are looked up, not formed per call.  A Neville table in
-h = 1/level extrapolates the values at the four levels 5m/8, 6m/8, 7m/8 and
-m to h = 0 (order 3).  These four levels are the only diagonals a sweep to
-m keeps.  The table reads the top of the sweep because lower levels are
+in 1/level.  One call interpolates every table level, over weight
+denominators that are looked up, not formed per call, and each value has
+the bits its level would give alone.  A Neville table in h = 1/level
+extrapolates the values at the four levels 5m/8, 6m/8, 7m/8 and m to
+h = 0 (order 3).  These four levels are the only diagonals a sweep to m
+keeps.  The table reads the top of the sweep because lower levels are
 still pre-asymptotic: against the surface route, in A/L^2 and B/L, these
 levels at m = 256 read more digits than the levels m, m/2, m/4 and m/8 at
 m = 400 on every system measured (touching 7.73 against 7.11, gap 6.72
@@ -72,11 +89,12 @@ rungs of 60 systems (median 3.1), and at least 0.89 times the error at 256
 over 72 systems at the default rungs 184 and 256 (median 4.4).  Both were
 measured on the three supported weights; on Nevai-class perturbations of
 them, each a_k times 1 - 1/(2 k^p) for p = 2, 1 and 1/2, it read only 0.50
-down to 0.13 times the error.  Rungs closer than sqrt(2) to each other read less (0.17 to 0.5 at 5792 against
-6000), which the cap / sqrt(2) rule avoids.  A sweep to n being the first n
-levels of any deeper one, each rung's lattice is the sweep to that rung,
-bit for bit, and holds its own copy of each table diagonal: the lattice the
-ladder reads at the stop rung is the one the sweep returns.
+down to 0.13 times the error.  Rungs closer than sqrt(2) to each other
+read less (0.17 to 0.5 at 5792 against 6000), which the cap / sqrt(2) rule
+avoids.  A sweep to n being the first n levels of any deeper one, each
+rung's lattice is the sweep to that rung, bit for bit, and holds its own
+copy of each table diagonal: the lattice the ladder reads at the stop rung
+is the one the sweep returns.
 """
 import itertools
 import math
@@ -95,10 +113,15 @@ from .systems import (AngelescoSystem, LimitCurve, check_grid, hull_units,
 _DENOM_FLOOR = 1e-12
 # points of the local Lagrange stencil along a diagonal
 _INTERP_POINTS = 6
+_STENCIL = np.arange(_INTERP_POINTS)
+# row j: the stencil slots other than j, in order
+_OTHERS = np.array([[i for i in range(_INTERP_POINTS) if i != j]
+                    for j in range(_INTERP_POINTS)])
 # row n: the Lagrange denominators prod_{i != j} (j - i), j < n, of the
-# n-point stencil on the nodes 0 .. n - 1
-_WEIGHT_DENOMINATORS = [[float(math.prod(j - i for i in range(n) if i != j))
-                         for j in range(n)] for n in range(_INTERP_POINTS + 1)]
+# n-point stencil on the nodes 0 .. n - 1, then 1.0 in the slots past n
+_WEIGHT_DENOMINATORS = np.array(
+    [[float(math.prod(j - i for i in range(n) if i != j)) if j < n else 1.0
+      for j in range(_INTERP_POINTS)] for n in range(_INTERP_POINTS + 1)])
 # the Richardson table reads the levels j m // 8 for these j (order 3)
 _TABLE_EIGHTHS = range(5, 9)
 # a capped sweep stops at the first rung whose same-order estimate, in A/L^2
@@ -181,6 +204,118 @@ def ladder_rungs(cap):
     return rungs + [cap]
 
 
+class _Sweep:
+    """The two sets of diagonal buffers of one sweep and the levels swept.
+
+    :meth:`advance` runs the levels up to a rung.  It copies out the
+    diagonals of the levels in ``kept`` and appends each level's axis
+    cross-b's to ``propagated``; both are the same bits whether a level is
+    swept once or again after :meth:`reset`.
+    """
+
+    def __init__(self, unit, m, kept):
+        self.floor = _DENOM_FLOOR * unit.hull_length
+        # own1[L] is the axis-1 a at site k = L + 1 of diagonal L + 1
+        self.own1 = scalar_recurrence(unit.w1, unit.i1, m).tolist()
+        self.own2 = scalar_recurrence(unit.w2, unit.i2, m).tolist()
+        self.mids = unit.i1.mid, unit.i2.mid
+        self.m = m
+        self.kept = kept
+        self.held = {}
+        self.guarded = False
+        self.reset()
+
+    def reset(self):
+        """Fresh buffers at level 0.  Two sets of (a1, a2, b1, b2, gap)
+        buffers of length m + 2 hold the old and the new diagonal in turn.
+        The fills are the values no step writes: a1 = 0 and b2 = mid2 at
+        k = 0, and a2 = 0 and b1 = mid1 at the axis-1 end, which a buffer
+        reaches before any step writes there."""
+        n = self.m + 2
+        mid1, mid2 = self.mids
+        self.old, self.new = ((_aligned(n, 0.0), _aligned(n, 0.0),
+                               _aligned(n, mid1), _aligned(n, mid2),
+                               _aligned(n, 0.0)) for _ in range(2))
+        self.s_buf = _aligned(n, 0.0)
+        self.q_buf = _aligned(n, 0.0)
+        self.level = 0
+        self.gap_prev = None
+        self.clear_prev = False
+        self.propagated = []
+
+    def advance(self, stop):
+        """Sweep on to level ``stop``: with the a-phase guard only where it
+        can fail and every floating-point exception raised, and on the first
+        such exception again from level 0 with every guard on and the
+        caller's error state, which it keeps from then on."""
+        if not self.guarded:
+            try:
+                with np.errstate(all="raise"):
+                    self._run(stop)
+                return
+            except FloatingPointError:
+                self.guarded = True
+                self.reset()
+        self._run(stop)
+
+    def _run(self, stop):
+        old, new = self.old, self.new
+        s_buf, q_buf = self.s_buf, self.q_buf
+        own1, own2, floor = self.own1, self.own2, self.floor
+        kept, held, guarded = self.kept, self.held, self.guarded
+        record = self.propagated.append
+        mul, div, add, sub = np.multiply, np.divide, np.add, np.subtract
+        gap_prev, clear_prev = self.gap_prev, self.clear_prev
+        b1, b2 = old[2][:self.level + 1], old[3][:self.level + 1]
+        for L in range(self.level, stop):
+            K = L + 2  # diagonal L + 1 has sites k = 0 .. L + 1
+            a1, a2, _, _, gap_buf = old
+            a1n, a2n, b1n, b2n, _ = new
+            b1n, b2n = b1n[:K], b2n[:K]
+
+            # a-phase: axis values, then the multiplicative step relations
+            # for interior sites (numerators from level L, denominators from
+            # L - 1).  x[x.argmin()] is the least element of x, NaN if x
+            # holds one: np.minimum.reduce(x) at a fraction of its call cost
+            a2n[0] = own2[L]
+            a1n[K - 1] = own1[L]
+            gap = sub(b2, b1, gap_buf[:K - 1])
+            clear = gap[gap.argmin()] >= floor
+            if L >= 1:
+                a1i, a2i = a1n[1:K - 1], a2n[1:K - 1]
+                div(mul(a1[1:K - 1], gap[1:], a1i), gap_prev, a1i)
+                div(mul(a2[:L], gap[:L], a2i), gap_prev, a2i)
+                if ((guarded or not (clear and clear_prev
+                                     and own1[L - 1] > 0.0
+                                     and own2[L - 1] > 0.0))
+                        and not (a1i[a1i.argmin()] > 0.0
+                                 and a2i[a2i.argmin()] > 0.0)):
+                    raise NumericalFailure(
+                        "interior coefficient lost positivity",
+                        {"level": L + 1})
+
+            # b-phase: b2 at k + 1 and b1 at k both move by q = dS / gap
+            # (vectorized over the diagonal); |gap| only when gap itself
+            # fails
+            if not clear and not np.minimum.reduce(np.abs(gap)) >= floor:
+                raise NumericalFailure("coefficient gap collapsed in b-phase",
+                                       {"level": L + 1})
+            S = add(a1n[:K], a2n[:K], s_buf[:K])
+            q = sub(S[:K - 1], S[1:], q_buf[:K - 1])
+            div(q, gap, q)
+            add(b2, q, b2n[1:])
+            add(b1, q, b1n[:K - 1])
+            record((b2n.item(K - 1), b1n.item(0)))
+
+            old, new = new, old
+            b1, b2, gap_prev, clear_prev = b1n, b2n, gap, clear
+            if L + 1 in kept:
+                # copied out of the buffers once, rows a1, a2, b1, b2
+                held[L + 1] = np.array([buf[:K] for buf in old[:4]])
+        self.old, self.new, self.level = old, new, stop
+        self.gap_prev, self.clear_prev = gap_prev, clear_prev
+
+
 def solve_lattice(sys, m, on_rung=None):
     """Sweep the coefficient lattice of ``sys`` out to level ``m``.
 
@@ -189,11 +324,12 @@ def solve_lattice(sys, m, on_rung=None):
     instead: at each rung of :func:`ladder_rungs` of m, the cap included,
     the sweep builds the lattice to that rung and calls ``on_rung`` with it.
     It stops there, returning that same lattice, when the call returns true
-    or the rung is the cap.  It is one sweep, each level swept once.  Each
-    kept diagonal is copied out of the sweep's buffers once, as one array,
-    and the sweep holds only those that the pending rungs' tables read.  So
-    every rung's lattice, kept or returned, holds exactly
-    :func:`table_levels` of its rung.  The sweep runs on
+    or the rung is the cap.  It is one sweep, each level swept once unless
+    a floating-point exception sends it back to level 0 (see the module
+    docstring).  Each kept diagonal is copied out of the sweep's buffers
+    once, as one array, and the sweep holds only those that the pending
+    rungs' tables read.  So every rung's lattice, kept or returned, holds
+    exactly :func:`table_levels` of its rung.  The sweep runs on
     :func:`~angelesco.systems.hull_units` of ``sys`` and keeps its
     diagonals there, so scaling a system by a power of two leaves them bit
     for bit.  Its only input is each measure's own recurrence
@@ -201,7 +337,7 @@ def solve_lattice(sys, m, on_rung=None):
     value depends on m: a sweep to n is the first n levels of any deeper
     one, bit for bit, and a rung's lattice is the sweep to that rung.  Two
     sets of diagonal buffers of length m + 2, used in turn, are allocated
-    once on 64-byte boundaries; cost is O(m^2) time and O(m) memory.  A
+    on 64-byte boundaries; cost is O(m^2) time and O(m) memory.  A
     propagation denominator below 1e-12 hull lengths or a nonpositive
     interior coefficient, NaN included, aborts with
     :class:`NumericalFailure`, and so does a rung's table diagonal with a
@@ -214,90 +350,26 @@ def solve_lattice(sys, m, on_rung=None):
     rungs = ladder_rungs(m) if on_rung is not None else [m]
     # each table level and the last rung that reads it
     last_reader = {lv: r for r in rungs for lv in table_levels(r)}
-
-    unit = hull_units(sys)[0]
-    floor = _DENOM_FLOOR * unit.hull_length
-    # own1[L] is the axis-1 a at site k = L + 1 of diagonal L + 1
-    own1 = scalar_recurrence(unit.w1, unit.i1, m).tolist()
-    own2 = scalar_recurrence(unit.w2, unit.i2, m).tolist()
-
-    # two sets of (a1, a2, b1, b2, gap) buffers of length m + 2, for the old
-    # and the new diagonal in turn.  The fills are the values no step
-    # writes: a1 = 0 and b2 = mid2 at k = 0, and a2 = 0 and b1 = mid1 at the
-    # axis-1 end, which a buffer reaches before any step writes there
-    n = m + 2
-    mid1, mid2 = unit.i1.mid, unit.i2.mid
-    old, new = ((_aligned(n, 0.0), _aligned(n, 0.0), _aligned(n, mid1),
-                 _aligned(n, mid2), _aligned(n, 0.0)) for _ in range(2))
-    s_buf = _aligned(n, 0.0)
-    q_buf = _aligned(n, 0.0)
-    mul, div, add, sub = np.multiply, np.divide, np.add, np.subtract
-
-    held = {}
-    rung = iter(rungs)
-    next_rung = next(rung)
-    b1, b2 = old[2][:1], old[3][:1]
-    # the axis cross-b's every level propagates, and those of the levels
-    # up to the last rung as an array
-    propagated = []
+    sweep = _Sweep(hull_units(sys)[0], m, last_reader)
     axis_b = np.empty((0, 2))
-    gap_prev = None
-    for L in range(m):
-        K = L + 2  # diagonal L + 1 has sites k = 0 .. L + 1
-        a1, a2, _, _, gap_buf = old
-        a1n, a2n, b1n, b2n, _ = new
-        b1n, b2n = b1n[:K], b2n[:K]
-
-        # a-phase: axis values, then the multiplicative step relations for
-        # interior sites (numerators from level L, denominators from L - 1,
-        # which passed the previous b-phase guard).  x[x.argmin()] is the
-        # least element of x, NaN if x holds one: np.minimum.reduce(x) at a
-        # fraction of its call cost
-        a2n[0] = own2[L]
-        a1n[K - 1] = own1[L]
-        gap = sub(b2, b1, gap_buf[:K - 1])
-        if L >= 1:
-            a1i, a2i = a1n[1:K - 1], a2n[1:K - 1]
-            div(mul(a1[1:K - 1], gap[1:], a1i), gap_prev, a1i)
-            div(mul(a2[:L], gap[:L], a2i), gap_prev, a2i)
-            if not (a1i[a1i.argmin()] > 0.0 and a2i[a2i.argmin()] > 0.0):
-                raise NumericalFailure("interior coefficient lost positivity",
-                                       {"level": L + 1})
-
-        # b-phase: b2 at k + 1 and b1 at k both move by q = dS / gap
-        # (vectorized over the diagonal); |gap| only when gap itself fails
-        if (not gap[gap.argmin()] >= floor
-                and not np.minimum.reduce(np.abs(gap)) >= floor):
-            raise NumericalFailure("coefficient gap collapsed in b-phase",
-                                   {"level": L + 1})
-        S = add(a1n[:K], a2n[:K], s_buf[:K])
-        q = sub(S[:K - 1], S[1:], q_buf[:K - 1])
-        div(q, gap, q)
-        add(b2, q, b2n[1:])
-        add(b1, q, b1n[:K - 1])
-        propagated.append((b2n.item(K - 1), b1n.item(0)))
-
-        old, new = new, old
-        b1, b2, gap_prev = b1n, b2n, gap
-        level = L + 1
-        if level in last_reader:
-            # copied out of the buffers once, rows a1, a2, b1, b2
-            held[level] = np.array([buf[:K] for buf in old[:4]])
-        if level == next_rung:
-            axis_b = np.concatenate([axis_b,
-                                     np.array(propagated[len(axis_b):])])
-            lat = NnrrLattice(level, {n: held[n] for n in table_levels(level)},
-                              axis_b, sys)
-            # an interval's a's are of the order of its length squared, so a
-            # short interval leaves the normal doubles inside a supported hull
-            a = np.concatenate([d[:2].ravel() for d in lat.diagonals.values()])
-            if np.any((0.0 < a) & (a < np.finfo(float).tiny)):
-                raise range_failure(sys)
-            if (on_rung is not None and on_rung(lat)) or level == m:
-                return lat
-            # the diagonals a pending rung reads, and no others
-            held = {n: d for n, d in held.items() if last_reader[n] > level}
-            next_rung = next(rung)
+    for rung in rungs:
+        sweep.advance(rung)
+        # the axis cross-b's of the levels up to this rung, as an array
+        axis_b = np.concatenate(
+            [axis_b, np.array(sweep.propagated[len(axis_b):rung])])
+        lat = NnrrLattice(rung,
+                          {n: sweep.held[n] for n in table_levels(rung)},
+                          axis_b, sys)
+        # an interval's a's are of the order of its length squared, so a
+        # short interval leaves the normal doubles inside a supported hull
+        a = np.concatenate([d[:2].ravel() for d in lat.diagonals.values()])
+        if np.any((0.0 < a) & (a < np.finfo(float).tiny)):
+            raise range_failure(sys)
+        if (on_rung is not None and on_rung(lat)) or rung == m:
+            return lat
+        # the diagonals a pending rung reads, and no others
+        sweep.held = {n: d for n, d in sweep.held.items()
+                      if last_reader[n] > rung}
 
 
 def table_levels(m):
@@ -307,28 +379,41 @@ def table_levels(m):
 
 
 def lagrange_interp(values, x):
-    """Local Lagrange interpolation of uniformly spaced node values.
+    """Local Lagrange interpolation of uniformly spaced node values, for
+    several tables in one call.
 
-    ``values`` has shape (k, N): k arrays sampled at the nodes 0 .. N - 1.
-    ``x`` holds fractional node positions.  Returns a (k, len(x)) array.
-    The stencil has 6 points (N when fewer exist), centred on the node
+    ``values`` holds arrays of shape (k, N_i): k arrays sampled at the nodes
+    0 .. N_i - 1.  Row i of the 2-D ``x`` holds fractional node positions in
+    ``values[i]``.  Returns an array of shape (len(values), k, x.shape[1]).
+    The stencil has 6 points (N_i when fewer exist), centred on the node
     interval holding x and clamped at both ends.  The weights are products
     of exact node differences over exact integer denominators, which are
     looked up, so at an integer x they are exactly 1 and 0 and the node
-    value comes back bit for bit.  The lattice read-out calls it per level.
+    value comes back bit for bit.  All tables share one product for the
+    weights, one gather and one sum.  A stencil of n < 6 points fills the
+    slots past n with the factor 1 in each weight and the term -0.0 in the
+    sum, which change no bit, so every value is the one its table would
+    give alone.
     """
-    values = np.asarray(values)
     x = np.asarray(x, dtype=float)
-    N = values.shape[-1]
-    n = min(_INTERP_POINTS, N)
+    N = np.array([np.shape(v)[-1] for v in values])[:, None]
+    n = np.minimum(N, _INTERP_POINTS)
+    # the stencil slot i leads every array: each product and sum then runs
+    # over whole rows, in the order of i
+    i = _STENCIL[:, None, None]
+    pad = i >= n                        # slots past each stencil
     j0 = np.clip(np.floor(x).astype(np.int64) - (n // 2 - 1), 0, N - n)
-    d = (x - j0)[:, None] - np.arange(n)      # t - i for stencil nodes i
-    w = np.empty_like(d)
-    for j in range(n):
-        others = [i for i in range(n) if i != j]
-        w[:, j] = np.prod(d[:, others], axis=1) / _WEIGHT_DENOMINATORS[n][j]
-    idx = j0[:, None] + np.arange(n)
-    return np.sum(w * values[:, idx], axis=2)
+    d = (x - j0) - i                    # t - i for stencil nodes i
+    np.copyto(d, 1.0, where=pad)
+    w = (np.prod(d[_OTHERS], axis=1)
+         / _WEIGHT_DENOMINATORS[n[:, 0]].T[..., None])
+    # every table's nodes side by side, then one 0.0 that the pads read
+    flat = np.concatenate([*values, np.zeros((len(values[0]), 1))], axis=1)
+    start = np.cumsum(N) - N[:, 0]
+    idx = np.where(pad, flat.shape[1] - 1, start[:, None] + j0 + i)
+    terms = w * np.take(flat, idx, axis=1)
+    np.copyto(terms, -0.0, where=pad)
+    return np.sum(terms, axis=1).swapaxes(0, 1)
 
 
 def richardson_table(levels, values):
@@ -353,10 +438,11 @@ def curve_from_lattice(lat, grid, extrapolate=False):
     With ``extrapolate`` it interpolates the diagonal of every level n the
     lattice holds, :func:`table_levels` of its level as
     :func:`solve_lattice` keeps them, else of the top level alone, at
-    bi-degrees (s n, (1 - s) n); ``meta["table_levels"]`` lists them.  A
-    Neville table in h = 1/level takes them to h = 0; a one-level table
-    returns its values unchanged.  Its error estimate is the difference
-    from the rung below, which :class:`Ladder` forms.
+    bi-degrees (s n, (1 - s) n), all in one :func:`lagrange_interp` call;
+    ``meta["table_levels"]`` lists them.  A Neville table in h = 1/level
+    takes them to h = 0; a one-level table returns its values unchanged.
+    Its error estimate is the difference from the rung below, which
+    :class:`Ladder` forms.
 
     Within a few nodes of either end of a diagonal the coefficients are not
     yet samples of a smooth function of k / level, and the high-order
@@ -370,8 +456,8 @@ def curve_from_lattice(lat, grid, extrapolate=False):
     e = hull_units(lat.system)[1]
     top = lat.diagonal(lat.m)
     levels = sorted(lat.diagonals) if extrapolate else [lat.m]
-    vals = richardson_table(
-        levels, [lagrange_interp(lat.diagonal(n), grid * n) for n in levels])
+    vals = richardson_table(levels, lagrange_interp(
+        [lat.diagonal(n) for n in levels], grid * np.array(levels)[:, None]))
     off = LimitCurve(grid, *vals).broken()
     if np.any(off):
         k = np.arange(lat.m + 1, dtype=float)

@@ -1030,8 +1030,10 @@ def test_numerical_failure_exit_code(tmp_path, monkeypatch):
         assert rc == 3
         record = json.loads((out / "failure.json").read_text())
         config = dataclasses.asdict(RunConfig(output_dir=str(out)))
-        assert record == {"command": command[0], "message": "forced",
-                          "context": {},
+        methods = ["surface"] if command[0] == "compute" else [
+            "dis", "ode", "surface"]
+        assert record == {"command": command[0], "methods": methods,
+                          "message": "forced", "context": {},
                           "config": json.loads(json.dumps(config))}
 
 
@@ -1050,20 +1052,47 @@ def test_a_branch_at_its_step_cap_leaves_a_failure_record(tmp_path):
     assert not (out / "ode.csv").exists()
 
 
-def test_a_failure_record_replays_its_run(tmp_path):
-    # the record's settings, written out as a config file, give the same
-    # failure: the same message, context and settings
-    out = tmp_path / "out"
-    assert main(["compute", "--methods", "ode", "--ode_steps", "1",
-                 "--output_dir", str(out)]) == 3
-    record = json.loads((out / "failure.json").read_text())
+def replay(record, tmp_path, methods=True):
+    """Run the record's command again from its settings, written out as a
+    config file, and with ``methods`` its routes; returns the exit code."""
     lines = [f"{key} = {','.join(map(str, v)) if isinstance(v, list) else v}"
              for key, v in record["config"].items()]
     config = tmp_path / "replay.cfg"
     config.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    (out / "failure.json").unlink()
-    assert main([record["command"], "--config", str(config)]) == 3
+    (Path(record["config"]["output_dir"]) / "failure.json").unlink()
+    routes = ["--methods", ",".join(record["methods"])] if methods else []
+    return main([record["command"], "--config", str(config), *routes])
+
+
+def test_a_failure_record_replays_its_run(tmp_path):
+    # the record's settings and routes give the same failure: the same
+    # message, context, settings and routes
+    out = tmp_path / "out"
+    assert main(["compute", "--methods", "ode", "--ode_steps", "1",
+                 "--output_dir", str(out)]) == 3
+    record = json.loads((out / "failure.json").read_text())
+    assert record["methods"] == ["ode"]
+    assert replay(record, tmp_path) == 3
     assert json.loads((out / "failure.json").read_text()) == record
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_only_the_recorded_routes_replay_a_later_routes_failure(tmp_path):
+    # the surface route fails on (-1e-70,0) u (0,1), but a run of every
+    # route reaches the ODE branch's step cap first: the recorded routes
+    # replay the record, and all three would not
+    out = tmp_path / "out"
+    assert main(["compute", "--methods", "surface", "--ode_steps", "1",
+                 "--interval1=-1e-70,0", "--output_dir", str(out)]) == 3
+    record = json.loads((out / "failure.json").read_text())
+    assert record["methods"] == ["surface"]
+    assert record["message"].startswith("surface curve:")
+    assert replay(record, tmp_path) == 3
+    assert json.loads((out / "failure.json").read_text()) == record
+    assert replay(record, tmp_path, methods=False) == 3
+    again = json.loads((out / "failure.json").read_text())
+    assert again["methods"] == ["dis", "ode", "surface"]
+    assert "max_steps = 1" in again["message"]
 
 
 def test_validate_writes_no_csv_before_every_route_answers(tmp_path):

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from angelesco.lattice import (Ladder, curve_from_lattice, lagrange_interp,
                                richardson_table, solve_lattice, table_levels)
 from angelesco.crossval import compare
 from angelesco.surface import limit_curve
-from angelesco.systems import off_window
+from angelesco.systems import hull_units, off_window, range_failure
 import lattice_oracle
 from lattice_oracle import user_diagonal
 from moment_oracle import MomentOracle
@@ -292,7 +293,7 @@ def test_interp_exact_on_quintics(level):
     coef = rng.uniform(-1.0, 1.0, size=(4, deg + 1))
     diag = tuple(np.polyval(c, k / level) for c in coef)
     s = np.linspace(0.0, 1.0, 181)
-    got = lagrange_interp(diag, s * level)
+    got = lagrange_interp([diag], [s * level])[0]
     for c, g in zip(coef, got):
         assert np.max(np.abs(g - np.polyval(c, s))) <= 1e-12
 
@@ -307,7 +308,7 @@ def test_interp_returns_node_values_bit_for_bit(level):
     x = s * level
     on_node = x == np.floor(x)
     assert np.count_nonzero(on_node) > level // 2
-    got = lagrange_interp(diag, s * level)
+    got = lagrange_interp([diag], [s * level])[0]
     for arr, g in zip(diag, got):
         assert np.array_equal(g[on_node], arr[x[on_node].astype(int)])
 
@@ -335,8 +336,8 @@ def _interp_alone(values, x):
 
 def test_read_out_interpolates_each_level_once_as_alone(monkeypatch,
                                                         gap_system):
-    # an extrapolated read-out interpolates each table level in one call of
-    # its own, and every level, those whose diagonal is shorter than the
+    # an extrapolated read-out interpolates all its table levels in one
+    # call, and every level, those whose diagonal is shorter than the
     # 6-point stencil included, reads the values the one-diagonal stencil
     # gives, bit for bit and zero signs too
     calls = []
@@ -354,11 +355,13 @@ def test_read_out_interpolates_each_level_once_as_alone(monkeypatch,
         calls.clear()
         lat = solve_lattice(gap_system, m)
         curve_from_lattice(lat, grid, True)
-        assert len(calls) == len(table_levels(m)), m
-        for n, (diag, x, got) in zip(table_levels(m), calls):
+        assert len(calls) == 1, m
+        diags, xs, got = calls[0]
+        assert len(diags) == len(xs) == len(got) == len(table_levels(m)), m
+        for n, diag, x, g in zip(table_levels(m), diags, xs, got):
             assert np.shape(diag) == (4, n + 1) and _same_bits(x, grid * n)
             assert _same_bits(diag, lat.diagonal(n)), (m, n)
-            assert _same_bits(got, _interp_alone(diag, x)), (m, n)
+            assert _same_bits(g, _interp_alone(diag, x)), (m, n)
 
 
 @pytest.mark.parametrize("m", range(1, 10))
@@ -385,9 +388,9 @@ def test_points_off_the_contract_fall_back_to_linear(extrapolate):
     k = np.arange(m + 1, dtype=float)
     linear = [np.interp(grid * m, k, arr) for arr in user_diagonal(lat, m)]
     levels = table_levels(m) if extrapolate else [m]
-    high = richardson_table(
-        levels, [lagrange_interp(user_diagonal(lat, n), grid * n)
-                 for n in levels])
+    high = richardson_table(levels, lagrange_interp(
+        [user_diagonal(lat, n) for n in levels],
+        grid * np.array(levels)[:, None]))
     high[0][0] = high[1][-1] = 0.0
     off = LimitCurve(grid, *high).broken()
     assert cv.meta["linear_points"] == np.count_nonzero(off) > 0
@@ -533,6 +536,156 @@ def test_poisoned_axis_data_fails_like_the_reference_loop(
         lat = solve_lattice(gap_system, 20)
         ref = lattice_oracle.sweep(gap_system, 20)
     assert_residuals_flag_level_5(lat, ref, axis)
+
+
+# what a poisoned own a is set to: a zero, a subnormal, a nonpositive or
+# nonfinite value, and values far out at both ends of the doubles
+POISONS = (0.0, 5e-324, 3e-310, -0.25, math.inf, -math.inf, math.nan,
+           1e300, 1e-300)
+
+
+def own_a_of(sys, m):
+    """The hull units of ``sys`` and copies of its axes' first m own a's."""
+    unit = hull_units(sys)[0]
+    return unit, [lattice_mod.scalar_recurrence(w, iv, m).copy()
+                  for w, iv in ((unit.w1, unit.i1), (unit.w2, unit.i2))]
+
+
+def nevai_draw(seed):
+    """A system in hull units, a level and each axis's own a's for one
+    draw: the geometry cycles through ``GEOMETRIES``, the weights and the
+    level 1 .. 48 are random, each own a_k takes a Nevai-class factor
+    1 - c k^-p (|c| < 1, 1/2 <= p <= 2), and a few draws set some a's to a
+    ``POISONS`` value or flip their sign."""
+    rng = np.random.default_rng(seed)
+    i1, i2 = GEOMETRIES[list(GEOMETRIES)[seed % len(GEOMETRIES)]]
+    w1, w2 = rng.choice(KINDS, 2)
+    m = int(rng.integers(1, 49))
+    unit, own = own_a_of(AngelescoSystem(Interval(*i1), Interval(*i2),
+                                         str(w1), str(w2)), m)
+    k = np.arange(1, m + 1)
+    for a in own:
+        a *= 1.0 - rng.uniform(-1.0, 1.0) * k ** -rng.uniform(0.5, 2.0)
+        poisoned = rng.integers(0, 3) if rng.random() < 0.5 else 0
+        for site in rng.integers(0, m, size=poisoned):
+            a[site] = (-a[site] if rng.random() < 0.1
+                       else POISONS[rng.integers(len(POISONS))])
+    return unit, m, own
+
+
+def patch_own_a(patch, unit, own):
+    """Make both sweeps read ``own`` as the own a's of ``unit``'s axes."""
+    patch.setattr(lattice_mod, "scalar_recurrence",
+                  lambda kind, iv, n: own[iv != unit.i1][:n])
+
+
+def sweep_outcome(sweep, *args):
+    """What ``sweep(*args)`` gives with RuntimeWarning an error: its
+    result, or the failure or warning it raises, as (type, message,
+    context)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            return sweep(*args)
+        except (NumericalFailure, RuntimeWarning) as exc:
+            return type(exc).__name__, str(exc), getattr(exc, "context", None)
+
+
+def assert_sweep_matches_the_reference_loop(unit, m, own):
+    """``solve_lattice`` on ``unit`` gives the reference loop's outcome on
+    the same own a's: the same failure or warning, or the range failure
+    where a kept diagonal holds a positive subnormal a, or else every kept
+    diagonal bit for bit."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch_own_a(patch, unit, own)
+        got = sweep_outcome(solve_lattice, unit, m)
+        want = sweep_outcome(lattice_oracle.sweep, unit, m)
+    if isinstance(want, tuple) and isinstance(want[0], str):
+        assert got == want
+        return
+    a1, a2, b1, b2, snaps, _ = want
+    diagonals = {**snaps, m: (a1, a2, b1, b2)}
+    a = np.concatenate([np.concatenate(d[:2]) for d in diagonals.values()])
+    if np.any((0.0 < a) & (a < np.finfo(float).tiny)):
+        failure = range_failure(unit)
+        assert got == ("NumericalFailure", str(failure), failure.context)
+        return
+    assert sorted(got.diagonals) == sorted(diagonals)
+    for level, rows in diagonals.items():
+        assert _same_bits(got.diagonal(level), rows), level
+
+
+@pytest.mark.parametrize("seed", range(160))
+def test_sweep_matches_the_reference_loop_on_nevai_class_own_a(seed):
+    # in hull units, where the sweep and the reference loop leave the
+    # doubles at the same levels; RuntimeWarning is an error in both.  The
+    # CI runs the seeds 0 .. 1999
+    assert_sweep_matches_the_reference_loop(*nevai_draw(seed))
+
+
+def count_starts(patch):
+    """A list that grows by one each time a sweep starts at level 0."""
+    starts = []
+    reset = lattice_mod._Sweep.reset
+
+    def counted(sweep):
+        starts.append(0)
+        reset(sweep)
+
+    patch.setattr(lattice_mod._Sweep, "reset", counted)
+    return starts
+
+
+def test_an_interior_a_that_underflows_to_zero_fails_like_the_reference(
+        touching_system):
+    # the least subnormal own a times a gap ratio below 1/2 rounds to 0
+    # one level on, where the reference loop's a-phase guard fails; every
+    # gap before it cleared the floor, so the sweep had skipped that guard,
+    # and the underflow sends it back to level 0 with every guard on
+    unit, own = own_a_of(touching_system, 20)
+    own[0][6] = 5e-324
+    assert_sweep_matches_the_reference_loop(unit, 20, own)
+    with pytest.MonkeyPatch.context() as patch:
+        patch_own_a(patch, unit, own)
+        starts = count_starts(patch)
+        got = sweep_outcome(solve_lattice, unit, 20)
+    assert got == ("NumericalFailure", "interior coefficient lost positivity",
+                   {"level": 8})
+    assert len(starts) == 2
+
+
+def test_an_interior_gap_that_changes_sign_fails_like_the_reference(
+        touching_system):
+    # three times the own a at site 4 drives b2 - b1 negative at site 8 of
+    # level 12, with |gap| above the floor; the next level's step relations
+    # turn an a negative, and the sweep runs that guard there
+    unit, own = own_a_of(touching_system, 20)
+    own[0][3] *= 3.0
+    with pytest.MonkeyPatch.context() as patch:
+        patch_own_a(patch, unit, own)
+        _, _, b1, b2 = solve_lattice(unit, 12).diagonal(12)
+        got = sweep_outcome(solve_lattice, unit, 20)
+    assert np.flatnonzero(b2 - b1 < 0.0).tolist() == [8]
+    assert got == ("NumericalFailure", "interior coefficient lost positivity",
+                   {"level": 13})
+    assert_sweep_matches_the_reference_loop(unit, 20, own)
+
+
+def test_a_sweep_sent_back_to_level_0_shows_each_rung_once(gap_system):
+    # a subnormal own a past the first rung underflows the step relations
+    # on the way to the cap: the sweep starts over with every guard on, the
+    # ladder sees each rung once, and the lattice is the reference loop's
+    unit, own = own_a_of(gap_system, 400)
+    own[0][300] = 1e-310
+    seen = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch_own_a(patch, unit, own)
+        starts = count_starts(patch)
+        lat = solve_lattice(unit, 400, lambda rung: seen.append(rung.m))
+        a1, a2, b1, b2, _, _ = lattice_oracle.sweep(unit, 400)
+    assert len(starts) == 2
+    assert seen == [256, 400]
+    assert _same_bits(lat.diagonal(400), (a1, a2, b1, b2))
 
 
 def test_level_validation(touching_system):
