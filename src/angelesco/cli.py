@@ -238,9 +238,12 @@ def _compute_curves(cfg, methods):
     comparisons read, and the :class:`~angelesco.lattice.NnrrLattice` of
     ``dis``, None without it).  A ValueError past the configuration's checks
     comes from a computed value and is raised as a
-    :class:`NumericalFailure`."""
+    :class:`NumericalFailure`.  A failure leaves this with ``route``, the
+    stage that raised (``plateau`` or a method), and ``finished``, each
+    method that had answered with its ``meta`` and ``seconds``."""
     system = cfg.check().system()
     grid = cfg.grid()
+    route, finished = "plateau", {}
     try:
         sc, _ = star_normalize(hull_units(system)[0])
         t0 = time.perf_counter()
@@ -251,26 +254,33 @@ def _compute_curves(cfg, methods):
         lat = None
         meta = {"config": dataclasses.asdict(cfg),
                 "plateau": dataclasses.asdict(info), "timings": timings}
-        for method in sorted(methods, key=METHODS.index):
+        for route in sorted(methods, key=METHODS.index):
             t0 = time.perf_counter()
-            if method == "dis":
+            if route == "dis":
                 ladder = Ladder(lambda rung: curve_from_lattice(
                     rung, grid, cfg.extrapolate), compared)
                 lat = solve_lattice(system, cfg.lattice_level, ladder)
                 curve = ladder.curve
-                meta["lattice"] = dict(curve.meta, ladder={
+                meta["lattice"] = route_meta = dict(curve.meta, ladder={
                     "cap": cfg.lattice_level, "stop": lat.m,
                     "tolerance": LADDER_TOL, "rungs": ladder.rungs})
-            elif method == "ode":
+            elif route == "ode":
                 curve = solve_system(system, info, grid, cfg.ode_steps)
-                meta["ode"] = curve.meta
+                meta["ode"] = route_meta = curve.meta
             else:
                 curve = limit_curve(system, grid, info)
-            curves[method] = curve
-            timings[method] = time.perf_counter() - t0
+                route_meta = curve.meta
+            curves[route] = curve
+            timings[route] = time.perf_counter() - t0
+            finished[route] = {"meta": route_meta, "seconds": timings[route]}
+    except NumericalFailure as exc:
+        exc.route, exc.finished = route, finished
+        raise
     except ValueError as exc:
-        raise NumericalFailure(str(exc), {"interval1": cfg.interval1,
-                                          "interval2": cfg.interval2}) from exc
+        failure = NumericalFailure(str(exc), {"interval1": cfg.interval1,
+                                              "interval2": cfg.interval2})
+        failure.route, failure.finished = route, finished
+        raise failure from exc
     return curves, meta, info, compared, lat
 
 
@@ -283,13 +293,16 @@ def _write_json(path, obj):
 def write_failure(cfg, command, methods, exc):
     """Write ``failure.json``, the record of a :class:`NumericalFailure`:
     the subcommand, the routes it ran in their order, the message, the
-    failure's context and the run's settings, as ``run_meta.json`` records
-    them."""
+    failure's context, the run's settings, as ``run_meta.json`` records
+    them, the stage that raised and the routes that had answered (both
+    null when a check of ``validate`` raised, past every route)."""
     _write_json(Path(cfg.output_dir) / "failure.json",
                 {"command": command,
                  "methods": sorted(set(methods), key=METHODS.index),
                  "message": str(exc), "context": exc.context,
-                 "config": dataclasses.asdict(cfg)})
+                 "config": dataclasses.asdict(cfg),
+                 "route": getattr(exc, "route", None),
+                 "finished": getattr(exc, "finished", None)})
 
 
 def run_compute(cfg, methods):

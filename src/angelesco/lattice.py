@@ -53,11 +53,16 @@ the floor, so without an exception it is positive: an underflow to 0
 raises underflow, inf / inf raises invalid, and an infinite gap comes only
 with a -inf one on the same diagonal (an infinite a makes S jump up at one
 site and down at the next), which fails the floor.  On the first exception
-the sweep starts again from level 0 with every guard on and the caller's
-error state: the same operations in the same order, so it fails, warns
-and returns as a sweep with every guard on always does.  A rung already
-handed to ``on_rung`` is not handed on again.  The skip saves two argmins
-on almost every diagonal.
+the sweep runs the same level again, and every later level, with every
+guard on and the caller's error state.  A level reads the diagonal below
+it and that diagonal's gap, and until its last floating-point operation
+it writes only the next diagonal, its own gap and scratch buffers; its
+record, the buffer swap and the copy-out come after.  So the level runs
+again on the same inputs, and the levels before it, which raised nothing,
+would have given the same bits and no warning under the caller's error
+state: the sweep fails, warns and returns as a sweep with every guard on
+always does, and hands no rung on twice.  The skip saves two argmins on
+almost every diagonal.
 
 Ray values along n ~ (s m, (1-s) m) are read off each diagonal by local
 6-point Lagrange interpolation at k = s m.  Linear interpolation there would
@@ -138,13 +143,14 @@ class NnrrLattice:
     and b2 indexed by k = n1, all in the hull units of ``system`` (a's times
     4^e and b's times 2^e are in user units, e the exponent of
     :func:`~angelesco.systems.hull_units`).
-    ``axis_b`` has one row per level 1 .. m: the cross-b the sweep
+    ``propagated`` holds one pair per level 1 .. m: the cross-b the sweep
     propagated onto the axis-1 site (b2 at k = level) and onto the axis-2
-    site (b1 at k = 0), in hull units.
+    site (b1 at k = 0), in hull units.  It stays the sweep's list until
+    :attr:`axis_b` reads it.
     """
     m: int
     diagonals: dict
-    axis_b: np.ndarray
+    propagated: list
     system: AngelescoSystem
 
     def diagonal(self, level):
@@ -153,6 +159,11 @@ class NnrrLattice:
             raise KeyError(f"level {level} was not kept "
                            f"(have {sorted(self.diagonals)})")
         return self.diagonals[level]
+
+    @cached_property
+    def axis_b(self):
+        """:attr:`propagated` as an (m, 2) array, formed on first use."""
+        return np.array(self.propagated)
 
     @cached_property
     def residuals(self):
@@ -204,116 +215,96 @@ def ladder_rungs(cap):
     return rungs + [cap]
 
 
-class _Sweep:
-    """The two sets of diagonal buffers of one sweep and the levels swept.
+def _sweep(unit, rungs, kept):
+    """Sweep ``unit`` to each of the rising ``rungs`` in turn, yielding
+    there the diagonals of the levels in ``kept`` swept so far, by level,
+    and the list of each level's axis cross-b pair.  ``kept`` maps each
+    such level to the last rung that reads it, after which it goes.
 
-    :meth:`advance` runs the levels up to a rung.  It copies out the
-    diagonals of the levels in ``kept`` and appends each level's axis
-    cross-b's to ``propagated``; both are the same bits whether a level is
-    swept once or again after :meth:`reset`.
+    Two sets of (a1, a2, b1, b2, gap) buffers of length m + 2, m the last
+    rung, hold the old and the new diagonal in turn.  The fills are the
+    values no step writes: a1 = 0 and b2 = mid2 at k = 0, and a2 = 0 and
+    b1 = mid1 at the axis-1 end, which a buffer reaches before any step
+    writes there.  A rung's levels run with every floating-point exception
+    raised and the a-phase guard only where it can fail.  The level of the
+    first exception runs again, and so does every later level, with every
+    guard on and the caller's error state (see the module docstring).
     """
-
-    def __init__(self, unit, m, kept):
-        self.floor = _DENOM_FLOOR * unit.hull_length
-        # own1[L] is the axis-1 a at site k = L + 1 of diagonal L + 1
-        self.own1 = scalar_recurrence(unit.w1, unit.i1, m).tolist()
-        self.own2 = scalar_recurrence(unit.w2, unit.i2, m).tolist()
-        self.mids = unit.i1.mid, unit.i2.mid
-        self.m = m
-        self.kept = kept
-        self.held = {}
-        self.guarded = False
-        self.reset()
-
-    def reset(self):
-        """Fresh buffers at level 0.  Two sets of (a1, a2, b1, b2, gap)
-        buffers of length m + 2 hold the old and the new diagonal in turn.
-        The fills are the values no step writes: a1 = 0 and b2 = mid2 at
-        k = 0, and a2 = 0 and b1 = mid1 at the axis-1 end, which a buffer
-        reaches before any step writes there."""
-        n = self.m + 2
-        mid1, mid2 = self.mids
-        self.old, self.new = ((_aligned(n, 0.0), _aligned(n, 0.0),
-                               _aligned(n, mid1), _aligned(n, mid2),
-                               _aligned(n, 0.0)) for _ in range(2))
-        self.s_buf = _aligned(n, 0.0)
-        self.q_buf = _aligned(n, 0.0)
-        self.level = 0
-        self.gap_prev = None
-        self.clear_prev = False
-        self.propagated = []
-
-    def advance(self, stop):
-        """Sweep on to level ``stop``: with the a-phase guard only where it
-        can fail and every floating-point exception raised, and on the first
-        such exception again from level 0 with every guard on and the
-        caller's error state, which it keeps from then on."""
-        if not self.guarded:
+    m = rungs[-1]
+    floor = _DENOM_FLOOR * unit.hull_length
+    # own1[L] is the axis-1 a at site k = L + 1 of diagonal L + 1
+    own1 = scalar_recurrence(unit.w1, unit.i1, m).tolist()
+    own2 = scalar_recurrence(unit.w2, unit.i2, m).tolist()
+    n = m + 2
+    old, new = ((_aligned(n, 0.0), _aligned(n, 0.0), _aligned(n, unit.i1.mid),
+                 _aligned(n, unit.i2.mid), _aligned(n, 0.0)) for _ in range(2))
+    s_buf, q_buf = _aligned(n, 0.0), _aligned(n, 0.0)
+    mul, div, add, sub = np.multiply, np.divide, np.add, np.subtract
+    held, propagated = {}, []
+    record = propagated.append
+    b1, b2 = old[2][:1], old[3][:1]
+    gap_prev, clear_prev, level, guarded = None, False, 0, False
+    for rung in rungs:
+        while level < rung:
             try:
-                with np.errstate(all="raise"):
-                    self._run(stop)
-                return
+                with np.errstate(all=None if guarded else "raise"):
+                    for L in range(level, rung):
+                        K = L + 2  # diagonal L + 1 has sites k = 0 .. L + 1
+                        a1, a2, _, _, gap_buf = old
+                        a1n, a2n, b1n, b2n, _ = new
+                        b1n, b2n = b1n[:K], b2n[:K]
+
+                        # a-phase: axis values, then the multiplicative step
+                        # relations for interior sites (numerators from
+                        # level L, denominators from L - 1).  x[x.argmin()]
+                        # is the least element of x, NaN if x holds one:
+                        # np.minimum.reduce(x) at a fraction of its call cost
+                        a2n[0] = own2[L]
+                        a1n[K - 1] = own1[L]
+                        gap = sub(b2, b1, gap_buf[:K - 1])
+                        clear = gap[gap.argmin()] >= floor
+                        if L >= 1:
+                            a1i, a2i = a1n[1:K - 1], a2n[1:K - 1]
+                            div(mul(a1[1:K - 1], gap[1:], a1i), gap_prev, a1i)
+                            div(mul(a2[:L], gap[:L], a2i), gap_prev, a2i)
+                            if ((guarded or not (clear and clear_prev
+                                                 and own1[L - 1] > 0.0
+                                                 and own2[L - 1] > 0.0))
+                                    and not (a1i[a1i.argmin()] > 0.0
+                                             and a2i[a2i.argmin()] > 0.0)):
+                                raise NumericalFailure(
+                                    "interior coefficient lost positivity",
+                                    {"level": L + 1})
+
+                        # b-phase: b2 at k + 1 and b1 at k both move by
+                        # q = dS / gap (vectorized over the diagonal); |gap|
+                        # only when gap itself fails
+                        if not clear and not (np.minimum.reduce(np.abs(gap))
+                                              >= floor):
+                            raise NumericalFailure(
+                                "coefficient gap collapsed in b-phase",
+                                {"level": L + 1})
+                        S = add(a1n[:K], a2n[:K], s_buf[:K])
+                        q = sub(S[:K - 1], S[1:], q_buf[:K - 1])
+                        div(q, gap, q)
+                        add(b2, q, b2n[1:])
+                        add(b1, q, b1n[:K - 1])
+                        record((b2n.item(K - 1), b1n.item(0)))
+
+                        old, new = new, old
+                        b1, b2, gap_prev, clear_prev = b1n, b2n, gap, clear
+                        level = L + 1
+                        if level in kept:
+                            # copied out of the buffers once, rows a1, a2,
+                            # b1 and b2
+                            held[level] = np.array([b[:K] for b in old[:4]])
             except FloatingPointError:
-                self.guarded = True
-                self.reset()
-        self._run(stop)
-
-    def _run(self, stop):
-        old, new = self.old, self.new
-        s_buf, q_buf = self.s_buf, self.q_buf
-        own1, own2, floor = self.own1, self.own2, self.floor
-        kept, held, guarded = self.kept, self.held, self.guarded
-        record = self.propagated.append
-        mul, div, add, sub = np.multiply, np.divide, np.add, np.subtract
-        gap_prev, clear_prev = self.gap_prev, self.clear_prev
-        b1, b2 = old[2][:self.level + 1], old[3][:self.level + 1]
-        for L in range(self.level, stop):
-            K = L + 2  # diagonal L + 1 has sites k = 0 .. L + 1
-            a1, a2, _, _, gap_buf = old
-            a1n, a2n, b1n, b2n, _ = new
-            b1n, b2n = b1n[:K], b2n[:K]
-
-            # a-phase: axis values, then the multiplicative step relations
-            # for interior sites (numerators from level L, denominators from
-            # L - 1).  x[x.argmin()] is the least element of x, NaN if x
-            # holds one: np.minimum.reduce(x) at a fraction of its call cost
-            a2n[0] = own2[L]
-            a1n[K - 1] = own1[L]
-            gap = sub(b2, b1, gap_buf[:K - 1])
-            clear = gap[gap.argmin()] >= floor
-            if L >= 1:
-                a1i, a2i = a1n[1:K - 1], a2n[1:K - 1]
-                div(mul(a1[1:K - 1], gap[1:], a1i), gap_prev, a1i)
-                div(mul(a2[:L], gap[:L], a2i), gap_prev, a2i)
-                if ((guarded or not (clear and clear_prev
-                                     and own1[L - 1] > 0.0
-                                     and own2[L - 1] > 0.0))
-                        and not (a1i[a1i.argmin()] > 0.0
-                                 and a2i[a2i.argmin()] > 0.0)):
-                    raise NumericalFailure(
-                        "interior coefficient lost positivity",
-                        {"level": L + 1})
-
-            # b-phase: b2 at k + 1 and b1 at k both move by q = dS / gap
-            # (vectorized over the diagonal); |gap| only when gap itself
-            # fails
-            if not clear and not np.minimum.reduce(np.abs(gap)) >= floor:
-                raise NumericalFailure("coefficient gap collapsed in b-phase",
-                                       {"level": L + 1})
-            S = add(a1n[:K], a2n[:K], s_buf[:K])
-            q = sub(S[:K - 1], S[1:], q_buf[:K - 1])
-            div(q, gap, q)
-            add(b2, q, b2n[1:])
-            add(b1, q, b1n[:K - 1])
-            record((b2n.item(K - 1), b1n.item(0)))
-
-            old, new = new, old
-            b1, b2, gap_prev, clear_prev = b1n, b2n, gap, clear
-            if L + 1 in kept:
-                # copied out of the buffers once, rows a1, a2, b1, b2
-                held[L + 1] = np.array([buf[:K] for buf in old[:4]])
-        self.old, self.new, self.level = old, new, stop
-        self.gap_prev, self.clear_prev = gap_prev, clear_prev
+                if guarded:
+                    raise
+                guarded = True
+        yield held, propagated
+        # the diagonals a pending rung reads, and no others
+        held = {lv: d for lv, d in held.items() if kept[lv] > rung}
 
 
 def solve_lattice(sys, m, on_rung=None):
@@ -324,13 +315,13 @@ def solve_lattice(sys, m, on_rung=None):
     instead: at each rung of :func:`ladder_rungs` of m, the cap included,
     the sweep builds the lattice to that rung and calls ``on_rung`` with it.
     It stops there, returning that same lattice, when the call returns true
-    or the rung is the cap.  It is one sweep, each level swept once unless
-    a floating-point exception sends it back to level 0 (see the module
-    docstring).  Each kept diagonal is copied out of the sweep's buffers
-    once, as one array, and the sweep holds only those that the pending
-    rungs' tables read.  So every rung's lattice, kept or returned, holds
-    exactly :func:`table_levels` of its rung.  The sweep runs on
-    :func:`~angelesco.systems.hull_units` of ``sys`` and keeps its
+    or the rung is the cap.  It is one sweep, each level swept once but
+    the level of the first floating-point exception, which runs twice (see
+    the module docstring).  Each kept diagonal is copied out of the
+    sweep's buffers once, as one array, and the sweep holds only those that
+    the pending rungs' tables read.  So every rung's lattice, kept or
+    returned, holds exactly :func:`table_levels` of its rung.  The sweep
+    runs on :func:`~angelesco.systems.hull_units` of ``sys`` and keeps its
     diagonals there, so scaling a system by a power of two leaves them bit
     for bit.  Its only input is each measure's own recurrence
     (:func:`~angelesco.orthopoly.scalar_recurrence`, in closed form), so no
@@ -350,16 +341,10 @@ def solve_lattice(sys, m, on_rung=None):
     rungs = ladder_rungs(m) if on_rung is not None else [m]
     # each table level and the last rung that reads it
     last_reader = {lv: r for r in rungs for lv in table_levels(r)}
-    sweep = _Sweep(hull_units(sys)[0], m, last_reader)
-    axis_b = np.empty((0, 2))
-    for rung in rungs:
-        sweep.advance(rung)
-        # the axis cross-b's of the levels up to this rung, as an array
-        axis_b = np.concatenate(
-            [axis_b, np.array(sweep.propagated[len(axis_b):rung])])
-        lat = NnrrLattice(rung,
-                          {n: sweep.held[n] for n in table_levels(rung)},
-                          axis_b, sys)
+    sweep = _sweep(hull_units(sys)[0], rungs, last_reader)
+    for rung, (held, propagated) in zip(rungs, sweep):
+        lat = NnrrLattice(rung, {n: held[n] for n in table_levels(rung)},
+                          propagated[:rung], sys)
         # an interval's a's are of the order of its length squared, so a
         # short interval leaves the normal doubles inside a supported hull
         a = np.concatenate([d[:2].ravel() for d in lat.diagonals.values()])
@@ -367,9 +352,6 @@ def solve_lattice(sys, m, on_rung=None):
             raise range_failure(sys)
         if (on_rung is not None and on_rung(lat)) or rung == m:
             return lat
-        # the diagonals a pending rung reads, and no others
-        sweep.held = {n: d for n, d in sweep.held.items()
-                      if last_reader[n] > rung}
 
 
 def table_levels(m):

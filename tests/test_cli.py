@@ -1034,7 +1034,8 @@ def test_numerical_failure_exit_code(tmp_path, monkeypatch):
             "dis", "ode", "surface"]
         assert record == {"command": command[0], "methods": methods,
                           "message": "forced", "context": {},
-                          "config": json.loads(json.dumps(config))}
+                          "config": json.loads(json.dumps(config)),
+                          "route": "plateau", "finished": {}}
 
 
 def test_a_branch_at_its_step_cap_leaves_a_failure_record(tmp_path):
@@ -1074,6 +1075,32 @@ def test_a_failure_record_replays_its_run(tmp_path):
     assert record["methods"] == ["ode"]
     assert replay(record, tmp_path) == 3
     assert json.loads((out / "failure.json").read_text()) == record
+
+
+def test_a_failure_record_names_its_route_and_the_routes_before_it(
+        tmp_path):
+    # every route runs: the lattice answers, then the ODE branch stops at
+    # its step cap; the record names the ODE route and holds the lattice's
+    # meta, as run_meta.json writes it, and its time, and the replay fails
+    # alike, in another time
+    out = tmp_path / "out"
+    assert main(["compute", "--ode_steps", "1", "--output_dir", str(out)]) == 3
+    record = json.loads((out / "failure.json").read_text())
+    assert record["route"] == "ode"
+    assert list(record["finished"]) == ["dis"]
+    dis = record["finished"]["dis"]
+    assert dis["seconds"] > 0.0
+    alone = tmp_path / "dis"
+    assert main(["compute", "--methods", "dis",
+                 "--output_dir", str(alone)]) == 0
+    meta = json.loads((alone / "run_meta.json").read_text())
+    assert dis["meta"] == meta["lattice"]
+    assert [r["level"] for r in dis["meta"]["ladder"]["rungs"]] == [184, 256]
+    assert replay(record, tmp_path) == 3
+    again = json.loads((out / "failure.json").read_text())
+    assert again["finished"]["dis"].pop("seconds") > 0.0
+    del dis["seconds"]
+    assert again == record
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")

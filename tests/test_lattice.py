@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 import angelesco.lattice as lattice_mod
 from angelesco import AngelescoSystem, Interval, LimitCurve, NumericalFailure
-from angelesco.lattice import (Ladder, curve_from_lattice, lagrange_interp,
-                               richardson_table, solve_lattice, table_levels)
+from angelesco.lattice import (Ladder, curve_from_lattice, ladder_rungs,
+                               lagrange_interp, richardson_table,
+                               solve_lattice, table_levels)
 from angelesco.crossval import compare
 from angelesco.surface import limit_curve
 from angelesco.systems import hull_units, off_window, range_failure
@@ -551,16 +552,16 @@ def own_a_of(sys, m):
                   for w, iv in ((unit.w1, unit.i1), (unit.w2, unit.i2))]
 
 
-def nevai_draw(seed):
+def nevai_draw(seed, levels=(1, 48)):
     """A system in hull units, a level and each axis's own a's for one
     draw: the geometry cycles through ``GEOMETRIES``, the weights and the
-    level 1 .. 48 are random, each own a_k takes a Nevai-class factor
-    1 - c k^-p (|c| < 1, 1/2 <= p <= 2), and a few draws set some a's to a
-    ``POISONS`` value or flip their sign."""
+    level, from ``levels`` (both ends included), are random, each own a_k
+    takes a Nevai-class factor 1 - c k^-p (|c| < 1, 1/2 <= p <= 2), and a
+    few draws set some a's to a ``POISONS`` value or flip their sign."""
     rng = np.random.default_rng(seed)
     i1, i2 = GEOMETRIES[list(GEOMETRIES)[seed % len(GEOMETRIES)]]
     w1, w2 = rng.choice(KINDS, 2)
-    m = int(rng.integers(1, 49))
+    m = int(rng.integers(levels[0], levels[1] + 1))
     unit, own = own_a_of(AngelescoSystem(Interval(*i1), Interval(*i2),
                                          str(w1), str(w2)), m)
     k = np.arange(1, m + 1)
@@ -591,6 +592,35 @@ def sweep_outcome(sweep, *args):
             return type(exc).__name__, str(exc), getattr(exc, "context", None)
 
 
+def reference_outcome(unit, m):
+    """What the reference loop gives on ``unit`` to level ``m``, with
+    RuntimeWarning an error: its failure or warning as (type, message,
+    context), the range failure where a kept diagonal holds a positive
+    subnormal a, or else its kept diagonals by level."""
+    want = sweep_outcome(lattice_oracle.sweep, unit, m)
+    if isinstance(want[0], str):
+        return want
+    a1, a2, b1, b2, snaps, _ = want
+    diagonals = {**snaps, m: (a1, a2, b1, b2)}
+    a = np.concatenate([np.concatenate(d[:2]) for d in diagonals.values()])
+    if np.any((0.0 < a) & (a < np.finfo(float).tiny)):
+        failure = range_failure(unit)
+        return "NumericalFailure", str(failure), failure.context
+    return diagonals
+
+
+def assert_same_outcome(got, want):
+    """``got``, a failure tuple or kept diagonals by level, is ``want``:
+    the same failure, or the same levels, each bit for bit."""
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert isinstance(got, dict), got
+    assert sorted(got) == sorted(want)
+    for level, rows in want.items():
+        assert _same_bits(got[level], rows), level
+
+
 def assert_sweep_matches_the_reference_loop(unit, m, own):
     """``solve_lattice`` on ``unit`` gives the reference loop's outcome on
     the same own a's: the same failure or warning, or the range failure
@@ -599,20 +629,35 @@ def assert_sweep_matches_the_reference_loop(unit, m, own):
     with pytest.MonkeyPatch.context() as patch:
         patch_own_a(patch, unit, own)
         got = sweep_outcome(solve_lattice, unit, m)
-        want = sweep_outcome(lattice_oracle.sweep, unit, m)
-    if isinstance(want, tuple) and isinstance(want[0], str):
-        assert got == want
-        return
-    a1, a2, b1, b2, snaps, _ = want
-    diagonals = {**snaps, m: (a1, a2, b1, b2)}
-    a = np.concatenate([np.concatenate(d[:2]) for d in diagonals.values()])
-    if np.any((0.0 < a) & (a < np.finfo(float).tiny)):
-        failure = range_failure(unit)
-        assert got == ("NumericalFailure", str(failure), failure.context)
-        return
-    assert sorted(got.diagonals) == sorted(diagonals)
-    for level, rows in diagonals.items():
-        assert _same_bits(got.diagonal(level), rows), level
+        want = reference_outcome(unit, m)
+    assert_same_outcome(getattr(got, "diagonals", got), want)
+
+
+def assert_capped_sweep_matches_the_reference_loop(unit, cap, own):
+    """``solve_lattice`` capped at ``cap``, with an ``on_rung`` that never
+    stops it, hands on the rungs of ``ladder_rungs(cap)`` in order, each
+    once and each with the reference loop's kept diagonals to that rung bit
+    for bit, up to the first rung where the reference loop fails; then it
+    fails as the reference loop does, or else returns the cap's lattice."""
+    seen = []
+
+    def on_rung(lat):
+        seen.append((lat.m, lat.diagonals))
+        return False
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch_own_a(patch, unit, own)
+        got = sweep_outcome(solve_lattice, unit, cap, on_rung)
+        handed = []
+        for rung in ladder_rungs(cap):
+            want = reference_outcome(unit, rung)
+            if isinstance(want, tuple):
+                break
+            handed.append((rung, want))
+    assert [level for level, _ in seen] == [rung for rung, _ in handed]
+    for (_, diagonals), (_, rows) in zip(seen, handed):
+        assert_same_outcome(diagonals, rows)
+    assert_same_outcome(getattr(got, "diagonals", got), want)
 
 
 @pytest.mark.parametrize("seed", range(160))
@@ -623,17 +668,32 @@ def test_sweep_matches_the_reference_loop_on_nevai_class_own_a(seed):
     assert_sweep_matches_the_reference_loop(*nevai_draw(seed))
 
 
-def count_starts(patch):
-    """A list that grows by one each time a sweep starts at level 0."""
-    starts = []
-    reset = lattice_mod._Sweep.reset
+@pytest.mark.parametrize("seed", range(32))
+def test_a_capped_sweep_matches_the_reference_loop_at_each_rung(seed):
+    # caps 9 .. 700, which read two or three rungs; the CI runs the seeds
+    # 0 .. 1999
+    assert_capped_sweep_matches_the_reference_loop(
+        *nevai_draw(seed, levels=(9, 700)))
 
-    def counted(sweep):
-        starts.append(0)
-        reset(sweep)
 
-    patch.setattr(lattice_mod._Sweep, "reset", counted)
-    return starts
+def count_gaps(patch):
+    """A list that gets, each time the sweep forms a gap b2 - b1, the level
+    that step builds, which is the gap's length.  The gap is the sweep's
+    one subtraction of two separate buffers; the drop of S, its other
+    subtraction, reads one buffer twice."""
+    levels = []
+
+    class Numpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def subtract(self, x, y, out):
+            if x.base is not y.base:
+                levels.append(out.size)
+            return np.subtract(x, y, out)
+
+    patch.setattr(lattice_mod, "np", Numpy())
+    return levels
 
 
 def test_an_interior_a_that_underflows_to_zero_fails_like_the_reference(
@@ -641,17 +701,18 @@ def test_an_interior_a_that_underflows_to_zero_fails_like_the_reference(
     # the least subnormal own a times a gap ratio below 1/2 rounds to 0
     # one level on, where the reference loop's a-phase guard fails; every
     # gap before it cleared the floor, so the sweep had skipped that guard,
-    # and the underflow sends it back to level 0 with every guard on
+    # and the underflow runs that level again with every guard on, and no
+    # level before it
     unit, own = own_a_of(touching_system, 20)
     own[0][6] = 5e-324
     assert_sweep_matches_the_reference_loop(unit, 20, own)
     with pytest.MonkeyPatch.context() as patch:
         patch_own_a(patch, unit, own)
-        starts = count_starts(patch)
+        levels = count_gaps(patch)
         got = sweep_outcome(solve_lattice, unit, 20)
     assert got == ("NumericalFailure", "interior coefficient lost positivity",
                    {"level": 8})
-    assert len(starts) == 2
+    assert levels == [*range(1, 9), 8]
 
 
 def test_an_interior_gap_that_changes_sign_fails_like_the_reference(
@@ -671,19 +732,20 @@ def test_an_interior_gap_that_changes_sign_fails_like_the_reference(
     assert_sweep_matches_the_reference_loop(unit, 20, own)
 
 
-def test_a_sweep_sent_back_to_level_0_shows_each_rung_once(gap_system):
+def test_a_sweep_that_raises_past_a_rung_shows_each_rung_once(gap_system):
     # a subnormal own a past the first rung underflows the step relations
-    # on the way to the cap: the sweep starts over with every guard on, the
-    # ladder sees each rung once, and the lattice is the reference loop's
+    # on the way to the cap: the sweep runs that level again with every
+    # guard on and goes on from there, the ladder sees each rung once, and
+    # the lattice is the reference loop's
     unit, own = own_a_of(gap_system, 400)
     own[0][300] = 1e-310
     seen = []
     with pytest.MonkeyPatch.context() as patch:
         patch_own_a(patch, unit, own)
-        starts = count_starts(patch)
+        levels = count_gaps(patch)
         lat = solve_lattice(unit, 400, lambda rung: seen.append(rung.m))
         a1, a2, b1, b2, _, _ = lattice_oracle.sweep(unit, 400)
-    assert len(starts) == 2
+    assert levels == [*range(1, 303), *range(302, 401)]
     assert seen == [256, 400]
     assert _same_bits(lat.diagonal(400), (a1, a2, b1, b2))
 
