@@ -1,10 +1,11 @@
 """Configuration-driven command line driver.
 
 Three subcommands: ``compute`` writes one CSV of limit values per requested
-method and ``run_meta.json``; ``validate`` is ``compute`` of every method
-plus checks of cross-method agreement and identities, in A/L^2 and B/L with
-L the hull length, and of residuals, each against a fixed bound, written to
-``validate_report.json``; ``plot`` renders CSVs into a four-panel SVG.
+method and ``run_meta.json``, the run's record of its settings and stages;
+``validate`` is ``compute`` of every method plus checks of cross-method
+agreement and identities, in A/L^2 and B/L with L the hull length, and of
+residuals, each against a fixed bound, written to ``validate_report.json``;
+``plot`` renders CSVs into a four-panel SVG.
 Settings come from an optional ``key = value`` config file and from the
 command line, whose ``--key value`` and ``--key=value`` pairs,
 ``--config``, ``--methods`` and ``--out`` among them, are read like config
@@ -13,8 +14,8 @@ where the subcommand or a key stands prints the help.  Identical
 configuration produces byte-identical CSVs.
 
 Exit codes: 0 success, 1 validation failure, 2 usage, input or
-configuration error, 3 numerical failure, which ``compute`` and
-``validate`` record in ``failure.json`` in the output directory.
+configuration error, 3 numerical failure, for which ``compute`` and
+``validate`` write the record as far as the run got to ``failure.json``.
 """
 import dataclasses
 import json
@@ -232,56 +233,58 @@ def read_curve_csv(path):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _compute_curves(cfg, methods):
-    """Run the requested methods; returns ({method: curve}, meta dict, the
-    :class:`PlateauInfo`, the mask of the grid points the lattice
-    comparisons read, and the :class:`~angelesco.lattice.NnrrLattice` of
-    ``dis``, None without it).  A ValueError past the configuration's checks
-    comes from a computed value and is raised as a
-    :class:`NumericalFailure`.  A failure leaves this with ``route``, the
-    stage that raised (``plateau`` or a method), and ``finished``, each
-    method that had answered with its ``meta`` and ``seconds``."""
+def _compute_curves(cfg, methods, record):
+    """Run the plateau, then the requested methods in route order; returns
+    ({method: curve}, the :class:`PlateauInfo`, the mask of the grid points
+    the lattice comparisons read, and the
+    :class:`~angelesco.lattice.NnrrLattice` of ``dis``, None without it).
+
+    Each stage answers into ``record["stages"]`` under its name, as its
+    ``meta`` and ``seconds``, and ``record["route"]`` names the stage that
+    runs, null once every stage has answered.  The stages run with numpy
+    raising on overflow, invalid values and division by zero.  Such an
+    error, or a ValueError past the configuration's checks, comes from a
+    computed value and is raised as a :class:`NumericalFailure` naming the
+    stage."""
     system = cfg.check().system()
     grid = cfg.grid()
-    route, finished = "plateau", {}
+    stages = record["stages"] = {}
+    curves, lat = {}, None
     try:
-        sc, _ = star_normalize(hull_units(system)[0])
-        t0 = time.perf_counter()
-        info = plateau_bounds(sc)
-        timings = {"plateau": time.perf_counter() - t0}
-        compared = off_window(grid, info.c1, info.c2, EXCLUDE_MARGIN)
-        curves = {}
-        lat = None
-        meta = {"config": dataclasses.asdict(cfg),
-                "plateau": dataclasses.asdict(info), "timings": timings}
-        for route in sorted(methods, key=METHODS.index):
-            t0 = time.perf_counter()
-            if route == "dis":
-                ladder = Ladder(lambda rung: curve_from_lattice(
-                    rung, grid, cfg.extrapolate), compared)
-                lat = solve_lattice(system, cfg.lattice_level, ladder)
-                curve = ladder.curve
-                meta["lattice"] = route_meta = dict(curve.meta, ladder={
-                    "cap": cfg.lattice_level, "stop": lat.m,
-                    "tolerance": LADDER_TOL, "rungs": ladder.rungs})
-            elif route == "ode":
-                curve = solve_system(system, info, grid, cfg.ode_steps)
-                meta["ode"] = route_meta = curve.meta
-            else:
-                curve = limit_curve(system, grid, info)
-                route_meta = curve.meta
-            curves[route] = curve
-            timings[route] = time.perf_counter() - t0
-            finished[route] = {"meta": route_meta, "seconds": timings[route]}
-    except NumericalFailure as exc:
-        exc.route, exc.finished = route, finished
-        raise
-    except ValueError as exc:
-        failure = NumericalFailure(str(exc), {"interval1": cfg.interval1,
-                                              "interval2": cfg.interval2})
-        failure.route, failure.finished = route, finished
-        raise failure from exc
-    return curves, meta, info, compared, lat
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for route in ("plateau", *sorted(methods, key=METHODS.index)):
+                record["route"] = route
+                t0 = time.perf_counter()
+                if route == "plateau":
+                    info = plateau_bounds(
+                        star_normalize(hull_units(system)[0])[0])
+                    compared = off_window(grid, info.c1, info.c2,
+                                          EXCLUDE_MARGIN)
+                    meta = dataclasses.asdict(info)
+                elif route == "dis":
+                    ladder = Ladder(lambda rung: curve_from_lattice(
+                        rung, grid, cfg.extrapolate), compared)
+                    lat = solve_lattice(system, cfg.lattice_level, ladder)
+                    curves[route] = ladder.curve
+                    meta = dict(ladder.curve.meta, ladder={
+                        "cap": cfg.lattice_level, "stop": lat.m,
+                        "tolerance": LADDER_TOL, "rungs": ladder.rungs})
+                elif route == "ode":
+                    curves[route] = solve_system(system, info, grid,
+                                                 cfg.ode_steps)
+                    meta = curves[route].meta
+                else:
+                    curves[route] = limit_curve(system, grid, info)
+                    meta = curves[route].meta
+                stages[route] = {"meta": meta,
+                                 "seconds": time.perf_counter() - t0}
+            record["route"] = None
+    except (ValueError, FloatingPointError) as exc:
+        route = record["route"]
+        raise NumericalFailure(f"{exc}, in the {route} stage", {
+            "route": route, "interval1": cfg.interval1,
+            "interval2": cfg.interval2}) from exc
+    return curves, info, compared, lat
 
 
 def _write_json(path, obj):
@@ -290,41 +293,29 @@ def _write_json(path, obj):
                           encoding="utf-8")
 
 
-def write_failure(cfg, command, methods, exc):
-    """Write ``failure.json``, the record of a :class:`NumericalFailure`:
-    the subcommand, the routes it ran in their order, the message, the
-    failure's context, the run's settings, as ``run_meta.json`` records
-    them, the stage that raised and the routes that had answered (both
-    null when a check of ``validate`` raised, past every route)."""
-    _write_json(Path(cfg.output_dir) / "failure.json",
-                {"command": command,
-                 "methods": sorted(set(methods), key=METHODS.index),
-                 "message": str(exc), "context": exc.context,
-                 "config": dataclasses.asdict(cfg),
-                 "route": getattr(exc, "route", None),
-                 "finished": getattr(exc, "finished", None)})
-
-
-def run_compute(cfg, methods):
-    """Run ``methods``; once all have answered, write one CSV per curve and
-    ``run_meta.json``.  Returns what :func:`_compute_curves` returns."""
+def run_compute(cfg, methods, record):
+    """Run ``methods``, filling ``record`` as :func:`_compute_curves` does;
+    once all have answered, write one CSV per curve and the record, its
+    ``config`` and ``stages``, as ``run_meta.json``.  Returns what
+    :func:`_compute_curves` returns."""
     methods = set(methods)
     if not methods or methods - set(METHODS):
         raise ValueError(f"methods must be some of {', '.join(METHODS)}, "
                          f"got {sorted(methods)}")
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    curves, meta, info, compared, lat = _compute_curves(cfg, methods)
+    curves, info, compared, lat = _compute_curves(cfg, methods, record)
     for method in METHODS:
         if method in curves:
             write_curve_csv(out / f"{method}.csv", curves[method])
             print(f"wrote {out / (method + '.csv')}")
-    _write_json(out / "run_meta.json", meta)
+    _write_json(out / "run_meta.json",
+                {key: record[key] for key in ("config", "stages")})
     print(f"wrote {out / 'run_meta.json'}")
-    return curves, meta, info, compared, lat
+    return curves, info, compared, lat
 
 
-def run_validate(cfg):
+def run_validate(cfg, record):
     """``compute`` of every method, then the checks on its curves, written
     to ``validate_report.json``; returns the exit code, 0 pass or 1 fail.
 
@@ -332,7 +323,7 @@ def run_validate(cfg):
     (:attr:`~angelesco.lattice.NnrrLattice.residuals`), raw, over the hull
     length and with the level where it peaks.  It is a diagnostic with no
     tolerance: it does not enter ``passed``."""
-    curves, _, info, compared, lat = run_compute(cfg, METHODS)
+    curves, info, compared, lat = run_compute(cfg, METHODS, record)
     window = (info.c1, info.c2)
     length = cfg.system().hull_length
     # (name, report entry, worst value, tolerance)
@@ -442,8 +433,7 @@ def read_argv(argv=None):
 
 def main(argv=None):
     command, words, pairs = read_argv(argv)
-    cfg = None
-    methods = METHODS
+    methods, record = METHODS, {}
     try:
         if command == "plot":
             return run_plot(words, pairs["out"])
@@ -451,14 +441,16 @@ def main(argv=None):
             methods = [m for m in pairs.pop("methods", ",".join(METHODS))
                        .split(",") if m]
         cfg = load_config(pairs.pop("config", None), pairs)
+        record["config"] = dataclasses.asdict(cfg)
         if command == "compute":
-            run_compute(cfg, methods)
+            run_compute(cfg, methods, record)
             return 0
-        return run_validate(cfg)
+        return run_validate(cfg, record)
     except NumericalFailure as exc:
         print(f"numerical failure: {exc} {exc.context}", file=_sys.stderr)
-        if cfg is not None:
-            write_failure(cfg, command, methods, exc)
+        _write_json(Path(cfg.output_dir) / "failure.json", dict(
+            record, command=command, message=str(exc), context=exc.context,
+            methods=sorted(set(methods), key=METHODS.index)))
         return 3
     except (ValueError, TypeError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=_sys.stderr)

@@ -44,7 +44,7 @@ def test_default_lattice_digits(interval2, tol):
     # the default read-out (level 256, third-order table) against the
     # surface, in the scale-free unit A / L^2, B / L, outside the margin
     cfg = RunConfig(interval2=interval2)
-    curves, _, _, compared, _ = _compute_curves(cfg, {"dis", "surface"})
+    curves, _, compared, _ = _compute_curves(cfg, {"dis", "surface"}, {})
     rep = compare(curves["dis"], curves["surface"], compared,
                   cfg.system().hull_length)
     assert max(rep["max_abs"].values()) <= tol
@@ -87,12 +87,15 @@ def default_reads():
     reads = {}
     for name, (i1, i2, w1, w2, _) in DIGIT_FLOORS.items():
         cfg = RunConfig(interval1=i1, interval2=i2, weight1=w1, weight2=w2)
-        curves, meta, _, compared, _ = _compute_curves(cfg, {"dis", "surface"})
+        record = {}
+        curves, _, compared, _ = _compute_curves(cfg, {"dis", "surface"},
+                                                 record)
         scaled = compare(curves["dis"], curves["surface"], compared,
                          cfg.system().hull_length)
         worst = max(scaled["max_abs"].values())
+        ladder = record["stages"]["dis"]["meta"]["ladder"]
         reads[name] = (-np.log10(worst), worst,
-                       meta["lattice"]["ladder"]["rungs"][-1]["estimate"])
+                       ladder["rungs"][-1]["estimate"])
     return reads
 
 
@@ -117,7 +120,8 @@ def test_run_meta_states_the_lattice_error_estimate(tmp_path):
     for flags in ([], ["--extrapolate", "false"]):
         assert main(["compute", "--methods", "dis", *flags,
                      "--output_dir", str(out)]) == 0
-        lattice = json.loads((out / "run_meta.json").read_text())["lattice"]
+        lattice = json.loads((out / "run_meta.json").read_text())[
+            "stages"]["dis"]["meta"]
         assert lattice["level"] == 256 and lattice["linear_points"] == 0
         assert lattice["extrapolated"] is (not flags)
         assert "error_estimate" not in lattice
@@ -138,7 +142,8 @@ def test_run_meta_records_the_ladder(tmp_path):
         out = tmp_path / str(cap)
         assert main(["compute", "--methods", "dis", "--lattice_level",
                      str(cap), "--output_dir", str(out)]) == 0
-        lattice = json.loads((out / "run_meta.json").read_text())["lattice"]
+        lattice = json.loads((out / "run_meta.json").read_text())[
+            "stages"]["dis"]["meta"]
         ladder = lattice["ladder"]
         assert ladder["cap"] == cap == ladder["stop"] == lattice["level"]
         assert ladder["tolerance"] == 1e-11
@@ -401,7 +406,8 @@ def test_compute_surface_endpoints(tmp_path, touching_system):
     assert row2[1] == pytest.approx(hat.C2_0, rel=1e-11)
     assert row2[4] == pytest.approx(-hat.B1_0, rel=1e-11)
     meta = json.loads((out / "run_meta.json").read_text())
-    assert set(meta) >= {"config", "plateau", "timings"}
+    assert set(meta) == {"config", "stages"}
+    assert list(meta["stages"]) == ["plateau", "surface"]
     assert meta["config"]["grid_points"] == 3
 
 
@@ -410,7 +416,8 @@ def test_run_meta_states_the_ode_error_estimate(tmp_path, interval1):
     out = tmp_path / "out"
     assert main(["compute", "--methods", "ode", f"--interval1={interval1}",
                  "--output_dir", str(out)]) == 0
-    branches = json.loads((out / "run_meta.json").read_text())["ode"]["branches"]
+    branches = json.loads((out / "run_meta.json").read_text())[
+        "stages"]["ode"]["meta"]["branches"]
     assert set(branches) == {"forward", "backward"}
     for b in branches.values():
         assert set(b) == {"error_estimate", "steps"}
@@ -494,7 +501,7 @@ def test_an_unbalanced_surface_curve_answers(tmp_path, interval1):
     # the surface route meets the ODE route to 1e-12 in units of the hull
     # length L (A / L^2, B / L)
     cfg = RunConfig(interval1=tuple(map(float, interval1.split(","))))
-    curves, _, _, _, _ = _compute_curves(cfg, {"surface", "ode"})
+    curves, _, _, _ = _compute_curves(cfg, {"surface", "ode"}, {})
     rep = compare(curves["surface"], curves["ode"], None,
                   cfg.system().hull_length)
     assert max(rep["max_abs"].values()) < 1e-12, rep["max_abs"]
@@ -520,7 +527,7 @@ def test_a_frame_whose_beta_rounds_to_1_answers(tmp_path, interval1,
                  "--output_dir", str(tmp_path / "out")]) == 0
     cfg = RunConfig(interval1=tuple(map(float, interval1.split(","))),
                     interval2=tuple(map(float, interval2.split(","))))
-    curves, _, _, _, _ = _compute_curves(cfg, {"surface", "ode"})
+    curves, _, _, _ = _compute_curves(cfg, {"surface", "ode"}, {})
     rep = compare(curves["surface"], curves["ode"], None,
                   cfg.system().hull_length)
     assert max(rep["max_abs"].values()) < 1e-12, rep["max_abs"]
@@ -528,7 +535,7 @@ def test_a_frame_whose_beta_rounds_to_1_answers(tmp_path, interval1,
 
 _OFF_THE_CONTRACT = {
     # alpha^2 overflows in the surface residues
-    "-1e100,0": "surface curve: A1 values must be finite",
+    "-1e100,0": "overflow encountered in multiply, in the surface stage",
     # A2 ~ 1e-400 of the short interval is below the normal doubles
     "-1e-200,0": "interval lengths 1e-200 and 1",
 }
@@ -547,13 +554,12 @@ def test_touching_systems_whose_threshold_ray_rounds_to_an_end_compute(
     rc = main(["compute", f"--interval1={interval1}",
                f"--interval2={interval2}", "--output_dir", str(out)])
     assert rc == 0
-    plateau = json.loads((out / "run_meta.json").read_text())["plateau"]
+    plateau = json.loads((out / "run_meta.json").read_text())[
+        "stages"]["plateau"]["meta"]
     assert 0.0 < plateau["c1"] <= plateau["c2"] <= 1.0
     assert 0.0 < plateau["one_minus_c2"] <= 1.0
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
-@pytest.mark.filterwarnings("ignore:invalid value encountered")
 @pytest.mark.parametrize("interval1", list(_OFF_THE_CONTRACT))
 def test_a_computed_curve_off_the_contract_exits_3(tmp_path, capsys,
                                                     interval1):
@@ -590,7 +596,7 @@ def test_the_lattice_and_ode_agree_where_the_plateau_constants_do_not(
         interval1, interval2):
     cfg = RunConfig(interval1=tuple(map(float, interval1.split(","))),
                     interval2=tuple(map(float, interval2.split(","))))
-    curves, _, _, compared, _ = _compute_curves(cfg, {"dis", "ode"})
+    curves, _, compared, _ = _compute_curves(cfg, {"dis", "ode"}, {})
     assert np.count_nonzero(compared) > 0
     rep = compare(curves["dis"], curves["ode"], compared,
                   cfg.system().hull_length)
@@ -1035,7 +1041,7 @@ def test_numerical_failure_exit_code(tmp_path, monkeypatch):
         assert record == {"command": command[0], "methods": methods,
                           "message": "forced", "context": {},
                           "config": json.loads(json.dumps(config)),
-                          "route": "plateau", "finished": {}}
+                          "route": "plateau", "stages": {}}
 
 
 def test_a_branch_at_its_step_cap_leaves_a_failure_record(tmp_path):
@@ -1053,6 +1059,14 @@ def test_a_branch_at_its_step_cap_leaves_a_failure_record(tmp_path):
     assert not (out / "ode.csv").exists()
 
 
+def _unclocked(stages):
+    """``stages`` with each stage's ``seconds``, which must be > 0, taken
+    out."""
+    for stage in stages.values():
+        assert stage.pop("seconds") > 0.0
+    return stages
+
+
 def replay(record, tmp_path, methods=True):
     """Run the record's command again from its settings, written out as a
     config file, and with ``methods`` its routes; returns the exit code."""
@@ -1067,43 +1081,66 @@ def replay(record, tmp_path, methods=True):
 
 def test_a_failure_record_replays_its_run(tmp_path):
     # the record's settings and routes give the same failure: the same
-    # message, context, settings and routes
+    # message, context, settings, routes and stages, in another time
     out = tmp_path / "out"
     assert main(["compute", "--methods", "ode", "--ode_steps", "1",
                  "--output_dir", str(out)]) == 3
     record = json.loads((out / "failure.json").read_text())
     assert record["methods"] == ["ode"]
+    _unclocked(record["stages"])
     assert replay(record, tmp_path) == 3
-    assert json.loads((out / "failure.json").read_text()) == record
+    again = json.loads((out / "failure.json").read_text())
+    _unclocked(again["stages"])
+    assert again == record
 
 
 def test_a_failure_record_names_its_route_and_the_routes_before_it(
         tmp_path):
     # every route runs: the lattice answers, then the ODE branch stops at
-    # its step cap; the record names the ODE route and holds the lattice's
-    # meta, as run_meta.json writes it, and its time, and the replay fails
-    # alike, in another time
+    # its step cap; the record names the ODE stage and holds the plateau's
+    # and the lattice's stages as run_meta.json writes them for the same
+    # settings, and the replay fails alike, in another time
     out = tmp_path / "out"
     assert main(["compute", "--ode_steps", "1", "--output_dir", str(out)]) == 3
     record = json.loads((out / "failure.json").read_text())
     assert record["route"] == "ode"
-    assert list(record["finished"]) == ["dis"]
-    dis = record["finished"]["dis"]
-    assert dis["seconds"] > 0.0
+    stages = _unclocked(record["stages"])
     alone = tmp_path / "dis"
-    assert main(["compute", "--methods", "dis",
+    assert main(["compute", "--methods", "dis", "--ode_steps", "1",
                  "--output_dir", str(alone)]) == 0
     meta = json.loads((alone / "run_meta.json").read_text())
-    assert dis["meta"] == meta["lattice"]
-    assert [r["level"] for r in dis["meta"]["ladder"]["rungs"]] == [184, 256]
+    assert stages == _unclocked(meta["stages"])
+    assert list(stages) == ["dis", "plateau"]
+    assert [r["level"] for r in stages["dis"]["meta"]["ladder"]["rungs"]] == [
+        184, 256]
     assert replay(record, tmp_path) == 3
     again = json.loads((out / "failure.json").read_text())
-    assert again["finished"]["dis"].pop("seconds") > 0.0
-    del dis["seconds"]
+    _unclocked(again["stages"])
     assert again == record
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_a_failure_past_every_route_records_every_stage(tmp_path,
+                                                        monkeypatch):
+    # a check of validate raises after every route has answered: the record
+    # names no stage and holds every stage of run_meta.json, and no report
+    # is written
+    import angelesco.cli as climod
+
+    def boom(*args):
+        raise NumericalFailure("forced", {})
+
+    monkeypatch.setattr(climod, "identity_checks", boom)
+    out = tmp_path / "out"
+    assert main(["validate", "--output_dir", str(out)] + FAST) == 3
+    record = json.loads((out / "failure.json").read_text())
+    meta = json.loads((out / "run_meta.json").read_text())
+    assert record["route"] is None and record["message"] == "forced"
+    assert record["stages"] == meta["stages"]
+    assert list(meta["stages"]) == ["dis", "ode", "plateau", "surface"]
+    assert record["config"] == meta["config"]
+    assert not (out / "validate_report.json").exists()
+
+
 def test_only_the_recorded_routes_replay_a_later_routes_failure(tmp_path):
     # the surface route fails on (-1e-70,0) u (0,1), but a run of every
     # route reaches the ODE branch's step cap first: the recorded routes
@@ -1113,9 +1150,13 @@ def test_only_the_recorded_routes_replay_a_later_routes_failure(tmp_path):
                  "--interval1=-1e-70,0", "--output_dir", str(out)]) == 3
     record = json.loads((out / "failure.json").read_text())
     assert record["methods"] == ["surface"]
-    assert record["message"].startswith("surface curve:")
+    assert record["message"] == ("overflow encountered in multiply, "
+                                 "in the surface stage")
+    _unclocked(record["stages"])
     assert replay(record, tmp_path) == 3
-    assert json.loads((out / "failure.json").read_text()) == record
+    again = json.loads((out / "failure.json").read_text())
+    _unclocked(again["stages"])
+    assert again == record
     assert replay(record, tmp_path, methods=False) == 3
     again = json.loads((out / "failure.json").read_text())
     assert again["methods"] == ["dis", "ode", "surface"]
@@ -1136,8 +1177,9 @@ def test_validate_writes_no_csv_before_every_route_answers(tmp_path):
     ids=["touching", "gap", "wide-window"])
 def test_validate_writes_what_compute_writes(tmp_path, interval1, interval2,
                                              rc):
-    # one run path: validate's CSVs are compute's bytes, and run_meta.json
-    # differs only in its wall timings and the output directory
+    # one run path: validate's CSVs are compute's bytes, and its record,
+    # run_meta.json, differs only in each stage's seconds and the output
+    # directory
     args = [f"--interval1={interval1}", f"--interval2={interval2}"]
     dirs = tmp_path / "compute", tmp_path / "validate"
     assert main(["compute", *args, "--output_dir", str(dirs[0])]) == 0
@@ -1146,18 +1188,18 @@ def test_validate_writes_what_compute_writes(tmp_path, interval1, interval2,
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
     metas = [json.loads((d / "run_meta.json").read_text()) for d in dirs]
     for meta, d in zip(metas, dirs):
-        assert set(meta.pop("timings")) == {"plateau", "dis", "ode",
-                                            "surface"}
+        assert set(_unclocked(meta["stages"])) == {"plateau", "dis", "ode",
+                                                   "surface"}
         assert meta["config"].pop("output_dir") == str(d)
     assert metas[0] == metas[1]
-    # the configuration and the plateau live in run_meta.json only
+    # the configuration and the stages live in run_meta.json only
     report = json.loads((dirs[1] / "validate_report.json").read_text())
     assert set(report) == {"comparisons", "identity", "residuals",
                            "axis_residual", "passed"}
     assert report["passed"] is (rc == 0)
     # the lattice's consistency residual is validate's record alone, and
     # the propagated axis cross-b's meet the mixed moments
-    assert "max_residual" not in metas[0]["lattice"]
+    assert "max_residual" not in metas[0]["stages"]["dis"]["meta"]
     axis = report["axis_residual"]
     assert axis["max_scaled"] == axis["max_abs"] / (
         float(interval2.split(",")[1]) - float(interval1.split(",")[0]))
@@ -1216,17 +1258,20 @@ def test_a_values_out_of_the_double_range_leave_a_failure_record(tmp_path,
     assert not (out / f"{method}.csv").exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_an_internal_overflow_does_not_claim_the_double_range(tmp_path):
     # on (-1e-70,0) u (0,1) the hull length is about 1 and the surface
-    # route overflows inside its star frame: the contract names that
+    # route overflows inside its star frame: the floating-point error names
+    # the stage, and the record the stage and the plateau before it
     out = tmp_path / "out"
     rc = main(["compute", "--methods", "surface", "--interval1=-1e-70,0",
                "--output_dir", str(out)])
     assert rc == 3
     record = json.loads((out / "failure.json").read_text())
-    assert record["message"].startswith("surface curve:")
+    assert record["message"] == ("overflow encountered in multiply, "
+                                 "in the surface stage")
+    assert record["context"]["route"] == record["route"] == "surface"
     assert "hull_length" not in record["context"]
+    assert list(record["stages"]) == ["plateau"]
 
 
 def test_plot(tmp_path):

@@ -5,13 +5,15 @@ e = -300 ... 300 in steps of 10, b in {0, 0.5, 0.999} and m in {dis, ode,
 surface}: each run's exit code and the first clause of its failure
 message (the text before its first ", "), against the committed
 ``tests/range_outcomes.json``.  On a mismatch the test lists every moved
-entry and writes the table it computed into its tmp dir.
+entry and writes the table it computed into its tmp dir.  A run that exits
+3 is replayed from its ``failure.json`` and must fail with the same
+message and context.
 """
 import json
-import warnings
 from pathlib import Path
 
 from angelesco.cli import main
+from test_cli import replay
 
 TABLE = Path(__file__).parent / "range_outcomes.json"
 EXPONENTS = range(-300, 301, 10)
@@ -20,23 +22,27 @@ METHODS = ("dis", "ode", "surface")
 
 
 def outcomes(out_dir):
-    """{"m b e": [exit code, first clause of the failure message or ""]}."""
-    table = {}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for m in METHODS:
-            for b in GAPS:
-                for e in EXPONENTS:
-                    out = Path(out_dir) / f"{m}_{b}_{e}"
-                    rc = main(["compute", "--methods", m,
-                               "--lattice_level", "64",
-                               f"--interval1=-1e{e},0", f"--interval2={b},1",
-                               "--output_dir", str(out)])
-                    record = out / "failure.json"
-                    message = (json.loads(record.read_text())["message"]
-                               if rc == 3 else "")
-                    table[f"{m} {b} {e}"] = [rc, message.split(", ", 1)[0]]
-    return table
+    """{"m b e": [exit code, first clause of the failure message or ""]},
+    and the keys of the exit-3 runs whose replay failed otherwise."""
+    table, unreplayed = {}, []
+    for m in METHODS:
+        for b in GAPS:
+            for e in EXPONENTS:
+                key, out = f"{m} {b} {e}", Path(out_dir) / f"{m}_{b}_{e}"
+                rc = main(["compute", "--methods", m, "--lattice_level", "64",
+                           f"--interval1=-1e{e},0", f"--interval2={b},1",
+                           "--output_dir", str(out)])
+                message = ""
+                if rc == 3:
+                    record = json.loads((out / "failure.json").read_text())
+                    message = record["message"]
+                    again = (json.loads((out / "failure.json").read_text())
+                             if replay(record, out) == 3 else {})
+                    if [again.get("message"), again.get("context")] != [
+                            message, record["context"]]:
+                        unreplayed.append(key)
+                table[key] = [rc, message.split(", ", 1)[0]]
+    return table, unreplayed
 
 
 def write_table(path, table):
@@ -47,7 +53,7 @@ def write_table(path, table):
 
 
 def test_the_range_sweep_matches_its_table(tmp_path, capsys):
-    table = outcomes(tmp_path / "runs")
+    table, unreplayed = outcomes(tmp_path / "runs")
     capsys.readouterr()
     committed = json.loads(TABLE.read_text(encoding="utf-8"))
     moved = [f"{k}: {committed.get(k)} -> {v}" for k, v in table.items()
@@ -59,3 +65,4 @@ def test_the_range_sweep_matches_its_table(tmp_path, capsys):
     assert not moved, (f"{len(moved)} entries moved (new table in "
                        f"{tmp_path / 'range_outcomes.json'}):\n"
                        + "\n".join(moved))
+    assert not unreplayed, f"replayed otherwise: {unreplayed}"
